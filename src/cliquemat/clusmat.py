@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .bits import (
     BitVector,
     BooleanMatrix,
@@ -43,7 +45,7 @@ from .bits import (
     unpack_chunks,
     witnesses,
 )
-from .engine import CliqueConfig, CliqueEngine, Message, RoundLedger
+from .engine import CliqueConfig, CliqueEngine, RoundLedger
 from .errors import (
     DimensionError,
     InvalidPlanError,
@@ -56,6 +58,7 @@ from .routing import (
     bounded_route,
     bounded_route_accounted_rounds,
     solve_relaxed_idt,
+    to_all_others,
     vector_multicast,
 )
 
@@ -462,29 +465,16 @@ def _broadcast_tree(engine: CliqueEngine, label: str, tree_key: str = "tree") ->
         tree: Tree = node1.storage["hmst_tree"]
     pairs = [(e.u, e.v) for e in tree.edges]
 
-    if engine.accounted:
-        engine.charge_rounds(2, label)
-        for j, (u, v) in enumerate(pairs, start=1):
-            if j != 1:
-                engine.count_traffic(1, j, 2 * cb)
-            for dst in engine.node_ids():
-                if dst != j:
-                    engine.count_traffic(j, dst, 2 * cb)
-    else:
-        with engine.measure(label):
-            for j, (u, v) in enumerate(pairs, start=1):
-                if j != 1:
-                    engine.post_message(
-                        Message(1, j, 0, j, ((u - 1) << cb) | (v - 1), 2 * cb)
-                    )
-            engine.advance_round()
-            for j, (u, v) in enumerate(pairs, start=1):
-                for dst in engine.node_ids():
-                    if dst != j:
-                        engine.post_message(
-                            Message(j, dst, 0, j, ((u - 1) << cb) | (v - 1), 2 * cb)
-                        )
-            engine.advance_round()
+    owners = np.arange(2, len(pairs) + 1)
+    src, dst = to_all_others(n, np.arange(1, len(pairs) + 1))
+    engine.exchange(
+        2,
+        np.repeat([0, 1], [owners.size, src.size]),
+        np.concatenate([np.ones(owners.size, np.int64), src]),
+        np.concatenate([owners, dst]),
+        2 * cb,
+        label=label,
+    )
 
     structure = Tree(n, tuple(WeightedEdge(u, v, 0) for u, v in pairs))
 
@@ -546,20 +536,8 @@ def _owner_distance_broadcast(
         values[node.id] = len(wit)
 
     engine.local(compute)
-
-    if engine.accounted:
-        engine.charge_rounds(1, label)
-        for j in sorted(values):
-            for dst in engine.node_ids():
-                if dst != j:
-                    engine.count_traffic(j, dst, cb)
-    else:
-        with engine.measure(label):
-            for j in sorted(values):
-                for dst in engine.node_ids():
-                    if dst != j:
-                        engine.post_message(Message(j, dst, 0, j, values[j], cb))
-            engine.advance_round()
+    src, dst = to_all_others(n, sorted(values))
+    engine.exchange(1, 0, src, dst, cb, label=label)
 
     table = dict(values)
 
@@ -895,17 +873,8 @@ def _measure_tree_cost(
         engine.charge_work(node.id, math.ceil(n / engine.w))
 
     engine.local(compute)
-    if engine.accounted:
-        engine.charge_rounds(1, label)
-        for j in sorted(values):
-            if j != 1:
-                engine.count_traffic(j, 1, cb)
-    else:
-        with engine.measure(label):
-            for j in sorted(values):
-                if j != 1:
-                    engine.post_message(Message(j, 1, 0, j, values[j], cb))
-            engine.advance_round()
+    owners = np.array([j for j in sorted(values) if j != 1], dtype=np.int64)
+    engine.exchange(1, 0, owners, 1, cb, label=label)
     return sum(values.values())
 
 
@@ -961,15 +930,7 @@ def choose_orientation(
     cost_a = _measure_tree_cost(engine, tree_a, row_key="pa", label="orient_cost")
     cost_b = _measure_tree_cost(engine, tree_b, row_key="pb", label="orient_cost")
     use_ba = cost_b < cost_a
-    if engine.accounted:
-        engine.charge_rounds(1, "orient_cost")
-        for dst in range(2, n + 1):
-            engine.count_traffic(1, dst, 1)
-    else:
-        with engine.measure("orient_cost"):
-            for dst in range(2, n + 1):
-                engine.post_message(Message(1, dst, 0, 0, int(use_ba), 1))
-            engine.advance_round()
+    engine.exchange(1, 0, *to_all_others(n, [1]), 1, label="orient_cost")
     led.step_rounds["orient_choice"] = led.rounds - r0
 
     _reset_protocol_storage(engine)

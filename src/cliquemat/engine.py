@@ -4,19 +4,27 @@
 ordered pair may carry at most one message of at most W payload bits per
 round.  Headers (src, dst, tag, seq) travel out of band and are not charged
 against W.  The ledger tracks rounds, messages, payload bits, and per-node
-work units; posting a message charges W work to the sender and delivering it
-charges W to the receiver.
+work units; every message charges W work to its sender and W to its
+receiver.
 
-Two execution styles share the engine:
+Messages enter the engine in one of two forms:
 
-* step protocols (:meth:`CliqueEngine.run_protocol`) call one per-node
-  function every round until all nodes report done in the same round;
-* phase-driven protocols drive the engine directly through
-  :meth:`local` phases and the routing primitives in :mod:`cliquemat.routing`.
+* batched rounds (:meth:`CliqueEngine.exchange`) -- the messages of one or
+  more consecutive rounds as numpy columns (round, src, dst, nbits).  The
+  engine checks endpoints, capacity and one message per ordered pair per
+  round for the whole batch at once and fills the ledger from sums.  The
+  routing primitives in :mod:`cliquemat.routing` and the one-round
+  exchanges of the protocols use this form; payloads stay with the caller,
+  which checks that each fits its declared width before scheduling it;
+* single messages (:meth:`post_message` + :meth:`advance_round`), which
+  also carry a payload, are checked one by one and land in the receivers'
+  inboxes.  Step protocols (:meth:`CliqueEngine.run_protocol`) use this
+  form.
 
-In ``accounted`` routing mode the primitives bypass per-round scheduling and
-charge their published analytic round costs instead; the engine exposes
-:meth:`charge_rounds` and the direct-delivery helpers for that path.
+In ``accounted`` routing mode the primitives charge their published
+analytic round costs instead of scheduling rounds; the engine exposes
+:meth:`charge_rounds`, :meth:`count_messages` and :meth:`count_traffic` for
+that path.
 """
 
 from __future__ import annotations
@@ -311,11 +319,7 @@ class CliqueEngine:
     def advance_round(self) -> None:
         """Deliver all buffered messages simultaneously and start a new round."""
         led = self.ledger
-        led.rounds += 1
-        if led.rounds > self.cfg.max_rounds:
-            raise MaxRoundsError(
-                f"exceeded max_rounds={self.cfg.max_rounds} without terminating"
-            )
+        self._add_rounds(1)
         for node in self.nodes[1:]:
             node.inbox = []
         if self._buffer:
@@ -330,6 +334,68 @@ class CliqueEngine:
                 self.nodes[dst].inbox = msgs
             self._buffer = {}
 
+    def exchange(self, rounds: int, rnd, src, dst, nbits, label: str = "") -> None:
+        """Run ``rounds`` consecutive rounds whose messages are given as
+        columns: message i leaves ``src[i]`` for ``dst[i]`` in round
+        ``rnd[i]`` (0-based within the batch) and carries ``nbits[i]``
+        payload bits.  A scalar stands for a constant column.
+
+        Every rule :meth:`post_message` enforces holds for the batch: both
+        endpoints in 1..n and distinct, 1 <= nbits <= W, and at most one
+        message per ordered pair per round.  Rounds without messages still
+        count.  The rounds are credited to ``label`` when it is nonempty.
+        """
+        if self._buffer:
+            raise RuntimeError("batched rounds cannot start while messages are buffered")
+        rnd, src, dst, nbits = (
+            a.astype(np.int64, copy=False)
+            for a in np.broadcast_arrays(rnd, src, dst, nbits)
+        )
+        if src.size:
+            self._check_endpoints(src, dst)
+            if rnd.min() < 0 or rnd.max() >= rounds:
+                raise ValueError(f"round index outside 0..{rounds - 1}")
+            if nbits.min() < 1:
+                raise CapacityError("payload must carry at least one bit")
+            if nbits.max() > self.w:
+                raise CapacityError(
+                    f"payload of {int(nbits.max())} bits exceeds capacity W={self.w}"
+                )
+            side = self.cfg.n + 1
+            key = np.sort((rnd * side + src) * side + dst)
+            if np.any(key[1:] == key[:-1]):
+                raise PairConflictError(
+                    "second message for an ordered pair in one round"
+                )
+        self._add_rounds(rounds)
+        self._tally(src, dst, nbits)
+        self.ledger.add_primitive_rounds(label, rounds)
+
+    def _check_endpoints(self, src: np.ndarray, dst: np.ndarray) -> None:
+        if np.any(src == dst):
+            raise ValueError("src and dst must differ")
+        n = self.cfg.n
+        if min(src.min(), dst.min()) < 1 or max(src.max(), dst.max()) > n:
+            raise ValueError(f"endpoints outside 1..{n}")
+
+    def _tally(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:
+        """Ledger of delivered messages: count, bits, W work at each end."""
+        led = self.ledger
+        led.messages += int(src.size)
+        led.bits += int(nbits.sum())
+        load = np.bincount(src, minlength=self.cfg.n + 1)
+        load += np.bincount(dst, minlength=self.cfg.n + 1)
+        work = led.work
+        for i in np.flatnonzero(load).tolist():
+            work[i] += int(load[i]) * self.w
+
+    def _add_rounds(self, rounds: int) -> None:
+        self.ledger.rounds += rounds
+        if self.ledger.rounds > self.cfg.max_rounds:
+            raise MaxRoundsError(
+                f"exceeded max_rounds={self.cfg.max_rounds} without terminating"
+            )
+
     def charge_work(self, node_id: int, units: int) -> None:
         if units < 0:
             raise ValueError("work units must be nonnegative")
@@ -339,12 +405,18 @@ class CliqueEngine:
 
     def charge_rounds(self, rounds: int, label: str = "") -> None:
         """Accounted mode: credit an analytic round cost without scheduling."""
-        self.ledger.rounds += rounds
-        if self.ledger.rounds > self.cfg.max_rounds:
-            raise MaxRoundsError(
-                f"exceeded max_rounds={self.cfg.max_rounds} without terminating"
-            )
+        self._add_rounds(rounds)
         self.ledger.add_primitive_rounds(label, rounds)
+
+    def count_messages(self, src, dst, nbits) -> None:
+        """Accounted mode: count one message per column entry, as
+        :meth:`exchange` would, without scheduling them into rounds."""
+        src, dst, nbits = (
+            a.astype(np.int64, copy=False) for a in np.broadcast_arrays(src, dst, nbits)
+        )
+        if src.size:
+            self._check_endpoints(src, dst)
+        self._tally(src, dst, nbits)
 
     def count_traffic(self, src: int, dst: int, nbits: int, count: int = 1) -> None:
         """Accounted mode: count ``count`` messages of ``nbits`` bits each

@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .bits import BitVector, Tree, local_mst, pack_chunks, unpack_chunks
-from .engine import CliqueConfig, CliqueEngine, Message, RoundLedger
+from .engine import CliqueConfig, CliqueEngine, RoundLedger
 from .errors import DimensionError, MalformedSketchError
-from .routing import RoutingItem, bounded_route, vector_multicast
+from .routing import RoutingItem, bounded_route, to_all_others, vector_multicast
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,29 @@ def estimate_distance(
     return family.scales[-1]
 
 
+def rows_from_chunks(chunks: Sequence[tuple[int, int]], k: int, n: int) -> tuple[int, ...]:
+    """Rows of one k x n projection matrix from its received chunks."""
+    value, nbits = unpack_chunks(chunks)
+    if nbits != k * n:
+        raise MalformedSketchError(
+            f"projection chunks carry {nbits} bits, expected {k * n}"
+        )
+    return ProjectionFamily.rows_from_bits(value, k, n)
+
+
+def sketches_from_chunks(
+    chunks: Sequence[tuple[int, int]], k: int, num_scales: int
+) -> tuple[int, ...]:
+    """One k-bit sketch per scale from a node's received sketch chunks."""
+    value, nbits = unpack_chunks(chunks)
+    if nbits != num_scales * k:
+        raise MalformedSketchError(
+            f"sketch chunks carry {nbits} bits, expected {num_scales * k}"
+        )
+    kmask = (1 << k) - 1
+    return tuple((value >> (idx * k)) & kmask for idx in range(num_scales))
+
+
 @dataclass(frozen=True)
 class EstimatedGraph:
     """Symmetric matrix of power-of-two distance estimates (zero diagonal)."""
@@ -216,18 +239,16 @@ def build_estimated_graph(
 def _broadcast_from_node1(engine: CliqueEngine, payload_chunks, label: str) -> None:
     """Node 1 sends the same small chunk sequence to every other node, one
     chunk per round (used only for seed mode)."""
-    n = engine.n
-    if engine.accounted:
-        engine.charge_rounds(len(payload_chunks), label)
-        for payload, nbits in payload_chunks:
-            for dst in range(2, n + 1):
-                engine.count_traffic(1, dst, nbits)
-        return
-    with engine.measure(label):
-        for seq, (payload, nbits) in enumerate(payload_chunks):
-            for dst in range(2, n + 1):
-                engine.post_message(Message(1, dst, 0, seq, payload, nbits))
-            engine.advance_round()
+    src, dst = to_all_others(engine.n, [1])
+    rounds = len(payload_chunks)
+    engine.exchange(
+        rounds,
+        np.repeat(np.arange(rounds), src.size),
+        np.tile(src, rounds),
+        np.tile(dst, rounds),
+        np.repeat([nbits for _, nbits in payload_chunks], src.size),
+        label=label,
+    )
 
 
 def run_hmst(
@@ -283,11 +304,7 @@ def run_hmst(
         def rebuild(node):
             if node.id == 1:
                 return
-            mats = {}
-            for r in scales:
-                value, nbits = unpack_chunks(received_chunks[node.id][r])
-                assert nbits == k * n
-                mats[r] = ProjectionFamily.rows_from_bits(value, k, n)
+            mats = {r: rows_from_chunks(received_chunks[node.id][r], k, n) for r in scales}
             node.storage["family"] = ProjectionFamily(
                 n, k, scales, mats, scale_thresholds(n, k)
             )
@@ -326,13 +343,14 @@ def run_hmst(
         per_src: dict[int, list[RoutingItem]] = {}
         for it in delivered.get(1, []):
             per_src.setdefault(it.src, []).append(it)
-        sketch_sets: list[tuple[int, ...]] = []
-        kmask = (1 << k) - 1
-        for src in range(1, n + 1):
-            items = sorted(per_src[src], key=lambda it: it.tag)
-            value, nbits = unpack_chunks([(it.payload, it.nbits) for it in items])
-            assert nbits == len(scales) * k
-            sketch_sets.append(tuple((value >> (idx * k)) & kmask for idx in range(len(scales))))
+        sketch_sets = [
+            sketches_from_chunks(
+                [(it.payload, it.nbits) for it in sorted(per_src[src], key=lambda it: it.tag)],
+                k,
+                len(scales),
+            )
+            for src in range(1, n + 1)
+        ]
         graph = build_estimated_graph(sketch_sets, fam)
         engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))
         tree = local_mst([list(row) for row in graph.weights])

@@ -1,31 +1,58 @@
 """Message-distribution subprotocols on the clique engine.
 
-Three primitives, each with two backends selected by the engine's routing
-mode:
+Three primitives share one code path for both routing backends: the batch is
+read once into numpy columns, checked against the per-node send and receive
+bounds, and delivered to the caller.  Only the cost rule depends on the
+engine's routing mode:
+
+* ``simulated`` builds every round of the schedule below as message columns
+  (round, src, dst, nbits) and runs them through
+  :meth:`CliqueEngine.exchange`, which enforces endpoints, capacity and one
+  message per ordered pair per round, and fills the ledger;
+* ``accounted`` charges the published analytic round cost and counts one
+  message per item (plus the multicast announcements) without scheduling.
+
+The simulated schedules:
 
 * ``solve_relaxed_idt`` -- every node sends and receives at most n items.
-  The simulated backend spreads item j of node i through intermediate
-  ((i+j-1) mod n)+1, announces per-pair backlogs, then drains one item per
-  ordered pair per round.  The accounted backend charges ``c_idt`` rounds.
+  The item of rank j at its source goes to intermediate ((src-1+j) mod n)+1;
+  the next round announces one backlog count per (intermediate, destination)
+  pair; then the item ranked q in its pair, by (src, tag, position), is
+  drained q rounds later, one item per ordered pair per round.  Accounted:
+  ``c_idt`` rounds per ceil(sends/n) * ceil(receives/n).
 * ``bounded_route`` -- at most k*n sends and l*n receives per node, solved
-  as k*l relaxed tasks, each preceded by a two-round exchange in which
-  senders announce deliverable counts and receivers reply with quotas.
+  as sub-tasks of at most n items per sender, each split into relaxed tasks.
+  Every relaxed task is preceded by two preamble rounds: senders announce
+  per-destination counts, and receivers reply with quotas granted in
+  ascending (dst, src) order up to n items per receiver.
 * ``vector_multicast`` -- each sender pushes one vector of at most n chunks
-  to a recipient set; recipients covered by doubling (groups of 2, 4, 8...),
-  every phase routed as a bounded task with per-holder fan-out 2.
+  to a recipient set.  Sub-task m serves every recipient's m-th sender; it
+  opens with two announcement rounds (senders tell recipients their rank,
+  recipients tell every node whose vector they take), then covers the
+  recipients by doubling (groups of 2, 4, 8...), each phase routed as one
+  bounded task with per-holder fan-out 2.
+
+Out of band: payloads never enter a column -- they may be wider than 64
+bits -- so each simulated primitive checks once, on receipt of its batch,
+that every payload fits its declared width; payload and width do not change
+between hops.  The forwarded destination, original source and position of
+an item travel with the schedule and are not charged as header bits.
 
 All primitives deliver self-addressed items locally at no message cost and
 return ``(delivered, rounds_used)`` where ``delivered`` maps a node id to
-its items in (src, tag, position) order.
+the caller's own items in (src, tag, position) order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+import operator
+from typing import NamedTuple, Sequence
 
-from .engine import CliqueEngine, Message
-from .errors import PreconditionError
+import numpy as np
+
+from .engine import CliqueEngine
+from .errors import CapacityError, PreconditionError
 
 
 class RoutingItem(NamedTuple):
@@ -41,26 +68,6 @@ Delivered = dict[int, list[RoutingItem]]
 
 def _count_bits(n: int) -> int:
     return max(1, math.ceil(math.log2(n + 1)))
-
-
-def _split_items(items: Iterable[RoutingItem]):
-    """Separate self-addressed items and index the rest by source."""
-    self_items: list[tuple[int, RoutingItem]] = []
-    cross: dict[int, list[tuple[int, RoutingItem]]] = {}
-    for pos, it in enumerate(items):
-        if it.src == it.dst:
-            self_items.append((pos, it))
-        else:
-            cross.setdefault(it.src, []).append((pos, it))
-    return self_items, cross
-
-
-def _finalize(delivered: dict[int, list[tuple[int, RoutingItem]]]) -> Delivered:
-    out: Delivered = {}
-    for dst, lst in delivered.items():
-        lst.sort(key=lambda pr: (pr[1].src, pr[1].tag, pr[0]))
-        out[dst] = [it for _, it in lst]
-    return out
 
 
 def idt_accounted_rounds(n: int, max_send: int, max_recv: int, c_idt: int) -> int:
@@ -83,6 +90,191 @@ def multicast_phases(num_recipients: int) -> int:
     return p
 
 
+def to_all_others(n: int, senders) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) columns of one message from each sender to every other
+    node, senders in the given order, receivers ascending."""
+    senders = np.asarray(senders, dtype=np.int64)
+    src = np.repeat(senders, n)
+    dst = np.tile(np.arange(1, n + 1), senders.size)
+    keep = src != dst
+    return src[keep], dst[keep]
+
+
+# ---------------------------------------------------------------------------
+# shared batch handling
+# ---------------------------------------------------------------------------
+
+class _Batch(NamedTuple):
+    """A routing batch as columns; row i is ``items[i]``."""
+
+    items: Sequence[RoutingItem]
+    src: np.ndarray
+    dst: np.ndarray
+    nbits: np.ndarray
+    tag: np.ndarray
+    payload: tuple
+
+
+def _columns(items: Sequence[RoutingItem]) -> _Batch:
+    if not items:
+        empty = np.zeros(0, dtype=np.int64)
+        return _Batch(items, empty, empty, empty, empty, ())
+    src, dst, payload, nbits, tag = zip(*items)
+    return _Batch(
+        items,
+        np.array(src, dtype=np.int64),
+        np.array(dst, dtype=np.int64),
+        np.array(nbits, dtype=np.int64),
+        np.array(tag, dtype=np.int64),
+        payload,
+    )
+
+
+def _check_payloads(payloads, nbits) -> None:
+    """Every payload is a nonnegative integer below 2**nbits (x >> nb is
+    nonzero exactly when x is negative or needs more than nb bits)."""
+    if any(map(operator.rshift, payloads, nbits)):
+        raise CapacityError("a payload value does not fit its declared bits")
+
+
+def _peak_loads(b: _Batch) -> tuple[int, int]:
+    """Largest per-node count of cross items sent and received."""
+    cross = b.src != b.dst
+    if not cross.any():
+        return 0, 0
+    return int(np.bincount(b.src[cross]).max()), int(np.bincount(b.dst[cross]).max())
+
+
+def _deliver(b: _Batch) -> Delivered:
+    """Every item at its destination, in (src, tag, position) order."""
+    if not b.items:
+        return {}
+    order = np.lexsort((np.arange(len(b.items)), b.tag, b.src, b.dst))
+    dst = b.dst[order]
+    cuts = (np.flatnonzero(dst[1:] != dst[:-1]) + 1).tolist()
+    ordered = [b.items[i] for i in order.tolist()]
+    bounds = [0] + cuts + [len(ordered)]
+    return {
+        int(dst[lo]): ordered[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
+    }
+
+
+def _run_ranks(keys: np.ndarray) -> np.ndarray:
+    """Rank of each entry within its run of equal consecutive keys."""
+    idx = np.arange(keys.size)
+    start = np.ones(keys.size, dtype=bool)
+    start[1:] = keys[1:] != keys[:-1]
+    return idx - np.maximum.accumulate(np.where(start, idx, 0))
+
+
+def _rank_within(keys: np.ndarray) -> np.ndarray:
+    """Rank of each entry among the entries with the same key, in column
+    order."""
+    order = np.argsort(keys, kind="stable")
+    rank = np.empty(keys.size, dtype=np.int64)
+    rank[order] = _run_ranks(keys[order])
+    return rank
+
+
+# ---------------------------------------------------------------------------
+# simulated schedules (columns of cross items in position order)
+# ---------------------------------------------------------------------------
+
+def _idt_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
+    """One relaxed task: spread over intermediates, announce backlogs, drain."""
+    n = engine.n
+    mid = (src - 1 + _rank_within(src)) % n + 1
+    hop = np.flatnonzero(mid != src)
+    held = np.flatnonzero(mid != dst)
+    # held items by (intermediate, dst) pair, then by (src, tag, position)
+    held = held[np.lexsort((held, tag[held], src[held], dst[held], mid[held]))]
+    q = _run_ranks(mid[held] * (n + 1) + dst[held])
+    announce = held[q == 0]
+    engine.exchange(
+        2 + (int(q.max()) + 1 if q.size else 0),
+        np.concatenate([np.repeat([0, 1], [hop.size, announce.size]), 2 + q]),
+        np.concatenate([src[hop], mid[announce], mid[held]]),
+        np.concatenate([mid[hop], dst[announce], dst[held]]),
+        np.concatenate([nbits[hop], np.full(announce.size, _count_bits(n)), nbits[held]]),
+    )
+
+
+def _copies(holders, targets, widths):
+    """(src, dst, nbits, tag) columns of every chunk of one vector, sent
+    from ``holders[i]`` to ``targets[i]``; the tag is the chunk index."""
+    c = widths.size
+    return (
+        np.repeat(holders, c),
+        np.repeat(targets, c),
+        np.tile(widths, targets.size),
+        np.tile(np.arange(c), targets.size),
+    )
+
+
+def _bounded_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
+    """Sub-tasks of at most n items per sender; each releases relaxed tasks
+    under receiver quotas until its items are gone."""
+    if not src.size:
+        return
+    n = engine.n
+    cbits = _count_bits(2 * n)
+    by_src = np.argsort(src, kind="stable")
+    subtask = _rank_within(src)[by_src] // n
+    for s in range(int(subtask.max()) + 1):
+        pending = by_src[subtask == s]  # (src, position) order
+        while pending.size:
+            ps, pd = src[pending], dst[pending]
+            # preamble 1: one count per (src, dst) pair
+            order = np.lexsort((pd, ps))
+            rank = _run_ranks(ps[order] * (n + 1) + pd[order])
+            first = np.flatnonzero(rank == 0)
+            pair_src, pair_dst = ps[order][first], pd[order][first]
+            count = np.diff(np.append(first, order.size))
+            # preamble 2: quotas in (dst, src) order, at most n per receiver
+            by_dst = np.lexsort((pair_src, pair_dst))
+            c = count[by_dst]
+            before = np.cumsum(c) - c  # nondecreasing
+            starts = _run_ranks(pair_dst[by_dst]) == 0
+            asked = before - np.maximum.accumulate(np.where(starts, before, 0))
+            quota = np.empty_like(count)
+            quota[by_dst] = np.minimum(c, np.maximum(0, n - asked))
+            release = np.zeros(pending.size, dtype=bool)
+            release[order] = rank < np.repeat(quota, count)
+            engine.exchange(
+                2,
+                np.repeat([0, 1], first.size),
+                np.concatenate([pair_src, pair_dst]),
+                np.concatenate([pair_dst, pair_src]),
+                cbits,
+            )
+            batch = pending[release]
+            _idt_rounds(engine, src[batch], dst[batch], nbits[batch], tag[batch])
+            pending = pending[~release]
+
+
+def _route(engine: CliqueEngine, b: _Batch, charge: int, schedule, label: str) -> int:
+    """Move the cross items of ``b``: accounted, charge ``charge`` rounds and
+    count one message per item; simulated, check the payloads and run
+    ``schedule``.  Returns the rounds used."""
+    cross = b.src != b.dst
+    if not cross.any():
+        return 0
+    src, dst, nbits = b.src[cross], b.dst[cross], b.nbits[cross]
+    if engine.accounted:
+        engine.charge_rounds(charge, label)
+        engine.count_messages(src, dst, nbits)
+        return charge
+    _check_payloads(b.payload, b.nbits.tolist())
+    start = engine.ledger.rounds
+    with engine.measure(label):
+        schedule(engine, src, dst, nbits, b.tag[cross])
+    return engine.ledger.rounds - start
+
+
+# ---------------------------------------------------------------------------
+# the primitives
+# ---------------------------------------------------------------------------
+
 def solve_relaxed_idt(
     engine: CliqueEngine,
     items: Sequence[RoutingItem],
@@ -90,89 +282,18 @@ def solve_relaxed_idt(
 ) -> tuple[Delivered, int]:
     """Deliver a batch in which every node sends <= n and receives <= n items."""
     n = engine.n
-    sends: dict[int, int] = {}
-    recvs: dict[int, int] = {}
-    for it in items:
-        if it.src != it.dst:
-            sends[it.src] = sends.get(it.src, 0) + 1
-            recvs[it.dst] = recvs.get(it.dst, 0) + 1
-    if sends and max(sends.values()) > n:
+    b = _columns(items)
+    max_send, max_recv = _peak_loads(b)
+    if max_send > n:
         raise PreconditionError(
-            f"a node sends {max(sends.values())} > n={n} items; use bounded_route"
+            f"a node sends {max_send} > n={n} items; use bounded_route"
         )
-    if recvs and max(recvs.values()) > n:
+    if max_recv > n:
         raise PreconditionError(
-            f"a node receives {max(recvs.values())} > n={n} items; use bounded_route"
+            f"a node receives {max_recv} > n={n} items; use bounded_route"
         )
-
-    self_items, cross = _split_items(items)
-    delivered: dict[int, list[tuple[int, RoutingItem]]] = {}
-    for pos, it in self_items:
-        delivered.setdefault(it.dst, []).append((pos, it))
-
-    if not cross:
-        return _finalize(delivered), 0
-
-    if engine.accounted:
-        rounds = idt_accounted_rounds(n, max(sends.values()), max(recvs.values()), engine.cfg.c_idt)
-        engine.charge_rounds(rounds, label)
-        for src in sorted(cross):
-            for pos, it in cross[src]:
-                engine.count_traffic(it.src, it.dst, it.nbits)
-                delivered.setdefault(it.dst, []).append((pos, it))
-        return _finalize(delivered), rounds
-
-    with engine.measure(label):
-        start = engine.ledger.rounds
-        cbits = _count_bits(n)
-        held: dict[tuple[int, int], list[tuple[int, RoutingItem]]] = {}
-
-        # phase 1: spread over intermediates, one distinct target per item
-        for src in sorted(cross):
-            for j, (pos, it) in enumerate(cross[src]):
-                mid = (src - 1 + j) % n + 1
-                if mid == src:
-                    held.setdefault((mid, it.dst), []).append((pos, it))
-                else:
-                    engine.post_message(
-                        Message(src, mid, it.tag, j, it.payload, it.nbits,
-                                meta=(it.dst, it.src, it.tag, pos))
-                    )
-        engine.advance_round()
-        for i in engine.node_ids():
-            for m in engine.node(i).inbox:
-                fdst, fsrc, ftag, fpos = m.meta
-                item = RoutingItem(fsrc, fdst, m.payload, m.nbits, ftag)
-                if fdst == i:
-                    delivered.setdefault(i, []).append((fpos, item))
-                else:
-                    held.setdefault((i, fdst), []).append((fpos, item))
-
-        # announce per-pair backlogs so drain lengths are known
-        for (mid, dst), lst in sorted(held.items()):
-            lst.sort(key=lambda pr: (pr[1].src, pr[1].tag, pr[0]))
-            engine.post_message(Message(mid, dst, 0, 0, len(lst) % (1 << cbits), cbits))
-        engine.advance_round()
-
-        # drain: one item per ordered pair per round
-        drain = max((len(lst) for lst in held.values()), default=0)
-        for q in range(drain):
-            for (mid, dst), lst in sorted(held.items()):
-                if q < len(lst):
-                    pos, it = lst[q]
-                    engine.post_message(
-                        Message(mid, dst, it.tag, q, it.payload, it.nbits,
-                                meta=(it.dst, it.src, it.tag, pos))
-                    )
-            engine.advance_round()
-            for i in engine.node_ids():
-                for m in engine.node(i).inbox:
-                    fdst, fsrc, ftag, fpos = m.meta
-                    delivered.setdefault(i, []).append(
-                        (fpos, RoutingItem(fsrc, fdst, m.payload, m.nbits, ftag))
-                    )
-        rounds = engine.ledger.rounds - start
-    return _finalize(delivered), rounds
+    charge = idt_accounted_rounds(n, max_send, max_recv, engine.cfg.c_idt)
+    return _deliver(b), _route(engine, b, charge, _idt_rounds, label)
 
 
 def bounded_route(
@@ -184,14 +305,8 @@ def bounded_route(
 ) -> tuple[Delivered, int]:
     """Deliver a batch with per-node sends <= k*n and receives <= ell*n."""
     n = engine.n
-    sends: dict[int, int] = {}
-    recvs: dict[int, int] = {}
-    for it in items:
-        if it.src != it.dst:
-            sends[it.src] = sends.get(it.src, 0) + 1
-            recvs[it.dst] = recvs.get(it.dst, 0) + 1
-    max_send = max(sends.values(), default=0)
-    max_recv = max(recvs.values(), default=0)
+    b = _columns(items)
+    max_send, max_recv = _peak_loads(b)
     if k is None:
         k = max(1, math.ceil(max_send / n))
     if ell is None:
@@ -200,87 +315,8 @@ def bounded_route(
         raise PreconditionError(f"a node sends {max_send} > k*n = {k * n}")
     if max_recv > ell * n:
         raise PreconditionError(f"a node receives {max_recv} > l*n = {ell * n}")
-
-    self_items, cross = _split_items(items)
-    delivered: dict[int, list[tuple[int, RoutingItem]]] = {}
-    for pos, it in self_items:
-        delivered.setdefault(it.dst, []).append((pos, it))
-    if not cross:
-        return _finalize(delivered), 0
-
-    if engine.accounted:
-        rounds = bounded_route_accounted_rounds(k, ell, engine.cfg.c_idt)
-        engine.charge_rounds(rounds, label)
-        for src in sorted(cross):
-            for pos, it in cross[src]:
-                engine.count_traffic(it.src, it.dst, it.nbits)
-                delivered.setdefault(it.dst, []).append((pos, it))
-        return _finalize(delivered), rounds
-
-    with engine.measure(label):
-        start = engine.ledger.rounds
-        cbits = _count_bits(2 * n)
-        for s in range(k):
-            # sub-task: every node contributes its next <= n items
-            pending: dict[int, list[tuple[int, RoutingItem]]] = {}
-            for src in sorted(cross):
-                part = cross[src][s * n:(s + 1) * n]
-                if part:
-                    pending[src] = list(part)
-            while pending:
-                # preamble round 1: senders announce deliverable counts
-                counts: dict[tuple[int, int], int] = {}
-                for src in sorted(pending):
-                    per_dst: dict[int, int] = {}
-                    for _, it in pending[src]:
-                        per_dst[it.dst] = per_dst.get(it.dst, 0) + 1
-                    for dst in sorted(per_dst):
-                        counts[(src, dst)] = per_dst[dst]
-                        engine.post_message(
-                            Message(src, dst, 0, 0, per_dst[dst] % (1 << cbits), cbits)
-                        )
-                engine.advance_round()
-                # preamble round 2: receivers reply with quotas, capacity n
-                quota: dict[tuple[int, int], int] = {}
-                remaining: dict[int, int] = {}
-                for (src, dst), c in sorted(counts.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-                    room = remaining.setdefault(dst, n)
-                    q = min(c, room)
-                    remaining[dst] = room - q
-                    quota[(src, dst)] = q
-                    engine.post_message(
-                        Message(dst, src, 1, 0, q % (1 << cbits), cbits)
-                    )
-                engine.advance_round()
-                # release the granted items and solve one relaxed task
-                batch: list[RoutingItem] = []
-                batch_pos: list[int] = []
-                for src in sorted(pending):
-                    taken: dict[int, int] = {}
-                    rest: list[tuple[int, RoutingItem]] = []
-                    for pos, it in pending[src]:
-                        q = quota.get((src, it.dst), 0)
-                        if taken.get(it.dst, 0) < q:
-                            taken[it.dst] = taken.get(it.dst, 0) + 1
-                            batch.append(it)
-                            batch_pos.append(pos)
-                        else:
-                            rest.append((pos, it))
-                    if rest:
-                        pending[src] = rest
-                    else:
-                        del pending[src]
-                part, _ = solve_relaxed_idt(engine, batch, label="")
-                for dst in sorted(part):
-                    for it in part[dst]:
-                        delivered.setdefault(dst, []).append((0, it))
-        rounds = engine.ledger.rounds - start
-    out: Delivered = {}
-    for dst, lst in delivered.items():
-        out[dst] = sorted(
-            (it for _, it in lst), key=lambda it: (it.src, it.tag, it.payload)
-        )
-    return out, rounds
+    charge = bounded_route_accounted_rounds(k, ell, engine.cfg.c_idt)
+    return _deliver(b), _route(engine, b, charge, _bounded_rounds, label)
 
 
 def vector_multicast(
@@ -317,6 +353,9 @@ def vector_multicast(
 
     if not senders_net:
         return result, 0
+    if not engine.accounted:
+        for chunks, _ in senders_net.values():
+            _check_payloads(*zip(*chunks))
 
     # sub-task m serves every recipient's m-th sender (ascending sender id),
     # so recipient sets inside a sub-task are disjoint by construction
@@ -334,87 +373,55 @@ def vector_multicast(
             slist = by_recipient[v]
             if m < len(slist):
                 sub.setdefault(slist[m], []).append(v)
-        for s in sub:
-            sub[s].sort()
+        order = sorted(sub)
+        recips = {s: np.array(sub[s], dtype=np.int64) for s in order}
+        widths = {s: np.array([nb for _, nb in senders_net[s][0]], dtype=np.int64) for s in order}
+        for s in order:
+            for v in sub[s]:
+                result.setdefault(v, []).append((s, list(senders_net[s][0])))
 
-        max_chunks = max(len(senders_net[s][0]) for s in sub)
-        max_recips = max(len(r) for r in sub.values())
-        phases = multicast_phases(max_recips)
-        kk = max(1, math.ceil(2 * max_chunks / n))
+        # announcement 1: each sender tells its recipients their rank;
+        # announcement 2: each recipient tells everyone whose it is
+        sizes = [recips[s].size for s in order]
+        ranked = np.concatenate([recips[s] for s in order])
+        told_src, told_dst = to_all_others(n, ranked)
+        ann_rnd = np.repeat([0, 1], [ranked.size, told_src.size])
+        ann_src = np.concatenate([np.repeat(order, sizes), told_src])
+        ann_dst = np.concatenate([ranked, told_dst])
 
         if engine.accounted:
             # charge the published per-sub-task bound: ceil(log2 n) doubling
-            # phases regardless of how many recipients this instance has
+            # phases regardless of how many recipients this instance has;
+            # count every chunk as one direct message from the sender
+            kk = max(1, math.ceil(2 * max(w.size for w in widths.values()) / n))
             flat_phases = max(1, math.ceil(math.log2(n)))
             rounds_m = 2 + flat_phases * bounded_route_accounted_rounds(kk, 1, engine.cfg.c_idt)
             engine.charge_rounds(rounds_m, label)
-            recips_in_sub = set()
-            for s in sorted(sub):
-                chunks = senders_net[s][0]
-                total_bits = sum(nb for _, nb in chunks)
-                for v in sub[s]:
-                    recips_in_sub.add(v)
-                    engine.count_traffic(s, v, idbits)  # membership announcement
-                    led = engine.ledger
-                    led.messages += len(chunks)
-                    led.bits += total_bits
-                    led.work[s] += len(chunks) * engine.w
-                    led.work[v] += len(chunks) * engine.w
-                    result.setdefault(v, []).append((s, list(chunks)))
-            # recipients announce their sender to all other nodes
-            led = engine.ledger
-            r_cnt = len(recips_in_sub)
-            led.messages += r_cnt * (n - 1)
-            led.bits += r_cnt * (n - 1) * idbits
-            for v in recips_in_sub:
-                led.work[v] += (n - 1) * engine.w
-            for u in engine.node_ids():
-                led.work[u] += (r_cnt - (1 if u in recips_in_sub else 0)) * engine.w
+            direct = [_copies(np.full(recips[s].size, s), recips[s], widths[s]) for s in order]
+            src, dst, nbits, _ = (np.concatenate(c) for c in zip(*direct))
+            engine.count_messages(
+                np.concatenate([ann_src, src]),
+                np.concatenate([ann_dst, dst]),
+                np.concatenate([np.full(ann_src.size, idbits), nbits]),
+            )
             total_rounds += rounds_m
             continue
 
-        sender_of = {v: s for s in sub for v in sub[s]}
+        start = engine.ledger.rounds
         with engine.measure(label):
-            start = engine.ledger.rounds
-            # announcement 1: each sender tells its recipients their rank
-            for s in sorted(sub):
-                for rank, v in enumerate(sub[s]):
-                    engine.post_message(Message(s, v, 0, rank, rank % (1 << idbits), idbits))
-            engine.advance_round()
-            # announcement 2: each recipient tells everyone whose it is
-            for s in sorted(sub):
-                for v in sub[s]:
-                    for u in engine.node_ids():
-                        if u != v:
-                            engine.post_message(Message(v, u, 1, 0, s % (1 << idbits), idbits))
-            engine.advance_round()
-
-            for p in range(1, phases + 1):
-                items: list[RoutingItem] = []
-                for s in sorted(sub):
-                    recips = sub[s]
-                    chunks = senders_net[s][0]
-                    lo, hi = (1 << p) - 2, (1 << (p + 1)) - 2
-                    if p == 1:
-                        holders = [(s, r) for r in range(min(2, len(recips)))]
-                    else:
-                        plo = (1 << (p - 1)) - 2
-                        holders = []
-                        for q, hrank in enumerate(range(plo, min(lo, len(recips)))):
-                            for t in (lo + 2 * q, lo + 2 * q + 1):
-                                if t < min(hi, len(recips)):
-                                    holders.append((recips[hrank], t))
-                    for holder, trank in holders:
-                        v = recips[trank]
-                        for c, (payload, nbits) in enumerate(chunks):
-                            items.append(RoutingItem(holder, v, payload, nbits, tag=c))
-                if items:
-                    part, _ = bounded_route(engine, items, k=kk, ell=1, label="")
-                    for v in sorted(part):
-                        chunks_v = [(it.payload, it.nbits) for it in sorted(part[v], key=lambda it: it.tag)]
-                        result.setdefault(v, []).append((sender_of[v], chunks_v))
-            rounds_m = engine.ledger.rounds - start
-        total_rounds += rounds_m
+            engine.exchange(2, ann_rnd, ann_src, ann_dst, idbits)
+            for p in range(1, multicast_phases(max(sizes)) + 1):
+                # phase p reaches ranks lo..hi-1; the sender holds the vector
+                # in phase 1, later the recipient of rank plo + (t-lo)//2
+                lo, hi, plo = (1 << p) - 2, (1 << (p + 1)) - 2, (1 << (p - 1)) - 2
+                cols = []
+                for s in order:
+                    rs = recips[s]
+                    t = np.arange(lo, min(hi, rs.size))
+                    holders = np.full(t.size, s) if p == 1 else rs[plo + (t - lo) // 2]
+                    cols.append(_copies(holders, rs[t], widths[s]))
+                _bounded_rounds(engine, *(np.concatenate(c) for c in zip(*cols)))
+        total_rounds += engine.ledger.rounds - start
 
     for v in result:
         result[v].sort(key=lambda sv: sv[0])

@@ -1,5 +1,6 @@
 """Unit tests for the clique engine."""
 
+import numpy as np
 import pytest
 
 from cliquemat.engine import CliqueConfig, CliqueEngine, Message
@@ -119,6 +120,89 @@ def test_inbox_sorted_and_replaced():
     assert [m.src for m in eng.node(1).inbox] == [2, 3]
     eng.advance_round()
     assert eng.node(1).inbox == []
+
+
+# ---------------------------------------------------------------------------
+# batched rounds: the same rules, the same errors, the same ledger
+# ---------------------------------------------------------------------------
+
+# (case, messages of one round as (src, dst, nbits), error both paths raise)
+RULES = [
+    ("dst outside", [(1, 9, 4)], ValueError),
+    ("src outside", [(0, 2, 4)], ValueError),
+    ("src equals dst", [(3, 3, 4)], ValueError),
+    ("no bits", [(1, 2, 0)], CapacityError),
+    ("over capacity", [(1, 2, 17)], CapacityError),
+    ("pair twice", [(3, 7, 1), (4, 7, 1), (3, 7, 2)], PairConflictError),
+]
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # the test compares exact classes
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("case,msgs,error", RULES, ids=[r[0] for r in RULES])
+def test_exchange_enforces_post_message_rules(case, msgs, error):
+    def per_message():
+        eng = make_engine(8, w=16)
+        for src, dst, nbits in msgs:
+            eng.post_message(Message(src, dst, 0, 0, 0, nbits))
+        eng.advance_round()
+
+    def batched():
+        src, dst, nbits = (np.array(col) for col in zip(*msgs))
+        make_engine(8, w=16).exchange(1, 0, src, dst, nbits)
+
+    assert _raised(per_message) is error
+    assert _raised(batched) is error
+
+
+def test_exchange_pair_may_repeat_in_another_round():
+    eng = make_engine(8)
+    eng.exchange(2, [0, 1], [3, 3], [7, 7], [1, 1])
+    assert eng.ledger.rounds == 2 and eng.ledger.messages == 2
+
+
+def test_exchange_refuses_to_overtake_buffered_messages():
+    eng = make_engine(4)
+    eng.post_message(Message(1, 2, 0, 0, 1, 1))
+    with pytest.raises(RuntimeError):
+        eng.exchange(1, 0, [3], [4], 1)
+
+
+def test_exchange_round_limit():
+    def per_message():
+        eng = make_engine(4, max_rounds=2)
+        for _ in range(3):
+            eng.advance_round()
+
+    def batched():
+        make_engine(4, max_rounds=2).exchange(3, [0, 2], [1, 2], [2, 1], 4)
+
+    assert _raised(per_message) is MaxRoundsError
+    assert _raised(batched) is MaxRoundsError
+
+
+def test_exchange_ledger_matches_post_message():
+    msgs = [(0, 1, 2, 5), (0, 3, 2, 7), (0, 2, 1, 16), (2, 4, 1, 1), (2, 1, 4, 9)]
+    per = make_engine(4, w=16)
+    for r in range(3):
+        for rnd, src, dst, nbits in msgs:
+            if rnd == r:
+                per.post_message(Message(src, dst, 0, 0, 0, nbits))
+        per.advance_round()
+    batch = make_engine(4, w=16)
+    rnd, src, dst, nbits = (np.array(col) for col in zip(*msgs))
+    batch.exchange(3, rnd, src, dst, nbits, label="demo")
+    assert batch.ledger.work == per.ledger.work
+    assert (batch.ledger.rounds, batch.ledger.messages, batch.ledger.bits) == (
+        per.ledger.rounds, per.ledger.messages, per.ledger.bits
+    )
+    assert batch.ledger.primitive_rounds == {"demo": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cliquemat.bits import BitVector, hamming_distance
+from cliquemat.bits import BitVector, hamming_distance, pack_chunks
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import DimensionError, MalformedSketchError
 from cliquemat.hmst import (
@@ -18,9 +18,11 @@ from cliquemat.hmst import (
     gen_projection,
     hmst_protocol,
     project,
+    rows_from_chunks,
     scale_thresholds,
     scales_for,
     sketch_point,
+    sketches_from_chunks,
 )
 
 
@@ -165,6 +167,25 @@ def test_estimate_missing_scale_rejected():
     sk = sketch_point(fam, BitVector.zeros(n))
     with pytest.raises(MalformedSketchError):
         estimate_distance(sk[:-1], sk, fam)
+
+
+def test_truncated_chunk_list_rejected():
+    """A received projection or sketch that lost its last chunk raises
+    MalformedSketchError (not an assert, which ``python -O`` drops)."""
+    k, n = 5, 16
+    rows = tuple(range(1, k + 1))
+    value = sum(row << (i * n) for i, row in enumerate(rows))
+    chunks = pack_chunks(value, k * n, 32)
+    assert rows_from_chunks(chunks, k, n) == rows
+    with pytest.raises(MalformedSketchError):
+        rows_from_chunks(chunks[:-1], k, n)
+
+    sketches = (3, 0, 31, 7)
+    value = sum(s << (i * k) for i, s in enumerate(sketches))
+    chunks = pack_chunks(value, len(sketches) * k, 8)
+    assert sketches_from_chunks(chunks, k, len(sketches)) == sketches
+    with pytest.raises(MalformedSketchError):
+        sketches_from_chunks(chunks[:-1], k, len(sketches))
 
 
 def test_estimate_monotone_scale_rule():

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from cliquemat.engine import CliqueConfig, CliqueEngine
-from cliquemat.errors import PreconditionError
+from cliquemat.errors import CapacityError, PreconditionError
 from cliquemat.routing import (
     RoutingItem,
     bounded_route,
@@ -251,6 +251,47 @@ def test_multicast_accounted_round_charge_is_shape_function():
     ra = vector_multicast(make_engine(n, routing="accounted"), a)[1]
     rb = vector_multicast(make_engine(n, routing="accounted"), b)[1]
     assert ra == rb
+
+
+# ---------------------------------------------------------------------------
+# payload widths and delivery order
+# ---------------------------------------------------------------------------
+
+def _run_primitive(name, eng, payload, nbits):
+    """One cross item 1 -> 2 through the named primitive; returns what
+    node 2 received as (payload, nbits) pairs."""
+    if name == "vector_multicast":
+        result, _ = vector_multicast(eng, {1: ([(payload, nbits)], [2])})
+        return [chunk for _, chunks in result[2] for chunk in chunks]
+    prim = solve_relaxed_idt if name == "relaxed_idt" else bounded_route
+    delivered, _ = prim(eng, [RoutingItem(1, 2, payload, nbits)])
+    return [(it.payload, it.nbits) for it in delivered[2]]
+
+
+PRIMITIVES = ("relaxed_idt", "bounded_route", "vector_multicast")
+
+
+@pytest.mark.parametrize("name", PRIMITIVES)
+@pytest.mark.parametrize("payload,nbits", [(8, 3), (-1, 8)])
+def test_simulated_primitive_rejects_payload_wider_than_nbits(name, payload, nbits):
+    with pytest.raises(CapacityError):
+        _run_primitive(name, make_engine(4), payload, nbits)
+
+
+@pytest.mark.parametrize("name", PRIMITIVES)
+def test_simulated_primitive_carries_wide_payload(name):
+    """Payloads never enter an int64 column, so W > 64 still works."""
+    payload = (1 << 89) | 12345
+    eng = make_engine(4, w=100)
+    assert _run_primitive(name, eng, payload, 90) == [(payload, 90)]
+    assert eng.ledger.bits >= 90
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_bounded_route_delivers_in_position_order(routing):
+    items = [RoutingItem(1, 2, p, 4) for p in (9, 3, 7)]
+    delivered, _ = bounded_route(make_engine(4, routing=routing), items)
+    assert [it.payload for it in delivered[2]] == [9, 3, 7]
 
 
 # ---------------------------------------------------------------------------
