@@ -12,6 +12,7 @@ from pathlib import Path
 from .bits import hamming_distance
 from .clusmat import choose_orientation, clusmat_oriented
 from .engine import CliqueConfig
+from .errors import CliquematError
 from .harness import GenSpec, bench_grid, default_grid, generate, verify
 from .hmst import ProjectionConfig, hmst_protocol
 from .textio import (
@@ -163,7 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate an instance matrix")
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--kind", choices=["clustered", "uniform"], default="clustered")
+    g.add_argument(
+        "--kind",
+        choices=["clustered", "uniform", "ladder"],
+        default="clustered",
+        help="ladder: --clusters chain rows, window length --spread",
+    )
     g.add_argument("--clusters", type=int, default=1)
     g.add_argument("--spread", type=int, default=0)
     g.add_argument("--density", type=float, default=0.5)
@@ -201,13 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command.  Bad input and protocol aborts (package errors and
+    ``ValueError``) end with a one-line message on stderr and exit code 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
         if args.protocol == "clusmat" and not (args.a and args.b):
-            build_parser().error("clusmat needs --a and --b")
+            parser.error("clusmat needs --a and --b")
         if args.protocol == "hmst" and not args.points:
-            build_parser().error("hmst needs --points")
-    return args.fn(args)
+            parser.error("hmst needs --points")
+    try:
+        return args.fn(args)
+    except (CliquematError, ValueError) as exc:
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

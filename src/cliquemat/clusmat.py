@@ -9,6 +9,13 @@ consecutive columns, and every (tour block, column block) pair goes to one
 node, which reconstructs the block's rows incrementally from witness lists
 and updates per-column overlap counts only at flipped coordinates.
 
+The ledger charges that incremental-count work as the paper states it.  The
+simulation reaches the same entries more cheaply on the host: a pair node
+rebuilds each row by XOR with one mask per tour edge and tests it against
+each column whole (:func:`block_multiply`), and the replicated step-6 plan
+is derived once and shared by every node that holds the same tree and
+distance table.
+
 Steps (per-step round subtotals land in ``ledger.step_rounds``):
 
  1. every node learns its column of B (transpose exchange);
@@ -408,43 +415,38 @@ def block_multiply(
     """Walk the tour block reconstructing every row from the previous one and
     emit (row vertex, column index, bit) for each visited vertex x column.
 
-    Per column an integer count of shared ones is kept and updated only at
-    flipped coordinates, so the cost is (columns) x (block cost) updates plus
-    the initial inner products.
+    Entries come out at each vertex's first visit, in the given column
+    order.  Each walk edge's witness list is folded once into an XOR mask (a
+    repeated coordinate cancels, as two flips would) and applied to the
+    whole row, and each entry tests the rebuilt row against its column.  The
+    paper's algorithm instead keeps one count of shared ones per column and
+    updates it at every flipped coordinate; the ledger charges that work,
+    (n + block cost) x columns, whatever this simulation spends.
     """
     n = start_row.n
-    col_ids = [j for j, _ in columns]
-    counts = [(start_row.value & col.value).bit_count() for _, col in columns]
-    cols_at: dict[int, list[int]] = {}
-    for cidx, (_, col) in enumerate(columns):
-        v = col.value
-        while v:
-            low = v & -v
-            cols_at.setdefault(low.bit_length(), []).append(cidx)
-            v ^= low
-
-    out: list[tuple[int, int, int]] = []
-    emitted: set[int] = set()
-
-    def emit(vertex: int) -> None:
-        if vertex in emitted:
-            return
-        emitted.add(vertex)
-        for cidx, j in enumerate(col_ids):
-            out.append((vertex, j, 1 if counts[cidx] > 0 else 0))
-
+    cols = [(j, col.value) for j, col in columns]
+    masks: dict[int, int] = {}
     cur = start_row.value
-    emit(start_vertex)
+    out = [(start_vertex, j, 1 if cur & col else 0) for j, col in cols]
+    seen = {start_vertex}
     for (_, head, eidx) in walk:
-        for coord in witnesses_by_edge.get(eidx, ()):
-            if not 1 <= coord <= n:
-                raise InvalidWitnessError(f"witness {coord} outside 1..{n}")
-            bit = 1 << (coord - 1)
-            delta = -1 if cur & bit else 1
-            cur ^= bit
-            for cidx in cols_at.get(coord, ()):
-                counts[cidx] += delta
-        emit(head)
+        mask = masks.get(eidx)
+        if mask is None:
+            coords = witnesses_by_edge.get(eidx, ())
+            mask = 0
+            if coords:
+                lo, hi = min(coords), max(coords)
+                if lo < 1 or hi > n:
+                    raise InvalidWitnessError(
+                        f"witness {lo if lo < 1 else hi} outside 1..{n}"
+                    )
+                for coord in coords:
+                    mask ^= 1 << (coord - 1)
+            masks[eidx] = mask
+        cur ^= mask
+        if head not in seen:
+            seen.add(head)
+            out += [(head, j, 1 if cur & col else 0) for j, col in cols]
     return out
 
 
@@ -572,26 +574,17 @@ def run_clusmat(
 
     def seed(node):
         node.storage["a_row"] = A.row(node.id)
-        node.storage["b_row"] = B.row(node.id)
 
     engine.local(seed)
 
     # step 1: transpose exchange so node i also holds column i of B
     r0 = led.rounds
-    items = []
-    for j in engine.node_ids():
-        row = B.row(j)
-        for i in engine.node_ids():
-            items.append(RoutingItem(j, i, row.get(i), 1, tag=j))
-    delivered, _ = solve_relaxed_idt(engine, items, label="relaxed_idt")
+    Bt = _transpose_exchange(engine, B)
 
-    def build_col(node):
-        value = 0
-        for it in delivered.get(node.id, []):
-            value |= it.payload << (it.src - 1)
-        node.storage["b_col"] = BitVector(n, value)
+    def store_col(node):
+        node.storage["b_col"] = Bt.row(node.id)
 
-    engine.local(build_col)
+    engine.local(store_col)
     led.step_rounds["step1"] = led.rounds - r0
 
     # step 2: approximate spanning tree of A's rows at node 1
@@ -618,26 +611,34 @@ def run_clusmat(
     _owner_distance_broadcast(engine, rows_key="edge_rows", label="step5")
     led.step_rounds["step5"] = led.rounds - r0
 
-    # step 6: identical local planning at every node
+    # step 6: identical local planning at every node.  Steps 3 and 5 hand
+    # every node the same tree and distance objects, so nodes share one
+    # derivation per distinct pair, keyed by identity (a node holding other
+    # objects derives its own); each node is still charged 2n for it.
     r0 = led.rounds
-    plans: dict[int, TraversalPlan] = {}
+    derived: dict[tuple[int, int], tuple] = {}
 
     def make_plan(node):
         t: Tree = node.storage["tree"]
         distances: dict[int, int] = node.storage["distances"]
-        tour = euler_traversal(t, root=1, edge_costs=distances)
-        plan = plan_blocks(
-            tour, [distances[e] for e in tour.edge_indices], n
-        )
-        assignment = assign_pairs(plan, n)
+        key = (id(t), id(distances))
+        if key not in derived:
+            tour = euler_traversal(t, root=1, edge_costs=distances)
+            plan = plan_blocks(
+                tour, [distances[e] for e in tour.edge_indices], n
+            )
+            assignment = assign_pairs(plan, n)
+            schedules = witness_schedules(plan, assignment, distances, n)
+            derived[key] = (plan, assignment, schedules)
+        plan, assignment, schedules = derived[key]
         node.storage["plan"] = plan
         node.storage["assignment"] = assignment
-        node.storage["schedules"] = witness_schedules(plan, assignment, distances, n)
+        node.storage["schedules"] = schedules
         engine.charge_work(node.id, 2 * n)
-        plans[node.id] = plan
 
     engine.local(make_plan)
-    plan = plans[1]
+    with engine.as_node(1) as node1:
+        plan: TraversalPlan = node1.storage["plan"]
     led.step_rounds["step6"] = led.rounds - r0
 
     # step 7: tour-block start rows to pair nodes
@@ -905,7 +906,6 @@ def choose_orientation(
 
     def seed(node):
         node.storage["pa"] = A.row(node.id)
-        node.storage["b_row"] = B.row(node.id)
 
     engine.local(seed)
 

@@ -21,7 +21,8 @@ class GenSpec:
 
     ``kind`` selects the generator: ``clustered`` draws ``clusters`` uniform
     centers and flips at most ``spread`` random coordinates per row;
-    ``uniform`` fills entries i.i.d. with probability ``density``.
+    ``uniform`` fills entries i.i.d. with probability ``density``;
+    ``ladder`` is :func:`gen_ladder`.
     """
 
     n: int

@@ -6,6 +6,7 @@ import pytest
 
 from cliquemat.bits import boolean_product_naive
 from cliquemat.cli import main
+from cliquemat.harness import GenSpec, generate
 from cliquemat.textio import (
     matrix_from_text,
     matrix_to_text,
@@ -120,12 +121,71 @@ def test_bench_cli_csv(tmp_path, capsys):
     assert "rounds" in header and "correct" in header
 
 
-def test_max_rounds_env(tmp_path, monkeypatch):
+def test_max_rounds_env(tmp_path, capsys, monkeypatch):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     run_cli("gen", "--n", "8", "--kind", "uniform", "--seed", "1", "--out", str(a))
     run_cli("gen", "--n", "8", "--kind", "uniform", "--seed", "2", "--out", str(b))
     monkeypatch.setenv("CLIQUEMAT_MAX_ROUNDS", "3")
-    from cliquemat.errors import MaxRoundsError
+    assert run_cli("run", "--protocol", "clusmat", "--a", str(a), "--b", str(b)) == 2
+    assert one_line_error(capsys) == "exceeded max_rounds=3 without terminating"
 
-    with pytest.raises(MaxRoundsError):
-        run_cli("run", "--protocol", "clusmat", "--a", str(a), "--b", str(b))
+
+def one_line_error(capsys):
+    """The text of the single ``cliquemat: error:`` line on stderr."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    prefix = "cliquemat: error: "
+    assert lines[0].startswith(prefix)
+    return lines[0][len(prefix):]
+
+
+@pytest.mark.parametrize(
+    "b_size, flags, expect",
+    [
+        (16, (), "matrices must match n=8"),
+        (8, ("--w", "3"), "payload capacity 3 below minimum 4 for n=8"),
+        (8, ("--w", "6"), "payload capacity 6 cannot carry"),
+    ],
+)
+def test_run_bad_input_is_one_line_error(tmp_path, capsys, b_size, flags, expect):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    run_cli("gen", "--n", "8", "--kind", "uniform", "--seed", "1", "--out", str(a))
+    run_cli("gen", "--n", str(b_size), "--kind", "uniform", "--seed", "2", "--out", str(b))
+    rc = run_cli("run", "--protocol", "clusmat", "--a", str(a), "--b", str(b),
+                 "--routing", "accounted", *flags)
+    assert rc == 2
+    assert one_line_error(capsys).startswith(expect)
+
+
+def test_non_integer_max_rounds_env_is_one_line_error(tmp_path, capsys, monkeypatch):
+    a = tmp_path / "a.txt"
+    run_cli("gen", "--n", "8", "--seed", "1", "--out", str(a))
+    monkeypatch.setenv("CLIQUEMAT_MAX_ROUNDS", "many")
+    assert run_cli("run", "--protocol", "hmst", "--points", str(a)) == 2
+    assert "many" in one_line_error(capsys)
+
+
+def test_verify_mismatched_sizes_is_one_line_error(tmp_path, capsys):
+    a, c = tmp_path / "a.txt", tmp_path / "c.txt"
+    run_cli("gen", "--n", "8", "--seed", "1", "--out", str(a))
+    run_cli("gen", "--n", "4", "--seed", "1", "--out", str(c))
+    assert run_cli("verify", "--a", str(a), "--b", str(a), "--c", str(c)) == 2
+    assert one_line_error(capsys) == "shapes must match"
+
+
+def test_gen_ladder(tmp_path):
+    p = tmp_path / "ladder.txt"
+    rc = run_cli("gen", "--n", "12", "--kind", "ladder", "--clusters", "3",
+                 "--spread", "2", "--seed", "4", "--out", str(p))
+    assert rc == 0
+    assert read_matrix(p) == generate(
+        GenSpec(n=12, kind="ladder", clusters=3, spread=2, seed=4)
+    )
+
+
+def test_gen_bad_spec_is_one_line_error(capsys):
+    rc = run_cli("gen", "--n", "6", "--kind", "ladder", "--clusters", "6", "--spread", "2")
+    assert rc == 2
+    assert one_line_error(capsys) == "too many chain rows for the window length"

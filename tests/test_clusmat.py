@@ -184,6 +184,91 @@ def test_block_multiply_bad_witness():
         block_multiply(1, bv("1010"), [(1, 2, 1)], {1: [9]}, [(1, bv("1111"))])
 
 
+@pytest.mark.parametrize("coord", [0, 5])
+def test_block_multiply_rejects_witness_just_outside_range(coord):
+    # n = 4: coordinates 0 and n+1 are the nearest invalid ones
+    with pytest.raises(InvalidWitnessError):
+        block_multiply(
+            1, bv("1010"), [(1, 2, 1)], {1: [2, coord]}, [(1, bv("1111"))]
+        )
+
+
+def test_block_multiply_duplicated_witness_cancels():
+    # two flips of coordinate 3 leave the row as it was: [2, 3, 3] acts as [2]
+    start = bv("1010")
+    cols = [(1, bv("0100")), (2, bv("0010")), (3, bv("1000"))]
+    walk = [(1, 2, 1)]
+    once = block_multiply(1, start, walk, {1: [2]}, cols)
+    twice = block_multiply(1, start, walk, {1: [2, 3, 3]}, cols)
+    assert twice == once == [
+        (1, 1, 0), (1, 2, 1), (1, 3, 1),
+        (2, 1, 1), (2, 2, 1), (2, 3, 1),
+    ]
+    assert block_multiply(1, start, walk, {1: [3, 3]}, cols)[3:] == [
+        (2, 1, 0), (2, 2, 1), (2, 3, 1),
+    ]
+
+
+def test_block_multiply_emits_revisited_vertex_once_at_first_visit():
+    # 1 -> 2 -> 1 -> 3; the return to 1 runs over an edge whose witnesses do
+    # not undo the first step, so the row rebuilt for vertex 1 on the second
+    # visit differs from its start row, and only the first visit counts
+    start = bv("1000")
+    cols = [(4, bv("1000")), (7, bv("0100"))]
+    walk = [(1, 2, 1), (2, 1, 2), (1, 3, 3)]
+    wit = {1: [2], 2: [1], 3: []}
+    out = block_multiply(1, start, walk, wit, cols)
+    assert out == [
+        (1, 4, 1), (1, 7, 0),
+        (2, 4, 1), (2, 7, 1),
+        (3, 4, 0), (3, 7, 1),
+    ]
+
+
+def test_block_multiply_no_columns():
+    assert block_multiply(1, bv("1010"), [(1, 2, 1)], {1: [2]}, []) == []
+    assert block_multiply(1, bv("1010"), [], {}, []) == []
+
+
+def test_block_multiply_matches_naive_on_tour_blocks():
+    """Blocks of Euler tours walk back over tree edges, so edges repeat and
+    vertices are revisited; every first visit must give the naive inner
+    products, in column order."""
+    rng = random.Random(20261018)
+    for _ in range(25):
+        n = rng.randrange(2, 40)
+        rows = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+        tree = Tree(n, tuple(
+            WeightedEdge(rng.randrange(1, i), i, 0) for i in range(2, n + 1)
+        ))
+        tour = euler_traversal(tree, root=1)
+        wit = {
+            idx: witnesses(rows[e.u - 1], rows[e.v - 1])
+            for idx, e in enumerate(tree.edges, start=1)
+        }
+        lo = rng.randrange(len(tour.directed_edges))
+        hi = rng.randrange(lo, len(tour.directed_edges) + 1)
+        walk = [
+            (u, v, tour.edge_indices[i])
+            for i, (u, v) in enumerate(tour.directed_edges[lo:hi], start=lo)
+        ]
+        start = tour.directed_edges[lo][0]
+        cols = [
+            (j, BitVector(n, rng.getrandbits(n)))
+            for j in sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
+        ]
+        order = [start]
+        for _, head, _ in walk:
+            if head not in order:
+                order.append(head)
+        expect = [
+            (x, j, 1 if rows[x - 1].value & col.value else 0)
+            for x in order
+            for j, col in cols
+        ]
+        assert block_multiply(start, rows[start - 1], walk, wit, cols) == expect
+
+
 # ---------------------------------------------------------------------------
 # end-to-end protocol
 # ---------------------------------------------------------------------------
@@ -360,6 +445,80 @@ def test_clusmat_plans_identical_across_nodes():
     assignments = [engine.node(i).storage["assignment"] for i in engine.node_ids()]
     assert all(p == plans[0] for p in plans)
     assert all(a.pair_to_node == assignments[0].pair_to_node for a in assignments)
+
+
+def fresh_plan(tree, distances, n):
+    """Step 6 derived from scratch: tour, plan, assignment, schedules."""
+    from cliquemat.clusmat import witness_schedules
+
+    tour = euler_traversal(tree, root=1, edge_costs=distances)
+    plan = plan_blocks(tour, [distances[e] for e in tour.edge_indices], n)
+    assignment = assign_pairs(plan, n)
+    return plan, assignment, witness_schedules(plan, assignment, distances, n)
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_replicated_plan_matches_fresh_derivation_at_every_node(routing):
+    from cliquemat.clusmat import run_clusmat
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+    from cliquemat.hmst import ProjectionConfig
+
+    n = 12
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=5))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=6))
+    engine = CliqueEngine(CliqueConfig(n=n, routing=routing, seed=5))
+    engine.audit = True
+    C, _ = run_clusmat(engine, A, B, ProjectionConfig())
+    assert C == boolean_product_naive(A, B)
+    for i in engine.node_ids():
+        st = engine.node(i).storage
+        plan, assignment, schedules = fresh_plan(st["tree"], st["distances"], n)
+        assert st["plan"] == plan
+        assert st["assignment"] == assignment
+        assert st["schedules"] == schedules
+
+
+def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
+    """Nodes holding the same shared tree and distance table share one
+    derivation; a node holding its own copy of the tree derives its own."""
+    from cliquemat import clusmat
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.hmst import ProjectionConfig
+
+    n, other = 10, 4
+    rng = random.Random(12)
+    A = random_matrix_local(n, rng)
+    B = random_matrix_local(n, rng)
+    tours = []
+    euler = clusmat.euler_traversal
+    broadcast = clusmat._broadcast_tree
+
+    def counting_euler(tree, *args, **kwargs):
+        tours.append(tree)
+        return euler(tree, *args, **kwargs)
+
+    def broadcast_then_copy(engine, *args, **kwargs):
+        broadcast(engine, *args, **kwargs)
+        with engine.as_node(other) as node:
+            t = node.storage["tree"]
+            node.storage["tree"] = Tree(t.n, t.edges)
+
+    monkeypatch.setattr(clusmat, "euler_traversal", counting_euler)
+    monkeypatch.setattr(clusmat, "_broadcast_tree", broadcast_then_copy)
+    engine = CliqueEngine(CliqueConfig(n=n, routing="accounted", seed=2))
+    C, _ = clusmat.run_clusmat(engine, A, B, ProjectionConfig())
+    assert C == boolean_product_naive(A, B)
+    shared = engine.node(1).storage
+    own = engine.node(other).storage
+    assert tours == [shared["tree"], own["tree"]]
+    assert tours[0] is shared["tree"] and tours[1] is own["tree"]
+    assert own["plan"] == shared["plan"]
+    assert own["plan"] is not shared["plan"]
+    assert all(
+        engine.node(i).storage["plan"] is shared["plan"]
+        for i in engine.node_ids() if i != other
+    )
 
 
 # ---------------------------------------------------------------------------
