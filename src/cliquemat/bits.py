@@ -368,9 +368,10 @@ class Traversal:
 def local_mst(H) -> Tree:
     """Minimum spanning tree of the complete graph on 1..n weighted by H.
 
-    Kruskal over edges sorted by (weight, u, v) with u < v, so ties always
-    resolve to the lexicographically smallest edge and the result is
-    identical wherever it is recomputed.
+    Edges compare on (weight, u, v) with u < v.  That order is total, so
+    the tree is unique (Kruskal's, wherever it is recomputed); an O(n^2)
+    Prim finds it, taking at each step the smallest crossing edge in that
+    order.
     """
     M = np.asarray(H)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -385,16 +386,29 @@ def local_mst(H) -> Tree:
     if np.any(M < 0):
         raise InvalidMatrixError("weights must be nonnegative")
 
-    order = sorted(
-        ((int(M[u - 1][v - 1]), u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)),
-    )
-    uf = _UnionFind(n)
+    W = M.astype(np.int64, copy=False)
+    pos = np.arange(n)
+    # best edge from each outside vertex x to the tree: weight, tree endpoint
+    # and the rank min(u, x) * n + max(u, x) that orders equal weights
+    outside = pos > 0
+    best_w = W[0].copy()
+    best_u = np.zeros(n, dtype=np.int64)
+    best_rank = pos.copy()
     picked: list[WeightedEdge] = []
-    for w, u, v in order:
-        if uf.union(u, v):
-            picked.append(WeightedEdge(u, v, w))
-            if len(picked) == n - 1:
-                break
+    for _ in range(n - 1):
+        cand = np.flatnonzero(outside)
+        weight = best_w[cand].min()
+        tied = cand[best_w[cand] == weight]
+        x = int(tied[np.argmin(best_rank[tied])])
+        u = int(best_u[x])
+        picked.append(WeightedEdge(min(u, x) + 1, max(u, x) + 1, int(weight)))
+        outside[x] = False
+        row = W[x]
+        rank = np.minimum(pos, x) * n + np.maximum(pos, x)
+        better = outside & ((row < best_w) | ((row == best_w) & (rank < best_rank)))
+        best_w[better] = row[better]
+        best_u[better] = x
+        best_rank[better] = rank[better]
     return Tree(n, tuple(picked))
 
 

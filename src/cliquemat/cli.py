@@ -41,7 +41,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
         help=f"abort limit (default from ${MAX_ROUNDS_ENV} or 1000000)",
     )
     p.add_argument("--kappa", type=float, default=8.0, help="sketch width multiplier")
-    p.add_argument("--epsilon", type=float, default=0.45, help="sketch error parameter")
     p.add_argument(
         "--seed-mode",
         action="store_true",
@@ -64,9 +63,7 @@ def _config(args, n: int) -> CliqueConfig:
 
 
 def _proj(args) -> ProjectionConfig:
-    return ProjectionConfig(
-        kappa=args.kappa, epsilon=args.epsilon, seed_mode=args.seed_mode
-    )
+    return ProjectionConfig(kappa=args.kappa, seed_mode=args.seed_mode)
 
 
 def cmd_gen(args) -> int:
@@ -207,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  Bad input and protocol aborts (package errors and
-    ``ValueError``) end with a one-line message on stderr and exit code 2."""
+    """Run one command.  Bad input, unreadable files and protocol aborts
+    (package errors, ``ValueError`` and ``OSError``) end with a one-line
+    message on stderr and exit code 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "run":
@@ -218,7 +216,7 @@ def main(argv=None) -> int:
             parser.error("hmst needs --points")
     try:
         return args.fn(args)
-    except (CliquematError, ValueError) as exc:
+    except (CliquematError, ValueError, OSError) as exc:
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"{parser.prog}: error: {message}", file=sys.stderr)
         return 2

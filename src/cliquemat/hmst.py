@@ -13,6 +13,13 @@ Protocol outline (per-step round subtotals land in the ledger):
    (or, in seed mode, broadcast one 64-bit seed and regenerate locally);
 2. sketch every point locally and route all sketches to node 1;
 3. estimate all pairwise distances and build the tree at node 1.
+
+Every node holds the replicated family, but the simulator derives it once
+per distinct input (the seed, or the received chunks) and hands the same
+object to every node holding that input; each node is still charged its
+own regeneration.  Node 1's all-pairs estimate runs on packed sketch
+arrays and its tree is an O(n^2) Prim; the ledger charges the paper's
+per-pair work either way.
 """
 
 from __future__ import annotations
@@ -33,21 +40,15 @@ from .routing import RoutingItem, bounded_route, to_all_others, vector_multicast
 class ProjectionConfig:
     """Sketch parameters.
 
-    ``kappa`` fixes the sketch width k = ceil(kappa * log2 n); ``epsilon``
-    is the error parameter the width is calibrated against and
-    ``concentration_c`` the matching tail constant -- both informational.
-    With ``seed_mode`` the projection matrices are regenerated at every node
+    ``kappa`` fixes the sketch width k = ceil(kappa * log2 n).  With
+    ``seed_mode`` the projection matrices are regenerated at every node
     from one broadcast seed instead of being shipped bit by bit.
     """
 
     kappa: float = 8.0
-    epsilon: float = 0.45
     seed_mode: bool = False
-    concentration_c: float = 0.006
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < 0.5:
-            raise ValueError("epsilon must lie in (0, 1/2)")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
 
@@ -208,28 +209,53 @@ def sketches_from_chunks(
     return tuple((value >> (idx * k)) & kmask for idx in range(num_scales))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatedGraph:
-    """Symmetric matrix of power-of-two distance estimates (zero diagonal)."""
+    """Symmetric matrix of power-of-two distance estimates (zero diagonal),
+    as a read-only (n, n) int64 array that :func:`local_mst` takes as is;
+    its tree is the minimum spanning tree under the (weight, u, v) order."""
 
     n: int
-    weights: tuple[tuple[int, ...], ...]
+    weights: np.ndarray
 
     def weight(self, i: int, j: int) -> int:
-        return self.weights[i - 1][j - 1]
+        return int(self.weights[i - 1, j - 1])
+
+
+# bytes of XOR scratch per row block of the all-pairs estimate
+_BLOCK_BYTES = 1 << 20
 
 
 def build_estimated_graph(
     sketch_sets: Sequence[Sequence[int]], family: ProjectionFamily
 ) -> EstimatedGraph:
+    """:func:`estimate_distance` for every pair at once: the sketches are
+    packed into an (n, scales, ceil(k/64)) array of 64-bit words, and each
+    block of rows is XORed against all rows and popcounted per scale."""
     n = len(sketch_sets)
-    w = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            est = estimate_distance(sketch_sets[i], sketch_sets[j], family)
-            w[i][j] = est
-            w[j][i] = est
-    return EstimatedGraph(n, tuple(tuple(row) for row in w))
+    num_scales = len(family.scales)
+    words = (family.k + 63) // 64
+    for sk in sketch_sets:
+        if len(sk) != num_scales:
+            raise MalformedSketchError(f"sketch sets must cover all {num_scales} scales")
+    try:
+        raw = b"".join(s.to_bytes(8 * words, "little") for sk in sketch_sets for s in sk)
+    except OverflowError as exc:
+        raise MalformedSketchError(f"a sketch does not fit in k={family.k} bits") from exc
+    packed = np.frombuffer(raw, dtype="<u8").reshape(n, num_scales, words)
+    scales = np.array(family.scales, dtype=np.int64)
+    cutoffs = np.array([family.thresholds[r] for r in family.scales])
+    weights = np.empty((n, n), dtype=np.int64)
+    block = max(1, _BLOCK_BYTES // max(1, n * num_scales * 8 * words))
+    for lo in range(0, n, block):
+        diff = np.bitwise_xor(packed[lo:lo + block, None], packed[None])
+        dist = np.bitwise_count(diff).sum(axis=-1, dtype=np.int32)
+        passes = dist <= cutoffs
+        first = np.where(passes.any(axis=-1), passes.argmax(axis=-1), num_scales - 1)
+        weights[lo:lo + block] = scales[first]
+    np.fill_diagonal(weights, 0)
+    weights.flags.writeable = False
+    return EstimatedGraph(n, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +293,26 @@ def run_hmst(
     scales = scales_for(n)
     led = engine.ledger
 
-    # -- step 1: node 1 generates the projections and distributes them
+    # -- step 1: node 1 generates the projections and distributes them.
+    # Every node derives the family from what it holds; the simulator
+    # derives it once per distinct input (seed value or received chunks)
+    # and shares that object among the nodes holding the same input.
     r0 = led.rounds
     if proj.seed_mode:
         with engine.as_node(1) as node1:
             seed64 = int(node1.rng.integers(0, 1 << 63))
-            node1.storage["family"] = ProjectionFamily.from_seed(n, k, seed64)
+            by_seed = {seed64: ProjectionFamily.from_seed(n, k, seed64)}
+            node1.storage["family"] = by_seed[seed64]
             engine.charge_work(1, len(scales) * math.ceil(k * n / w))
         _broadcast_from_node1(engine, pack_chunks(seed64, 64, w), label="seed_bcast")
 
         def regen(node):
-            if node.id != 1:
-                node.storage["family"] = ProjectionFamily.from_seed(n, k, seed64)
-                engine.charge_work(node.id, len(scales) * math.ceil(k * n / w))
+            if node.id == 1:
+                return
+            if seed64 not in by_seed:
+                by_seed[seed64] = ProjectionFamily.from_seed(n, k, seed64)
+            node.storage["family"] = by_seed[seed64]
+            engine.charge_work(node.id, len(scales) * math.ceil(k * n / w))
 
         engine.local(regen)
     else:
@@ -301,13 +334,17 @@ def run_hmst(
                     for _, got in out.get(v, []):
                         received_chunks[v][r].extend(got)
 
+        by_chunks: dict[tuple, ProjectionFamily] = {}
+
         def rebuild(node):
             if node.id == 1:
                 return
-            mats = {r: rows_from_chunks(received_chunks[node.id][r], k, n) for r in scales}
-            node.storage["family"] = ProjectionFamily(
-                n, k, scales, mats, scale_thresholds(n, k)
-            )
+            got = received_chunks[node.id]
+            key = tuple(tuple(got[r]) for r in scales)
+            if key not in by_chunks:
+                mats = {r: rows_from_chunks(got[r], k, n) for r in scales}
+                by_chunks[key] = ProjectionFamily(n, k, scales, mats, scale_thresholds(n, k))
+            node.storage["family"] = by_chunks[key]
 
         engine.local(rebuild)
     led.step_rounds[step_prefix + "step1"] = led.rounds - r0
@@ -332,7 +369,8 @@ def run_hmst(
     delivered, _ = bounded_route(engine, sketch_items, label="bounded_route")
     led.step_rounds[step_prefix + "step2"] = led.rounds - r0
 
-    # -- step 3: node 1 estimates all pairs and builds the tree locally
+    # -- step 3: node 1 estimates all pairs on arrays and builds the tree
+    # locally; the ledger charges the paper's per-pair and n^2 tree work
     r0 = led.rounds
     tree_holder: dict[str, Tree] = {}
 
@@ -353,7 +391,7 @@ def run_hmst(
         ]
         graph = build_estimated_graph(sketch_sets, fam)
         engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))
-        tree = local_mst([list(row) for row in graph.weights])
+        tree = local_mst(graph.weights)
         engine.charge_work(1, n * n)
         node.storage["estimated_graph"] = graph
         node.storage[tree_key] = tree

@@ -274,6 +274,44 @@ def test_local_mst_against_exhaustive_small():
             assert t.cost() == mst_cost_exhaustive(H)
 
 
+def kruskal_reference(H) -> Tree:
+    """Kruskal over edges sorted by (weight, u, v), u < v, with a plain
+    component-label union; the order is total, so the tree is unique."""
+    n = len(H)
+    label = list(range(n + 1))
+    picked = []
+    for w, u, v in sorted(
+        (H[u - 1][v - 1], u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+    ):
+        if label[u] != label[v]:
+            old = label[v]
+            label = [label[u] if x == old else x for x in label]
+            picked.append(WeightedEdge(u, v, w))
+    return Tree(n, tuple(picked))
+
+
+def tie_heavy_matrix(n, rng):
+    H = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            H[i][j] = H[j][i] = rng.randrange(0, 3)
+    return H
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+def test_local_mst_equals_kruskal_reference(n):
+    """Same edges and weights as Kruskal on (weight, u, v), on tie-heavy
+    weights in {0, 1, 2} and on Hamming distances of clustered points."""
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        H = tie_heavy_matrix(n, rng)
+        assert local_mst(H).edges == kruskal_reference(H).edges
+        base = rng.getrandbits(24)
+        sparse = [rng.getrandbits(24) & rng.getrandbits(24) & rng.getrandbits(24) for _ in range(n)]
+        H = dist_matrix([BitVector(24, base ^ s) for s in sparse])
+        assert local_mst(H).edges == kruskal_reference(H).edges
+
+
 def test_tree_edge_numbering_and_validation():
     t = Tree(3, (WeightedEdge(3, 2, 1), WeightedEdge(2, 1, 4)))
     # normalized and sorted by (min, max)

@@ -189,3 +189,15 @@ def test_gen_bad_spec_is_one_line_error(capsys):
     rc = run_cli("gen", "--n", "6", "--kind", "ladder", "--clusters", "6", "--spread", "2")
     assert rc == 2
     assert one_line_error(capsys) == "too many chain rows for the window length"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_missing_input_file_is_one_line_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "nothere.txt")
+    if command == "run":
+        argv = ("run", "--protocol", "clusmat", "--a", missing, "--b", missing)
+    else:
+        argv = ("verify", "--a", missing, "--b", missing, "--c", missing)
+    assert run_cli(*argv) == 2
+    message = one_line_error(capsys)
+    assert "No such file or directory" in message and "nothere.txt" in message

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cliquemat.bits import BitVector, hamming_distance, pack_chunks
+from cliquemat.bits import BitVector, hamming_distance, pack_chunks, unpack_chunks
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import DimensionError, MalformedSketchError
 from cliquemat.hmst import (
@@ -19,6 +19,7 @@ from cliquemat.hmst import (
     hmst_protocol,
     project,
     rows_from_chunks,
+    run_hmst,
     scale_thresholds,
     scales_for,
     sketch_point,
@@ -204,6 +205,62 @@ def test_estimate_monotone_scale_rule():
                 break
 
 
+def near_sketch_sets(fam, count, rng):
+    """Sketch sets that sit a few flips apart per scale, so many pairs pass
+    an early scale, mixed with independent random ones."""
+    base = [rng.getrandbits(fam.k) for _ in fam.scales]
+    sets = []
+    for i in range(count):
+        if i % 4 == 3:
+            sets.append(tuple(rng.getrandbits(fam.k) for _ in fam.scales))
+            continue
+        sk = []
+        for b in base:
+            for _ in range(rng.randrange(0, 6)):
+                b ^= 1 << rng.randrange(fam.k)
+            sk.append(b)
+        sets.append(tuple(sk))
+    return sets
+
+
+@pytest.mark.parametrize("n, k", [(32, 40), (24, 64), (24, 72), (40, 130)])
+def test_build_estimated_graph_matches_pairwise_estimate(n, k):
+    """The all-pairs estimate equals estimate_distance on every pair, for
+    sketch widths within one and beyond one 64-bit word."""
+    fam = ProjectionFamily.generate(n, k, np.random.default_rng(n + k))
+    rng = random.Random(k)
+    sets = near_sketch_sets(fam, n, rng)
+    g = build_estimated_graph(sets, fam)
+    assert g.n == n
+    for i in range(1, n + 1):
+        assert g.weight(i, i) == 0
+        for j in range(1, n + 1):
+            if i != j:
+                assert g.weight(i, j) == estimate_distance(sets[i - 1], sets[j - 1], fam)
+
+
+def test_build_estimated_graph_of_real_sketches():
+    n = 48
+    fam = family_for(n, seed=4)
+    pts = clustered_points(n, 3, 3, 6)
+    sets = [sketch_point(fam, p) for p in pts]
+    g = build_estimated_graph(sets, fam)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                assert g.weight(i + 1, j + 1) == estimate_distance(sets[i], sets[j], fam)
+
+
+def test_build_estimated_graph_rejects_missing_scale():
+    n = 16
+    fam = family_for(n)
+    rng = random.Random(3)
+    sets = [sketch_point(fam, BitVector(n, rng.getrandbits(n))) for _ in range(n)]
+    sets[5] = sets[5][:-1]
+    with pytest.raises(MalformedSketchError):
+        build_estimated_graph(sets, fam)
+
+
 def test_estimated_graph_symmetric():
     n = 16
     fam = family_for(n)
@@ -300,3 +357,152 @@ def test_hmst_input_validation():
         hmst_protocol(pts, CliqueConfig(n=4))
     with pytest.raises(DimensionError):
         hmst_protocol([BitVector(3, 0)] * 4, CliqueConfig(n=4))
+
+
+# ---------------------------------------------------------------------------
+# the replicated projection family
+# ---------------------------------------------------------------------------
+
+def engine_with_points(n, routing, seed):
+    """Audited engine whose node i stores a random point under "point"."""
+    from cliquemat.engine import CliqueEngine
+
+    rng = random.Random(seed)
+    pts = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+    engine = CliqueEngine(CliqueConfig(n=n, routing=routing, seed=seed))
+
+    def seed_points(node):
+        node.storage["point"] = pts[node.id - 1]
+
+    engine.local(seed_points)
+    engine.audit = True
+    return engine
+
+
+def record_broadcast_seed(monkeypatch):
+    """Wrap the seed broadcast; the returned list collects each seed sent."""
+    from cliquemat import hmst
+
+    seeds = []
+    broadcast = hmst._broadcast_from_node1
+
+    def recording(engine, chunks, label):
+        seeds.append(unpack_chunks(chunks))
+        return broadcast(engine, chunks, label)
+
+    monkeypatch.setattr(hmst, "_broadcast_from_node1", recording)
+    return seeds
+
+
+def record_multicast(monkeypatch, alter=None):
+    """Wrap the projection multicast; the returned dict collects, per
+    recipient, every chunk it received in order.  ``alter`` (node id) gets
+    the low bit of its first received chunk flipped."""
+    from cliquemat import hmst
+
+    received: dict[int, list[tuple[int, int]]] = {}
+    multicast = hmst.vector_multicast
+
+    def recording(engine, senders, label="vector_multicast"):
+        out, rounds = multicast(engine, senders, label=label)
+        if alter in out and alter not in received:
+            src, got = out[alter][0]
+            out[alter][0] = (src, [(got[0][0] ^ 1, got[0][1])] + got[1:])
+        for v, lists in out.items():
+            for _, got in lists:
+                received.setdefault(v, []).extend(got)
+        return out, rounds
+
+    monkeypatch.setattr(hmst, "vector_multicast", recording)
+    return received
+
+
+def family_from_chunks(chunks, n, k):
+    """Fresh ship-mode derivation: split a node's received chunks into
+    k*n-bit scales in order and decode each."""
+    mats = {}
+    pos = 0
+    for r in scales_for(n):
+        start, bits = pos, 0
+        while bits < k * n:
+            bits += chunks[pos][1]
+            pos += 1
+        mats[r] = rows_from_chunks(chunks[start:pos], k, n)
+    assert pos == len(chunks)
+    return ProjectionFamily(n, k, scales_for(n), mats, scale_thresholds(n, k))
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_seed_mode_family_matches_fresh_derivation_at_every_node(routing, monkeypatch):
+    n = 12
+    k = ProjectionConfig().k_for(n)
+    engine = engine_with_points(n, routing, 3)
+    seeds = record_broadcast_seed(monkeypatch)
+    run_hmst(engine, ProjectionConfig(seed_mode=True))
+    ((seed, nbits),) = seeds
+    assert nbits == 64
+    fresh = ProjectionFamily.from_seed(n, k, seed)
+    for i in engine.node_ids():
+        assert engine.node(i).storage["family"] == fresh
+
+
+def test_seed_mode_derives_family_once_per_run(monkeypatch):
+    """Every node holds the same seed, so one from_seed serves all n nodes,
+    while each node is still charged for its own regeneration."""
+    n = 12
+    k = ProjectionConfig().k_for(n)
+    engine = engine_with_points(n, "accounted", 5)
+    calls = []
+    from_seed = ProjectionFamily.from_seed.__func__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return from_seed(cls, *args)
+
+    monkeypatch.setattr(ProjectionFamily, "from_seed", classmethod(counting))
+    run_hmst(engine, ProjectionConfig(seed_mode=True))
+    assert len(calls) == 1
+    per_node = len(scales_for(n)) * math.ceil(k * n / engine.w)
+    assert all(engine.ledger.work[i] >= per_node for i in engine.node_ids())
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_ship_mode_family_matches_fresh_derivation_at_every_node(routing, monkeypatch):
+    n = 12
+    k = ProjectionConfig().k_for(n)
+    engine = engine_with_points(n, routing, 4)
+    received = record_multicast(monkeypatch)
+    run_hmst(engine, ProjectionConfig())
+    assert sorted(received) == list(range(2, n + 1))
+    node1 = engine.node(1).storage["family"]
+    for v, chunks in received.items():
+        fam = engine.node(v).storage["family"]
+        assert fam == family_from_chunks(chunks, n, k)
+        assert fam == node1
+
+
+def test_ship_mode_node_with_altered_chunks_derives_its_own_family(monkeypatch):
+    from cliquemat import hmst
+
+    n, other = 12, 5
+    k = ProjectionConfig().k_for(n)
+    engine = engine_with_points(n, "accounted", 6)
+    received = record_multicast(monkeypatch, alter=other)
+    decodes = []
+    decode = hmst.rows_from_chunks
+
+    def counting_decode(*args):
+        decodes.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(hmst, "rows_from_chunks", counting_decode)
+    run_hmst(engine, ProjectionConfig())
+    node1 = engine.node(1).storage["family"]
+    own = engine.node(other).storage["family"]
+    assert own == family_from_chunks(received[other], n, k)
+    assert own != node1
+    for v in range(2, n + 1):
+        if v != other:
+            assert engine.node(v).storage["family"] == node1
+    # one decode per scale for the shared chunks and one for the altered ones
+    assert len(decodes) == 2 * len(scales_for(n))
