@@ -12,7 +12,6 @@ from .bits import (
     boolean_product_naive,
     distance_matrix_via_products,
     euler_traversal,
-    extended_hamming,
     hamming_distance,
     local_mst,
     witnesses,

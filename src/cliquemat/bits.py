@@ -123,25 +123,6 @@ def apply_witnesses(row: BitVector, w: Sequence[int]) -> BitVector:
     return BitVector(row.n, row.value ^ mask)
 
 
-def extended_hamming(s: BitVector, u: BitVector) -> int:
-    """Run-aware distance: each maximal stretch where both inputs stay
-    constant contributes one unit when the stretch disagrees, zero when it
-    agrees.  Never exceeds the plain Hamming distance."""
-    _check_len(s, u)
-    sv, uv, n = s.value, u.value, s.n
-    total = 0
-    i = 0
-    while i < n:
-        sb = (sv >> i) & 1
-        ub = (uv >> i) & 1
-        total += sb ^ ub
-        j = i + 1
-        while j < n and ((sv >> j) & 1) == sb and ((uv >> j) & 1) == ub:
-            j += 1
-        i = j
-    return total
-
-
 @dataclass(frozen=True, slots=True)
 class BooleanMatrix:
     """Square 0/1 matrix stored as one packed BitVector per row."""
@@ -189,15 +170,9 @@ class BooleanMatrix:
     def get(self, i: int, j: int) -> int:
         return self.rows[i - 1].get(j)
 
-    def column(self, j: int) -> BitVector:
-        """Column j, 1-based, as a BitVector."""
-        value = 0
-        for i, r in enumerate(self.rows):
-            value |= r.get(j) << i
-        return BitVector(self.n, value)
-
     def transpose(self) -> "BooleanMatrix":
-        return BooleanMatrix(tuple(self.column(j) for j in range(1, self.n + 1)))
+        n = self.n
+        return BooleanMatrix(tuple(BitVector(n, v) for v in pack_rows(self.to_array().T)))
 
     def to_strings(self) -> list[str]:
         return [r.to01() for r in self.rows]
@@ -213,6 +188,18 @@ class BooleanMatrix:
             bitorder="little",
         )
         return bits[:, :n].astype(np.int64)
+
+
+def pack_rows(bits) -> list[int]:
+    """Each row of a 2-D 0/1 array as one packed integer, entry j of a row
+    at bit j."""
+    bits = np.asarray(bits, dtype=bool)
+    nbytes = (bits.shape[1] + 7) // 8
+    raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    return [
+        int.from_bytes(raw[lo:lo + nbytes], "little")
+        for lo in range(0, len(raw), nbytes)
+    ]
 
 
 def distance_matrix_via_products(P: BooleanMatrix) -> np.ndarray:
@@ -318,16 +305,6 @@ class Tree:
         for v in adj:
             adj[v].sort()
         return adj
-
-    def with_weights(self, weight_of: Mapping[int, int]) -> "Tree":
-        """Copy of the tree with edge i reweighted to weight_of[i]."""
-        return Tree(
-            self.n,
-            tuple(
-                WeightedEdge(e.u, e.v, int(weight_of[i]))
-                for i, e in enumerate(self.edges, start=1)
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -455,7 +432,7 @@ def boolean_product_naive(A: BooleanMatrix, B: BooleanMatrix) -> BooleanMatrix:
     if A.n != B.n:
         raise DimensionError(f"shape mismatch: {A.n} vs {B.n}")
     n = A.n
-    cols = [B.column(j).value for j in range(1, n + 1)]
+    cols = [c.value for c in B.transpose().rows]
     out_rows = []
     for r in A.rows:
         value = 0

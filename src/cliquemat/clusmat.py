@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .bits import (
     unpack_chunks,
     witnesses,
 )
-from .engine import CliqueConfig, CliqueEngine, RoundLedger
+from .engine import CliqueConfig, CliqueEngine, NodeState, RoundLedger
 from .errors import (
     DimensionError,
     InvalidPlanError,
@@ -63,7 +63,8 @@ from .hmst import ProjectionConfig, run_hmst
 from .routing import (
     RoutingItem,
     bounded_route,
-    bounded_route_accounted_rounds,
+    count_bits,
+    multicast_accounted_rounds,
     solve_relaxed_idt,
     to_all_others,
     vector_multicast,
@@ -234,12 +235,6 @@ class WitnessSchedule:
         idx = min(pos // self.capacity, len(self.reps) - 1)
         return self.reps[idx]
 
-    @property
-    def used_reps(self) -> int:
-        if self.total == 0:
-            return 0
-        return min(len(self.reps), math.ceil(self.total / self.capacity))
-
 
 def witness_schedules(
     plan: TraversalPlan,
@@ -269,7 +264,7 @@ def witness_schedules(
 # witness distribution (step 8)
 # ---------------------------------------------------------------------------
 
-def distribute_witnesses(engine: CliqueEngine, label: str = "step8") -> None:
+def distribute_witnesses(engine: CliqueEngine) -> None:
     """Two-stage delivery: every edge owner routes each witness to one block
     representative chosen by the shared schedule (balanced, O(n) per
     representative), then representatives multicast their vectors to the
@@ -280,7 +275,7 @@ def distribute_witnesses(engine: CliqueEngine, label: str = "step8") -> None:
     ``block_witnesses`` at every pair node.
     """
     n = engine.n
-    cb = max(1, math.ceil(math.log2(n + 1)))
+    cb = count_bits(n)
     stage1: list[RoutingItem] = []
 
     def build_stage1(node):
@@ -339,10 +334,7 @@ def distribute_witnesses(engine: CliqueEngine, label: str = "step8") -> None:
         cap = max(s.capacity for s in schedules.values())
         used_pub = math.ceil(max_total / cap)
         substages = math.ceil(cap / n)
-        kk = max(1, math.ceil(2 * min(cap, n) / n))
-        per_subtask = 2 + max(1, math.ceil(math.log2(n))) * bounded_route_accounted_rounds(
-            kk, 1, engine.cfg.c_idt
-        )
+        per_subtask = multicast_accounted_rounds(n, min(cap, n), engine.cfg.c_idt)
         engine.charge_rounds(substages * used_pub * per_subtask, "vector_multicast")
         for rep in sorted(rep_packets):
             node = engine.node(rep)
@@ -454,15 +446,11 @@ def block_multiply(
 # the protocol
 # ---------------------------------------------------------------------------
 
-def _bits_for(n: int) -> int:
-    return max(1, math.ceil(math.log2(n + 1)))
-
-
 def _broadcast_tree(engine: CliqueEngine, label: str, tree_key: str = "tree") -> None:
     """Node 1 sends edge j to node j; next round node j re-broadcasts it.
     Afterwards every node stores the tree structure under ``tree_key``."""
     n = engine.n
-    cb = _bits_for(n)
+    cb = count_bits(n)
     with engine.as_node(1) as node1:
         tree: Tree = node1.storage["hmst_tree"]
     pairs = [(e.u, e.v) for e in tree.edges]
@@ -486,31 +474,41 @@ def _broadcast_tree(engine: CliqueEngine, label: str, tree_key: str = "tree") ->
     engine.local(store)
 
 
-def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str, out_key: str) -> None:
-    """Each node multicasts its row to the owners of its incident tree edges;
-    every owner ends with both endpoint rows (at most two vectors each)."""
+def _multicast_rows(
+    engine: CliqueEngine, row_key: str, recipients: Callable[[NodeState], Sequence[int]]
+) -> dict[int, dict[int, BitVector]]:
+    """Every node multicasts the row it stores under ``row_key`` to the
+    nodes ``recipients(node)`` names, if any.  Returns, per receiving node,
+    the rows it received keyed by sender, in ascending sender order."""
     n = engine.n
-    w = engine.w
     senders = {}
 
     def build(node):
-        tree: Tree = node.storage["tree"]
-        row: BitVector = node.storage[row_key]
-        recips = sorted(
-            {idx for idx, e in enumerate(tree.edges, start=1) if node.id in (e.u, e.v)}
-        )
+        recips = recipients(node)
         if recips:
-            senders[node.id] = (pack_chunks(row.value, n, w), recips)
+            row: BitVector = node.storage[row_key]
+            senders[node.id] = (pack_chunks(row.value, n, engine.w), sorted(recips))
 
     engine.local(build)
     out, _ = vector_multicast(engine, senders, label="vector_multicast")
+    return {
+        v: {sender: BitVector(n, unpack_chunks(chunks)[0]) for sender, chunks in got}
+        for v, got in out.items()
+    }
+
+
+def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str, out_key: str) -> None:
+    """Each node multicasts its row to the owners of its incident tree edges;
+    every owner ends with both endpoint rows (at most two vectors each)."""
+
+    def incident_edges(node):
+        tree: Tree = node.storage["tree"]
+        return [idx for idx, e in enumerate(tree.edges, start=1) if node.id in (e.u, e.v)]
+
+    received = _multicast_rows(engine, row_key, incident_edges)
 
     def store(node):
-        rows = {}
-        for sender, chunks in out.get(node.id, []):
-            value, nbits = unpack_chunks(chunks)
-            rows[sender] = BitVector(n, value)
-        node.storage[out_key] = rows
+        node.storage[out_key] = received.get(node.id, {})
 
     engine.local(store)
 
@@ -523,7 +521,7 @@ def _owner_distance_broadcast(
     all nodes store the full distance table under ``distances``."""
     n = engine.n
     w = engine.w
-    cb = _bits_for(n)
+    cb = count_bits(n)
     values: dict[int, int] = {}
 
     def compute(node):
@@ -564,219 +562,191 @@ def run_clusmat(
     if A.n != n or B.n != n:
         raise DimensionError(f"matrices must be {n}x{n}")
     w = engine.w
-    cb = _bits_for(n)
+    cb = count_bits(n)
     if w < 2 * cb:
         raise DimensionError(
             f"payload capacity {w} cannot carry an edge id and a coordinate "
             f"({2 * cb} bits) at n={n}"
         )
-    led = engine.ledger
-
     def seed(node):
         node.storage["a_row"] = A.row(node.id)
 
     engine.local(seed)
 
     # step 1: transpose exchange so node i also holds column i of B
-    r0 = led.rounds
-    Bt = _transpose_exchange(engine, B)
+    with engine.step("step1"):
+        Bt = _transpose_exchange(engine, B)
 
-    def store_col(node):
-        node.storage["b_col"] = Bt.row(node.id)
+        def store_col(node):
+            node.storage["b_col"] = Bt.row(node.id)
 
-    engine.local(store_col)
-    led.step_rounds["step1"] = led.rounds - r0
+        engine.local(store_col)
 
     # step 2: approximate spanning tree of A's rows at node 1
-    r0 = led.rounds
-    if tree is None:
-        run_hmst(engine, proj, point_key="a_row", step_prefix="step2_hmst_")
-    else:
-        with engine.as_node(1) as node1:
-            node1.storage["hmst_tree"] = tree
-    led.step_rounds["step2"] = led.rounds - r0
+    with engine.step("step2"):
+        if tree is None:
+            run_hmst(engine, proj, point_key="a_row", step_prefix="step2_hmst_")
+        else:
+            with engine.as_node(1) as node1:
+                node1.storage["hmst_tree"] = tree
 
     # step 3: tree structure to every node
-    r0 = led.rounds
-    _broadcast_tree(engine, label="step3")
-    led.step_rounds["step3"] = led.rounds - r0
+    with engine.step("step3"):
+        _broadcast_tree(engine, label="step3")
 
     # step 4: endpoint rows to edge owners
-    r0 = led.rounds
-    _deliver_endpoint_rows(engine, row_key="a_row", out_key="edge_rows")
-    led.step_rounds["step4"] = led.rounds - r0
+    with engine.step("step4"):
+        _deliver_endpoint_rows(engine, row_key="a_row", out_key="edge_rows")
 
     # step 5: witnesses at owners, distances everywhere
-    r0 = led.rounds
-    _owner_distance_broadcast(engine, rows_key="edge_rows", label="step5")
-    led.step_rounds["step5"] = led.rounds - r0
+    with engine.step("step5"):
+        _owner_distance_broadcast(engine, rows_key="edge_rows", label="step5")
 
     # step 6: identical local planning at every node.  Steps 3 and 5 hand
     # every node the same tree and distance objects, so nodes share one
     # derivation per distinct pair, keyed by identity (a node holding other
     # objects derives its own); each node is still charged 2n for it.
-    r0 = led.rounds
-    derived: dict[tuple[int, int], tuple] = {}
+    with engine.step("step6"):
+        derived: dict[tuple[int, int], tuple] = {}
 
-    def make_plan(node):
-        t: Tree = node.storage["tree"]
-        distances: dict[int, int] = node.storage["distances"]
-        key = (id(t), id(distances))
-        if key not in derived:
-            tour = euler_traversal(t, root=1, edge_costs=distances)
-            plan = plan_blocks(
-                tour, [distances[e] for e in tour.edge_indices], n
-            )
-            assignment = assign_pairs(plan, n)
-            schedules = witness_schedules(plan, assignment, distances, n)
-            derived[key] = (plan, assignment, schedules)
-        plan, assignment, schedules = derived[key]
-        node.storage["plan"] = plan
-        node.storage["assignment"] = assignment
-        node.storage["schedules"] = schedules
-        engine.charge_work(node.id, 2 * n)
+        def make_plan(node):
+            t: Tree = node.storage["tree"]
+            distances: dict[int, int] = node.storage["distances"]
+            key = (id(t), id(distances))
+            if key not in derived:
+                tour = euler_traversal(t, root=1, edge_costs=distances)
+                plan = plan_blocks(
+                    tour, [distances[e] for e in tour.edge_indices], n
+                )
+                assignment = assign_pairs(plan, n)
+                schedules = witness_schedules(plan, assignment, distances, n)
+                derived[key] = (plan, assignment, schedules)
+            plan, assignment, schedules = derived[key]
+            node.storage["plan"] = plan
+            node.storage["assignment"] = assignment
+            node.storage["schedules"] = schedules
+            engine.charge_work(node.id, 2 * n)
 
-    engine.local(make_plan)
-    with engine.as_node(1) as node1:
-        plan: TraversalPlan = node1.storage["plan"]
-    led.step_rounds["step6"] = led.rounds - r0
+        engine.local(make_plan)
+        with engine.as_node(1) as node1:
+            plan: TraversalPlan = node1.storage["plan"]
 
     # step 7: tour-block start rows to pair nodes
-    r0 = led.rounds
-    senders: dict[int, tuple[list, list[int]]] = {}
+    with engine.step("step7"):
 
-    def build_start(node):
-        pl: TraversalPlan = node.storage["plan"]
-        asg: BlockAssignment = node.storage["assignment"]
-        recips: set[int] = set()
-        for b in range(1, pl.num_blocks + 1):
-            if pl.block_start_vertex(b) == node.id:
-                recips.update(asg.nodes_for_block(b))
-        if recips:
-            row: BitVector = node.storage["a_row"]
-            senders[node.id] = (pack_chunks(row.value, n, w), sorted(recips))
+        def start_recipients(node):
+            pl: TraversalPlan = node.storage["plan"]
+            asg: BlockAssignment = node.storage["assignment"]
+            recips: set[int] = set()
+            for b in range(1, pl.num_blocks + 1):
+                if pl.block_start_vertex(b) == node.id:
+                    recips.update(asg.nodes_for_block(b))
+            return recips
 
-    engine.local(build_start)
-    out7, _ = vector_multicast(engine, senders, label="vector_multicast")
+        start_rows = _multicast_rows(engine, "a_row", start_recipients)
 
-    def store_start(node):
-        asg: BlockAssignment = node.storage["assignment"]
-        pair = asg.node_to_pair.get(node.id)
-        if pair is None:
-            return
-        pl: TraversalPlan = node.storage["plan"]
-        want = pl.block_start_vertex(pair[0])
-        for sender, chunks in out7.get(node.id, []):
-            if sender == want:
-                value, _ = unpack_chunks(chunks)
-                node.storage["start_row"] = BitVector(n, value)
-        if "start_row" not in node.storage:
-            raise SchedulingError(f"pair node {node.id} missed its start row")
+        def store_start(node):
+            asg: BlockAssignment = node.storage["assignment"]
+            pair = asg.node_to_pair.get(node.id)
+            if pair is None:
+                return
+            pl: TraversalPlan = node.storage["plan"]
+            row = start_rows.get(node.id, {}).get(pl.block_start_vertex(pair[0]))
+            if row is None:
+                raise SchedulingError(f"pair node {node.id} missed its start row")
+            node.storage["start_row"] = row
 
-    engine.local(store_start)
-    led.step_rounds["step7"] = led.rounds - r0
+        engine.local(store_start)
 
     # step 8: witnesses to every pair node
-    r0 = led.rounds
-    distribute_witnesses(engine, label="step8")
-    led.step_rounds["step8"] = led.rounds - r0
+    with engine.step("step8"):
+        distribute_witnesses(engine)
 
     # step 9: column blocks to pair nodes
-    r0 = led.rounds
-    senders9: dict[int, tuple[list, list[int]]] = {}
+    with engine.step("step9"):
 
-    def build_cols(node):
-        pl: TraversalPlan = node.storage["plan"]
-        asg: BlockAssignment = node.storage["assignment"]
-        c = pl.column_block_of(node.id)
-        recips = asg.nodes_for_column_block(c)
-        if recips:
-            col: BitVector = node.storage["b_col"]
-            senders9[node.id] = (pack_chunks(col.value, n, w), recips)
+        def column_recipients(node):
+            pl: TraversalPlan = node.storage["plan"]
+            asg: BlockAssignment = node.storage["assignment"]
+            return asg.nodes_for_column_block(pl.column_block_of(node.id))
 
-    engine.local(build_cols)
-    out9, _ = vector_multicast(engine, senders9, label="vector_multicast")
+        col_rows = _multicast_rows(engine, "b_col", column_recipients)
 
-    def store_cols(node):
-        asg: BlockAssignment = node.storage["assignment"]
-        pair = asg.node_to_pair.get(node.id)
-        if pair is None:
-            return
-        pl: TraversalPlan = node.storage["plan"]
-        lo, hi = pl.column_blocks[pair[1] - 1]
-        cols = []
-        for sender, chunks in sorted(out9.get(node.id, [])):
-            value, _ = unpack_chunks(chunks)
-            cols.append((sender, BitVector(n, value)))
-        got = [j for j, _ in cols]
-        if got != list(range(lo, hi + 1)):
-            raise SchedulingError(
-                f"pair node {node.id} got columns {got}, wanted {lo}..{hi}"
-            )
-        node.storage["columns"] = cols
+        def store_cols(node):
+            asg: BlockAssignment = node.storage["assignment"]
+            pair = asg.node_to_pair.get(node.id)
+            if pair is None:
+                return
+            pl: TraversalPlan = node.storage["plan"]
+            lo, hi = pl.column_blocks[pair[1] - 1]
+            cols = sorted(col_rows.get(node.id, {}).items())
+            got = [j for j, _ in cols]
+            if got != list(range(lo, hi + 1)):
+                raise SchedulingError(
+                    f"pair node {node.id} got columns {got}, wanted {lo}..{hi}"
+                )
+            node.storage["columns"] = cols
 
-    engine.local(store_cols)
-    led.step_rounds["step9"] = led.rounds - r0
+        engine.local(store_cols)
 
     # step 10: incremental multiply, then entries home
-    r0 = led.rounds
-    entry_items: list[RoutingItem] = []
+    with engine.step("step10"):
+        entry_items: list[RoutingItem] = []
 
-    def multiply(node):
-        asg: BlockAssignment = node.storage["assignment"]
-        pair = asg.node_to_pair.get(node.id)
-        if pair is None:
-            return
-        pl: TraversalPlan = node.storage["plan"]
-        b, _ = pair
-        lo, hi = pl.block_edge_range(b)
-        walk = [
-            (
-                pl.traversal.directed_edges[i][0],
-                pl.traversal.directed_edges[i][1],
-                pl.traversal.edge_indices[i],
+        def multiply(node):
+            asg: BlockAssignment = node.storage["assignment"]
+            pair = asg.node_to_pair.get(node.id)
+            if pair is None:
+                return
+            pl: TraversalPlan = node.storage["plan"]
+            b, _ = pair
+            lo, hi = pl.block_edge_range(b)
+            walk = [
+                (
+                    pl.traversal.directed_edges[i][0],
+                    pl.traversal.directed_edges[i][1],
+                    pl.traversal.edge_indices[i],
+                )
+                for i in range(lo, hi)
+            ]
+            entries = block_multiply(
+                pl.block_start_vertex(b),
+                node.storage["start_row"],
+                walk,
+                node.storage["block_witnesses"],
+                node.storage["columns"],
             )
-            for i in range(lo, hi)
-        ]
-        entries = block_multiply(
-            pl.block_start_vertex(b),
-            node.storage["start_row"],
-            walk,
-            node.storage["block_witnesses"],
-            node.storage["columns"],
-        )
-        engine.charge_work(
-            node.id, (n + pl.block_costs[b - 1]) * len(node.storage["columns"])
-        )
-        for vertex, j, bit in entries:
-            entry_items.append(
-                RoutingItem(node.id, vertex, ((j - 1) << 1) | bit, cb + 1, tag=j)
+            engine.charge_work(
+                node.id, (n + pl.block_costs[b - 1]) * len(node.storage["columns"])
             )
+            for vertex, j, bit in entries:
+                entry_items.append(
+                    RoutingItem(node.id, vertex, ((j - 1) << 1) | bit, cb + 1, tag=j)
+                )
 
-    engine.local(multiply)
-    delivered10, _ = bounded_route(engine, entry_items, label="bounded_route")
-    rows_out: dict[int, BitVector] = {}
+        engine.local(multiply)
+        delivered10, _ = bounded_route(engine, entry_items, label="bounded_route")
+        rows_out: dict[int, BitVector] = {}
 
-    def assemble(node):
-        value = 0
-        seen = 0
-        for it in delivered10.get(node.id, []):
-            j = (it.payload >> 1) + 1
-            bit = it.payload & 1
-            mask = 1 << (j - 1)
-            seen |= mask
-            if bit:
-                value |= mask
-        if seen != (1 << n) - 1:
-            raise SchedulingError(
-                f"row {node.id} incomplete: {bin(seen).count('1')} of {n} entries"
-            )
-        row = BitVector(n, value)
-        node.storage["c_row"] = row
-        rows_out[node.id] = row
+        def assemble(node):
+            value = 0
+            seen = 0
+            for it in delivered10.get(node.id, []):
+                j = (it.payload >> 1) + 1
+                bit = it.payload & 1
+                mask = 1 << (j - 1)
+                seen |= mask
+                if bit:
+                    value |= mask
+            if seen != (1 << n) - 1:
+                raise SchedulingError(
+                    f"row {node.id} incomplete: {bin(seen).count('1')} of {n} entries"
+                )
+            row = BitVector(n, value)
+            node.storage["c_row"] = row
+            rows_out[node.id] = row
 
-    engine.local(assemble)
-    led.step_rounds["step10"] = led.rounds - r0
+        engine.local(assemble)
 
     C = BooleanMatrix(tuple(rows_out[i] for i in engine.node_ids()))
     info = {
@@ -844,9 +814,8 @@ def clusmat_oriented(
         return clusmat_protocol(A, B, cfg, proj)
     engine = CliqueEngine(cfg)
     C_t, info = run_clusmat(engine, B.transpose(), A.transpose(), proj)
-    r0 = engine.ledger.rounds
-    C = _transpose_exchange(engine, C_t)
-    engine.ledger.step_rounds["orient_transpose"] = engine.ledger.rounds - r0
+    with engine.step("orient_transpose"):
+        C = _transpose_exchange(engine, C_t)
     return C, engine.ledger, info
 
 
@@ -857,7 +826,7 @@ def _measure_tree_cost(
     broadcast the tree, deliver endpoint rows to edge owners, owners report
     their edge's distance to node 1."""
     n = engine.n
-    cb = _bits_for(n)
+    cb = count_bits(n)
     with engine.as_node(1) as node1:
         node1.storage["hmst_tree"] = tree
     _broadcast_tree(engine, label=label)
@@ -901,8 +870,6 @@ def choose_orientation(
         raise DimensionError(f"matrices must match n={cfg.n}")
     n = cfg.n
     engine = CliqueEngine(cfg)
-    led = engine.ledger
-    cb = _bits_for(n)
 
     def seed(node):
         node.storage["pa"] = A.row(node.id)
@@ -910,28 +877,25 @@ def choose_orientation(
     engine.local(seed)
 
     # candidate tree for the rows of A
-    r0 = led.rounds
-    tree_a = run_hmst(engine, proj, point_key="pa", step_prefix="orient_a_")
-    led.step_rounds["orient_tree_a"] = led.rounds - r0
+    with engine.step("orient_tree_a"):
+        tree_a = run_hmst(engine, proj, point_key="pa", step_prefix="orient_a_")
 
     # candidate tree for the columns of B (rows of B transposed)
-    r0 = led.rounds
-    Bt = _transpose_exchange(engine, B)
+    with engine.step("orient_tree_b"):
+        Bt = _transpose_exchange(engine, B)
 
-    def store_col(node):
-        node.storage["pb"] = Bt.row(node.id)
+        def store_col(node):
+            node.storage["pb"] = Bt.row(node.id)
 
-    engine.local(store_col)
-    tree_b = run_hmst(engine, proj, point_key="pb", step_prefix="orient_b_")
-    led.step_rounds["orient_tree_b"] = led.rounds - r0
+        engine.local(store_col)
+        tree_b = run_hmst(engine, proj, point_key="pb", step_prefix="orient_b_")
 
     # true costs of both candidates, compared at node 1
-    r0 = led.rounds
-    cost_a = _measure_tree_cost(engine, tree_a, row_key="pa", label="orient_cost")
-    cost_b = _measure_tree_cost(engine, tree_b, row_key="pb", label="orient_cost")
-    use_ba = cost_b < cost_a
-    engine.exchange(1, 0, *to_all_others(n, [1]), 1, label="orient_cost")
-    led.step_rounds["orient_choice"] = led.rounds - r0
+    with engine.step("orient_choice"):
+        cost_a = _measure_tree_cost(engine, tree_a, row_key="pa", label="orient_cost")
+        cost_b = _measure_tree_cost(engine, tree_b, row_key="pb", label="orient_cost")
+        use_ba = cost_b < cost_a
+        engine.exchange(1, 0, *to_all_others(n, [1]), 1, label="orient_cost")
 
     _reset_protocol_storage(engine)
     if not use_ba:
@@ -940,9 +904,8 @@ def choose_orientation(
     else:
         C_t, info = run_clusmat(engine, B.transpose(), A.transpose(), proj, tree=tree_b)
         # node i holds row i of (A o B) transposed; one exchange flips it
-        r0 = led.rounds
-        C = _transpose_exchange(engine, C_t)
-        led.step_rounds["orient_transpose"] = led.rounds - r0
+        with engine.step("orient_transpose"):
+            C = _transpose_exchange(engine, C_t)
         orientation = "ba"
     info = dict(info)
     info["cost_a"] = cost_a

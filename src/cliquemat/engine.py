@@ -7,24 +7,21 @@ against W.  The ledger tracks rounds, messages, payload bits, and per-node
 work units; every message charges W work to its sender and W to its
 receiver.
 
-Messages enter the engine in one of two forms:
-
-* batched rounds (:meth:`CliqueEngine.exchange`) -- the messages of one or
-  more consecutive rounds as numpy columns (round, src, dst, nbits).  The
-  engine checks endpoints, capacity and one message per ordered pair per
-  round for the whole batch at once and fills the ledger from sums.  The
-  routing primitives in :mod:`cliquemat.routing` and the one-round
-  exchanges of the protocols use this form; payloads stay with the caller,
-  which checks that each fits its declared width before scheduling it;
-* single messages (:meth:`post_message` + :meth:`advance_round`), which
-  also carry a payload, are checked one by one and land in the receivers'
-  inboxes.  Step protocols (:meth:`CliqueEngine.run_protocol`) use this
-  form.
+Protocols put their messages on the wire as batched rounds
+(:meth:`CliqueEngine.exchange`): the messages of one or more consecutive
+rounds as numpy columns (round, src, dst, nbits).  The engine checks
+endpoints, capacity and one message per ordered pair per round for the
+whole batch at once and fills the ledger from sums.  Payloads stay with the
+caller, which checks that each fits its declared width before scheduling
+it.  :meth:`post_message` and :meth:`advance_round` state the same rules one
+message at a time; no protocol uses them, and the tests check
+:meth:`exchange` against them.
 
 In ``accounted`` routing mode the primitives charge their published
 analytic round costs instead of scheduling rounds; the engine exposes
 :meth:`charge_rounds`, :meth:`count_messages` and :meth:`count_traffic` for
-that path.
+that path.  :meth:`measure` credits a block's rounds to a primitive and
+:meth:`step` records them as one protocol step.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -54,7 +51,6 @@ class Message(NamedTuple):
     seq: int
     payload: int
     nbits: int
-    meta: Any = None
 
 
 @dataclass(frozen=True)
@@ -177,15 +173,13 @@ class _Storage(dict):
 
 
 class NodeState:
-    """One clique node: id, last-round inbox, private storage, RNG stream."""
+    """One clique node: id, private storage, RNG stream."""
 
-    __slots__ = ("id", "inbox", "storage", "done", "_rng", "_engine")
+    __slots__ = ("id", "storage", "_rng", "_engine")
 
     def __init__(self, engine: "CliqueEngine", node_id: int) -> None:
         self.id = node_id
-        self.inbox: list[Message] = []
         self.storage = _Storage(engine, node_id)
-        self.done = False
         self._rng: np.random.Generator | None = None
         self._engine = engine
 
@@ -198,48 +192,6 @@ class NodeState:
             )
             self._rng = np.random.Generator(np.random.PCG64(seq))
         return self._rng
-
-
-class NodeApi:
-    """Per-node handle passed to step-protocol functions."""
-
-    __slots__ = ("_engine", "_node")
-
-    def __init__(self, engine: "CliqueEngine", node: NodeState) -> None:
-        self._engine = engine
-        self._node = node
-
-    @property
-    def me(self) -> int:
-        return self._node.id
-
-    @property
-    def n(self) -> int:
-        return self._engine.cfg.n
-
-    @property
-    def w(self) -> int:
-        return self._engine.w
-
-    @property
-    def inbox(self) -> list[Message]:
-        return self._node.inbox
-
-    @property
-    def storage(self) -> _Storage:
-        return self._node.storage
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._node.rng
-
-    def send(self, dst: int, payload: int, nbits: int, tag: int = 0, seq: int = 0) -> None:
-        self._engine.post_message(
-            Message(self._node.id, dst, tag, seq, payload, nbits)
-        )
-
-    def charge(self, units: int) -> None:
-        self._engine.charge_work(self._node.id, units)
 
 
 class CliqueEngine:
@@ -320,19 +272,11 @@ class CliqueEngine:
         """Deliver all buffered messages simultaneously and start a new round."""
         led = self.ledger
         self._add_rounds(1)
-        for node in self.nodes[1:]:
-            node.inbox = []
-        if self._buffer:
-            led.messages += len(self._buffer)
-            per_dst: dict[int, list[Message]] = {}
-            for m in self._buffer.values():
-                led.bits += m.nbits
-                led.work[m.dst] += self.w
-                per_dst.setdefault(m.dst, []).append(m)
-            for dst, msgs in per_dst.items():
-                msgs.sort(key=lambda m: (m.src, m.tag, m.seq))
-                self.nodes[dst].inbox = msgs
-            self._buffer = {}
+        for m in self._buffer.values():
+            led.messages += 1
+            led.bits += m.nbits
+            led.work[m.dst] += self.w
+        self._buffer = {}
 
     def exchange(self, rounds: int, rnd, src, dst, nbits, label: str = "") -> None:
         """Run ``rounds`` consecutive rounds whose messages are given as
@@ -436,36 +380,11 @@ class CliqueEngine:
         finally:
             self.ledger.add_primitive_rounds(label, self.ledger.rounds - start)
 
-    # -- step protocols -----------------------------------------------------
-
-    def run_protocol(self, protocol, inputs) -> tuple[dict[int, _Storage], RoundLedger]:
-        """Run a step protocol: ``protocol.setup(api, value)`` once per node,
-        then ``protocol.step(api) -> bool`` every round until all nodes return
-        True in the same round.  ``inputs`` maps node id -> initial value (a
-        sequence of length n is also accepted)."""
-        if not isinstance(inputs, dict):
-            seq = list(inputs)
-            if len(seq) != self.cfg.n:
-                raise ValueError(f"need {self.cfg.n} per-node inputs, got {len(seq)}")
-            inputs = {i + 1: v for i, v in enumerate(seq)}
-        apis = {i: NodeApi(self, self.node(i)) for i in self.node_ids()}
-        for i in self.node_ids():
-            self._active = i
-            try:
-                protocol.setup(apis[i], inputs[i])
-            finally:
-                self._active = None
-        while True:
-            all_done = True
-            for i in self.node_ids():
-                self._active = i
-                try:
-                    finished = protocol.step(apis[i])
-                finally:
-                    self._active = None
-                self.node(i).done = bool(finished)
-                all_done = all_done and bool(finished)
-            self.advance_round()
-            if all_done:
-                break
-        return {i: self.node(i).storage for i in self.node_ids()}, self.ledger
+    @contextmanager
+    def step(self, name: str):
+        """Record the rounds spent inside the block as protocol step
+        ``name`` in ``ledger.step_rounds``; a step that raises records
+        nothing."""
+        start = self.ledger.rounds
+        yield
+        self.ledger.step_rounds[name] = self.ledger.rounds - start

@@ -8,7 +8,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .bits import BitVector, BooleanMatrix, boolean_product_naive, local_mst
+from .bits import (
+    BitVector,
+    BooleanMatrix,
+    boolean_product_naive,
+    distance_matrix_via_products,
+    local_mst,
+    pack_rows,
+)
 from .clusmat import clusmat_oriented
 from .engine import CliqueConfig
 from .errors import DimensionError
@@ -44,12 +51,7 @@ class GenSpec:
 
 
 def _random_vector(n: int, rng: np.random.Generator, density: float = 0.5) -> BitVector:
-    bits = rng.random(n) < density
-    value = 0
-    for i in range(n):
-        if bits[i]:
-            value |= 1 << i
-    return BitVector(n, value)
+    return BitVector(n, pack_rows(rng.random((1, n)) < density)[0])
 
 
 def gen_clustered(spec: GenSpec) -> BooleanMatrix:
@@ -112,16 +114,7 @@ def verify(C: BooleanMatrix, A: BooleanMatrix, B: BooleanMatrix) -> bool:
 
 def exact_mst_cost(M: BooleanMatrix) -> int:
     """Cost of an exact MST of M's rows in Hamming space (local oracle)."""
-    n = M.n
-    rows = M.rows
-    H = [[0] * n for _ in range(n)]
-    for i in range(n):
-        vi = rows[i].value
-        for j in range(i + 1, n):
-            d = (vi ^ rows[j].value).bit_count()
-            H[i][j] = d
-            H[j][i] = d
-    return local_mst(H).cost()
+    return local_mst(distance_matrix_via_products(M)).cost()
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bits import BitVector, Tree, local_mst, pack_chunks, unpack_chunks
+from .bits import BitVector, Tree, local_mst, pack_chunks, pack_rows, unpack_chunks
 from .engine import CliqueConfig, CliqueEngine, RoundLedger
 from .errors import DimensionError, MalformedSketchError
 from .routing import RoutingItem, bounded_route, to_all_others, vector_multicast
@@ -114,12 +114,7 @@ def gen_projection(r: int, k: int, n: int, rng: np.random.Generator) -> tuple[in
     returned as one packed n-bit integer per row."""
     if r < 1 or r > (1 << math.ceil(math.log2(n))):
         raise ValueError(f"scale {r} out of range for n={n}")
-    bits = rng.random((k, n)) < delta_for_scale(r)
-    nbytes = (n + 7) // 8
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return tuple(
-        int.from_bytes(packed[i, :nbytes].tobytes(), "little") for i in range(k)
-    )
+    return tuple(pack_rows(rng.random((k, n)) < delta_for_scale(r)))
 
 
 def project(rows: Sequence[int], x: BitVector) -> BitVector:
@@ -291,114 +286,110 @@ def run_hmst(
     w = engine.w
     k = proj.k_for(n)
     scales = scales_for(n)
-    led = engine.ledger
 
     # -- step 1: node 1 generates the projections and distributes them.
     # Every node derives the family from what it holds; the simulator
     # derives it once per distinct input (seed value or received chunks)
     # and shares that object among the nodes holding the same input.
-    r0 = led.rounds
-    if proj.seed_mode:
-        with engine.as_node(1) as node1:
-            seed64 = int(node1.rng.integers(0, 1 << 63))
-            by_seed = {seed64: ProjectionFamily.from_seed(n, k, seed64)}
-            node1.storage["family"] = by_seed[seed64]
-            engine.charge_work(1, len(scales) * math.ceil(k * n / w))
-        _broadcast_from_node1(engine, pack_chunks(seed64, 64, w), label="seed_bcast")
+    with engine.step(step_prefix + "step1"):
+        if proj.seed_mode:
+            with engine.as_node(1) as node1:
+                seed64 = int(node1.rng.integers(0, 1 << 63))
+                by_seed = {seed64: ProjectionFamily.from_seed(n, k, seed64)}
+                node1.storage["family"] = by_seed[seed64]
+                engine.charge_work(1, len(scales) * math.ceil(k * n / w))
+            _broadcast_from_node1(engine, pack_chunks(seed64, 64, w), label="seed_bcast")
 
-        def regen(node):
-            if node.id == 1:
-                return
-            if seed64 not in by_seed:
-                by_seed[seed64] = ProjectionFamily.from_seed(n, k, seed64)
-            node.storage["family"] = by_seed[seed64]
-            engine.charge_work(node.id, len(scales) * math.ceil(k * n / w))
+            def regen(node):
+                if node.id == 1:
+                    return
+                if seed64 not in by_seed:
+                    by_seed[seed64] = ProjectionFamily.from_seed(n, k, seed64)
+                node.storage["family"] = by_seed[seed64]
+                engine.charge_work(node.id, len(scales) * math.ceil(k * n / w))
 
-        engine.local(regen)
-    else:
-        with engine.as_node(1) as node1:
-            family1 = ProjectionFamily.generate(n, k, node1.rng)
-            node1.storage["family"] = family1
-            engine.charge_work(1, len(scales) * math.ceil(k * n / w))
-        recipients = [v for v in range(2, n + 1)]
-        received_chunks: dict[int, dict[int, list[tuple[int, int]]]] = {
-            v: {r: [] for r in scales} for v in recipients
-        }
-        for r in scales:
-            value, total_bits = family1.serialize_scale(r)
-            chunks = pack_chunks(value, total_bits, w)
-            for lo in range(0, len(chunks), n):
-                vec = chunks[lo:lo + n]
-                out, _ = vector_multicast(engine, {1: (vec, recipients)}, label="vector_multicast")
-                for v in recipients:
-                    for _, got in out.get(v, []):
-                        received_chunks[v][r].extend(got)
+            engine.local(regen)
+        else:
+            with engine.as_node(1) as node1:
+                family1 = ProjectionFamily.generate(n, k, node1.rng)
+                node1.storage["family"] = family1
+                engine.charge_work(1, len(scales) * math.ceil(k * n / w))
+            recipients = [v for v in range(2, n + 1)]
+            received_chunks: dict[int, dict[int, list[tuple[int, int]]]] = {
+                v: {r: [] for r in scales} for v in recipients
+            }
+            for r in scales:
+                value, total_bits = family1.serialize_scale(r)
+                chunks = pack_chunks(value, total_bits, w)
+                for lo in range(0, len(chunks), n):
+                    vec = chunks[lo:lo + n]
+                    out, _ = vector_multicast(engine, {1: (vec, recipients)}, label="vector_multicast")
+                    for v in recipients:
+                        for _, got in out.get(v, []):
+                            received_chunks[v][r].extend(got)
 
-        by_chunks: dict[tuple, ProjectionFamily] = {}
+            by_chunks: dict[tuple, ProjectionFamily] = {}
 
-        def rebuild(node):
-            if node.id == 1:
-                return
-            got = received_chunks[node.id]
-            key = tuple(tuple(got[r]) for r in scales)
-            if key not in by_chunks:
-                mats = {r: rows_from_chunks(got[r], k, n) for r in scales}
-                by_chunks[key] = ProjectionFamily(n, k, scales, mats, scale_thresholds(n, k))
-            node.storage["family"] = by_chunks[key]
+            def rebuild(node):
+                if node.id == 1:
+                    return
+                got = received_chunks[node.id]
+                key = tuple(tuple(got[r]) for r in scales)
+                if key not in by_chunks:
+                    mats = {r: rows_from_chunks(got[r], k, n) for r in scales}
+                    by_chunks[key] = ProjectionFamily(n, k, scales, mats, scale_thresholds(n, k))
+                node.storage["family"] = by_chunks[key]
 
-        engine.local(rebuild)
-    led.step_rounds[step_prefix + "step1"] = led.rounds - r0
+            engine.local(rebuild)
 
     # -- step 2: sketch locally, route every sketch set to node 1
-    r0 = led.rounds
-    sketch_items: list[RoutingItem] = []
+    with engine.step(step_prefix + "step2"):
+        sketch_items: list[RoutingItem] = []
 
-    def sketch(node):
-        fam: ProjectionFamily = node.storage["family"]
-        pt: BitVector = node.storage[point_key]
-        sk = sketch_point(fam, pt)
-        node.storage["sketches"] = sk
-        engine.charge_work(node.id, len(scales) * k * math.ceil(n / w))
-        value = 0
-        for idx, s in enumerate(sk):
-            value |= s << (idx * k)
-        for seq, (payload, nbits) in enumerate(pack_chunks(value, len(scales) * k, w)):
-            sketch_items.append(RoutingItem(node.id, 1, payload, nbits, tag=seq))
+        def sketch(node):
+            fam: ProjectionFamily = node.storage["family"]
+            pt: BitVector = node.storage[point_key]
+            sk = sketch_point(fam, pt)
+            node.storage["sketches"] = sk
+            engine.charge_work(node.id, len(scales) * k * math.ceil(n / w))
+            value = 0
+            for idx, s in enumerate(sk):
+                value |= s << (idx * k)
+            for seq, (payload, nbits) in enumerate(pack_chunks(value, len(scales) * k, w)):
+                sketch_items.append(RoutingItem(node.id, 1, payload, nbits, tag=seq))
 
-    engine.local(sketch)
-    delivered, _ = bounded_route(engine, sketch_items, label="bounded_route")
-    led.step_rounds[step_prefix + "step2"] = led.rounds - r0
+        engine.local(sketch)
+        delivered, _ = bounded_route(engine, sketch_items, label="bounded_route")
 
     # -- step 3: node 1 estimates all pairs on arrays and builds the tree
     # locally; the ledger charges the paper's per-pair and n^2 tree work
-    r0 = led.rounds
-    tree_holder: dict[str, Tree] = {}
+    with engine.step(step_prefix + "step3"):
+        tree_holder: dict[str, Tree] = {}
 
-    def estimate(node):
-        if node.id != 1:
-            return
-        fam: ProjectionFamily = node.storage["family"]
-        per_src: dict[int, list[RoutingItem]] = {}
-        for it in delivered.get(1, []):
-            per_src.setdefault(it.src, []).append(it)
-        sketch_sets = [
-            sketches_from_chunks(
-                [(it.payload, it.nbits) for it in sorted(per_src[src], key=lambda it: it.tag)],
-                k,
-                len(scales),
-            )
-            for src in range(1, n + 1)
-        ]
-        graph = build_estimated_graph(sketch_sets, fam)
-        engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))
-        tree = local_mst(graph.weights)
-        engine.charge_work(1, n * n)
-        node.storage["estimated_graph"] = graph
-        node.storage[tree_key] = tree
-        tree_holder["tree"] = tree
+        def estimate(node):
+            if node.id != 1:
+                return
+            fam: ProjectionFamily = node.storage["family"]
+            per_src: dict[int, list[RoutingItem]] = {}
+            for it in delivered.get(1, []):
+                per_src.setdefault(it.src, []).append(it)
+            sketch_sets = [
+                sketches_from_chunks(
+                    [(it.payload, it.nbits) for it in sorted(per_src[src], key=lambda it: it.tag)],
+                    k,
+                    len(scales),
+                )
+                for src in range(1, n + 1)
+            ]
+            graph = build_estimated_graph(sketch_sets, fam)
+            engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))
+            tree = local_mst(graph.weights)
+            engine.charge_work(1, n * n)
+            node.storage["estimated_graph"] = graph
+            node.storage[tree_key] = tree
+            tree_holder["tree"] = tree
 
-    engine.local(estimate)
-    led.step_rounds[step_prefix + "step3"] = led.rounds - r0
+        engine.local(estimate)
     return tree_holder["tree"]
 
 

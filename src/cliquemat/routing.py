@@ -66,7 +66,8 @@ class RoutingItem(NamedTuple):
 Delivered = dict[int, list[RoutingItem]]
 
 
-def _count_bits(n: int) -> int:
+def count_bits(n: int) -> int:
+    """Bits that carry any value in 0..n."""
     return max(1, math.ceil(math.log2(n + 1)))
 
 
@@ -77,6 +78,15 @@ def idt_accounted_rounds(n: int, max_send: int, max_recv: int, c_idt: int) -> in
 def bounded_route_accounted_rounds(k: int, ell: int, c_idt: int) -> int:
     # two preamble rounds per relaxed sub-sub-task
     return k * ell * (c_idt + 2)
+
+
+def multicast_accounted_rounds(n: int, chunks: int, c_idt: int) -> int:
+    """Published bound of one multicast sub-task of vectors of at most
+    ``chunks`` chunks: two announcement rounds, then ceil(log2 n) doubling
+    phases whatever the recipient count, each one bounded task with
+    per-holder fan-out 2."""
+    kk = max(1, math.ceil(2 * chunks / n))
+    return 2 + max(1, math.ceil(math.log2(n))) * bounded_route_accounted_rounds(kk, 1, c_idt)
 
 
 def multicast_phases(num_recipients: int) -> int:
@@ -195,7 +205,7 @@ def _idt_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
         np.concatenate([np.repeat([0, 1], [hop.size, announce.size]), 2 + q]),
         np.concatenate([src[hop], mid[announce], mid[held]]),
         np.concatenate([mid[hop], dst[announce], dst[held]]),
-        np.concatenate([nbits[hop], np.full(announce.size, _count_bits(n)), nbits[held]]),
+        np.concatenate([nbits[hop], np.full(announce.size, count_bits(n)), nbits[held]]),
     )
 
 
@@ -217,7 +227,7 @@ def _bounded_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
     if not src.size:
         return
     n = engine.n
-    cbits = _count_bits(2 * n)
+    cbits = count_bits(2 * n)
     by_src = np.argsort(src, kind="stable")
     subtask = _rank_within(src)[by_src] // n
     for s in range(int(subtask.max()) + 1):
@@ -366,7 +376,7 @@ def vector_multicast(
     ell = max(len(v) for v in by_recipient.values())
 
     total_rounds = 0
-    idbits = _count_bits(n)
+    idbits = count_bits(n)
     for m in range(ell):
         sub: dict[int, list[int]] = {}
         for v in sorted(by_recipient):
@@ -390,12 +400,11 @@ def vector_multicast(
         ann_dst = np.concatenate([ranked, told_dst])
 
         if engine.accounted:
-            # charge the published per-sub-task bound: ceil(log2 n) doubling
-            # phases regardless of how many recipients this instance has;
-            # count every chunk as one direct message from the sender
-            kk = max(1, math.ceil(2 * max(w.size for w in widths.values()) / n))
-            flat_phases = max(1, math.ceil(math.log2(n)))
-            rounds_m = 2 + flat_phases * bounded_route_accounted_rounds(kk, 1, engine.cfg.c_idt)
+            # charge the published per-sub-task bound; count every chunk as
+            # one direct message from the sender
+            rounds_m = multicast_accounted_rounds(
+                n, max(w.size for w in widths.values()), engine.cfg.c_idt
+            )
             engine.charge_rounds(rounds_m, label)
             direct = [_copies(np.full(recips[s].size, s), recips[s], widths[s]) for s in order]
             src, dst, nbits, _ = (np.concatenate(c) for c in zip(*direct))

@@ -17,13 +17,14 @@ from cliquemat.bits import (
     boolean_product_naive,
     distance_matrix_via_products,
     euler_traversal,
-    extended_hamming,
     hamming_distance,
     local_mst,
     pack_chunks,
+    pack_rows,
     unpack_chunks,
     witnesses,
 )
+from cliquemat.harness import GenSpec, exact_mst_cost, gen_clustered, gen_uniform
 from cliquemat.errors import (
     DimensionError,
     InvalidMatrixError,
@@ -38,16 +39,6 @@ def bv(s: str) -> BitVector:
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
-
-def eh_recursive(s: str, u: str) -> int:
-    """Literal recursion for the run-aware distance, used as the oracle."""
-    if not s:
-        return 0
-    ell = 1
-    while ell < len(s) and s[ell] == s[0] and u[ell] == u[0]:
-        ell += 1
-    return eh_recursive(s[ell:], u[ell:]) + (int(s[0]) + int(u[0])) % 2
-
 
 def mst_cost_prim(H) -> int:
     """Independent MST cost via Prim's algorithm on a dense matrix."""
@@ -64,6 +55,26 @@ def mst_cost_prim(H) -> int:
             if not in_tree[v] and H[u][v] < dist[v]:
                 dist[v] = H[u][v]
     return int(total)
+
+
+def pack_rows_per_bit(bits) -> list[int]:
+    """Each row of a 0/1 array as an integer, entry j at bit j, bit by bit."""
+    out = []
+    for row in bits:
+        value = 0
+        for j, b in enumerate(row):
+            value |= int(b) << j
+        out.append(value)
+    return out
+
+
+def transpose_per_bit(M: BooleanMatrix) -> BooleanMatrix:
+    """Transpose by single-entry reads: column j becomes row j."""
+    n = M.n
+    return BooleanMatrix(tuple(
+        BitVector(n, sum(M.get(i, j) << (i - 1) for i in range(1, n + 1)))
+        for j in range(1, n + 1)
+    ))
 
 
 def mst_cost_exhaustive(H) -> int:
@@ -194,32 +205,6 @@ def test_distance_identity_random_vs_pairwise():
 
 
 # ---------------------------------------------------------------------------
-# extended_hamming
-# ---------------------------------------------------------------------------
-
-def test_extended_hamming_examples():
-    # frozen from the recursive oracle
-    assert eh_recursive("1100", "0011") == 2
-    assert extended_hamming(bv("1100"), bv("0011")) == 2
-    s = bv("010011")
-    assert extended_hamming(s, s) == 0
-    assert eh_recursive("0011", "0001") == 1
-    assert extended_hamming(bv("0011"), bv("0001")) == 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 32), st.data())
-def test_extended_hamming_properties(n, data):
-    xv = data.draw(st.integers(0, (1 << n) - 1))
-    yv = data.draw(st.integers(0, (1 << n) - 1))
-    x, y = BitVector(n, xv), BitVector(n, yv)
-    d = extended_hamming(x, y)
-    assert d == eh_recursive(x.to01(), y.to01())
-    assert d == extended_hamming(y, x)
-    assert 0 <= d <= hamming_distance(x, y)
-
-
-# ---------------------------------------------------------------------------
 # local_mst
 # ---------------------------------------------------------------------------
 
@@ -260,6 +245,15 @@ def test_local_mst_against_prim_random():
                 H[i][j] = H[j][i] = rng.randrange(0, 50)
         t = local_mst(H)
         assert t.cost() == mst_cost_prim(H)
+
+
+def test_exact_mst_cost_matches_prim_oracle():
+    for n, seed in ((2, 0), (9, 1), (33, 2), (64, 3)):
+        for M in (
+            gen_uniform(n, 0.5, seed),
+            gen_clustered(GenSpec(n=n, clusters=min(4, n), spread=min(5, n), seed=seed)),
+        ):
+            assert exact_mst_cost(M) == mst_cost_prim(dist_matrix(M.rows))
 
 
 def test_local_mst_against_exhaustive_small():
@@ -413,3 +407,16 @@ def test_chunk_roundtrip(total_bits, w, data):
     assert len(chunks) == (total_bits + w - 1) // w
     back, nbits = unpack_chunks(chunks)
     assert back == value and nbits == total_bits
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65])
+def test_pack_rows_and_transpose_match_per_bit_reference(n):
+    rng = np.random.default_rng(n)
+    bits = rng.random((n, n)) < 0.5
+    bits[0] = True  # the top bit of a full row
+    assert pack_rows(bits) == pack_rows_per_bit(bits)
+    assert pack_rows(bits[:1].astype(np.int64)) == pack_rows_per_bit(bits[:1])
+    M = BooleanMatrix(tuple(BitVector(n, v) for v in pack_rows_per_bit(bits)))
+    T = M.transpose()
+    assert T == transpose_per_bit(M)
+    assert T.transpose() == M

@@ -112,16 +112,6 @@ def test_charge_work():
         eng.charge_work(2, -1)
 
 
-def test_inbox_sorted_and_replaced():
-    eng = make_engine(4)
-    eng.post_message(Message(3, 1, 0, 0, 1, 1))
-    eng.post_message(Message(2, 1, 0, 0, 1, 1))
-    eng.advance_round()
-    assert [m.src for m in eng.node(1).inbox] == [2, 3]
-    eng.advance_round()
-    assert eng.node(1).inbox == []
-
-
 # ---------------------------------------------------------------------------
 # batched rounds: the same rules, the same errors, the same ledger
 # ---------------------------------------------------------------------------
@@ -206,50 +196,6 @@ def test_exchange_ledger_matches_post_message():
 
 
 # ---------------------------------------------------------------------------
-# step protocols
-# ---------------------------------------------------------------------------
-
-class BroadcastId:
-    def setup(self, api, value):
-        api.storage["value"] = value
-        api.storage["heard"] = {}
-
-    def step(self, api):
-        if api.storage.get("sent"):
-            for m in api.inbox:
-                api.storage["heard"][m.src] = m.payload
-            return True
-        for dst in range(1, api.n + 1):
-            if dst != api.me:
-                api.send(dst, api.storage["value"], 8)
-        api.storage["sent"] = True
-        return False
-
-
-def test_toy_broadcast_protocol():
-    eng = make_engine(4)
-    out, ledger = eng.run_protocol(BroadcastId(), {i: i for i in range(1, 5)})
-    assert ledger.messages == 12
-    assert ledger.rounds == 2  # one send round, one final all-done round
-    for i in range(1, 5):
-        assert out[i]["heard"] == {j: j for j in range(1, 5) if j != i}
-
-
-class NeverDone:
-    def setup(self, api, value):
-        pass
-
-    def step(self, api):
-        return False
-
-
-def test_max_round_abort():
-    eng = make_engine(4, max_rounds=10)
-    with pytest.raises(MaxRoundsError):
-        eng.run_protocol(NeverDone(), {i: None for i in range(1, 5)})
-
-
-# ---------------------------------------------------------------------------
 # determinism and isolation
 # ---------------------------------------------------------------------------
 
@@ -307,3 +253,40 @@ def test_measure_attributes_rounds():
         eng.advance_round()
         eng.advance_round()
     assert eng.ledger.primitive_rounds["phase"] == 2
+
+
+# ---------------------------------------------------------------------------
+# protocol steps
+# ---------------------------------------------------------------------------
+
+def test_step_records_rounds_of_its_block():
+    eng = make_engine(4)
+    eng.advance_round()
+    with eng.step("s"):
+        eng.exchange(3, [0, 2], [1, 2], [2, 1], 1)
+        eng.charge_rounds(2)
+    assert eng.ledger.step_rounds == {"s": 5}
+    assert eng.ledger.primitive_rounds == {}
+
+
+def test_nested_steps_each_get_their_own_count():
+    eng = make_engine(4)
+    with eng.step("outer"):
+        eng.advance_round()
+        with eng.step("inner_a"):
+            eng.advance_round()
+        with eng.step("inner_b"):
+            pass
+        eng.advance_round()
+    # inner steps close first, so they are recorded first
+    assert list(eng.ledger.step_rounds.items()) == [
+        ("inner_a", 1), ("inner_b", 0), ("outer", 3)
+    ]
+
+
+def test_step_that_raises_records_nothing():
+    eng = make_engine(4, max_rounds=2)
+    with pytest.raises(MaxRoundsError):
+        with eng.step("s"):
+            eng.exchange(3, [0, 2], [1, 2], [2, 1], 1)
+    assert eng.ledger.step_rounds == {}

@@ -1,5 +1,6 @@
 """Unit tests for the routing subprotocols."""
 
+import math
 import random
 from collections import Counter
 
@@ -11,6 +12,8 @@ from cliquemat.routing import (
     RoutingItem,
     bounded_route,
     bounded_route_accounted_rounds,
+    count_bits,
+    multicast_accounted_rounds,
     multicast_phases,
     solve_relaxed_idt,
     vector_multicast,
@@ -292,6 +295,34 @@ def test_bounded_route_delivers_in_position_order(routing):
     items = [RoutingItem(1, 2, p, 4) for p in (9, 3, 7)]
     delivered, _ = bounded_route(make_engine(4, routing=routing), items)
     assert [it.payload for it in delivered[2]] == [9, 3, 7]
+
+
+# ---------------------------------------------------------------------------
+# accounted formulas
+# ---------------------------------------------------------------------------
+
+def test_count_bits_carries_every_value_up_to_n():
+    for n in range(1, 300):
+        assert n < 1 << count_bits(n)
+        assert count_bits(n) == 1 or n >= 1 << (count_bits(n) - 1)
+
+
+def test_multicast_accounted_rounds_equals_both_inline_bounds():
+    for n in (2, 3, 4, 5, 16, 17, 64, 100):
+        for c_idt in (1, 16):
+            for chunks in range(1, n + 1):
+                # vector_multicast: vectors of at most ``chunks`` chunks
+                kk = max(1, math.ceil(2 * chunks / n))
+                flat_phases = max(1, math.ceil(math.log2(n)))
+                want = 2 + flat_phases * bounded_route_accounted_rounds(kk, 1, c_idt)
+                assert multicast_accounted_rounds(n, chunks, c_idt) == want
+            for cap in (1, n - 1, n, 2 * n, 5 * n + 3):
+                # witness stage 2: sub-vectors of at most min(cap, n) chunks
+                kk = max(1, math.ceil(2 * min(cap, n) / n))
+                want = 2 + max(1, math.ceil(math.log2(n))) * bounded_route_accounted_rounds(
+                    kk, 1, c_idt
+                )
+                assert multicast_accounted_rounds(n, min(cap, n), c_idt) == want
 
 
 # ---------------------------------------------------------------------------
