@@ -203,14 +203,13 @@ def pack_rows(bits) -> list[int]:
 
 
 def distance_matrix_via_products(P: BooleanMatrix) -> np.ndarray:
-    """All pairwise Hamming distances of P's rows from two integer matrix
-    products: shared ones come from P Pt, shared zeros from the complement
-    product, and the distance is n minus both."""
-    R = P.to_array()
-    n = P.n
-    ones = R @ R.T
-    zeros = (1 - R) @ (1 - R).T
-    return n - ones - zeros
+    """All pairwise Hamming distances of P's rows from one matrix product:
+    X = P (1-P)^T counts the coordinates where row i has a one and row j a
+    zero, so the distance matrix is X + X^T.  The product runs in float64
+    (BLAS), exact for every count below 2^53, and comes back as int64."""
+    R = P.to_array().astype(np.float64)
+    X = R @ (1.0 - R).T
+    return (X + X.T).astype(np.int64)
 
 
 class _UnionFind:

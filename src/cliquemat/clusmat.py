@@ -16,18 +16,27 @@ each column whole (:func:`block_multiply`), and the replicated step-6 plan
 is derived once and shared by every node that holds the same tree and
 distance table.
 
-Steps (per-step round subtotals land in ``ledger.step_rounds``):
+Inputs come from node storage only: the entry points put row i of A and
+row i of B at node i once, and every step after that reads what the nodes
+hold.  Steps (per-step round subtotals land in ``ledger.step_rounds``):
 
  1. every node learns its column of B (transpose exchange);
  2. approximate spanning tree of A's rows, built at node 1;
  3. node 1 ships edge j to node j, which re-broadcasts it;
  4. each row goes to the owners of its incident tree edges;
- 5. edge owners extract witnesses and broadcast the edge distances;
- 6. every node derives the same tour, blocks, and pair assignment locally;
+ 5. edge owners compute their edge's distance and broadcast it;
+ 6. edge owners list their edge's witnesses; every node derives the same
+    tour, blocks, and pair assignment locally;
  7. tour-block start rows go to the assigned pair nodes;
  8. witnesses go to block representatives, then to all pair nodes;
  9. column blocks go to the assigned pair nodes;
 10. pair nodes multiply incrementally and route finished entries home.
+
+Orientation ``ba`` swaps the roles: the tree spans B's columns (from step
+1) against A's rows, so the nodes end with (A o B) transposed and one more
+transpose exchange flips it.  :func:`choose_orientation` builds both trees,
+runs steps 3-5 on each, lets every node pick the cheaper tree from the
+broadcast distances (ties to ``ab``), and runs steps 6-10 once on it.
 
 End-to-end correctness is exact for every seed: randomness only moves the
 tree, and steps 4-10 are correct for any spanning tree.
@@ -48,6 +57,7 @@ from .bits import (
     Tree,
     WeightedEdge,
     euler_traversal,
+    hamming_distance,
     pack_chunks,
     unpack_chunks,
     witnesses,
@@ -298,7 +308,8 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     engine.local(build_stage1)
     delivered, _ = bounded_route(engine, stage1, label="bounded_route")
 
-    rep_packets: dict[int, list[tuple[int, int]]] = {}
+    # representative -> (its (edge, coordinate) packets, its block's pair nodes)
+    rep_packets: dict[int, tuple[list[tuple[int, int]], list[int]]] = {}
     coord_mask = (1 << cb) - 1
 
     def collect_rep(node):
@@ -317,7 +328,7 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
             raise SchedulingError(
                 f"representative {node.id} got {len(packets)} witnesses"
             )
-        rep_packets[node.id] = packets
+        rep_packets[node.id] = (packets, assignment.nodes_for_block(b))
 
     engine.local(collect_rep)
 
@@ -328,7 +339,6 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
         # charge the published bound: O(1) sub-stages, each delivering one
         # vector from each of the O(block total / n) loaded representatives
         with engine.as_node(1) as node1:
-            plan: TraversalPlan = node1.storage["plan"]
             schedules: dict[int, WitnessSchedule] = node1.storage["schedules"]
         max_total = max(s.total for s in schedules.values())
         cap = max(s.capacity for s in schedules.values())
@@ -337,29 +347,22 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
         per_subtask = multicast_accounted_rounds(n, min(cap, n), engine.cfg.c_idt)
         engine.charge_rounds(substages * used_pub * per_subtask, "vector_multicast")
         for rep in sorted(rep_packets):
-            node = engine.node(rep)
-            assignment = node.storage["assignment"]
-            b = assignment.node_to_pair[rep][0]
-            recips = assignment.nodes_for_block(b)
-            packets = rep_packets[rep]
+            packets, recips = rep_packets[rep]
             for v in recips:
                 if v != rep:
                     engine.count_traffic(rep, v, 2 * cb, count=len(packets))
                 received.setdefault(v, []).extend(packets)
     else:
         substages = max(
-            (math.ceil(len(p) / n) for p in rep_packets.values()), default=0
+            (math.ceil(len(p) / n) for p, _ in rep_packets.values()), default=0
         )
         for s in range(substages):
             senders = {}
             for rep in sorted(rep_packets):
-                part = rep_packets[rep][s * n:(s + 1) * n]
+                packets, recips = rep_packets[rep]
+                part = packets[s * n:(s + 1) * n]
                 if not part:
                     continue
-                node = engine.node(rep)
-                assignment = node.storage["assignment"]
-                b = assignment.node_to_pair[rep][0]
-                recips = assignment.nodes_for_block(b)
                 chunks = [((e << cb) | (coord - 1), 2 * cb) for e, coord in part]
                 senders[rep] = (chunks, recips)
             if not senders:
@@ -446,13 +449,65 @@ def block_multiply(
 # the protocol
 # ---------------------------------------------------------------------------
 
-def _broadcast_tree(engine: CliqueEngine, label: str, tree_key: str = "tree") -> None:
-    """Node 1 sends edge j to node j; next round node j re-broadcasts it.
-    Afterwards every node stores the tree structure under ``tree_key``."""
+# storage keys of the (tree rows, columns) roles in each orientation; "ba"
+# computes (A o B) transposed
+_ROLES = {"ab": ("a_row", "b_col"), "ba": ("b_col", "a_row")}
+
+
+def _place_inputs(engine: CliqueEngine, A: BooleanMatrix, B: BooleanMatrix) -> None:
+    """Check the inputs against the model, then put row i of A under
+    ``a_row`` and row i of B under ``b_row`` at node i.  Every later step
+    reads its inputs from node storage only."""
+    n = engine.n
+    if A.n != n or B.n != n:
+        raise DimensionError(f"matrices must match n={n}")
+    cb = count_bits(n)
+    if engine.w < 2 * cb:
+        raise DimensionError(
+            f"payload capacity {engine.w} cannot carry an edge id and a coordinate "
+            f"({2 * cb} bits) at n={n}"
+        )
+
+    def place(node):
+        node.storage["a_row"] = A.row(node.id)
+        node.storage["b_row"] = B.row(node.id)
+
+    engine.local(place)
+
+
+def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> None:
+    """One relaxed routing task: node j ships bit i of the row it stores
+    under ``src_key`` to node i, so node i stores column i under
+    ``out_key``."""
+    n = engine.n
+    items: list[RoutingItem] = []
+
+    def send(node):
+        value = node.storage[src_key].value
+        j = node.id
+        items.extend(RoutingItem(j, i, (value >> (i - 1)) & 1, 1, tag=j) for i in engine.node_ids())
+
+    engine.local(send)
+    delivered, _ = solve_relaxed_idt(engine, items, label="relaxed_idt")
+
+    def build(node):
+        value = 0
+        for it in delivered.get(node.id, []):
+            value |= it.payload << (it.src - 1)
+        node.storage[out_key] = BitVector(n, value)
+
+    engine.local(build)
+
+
+def _broadcast_tree(engine: CliqueEngine, label: str, suffix: str = "") -> None:
+    """Node 1 sends edge j of the tree it stores under ``hmst_tree`` to node
+    j; next round node j re-broadcasts it.  Afterwards every node stores the
+    tree structure under ``tree``.  ``suffix`` extends every key, so the
+    two candidate trees of the orientation choice keep apart."""
     n = engine.n
     cb = count_bits(n)
     with engine.as_node(1) as node1:
-        tree: Tree = node1.storage["hmst_tree"]
+        tree: Tree = node1.storage["hmst_tree" + suffix]
     pairs = [(e.u, e.v) for e in tree.edges]
 
     owners = np.arange(2, len(pairs) + 1)
@@ -469,7 +524,7 @@ def _broadcast_tree(engine: CliqueEngine, label: str, tree_key: str = "tree") ->
     structure = Tree(n, tuple(WeightedEdge(u, v, 0) for u, v in pairs))
 
     def store(node):
-        node.storage[tree_key] = structure
+        node.storage["tree" + suffix] = structure
 
     engine.local(store)
 
@@ -497,43 +552,40 @@ def _multicast_rows(
     }
 
 
-def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str, out_key: str) -> None:
+def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str, suffix: str = "") -> None:
     """Each node multicasts its row to the owners of its incident tree edges;
-    every owner ends with both endpoint rows (at most two vectors each)."""
+    every owner ends with both endpoint rows (at most two vectors each)
+    under ``edge_rows``."""
 
     def incident_edges(node):
-        tree: Tree = node.storage["tree"]
+        tree: Tree = node.storage["tree" + suffix]
         return [idx for idx, e in enumerate(tree.edges, start=1) if node.id in (e.u, e.v)]
 
     received = _multicast_rows(engine, row_key, incident_edges)
 
     def store(node):
-        node.storage[out_key] = received.get(node.id, {})
+        node.storage["edge_rows" + suffix] = received.get(node.id, {})
 
     engine.local(store)
 
 
-def _owner_distance_broadcast(
-    engine: CliqueEngine, rows_key: str, label: str
-) -> None:
-    """Edge owner j computes the witness list of its edge's endpoint rows,
-    keeps it under ``wit`` and broadcasts the distance value to every node;
-    all nodes store the full distance table under ``distances``."""
+def _owner_distance_broadcast(engine: CliqueEngine, label: str, suffix: str = "") -> None:
+    """Edge owner j computes the Hamming distance of its edge's endpoint
+    rows (ceil(n/W) work) and broadcasts it to every node; all nodes store
+    the full distance table under ``distances``.  The distances sum to the
+    tree's true cost."""
     n = engine.n
-    w = engine.w
     cb = count_bits(n)
     values: dict[int, int] = {}
 
     def compute(node):
-        tree: Tree = node.storage["tree"]
+        tree: Tree = node.storage["tree" + suffix]
         if node.id > n - 1:
             return
         e = tree.edge(node.id)
-        rows: dict[int, BitVector] = node.storage[rows_key]
-        wit = witnesses(rows[e.u], rows[e.v])
-        node.storage["wit"] = wit
-        engine.charge_work(node.id, math.ceil(n / w) + len(wit))
-        values[node.id] = len(wit)
+        rows: dict[int, BitVector] = node.storage["edge_rows" + suffix]
+        values[node.id] = hamming_distance(rows[e.u], rows[e.v])
+        engine.charge_work(node.id, math.ceil(n / engine.w))
 
     engine.local(compute)
     src, dst = to_all_others(n, sorted(values))
@@ -542,53 +594,42 @@ def _owner_distance_broadcast(
     table = dict(values)
 
     def store(node):
-        node.storage["distances"] = table
+        node.storage["distances" + suffix] = table
 
     engine.local(store)
 
 
+def _gather(engine: CliqueEngine) -> BooleanMatrix:
+    """The product rows the nodes hold under ``c_row``."""
+    return BooleanMatrix(tuple(engine.node(i).storage["c_row"] for i in engine.node_ids()))
+
+
+def _flip(engine: CliqueEngine) -> BooleanMatrix:
+    """Node i holds row i of (A o B) transposed; one exchange turns it into
+    row i of A o B."""
+    with engine.step("orient_transpose"):
+        _transpose_exchange(engine, "c_row", "c_row")
+    return _gather(engine)
+
+
 def run_clusmat(
-    engine: CliqueEngine,
-    A: BooleanMatrix,
-    B: BooleanMatrix,
-    proj: ProjectionConfig,
-    tree: Tree | None = None,
+    engine: CliqueEngine, row_key: str, col_key: str, proj: ProjectionConfig
 ) -> tuple[BooleanMatrix, dict]:
-    """Execute the ten protocol steps on ``engine``; returns the product and
-    a plan summary.  If ``tree`` is given, step 2 is skipped and the tree is
-    planted at node 1 (used by the orientation wrapper, which has already
-    built both candidate trees)."""
-    n = engine.n
-    if A.n != n or B.n != n:
-        raise DimensionError(f"matrices must be {n}x{n}")
-    w = engine.w
-    cb = count_bits(n)
-    if w < 2 * cb:
-        raise DimensionError(
-            f"payload capacity {w} cannot carry an edge id and a coordinate "
-            f"({2 * cb} bits) at n={n}"
-        )
-    def seed(node):
-        node.storage["a_row"] = A.row(node.id)
+    """Execute the ten protocol steps on ``engine`` whose nodes hold their
+    inputs as :func:`_place_inputs` leaves them; returns the product and a
+    plan summary.
 
-    engine.local(seed)
-
+    Step 1 gives node i column i of B under ``b_col``.  The tree then runs
+    over the rows stored under ``row_key`` against the columns stored under
+    ``col_key``: (``a_row``, ``b_col``) computes A o B, and (``b_col``,
+    ``a_row``) computes (A o B) transposed."""
     # step 1: transpose exchange so node i also holds column i of B
     with engine.step("step1"):
-        Bt = _transpose_exchange(engine, B)
+        _transpose_exchange(engine, "b_row", "b_col")
 
-        def store_col(node):
-            node.storage["b_col"] = Bt.row(node.id)
-
-        engine.local(store_col)
-
-    # step 2: approximate spanning tree of A's rows at node 1
+    # step 2: approximate spanning tree of the rows at node 1
     with engine.step("step2"):
-        if tree is None:
-            run_hmst(engine, proj, point_key="a_row", step_prefix="step2_hmst_")
-        else:
-            with engine.as_node(1) as node1:
-                node1.storage["hmst_tree"] = tree
+        run_hmst(engine, proj, point_key=row_key, step_prefix="step2_hmst_")
 
     # step 3: tree structure to every node
     with engine.step("step3"):
@@ -596,17 +637,40 @@ def run_clusmat(
 
     # step 4: endpoint rows to edge owners
     with engine.step("step4"):
-        _deliver_endpoint_rows(engine, row_key="a_row", out_key="edge_rows")
+        _deliver_endpoint_rows(engine, row_key)
 
-    # step 5: witnesses at owners, distances everywhere
+    # step 5: distances at owners, then everywhere
     with engine.step("step5"):
-        _owner_distance_broadcast(engine, rows_key="edge_rows", label="step5")
+        _owner_distance_broadcast(engine, label="step5")
 
-    # step 6: identical local planning at every node.  Steps 3 and 5 hand
-    # every node the same tree and distance objects, so nodes share one
-    # derivation per distinct pair, keyed by identity (a node holding other
-    # objects derives its own); each node is still charged 2n for it.
+    info = _multiply_along_tree(engine, row_key, col_key)
+    return _gather(engine), info
+
+
+def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> dict:
+    """Steps 6-10 on the tree, edge rows and distances each node stores
+    under ``tree``, ``edge_rows`` and ``distances``; node i ends with row i
+    of the product under ``c_row``.  Returns the plan summary."""
+    n = engine.n
+    cb = count_bits(n)
+
+    # step 6: owners list their edge's witnesses; identical local planning
+    # at every node.  Steps 3 and 5 hand every node the same tree and
+    # distance objects, so nodes share one derivation per distinct pair,
+    # keyed by identity (a node holding other objects derives its own); each
+    # node is still charged 2n for it.
     with engine.step("step6"):
+
+        def list_witnesses(node):
+            if node.id > n - 1:
+                return
+            e = node.storage["tree"].edge(node.id)
+            rows: dict[int, BitVector] = node.storage["edge_rows"]
+            wit = witnesses(rows[e.u], rows[e.v])
+            node.storage["wit"] = wit
+            engine.charge_work(node.id, len(wit))
+
+        engine.local(list_witnesses)
         derived: dict[tuple[int, int], tuple] = {}
 
         def make_plan(node):
@@ -643,7 +707,7 @@ def run_clusmat(
                     recips.update(asg.nodes_for_block(b))
             return recips
 
-        start_rows = _multicast_rows(engine, "a_row", start_recipients)
+        start_rows = _multicast_rows(engine, row_key, start_recipients)
 
         def store_start(node):
             asg: BlockAssignment = node.storage["assignment"]
@@ -670,7 +734,7 @@ def run_clusmat(
             asg: BlockAssignment = node.storage["assignment"]
             return asg.nodes_for_column_block(pl.column_block_of(node.id))
 
-        col_rows = _multicast_rows(engine, "b_col", column_recipients)
+        col_rows = _multicast_rows(engine, col_key, column_recipients)
 
         def store_cols(node):
             asg: BlockAssignment = node.storage["assignment"]
@@ -726,7 +790,6 @@ def run_clusmat(
 
         engine.local(multiply)
         delivered10, _ = bounded_route(engine, entry_items, label="bounded_route")
-        rows_out: dict[int, BitVector] = {}
 
         def assemble(node):
             value = 0
@@ -742,20 +805,16 @@ def run_clusmat(
                 raise SchedulingError(
                     f"row {node.id} incomplete: {bin(seen).count('1')} of {n} entries"
                 )
-            row = BitVector(n, value)
-            node.storage["c_row"] = row
-            rows_out[node.id] = row
+            node.storage["c_row"] = BitVector(n, value)
 
         engine.local(assemble)
 
-    C = BooleanMatrix(tuple(rows_out[i] for i in engine.node_ids()))
-    info = {
+    return {
         "m_realized": plan.total_cost,
         "t": plan.t,
         "blocks": plan.num_blocks,
         "column_blocks": len(plan.column_blocks),
     }
-    return C, info
 
 
 def clusmat_protocol(
@@ -766,36 +825,7 @@ def clusmat_protocol(
 ) -> tuple[BooleanMatrix, RoundLedger, dict]:
     """Full product run on a fresh engine; node i starts with row i of A and
     row i of B and finishes with row i of C = A o B."""
-    proj = proj or ProjectionConfig()
-    if A.n != cfg.n or B.n != cfg.n:
-        raise DimensionError(f"matrices must match n={cfg.n}")
-    engine = CliqueEngine(cfg)
-    C, info = run_clusmat(engine, A, B, proj)
-    return C, engine.ledger, info
-
-
-def _transpose_exchange(
-    engine: CliqueEngine, M: BooleanMatrix, label: str = "relaxed_idt"
-) -> BooleanMatrix:
-    """One relaxed routing task: node j ships bit i of its row to node i,
-    so node i assembles column i.  Returns the transpose of ``M``."""
-    n = engine.n
-    items = []
-    for j in engine.node_ids():
-        row = M.row(j)
-        for i in engine.node_ids():
-            items.append(RoutingItem(j, i, row.get(i), 1, tag=j))
-    delivered, _ = solve_relaxed_idt(engine, items, label=label)
-    rows: dict[int, BitVector] = {}
-
-    def build(node):
-        value = 0
-        for it in delivered.get(node.id, []):
-            value |= it.payload << (it.src - 1)
-        rows[node.id] = BitVector(n, value)
-
-    engine.local(build)
-    return BooleanMatrix(tuple(rows[i] for i in engine.node_ids()))
+    return clusmat_oriented(A, B, cfg, proj)
 
 
 def clusmat_oriented(
@@ -806,53 +836,15 @@ def clusmat_oriented(
     orientation: str = "ab",
 ) -> tuple[BooleanMatrix, RoundLedger, dict]:
     """Product run with a forced orientation: ``ab`` follows A's rows,
-    ``ba`` runs on the transposed pair and flips the result back."""
-    proj = proj or ProjectionConfig()
-    if orientation not in ("ab", "ba"):
+    ``ba`` follows B's columns and flips the result back."""
+    if orientation not in _ROLES:
         raise ValueError(f"orientation must be 'ab' or 'ba', got {orientation!r}")
-    if orientation == "ab":
-        return clusmat_protocol(A, B, cfg, proj)
     engine = CliqueEngine(cfg)
-    C_t, info = run_clusmat(engine, B.transpose(), A.transpose(), proj)
-    with engine.step("orient_transpose"):
-        C = _transpose_exchange(engine, C_t)
+    _place_inputs(engine, A, B)
+    C, info = run_clusmat(engine, *_ROLES[orientation], proj or ProjectionConfig())
+    if orientation == "ba":
+        C = _flip(engine)
     return C, engine.ledger, info
-
-
-def _measure_tree_cost(
-    engine: CliqueEngine, tree: Tree, row_key: str, label: str
-) -> int:
-    """True Hamming cost of ``tree`` over the rows stored under ``row_key``:
-    broadcast the tree, deliver endpoint rows to edge owners, owners report
-    their edge's distance to node 1."""
-    n = engine.n
-    cb = count_bits(n)
-    with engine.as_node(1) as node1:
-        node1.storage["hmst_tree"] = tree
-    _broadcast_tree(engine, label=label)
-    _deliver_endpoint_rows(engine, row_key=row_key, out_key="edge_rows")
-    values: dict[int, int] = {}
-
-    def compute(node):
-        t: Tree = node.storage["tree"]
-        if node.id > n - 1:
-            return
-        e = t.edge(node.id)
-        rows = node.storage["edge_rows"]
-        values[node.id] = (rows[e.u].value ^ rows[e.v].value).bit_count()
-        engine.charge_work(node.id, math.ceil(n / engine.w))
-
-    engine.local(compute)
-    owners = np.array([j for j in sorted(values) if j != 1], dtype=np.int64)
-    engine.exchange(1, 0, owners, 1, cb, label=label)
-    return sum(values.values())
-
-
-def _reset_protocol_storage(engine: CliqueEngine) -> None:
-    def wipe(node):
-        dict.clear(node.storage)
-
-    engine.local(wipe)
 
 
 def choose_orientation(
@@ -861,53 +853,47 @@ def choose_orientation(
     cfg: CliqueConfig,
     proj: ProjectionConfig | None = None,
 ) -> tuple[BooleanMatrix, str, RoundLedger, dict]:
-    """Build approximate trees for A's rows and for B's columns, measure both
-    true costs, and run the product in the cheaper orientation (ties go to
-    the row side).  The transposed run's result is transposed back, so the
-    output equals A o B either way."""
+    """Build approximate trees for A's rows and for B's columns, run steps
+    3-5 on each, and run steps 6-10 once, on the cheaper tree (ties go to
+    the row side).  Step 5 hands every node both trees' edge distances, so
+    each node makes the same choice locally.  The transposed run's result
+    is transposed back, so the output equals A o B either way."""
     proj = proj or ProjectionConfig()
-    if A.n != cfg.n or B.n != cfg.n:
-        raise DimensionError(f"matrices must match n={cfg.n}")
-    n = cfg.n
     engine = CliqueEngine(cfg)
-
-    def seed(node):
-        node.storage["pa"] = A.row(node.id)
-
-    engine.local(seed)
+    _place_inputs(engine, A, B)
 
     # candidate tree for the rows of A
     with engine.step("orient_tree_a"):
-        tree_a = run_hmst(engine, proj, point_key="pa", step_prefix="orient_a_")
+        run_hmst(engine, proj, point_key="a_row", tree_key="hmst_tree_ab", step_prefix="orient_a_")
 
-    # candidate tree for the columns of B (rows of B transposed)
+    # candidate tree for the columns of B, which step 1 would deliver anyway
     with engine.step("orient_tree_b"):
-        Bt = _transpose_exchange(engine, B)
+        _transpose_exchange(engine, "b_row", "b_col")
+        run_hmst(engine, proj, point_key="b_col", tree_key="hmst_tree_ba", step_prefix="orient_b_")
 
-        def store_col(node):
-            node.storage["pb"] = Bt.row(node.id)
-
-        engine.local(store_col)
-        tree_b = run_hmst(engine, proj, point_key="pb", step_prefix="orient_b_")
-
-    # true costs of both candidates, compared at node 1
+    # steps 3-5 on each candidate, then every node adopts the cheaper one
     with engine.step("orient_choice"):
-        cost_a = _measure_tree_cost(engine, tree_a, row_key="pa", label="orient_cost")
-        cost_b = _measure_tree_cost(engine, tree_b, row_key="pb", label="orient_cost")
-        use_ba = cost_b < cost_a
-        engine.exchange(1, 0, *to_all_others(n, [1]), 1, label="orient_cost")
+        for side, (row_key, _) in _ROLES.items():
+            _broadcast_tree(engine, label="step3", suffix="_" + side)
+            _deliver_endpoint_rows(engine, row_key, suffix="_" + side)
+            _owner_distance_broadcast(engine, label="step5", suffix="_" + side)
 
-    _reset_protocol_storage(engine)
-    if not use_ba:
-        C, info = run_clusmat(engine, A, B, proj, tree=tree_a)
-        orientation = "ab"
-    else:
-        C_t, info = run_clusmat(engine, B.transpose(), A.transpose(), proj, tree=tree_b)
-        # node i holds row i of (A o B) transposed; one exchange flips it
-        with engine.step("orient_transpose"):
-            C = _transpose_exchange(engine, C_t)
-        orientation = "ba"
-    info = dict(info)
-    info["cost_a"] = cost_a
-    info["cost_b"] = cost_b
+        def choose(node):
+            st = node.storage
+            costs = {side: sum(st["distances_" + side].values()) for side in _ROLES}
+            side = "ba" if costs["ba"] < costs["ab"] else "ab"
+            for key in ("tree", "edge_rows", "distances"):
+                st[key] = st[key + "_" + side]
+            st["orient_costs"] = costs
+            st["orientation"] = side
+
+        engine.local(choose)
+
+    with engine.as_node(1) as node1:
+        orientation: str = node1.storage["orientation"]
+        costs: dict[str, int] = node1.storage["orient_costs"]
+    info = _multiply_along_tree(engine, *_ROLES[orientation])
+    C = _gather(engine) if orientation == "ab" else _flip(engine)
+    info["cost_a"] = costs["ab"]
+    info["cost_b"] = costs["ba"]
     return C, orientation, engine.ledger, info

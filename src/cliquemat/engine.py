@@ -22,6 +22,12 @@ analytic round costs instead of scheduling rounds; the engine exposes
 :meth:`charge_rounds`, :meth:`count_messages` and :meth:`count_traffic` for
 that path.  :meth:`measure` credits a block's rounds to a primitive and
 :meth:`step` records them as one protocol step.
+
+Accounted per-node work is an upper bound, not a measurement: accounted
+``vector_multicast`` counts every copy of a vector as a direct message from
+its sender, where the simulated doubling tree spreads the forwarding over
+the recipients.  So ``work_max_node`` under ``accounted`` is an upper bound
+on the hottest node's work and cannot be compared with a simulated run's.
 """
 
 from __future__ import annotations
@@ -131,7 +137,9 @@ class RoundLedger:
 
 
 class _Storage(dict):
-    """Node-private key/value store with an optional access audit."""
+    """Node-private key/value store with an optional access audit: with
+    ``engine.audit`` set, every read, write and iteration from inside
+    another node's local phase raises :class:`IsolationError`."""
 
     __slots__ = ("_engine", "_owner")
 
@@ -147,29 +155,22 @@ class _Storage(dict):
                 f"node {eng._active} touched storage of node {self._owner}"
             )
 
-    def __getitem__(self, key):
-        self._check()
-        return super().__getitem__(key)
 
-    def __setitem__(self, key, value):
-        self._check()
-        super().__setitem__(key, value)
+def _audited(name: str):
+    base = getattr(dict, name)
 
-    def get(self, key, default=None):
+    def method(self, *args, **kwargs):
         self._check()
-        return super().get(key, default)
+        return base(self, *args, **kwargs)
 
-    def setdefault(self, key, default=None):
-        self._check()
-        return super().setdefault(key, default)
+    method.__name__ = name
+    return method
 
-    def pop(self, key, *args):
-        self._check()
-        return super().pop(key, *args)
 
-    def __contains__(self, key):
-        self._check()
-        return super().__contains__(key)
+for _name in ("__getitem__", "__setitem__", "__delitem__", "__contains__", "__iter__",
+              "__len__", "get", "setdefault", "pop", "popitem", "update", "clear",
+              "keys", "items", "values"):
+    setattr(_Storage, _name, _audited(_name))
 
 
 class NodeState:

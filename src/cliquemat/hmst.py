@@ -350,7 +350,6 @@ def run_hmst(
             fam: ProjectionFamily = node.storage["family"]
             pt: BitVector = node.storage[point_key]
             sk = sketch_point(fam, pt)
-            node.storage["sketches"] = sk
             engine.charge_work(node.id, len(scales) * k * math.ceil(n / w))
             value = 0
             for idx, s in enumerate(sk):
@@ -385,7 +384,6 @@ def run_hmst(
             engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))
             tree = local_mst(graph.weights)
             engine.charge_work(1, n * n)
-            node.storage["estimated_graph"] = graph
             node.storage[tree_key] = tree
             tree_holder["tree"] = tree
 

@@ -11,6 +11,10 @@ engine's routing mode:
   message per ordered pair per round, and fills the ledger;
 * ``accounted`` charges the published analytic round cost and counts one
   message per item (plus the multicast announcements) without scheduling.
+  A multicast counts every copy as a direct message from the sender, so the
+  sender carries W work per copy; accounted per-node work, and with it
+  ``work_max_node``, is an upper bound and not comparable with simulated
+  runs, where the doubling tree spreads the copies over the recipients.
 
 The simulated schedules:
 

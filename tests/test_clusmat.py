@@ -358,30 +358,37 @@ def test_clusmat_strict_capacity_mode():
 # choose_orientation
 # ---------------------------------------------------------------------------
 
-def test_orientation_prefers_clustered_rows():
+def clustered_rows_inputs():
+    """A with identical rows (row-side cost 0), B random."""
     rng = random.Random(7)
     n = 8
     row = BitVector(n, rng.getrandbits(n))
-    A = BooleanMatrix(tuple(row for _ in range(n)))  # identical rows: cost 0
+    A = BooleanMatrix(tuple(row for _ in range(n)))
     B = random_matrix_local(n, rng)
-    C, orientation, _, info = choose_orientation(
-        A, B, CliqueConfig(n=n, routing="accounted", seed=8)
-    )
+    return A, B, CliqueConfig(n=n, routing="accounted", seed=8)
+
+
+def clustered_columns_inputs():
+    """A random, B with identical columns (column-side cost 0)."""
+    rng = random.Random(8)
+    n = 8
+    A = random_matrix_local(n, rng)
+    col_row = BitVector(n, rng.getrandbits(n))
+    B = BooleanMatrix(tuple(col_row for _ in range(n))).transpose()
+    return A, B, CliqueConfig(n=n, routing="accounted", seed=9)
+
+
+def test_orientation_prefers_clustered_rows():
+    A, B, cfg = clustered_rows_inputs()
+    C, orientation, _, info = choose_orientation(A, B, cfg)
     assert orientation == "ab"
     assert info["cost_a"] == 0
     assert C == boolean_product_naive(A, B)
 
 
 def test_orientation_prefers_clustered_columns():
-    rng = random.Random(8)
-    n = 8
-    A = random_matrix_local(n, rng)
-    col_row = BitVector(n, rng.getrandbits(n))
-    B = BooleanMatrix(tuple(col_row for _ in range(n))).transpose()
-    # columns of B are all equal -> column-side cost 0
-    C, orientation, _, info = choose_orientation(
-        A, B, CliqueConfig(n=n, routing="accounted", seed=9)
-    )
+    A, B, cfg = clustered_columns_inputs()
+    C, orientation, _, info = choose_orientation(A, B, cfg)
     assert orientation == "ba"
     assert info["cost_b"] == 0
     assert C == boolean_product_naive(A, B)
@@ -410,15 +417,45 @@ def test_orientation_both_sides_correct_random():
         assert C == boolean_product_naive(A, B)
 
 
+@pytest.mark.parametrize(
+    "inputs, expect",
+    [(clustered_rows_inputs, "ab"), (clustered_columns_inputs, "ba")],
+    ids=["ab", "ba"],
+)
+def test_orientation_passes_isolation_audit(monkeypatch, inputs, expect):
+    """Both outcomes of the orientation choice touch only the active
+    node's storage in every local phase."""
+    from cliquemat import clusmat
+    from cliquemat.engine import CliqueEngine
+
+    class AuditedEngine(CliqueEngine):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            self.audit = True
+
+    monkeypatch.setattr(clusmat, "CliqueEngine", AuditedEngine)
+    A, B, cfg = inputs()
+    C, orientation, _, _ = choose_orientation(A, B, cfg)
+    assert orientation == expect
+    assert C == boolean_product_naive(A, B)
+
+
 # ---------------------------------------------------------------------------
 # node isolation and replicated planning
 # ---------------------------------------------------------------------------
 
+def run_placed(engine, A, B):
+    """The ab run on ``engine`` after the entry-point input placement."""
+    from cliquemat import clusmat
+    from cliquemat.hmst import ProjectionConfig
+
+    clusmat._place_inputs(engine, A, B)
+    return clusmat.run_clusmat(engine, "a_row", "b_col", ProjectionConfig())
+
+
 def test_clusmat_passes_isolation_audit():
     """Every local phase touches only the active node's storage."""
-    from cliquemat.clusmat import run_clusmat
     from cliquemat.engine import CliqueEngine
-    from cliquemat.hmst import ProjectionConfig
 
     rng = random.Random(10)
     n = 8
@@ -426,21 +463,19 @@ def test_clusmat_passes_isolation_audit():
     B = random_matrix_local(n, rng)
     engine = CliqueEngine(CliqueConfig(n=n, seed=3))
     engine.audit = True
-    C, _ = run_clusmat(engine, A, B, ProjectionConfig())
+    C, _ = run_placed(engine, A, B)
     assert C == boolean_product_naive(A, B)
 
 
 def test_clusmat_plans_identical_across_nodes():
-    from cliquemat.clusmat import run_clusmat
     from cliquemat.engine import CliqueEngine
-    from cliquemat.hmst import ProjectionConfig
 
     rng = random.Random(11)
     n = 16
     A = random_matrix_local(n, rng)
     B = random_matrix_local(n, rng)
     engine = CliqueEngine(CliqueConfig(n=n, routing="accounted", seed=4))
-    run_clusmat(engine, A, B, ProjectionConfig())
+    run_placed(engine, A, B)
     plans = [engine.node(i).storage["plan"] for i in engine.node_ids()]
     assignments = [engine.node(i).storage["assignment"] for i in engine.node_ids()]
     assert all(p == plans[0] for p in plans)
@@ -459,17 +494,15 @@ def fresh_plan(tree, distances, n):
 
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
 def test_replicated_plan_matches_fresh_derivation_at_every_node(routing):
-    from cliquemat.clusmat import run_clusmat
     from cliquemat.engine import CliqueEngine
     from cliquemat.harness import GenSpec, generate
-    from cliquemat.hmst import ProjectionConfig
 
     n = 12
     A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=5))
     B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=6))
     engine = CliqueEngine(CliqueConfig(n=n, routing=routing, seed=5))
     engine.audit = True
-    C, _ = run_clusmat(engine, A, B, ProjectionConfig())
+    C, _ = run_placed(engine, A, B)
     assert C == boolean_product_naive(A, B)
     for i in engine.node_ids():
         st = engine.node(i).storage
@@ -484,7 +517,6 @@ def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
     derivation; a node holding its own copy of the tree derives its own."""
     from cliquemat import clusmat
     from cliquemat.engine import CliqueEngine
-    from cliquemat.hmst import ProjectionConfig
 
     n, other = 10, 4
     rng = random.Random(12)
@@ -507,7 +539,7 @@ def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
     monkeypatch.setattr(clusmat, "euler_traversal", counting_euler)
     monkeypatch.setattr(clusmat, "_broadcast_tree", broadcast_then_copy)
     engine = CliqueEngine(CliqueConfig(n=n, routing="accounted", seed=2))
-    C, _ = clusmat.run_clusmat(engine, A, B, ProjectionConfig())
+    C, _ = run_placed(engine, A, B)
     assert C == boolean_product_naive(A, B)
     shared = engine.node(1).storage
     own = engine.node(other).storage
@@ -526,12 +558,10 @@ def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def run_engine_protocol(n, A, B, routing="simulated", seed=0):
-    from cliquemat.clusmat import run_clusmat
     from cliquemat.engine import CliqueEngine
-    from cliquemat.hmst import ProjectionConfig
 
     engine = CliqueEngine(CliqueConfig(n=n, routing=routing, seed=seed))
-    C, info = run_clusmat(engine, A, B, ProjectionConfig())
+    C, info = run_placed(engine, A, B)
     return engine, C, info
 
 

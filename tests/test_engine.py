@@ -231,6 +231,46 @@ def test_isolation_audit_allows_own_access():
     eng.local(fine)
 
 
+STORAGE_CALLS = {
+    "__getitem__": lambda st: st["k"],
+    "__setitem__": lambda st: st.__setitem__("k", 2),
+    "__delitem__": lambda st: st.__delitem__("k"),
+    "__contains__": lambda st: "k" in st,
+    "__iter__": lambda st: list(st),
+    "__len__": lambda st: len(st),
+    "get": lambda st: st.get("k"),
+    "setdefault": lambda st: st.setdefault("k", 2),
+    "pop": lambda st: st.pop("k"),
+    "popitem": lambda st: st.popitem(),
+    "update": lambda st: st.update(k=2),
+    "clear": lambda st: st.clear(),
+    "keys": lambda st: st.keys(),
+    "items": lambda st: st.items(),
+    "values": lambda st: st.values(),
+}
+
+
+@pytest.mark.parametrize("method", sorted(STORAGE_CALLS))
+def test_isolation_audit_covers_every_storage_method(method):
+    call = STORAGE_CALLS[method]
+    eng = make_engine(4)
+    eng.audit = True
+    for i in eng.node_ids():
+        eng.node(i).storage["k"] = 1
+
+    def own(node):
+        call(node.storage)
+
+    eng.local(own)
+
+    def cheat(node):
+        if node.id == 1:
+            call(eng.node(2).storage)
+
+    with pytest.raises(IsolationError):
+        eng.local(cheat)
+
+
 # ---------------------------------------------------------------------------
 # accounted helpers
 # ---------------------------------------------------------------------------
