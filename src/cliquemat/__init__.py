@@ -45,10 +45,10 @@ from .hmst import (
     estimate_distance,
     gen_projection,
     hmst_protocol,
-    project,
+    sketch_bits,
 )
 from .routing import (
-    RoutingItem,
+    Batch,
     bounded_route,
     solve_relaxed_idt,
     vector_multicast,

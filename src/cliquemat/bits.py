@@ -179,15 +179,7 @@ class BooleanMatrix:
 
     def to_array(self) -> np.ndarray:
         """0/1 entries as an (n, n) int64 array."""
-        n = self.n
-        nbytes = (n + 7) // 8
-        raw = b"".join(r.value.to_bytes(nbytes, "little") for r in self.rows)
-        bits = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes),
-            axis=1,
-            bitorder="little",
-        )
-        return bits[:, :n].astype(np.int64)
+        return unpack_rows([r.value for r in self.rows], self.n).astype(np.int64)
 
 
 def pack_rows(bits) -> list[int]:
@@ -200,6 +192,19 @@ def pack_rows(bits) -> list[int]:
         int.from_bytes(raw[lo:lo + nbytes], "little")
         for lo in range(0, len(raw), nbytes)
     ]
+
+
+def unpack_rows(values: Sequence[int], width: int) -> np.ndarray:
+    """Inverse of :func:`pack_rows`: bit j of each nonnegative integer below
+    2**width as entry j of one row of a (len(values), width) uint8 array."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes),
+        axis=1,
+        bitorder="little",
+    )
+    return bits[:, :width]
 
 
 def distance_matrix_via_products(P: BooleanMatrix) -> np.ndarray:

@@ -30,7 +30,6 @@ MAX_ROUNDS_ENV = "CLIQUEMAT_MAX_ROUNDS"
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--routing", choices=["simulated", "accounted"], default="simulated")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--w", type=int, default=64, help="payload capacity in bits")
     p.add_argument("--strict", action="store_true", help="force W = ceil(log2 n) + 16")
@@ -40,6 +39,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help=f"abort limit (default from ${MAX_ROUNDS_ENV} or 1000000)",
     )
+    _add_bench_flags(p)
+
+
+def _add_bench_flags(p: argparse.ArgumentParser) -> None:
+    """Model flags a bench grid honours; its cells fix seed, W and limits."""
+    p.add_argument("--routing", choices=["simulated", "accounted"], default="simulated")
     p.add_argument("--kappa", type=float, default=8.0, help="sketch width multiplier")
     p.add_argument(
         "--seed-mode",
@@ -192,13 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--c", required=True)
     v.set_defaults(fn=cmd_verify)
 
-    b = sub.add_parser("bench", help="sweep a benchmark grid")
+    b = sub.add_parser("bench", help="sweep a benchmark grid", allow_abbrev=False)
     b.add_argument("--n-list", default="64,128,256")
     b.add_argument("--spreads", default=None, help="comma list of spread knobs")
     b.add_argument("--seeds", type=int, default=1, help="seeds per cell")
     b.add_argument("--format", choices=["json", "csv"], default="json")
     b.add_argument("--out", default=None)
-    _add_model_flags(b)
+    _add_bench_flags(b)
     b.set_defaults(fn=cmd_bench)
     return p
 

@@ -11,10 +11,11 @@ and updates per-column overlap counts only at flipped coordinates.
 
 The ledger charges that incremental-count work as the paper states it.  The
 simulation reaches the same entries more cheaply on the host: a pair node
-rebuilds each row by XOR with one mask per tour edge and tests it against
-each column whole (:func:`block_multiply`), and the replicated step-6 plan
-is derived once and shared by every node that holds the same tree and
-distance table.
+rebuilds each row by XOR with one mask per tour edge and tests all its rows
+against all its columns in one product (:func:`block_multiply`), the
+replicated step-6 plan is derived once and shared by every node that holds
+the same tree and distance table, and the bulk routing tasks (transposes,
+witnesses, product entries) are built and read as numpy columns.
 
 Inputs come from node storage only: the entry points put row i of A and
 row i of B at node i once, and every step after that reads what the nodes
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -59,7 +61,9 @@ from .bits import (
     euler_traversal,
     hamming_distance,
     pack_chunks,
+    pack_rows,
     unpack_chunks,
+    unpack_rows,
     witnesses,
 )
 from .engine import CliqueConfig, CliqueEngine, NodeState, RoundLedger
@@ -71,7 +75,7 @@ from .errors import (
 )
 from .hmst import ProjectionConfig, run_hmst
 from .routing import (
-    RoutingItem,
+    Batch,
     bounded_route,
     count_bits,
     multicast_accounted_rounds,
@@ -241,9 +245,10 @@ class WitnessSchedule:
     edge_offsets: dict[int, int]
     total: int
 
-    def rep_for_position(self, pos: int) -> int:
-        idx = min(pos // self.capacity, len(self.reps) - 1)
-        return self.reps[idx]
+    def rep_for_positions(self, pos: np.ndarray) -> np.ndarray:
+        """The representative of each witness position."""
+        idx = np.minimum(pos // self.capacity, len(self.reps) - 1)
+        return np.asarray(self.reps, dtype=np.int64)[idx]
 
 
 def witness_schedules(
@@ -286,7 +291,8 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     """
     n = engine.n
     cb = count_bits(n)
-    stage1: list[RoutingItem] = []
+    # (edge, representative, coordinate) columns of every witness run
+    runs = [(np.zeros(0, np.int64),) * 3]
 
     def build_stage1(node):
         wit = node.storage.get("wit")
@@ -295,38 +301,36 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
         plan: TraversalPlan = node.storage["plan"]
         schedules: dict[int, WitnessSchedule] = node.storage["schedules"]
         e = node.id
+        coords = np.asarray(wit, dtype=np.int64)
         for b in range(1, plan.num_blocks + 1):
             sched = schedules[b]
-            if e not in sched.edge_offsets:
-                continue
-            base = sched.edge_offsets[e]
-            for widx, coord in enumerate(wit):
-                rep = sched.rep_for_position(base + widx)
-                payload = (e << cb) | (coord - 1)
-                stage1.append(RoutingItem(e, rep, payload, 2 * cb, tag=e))
+            if e in sched.edge_offsets:
+                pos = sched.edge_offsets[e] + np.arange(coords.size)
+                runs.append((np.full(coords.size, e), sched.rep_for_positions(pos), coords))
 
     engine.local(build_stage1)
+    edge, reps, coords = (np.concatenate(c) for c in zip(*runs))
+    stage1 = Batch.build(engine.w, edge, reps, 2 * cb, (edge << cb) | (coords - 1), tag=edge)
     delivered, _ = bounded_route(engine, stage1, label="bounded_route")
 
-    # representative -> (its (edge, coordinate) packets, its block's pair nodes)
-    rep_packets: dict[int, tuple[list[tuple[int, int]], list[int]]] = {}
+    # representative -> (its packets (edge << cb) | (coordinate - 1), sorted
+    # by (edge, coordinate), and its block's pair nodes)
+    rep_packets: dict[int, tuple[np.ndarray, list[int]]] = {}
     coord_mask = (1 << cb) - 1
 
     def collect_rep(node):
-        items = delivered.get(node.id)
-        if not items:
+        got = delivered.span(node.id)
+        if got.start == got.stop:
             return
         sched_map: dict[int, WitnessSchedule] = node.storage["schedules"]
         assignment: BlockAssignment = node.storage["assignment"]
         pair = assignment.node_to_pair.get(node.id)
         b = pair[0] if pair else None
         cap = sched_map[b].capacity if b else 0
-        packets = sorted(
-            ((it.payload >> cb, (it.payload & coord_mask) + 1) for it in items)
-        )
-        if b is None or len(packets) > cap:
+        packets = np.sort(delivered.payload[got].astype(np.int64))
+        if b is None or packets.size > cap:
             raise SchedulingError(
-                f"representative {node.id} got {len(packets)} witnesses"
+                f"representative {node.id} got {packets.size} witnesses"
             )
         rep_packets[node.id] = (packets, assignment.nodes_for_block(b))
 
@@ -334,7 +338,7 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
 
     # stage 2: representatives push their packets to every pair node of
     # their block, as sub-vectors of at most n messages each
-    received: dict[int, list[tuple[int, int]]] = {}
+    received: dict[int, list[np.ndarray]] = {}
     if engine.accounted and rep_packets:
         # charge the published bound: O(1) sub-stages, each delivering one
         # vector from each of the O(block total / n) loaded representatives
@@ -350,28 +354,26 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
             packets, recips = rep_packets[rep]
             for v in recips:
                 if v != rep:
-                    engine.count_traffic(rep, v, 2 * cb, count=len(packets))
-                received.setdefault(v, []).extend(packets)
+                    engine.count_traffic(rep, v, 2 * cb, count=packets.size)
+                received.setdefault(v, []).append(packets)
     else:
         substages = max(
-            (math.ceil(len(p) / n) for p, _ in rep_packets.values()), default=0
+            (math.ceil(p.size / n) for p, _ in rep_packets.values()), default=0
         )
         for s in range(substages):
             senders = {}
             for rep in sorted(rep_packets):
                 packets, recips = rep_packets[rep]
-                part = packets[s * n:(s + 1) * n]
-                if not part:
-                    continue
-                chunks = [((e << cb) | (coord - 1), 2 * cb) for e, coord in part]
-                senders[rep] = (chunks, recips)
+                part = packets[s * n:(s + 1) * n].tolist()
+                if part:
+                    senders[rep] = ([(p, 2 * cb) for p in part], recips)
             if not senders:
                 continue
             out, _ = vector_multicast(engine, senders, label="vector_multicast")
             for v in sorted(out):
                 for _, chunks in out[v]:
-                    received.setdefault(v, []).extend(
-                        (payload >> cb, (payload & coord_mask) + 1) for payload, _ in chunks
+                    received.setdefault(v, []).append(
+                        np.array([p for p, _ in chunks], dtype=np.int64)
                     )
 
     def store_block_witnesses(node):
@@ -381,16 +383,19 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
         plan: TraversalPlan = node.storage["plan"]
         distances: dict[int, int] = node.storage["distances"]
         b = assignment.node_to_pair[node.id][0]
+        packets = np.sort(np.concatenate([np.zeros(0, np.int64)] + received.get(node.id, [])))
+        edges, coords = packets >> cb, ((packets & coord_mask) + 1).tolist()
         by_edge: dict[int, list[int]] = {}
-        for e, coord in sorted(received.get(node.id, [])):
-            by_edge.setdefault(e, []).append(coord)
-        for e in plan.block_edge_ids(b):
-            got = by_edge.setdefault(e, [])
-            if len(got) != distances[e]:
+        block_edges = plan.block_edge_ids(b)
+        lo = np.searchsorted(edges, block_edges, "left").tolist()
+        hi = np.searchsorted(edges, block_edges, "right").tolist()
+        for e, a, z in zip(block_edges, lo, hi):
+            if z - a != distances[e]:
                 raise SchedulingError(
-                    f"pair node {node.id} holds {len(got)} witnesses of edge {e}, "
+                    f"pair node {node.id} holds {z - a} witnesses of edge {e}, "
                     f"expected {distances[e]}"
                 )
+            by_edge[e] = coords[a:z]
         node.storage["block_witnesses"] = by_edge
 
     engine.local(store_block_witnesses)
@@ -406,43 +411,54 @@ def block_multiply(
     walk: Sequence[tuple[int, int, int]],
     witnesses_by_edge: Mapping[int, Sequence[int]],
     columns: Sequence[tuple[int, BitVector]],
-) -> list[tuple[int, int, int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk the tour block reconstructing every row from the previous one and
-    emit (row vertex, column index, bit) for each visited vertex x column.
+    return the (row vertex, column index, bit) columns of each visited
+    vertex x column.
 
     Entries come out at each vertex's first visit, in the given column
-    order.  Each walk edge's witness list is folded once into an XOR mask (a
-    repeated coordinate cancels, as two flips would) and applied to the
-    whole row, and each entry tests the rebuilt row against its column.  The
+    order.  The witnesses of all walk edges are XORed at once into one mask
+    of 64-bit words per edge (a repeated coordinate cancels, as two flips
+    would), each applied to the whole row; the bits of all visited rows
+    against all columns come from one product of their 0/1 arrays.  The
     paper's algorithm instead keeps one count of shared ones per column and
     updates it at every flipped coordinate; the ledger charges that work,
     (n + block cost) x columns, whatever this simulation spends.
     """
     n = start_row.n
-    cols = [(j, col.value) for j, col in columns]
-    masks: dict[int, int] = {}
+    edges = list(dict.fromkeys(eidx for _, _, eidx in walk))
+    lists = [witnesses_by_edge.get(e, ()) for e in edges]
+    sizes = [len(c) for c in lists]
+    coords = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=sum(sizes))
+    if coords.size and (coords.min() < 1 or coords.max() > n):
+        bad = coords.min() if coords.min() < 1 else coords.max()
+        raise InvalidWitnessError(f"witness {bad} outside 1..{n}")
+    words = (n + 63) // 64
+    packed = np.zeros(len(edges) * words, dtype="<u8")
+    np.bitwise_xor.at(
+        packed,
+        np.repeat(np.arange(len(edges)) * words, sizes) + (coords - 1) // 64,
+        np.left_shift(np.uint64(1), ((coords - 1) % 64).astype(np.uint64)),
+    )
+    raw, size = packed.tobytes(), 8 * words
+    masks = {e: int.from_bytes(raw[i * size:(i + 1) * size], "little") for i, e in enumerate(edges)}
     cur = start_row.value
-    out = [(start_vertex, j, 1 if cur & col else 0) for j, col in cols]
+    vertices, rows = [start_vertex], [cur]
     seen = {start_vertex}
     for (_, head, eidx) in walk:
-        mask = masks.get(eidx)
-        if mask is None:
-            coords = witnesses_by_edge.get(eidx, ())
-            mask = 0
-            if coords:
-                lo, hi = min(coords), max(coords)
-                if lo < 1 or hi > n:
-                    raise InvalidWitnessError(
-                        f"witness {lo if lo < 1 else hi} outside 1..{n}"
-                    )
-                for coord in coords:
-                    mask ^= 1 << (coord - 1)
-            masks[eidx] = mask
-        cur ^= mask
+        cur ^= masks[eidx]
         if head not in seen:
             seen.add(head)
-            out += [(head, j, 1 if cur & col else 0) for j, col in cols]
-    return out
+            vertices.append(head)
+            rows.append(cur)
+    js = np.array([j for j, _ in columns], dtype=np.int64)
+    cols = unpack_rows([col.value for _, col in columns], n).astype(np.float32)
+    hits = unpack_rows(rows, n).astype(np.float32) @ cols.T
+    return (
+        np.repeat(np.array(vertices, dtype=np.int64), js.size),
+        np.tile(js, len(vertices)),
+        (hits > 0).astype(np.int64).ravel(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +496,22 @@ def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> Non
     under ``src_key`` to node i, so node i stores column i under
     ``out_key``."""
     n = engine.n
-    items: list[RoutingItem] = []
+    rows: list[BitVector] = []
 
     def send(node):
-        value = node.storage[src_key].value
-        j = node.id
-        items.extend(RoutingItem(j, i, (value >> (i - 1)) & 1, 1, tag=j) for i in engine.node_ids())
+        rows.append(node.storage[src_key])
 
     engine.local(send)
-    delivered, _ = solve_relaxed_idt(engine, items, label="relaxed_idt")
+    src = np.repeat(np.arange(1, n + 1), n)
+    bits = BooleanMatrix(tuple(rows)).to_array().ravel()  # node j's bit i goes to node i
+    batch = Batch.build(engine.w, src, np.tile(np.arange(1, n + 1), n), 1, bits, tag=src)
+    delivered, _ = solve_relaxed_idt(engine, batch, label="relaxed_idt")
+    received = np.zeros((n, n), dtype=np.uint8)
+    received[delivered.dst - 1, delivered.src - 1] = delivered.payload
+    columns = pack_rows(received)
 
     def build(node):
-        value = 0
-        for it in delivered.get(node.id, []):
-            value |= it.payload << (it.src - 1)
-        node.storage[out_key] = BitVector(n, value)
+        node.storage[out_key] = BitVector(n, columns[node.id - 1])
 
     engine.local(build)
 
@@ -555,11 +572,15 @@ def _multicast_rows(
 def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str, suffix: str = "") -> None:
     """Each node multicasts its row to the owners of its incident tree edges;
     every owner ends with both endpoint rows (at most two vectors each)
-    under ``edge_rows``."""
+    under ``edge_rows``.  Nodes share one adjacency per distinct tree
+    object (step 3 hands every node the same one)."""
+    adjacency: dict[int, dict[int, list[tuple[int, int]]]] = {}
 
     def incident_edges(node):
         tree: Tree = node.storage["tree" + suffix]
-        return [idx for idx, e in enumerate(tree.edges, start=1) if node.id in (e.u, e.v)]
+        if id(tree) not in adjacency:
+            adjacency[id(tree)] = tree.adjacency()
+        return [idx for _, idx in adjacency[id(tree)][node.id]]
 
     received = _multicast_rows(engine, row_key, incident_edges)
 
@@ -753,9 +774,10 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
 
         engine.local(store_cols)
 
-    # step 10: incremental multiply, then entries home
+    # step 10: incremental multiply, then entries home as (vertex, column,
+    # bit) columns; every row is assembled by one scatter into an n x n grid
     with engine.step("step10"):
-        entry_items: list[RoutingItem] = []
+        blocks: list[tuple[np.ndarray, ...]] = []  # (src, vertex, column, bit)
 
         def multiply(node):
             asg: BlockAssignment = node.storage["assignment"]
@@ -773,7 +795,7 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
                 )
                 for i in range(lo, hi)
             ]
-            entries = block_multiply(
+            vertex, j, bit = block_multiply(
                 pl.block_start_vertex(b),
                 node.storage["start_row"],
                 walk,
@@ -783,29 +805,25 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
             engine.charge_work(
                 node.id, (n + pl.block_costs[b - 1]) * len(node.storage["columns"])
             )
-            for vertex, j, bit in entries:
-                entry_items.append(
-                    RoutingItem(node.id, vertex, ((j - 1) << 1) | bit, cb + 1, tag=j)
-                )
+            blocks.append((np.full(vertex.size, node.id), vertex, j, bit))
 
         engine.local(multiply)
-        delivered10, _ = bounded_route(engine, entry_items, label="bounded_route")
+        src, vertex, j, bit = (np.concatenate(c) for c in zip(*blocks))
+        entries = Batch.build(engine.w, src, vertex, cb + 1, ((j - 1) << 1) | bit, tag=j)
+        delivered10, _ = bounded_route(engine, entries, label="bounded_route")
+        # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit
+        got = delivered10.payload.astype(np.int64)
+        entry = np.zeros((n, n), dtype=np.int8)
+        np.maximum.at(entry, (delivered10.dst - 1, got >> 1), 1 + (got & 1))
+        counts = (entry > 0).sum(axis=1).tolist()
+        values = pack_rows(entry == 2)
 
         def assemble(node):
-            value = 0
-            seen = 0
-            for it in delivered10.get(node.id, []):
-                j = (it.payload >> 1) + 1
-                bit = it.payload & 1
-                mask = 1 << (j - 1)
-                seen |= mask
-                if bit:
-                    value |= mask
-            if seen != (1 << n) - 1:
+            if counts[node.id - 1] != n:
                 raise SchedulingError(
-                    f"row {node.id} incomplete: {bin(seen).count('1')} of {n} entries"
+                    f"row {node.id} incomplete: {counts[node.id - 1]} of {n} entries"
                 )
-            node.storage["c_row"] = BitVector(n, value)
+            node.storage["c_row"] = BitVector(n, values[node.id - 1])
 
         engine.local(assemble)
 

@@ -11,15 +11,19 @@ Protocol outline (per-step round subtotals land in the ledger):
 
 1. generate the per-scale projection matrices at node 1 and multicast them
    (or, in seed mode, broadcast one 64-bit seed and regenerate locally);
-2. sketch every point locally and route all sketches to node 1;
-3. estimate all pairwise distances and build the tree at node 1.
+2. sketch every point locally and route all sketches to node 1 as one
+   batch of W-bit chunks;
+3. estimate all pairwise distances and build the tree at node 1, from the
+   chunks the delivered batch holds for it.
 
 Every node holds the replicated family, but the simulator derives it once
 per distinct input (the seed, or the received chunks) and hands the same
 object to every node holding that input; each node is still charged its
-own regeneration.  Node 1's all-pairs estimate runs on packed sketch
-arrays and its tree is an O(n^2) Prim; the ledger charges the paper's
-per-pair work either way.
+own regeneration.  Likewise, the points of all nodes holding the same
+family are sketched in one GF(2) matrix product (:func:`sketch_bits`),
+each node charged its own sketch.  Node 1's all-pairs estimate runs on
+packed sketch arrays and its tree is an O(n^2) Prim; the ledger charges the
+paper's per-pair work either way.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bits import BitVector, Tree, local_mst, pack_chunks, pack_rows, unpack_chunks
+from .bits import BitVector, Tree, local_mst, pack_chunks, pack_rows, unpack_chunks, unpack_rows
 from .engine import CliqueConfig, CliqueEngine, RoundLedger
 from .errors import DimensionError, MalformedSketchError
-from .routing import RoutingItem, bounded_route, to_all_others, vector_multicast
+from .routing import Batch, bounded_route, to_all_others, vector_multicast
 
 
 @dataclass(frozen=True)
@@ -117,15 +121,6 @@ def gen_projection(r: int, k: int, n: int, rng: np.random.Generator) -> tuple[in
     return tuple(pack_rows(rng.random((k, n)) < delta_for_scale(r)))
 
 
-def project(rows: Sequence[int], x: BitVector) -> BitVector:
-    """GF(2) matrix-vector product: output bit j is the parity of row j AND x."""
-    value = 0
-    xv = x.value
-    for j, row in enumerate(rows):
-        value |= ((row & xv).bit_count() & 1) << j
-    return BitVector(len(rows), value)
-
-
 @dataclass(frozen=True)
 class ProjectionFamily:
     """One projection matrix per scale plus the calibrated cutoffs."""
@@ -153,17 +148,25 @@ class ProjectionFamily:
             value |= row << (i * self.n)
         return value, self.k * self.n
 
-    @classmethod
-    def rows_from_bits(cls, value: int, k: int, n: int) -> tuple[int, ...]:
-        mask = (1 << n) - 1
-        return tuple((value >> (i * n)) & mask for i in range(k))
+
+def sketch_bits(family: ProjectionFamily, points: Sequence[BitVector]) -> np.ndarray:
+    """Sketches of many points in one GF(2) product, (X @ P.T) & 1 on 0/1
+    arrays: row i, bit s*k + j is the parity of row j of the scale-s matrix
+    AND point i.  The product runs in float32 (BLAS); each sum counts at
+    most n ones, exact below 2**24."""
+    n = family.n
+    for x in points:
+        if x.n != n:
+            raise DimensionError(f"point length {x.n} does not match n={n}")
+    X = unpack_rows([x.value for x in points], n).astype(np.float32)
+    P = unpack_rows([row for r in family.scales for row in family.matrices[r]], n)
+    return (X @ P.T.astype(np.float32)).astype(np.int64) & 1
 
 
 def sketch_point(family: ProjectionFamily, x: BitVector) -> tuple[int, ...]:
     """Sketches of x at every scale, one packed k-bit integer per scale."""
-    if x.n != family.n:
-        raise DimensionError(f"point length {x.n} does not match n={family.n}")
-    return tuple(project(family.matrices[r], x).value for r in family.scales)
+    bits = sketch_bits(family, [x]).reshape(len(family.scales), family.k)
+    return tuple(pack_rows(bits))
 
 
 def estimate_distance(
@@ -188,7 +191,8 @@ def rows_from_chunks(chunks: Sequence[tuple[int, int]], k: int, n: int) -> tuple
         raise MalformedSketchError(
             f"projection chunks carry {nbits} bits, expected {k * n}"
         )
-    return ProjectionFamily.rows_from_bits(value, k, n)
+    mask = (1 << n) - 1
+    return tuple((value >> (i * n)) & mask for i in range(k))
 
 
 def sketches_from_chunks(
@@ -342,23 +346,30 @@ def run_hmst(
 
             engine.local(rebuild)
 
-    # -- step 2: sketch locally, route every sketch set to node 1
+    # -- step 2: sketch locally, route every sketch set to node 1.  Nodes
+    # holding the same family object are sketched in one product.
     with engine.step(step_prefix + "step2"):
-        sketch_items: list[RoutingItem] = []
+        groups: dict[int, tuple[ProjectionFamily, list[int], list[BitVector]]] = {}
 
         def sketch(node):
             fam: ProjectionFamily = node.storage["family"]
-            pt: BitVector = node.storage[point_key]
-            sk = sketch_point(fam, pt)
+            _, ids, points = groups.setdefault(id(fam), (fam, [], []))
+            ids.append(node.id)
+            points.append(node.storage[point_key])
             engine.charge_work(node.id, len(scales) * k * math.ceil(n / w))
-            value = 0
-            for idx, s in enumerate(sk):
-                value |= s << (idx * k)
-            for seq, (payload, nbits) in enumerate(pack_chunks(value, len(scales) * k, w)):
-                sketch_items.append(RoutingItem(node.id, 1, payload, nbits, tag=seq))
 
         engine.local(sketch)
-        delivered, _ = bounded_route(engine, sketch_items, label="bounded_route")
+        # each sketch set is len(scales) * k bits, sent as W-bit chunks, low bits first
+        total, per_node = len(scales) * k, math.ceil(len(scales) * k / w)
+        src = np.concatenate([ids for _, ids, _ in groups.values()])
+        sketches = np.zeros((src.size, per_node * w), dtype=np.uint8)
+        sketches[:, :total] = np.concatenate([sketch_bits(f, pts) for f, _, pts in groups.values()])
+        widths = np.minimum(w, total - w * np.arange(per_node))
+        chunks = Batch.build(
+            w, np.repeat(src, per_node), 1, np.tile(widths, src.size),
+            pack_rows(sketches.reshape(-1, w)), tag=np.tile(np.arange(per_node), src.size),
+        )
+        delivered, _ = bounded_route(engine, chunks, label="bounded_route")
 
     # -- step 3: node 1 estimates all pairs on arrays and builds the tree
     # locally; the ledger charges the paper's per-pair and n^2 tree work
@@ -369,16 +380,12 @@ def run_hmst(
             if node.id != 1:
                 return
             fam: ProjectionFamily = node.storage["family"]
-            per_src: dict[int, list[RoutingItem]] = {}
-            for it in delivered.get(1, []):
-                per_src.setdefault(it.src, []).append(it)
+            got = delivered.span(1)  # in (src, tag) order
+            cuts = np.searchsorted(delivered.src[got], np.arange(1, n + 2)).tolist()
+            payload, nbits = delivered.payload[got].tolist(), delivered.nbits[got].tolist()
             sketch_sets = [
-                sketches_from_chunks(
-                    [(it.payload, it.nbits) for it in sorted(per_src[src], key=lambda it: it.tag)],
-                    k,
-                    len(scales),
-                )
-                for src in range(1, n + 1)
+                sketches_from_chunks(list(zip(payload[lo:hi], nbits[lo:hi])), k, len(scales))
+                for lo, hi in zip(cuts[:-1], cuts[1:])
             ]
             graph = build_estimated_graph(sketch_sets, fam)
             engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))

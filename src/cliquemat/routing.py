@@ -1,9 +1,9 @@
 """Message-distribution subprotocols on the clique engine.
 
-Three primitives share one code path for both routing backends: the batch is
-read once into numpy columns, checked against the per-node send and receive
-bounds, and delivered to the caller.  Only the cost rule depends on the
-engine's routing mode:
+Three primitives share one code path for both routing backends: the batch's
+columns are checked against the per-node send and receive bounds and
+delivered to the caller.  Only the cost rule depends on the engine's
+routing mode:
 
 * ``simulated`` builds every round of the schedule below as message columns
   (round, src, dst, nbits) and runs them through
@@ -36,21 +36,23 @@ The simulated schedules:
   recipients by doubling (groups of 2, 4, 8...), each phase routed as one
   bounded task with per-holder fan-out 2.
 
-Out of band: payloads never enter a column -- they may be wider than 64
-bits -- so each simulated primitive checks once, on receipt of its batch,
-that every payload fits its declared width; payload and width do not change
-between hops.  The forwarded destination, original source and position of
-an item travel with the schedule and are not charged as header bits.
+Out of band: payloads never enter a schedule, so each simulated primitive
+checks once, on receipt of its batch, that every payload fits its declared
+width; payload and width do not change between hops.  The forwarded
+destination, original source and position of an item travel with the
+schedule and are not charged as header bits.
 
 All primitives deliver self-addressed items locally at no message cost and
-return ``(delivered, rounds_used)`` where ``delivered`` maps a node id to
-the caller's own items in (src, tag, position) order.
+return ``(delivered, rounds_used)``.  The two task primitives take one
+:class:`Batch` of columns and deliver one, ordered by (dst, src, tag,
+position); a node finds its rows with :meth:`Batch.span`.
+``vector_multicast`` takes and returns per-sender vectors.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,6 +62,8 @@ from .errors import CapacityError, PreconditionError
 
 
 class RoutingItem(NamedTuple):
+    """One row of a :class:`Batch`, as iterating the batch yields it."""
+
     src: int
     dst: int
     payload: int
@@ -67,7 +71,48 @@ class RoutingItem(NamedTuple):
     tag: int = 0
 
 
-Delivered = dict[int, list[RoutingItem]]
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """A routing batch as columns: item i goes from ``src[i]`` to ``dst[i]``
+    under ``tag[i]``, carrying ``payload[i]`` in ``nbits[i]`` bits.  The
+    payload is uint64, or Python ints when built for W > 64; the rest is
+    int64.  ``len`` counts items; iteration yields :class:`RoutingItem` rows."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    nbits: np.ndarray
+    tag: np.ndarray
+    payload: np.ndarray
+
+    @classmethod
+    def build(cls, w: int, src, dst, nbits, payload, tag=0) -> "Batch":
+        """A batch for capacity ``w``; a scalar stands for a constant column.
+        At ``w`` <= 64 a payload outside 0..2**64-1 raises CapacityError.
+        Payloads not given as an array are read as Python ints (numpy reads
+        ints mixed below and above 2**63 as float64)."""
+        if not isinstance(payload, np.ndarray):
+            payload = np.array(payload, dtype=object)
+        src, dst, nbits, tag, payload = np.broadcast_arrays(
+            *(np.atleast_1d(a) for a in (src, dst, nbits, tag, payload))
+        )
+        if w <= 64 and payload.dtype.kind != "u" and payload.size:
+            if payload.min() < 0 or payload.max() >= 1 << 64:
+                raise CapacityError("a payload value does not fit a 64-bit column")
+        payload = payload.astype(object if w > 64 else np.uint64)
+        return cls(*(a.astype(np.int64, copy=False) for a in (src, dst, nbits, tag)), payload)
+
+    def __len__(self) -> int:
+        return self.src.size
+
+    def __iter__(self):
+        cols = (self.src, self.dst, self.payload, self.nbits, self.tag)
+        return map(RoutingItem._make, zip(*(c.tolist() for c in cols)))
+
+    def span(self, node: int) -> slice:
+        """The rows addressed to ``node`` in a delivered batch, which is
+        sorted by destination."""
+        lo, hi = np.searchsorted(self.dst, [node, node + 1])
+        return slice(int(lo), int(hi))
 
 
 def count_bits(n: int) -> int:
@@ -118,40 +163,16 @@ def to_all_others(n: int, senders) -> tuple[np.ndarray, np.ndarray]:
 # shared batch handling
 # ---------------------------------------------------------------------------
 
-class _Batch(NamedTuple):
-    """A routing batch as columns; row i is ``items[i]``."""
-
-    items: Sequence[RoutingItem]
-    src: np.ndarray
-    dst: np.ndarray
-    nbits: np.ndarray
-    tag: np.ndarray
-    payload: tuple
-
-
-def _columns(items: Sequence[RoutingItem]) -> _Batch:
-    if not items:
-        empty = np.zeros(0, dtype=np.int64)
-        return _Batch(items, empty, empty, empty, empty, ())
-    src, dst, payload, nbits, tag = zip(*items)
-    return _Batch(
-        items,
-        np.array(src, dtype=np.int64),
-        np.array(dst, dtype=np.int64),
-        np.array(nbits, dtype=np.int64),
-        np.array(tag, dtype=np.int64),
-        payload,
-    )
-
-
-def _check_payloads(payloads, nbits) -> None:
+def _check_payloads(payload: np.ndarray, nbits) -> None:
     """Every payload is a nonnegative integer below 2**nbits (x >> nb is
-    nonzero exactly when x is negative or needs more than nb bits)."""
-    if any(map(operator.rshift, payloads, nbits)):
+    nonzero exactly when x is negative or needs more than nb bits).  The
+    widths take the payload column's dtype: numpy promotes uint64 with
+    int64 to float."""
+    if np.any(payload >> np.asarray(nbits).astype(payload.dtype)):
         raise CapacityError("a payload value does not fit its declared bits")
 
 
-def _peak_loads(b: _Batch) -> tuple[int, int]:
+def _peak_loads(b: Batch) -> tuple[int, int]:
     """Largest per-node count of cross items sent and received."""
     cross = b.src != b.dst
     if not cross.any():
@@ -159,18 +180,11 @@ def _peak_loads(b: _Batch) -> tuple[int, int]:
     return int(np.bincount(b.src[cross]).max()), int(np.bincount(b.dst[cross]).max())
 
 
-def _deliver(b: _Batch) -> Delivered:
-    """Every item at its destination, in (src, tag, position) order."""
-    if not b.items:
-        return {}
-    order = np.lexsort((np.arange(len(b.items)), b.tag, b.src, b.dst))
-    dst = b.dst[order]
-    cuts = (np.flatnonzero(dst[1:] != dst[:-1]) + 1).tolist()
-    ordered = [b.items[i] for i in order.tolist()]
-    bounds = [0] + cuts + [len(ordered)]
-    return {
-        int(dst[lo]): ordered[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
-    }
+def _deliver(b: Batch) -> Batch:
+    """Every item at its destination: one stable sort by (dst, src, tag),
+    so equal keys keep their position order."""
+    order = np.lexsort((b.tag, b.src, b.dst))
+    return Batch(b.src[order], b.dst[order], b.nbits[order], b.tag[order], b.payload[order])
 
 
 def _run_ranks(keys: np.ndarray) -> np.ndarray:
@@ -266,7 +280,7 @@ def _bounded_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
             pending = pending[~release]
 
 
-def _route(engine: CliqueEngine, b: _Batch, charge: int, schedule, label: str) -> int:
+def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) -> int:
     """Move the cross items of ``b``: accounted, charge ``charge`` rounds and
     count one message per item; simulated, check the payloads and run
     ``schedule``.  Returns the rounds used."""
@@ -278,7 +292,7 @@ def _route(engine: CliqueEngine, b: _Batch, charge: int, schedule, label: str) -
         engine.charge_rounds(charge, label)
         engine.count_messages(src, dst, nbits)
         return charge
-    _check_payloads(b.payload, b.nbits.tolist())
+    _check_payloads(b.payload, b.nbits)
     start = engine.ledger.rounds
     with engine.measure(label):
         schedule(engine, src, dst, nbits, b.tag[cross])
@@ -291,12 +305,11 @@ def _route(engine: CliqueEngine, b: _Batch, charge: int, schedule, label: str) -
 
 def solve_relaxed_idt(
     engine: CliqueEngine,
-    items: Sequence[RoutingItem],
+    b: Batch,
     label: str = "relaxed_idt",
-) -> tuple[Delivered, int]:
+) -> tuple[Batch, int]:
     """Deliver a batch in which every node sends <= n and receives <= n items."""
     n = engine.n
-    b = _columns(items)
     max_send, max_recv = _peak_loads(b)
     if max_send > n:
         raise PreconditionError(
@@ -312,14 +325,13 @@ def solve_relaxed_idt(
 
 def bounded_route(
     engine: CliqueEngine,
-    items: Sequence[RoutingItem],
+    b: Batch,
     k: int | None = None,
     ell: int | None = None,
     label: str = "bounded_route",
-) -> tuple[Delivered, int]:
+) -> tuple[Batch, int]:
     """Deliver a batch with per-node sends <= k*n and receives <= ell*n."""
     n = engine.n
-    b = _columns(items)
     max_send, max_recv = _peak_loads(b)
     if k is None:
         k = max(1, math.ceil(max_send / n))
@@ -369,7 +381,8 @@ def vector_multicast(
         return result, 0
     if not engine.accounted:
         for chunks, _ in senders_net.values():
-            _check_payloads(*zip(*chunks))
+            payload, nbits = zip(*chunks)
+            _check_payloads(np.array(payload, dtype=object), nbits)
 
     # sub-task m serves every recipient's m-th sender (ascending sender id),
     # so recipient sets inside a sub-task are disjoint by construction

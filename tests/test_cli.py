@@ -121,6 +121,18 @@ def test_bench_cli_csv(tmp_path, capsys):
     assert "rounds" in header and "correct" in header
 
 
+@pytest.mark.parametrize(
+    "flag", [["--w", "7"], ["--strict"], ["--max-rounds", "1"], ["--seed", "3"]]
+)
+def test_bench_rejects_model_flags_it_does_not_honour(flag, capsys):
+    """A grid cell fixes its own engine seed, capacity and round limit, so
+    bench refuses those flags instead of ignoring them."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "--n-list", "16", "--spreads", "2", "--routing", "accounted", *flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_max_rounds_env(tmp_path, capsys, monkeypatch):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     run_cli("gen", "--n", "8", "--kind", "uniform", "--seed", "1", "--out", str(a))

@@ -144,10 +144,16 @@ def test_assign_pairs_deterministic():
 # block_multiply
 # ---------------------------------------------------------------------------
 
+def block_rows(*args):
+    """The (vertex, column, bit) columns of :func:`block_multiply` as a
+    list of rows."""
+    return list(zip(*(c.tolist() for c in block_multiply(*args))))
+
+
 def test_block_multiply_no_edges_is_inner_product():
     r = bv("1010")
     cols = [(1, bv("1000")), (2, bv("0101"))]
-    out = block_multiply(3, r, [], {}, cols)
+    out = block_rows(3, r, [], {}, cols)
     assert out == [(3, 1, 1), (3, 2, 0)]
 
 
@@ -160,7 +166,7 @@ def test_block_multiply_two_rows_oracle():
     assert witnesses(start, nxt) == [2, 4]
     assert (start.value & col.value).bit_count() == 0
     assert (nxt.value & col.value).bit_count() == 2
-    out = block_multiply(1, start, [(1, 2, 1)], {1: [2, 4]}, [(1, col)])
+    out = block_rows(1, start, [(1, 2, 1)], {1: [2, 4]}, [(1, col)])
     assert out == [(1, 1, 0), (2, 1, 1)]
 
 
@@ -172,7 +178,7 @@ def test_block_multiply_matches_naive_on_random_blocks():
         walk = [(i + 1, i + 2, i + 1) for i in range(3)]
         wit = {i + 1: witnesses(rows[i], rows[i + 1]) for i in range(3)}
         cols = [(j, BitVector(n, rng.getrandbits(n))) for j in (2, 5, 7)]
-        out = block_multiply(1, rows[0], walk, wit, cols)
+        out = block_rows(1, rows[0], walk, wit, cols)
         for vertex, j, bit in out:
             colv = dict(cols)[j]
             expect = 1 if (rows[vertex - 1].value & colv.value) else 0
@@ -181,14 +187,14 @@ def test_block_multiply_matches_naive_on_random_blocks():
 
 def test_block_multiply_bad_witness():
     with pytest.raises(InvalidWitnessError):
-        block_multiply(1, bv("1010"), [(1, 2, 1)], {1: [9]}, [(1, bv("1111"))])
+        block_rows(1, bv("1010"), [(1, 2, 1)], {1: [9]}, [(1, bv("1111"))])
 
 
 @pytest.mark.parametrize("coord", [0, 5])
 def test_block_multiply_rejects_witness_just_outside_range(coord):
     # n = 4: coordinates 0 and n+1 are the nearest invalid ones
     with pytest.raises(InvalidWitnessError):
-        block_multiply(
+        block_rows(
             1, bv("1010"), [(1, 2, 1)], {1: [2, coord]}, [(1, bv("1111"))]
         )
 
@@ -198,13 +204,13 @@ def test_block_multiply_duplicated_witness_cancels():
     start = bv("1010")
     cols = [(1, bv("0100")), (2, bv("0010")), (3, bv("1000"))]
     walk = [(1, 2, 1)]
-    once = block_multiply(1, start, walk, {1: [2]}, cols)
-    twice = block_multiply(1, start, walk, {1: [2, 3, 3]}, cols)
+    once = block_rows(1, start, walk, {1: [2]}, cols)
+    twice = block_rows(1, start, walk, {1: [2, 3, 3]}, cols)
     assert twice == once == [
         (1, 1, 0), (1, 2, 1), (1, 3, 1),
         (2, 1, 1), (2, 2, 1), (2, 3, 1),
     ]
-    assert block_multiply(1, start, walk, {1: [3, 3]}, cols)[3:] == [
+    assert block_rows(1, start, walk, {1: [3, 3]}, cols)[3:] == [
         (2, 1, 0), (2, 2, 1), (2, 3, 1),
     ]
 
@@ -217,7 +223,7 @@ def test_block_multiply_emits_revisited_vertex_once_at_first_visit():
     cols = [(4, bv("1000")), (7, bv("0100"))]
     walk = [(1, 2, 1), (2, 1, 2), (1, 3, 3)]
     wit = {1: [2], 2: [1], 3: []}
-    out = block_multiply(1, start, walk, wit, cols)
+    out = block_rows(1, start, walk, wit, cols)
     assert out == [
         (1, 4, 1), (1, 7, 0),
         (2, 4, 1), (2, 7, 1),
@@ -226,8 +232,8 @@ def test_block_multiply_emits_revisited_vertex_once_at_first_visit():
 
 
 def test_block_multiply_no_columns():
-    assert block_multiply(1, bv("1010"), [(1, 2, 1)], {1: [2]}, []) == []
-    assert block_multiply(1, bv("1010"), [], {}, []) == []
+    assert block_rows(1, bv("1010"), [(1, 2, 1)], {1: [2]}, []) == []
+    assert block_rows(1, bv("1010"), [], {}, []) == []
 
 
 def test_block_multiply_matches_naive_on_tour_blocks():
@@ -266,7 +272,7 @@ def test_block_multiply_matches_naive_on_tour_blocks():
             for x in order
             for j, col in cols
         ]
-        assert block_multiply(start, rows[start - 1], walk, wit, cols) == expect
+        assert block_rows(start, rows[start - 1], walk, wit, cols) == expect
 
 
 # ---------------------------------------------------------------------------

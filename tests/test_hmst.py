@@ -17,11 +17,11 @@ from cliquemat.hmst import (
     estimate_distance,
     gen_projection,
     hmst_protocol,
-    project,
     rows_from_chunks,
     run_hmst,
     scale_thresholds,
     scales_for,
+    sketch_bits,
     sketch_point,
     sketches_from_chunks,
 )
@@ -93,7 +93,7 @@ def test_thresholds_shape():
 
 
 # ---------------------------------------------------------------------------
-# gen_projection / project
+# gen_projection / the GF(2) sketch kernel
 # ---------------------------------------------------------------------------
 
 def test_gen_projection_deterministic():
@@ -113,12 +113,31 @@ def test_gen_projection_density():
     assert abs(ones / total - delta) <= 3 * sigma
 
 
+def project(rows, x: BitVector) -> BitVector:
+    """Per-row parity reference: output bit j is the parity of row j AND x."""
+    value = 0
+    for j, row in enumerate(rows):
+        value |= ((row & x.value).bit_count() & 1) << j
+    return BitVector(len(rows), value)
+
+
+def one_scale_family(rows, n):
+    """A family holding ``rows`` as its only (scale-1) matrix."""
+    return ProjectionFamily(n, len(rows), (1,), {1: tuple(rows)}, {1: 0})
+
+
+def kernel(rows, x: BitVector) -> BitVector:
+    """The GF(2) sketch kernel applied to one matrix and one point."""
+    (value,) = sketch_point(one_scale_family(rows, x.n), x)
+    return BitVector(len(rows), value)
+
+
 def test_project_identity_and_zero():
     n = 8
     rows = tuple(1 << i for i in range(n))  # identity matrix
     x = BitVector.from_string("10110010")
-    assert project(rows, x) == x
-    assert project(rows, BitVector.zeros(n)) == BitVector.zeros(n)
+    assert kernel(rows, x) == x
+    assert kernel(rows, BitVector.zeros(n)) == BitVector.zeros(n)
 
 
 def test_project_linearity():
@@ -130,11 +149,36 @@ def test_project_linearity():
         xv = int(rng.integers(0, 1 << n))
         yv = int(rng.integers(0, 1 << n))
         x, y = BitVector(n, xv), BitVector(n, yv)
-        left = project(rows, x ^ y)
-        right = project(rows, x) ^ project(rows, y)
+        left = kernel(rows, x ^ y)
+        right = kernel(rows, x) ^ kernel(rows, y)
         assert left == right
         direct = (A @ np.array([(xv ^ yv) >> c & 1 for c in range(n)])) % 2
         assert list(left.bits()) == list(direct)
+
+
+@pytest.mark.parametrize("n", [2, 7, 9, 64, 65])
+@pytest.mark.parametrize("k", [5, 13, 70])
+def test_sketch_kernel_matches_per_row_parity(n, k):
+    """One GF(2) product over all points equals the per-row parity loop at
+    every scale, for point lengths and sketch widths that fill no whole
+    byte or 64-bit word."""
+    rng = random.Random(n * 1000 + k)
+    fam = ProjectionFamily.generate(n, k, np.random.default_rng(n + k))
+    points = [BitVector(n, rng.getrandbits(n)) for _ in range(n + 3)]
+    points[0] = BitVector.ones(n)
+    bits = sketch_bits(fam, points)
+    assert bits.shape == (len(points), len(fam.scales) * k)
+    for x, row in zip(points, bits):
+        for idx, r in enumerate(fam.scales):
+            want = project(fam.matrices[r], x).bits()
+            assert tuple(row[idx * k:(idx + 1) * k].tolist()) == want
+        assert sketch_point(fam, x) == tuple(project(fam.matrices[r], x).value for r in fam.scales)
+
+
+def test_sketch_kernel_rejects_wrong_dimension():
+    fam = family_for(8)
+    with pytest.raises(DimensionError):
+        sketch_bits(fam, [BitVector.zeros(8), BitVector.zeros(9)])
 
 
 # ---------------------------------------------------------------------------

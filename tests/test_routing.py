@@ -4,11 +4,15 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquemat.engine import CliqueConfig, CliqueEngine
 from cliquemat.errors import CapacityError, PreconditionError
 from cliquemat.routing import (
+    Batch,
     RoutingItem,
     bounded_route,
     bounded_route_accounted_rounds,
@@ -22,6 +26,28 @@ from cliquemat.routing import (
 
 def make_engine(n, routing="simulated", **kw):
     return CliqueEngine(CliqueConfig(n=n, routing=routing, **kw))
+
+
+def batch(eng, items):
+    """The columns of ``items``, for ``eng``'s payload capacity."""
+    return Batch.build(
+        eng.w,
+        [it.src for it in items],
+        [it.dst for it in items],
+        [it.nbits for it in items],
+        [it.payload for it in items],
+        tag=[it.tag for it in items],
+    )
+
+
+def route(prim, eng, items, **kw):
+    """Run a task primitive on the batch of ``items``; returns the items
+    each node received, in delivery order, and the rounds used."""
+    out, rounds = prim(eng, batch(eng, items), **kw)
+    delivered = {}
+    for it in out:
+        delivered.setdefault(it.dst, []).append(it)
+    return delivered, rounds
 
 
 def random_legal_batch(rng, n, max_per_node=None, nbits=8):
@@ -56,7 +82,7 @@ def requested_multiset(items):
 
 def test_idt_empty_batch():
     eng = make_engine(8)
-    delivered, rounds = solve_relaxed_idt(eng, [])
+    delivered, rounds = route(solve_relaxed_idt, eng, [])
     assert rounds == 0 and delivered == {}
     assert eng.ledger.rounds == 0
 
@@ -65,7 +91,7 @@ def test_idt_ring_example():
     n = 8
     eng = make_engine(n)
     items = [RoutingItem(i, i % n + 1, i, 8) for i in range(1, n + 1)]
-    delivered, rounds = solve_relaxed_idt(eng, items)
+    delivered, rounds = route(solve_relaxed_idt, eng, items)
     assert rounds <= 3
     assert delivered_multiset(delivered) == requested_multiset(items)
 
@@ -75,19 +101,19 @@ def test_idt_precondition_errors():
     eng = make_engine(n)
     too_many_sends = [RoutingItem(1, 2, 0, 1) for _ in range(n + 1)]
     with pytest.raises(PreconditionError):
-        solve_relaxed_idt(eng, too_many_sends)
+        route(solve_relaxed_idt, eng, too_many_sends)
     too_many_recvs = [
         RoutingItem(src, 2, 0, 1) for src in (1, 3, 4) for _ in range(2)
     ]
     assert len(too_many_recvs) == 6 > n
     with pytest.raises(PreconditionError):
-        solve_relaxed_idt(eng, too_many_recvs)
+        route(solve_relaxed_idt, eng, too_many_recvs)
 
 
 def test_idt_accounted_charges_constant():
     eng = make_engine(8, routing="accounted", c_idt=16)
     items = [RoutingItem(1, 2, 5, 8), RoutingItem(3, 4, 6, 8)]
-    delivered, rounds = solve_relaxed_idt(eng, items)
+    delivered, rounds = route(solve_relaxed_idt, eng, items)
     assert rounds == 16
     assert eng.ledger.rounds == 16
     assert eng.ledger.messages == 2
@@ -97,7 +123,7 @@ def test_idt_accounted_charges_constant():
 def test_idt_self_items_free():
     eng = make_engine(4)
     items = [RoutingItem(2, 2, 9, 8)]
-    delivered, rounds = solve_relaxed_idt(eng, items)
+    delivered, rounds = route(solve_relaxed_idt, eng, items)
     assert rounds == 0 and eng.ledger.messages == 0
     assert delivered[2][0].payload == 9
 
@@ -108,7 +134,7 @@ def test_idt_random_batches_exact():
         for _ in range(10):
             items = random_legal_batch(rng, n)
             eng = make_engine(n)
-            delivered, _ = solve_relaxed_idt(eng, items)
+            delivered, _ = route(solve_relaxed_idt, eng, items)
             assert delivered_multiset(delivered) == requested_multiset(items)
 
 
@@ -121,7 +147,7 @@ def test_bounded_route_degenerate_is_single_task():
     n = 8
     items = random_legal_batch(rng, n)
     eng = make_engine(n)
-    delivered, rounds = bounded_route(eng, items, k=1, ell=1)
+    delivered, rounds = route(bounded_route, eng, items, k=1, ell=1)
     assert delivered_multiset(delivered) == requested_multiset(items)
 
 
@@ -138,11 +164,11 @@ def test_bounded_route_k2_l3():
             recv[dst] += 1
             items.append(RoutingItem(src, dst, rng.randrange(256), 8))
     eng = make_engine(n)
-    delivered, rounds = bounded_route(eng, items, k=2, ell=3)
+    delivered, rounds = route(bounded_route, eng, items, k=2, ell=3)
     assert delivered_multiset(delivered) == requested_multiset(items)
 
     acc = make_engine(n, routing="accounted")
-    _, acc_rounds = bounded_route(acc, items, k=2, ell=3)
+    _, acc_rounds = route(bounded_route, acc, items, k=2, ell=3)
     assert acc_rounds <= 6 * acc.cfg.c_idt + 12
 
 
@@ -151,7 +177,7 @@ def test_bounded_route_precondition():
     eng = make_engine(n)
     items = [RoutingItem(1, 1 + (j % (n - 1)) + 1, 0, 1) for j in range(n + 1)]
     with pytest.raises(PreconditionError):
-        bounded_route(eng, items, k=1, ell=n)
+        route(bounded_route, eng, items, k=1, ell=n)
 
 
 def test_bounded_route_accounted_monotone():
@@ -168,8 +194,8 @@ def test_bounded_route_accounted_shape_only():
     n = 8
     items_a = [RoutingItem(1, 2, 0xAA, 8), RoutingItem(2, 3, 0xBB, 8)]
     items_b = [RoutingItem(1, 2, 0x11, 8), RoutingItem(2, 3, 0x22, 8)]
-    ra = bounded_route(make_engine(n, routing="accounted"), items_a)[1]
-    rb = bounded_route(make_engine(n, routing="accounted"), items_b)[1]
+    ra = route(bounded_route, make_engine(n, routing="accounted"), items_a)[1]
+    rb = route(bounded_route, make_engine(n, routing="accounted"), items_b)[1]
     assert ra == rb
 
 
@@ -267,7 +293,7 @@ def _run_primitive(name, eng, payload, nbits):
         result, _ = vector_multicast(eng, {1: ([(payload, nbits)], [2])})
         return [chunk for _, chunks in result[2] for chunk in chunks]
     prim = solve_relaxed_idt if name == "relaxed_idt" else bounded_route
-    delivered, _ = prim(eng, [RoutingItem(1, 2, payload, nbits)])
+    delivered, _ = route(prim, eng, [RoutingItem(1, 2, payload, nbits)])
     return [(it.payload, it.nbits) for it in delivered[2]]
 
 
@@ -290,10 +316,88 @@ def test_simulated_primitive_carries_wide_payload(name):
     assert eng.ledger.bits >= 90
 
 
+@pytest.mark.parametrize("name", PRIMITIVES)
+@pytest.mark.parametrize("payload,nbits", [(1 << 90, 90), (-1, 8)])
+def test_simulated_primitive_rejects_payload_in_object_column(name, payload, nbits):
+    """At W > 64 payloads sit in an object column; the same width check
+    holds there."""
+    with pytest.raises(CapacityError):
+        _run_primitive(name, make_engine(4, w=100), payload, nbits)
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+@pytest.mark.parametrize("prim", [solve_relaxed_idt, bounded_route])
+@pytest.mark.parametrize(
+    "w,payload,nbits,dtype",
+    [(64, (1 << 64) - 1, 64, np.uint64), (100, (1 << 89) | 12345, 90, object)],
+)
+def test_task_primitive_payload_column_dtype(routing, prim, w, payload, nbits, dtype):
+    """A full 64-bit payload is carried in a uint64 column at W = 64, and a
+    90-bit one in an object column at W = 100."""
+    eng = make_engine(4, routing=routing, w=w)
+    out, _ = prim(eng, Batch.build(w, [1, 3], 2, nbits, [payload, 1]))
+    assert out.payload.dtype == dtype
+    assert out.payload.tolist() == [payload, 1]
+    assert out.nbits.tolist() == [nbits, nbits]
+
+
+@st.composite
+def task_batches(draw, send_cap, recv_cap):
+    """(n, w, rows) of a random valid batch: rows are RoutingItem tuples,
+    per-node sends <= send_cap(n) and receives <= recv_cap(n)."""
+    n = draw(st.integers(2, 12))
+    w = draw(st.sampled_from([64, 100]))
+    sends, recvs = Counter(), Counter()
+    rows = []
+    for _ in range(draw(st.integers(0, 2 * n * n))):
+        src = draw(st.integers(1, n))
+        dst = draw(st.integers(1, n))
+        if sends[src] >= send_cap(n) or recvs[dst] >= recv_cap(n):
+            continue
+        sends[src] += 1
+        recvs[dst] += 1
+        nbits = draw(st.integers(1, w))
+        payload = draw(st.integers(0, (1 << nbits) - 1))
+        rows.append(RoutingItem(src, dst, payload, nbits, draw(st.integers(0, 2))))
+    return n, w, rows
+
+
+def _delivered_both_ways(prim, n, w, rows):
+    """The batch each backend delivers, after checking they match column
+    for column."""
+    out = []
+    for routing in ("simulated", "accounted"):
+        eng = make_engine(n, routing=routing, w=w)
+        out.append(prim(eng, batch(eng, rows))[0])
+    sim, acc = out
+    for col in ("src", "dst", "nbits", "tag", "payload"):
+        a, b = getattr(sim, col), getattr(acc, col)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    return sim
+
+
+@settings(max_examples=60, deadline=None)
+@given(task_batches(lambda n: n, lambda n: n))
+def test_relaxed_idt_delivers_input_rows_in_order(case):
+    n, w, rows = case
+    got = _delivered_both_ways(solve_relaxed_idt, n, w, rows)
+    order = sorted(range(len(rows)), key=lambda i: (rows[i].dst, rows[i].src, rows[i].tag, i))
+    assert list(got) == [rows[i] for i in order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(task_batches(lambda n: 2 * n, lambda n: 3 * n))
+def test_bounded_route_delivers_input_rows_in_order(case):
+    n, w, rows = case
+    got = _delivered_both_ways(bounded_route, n, w, rows)
+    order = sorted(range(len(rows)), key=lambda i: (rows[i].dst, rows[i].src, rows[i].tag, i))
+    assert list(got) == [rows[i] for i in order]
+
+
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
 def test_bounded_route_delivers_in_position_order(routing):
     items = [RoutingItem(1, 2, p, 4) for p in (9, 3, 7)]
-    delivered, _ = bounded_route(make_engine(4, routing=routing), items)
+    delivered, _ = route(bounded_route, make_engine(4, routing=routing), items)
     assert [it.payload for it in delivered[2]] == [9, 3, 7]
 
 
@@ -334,6 +438,6 @@ def test_routing_modes_agree_on_content():
     for n in (4, 8):
         for _ in range(5):
             items = random_legal_batch(rng, n)
-            sim, _ = solve_relaxed_idt(make_engine(n), items)
-            acc, _ = solve_relaxed_idt(make_engine(n, routing="accounted"), items)
+            sim, _ = route(solve_relaxed_idt, make_engine(n), items)
+            acc, _ = route(solve_relaxed_idt, make_engine(n, routing="accounted"), items)
             assert delivered_multiset(sim) == delivered_multiset(acc)
