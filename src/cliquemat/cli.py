@@ -142,6 +142,8 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     n_list = [int(x) for x in args.n_list.split(",")]
     spreads = [int(x) for x in args.spreads.split(",")] if args.spreads else None
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     seeds = list(range(args.seeds))
     cells = default_grid(n_list, spreads, seeds, routing=args.routing)
     report = bench_grid(cells, _proj(args))

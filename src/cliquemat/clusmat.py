@@ -350,11 +350,16 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
         substages = math.ceil(cap / n)
         per_subtask = multicast_accounted_rounds(n, min(cap, n), engine.cfg.c_idt)
         engine.charge_rounds(substages * used_pub * per_subtask, "vector_multicast")
-        for rep in sorted(rep_packets):
+        reps = sorted(rep_packets)
+        fan = [len(rep_packets[rep][1]) for rep in reps]
+        src = np.repeat(reps, fan)
+        dst = np.concatenate([rep_packets[rep][1] for rep in reps])
+        count = np.repeat([rep_packets[rep][0].size for rep in reps], fan) * (src != dst)
+        load = np.bincount(src, count, n + 1) + np.bincount(dst, count, n + 1)
+        engine.count_traffic(count.sum(), 2 * cb * count.sum(), load.astype(np.int64))
+        for rep in reps:
             packets, recips = rep_packets[rep]
             for v in recips:
-                if v != rep:
-                    engine.count_traffic(rep, v, 2 * cb, count=packets.size)
                 received.setdefault(v, []).append(packets)
     else:
         substages = max(
@@ -370,11 +375,11 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
             if not senders:
                 continue
             out, _ = vector_multicast(engine, senders, label="vector_multicast")
+            # recipients of one sender share its vector: decode it once
+            vectors = {id(vec): vec for got in out.values() for _, vec in got}
+            arrays = {i: np.array([p for p, _ in vec], dtype=np.int64) for i, vec in vectors.items()}
             for v in sorted(out):
-                for _, chunks in out[v]:
-                    received.setdefault(v, []).append(
-                        np.array([p for p, _ in chunks], dtype=np.int64)
-                    )
+                received.setdefault(v, []).extend(arrays[id(vec)] for _, vec in out[v])
 
     def store_block_witnesses(node):
         assignment: BlockAssignment = node.storage.get("assignment")
@@ -563,10 +568,10 @@ def _multicast_rows(
 
     engine.local(build)
     out, _ = vector_multicast(engine, senders, label="vector_multicast")
-    return {
-        v: {sender: BitVector(n, unpack_chunks(chunks)[0]) for sender, chunks in got}
-        for v, got in out.items()
-    }
+    # recipients of one sender share its vector: decode it once
+    vectors = {id(vec): vec for got in out.values() for _, vec in got}
+    rows = {i: BitVector(n, unpack_chunks(vec)[0]) for i, vec in vectors.items()}
+    return {v: {sender: rows[id(vec)] for sender, vec in got} for v, got in out.items()}
 
 
 def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str, suffix: str = "") -> None:

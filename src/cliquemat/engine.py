@@ -19,9 +19,12 @@ message at a time; no protocol uses them, and the tests check
 
 In ``accounted`` routing mode the primitives charge their published
 analytic round costs instead of scheduling rounds; the engine exposes
-:meth:`charge_rounds`, :meth:`count_messages` and :meth:`count_traffic` for
-that path.  :meth:`measure` credits a block's rounds to a primitive and
-:meth:`step` records them as one protocol step.
+:meth:`charge_rounds` and :meth:`count_messages` for that path.  The ledger
+has one tally, :meth:`count_traffic` (messages, bits and a per-node load of
+messages sent plus received), in which :meth:`exchange` and
+:meth:`count_messages` end and which a closed-form count calls directly.
+:meth:`measure` credits a block's rounds to a primitive and :meth:`step`
+records them as one protocol step.
 
 Accounted per-node work is an upper bound, not a measurement: accounted
 ``vector_multicast`` counts every copy of a vector as a direct message from
@@ -323,17 +326,6 @@ class CliqueEngine:
         if min(src.min(), dst.min()) < 1 or max(src.max(), dst.max()) > n:
             raise ValueError(f"endpoints outside 1..{n}")
 
-    def _tally(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:
-        """Ledger of delivered messages: count, bits, W work at each end."""
-        led = self.ledger
-        led.messages += int(src.size)
-        led.bits += int(nbits.sum())
-        load = np.bincount(src, minlength=self.cfg.n + 1)
-        load += np.bincount(dst, minlength=self.cfg.n + 1)
-        work = led.work
-        for i in np.flatnonzero(load).tolist():
-            work[i] += int(load[i]) * self.w
-
     def _add_rounds(self, rounds: int) -> None:
         self.ledger.rounds += rounds
         if self.ledger.rounds > self.cfg.max_rounds:
@@ -363,14 +355,23 @@ class CliqueEngine:
             self._check_endpoints(src, dst)
         self._tally(src, dst, nbits)
 
-    def count_traffic(self, src: int, dst: int, nbits: int, count: int = 1) -> None:
-        """Accounted mode: count ``count`` messages of ``nbits`` bits each
-        from src to dst without materializing them."""
+    def _tally(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:
+        """:meth:`count_traffic` of message columns."""
+        side = self.cfg.n + 1
+        load = np.bincount(src, minlength=side) + np.bincount(dst, minlength=side)
+        self.count_traffic(src.size, nbits.sum(), load)
+
+    def count_traffic(self, messages: int, bits: int, load: np.ndarray) -> None:
+        """The one ledger tally, in which :meth:`exchange` and
+        :meth:`count_messages` end: add ``messages`` messages carrying
+        ``bits`` payload bits in all, and charge node i W work for each of
+        the ``load[i]`` messages it sent or received (index 0 unused)."""
         led = self.ledger
-        led.messages += count
-        led.bits += nbits * count
-        led.work[src] += self.w * count
-        led.work[dst] += self.w * count
+        led.messages += int(messages)
+        led.bits += int(bits)
+        work = led.work
+        for i in np.flatnonzero(load).tolist():
+            work[i] += int(load[i]) * self.w
 
     @contextmanager
     def measure(self, label: str):

@@ -42,6 +42,8 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("clustered", "uniform", "ladder"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         if not 1 <= self.clusters <= self.n:
             raise ValueError("clusters must lie in 1..n")
         if not 0 <= self.spread <= self.n:

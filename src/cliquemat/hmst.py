@@ -17,9 +17,9 @@ Protocol outline (per-step round subtotals land in the ledger):
    chunks the delivered batch holds for it.
 
 Every node holds the replicated family, but the simulator derives it once
-per distinct input (the seed, or the received chunks) and hands the same
-object to every node holding that input; each node is still charged its
-own regeneration.  Likewise, the points of all nodes holding the same
+per distinct input (the seed, or the received vector objects, which all
+recipients of one multicast share) and hands the same object to every node
+holding that input; each node is still charged its own regeneration.  Likewise, the points of all nodes holding the same
 family are sketched in one GF(2) matrix product (:func:`sketch_bits`),
 each node charged its own sketch.  Node 1's all-pairs estimate runs on
 packed sketch arrays and its tree is an O(n^2) Prim; the ledger charges the
@@ -293,7 +293,7 @@ def run_hmst(
 
     # -- step 1: node 1 generates the projections and distributes them.
     # Every node derives the family from what it holds; the simulator
-    # derives it once per distinct input (seed value or received chunks)
+    # derives it once per distinct input (seed value or received vectors)
     # and shares that object among the nodes holding the same input.
     with engine.step(step_prefix + "step1"):
         if proj.seed_mode:
@@ -318,8 +318,9 @@ def run_hmst(
                 family1 = ProjectionFamily.generate(n, k, node1.rng)
                 node1.storage["family"] = family1
                 engine.charge_work(1, len(scales) * math.ceil(k * n / w))
-            recipients = [v for v in range(2, n + 1)]
-            received_chunks: dict[int, dict[int, list[tuple[int, int]]]] = {
+            recipients = list(range(2, n + 1))
+            # per recipient and scale, the vectors it received, in order
+            received: dict[int, dict[int, list[tuple]]] = {
                 v: {r: [] for r in scales} for v in recipients
             }
             for r in scales:
@@ -328,21 +329,22 @@ def run_hmst(
                 for lo in range(0, len(chunks), n):
                     vec = chunks[lo:lo + n]
                     out, _ = vector_multicast(engine, {1: (vec, recipients)}, label="vector_multicast")
-                    for v in recipients:
-                        for _, got in out.get(v, []):
-                            received_chunks[v][r].extend(got)
+                    for v, got in out.items():
+                        received[v][r].extend(vector for _, vector in got)
 
-            by_chunks: dict[tuple, ProjectionFamily] = {}
+            # keyed by the identities of the received vector objects, which
+            # every recipient of one multicast shares
+            by_vectors: dict[tuple, ProjectionFamily] = {}
 
             def rebuild(node):
                 if node.id == 1:
                     return
-                got = received_chunks[node.id]
-                key = tuple(tuple(got[r]) for r in scales)
-                if key not in by_chunks:
-                    mats = {r: rows_from_chunks(got[r], k, n) for r in scales}
-                    by_chunks[key] = ProjectionFamily(n, k, scales, mats, scale_thresholds(n, k))
-                node.storage["family"] = by_chunks[key]
+                got = received[node.id]
+                key = tuple(tuple(map(id, got[r])) for r in scales)
+                if key not in by_vectors:
+                    mats = {r: rows_from_chunks(sum(got[r], ()), k, n) for r in scales}
+                    by_vectors[key] = ProjectionFamily(n, k, scales, mats, scale_thresholds(n, k))
+                node.storage["family"] = by_vectors[key]
 
             engine.local(rebuild)
 

@@ -15,6 +15,8 @@ routing mode:
   sender carries W work per copy; accounted per-node work, and with it
   ``work_max_node``, is an upper bound and not comparable with simulated
   runs, where the doubling tree spreads the copies over the recipients.
+  The multicast count is closed-form over (sender, recipient) pairs and
+  never expands copies or announcements.
 
 The simulated schedules:
 
@@ -34,7 +36,8 @@ The simulated schedules:
   opens with two announcement rounds (senders tell recipients their rank,
   recipients tell every node whose vector they take), then covers the
   recipients by doubling (groups of 2, 4, 8...), each phase routed as one
-  bounded task with per-holder fan-out 2.
+  bounded task with per-holder fan-out 2, its copies in (sender, rank,
+  chunk) order.
 
 Out of band: payloads never enter a schedule, so each simulated primitive
 checks once, on receipt of its batch, that every payload fits its declared
@@ -46,7 +49,9 @@ All primitives deliver self-addressed items locally at no message cost and
 return ``(delivered, rounds_used)``.  The two task primitives take one
 :class:`Batch` of columns and deliver one, ordered by (dst, src, tag,
 position); a node finds its rows with :meth:`Batch.span`.
-``vector_multicast`` takes and returns per-sender vectors.
+``vector_multicast`` takes each sender's chunks and recipients and returns
+each recipient's (sender, vector) list, where every recipient of a sender
+holds the same tuple of chunks; no copy is materialised.
 """
 
 from __future__ import annotations
@@ -227,18 +232,6 @@ def _idt_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
     )
 
 
-def _copies(holders, targets, widths):
-    """(src, dst, nbits, tag) columns of every chunk of one vector, sent
-    from ``holders[i]`` to ``targets[i]``; the tag is the chunk index."""
-    c = widths.size
-    return (
-        np.repeat(holders, c),
-        np.repeat(targets, c),
-        np.tile(widths, targets.size),
-        np.tile(np.arange(c), targets.size),
-    )
-
-
 def _bounded_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
     """Sub-tasks of at most n items per sender; each releases relaxed tasks
     under receiver quotas until its items are gone."""
@@ -349,106 +342,98 @@ def vector_multicast(
     engine: CliqueEngine,
     senders: dict[int, tuple[Sequence[tuple[int, int]], Sequence[int]]],
     label: str = "vector_multicast",
-) -> tuple[dict[int, list[tuple[int, list[tuple[int, int]]]]], int]:
+) -> tuple[dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]], int]:
     """Each sender pushes its vector of (payload, nbits) chunks to every node
-    in its recipient set.  Returns per-recipient lists of (sender, chunks)
-    and the rounds used.
+    in its recipient set.  Returns per-recipient lists of (sender, vector),
+    ascending by sender, and the rounds used; ``vector`` is the sender's
+    tuple of chunks, one object shared by all its recipients.
     """
     n = engine.n
-    senders_net: dict[int, tuple[list[tuple[int, int]], list[int]]] = {}
-    result: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
-    for s in sorted(senders):
-        chunks, recips = senders[s]
-        chunks = list(chunks)
-        if not 1 <= len(chunks) <= n:
-            raise PreconditionError(
-                f"sender {s} has {len(chunks)} chunks; must be in 1..n"
-            )
-        if len(set(recips)) != len(recips):
-            raise PreconditionError(f"sender {s} lists a recipient twice")
-        net = []
-        for v in recips:
-            if not 1 <= v <= n:
-                raise PreconditionError(f"recipient {v} outside 1..{n}")
-            if v == s:
-                result.setdefault(v, []).append((s, list(chunks)))
-            else:
-                net.append(v)
-        if net:
-            senders_net[s] = (chunks, sorted(net))
-
-    if not senders_net:
+    order = sorted(senders)
+    vectors = {s: tuple(senders[s][0]) for s in order}
+    for s in order:
+        if not 1 <= len(vectors[s]) <= n:
+            raise PreconditionError(f"sender {s} has {len(vectors[s])} chunks; must be in 1..n")
+    # (sender, recipient) pair columns in (recipient, sender) order
+    src = np.repeat(np.array(order, dtype=np.int64), [len(senders[s][1]) for s in order])
+    dst = np.array([v for s in order for v in senders[s][1]], dtype=np.int64)
+    by_dst = np.lexsort((src, dst))
+    src, dst = src[by_dst], dst[by_dst]
+    twice = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if twice.any():
+        raise PreconditionError(f"sender {src[1:][twice].min()} lists a recipient twice")
+    if dst.size and (dst[0] < 1 or dst[-1] > n):
+        raise PreconditionError(f"recipient {dst[0] if dst[0] < 1 else dst[-1]} outside 1..{n}")
+    result: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+    for v, s in zip(dst.tolist(), src.tolist()):
+        result.setdefault(v, []).append((s, vectors[s]))
+    cross = src != dst
+    if not cross.any():
         return result, 0
-    if not engine.accounted:
-        for chunks, _ in senders_net.values():
-            payload, nbits = zip(*chunks)
-            _check_payloads(np.array(payload, dtype=object), nbits)
 
-    # sub-task m serves every recipient's m-th sender (ascending sender id),
-    # so recipient sets inside a sub-task are disjoint by construction
-    by_recipient: dict[int, list[int]] = {}
-    for s in sorted(senders_net):
-        for v in senders_net[s][1]:
-            by_recipient.setdefault(v, []).append(s)
-    ell = max(len(v) for v in by_recipient.values())
-
-    total_rounds = 0
+    # sub-task m serves every recipient's m-th sender, so recipient sets
+    # inside a sub-task are disjoint; cross pairs by (sub-task, sender,
+    # recipient), with each pair's chunk count and first flat chunk
+    src, dst = src[cross], dst[cross]
+    sub = _run_ranks(dst)
+    pos = np.lexsort((dst, src, sub))
+    src, dst, sub = src[pos], dst[pos], sub[pos]
+    first = np.cumsum([0] + [len(vectors[s]) for s in order])
+    idx = np.searchsorted(np.array(order), src)
+    chunks, off = first[idx + 1] - first[idx], first[idx]
+    widths = np.array([nb for s in order for _, nb in vectors[s]], dtype=np.int64)
+    cuts = np.searchsorted(sub, np.arange(int(sub[-1]) + 2))
     idbits = count_bits(n)
-    for m in range(ell):
-        sub: dict[int, list[int]] = {}
-        for v in sorted(by_recipient):
-            slist = by_recipient[v]
-            if m < len(slist):
-                sub.setdefault(slist[m], []).append(v)
-        order = sorted(sub)
-        recips = {s: np.array(sub[s], dtype=np.int64) for s in order}
-        widths = {s: np.array([nb for _, nb in senders_net[s][0]], dtype=np.int64) for s in order}
-        for s in order:
-            for v in sub[s]:
-                result.setdefault(v, []).append((s, list(senders_net[s][0])))
 
-        # announcement 1: each sender tells its recipients their rank;
-        # announcement 2: each recipient tells everyone whose it is
-        sizes = [recips[s].size for s in order]
-        ranked = np.concatenate([recips[s] for s in order])
-        told_src, told_dst = to_all_others(n, ranked)
-        ann_rnd = np.repeat([0, 1], [ranked.size, told_src.size])
-        ann_src = np.concatenate([np.repeat(order, sizes), told_src])
-        ann_dst = np.concatenate([ranked, told_dst])
+    if engine.accounted:
+        # charge each sub-task's published bound for its widest vector, and
+        # count in closed form what the schedule sends: every chunk as one
+        # direct message from the sender, each pair's rank, and each
+        # recipient's announcement to every other node
+        rounds = sum(
+            multicast_accounted_rounds(n, int(c), engine.cfg.c_idt)
+            for c in np.maximum.reduceat(chunks, cuts[:-1]).tolist()
+        )
+        engine.charge_rounds(rounds, label)
+        deg = np.bincount(dst, minlength=n + 1)
+        load = (n - 1) * deg + (src.size - deg)
+        np.add.at(load, src, 1 + chunks)
+        np.add.at(load, dst, 1 + chunks)
+        load[0] = 0
+        vector_bits = np.add.reduceat(widths, first[:-1])[idx]
+        engine.count_traffic(
+            src.size * n + chunks.sum(), idbits * src.size * n + vector_bits.sum(), load
+        )
+        return result, rounds
 
-        if engine.accounted:
-            # charge the published per-sub-task bound; count every chunk as
-            # one direct message from the sender
-            rounds_m = multicast_accounted_rounds(
-                n, max(w.size for w in widths.values()), engine.cfg.c_idt
+    payload, nbits = zip(*(c for i in np.unique(idx).tolist() for c in vectors[order[i]]))
+    _check_payloads(np.array(payload, dtype=object), nbits)
+    start = engine.ledger.rounds
+    with engine.measure(label):
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            s, v, c, o = src[a:b], dst[a:b], chunks[a:b], off[a:b]
+            t = _run_ranks(s)  # the recipient's rank in its sender's set
+            # announcement 1: each sender tells its recipients their rank;
+            # announcement 2: each recipient tells everyone whose it is
+            told_src, told_dst = to_all_others(n, v)
+            engine.exchange(
+                2,
+                np.repeat([0, 1], [v.size, told_src.size]),
+                np.concatenate([s, told_src]),
+                np.concatenate([v, told_dst]),
+                idbits,
             )
-            engine.charge_rounds(rounds_m, label)
-            direct = [_copies(np.full(recips[s].size, s), recips[s], widths[s]) for s in order]
-            src, dst, nbits, _ = (np.concatenate(c) for c in zip(*direct))
-            engine.count_messages(
-                np.concatenate([ann_src, src]),
-                np.concatenate([ann_dst, dst]),
-                np.concatenate([np.full(ann_src.size, idbits), nbits]),
-            )
-            total_rounds += rounds_m
-            continue
-
-        start = engine.ledger.rounds
-        with engine.measure(label):
-            engine.exchange(2, ann_rnd, ann_src, ann_dst, idbits)
-            for p in range(1, multicast_phases(max(sizes)) + 1):
+            for p in range(1, multicast_phases(int(t.max()) + 1) + 1):
                 # phase p reaches ranks lo..hi-1; the sender holds the vector
                 # in phase 1, later the recipient of rank plo + (t-lo)//2
                 lo, hi, plo = (1 << p) - 2, (1 << (p + 1)) - 2, (1 << (p - 1)) - 2
-                cols = []
-                for s in order:
-                    rs = recips[s]
-                    t = np.arange(lo, min(hi, rs.size))
-                    holders = np.full(t.size, s) if p == 1 else rs[plo + (t - lo) // 2]
-                    cols.append(_copies(holders, rs[t], widths[s]))
-                _bounded_rounds(engine, *(np.concatenate(c) for c in zip(*cols)))
-        total_rounds += engine.ledger.rounds - start
-
-    for v in result:
-        result[v].sort(key=lambda sv: sv[0])
-    return result, total_rounds
+                at = np.flatnonzero((t >= lo) & (t < hi))
+                holders = s[at] if p == 1 else v[at - t[at] + plo + (t[at] - lo) // 2]
+                # one copy per (pair, chunk) in (sender, rank, chunk) order;
+                # the tag is the chunk index
+                pair = np.repeat(np.arange(at.size), c[at])
+                chunk = np.arange(pair.size) - (np.cumsum(c[at]) - c[at])[pair]
+                _bounded_rounds(
+                    engine, holders[pair], v[at][pair], widths[o[at][pair] + chunk], chunk
+                )
+    return result, engine.ledger.rounds - start

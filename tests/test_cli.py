@@ -203,6 +203,17 @@ def test_gen_bad_spec_is_one_line_error(capsys):
     assert one_line_error(capsys) == "too many chain rows for the window length"
 
 
+def test_gen_nonpositive_n_names_n(capsys):
+    assert run_cli("gen", "--n", "0") == 2
+    assert one_line_error(capsys) == "n must be at least 1, got 0"
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_bench_rejects_fewer_than_one_seed(capsys, seeds):
+    assert run_cli("bench", "--n-list", "8", "--seeds", seeds) == 2
+    assert one_line_error(capsys) == f"--seeds must be at least 1, got {seeds}"
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_missing_input_file_is_one_line_error(tmp_path, capsys, command):
     missing = str(tmp_path / "nothere.txt")

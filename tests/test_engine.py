@@ -278,7 +278,9 @@ def test_isolation_audit_covers_every_storage_method(method):
 def test_charge_rounds_and_traffic():
     eng = make_engine(4, routing="accounted")
     eng.charge_rounds(5, "demo")
-    eng.count_traffic(1, 2, nbits=10, count=3)
+    load = np.zeros(5, dtype=np.int64)
+    load[[1, 2]] = 3
+    eng.count_traffic(3, 30, load)
     led = eng.ledger
     assert led.rounds == 5
     assert led.primitive_rounds["demo"] == 5

@@ -85,3 +85,14 @@ def test_auto_transposes_each_input_once(cell):
     _, _, _, chosen, ledger = run_cell(cell)
     _, _, _, _, forced = run_cell(cell.replace("-auto", "-" + chosen))
     assert ledger.primitive_rounds["relaxed_idt"] == forced.primitive_rounds["relaxed_idt"]
+
+
+@pytest.mark.parametrize("cell", sorted(c for c in GOLDEN if "-simulated-" in c))
+def test_accounted_step_rounds_bound_simulated(cell):
+    """Per protocol step, the accounted ledger is an upper bound on the
+    simulated rounds of the same cell, and both record the same steps."""
+    simulated = run_cell(cell)[4].step_rounds
+    accounted = run_cell(cell.replace("-simulated-", "-accounted-"))[4].step_rounds
+    assert list(simulated) == list(accounted)
+    for step, rounds in simulated.items():
+        assert rounds <= accounted[step], step

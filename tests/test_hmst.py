@@ -441,7 +441,8 @@ def record_broadcast_seed(monkeypatch):
 def record_multicast(monkeypatch, alter=None):
     """Wrap the projection multicast; the returned dict collects, per
     recipient, every chunk it received in order.  ``alter`` (node id) gets
-    the low bit of its first received chunk flipped."""
+    the low bit of its first received chunk flipped, in a vector object of
+    its own."""
     from cliquemat import hmst
 
     received: dict[int, list[tuple[int, int]]] = {}
@@ -451,7 +452,7 @@ def record_multicast(monkeypatch, alter=None):
         out, rounds = multicast(engine, senders, label=label)
         if alter in out and alter not in received:
             src, got = out[alter][0]
-            out[alter][0] = (src, [(got[0][0] ^ 1, got[0][1])] + got[1:])
+            out[alter][0] = (src, ((got[0][0] ^ 1, got[0][1]),) + got[1:])
         for v, lists in out.items():
             for _, got in lists:
                 received.setdefault(v, []).extend(got)

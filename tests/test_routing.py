@@ -214,7 +214,7 @@ def test_multicast_phase_counts():
 
 def test_multicast_single_pair():
     eng = make_engine(8)
-    chunks = [(3, 8), (7, 8)]
+    chunks = ((3, 8), (7, 8))
     result, rounds = vector_multicast(eng, {2: (chunks, [5])})
     assert result[5] == [(2, chunks)]
 
@@ -222,7 +222,7 @@ def test_multicast_single_pair():
 def test_multicast_broadcast_n16():
     n = 16
     eng = make_engine(n)
-    chunks = [(i, 8) for i in range(10)]
+    chunks = tuple((i, 8) for i in range(10))
     recips = [v for v in range(1, n + 1) if v != 1]
     result, rounds = vector_multicast(eng, {1: (chunks, recips)})
     for v in recips:
@@ -232,8 +232,8 @@ def test_multicast_broadcast_n16():
 def test_multicast_two_senders_disjoint():
     n = 8
     eng = make_engine(n)
-    c1 = [(1, 4), (2, 4), (3, 4)]
-    c2 = [(9, 4)]
+    c1 = ((1, 4), (2, 4), (3, 4))
+    c2 = ((9, 4),)
     result, _ = vector_multicast(eng, {1: (c1, [3, 4, 5]), 2: (c2, [6, 7])})
     assert result[3] == [(1, c1)] and result[4] == [(1, c1)] and result[5] == [(1, c1)]
     assert result[6] == [(2, c2)] and result[7] == [(2, c2)]
@@ -244,8 +244,8 @@ def test_multicast_overlapping_recipients_two_subtasks():
     sub-tasks; both vectors arrive."""
     n = 8
     eng = make_engine(n)
-    c1 = [(5, 4)]
-    c2 = [(6, 4)]
+    c1 = ((5, 4),)
+    c2 = ((6, 4),)
     result, _ = vector_multicast(eng, {1: (c1, [4]), 2: (c2, [4])})
     assert result[4] == [(1, c1), (2, c2)]
 
@@ -258,7 +258,7 @@ def test_multicast_duplicate_recipient_rejected():
 
 def test_multicast_self_recipient_free():
     eng = make_engine(4)
-    chunks = [(1, 2)]
+    chunks = ((1, 2),)
     result, rounds = vector_multicast(eng, {3: (chunks, [3])})
     assert result[3] == [(3, chunks)]
     assert rounds == 0 and eng.ledger.messages == 0
@@ -266,7 +266,7 @@ def test_multicast_self_recipient_free():
 
 def test_multicast_accounted_matches_simulated_content():
     n = 8
-    chunks = [(i + 1, 6) for i in range(5)]
+    chunks = tuple((i + 1, 6) for i in range(5))
     senders = {2: (chunks, [1, 3, 4, 5, 6])}
     sim, _ = vector_multicast(make_engine(n), senders)
     acc, _ = vector_multicast(make_engine(n, routing="accounted"), senders)
@@ -280,6 +280,71 @@ def test_multicast_accounted_round_charge_is_shape_function():
     ra = vector_multicast(make_engine(n, routing="accounted"), a)[1]
     rb = vector_multicast(make_engine(n, routing="accounted"), b)[1]
     assert ra == rb
+
+
+def reference_multicast_ledger(eng, senders):
+    """Accounted multicast cost by expanding every message: per sub-task
+    (each recipient's m-th sender), the published bound for its widest
+    vector, then each rank announcement, each recipient's announcement to
+    every other node and every chunk copy, counted with count_messages."""
+    n = eng.n
+    idbits = count_bits(n)
+    net = {s: (chunks, sorted(v for v in recips if v != s)) for s, (chunks, recips) in senders.items()}
+    by_recipient = {}
+    for s in sorted(net):
+        for v in net[s][1]:
+            by_recipient.setdefault(v, []).append(s)
+    for m in range(max(map(len, by_recipient.values()), default=0)):
+        sub = {}
+        for v in sorted(by_recipient):
+            if m < len(by_recipient[v]):
+                sub.setdefault(by_recipient[v][m], []).append(v)
+        pairs = [(s, v) for s in sorted(sub) for v in sub[s]]
+        rows = [(s, v, idbits) for s, v in pairs]
+        rows += [(v, u, idbits) for _, v in pairs for u in range(1, n + 1) if u != v]
+        rows += [(s, v, nbits) for s, v in pairs for _, nbits in net[s][0]]
+        widest = max(len(net[s][0]) for s in sub)
+        eng.charge_rounds(multicast_accounted_rounds(n, widest, eng.cfg.c_idt), "vector_multicast")
+        eng.count_messages(*(np.array(col) for col in zip(*rows)))
+
+
+@st.composite
+def multicasts(draw):
+    """(n, w, senders) of a random valid multicast: 1..n chunks per sender
+    (as a tuple), recipient sets that may hold the sender itself."""
+    n = draw(st.integers(2, 12))
+    w = draw(st.sampled_from([64, 100]))
+    senders = {}
+    for s in draw(st.lists(st.integers(1, n), unique=True, max_size=n)):
+        chunks = []
+        for _ in range(draw(st.integers(1, n))):
+            nbits = draw(st.integers(1, w))
+            chunks.append((draw(st.integers(0, (1 << nbits) - 1)), nbits))
+        senders[s] = (tuple(chunks), draw(st.lists(st.integers(1, n), unique=True, max_size=n)))
+    return n, w, senders
+
+
+def ledger_fields(led):
+    return led.rounds, led.messages, led.bits, led.work, led.primitive_rounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(multicasts())
+def test_multicast_ledger_matches_expanded_reference_and_shares_vectors(case):
+    n, w, senders = case
+    want = {}
+    for s in sorted(senders):
+        for v in senders[s][1]:
+            want.setdefault(v, []).append((s, senders[s][0]))
+    for routing in ("simulated", "accounted"):
+        eng = make_engine(n, routing=routing, w=w)
+        got, rounds = vector_multicast(eng, senders)
+        assert got == want
+        assert all(vec is senders[s][0] for lst in got.values() for s, vec in lst)
+        assert rounds == eng.ledger.rounds
+    ref = make_engine(n, routing="accounted", w=w)
+    reference_multicast_ledger(ref, senders)
+    assert ledger_fields(eng.ledger) == ledger_fields(ref.ledger)
 
 
 # ---------------------------------------------------------------------------
