@@ -26,6 +26,7 @@ from .clusmat import (
     clusmat_protocol,
     distribute_witnesses,
     plan_blocks,
+    visited_rows,
 )
 from .engine import CliqueConfig, CliqueEngine, Message, NodeState, RoundLedger
 from .harness import (

@@ -98,22 +98,16 @@ def hamming_distance(x: BitVector, y: BitVector) -> int:
     return (x.value ^ y.value).bit_count()
 
 
-def witnesses(x: BitVector, y: BitVector) -> list[int]:
-    """Ascending list of coordinates where x and y differ."""
+def witnesses(x: BitVector, y: BitVector) -> np.ndarray:
+    """Ascending int64 array of the coordinates where x and y differ."""
     _check_len(x, y)
-    diff = x.value ^ y.value
-    out = []
-    while diff:
-        low = diff & -diff
-        out.append(low.bit_length())
-        diff ^= low
-    return out
+    return np.flatnonzero(unpack_rows([x.value ^ y.value], x.n)[0]) + 1
 
 
 def apply_witnesses(row: BitVector, w: Sequence[int]) -> BitVector:
     """Flip the listed coordinates of ``row`` (involutive)."""
     mask = 0
-    for i in w:
+    for i in map(int, w):
         if not 1 <= i <= row.n:
             raise InvalidWitnessError(f"witness {i} out of range 1..{row.n}")
         bit = 1 << (i - 1)

@@ -10,12 +10,13 @@ node, which reconstructs the block's rows incrementally from witness lists
 and updates per-column overlap counts only at flipped coordinates.
 
 The ledger charges that incremental-count work as the paper states it.  The
-simulation reaches the same entries more cheaply on the host: a pair node
-rebuilds each row by XOR with one mask per tour edge and tests all its rows
-against all its columns in one product (:func:`block_multiply`), the
-replicated step-6 plan is derived once and shared by every node that holds
-the same tree and distance table, and the bulk routing tasks (transposes,
-witnesses, product entries) are built and read as numpy columns.
+simulation reaches the same entries more cheaply on the host.  What nodes
+derive from the same objects is derived once, keyed by identity (a node
+holding other objects derives its own): the step-6 plan, the step-8
+witness decode and the step-10 block rows, which come from one prefix XOR
+of per-edge masks (:func:`visited_rows`); each pair node then tests them
+against its own columns in one product (:func:`block_multiply`).  Bulk
+routing tasks are built and read as numpy columns.
 
 Inputs come from node storage only: the entry points put row i of A and
 row i of B at node i once, and every step after that reads what the nodes
@@ -46,8 +47,8 @@ tree, and steps 4-10 are correct for any spanning tree.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -108,32 +109,20 @@ class TraversalPlan:
     def num_blocks(self) -> int:
         return len(self.traversal_blocks)
 
-    def block_edge_range(self, b: int) -> tuple[int, int]:
-        """Directed-edge index range of tour block b (1-based block id)."""
-        return self.traversal_blocks[b - 1]
-
     def block_edge_ids(self, b: int) -> list[int]:
         """Sorted distinct undirected edge ids covered by tour block b."""
         lo, hi = self.traversal_blocks[b - 1]
         return sorted({self.traversal.edge_indices[i] for i in range(lo, hi)})
-
-    def block_vertices(self, b: int) -> list[int]:
-        """Vertices visited by tour block b (start vertex plus edge heads)."""
-        lo, hi = self.traversal_blocks[b - 1]
-        seen = {self.traversal.directed_edges[lo][0]}
-        for i in range(lo, hi):
-            seen.add(self.traversal.directed_edges[i][1])
-        return sorted(seen)
 
     def block_start_vertex(self, b: int) -> int:
         lo, _ = self.traversal_blocks[b - 1]
         return self.traversal.directed_edges[lo][0]
 
     def column_block_of(self, j: int) -> int:
-        for c, (lo, hi) in enumerate(self.column_blocks, start=1):
-            if lo <= j <= hi:
-                return c
-        raise InvalidPlanError(f"column {j} not covered by any block")
+        c = bisect_right(self.column_blocks, (j, math.inf))
+        if c == 0 or j > self.column_blocks[c - 1][1]:
+            raise InvalidPlanError(f"column {j} not covered by any block")
+        return c
 
 
 def plan_blocks(traversal: Traversal, edge_costs: Sequence[int], n: int) -> TraversalPlan:
@@ -204,20 +193,26 @@ def plan_blocks(traversal: Traversal, edge_costs: Sequence[int], n: int) -> Trav
 
 @dataclass(frozen=True)
 class BlockAssignment:
-    """Injective map from (tour block, column block) pairs to nodes:
-    pair (b, c) lives at node (b-1) * floor(n/t) + c."""
+    """Injective map from (tour block, column block) pairs to nodes: pair
+    (b, c) lives at node (b-1) * q + c, where q = floor(n/t) is the number
+    of column blocks, so every lookup is closed form."""
 
-    pair_to_node: dict[tuple[int, int], int]
-    node_to_pair: dict[int, tuple[int, int]]
+    num_blocks: int
+    q: int
 
     def node_for(self, b: int, c: int) -> int:
-        return self.pair_to_node[(b, c)]
+        return (b - 1) * self.q + c
 
-    def nodes_for_block(self, b: int) -> list[int]:
-        return sorted(v for (bb, _), v in self.pair_to_node.items() if bb == b)
+    def pair_of(self, v: int) -> tuple[int, int] | None:
+        """The (tour block, column block) pair node v serves, if any."""
+        b, c = divmod(v - 1, self.q)
+        return (b + 1, c + 1) if 1 <= v <= self.num_blocks * self.q else None
 
-    def nodes_for_column_block(self, c: int) -> list[int]:
-        return sorted(v for (_, cc), v in self.pair_to_node.items() if cc == c)
+    def nodes_for_block(self, b: int) -> range:
+        return range((b - 1) * self.q + 1, b * self.q + 1) if 1 <= b <= self.num_blocks else range(0)
+
+    def nodes_for_column_block(self, c: int) -> range:
+        return range(c, self.num_blocks * self.q + 1, self.q) if 1 <= c <= self.q else range(0)
 
 
 def assign_pairs(plan: TraversalPlan, n: int) -> BlockAssignment:
@@ -226,12 +221,7 @@ def assign_pairs(plan: TraversalPlan, n: int) -> BlockAssignment:
         raise InvalidPlanError(
             f"{plan.num_blocks * q} block pairs exceed {n} nodes"
         )
-    pair_to_node = {}
-    for b in range(1, plan.num_blocks + 1):
-        for c in range(1, q + 1):
-            pair_to_node[(b, c)] = (b - 1) * q + c
-    node_to_pair = {v: bc for bc, v in pair_to_node.items()}
-    return BlockAssignment(pair_to_node, node_to_pair)
+    return BlockAssignment(plan.num_blocks, q)
 
 
 @dataclass(frozen=True)
@@ -286,8 +276,10 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     block's pair nodes in sub-stages of at most n messages each.
 
     Reads per-node storage written by earlier steps (``wit``, ``plan``,
-    ``assignment``, ``schedules``, ``distances``) and fills
-    ``block_witnesses`` at every pair node.
+    ``assignment``, ``schedules``, ``distances``), leaves each pair node's
+    received packet arrays under ``witness_packets`` and fills
+    ``block_witnesses`` (edge -> ascending coordinates) from them, decoded
+    once per distinct (plan, block, distances, arrays), keyed by identity.
     """
     n = engine.n
     cb = count_bits(n)
@@ -301,12 +293,11 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
         plan: TraversalPlan = node.storage["plan"]
         schedules: dict[int, WitnessSchedule] = node.storage["schedules"]
         e = node.id
-        coords = np.asarray(wit, dtype=np.int64)
         for b in range(1, plan.num_blocks + 1):
             sched = schedules[b]
             if e in sched.edge_offsets:
-                pos = sched.edge_offsets[e] + np.arange(coords.size)
-                runs.append((np.full(coords.size, e), sched.rep_for_positions(pos), coords))
+                pos = sched.edge_offsets[e] + np.arange(wit.size)
+                runs.append((np.full(wit.size, e), sched.rep_for_positions(pos), wit))
 
     engine.local(build_stage1)
     edge, reps, coords = (np.concatenate(c) for c in zip(*runs))
@@ -324,7 +315,7 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
             return
         sched_map: dict[int, WitnessSchedule] = node.storage["schedules"]
         assignment: BlockAssignment = node.storage["assignment"]
-        pair = assignment.node_to_pair.get(node.id)
+        pair = assignment.pair_of(node.id)
         b = pair[0] if pair else None
         cap = sched_map[b].capacity if b else 0
         packets = np.sort(delivered.payload[got].astype(np.int64))
@@ -381,27 +372,38 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
             for v in sorted(out):
                 received.setdefault(v, []).extend(arrays[id(vec)] for _, vec in out[v])
 
+    def deliver(node):
+        node.storage["witness_packets"] = received[node.id]
+
+    engine.local(deliver, ids=received)
+    decoded: dict[tuple, dict[int, np.ndarray]] = {}
+
     def store_block_witnesses(node):
         assignment: BlockAssignment = node.storage.get("assignment")
-        if assignment is None or node.id not in assignment.node_to_pair:
+        pair = assignment.pair_of(node.id) if assignment else None
+        if pair is None:
             return
         plan: TraversalPlan = node.storage["plan"]
         distances: dict[int, int] = node.storage["distances"]
-        b = assignment.node_to_pair[node.id][0]
-        packets = np.sort(np.concatenate([np.zeros(0, np.int64)] + received.get(node.id, [])))
-        edges, coords = packets >> cb, ((packets & coord_mask) + 1).tolist()
-        by_edge: dict[int, list[int]] = {}
-        block_edges = plan.block_edge_ids(b)
-        lo = np.searchsorted(edges, block_edges, "left").tolist()
-        hi = np.searchsorted(edges, block_edges, "right").tolist()
-        for e, a, z in zip(block_edges, lo, hi):
-            if z - a != distances[e]:
-                raise SchedulingError(
-                    f"pair node {node.id} holds {z - a} witnesses of edge {e}, "
-                    f"expected {distances[e]}"
-                )
-            by_edge[e] = coords[a:z]
-        node.storage["block_witnesses"] = by_edge
+        arrays: list[np.ndarray] = node.storage.get("witness_packets", [])
+        b = pair[0]
+        key = (id(plan), b, id(distances), *map(id, arrays))
+        if key not in decoded:
+            packets = np.sort(np.concatenate([np.zeros(0, np.int64), *arrays]))
+            edges, coords = packets >> cb, (packets & coord_mask) + 1
+            block_edges = plan.block_edge_ids(b)
+            lo = np.searchsorted(edges, block_edges, "left").tolist()
+            hi = np.searchsorted(edges, block_edges, "right").tolist()
+            by_edge: dict[int, np.ndarray] = {}
+            for e, a, z in zip(block_edges, lo, hi):
+                if z - a != distances[e]:
+                    raise SchedulingError(
+                        f"pair node {node.id} holds {z - a} witnesses of edge {e}, "
+                        f"expected {distances[e]}"
+                    )
+                by_edge[e] = coords[a:z]
+            decoded[key] = by_edge
+        node.storage["block_witnesses"] = decoded[key]
 
     engine.local(store_block_witnesses)
 
@@ -410,57 +412,63 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
 # block multiply (step 10 local part)
 # ---------------------------------------------------------------------------
 
-def block_multiply(
+def visited_rows(
     start_vertex: int,
     start_row: BitVector,
     walk: Sequence[tuple[int, int, int]],
     witnesses_by_edge: Mapping[int, Sequence[int]],
-    columns: Sequence[tuple[int, BitVector]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk the tour block reconstructing every row from the previous one and
-    return the (row vertex, column index, bit) columns of each visited
-    vertex x column.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rebuild every row a tour block visits from its start row and the
+    witness lists of the (tail, head, edge) walk; returns the vertices in
+    first-visit order and, for each, its row at that visit as one 0/1
+    float32 row of an array ready for :func:`block_multiply`.
 
-    Entries come out at each vertex's first visit, in the given column
-    order.  The witnesses of all walk edges are XORed at once into one mask
-    of 64-bit words per edge (a repeated coordinate cancels, as two flips
-    would), each applied to the whole row; the bits of all visited rows
-    against all columns come from one product of their 0/1 arrays.  The
-    paper's algorithm instead keeps one count of shared ones per column and
-    updates it at every flipped coordinate; the ledger charges that work,
-    (n + block cost) x columns, whatever this simulation spends.
+    The witnesses of each distinct walk edge are XORed into one mask of
+    64-bit words (a repeated coordinate cancels, as two flips would); the
+    row after step i is the start row XOR the running XOR of the first i
+    step masks, taken over the whole walk at once.
     """
     n = start_row.n
-    edges = list(dict.fromkeys(eidx for _, _, eidx in walk))
-    lists = [witnesses_by_edge.get(e, ()) for e in edges]
-    sizes = [len(c) for c in lists]
-    coords = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=sum(sizes))
+    _, heads, eidx = np.asarray(walk, dtype=np.int64).reshape(-1, 3).T
+    edges, step_edge = np.unique(eidx, return_inverse=True)
+    lists = [np.asarray(witnesses_by_edge.get(e, ()), dtype=np.int64) for e in edges.tolist()]
+    coords = np.concatenate([np.zeros(0, np.int64), *lists])
     if coords.size and (coords.min() < 1 or coords.max() > n):
         bad = coords.min() if coords.min() < 1 else coords.max()
         raise InvalidWitnessError(f"witness {bad} outside 1..{n}")
     words = (n + 63) // 64
-    packed = np.zeros(len(edges) * words, dtype="<u8")
+    masks = np.zeros((edges.size, words), dtype="<u8")
     np.bitwise_xor.at(
-        packed,
-        np.repeat(np.arange(len(edges)) * words, sizes) + (coords - 1) // 64,
+        masks,
+        (np.repeat(np.arange(edges.size), [c.size for c in lists]), (coords - 1) // 64),
         np.left_shift(np.uint64(1), ((coords - 1) % 64).astype(np.uint64)),
     )
-    raw, size = packed.tobytes(), 8 * words
-    masks = {e: int.from_bytes(raw[i * size:(i + 1) * size], "little") for i, e in enumerate(edges)}
-    cur = start_row.value
-    vertices, rows = [start_vertex], [cur]
-    seen = {start_vertex}
-    for (_, head, eidx) in walk:
-        cur ^= masks[eidx]
-        if head not in seen:
-            seen.add(head)
-            vertices.append(head)
-            rows.append(cur)
+    start = np.frombuffer(start_row.value.to_bytes(8 * words, "little"), dtype="<u8")
+    rows = np.vstack([start, np.bitwise_xor.accumulate(masks[step_edge], axis=0) ^ start])
+    vertices = np.concatenate([[start_vertex], heads])
+    first = np.sort(np.unique(vertices, return_index=True)[1])
+    bits = np.unpackbits(rows[first].view(np.uint8), axis=1, bitorder="little")[:, :n]
+    return vertices[first], bits.astype(np.float32)
+
+
+def block_multiply(
+    vertices: np.ndarray, rows: np.ndarray, columns: Sequence[tuple[int, BitVector]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row vertex, column index, bit) columns of each visited vertex x
+    column, vertices in the order given and columns in the given order.
+
+    ``vertices`` and ``rows`` are a tour block's rows from
+    :func:`visited_rows`; the bits of all of them against all columns come
+    from one product of 0/1 arrays.  The paper's algorithm instead keeps
+    one count of shared ones per column and updates it at every flipped
+    coordinate; the ledger charges that work, (n + block cost) x columns,
+    whatever this simulation spends.
+    """
     js = np.array([j for j, _ in columns], dtype=np.int64)
-    cols = unpack_rows([col.value for _, col in columns], n).astype(np.float32)
-    hits = unpack_rows(rows, n).astype(np.float32) @ cols.T
+    cols = unpack_rows([col.value for _, col in columns], rows.shape[1]).astype(np.float32)
+    hits = rows @ cols.T
     return (
-        np.repeat(np.array(vertices, dtype=np.int64), js.size),
+        np.repeat(vertices, js.size),
         np.tile(js, len(vertices)),
         (hits > 0).astype(np.int64).ravel(),
     )
@@ -737,7 +745,7 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
 
         def store_start(node):
             asg: BlockAssignment = node.storage["assignment"]
-            pair = asg.node_to_pair.get(node.id)
+            pair = asg.pair_of(node.id)
             if pair is None:
                 return
             pl: TraversalPlan = node.storage["plan"]
@@ -764,7 +772,7 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
 
         def store_cols(node):
             asg: BlockAssignment = node.storage["assignment"]
-            pair = asg.node_to_pair.get(node.id)
+            pair = asg.pair_of(node.id)
             if pair is None:
                 return
             pl: TraversalPlan = node.storage["plan"]
@@ -780,33 +788,28 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
         engine.local(store_cols)
 
     # step 10: incremental multiply, then entries home as (vertex, column,
-    # bit) columns; every row is assembled by one scatter into an n x n grid
+    # bit) columns; every row is assembled by one scatter into an n x n grid.
+    # A block's rows are rebuilt once per distinct (plan, block, start row,
+    # witnesses), keyed by identity; each node multiplies its own columns.
     with engine.step("step10"):
         blocks: list[tuple[np.ndarray, ...]] = []  # (src, vertex, column, bit)
+        rebuilt: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
         def multiply(node):
             asg: BlockAssignment = node.storage["assignment"]
-            pair = asg.node_to_pair.get(node.id)
+            pair = asg.pair_of(node.id)
             if pair is None:
                 return
             pl: TraversalPlan = node.storage["plan"]
             b, _ = pair
-            lo, hi = pl.block_edge_range(b)
-            walk = [
-                (
-                    pl.traversal.directed_edges[i][0],
-                    pl.traversal.directed_edges[i][1],
-                    pl.traversal.edge_indices[i],
-                )
-                for i in range(lo, hi)
-            ]
-            vertex, j, bit = block_multiply(
-                pl.block_start_vertex(b),
-                node.storage["start_row"],
-                walk,
-                node.storage["block_witnesses"],
-                node.storage["columns"],
-            )
+            start_row, wit = node.storage["start_row"], node.storage["block_witnesses"]
+            key = (id(pl), b, id(start_row), id(wit))
+            if key not in rebuilt:
+                tour, (lo, hi) = pl.traversal, pl.traversal_blocks[b - 1]
+                walk = [(*tour.directed_edges[i], tour.edge_indices[i]) for i in range(lo, hi)]
+                rebuilt[key] = visited_rows(pl.block_start_vertex(b), start_row, walk, wit)
+            node.storage["block_rows"] = rebuilt[key]
+            vertex, j, bit = block_multiply(*rebuilt[key], node.storage["columns"])
             engine.charge_work(
                 node.id, (n + pl.block_costs[b - 1]) * len(node.storage["columns"])
             )

@@ -146,10 +146,27 @@ def test_hamming_distance_mismatch():
 
 
 def test_witnesses_examples():
-    assert witnesses(bv("110"), bv("011")) == [1, 3]
+    assert witnesses(bv("110"), bv("011")).tolist() == [1, 3]
     x = bv("0110")
-    assert witnesses(x, x) == []
-    assert witnesses(bv("0000"), bv("1111")) == [1, 2, 3, 4]
+    assert witnesses(x, x).tolist() == []
+    assert witnesses(bv("0000"), bv("1111")).tolist() == [1, 2, 3, 4]
+
+
+def witnesses_per_bit(x, y):
+    """Reference: the differing coordinates, one bit test each."""
+    return [i for i in range(1, x.n + 1) if x.get(i) != y.get(i)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 256])
+def test_witnesses_match_per_bit_reference(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        x = BitVector(n, rng.getrandbits(n))
+        for y in (BitVector(n, rng.getrandbits(n)), x, BitVector(n, x.value ^ (1 << (n - 1)))):
+            got = witnesses(x, y)
+            assert got.dtype == np.int64
+            assert got.tolist() == witnesses_per_bit(x, y)
+    assert witnesses(BitVector.zeros(n), BitVector.ones(n)).tolist() == list(range(1, n + 1))
 
 
 def test_apply_witnesses_examples():
@@ -170,7 +187,7 @@ def test_witness_reconstruction_property(n, data):
     x, y = BitVector(n, xv), BitVector(n, yv)
     w = witnesses(x, y)
     assert len(w) == hamming_distance(x, y)
-    assert w == sorted(w)
+    assert w.tolist() == sorted(w.tolist())
     assert apply_witnesses(x, w) == y
     assert apply_witnesses(apply_witnesses(x, w), w) == x
 

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from cliquemat.bits import (
@@ -13,6 +14,7 @@ from cliquemat.bits import (
     boolean_product_naive,
     euler_traversal,
     hamming_distance,
+    pack_rows,
     witnesses,
 )
 from cliquemat.clusmat import (
@@ -22,6 +24,7 @@ from cliquemat.clusmat import (
     choose_orientation,
     clusmat_protocol,
     plan_blocks,
+    visited_rows,
 )
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import InvalidPlanError, InvalidWitnessError
@@ -98,8 +101,9 @@ def test_plan_blocks_block_invariants():
         assert all(hi - lo + 1 <= t + 1 for lo, hi in plan.column_blocks)
         # every vertex appears in some block
         union = set()
-        for b in range(1, plan.num_blocks + 1):
-            union.update(plan.block_vertices(b))
+        for lo, hi in plan.traversal_blocks:
+            union.add(tour.directed_edges[lo][0])
+            union.update(v for _, v in tour.directed_edges[lo:hi])
         assert union == set(range(1, n + 1))
 
 
@@ -137,17 +141,72 @@ def test_assign_pairs_deterministic():
     plan = plan_blocks(tour, [3, 3], n=6)
     a = assign_pairs(plan, 6)
     b = assign_pairs(plan, 6)
-    assert a.pair_to_node == b.pair_to_node
+    assert a == b
+
+
+def scanned_pairs(plan):
+    """The (block, column block) -> node map as assign_pairs once built it;
+    the lookups below scan it, as BlockAssignment once did."""
+    q = len(plan.column_blocks)
+    return {
+        (b, c): (b - 1) * q + c
+        for b in range(1, plan.num_blocks + 1)
+        for c in range(1, q + 1)
+    }
+
+
+def scanned_column_block(plan, j):
+    for c, (lo, hi) in enumerate(plan.column_blocks, start=1):
+        if lo <= j <= hi:
+            return c
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 9, 64, 257])
+def test_assignment_lookups_match_scans(n):
+    """The closed-form lookups agree with scans of every pair, in and out
+    of range, over plans of several t."""
+    rng = random.Random(n)
+    ts = set()
+    for scale in (0, 1, 2, 4, 8, 16, n):
+        tree = Tree(n, tuple(
+            WeightedEdge(rng.randrange(1, i), i, 0) for i in range(2, n + 1)
+        ))
+        costs = {i: rng.randrange(0, scale + 1) for i in range(1, n)}
+        tour = euler_traversal(tree, 1, edge_costs=costs)
+        plan = plan_blocks(tour, [costs[e] for e in tour.edge_indices], n)
+        ts.add(plan.t)
+        asg = assign_pairs(plan, n)
+        pairs = scanned_pairs(plan)
+        q = len(plan.column_blocks)
+        for (b, c), v in pairs.items():
+            assert asg.node_for(b, c) == v
+        for b in range(-1, plan.num_blocks + 3):
+            expect = sorted(v for (bb, _), v in pairs.items() if bb == b)
+            assert list(asg.nodes_for_block(b)) == expect
+        for c in range(-1, q + 3):
+            expect = sorted(v for (_, cc), v in pairs.items() if cc == c)
+            assert list(asg.nodes_for_column_block(c)) == expect
+        node_to_pair = {v: bc for bc, v in pairs.items()}
+        for v in range(-1, n + 3):
+            assert asg.pair_of(v) == node_to_pair.get(v)
+        for j in range(1, n + 1):
+            assert plan.column_block_of(j) == scanned_column_block(plan, j)
+        for j in (-1, 0, n + 1):
+            with pytest.raises(InvalidPlanError):
+                plan.column_block_of(j)
+    assert len(ts) == 1 if n == 2 else len(ts) >= 3
 
 
 # ---------------------------------------------------------------------------
 # block_multiply
 # ---------------------------------------------------------------------------
 
-def block_rows(*args):
-    """The (vertex, column, bit) columns of :func:`block_multiply` as a
-    list of rows."""
-    return list(zip(*(c.tolist() for c in block_multiply(*args))))
+def block_rows(start_vertex, start_row, walk, wit, columns):
+    """The (vertex, column, bit) columns of :func:`block_multiply` on the
+    rows :func:`visited_rows` rebuilds, as a list of rows."""
+    rows = visited_rows(start_vertex, start_row, walk, wit)
+    return list(zip(*(c.tolist() for c in block_multiply(*rows, columns))))
 
 
 def test_block_multiply_no_edges_is_inner_product():
@@ -163,7 +222,7 @@ def test_block_multiply_two_rows_oracle():
     start = bv("1010")
     col = bv("0101")
     nxt = bv("1111")
-    assert witnesses(start, nxt) == [2, 4]
+    assert witnesses(start, nxt).tolist() == [2, 4]
     assert (start.value & col.value).bit_count() == 0
     assert (nxt.value & col.value).bit_count() == 2
     out = block_rows(1, start, [(1, 2, 1)], {1: [2, 4]}, [(1, col)])
@@ -234,6 +293,66 @@ def test_block_multiply_emits_revisited_vertex_once_at_first_visit():
 def test_block_multiply_no_columns():
     assert block_rows(1, bv("1010"), [(1, 2, 1)], {1: [2]}, []) == []
     assert block_rows(1, bv("1010"), [], {}, []) == []
+
+
+def walked_rows(start_vertex, start_row, walk, wit):
+    """A tour block's first-visit vertices and rows, walked edge by edge,
+    one flip per listed coordinate: the reference for visited_rows."""
+    cur = start_row.value
+    vertices, rows = [start_vertex], [cur]
+    for _, head, e in walk:
+        for i in wit.get(e, ()):
+            cur ^= 1 << (int(i) - 1)
+        if head not in vertices:
+            vertices.append(head)
+            rows.append(cur)
+    return vertices, rows
+
+
+def check_visited_rows(start_vertex, start_row, walk, wit):
+    vertices, rows = visited_rows(start_vertex, start_row, walk, wit)
+    expect_vertices, expect_rows = walked_rows(start_vertex, start_row, walk, wit)
+    assert vertices.tolist() == expect_vertices
+    assert rows.dtype == np.float32
+    assert rows.shape == (len(expect_vertices), start_row.n)
+    assert set(np.unique(rows).tolist()) <= {0.0, 1.0}
+    assert pack_rows(rows) == expect_rows
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65])
+def test_visited_rows_match_python_walk(n):
+    """Random walks over a few vertices revisit them and reuse edges;
+    witness lists may repeat a coordinate, and some are arrays."""
+    rng = random.Random(n)
+    for _ in range(40):
+        k = rng.randrange(2, 7)
+        at = start = rng.randrange(1, k + 1)
+        walk = []
+        for _ in range(rng.randrange(0, 3 * k)):
+            head = rng.choice([v for v in range(1, k + 1) if v != at])
+            walk.append((at, head, min(at, head) * 10 + max(at, head)))
+            at = head
+        wit = {}
+        for _, _, e in walk:
+            coords = [rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 6))]
+            wit[e] = np.array(coords, dtype=np.int64) if rng.random() < 0.5 else coords
+        check_visited_rows(start, BitVector(n, rng.getrandbits(n)), walk, wit)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65])
+def test_visited_rows_edge_cases(n):
+    row = BitVector(n, (1 << n) - 1)
+    # an empty walk is the start row alone
+    check_visited_rows(4, row, [], {})
+    vertices, rows = visited_rows(4, row, [], {})
+    assert vertices.tolist() == [4] and pack_rows(rows) == [row.value]
+    # a coordinate repeated in one list: an odd count flips, an even one
+    # cancels; an edge without a list flips nothing
+    walk = [(1, 2, 1), (2, 3, 2), (3, 2, 2), (2, 4, 3)]
+    check_visited_rows(1, row, walk, {1: [n, n, n], 2: [1, 1]})
+    _, rows = visited_rows(1, row, walk, {1: [n, n, n], 2: [1, 1]})
+    flipped = row.value ^ (1 << (n - 1))
+    assert pack_rows(rows) == [row.value, flipped, flipped, flipped]
 
 
 def test_block_multiply_matches_naive_on_tour_blocks():
@@ -485,7 +604,7 @@ def test_clusmat_plans_identical_across_nodes():
     plans = [engine.node(i).storage["plan"] for i in engine.node_ids()]
     assignments = [engine.node(i).storage["assignment"] for i in engine.node_ids()]
     assert all(p == plans[0] for p in plans)
-    assert all(a.pair_to_node == assignments[0].pair_to_node for a in assignments)
+    assert all(a == assignments[0] for a in assignments)
 
 
 def fresh_plan(tree, distances, n):
@@ -516,6 +635,61 @@ def test_replicated_plan_matches_fresh_derivation_at_every_node(routing):
         assert st["plan"] == plan
         assert st["assignment"] == assignment
         assert st["schedules"] == schedules
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_pair_nodes_with_altered_inputs_derive_their_own_rows(routing, monkeypatch):
+    """Pair nodes of one block share one witness decode and one rebuild of
+    the block's rows.  A node holding a copy of its start row rebuilds its
+    own rows; a node holding reordered copies of its witness packets
+    decodes its own witnesses and rebuilds its own rows.  Both still end
+    with the correct product."""
+    from cliquemat import clusmat
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+
+    n, own_start, own_packets = 16, 2, 3
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=7))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.3, seed=8))
+    rebuilds = []
+    rebuild = clusmat.visited_rows
+
+    def counting_rebuild(*args):
+        rebuilds.append(args)
+        return rebuild(*args)
+
+    class AlteringEngine(CliqueEngine):
+        def local(self, fn, ids=None):
+            if fn.__name__ == "store_block_witnesses":
+                with self.as_node(own_start) as node:
+                    row = node.storage["start_row"]
+                    node.storage["start_row"] = BitVector(row.n, row.value)
+                with self.as_node(own_packets) as node:
+                    packets = node.storage["witness_packets"]
+                    assert packets
+                    node.storage["witness_packets"] = [p[::-1].copy() for p in packets]
+            return super().local(fn, ids)
+
+    monkeypatch.setattr(clusmat, "visited_rows", counting_rebuild)
+    engine = AlteringEngine(CliqueConfig(n=n, routing=routing, seed=7))
+    engine.audit = True
+    C, _ = run_placed(engine, A, B)
+    assert C == boolean_product_naive(A, B)
+
+    plan, asg = engine.node(1).storage["plan"], engine.node(1).storage["assignment"]
+    assert asg.q >= 4 and list(asg.nodes_for_block(1))[1:3] == [own_start, own_packets]
+    assert len(rebuilds) == plan.num_blocks + 2
+    for b in range(1, plan.num_blocks + 1):
+        first = engine.node(asg.node_for(b, 1)).storage
+        for v in asg.nodes_for_block(b):
+            st = engine.node(v).storage
+            assert (st["block_witnesses"] is first["block_witnesses"]) == (v != own_packets)
+            assert (st["block_rows"] is first["block_rows"]) == (v not in (own_start, own_packets))
+            assert st["block_witnesses"].keys() == first["block_witnesses"].keys()
+            for e, coords in st["block_witnesses"].items():
+                assert coords.tolist() == first["block_witnesses"][e].tolist()
+            for got, shared in zip(st["block_rows"], first["block_rows"]):
+                assert np.array_equal(got, shared)
 
 
 def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
@@ -583,7 +757,7 @@ def test_witnesses_at_pair_nodes_match_direct_union():
     assert C == boolean_product_naive(A, B)
     for i in engine.node_ids():
         st = engine.node(i).storage
-        pair = st["assignment"].node_to_pair.get(i)
+        pair = st["assignment"].pair_of(i)
         if pair is None:
             continue
         plan = st["plan"]
@@ -592,7 +766,7 @@ def test_witnesses_at_pair_nodes_match_direct_union():
         for e in plan.block_edge_ids(pair[0]):
             edge = tree.edge(e)
             expect = witnesses(A.row(edge.u), A.row(edge.v))
-            assert got[e] == expect
+            assert got[e].tolist() == expect.tolist()
 
 
 def test_witness_delivery_free_when_rows_identical():
