@@ -8,7 +8,6 @@ from .bits import (
     Traversal,
     Tree,
     WeightedEdge,
-    apply_witnesses,
     boolean_product_naive,
     distance_matrix_via_products,
     euler_traversal,
@@ -23,7 +22,6 @@ from .clusmat import (
     block_multiply,
     choose_orientation,
     clusmat_oriented,
-    clusmat_protocol,
     distribute_witnesses,
     plan_blocks,
     visited_rows,
@@ -40,7 +38,6 @@ from .harness import (
     verify,
 )
 from .hmst import (
-    EstimatedGraph,
     ProjectionConfig,
     ProjectionFamily,
     estimate_distance,

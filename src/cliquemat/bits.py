@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, InvalidMatrixError, InvalidWitnessError
+from .errors import DimensionError, InvalidMatrixError
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,19 +102,6 @@ def witnesses(x: BitVector, y: BitVector) -> np.ndarray:
     """Ascending int64 array of the coordinates where x and y differ."""
     _check_len(x, y)
     return np.flatnonzero(unpack_rows([x.value ^ y.value], x.n)[0]) + 1
-
-
-def apply_witnesses(row: BitVector, w: Sequence[int]) -> BitVector:
-    """Flip the listed coordinates of ``row`` (involutive)."""
-    mask = 0
-    for i in map(int, w):
-        if not 1 <= i <= row.n:
-            raise InvalidWitnessError(f"witness {i} out of range 1..{row.n}")
-        bit = 1 << (i - 1)
-        if mask & bit:
-            raise InvalidWitnessError(f"witness {i} listed twice")
-        mask |= bit
-    return BitVector(row.n, row.value ^ mask)
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,9 +304,6 @@ class Traversal:
     def __len__(self) -> int:
         return len(self.directed_edges)
 
-    def total_cost(self) -> int:
-        return sum(self.costs)
-
     def validate(self, tree: Tree) -> None:
         if len(self.directed_edges) != 2 * (tree.n - 1):
             raise ValueError("traversal must contain 2(n-1) directed edges")
@@ -387,18 +371,17 @@ def local_mst(H) -> Tree:
     return Tree(n, tuple(picked))
 
 
-def euler_traversal(tree: Tree, root: int = 1, edge_costs: Mapping[int, int] | None = None) -> Traversal:
-    """Depth-first closed tour of ``tree`` from ``root``, children visited in
-    ascending vertex order.  Per-directed-edge costs default to the tree's
-    own edge weights; ``edge_costs`` (1-based edge index -> cost) overrides.
+def euler_traversal(tree: Tree, edge_costs: Mapping[int, int] | None = None) -> Traversal:
+    """Depth-first closed tour of ``tree`` from vertex 1, children visited
+    in ascending vertex order.  Per-directed-edge costs default to the
+    tree's own edge weights; ``edge_costs`` (1-based edge index -> cost)
+    overrides.
     """
-    if not 1 <= root <= tree.n:
-        raise ValueError(f"root {root} outside 1..{tree.n}")
     adj = tree.adjacency()
     directed: list[tuple[int, int]] = []
     indices: list[int] = []
     # Iterative DFS; each frame is (vertex, parent, iterator position).
-    stack: list[tuple[int, int, int]] = [(root, 0, 0)]
+    stack: list[tuple[int, int, int]] = [(1, 0, 0)]
     while stack:
         v, parent, pos = stack.pop()
         nbrs = adj[v]
@@ -422,7 +405,7 @@ def euler_traversal(tree: Tree, root: int = 1, edge_costs: Mapping[int, int] | N
         costs = tuple(tree.edge(i).weight for i in indices)
     else:
         costs = tuple(int(edge_costs[i]) for i in indices)
-    return Traversal(root, tuple(directed), tuple(indices), costs)
+    return Traversal(1, tuple(directed), tuple(indices), costs)
 
 
 def boolean_product_naive(A: BooleanMatrix, B: BooleanMatrix) -> BooleanMatrix:

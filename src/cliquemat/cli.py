@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,8 +32,9 @@ MAX_ROUNDS_ENV = "CLIQUEMAT_MAX_ROUNDS"
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--w", type=int, default=64, help="payload capacity in bits")
-    p.add_argument("--strict", action="store_true", help="force W = ceil(log2 n) + 16")
+    capacity = p.add_mutually_exclusive_group()
+    capacity.add_argument("--w", type=int, default=64, help="payload capacity in bits")
+    capacity.add_argument("--strict", action="store_true", help="set W = ceil(log2 n) + 16")
     p.add_argument(
         "--max-rounds",
         type=int,
@@ -59,8 +61,7 @@ def _config(args, n: int) -> CliqueConfig:
         max_rounds = int(os.environ.get(MAX_ROUNDS_ENV, 1_000_000))
     return CliqueConfig(
         n=n,
-        w=args.w,
-        strict=args.strict,
+        w=math.ceil(math.log2(n)) + 16 if args.strict else args.w,
         seed=args.seed,
         routing=args.routing,
         max_rounds=max_rounds,
@@ -122,6 +123,7 @@ def cmd_run(args) -> int:
             "hmst", cfg, ledger, text,
             {"estimated_tree_weight": tree.cost(), "tree_hamming_cost": true_cost},
         )
+    report["strict"] = args.strict
     if args.report:
         write_json(args.report, report)
     else:

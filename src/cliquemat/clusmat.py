@@ -125,10 +125,11 @@ class TraversalPlan:
         return c
 
 
-def plan_blocks(traversal: Traversal, edge_costs: Sequence[int], n: int) -> TraversalPlan:
+def plan_blocks(traversal: Traversal, n: int) -> TraversalPlan:
     """Cut the tour into at most t = ceil(sqrt(M/n + 1)) blocks of cost at
     most ceil(M/t) + max edge cost, and the n columns into floor(n/t) blocks
-    of at most t+1 consecutive columns.
+    of at most t+1 consecutive columns; M is the total of the tour's
+    per-directed-edge costs.
 
     Greedy left-to-right: a block closes as soon as its cost reaches the
     budget ceil(M/t); a trailing zero-cost block merges into its
@@ -136,10 +137,7 @@ def plan_blocks(traversal: Traversal, edge_costs: Sequence[int], n: int) -> Trav
     column blocks of size at most t+1 can always cover all n columns.
     """
     m = len(traversal.directed_edges)
-    if len(edge_costs) != m:
-        raise InvalidPlanError(
-            f"{len(edge_costs)} costs for {m} directed edges"
-        )
+    edge_costs = traversal.costs
     if any(c < 0 for c in edge_costs):
         raise InvalidPlanError("edge costs must be nonnegative")
     total = sum(edge_costs)
@@ -280,6 +278,11 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     received packet arrays under ``witness_packets`` and fills
     ``block_witnesses`` (edge -> ascending coordinates) from them, decoded
     once per distinct (plan, block, distances, arrays), keyed by identity.
+
+    Accounted, stage 2 counts one message per packet copy from its
+    representative and leaves out the multicast announcements (ranks and
+    whose-vector messages) that accounted ``vector_multicast`` counts, so
+    it counts fewer messages and bits than the simulated stage 2 sends.
     """
     n = engine.n
     cb = count_bits(n)
@@ -302,7 +305,7 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     engine.local(build_stage1)
     edge, reps, coords = (np.concatenate(c) for c in zip(*runs))
     stage1 = Batch.build(engine.w, edge, reps, 2 * cb, (edge << cb) | (coords - 1), tag=edge)
-    delivered, _ = bounded_route(engine, stage1, label="bounded_route")
+    delivered, _ = bounded_route(engine, stage1)
 
     # representative -> (its packets (edge << cb) | (coordinate - 1), sorted
     # by (edge, coordinate), and its block's pair nodes)
@@ -365,7 +368,7 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
                     senders[rep] = ([(p, 2 * cb) for p in part], recips)
             if not senders:
                 continue
-            out, _ = vector_multicast(engine, senders, label="vector_multicast")
+            out, _ = vector_multicast(engine, senders)
             # recipients of one sender share its vector: decode it once
             vectors = {id(vec): vec for got in out.values() for _, vec in got}
             arrays = {i: np.array([p for p, _ in vec], dtype=np.int64) for i, vec in vectors.items()}
@@ -373,9 +376,9 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
                 received.setdefault(v, []).extend(arrays[id(vec)] for _, vec in out[v])
 
     def deliver(node):
-        node.storage["witness_packets"] = received[node.id]
+        node.storage["witness_packets"] = received.get(node.id, [])
 
-    engine.local(deliver, ids=received)
+    engine.local(deliver)
     decoded: dict[tuple, dict[int, np.ndarray]] = {}
 
     def store_block_witnesses(node):
@@ -385,7 +388,7 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
             return
         plan: TraversalPlan = node.storage["plan"]
         distances: dict[int, int] = node.storage["distances"]
-        arrays: list[np.ndarray] = node.storage.get("witness_packets", [])
+        arrays: list[np.ndarray] = node.storage["witness_packets"]
         b = pair[0]
         key = (id(plan), b, id(distances), *map(id, arrays))
         if key not in decoded:
@@ -518,7 +521,7 @@ def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> Non
     src = np.repeat(np.arange(1, n + 1), n)
     bits = BooleanMatrix(tuple(rows)).to_array().ravel()  # node j's bit i goes to node i
     batch = Batch.build(engine.w, src, np.tile(np.arange(1, n + 1), n), 1, bits, tag=src)
-    delivered, _ = solve_relaxed_idt(engine, batch, label="relaxed_idt")
+    delivered, _ = solve_relaxed_idt(engine, batch)
     received = np.zeros((n, n), dtype=np.uint8)
     received[delivered.dst - 1, delivered.src - 1] = delivered.payload
     columns = pack_rows(received)
@@ -529,7 +532,7 @@ def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> Non
     engine.local(build)
 
 
-def _broadcast_tree(engine: CliqueEngine, label: str, suffix: str = "") -> None:
+def _broadcast_tree(engine: CliqueEngine, suffix: str = "") -> None:
     """Node 1 sends edge j of the tree it stores under ``hmst_tree`` to node
     j; next round node j re-broadcasts it.  Afterwards every node stores the
     tree structure under ``tree``.  ``suffix`` extends every key, so the
@@ -548,7 +551,7 @@ def _broadcast_tree(engine: CliqueEngine, label: str, suffix: str = "") -> None:
         np.concatenate([np.ones(owners.size, np.int64), src]),
         np.concatenate([owners, dst]),
         2 * cb,
-        label=label,
+        label="step3",
     )
 
     structure = Tree(n, tuple(WeightedEdge(u, v, 0) for u, v in pairs))
@@ -575,7 +578,7 @@ def _multicast_rows(
             senders[node.id] = (pack_chunks(row.value, n, engine.w), sorted(recips))
 
     engine.local(build)
-    out, _ = vector_multicast(engine, senders, label="vector_multicast")
+    out, _ = vector_multicast(engine, senders)
     # recipients of one sender share its vector: decode it once
     vectors = {id(vec): vec for got in out.values() for _, vec in got}
     rows = {i: BitVector(n, unpack_chunks(vec)[0]) for i, vec in vectors.items()}
@@ -603,7 +606,7 @@ def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str, suffix: str = "")
     engine.local(store)
 
 
-def _owner_distance_broadcast(engine: CliqueEngine, label: str, suffix: str = "") -> None:
+def _owner_distance_broadcast(engine: CliqueEngine, suffix: str = "") -> None:
     """Edge owner j computes the Hamming distance of its edge's endpoint
     rows (ceil(n/W) work) and broadcasts it to every node; all nodes store
     the full distance table under ``distances``.  The distances sum to the
@@ -623,7 +626,7 @@ def _owner_distance_broadcast(engine: CliqueEngine, label: str, suffix: str = ""
 
     engine.local(compute)
     src, dst = to_all_others(n, sorted(values))
-    engine.exchange(1, 0, src, dst, cb, label=label)
+    engine.exchange(1, 0, src, dst, cb, label="step5")
 
     table = dict(values)
 
@@ -667,7 +670,7 @@ def run_clusmat(
 
     # step 3: tree structure to every node
     with engine.step("step3"):
-        _broadcast_tree(engine, label="step3")
+        _broadcast_tree(engine)
 
     # step 4: endpoint rows to edge owners
     with engine.step("step4"):
@@ -675,7 +678,7 @@ def run_clusmat(
 
     # step 5: distances at owners, then everywhere
     with engine.step("step5"):
-        _owner_distance_broadcast(engine, label="step5")
+        _owner_distance_broadcast(engine)
 
     info = _multiply_along_tree(engine, row_key, col_key)
     return _gather(engine), info
@@ -712,10 +715,8 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
             distances: dict[int, int] = node.storage["distances"]
             key = (id(t), id(distances))
             if key not in derived:
-                tour = euler_traversal(t, root=1, edge_costs=distances)
-                plan = plan_blocks(
-                    tour, [distances[e] for e in tour.edge_indices], n
-                )
+                tour = euler_traversal(t, edge_costs=distances)
+                plan = plan_blocks(tour, n)
                 assignment = assign_pairs(plan, n)
                 schedules = witness_schedules(plan, assignment, distances, n)
                 derived[key] = (plan, assignment, schedules)
@@ -818,7 +819,7 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
         engine.local(multiply)
         src, vertex, j, bit = (np.concatenate(c) for c in zip(*blocks))
         entries = Batch.build(engine.w, src, vertex, cb + 1, ((j - 1) << 1) | bit, tag=j)
-        delivered10, _ = bounded_route(engine, entries, label="bounded_route")
+        delivered10, _ = bounded_route(engine, entries)
         # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit
         got = delivered10.payload.astype(np.int64)
         entry = np.zeros((n, n), dtype=np.int8)
@@ -843,17 +844,6 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
     }
 
 
-def clusmat_protocol(
-    A: BooleanMatrix,
-    B: BooleanMatrix,
-    cfg: CliqueConfig,
-    proj: ProjectionConfig | None = None,
-) -> tuple[BooleanMatrix, RoundLedger, dict]:
-    """Full product run on a fresh engine; node i starts with row i of A and
-    row i of B and finishes with row i of C = A o B."""
-    return clusmat_oriented(A, B, cfg, proj)
-
-
 def clusmat_oriented(
     A: BooleanMatrix,
     B: BooleanMatrix,
@@ -861,8 +851,10 @@ def clusmat_oriented(
     proj: ProjectionConfig | None = None,
     orientation: str = "ab",
 ) -> tuple[BooleanMatrix, RoundLedger, dict]:
-    """Product run with a forced orientation: ``ab`` follows A's rows,
-    ``ba`` follows B's columns and flips the result back."""
+    """Full product run on a fresh engine; node i starts with row i of A and
+    row i of B and finishes with row i of C = A o B.  The orientation is
+    forced: ``ab`` follows A's rows, ``ba`` follows B's columns and flips
+    the result back."""
     if orientation not in _ROLES:
         raise ValueError(f"orientation must be 'ab' or 'ba', got {orientation!r}")
     engine = CliqueEngine(cfg)
@@ -900,9 +892,9 @@ def choose_orientation(
     # steps 3-5 on each candidate, then every node adopts the cheaper one
     with engine.step("orient_choice"):
         for side, (row_key, _) in _ROLES.items():
-            _broadcast_tree(engine, label="step3", suffix="_" + side)
+            _broadcast_tree(engine, suffix="_" + side)
             _deliver_endpoint_rows(engine, row_key, suffix="_" + side)
-            _owner_distance_broadcast(engine, label="step5", suffix="_" + side)
+            _owner_distance_broadcast(engine, suffix="_" + side)
 
         def choose(node):
             st = node.storage

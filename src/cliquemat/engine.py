@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,14 +66,12 @@ class Message(NamedTuple):
 class CliqueConfig:
     """Model parameters for one run.
 
-    ``w`` is the payload capacity in bits; with ``strict`` the capacity is
-    forced to ceil(log2 n) + 16 instead.  ``c_idt`` is the round charge for
-    one relaxed information-distribution task in accounted mode.
+    ``w`` is the payload capacity in bits.  ``c_idt`` is the round charge
+    for one relaxed information-distribution task in accounted mode.
     """
 
     n: int
     w: int = 64
-    strict: bool = False
     seed: int = 0
     routing: str = SIMULATED
     c_idt: int = 16
@@ -87,16 +85,10 @@ class CliqueConfig:
         if self.c_idt < 1:
             raise ValueError("c_idt must be positive")
         floor = math.ceil(math.log2(self.n)) + 1
-        if self.payload_bits < floor:
+        if self.w < floor:
             raise ValueError(
-                f"payload capacity {self.payload_bits} below minimum {floor} for n={self.n}"
+                f"payload capacity {self.w} below minimum {floor} for n={self.n}"
             )
-
-    @property
-    def payload_bits(self) -> int:
-        if self.strict:
-            return math.ceil(math.log2(self.n)) + 16
-        return self.w
 
 
 @dataclass
@@ -203,7 +195,7 @@ class CliqueEngine:
 
     def __init__(self, cfg: CliqueConfig) -> None:
         self.cfg = cfg
-        self.w = cfg.payload_bits
+        self.w = cfg.w
         self.accounted = cfg.routing == ACCOUNTED
         self.ledger = RoundLedger(cfg.n)
         self.nodes: list[NodeState | None] = [None] + [
@@ -227,10 +219,10 @@ class CliqueEngine:
     def node_ids(self) -> range:
         return range(1, self.cfg.n + 1)
 
-    def local(self, fn: Callable[[NodeState], None], ids: Iterable[int] | None = None) -> None:
+    def local(self, fn: Callable[[NodeState], None]) -> None:
         """Run ``fn`` once per node, ascending, with access auditing scoped
         to that node."""
-        for i in sorted(ids) if ids is not None else self.node_ids():
+        for i in self.node_ids():
             node = self.node(i)
             self._active = i
             try:

@@ -162,7 +162,6 @@ class BenchCell:
     b_spec: GenSpec
     routing: str = "accounted"
     seed: int = 0
-    orientation: str = "ab"
 
 
 @dataclass
@@ -216,7 +215,7 @@ def run_cell(cell: BenchCell, proj: ProjectionConfig | None = None) -> dict:
     b = generate(cell.b_spec)
     n = cell.a_spec.n
     cfg = CliqueConfig(n=n, routing=cell.routing, seed=cell.seed)
-    C, ledger, info = clusmat_oriented(a, b, cfg, proj, orientation=cell.orientation)
+    C, ledger, info = clusmat_oriented(a, b, cfg, proj)
     return {
         "n": n,
         "a_kind": cell.a_spec.kind,
@@ -225,7 +224,7 @@ def run_cell(cell: BenchCell, proj: ProjectionConfig | None = None) -> dict:
         "density": cell.a_spec.density,
         "seed": cell.seed,
         "routing": cell.routing,
-        "orientation": cell.orientation,
+        "orientation": "ab",
         "exact_mst_cost": exact_mst_cost(a),
         "m_realized": info["m_realized"],
         "t": info["t"],

@@ -53,8 +53,8 @@ class ProjectionConfig:
     seed_mode: bool = False
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
     def k_for(self, n: int) -> int:
         return max(1, math.ceil(self.kappa * math.log2(n)))
@@ -208,29 +208,18 @@ def sketches_from_chunks(
     return tuple((value >> (idx * k)) & kmask for idx in range(num_scales))
 
 
-@dataclass(frozen=True, eq=False)
-class EstimatedGraph:
-    """Symmetric matrix of power-of-two distance estimates (zero diagonal),
-    as a read-only (n, n) int64 array that :func:`local_mst` takes as is;
-    its tree is the minimum spanning tree under the (weight, u, v) order."""
-
-    n: int
-    weights: np.ndarray
-
-    def weight(self, i: int, j: int) -> int:
-        return int(self.weights[i - 1, j - 1])
-
-
 # bytes of XOR scratch per row block of the all-pairs estimate
 _BLOCK_BYTES = 1 << 20
 
 
 def build_estimated_graph(
     sketch_sets: Sequence[Sequence[int]], family: ProjectionFamily
-) -> EstimatedGraph:
-    """:func:`estimate_distance` for every pair at once: the sketches are
-    packed into an (n, scales, ceil(k/64)) array of 64-bit words, and each
-    block of rows is XORed against all rows and popcounted per scale."""
+) -> np.ndarray:
+    """:func:`estimate_distance` for every pair at once, as a symmetric
+    read-only (n, n) int64 array with a zero diagonal that :func:`local_mst`
+    takes as is.  The sketches are packed into an (n, scales, ceil(k/64))
+    array of 64-bit words, and each block of rows is XORed against all rows
+    and popcounted per scale."""
     n = len(sketch_sets)
     num_scales = len(family.scales)
     words = (family.k + 63) // 64
@@ -254,14 +243,14 @@ def build_estimated_graph(
         weights[lo:lo + block] = scales[first]
     np.fill_diagonal(weights, 0)
     weights.flags.writeable = False
-    return EstimatedGraph(n, weights)
+    return weights
 
 
 # ---------------------------------------------------------------------------
 # the protocol
 # ---------------------------------------------------------------------------
 
-def _broadcast_from_node1(engine: CliqueEngine, payload_chunks, label: str) -> None:
+def _broadcast_from_node1(engine: CliqueEngine, payload_chunks) -> None:
     """Node 1 sends the same small chunk sequence to every other node, one
     chunk per round (used only for seed mode)."""
     src, dst = to_all_others(engine.n, [1])
@@ -272,7 +261,7 @@ def _broadcast_from_node1(engine: CliqueEngine, payload_chunks, label: str) -> N
         np.tile(src, rounds),
         np.tile(dst, rounds),
         np.repeat([nbits for _, nbits in payload_chunks], src.size),
-        label=label,
+        label="seed_bcast",
     )
 
 
@@ -302,7 +291,7 @@ def run_hmst(
                 by_seed = {seed64: ProjectionFamily.from_seed(n, k, seed64)}
                 node1.storage["family"] = by_seed[seed64]
                 engine.charge_work(1, len(scales) * math.ceil(k * n / w))
-            _broadcast_from_node1(engine, pack_chunks(seed64, 64, w), label="seed_bcast")
+            _broadcast_from_node1(engine, pack_chunks(seed64, 64, w))
 
             def regen(node):
                 if node.id == 1:
@@ -328,7 +317,7 @@ def run_hmst(
                 chunks = pack_chunks(value, total_bits, w)
                 for lo in range(0, len(chunks), n):
                     vec = chunks[lo:lo + n]
-                    out, _ = vector_multicast(engine, {1: (vec, recipients)}, label="vector_multicast")
+                    out, _ = vector_multicast(engine, {1: (vec, recipients)})
                     for v, got in out.items():
                         received[v][r].extend(vector for _, vector in got)
 
@@ -371,7 +360,7 @@ def run_hmst(
             w, np.repeat(src, per_node), 1, np.tile(widths, src.size),
             pack_rows(sketches.reshape(-1, w)), tag=np.tile(np.arange(per_node), src.size),
         )
-        delivered, _ = bounded_route(engine, chunks, label="bounded_route")
+        delivered, _ = bounded_route(engine, chunks)
 
     # -- step 3: node 1 estimates all pairs on arrays and builds the tree
     # locally; the ledger charges the paper's per-pair and n^2 tree work
@@ -391,7 +380,7 @@ def run_hmst(
             ]
             graph = build_estimated_graph(sketch_sets, fam)
             engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))
-            tree = local_mst(graph.weights)
+            tree = local_mst(graph)
             engine.charge_work(1, n * n)
             node.storage[tree_key] = tree
             tree_holder["tree"] = tree

@@ -296,11 +296,7 @@ def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) ->
 # the primitives
 # ---------------------------------------------------------------------------
 
-def solve_relaxed_idt(
-    engine: CliqueEngine,
-    b: Batch,
-    label: str = "relaxed_idt",
-) -> tuple[Batch, int]:
+def solve_relaxed_idt(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
     """Deliver a batch in which every node sends <= n and receives <= n items."""
     n = engine.n
     max_send, max_recv = _peak_loads(b)
@@ -313,35 +309,23 @@ def solve_relaxed_idt(
             f"a node receives {max_recv} > n={n} items; use bounded_route"
         )
     charge = idt_accounted_rounds(n, max_send, max_recv, engine.cfg.c_idt)
-    return _deliver(b), _route(engine, b, charge, _idt_rounds, label)
+    return _deliver(b), _route(engine, b, charge, _idt_rounds, "relaxed_idt")
 
 
-def bounded_route(
-    engine: CliqueEngine,
-    b: Batch,
-    k: int | None = None,
-    ell: int | None = None,
-    label: str = "bounded_route",
-) -> tuple[Batch, int]:
-    """Deliver a batch with per-node sends <= k*n and receives <= ell*n."""
+def bounded_route(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
+    """Deliver a batch; the least k, ell >= 1 with per-node sends <= k*n
+    and receives <= ell*n set the accounted charge."""
     n = engine.n
     max_send, max_recv = _peak_loads(b)
-    if k is None:
-        k = max(1, math.ceil(max_send / n))
-    if ell is None:
-        ell = max(1, math.ceil(max_recv / n))
-    if max_send > k * n:
-        raise PreconditionError(f"a node sends {max_send} > k*n = {k * n}")
-    if max_recv > ell * n:
-        raise PreconditionError(f"a node receives {max_recv} > l*n = {ell * n}")
+    k = max(1, math.ceil(max_send / n))
+    ell = max(1, math.ceil(max_recv / n))
     charge = bounded_route_accounted_rounds(k, ell, engine.cfg.c_idt)
-    return _deliver(b), _route(engine, b, charge, _bounded_rounds, label)
+    return _deliver(b), _route(engine, b, charge, _bounded_rounds, "bounded_route")
 
 
 def vector_multicast(
     engine: CliqueEngine,
     senders: dict[int, tuple[Sequence[tuple[int, int]], Sequence[int]]],
-    label: str = "vector_multicast",
 ) -> tuple[dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]], int]:
     """Each sender pushes its vector of (payload, nbits) chunks to every node
     in its recipient set.  Returns per-recipient lists of (sender, vector),
@@ -352,6 +336,8 @@ def vector_multicast(
     order = sorted(senders)
     vectors = {s: tuple(senders[s][0]) for s in order}
     for s in order:
+        if not 1 <= s <= n:
+            raise PreconditionError(f"sender {s} outside 1..{n}")
         if not 1 <= len(vectors[s]) <= n:
             raise PreconditionError(f"sender {s} has {len(vectors[s])} chunks; must be in 1..n")
     # (sender, recipient) pair columns in (recipient, sender) order
@@ -394,7 +380,7 @@ def vector_multicast(
             multicast_accounted_rounds(n, int(c), engine.cfg.c_idt)
             for c in np.maximum.reduceat(chunks, cuts[:-1]).tolist()
         )
-        engine.charge_rounds(rounds, label)
+        engine.charge_rounds(rounds, "vector_multicast")
         deg = np.bincount(dst, minlength=n + 1)
         load = (n - 1) * deg + (src.size - deg)
         np.add.at(load, src, 1 + chunks)
@@ -409,7 +395,7 @@ def vector_multicast(
     payload, nbits = zip(*(c for i in np.unique(idx).tolist() for c in vectors[order[i]]))
     _check_payloads(np.array(payload, dtype=object), nbits)
     start = engine.ledger.rounds
-    with engine.measure(label):
+    with engine.measure("vector_multicast"):
         for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
             s, v, c, o = src[a:b], dst[a:b], chunks[a:b], off[a:b]
             t = _run_ranks(s)  # the recipient's rank in its sender's set

@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from .bits import BooleanMatrix, Tree, WeightedEdge
+from .bits import BooleanMatrix, Tree
 from .engine import CliqueConfig, RoundLedger
 
 
@@ -44,20 +44,8 @@ def tree_to_text(tree: Tree) -> str:
     return "\n".join(f"{e.u} {e.v} {e.weight}" for e in tree.edges) + "\n"
 
 
-def tree_from_text(text: str) -> Tree:
-    edges = []
-    for ln in text.strip().splitlines():
-        u, v, w = ln.split()
-        edges.append(WeightedEdge(int(u), int(v), int(w)))
-    return Tree(len(edges) + 1, tuple(edges))
-
-
 def write_tree(path: str | Path, tree: Tree) -> None:
     Path(path).write_text(tree_to_text(tree))
-
-
-def read_tree(path: str | Path) -> Tree:
-    return tree_from_text(Path(path).read_text())
 
 
 def digest(text: str) -> str:
@@ -69,13 +57,12 @@ def run_report(
     cfg: CliqueConfig,
     ledger: RoundLedger,
     result_text: str,
-    extra: dict | None = None,
+    extra: dict,
 ) -> dict:
     report = {
         "protocol": protocol,
         "n": cfg.n,
-        "W": cfg.payload_bits,
-        "strict": cfg.strict,
+        "W": cfg.w,
         "seed": cfg.seed,
         "routing": cfg.routing,
         "rounds": ledger.rounds,
@@ -87,8 +74,7 @@ def run_report(
         "step_rounds": dict(ledger.step_rounds),
         "result_digest": digest(result_text),
     }
-    if extra:
-        report.update(extra)
+    report.update(extra)
     return report
 
 

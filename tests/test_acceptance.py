@@ -26,7 +26,7 @@ from cliquemat.bits import (
     distance_matrix_via_products,
     hamming_distance,
 )
-from cliquemat.clusmat import clusmat_oriented, clusmat_protocol
+from cliquemat.clusmat import clusmat_oriented
 from cliquemat.engine import CliqueConfig, CliqueEngine, Message
 from cliquemat.errors import CapacityError, PairConflictError
 from cliquemat.harness import GenSpec, generate, rounds_model, work_model
@@ -211,7 +211,7 @@ def scaling_rows():
             A = generate(GenSpec(n=n, kind="uniform", density=d, seed=0))
             B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=1))
             cfg = CliqueConfig(n=n, routing="accounted", seed=0, c_idt=BENCH_C_IDT)
-            C, ledger, info = clusmat_protocol(A, B, cfg)
+            C, ledger, info = clusmat_oriented(A, B, cfg)
             assert C == boolean_product_naive(A, B)
             rows.append(
                 {
@@ -365,8 +365,8 @@ def test_criterion_9_determinism():
     same = True
     for routing in ("simulated", "accounted"):
         cfg = CliqueConfig(n=n, routing=routing, seed=7)
-        c1, l1, i1 = clusmat_protocol(A, B, cfg)
-        c2, l2, i2 = clusmat_protocol(A, B, cfg)
+        c1, l1, i1 = clusmat_oriented(A, B, cfg)
+        c2, l2, i2 = clusmat_oriented(A, B, cfg)
         if c1 != c2 or l1.as_dict() != l2.as_dict() or i1 != i2:
             same = False
     pts = list(A.rows)

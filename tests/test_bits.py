@@ -13,7 +13,6 @@ from cliquemat.bits import (
     BooleanMatrix,
     Tree,
     WeightedEdge,
-    apply_witnesses,
     boolean_product_naive,
     distance_matrix_via_products,
     euler_traversal,
@@ -28,7 +27,6 @@ from cliquemat.harness import GenSpec, exact_mst_cost, gen_clustered, gen_unifor
 from cliquemat.errors import (
     DimensionError,
     InvalidMatrixError,
-    InvalidWitnessError,
 )
 
 
@@ -130,7 +128,7 @@ def test_bitvector_validation():
 
 
 # ---------------------------------------------------------------------------
-# hamming_distance / witnesses / apply_witnesses
+# hamming_distance / witnesses
 # ---------------------------------------------------------------------------
 
 def test_hamming_distance_examples():
@@ -167,29 +165,6 @@ def test_witnesses_match_per_bit_reference(n):
             assert got.dtype == np.int64
             assert got.tolist() == witnesses_per_bit(x, y)
     assert witnesses(BitVector.zeros(n), BitVector.ones(n)).tolist() == list(range(1, n + 1))
-
-
-def test_apply_witnesses_examples():
-    assert apply_witnesses(bv("1010"), [2, 4]) == bv("1111")
-    r = bv("0101")
-    assert apply_witnesses(r, []) == r
-    with pytest.raises(InvalidWitnessError):
-        apply_witnesses(bv("1010"), [5])
-    with pytest.raises(InvalidWitnessError):
-        apply_witnesses(bv("1010"), [2, 2])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 64), st.data())
-def test_witness_reconstruction_property(n, data):
-    xv = data.draw(st.integers(0, (1 << n) - 1))
-    yv = data.draw(st.integers(0, (1 << n) - 1))
-    x, y = BitVector(n, xv), BitVector(n, yv)
-    w = witnesses(x, y)
-    assert len(w) == hamming_distance(x, y)
-    assert w.tolist() == sorted(w.tolist())
-    assert apply_witnesses(x, w) == y
-    assert apply_witnesses(apply_witnesses(x, w), w) == x
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +315,21 @@ def test_tree_edge_numbering_and_validation():
 
 def test_euler_star():
     t = Tree(3, (WeightedEdge(1, 2, 1), WeightedEdge(1, 3, 1)))
-    tr = euler_traversal(t, 1)
+    tr = euler_traversal(t)
     assert tr.directed_edges == ((1, 2), (2, 1), (1, 3), (3, 1))
     tr.validate(t)
 
 
 def test_euler_single_edge():
     t = Tree(2, (WeightedEdge(1, 2, 3),))
-    tr = euler_traversal(t, 1)
+    tr = euler_traversal(t)
     assert tr.directed_edges == ((1, 2), (2, 1))
     assert tr.costs == (3, 3)
 
 
 def test_euler_path():
     t = Tree(3, (WeightedEdge(1, 2, 1), WeightedEdge(2, 3, 1)))
-    tr = euler_traversal(t, 1)
+    tr = euler_traversal(t)
     assert tr.directed_edges == ((1, 2), (2, 3), (3, 2), (2, 1))
 
 
@@ -366,13 +341,13 @@ def test_euler_visits_all_and_costs_override():
         for j in range(i + 1, n):
             H[i][j] = H[j][i] = rng.randrange(1, 20)
     t = local_mst(H)
-    tr = euler_traversal(t, 1)
+    tr = euler_traversal(t)
     tr.validate(t)
     seen = {tr.root} | {b for _, b in tr.directed_edges}
     assert seen == set(range(1, n + 1))
     override = {i: 7 for i in range(1, n)}
-    tr2 = euler_traversal(t, 1, edge_costs=override)
-    assert tr2.total_cost() == 7 * 2 * (n - 1)
+    tr2 = euler_traversal(t, edge_costs=override)
+    assert sum(tr2.costs) == 7 * 2 * (n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,13 @@ import json
 
 import pytest
 
-from cliquemat.bits import boolean_product_naive
+from cliquemat.bits import Tree, WeightedEdge, boolean_product_naive
 from cliquemat.cli import main
 from cliquemat.harness import GenSpec, generate
 from cliquemat.textio import (
     matrix_from_text,
     matrix_to_text,
     read_matrix,
-    read_tree,
-    tree_from_text,
     tree_to_text,
     write_matrix,
 )
@@ -92,9 +90,10 @@ def test_run_hmst(tmp_path):
         "--routing", "accounted", "--out-tree", str(tree), "--report", str(rep),
     )
     assert rc == 0
-    t = read_tree(tree)
-    assert t.n == 16
-    assert tree_from_text(tree_to_text(t)).edges == t.edges
+    # n-1 lines "u v weight" that span 1..n, in the canonical edge order
+    edges = [WeightedEdge(*map(int, ln.split())) for ln in tree.read_text().splitlines()]
+    assert len(edges) == 15
+    assert tree_to_text(Tree(16, tuple(edges))) == tree.read_text()
     report = json.loads(rep.read_text())
     assert report["protocol"] == "hmst"
     assert set(report["step_rounds"]) == {"hmst_step1", "hmst_step2", "hmst_step3"}
@@ -131,6 +130,43 @@ def test_bench_rejects_model_flags_it_does_not_honour(flag, capsys):
         run_cli("bench", "--n-list", "16", "--spreads", "2", "--routing", "accounted", *flag)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_run_strict_sets_capacity(tmp_path):
+    """--strict runs at W = ceil(log2 n) + 16, exactly as --w 20 does at
+    n=16, and the report says which flag set it."""
+    a, rep = tmp_path / "a.txt", tmp_path / "r.json"
+    run_cli("gen", "--n", "16", "--seed", "1", "--out", str(a))
+    reports = {}
+    for flags in ((), ("--strict",), ("--w", "20")):
+        assert run_cli("run", "--protocol", "clusmat", "--a", str(a), "--b", str(a),
+                       "--report", str(rep), *flags) == 0
+        reports[flags] = json.loads(rep.read_text())
+    assert (reports[()]["W"], reports[()]["strict"]) == (64, False)
+    strict, w20 = reports[("--strict",)], reports[("--w", "20")]
+    assert (strict["W"], strict["strict"]) == (20, True)
+    assert w20["strict"] is False
+    assert {k: v for k, v in strict.items() if k != "strict"} == {
+        k: v for k, v in w20.items() if k != "strict"
+    }
+
+
+def test_run_strict_with_w_is_usage_error(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    run_cli("gen", "--n", "8", "--seed", "1", "--out", str(a))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--protocol", "hmst", "--points", str(a), "--strict", "--w", "32")
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["inf", "-inf", "nan", "0.0"])
+def test_run_nonfinite_or_nonpositive_kappa_is_one_line_error(tmp_path, capsys, kappa):
+    a = tmp_path / "a.txt"
+    run_cli("gen", "--n", "8", "--seed", "1", "--out", str(a))
+    capsys.readouterr()
+    assert run_cli("run", "--protocol", "hmst", "--points", str(a), f"--kappa={kappa}") == 2
+    assert one_line_error(capsys) == f"kappa must be positive and finite, got {kappa}"
 
 
 def test_max_rounds_env(tmp_path, capsys, monkeypatch):

@@ -22,7 +22,7 @@ from cliquemat.clusmat import (
     assign_pairs,
     block_multiply,
     choose_orientation,
-    clusmat_protocol,
+    clusmat_oriented,
     plan_blocks,
     visited_rows,
 )
@@ -48,7 +48,7 @@ def test_plan_blocks_hand_example():
     tour = make_traversal(
         [(1, 2), (2, 3), (3, 2), (2, 1)], [3, 1, 2, 2], (1, 2, 2, 1)
     )
-    plan = plan_blocks(tour, [3, 1, 2, 2], n=4)
+    plan = plan_blocks(tour, n=4)
     assert plan.total_cost == 8
     assert plan.t == 2
     assert plan.traversal_blocks == ((0, 2), (2, 4))
@@ -57,7 +57,7 @@ def test_plan_blocks_hand_example():
 
 def test_plan_blocks_zero_cost():
     tour = make_traversal([(1, 2), (2, 1)], [0, 0], (1, 1))
-    plan = plan_blocks(tour, [0, 0], n=4)
+    plan = plan_blocks(tour, n=4)
     assert plan.t == 1
     assert plan.num_blocks == 1
     assert len(plan.column_blocks) == 4
@@ -67,8 +67,8 @@ def test_plan_blocks_zero_cost():
 def test_plan_blocks_column_arithmetic():
     # n=100, M=300 -> t=2, 50 column blocks of size 2
     tree = Tree(3, (WeightedEdge(1, 2, 75), WeightedEdge(2, 3, 75)))
-    tour = euler_traversal(tree, 1)
-    plan = plan_blocks(tour, [75, 75, 75, 75], n=100)
+    tour = euler_traversal(tree)
+    plan = plan_blocks(tour, n=100)
     assert plan.total_cost == 300
     assert plan.t == 2
     assert len(plan.column_blocks) == 50
@@ -83,9 +83,8 @@ def test_plan_blocks_block_invariants():
         )
         tree = Tree(n, tree_edges)
         costs_by_edge = {i: rng.randrange(0, n + 1) for i in range(1, n)}
-        tour = euler_traversal(tree, 1, edge_costs=costs_by_edge)
-        costs = [costs_by_edge[e] for e in tour.edge_indices]
-        plan = plan_blocks(tour, costs, n)
+        tour = euler_traversal(tree, edge_costs=costs_by_edge)
+        plan = plan_blocks(tour, n)
         M, t = plan.total_cost, plan.t
         assert plan.num_blocks <= t
         assert t * len(plan.column_blocks) <= n
@@ -107,10 +106,10 @@ def test_plan_blocks_block_invariants():
         assert union == set(range(1, n + 1))
 
 
-def test_plan_blocks_length_mismatch():
-    tour = make_traversal([(1, 2), (2, 1)], [1, 1], (1, 1))
-    with pytest.raises(InvalidPlanError):
-        plan_blocks(tour, [1], n=4)
+def test_plan_blocks_negative_cost():
+    tour = make_traversal([(1, 2), (2, 1)], [-1, 1], (1, 1))
+    with pytest.raises(InvalidPlanError, match="nonnegative"):
+        plan_blocks(tour, n=4)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +118,7 @@ def test_plan_blocks_length_mismatch():
 
 def test_assign_pairs_lexicographic():
     tour = make_traversal([(1, 2), (2, 1)], [4, 4], (1, 1))
-    plan = plan_blocks(tour, [4, 4], n=4)  # M=8, t=2, q=2
+    plan = plan_blocks(tour, n=4)  # M=8, t=2, q=2
     assert plan.t == 2 and plan.num_blocks == 2
     asg = assign_pairs(plan, 4)
     assert asg.node_for(1, 1) == 1
@@ -130,7 +129,7 @@ def test_assign_pairs_lexicographic():
 
 def test_assign_pairs_t1_identity():
     tour = make_traversal([(1, 2), (2, 1)], [0, 0], (1, 1))
-    plan = plan_blocks(tour, [0, 0], n=5)
+    plan = plan_blocks(tour, n=5)
     asg = assign_pairs(plan, 5)
     for c in range(1, 6):
         assert asg.node_for(1, c) == c
@@ -138,7 +137,7 @@ def test_assign_pairs_t1_identity():
 
 def test_assign_pairs_deterministic():
     tour = make_traversal([(1, 2), (2, 1)], [3, 3], (1, 1))
-    plan = plan_blocks(tour, [3, 3], n=6)
+    plan = plan_blocks(tour, n=6)
     a = assign_pairs(plan, 6)
     b = assign_pairs(plan, 6)
     assert a == b
@@ -173,8 +172,8 @@ def test_assignment_lookups_match_scans(n):
             WeightedEdge(rng.randrange(1, i), i, 0) for i in range(2, n + 1)
         ))
         costs = {i: rng.randrange(0, scale + 1) for i in range(1, n)}
-        tour = euler_traversal(tree, 1, edge_costs=costs)
-        plan = plan_blocks(tour, [costs[e] for e in tour.edge_indices], n)
+        tour = euler_traversal(tree, edge_costs=costs)
+        plan = plan_blocks(tour, n)
         ts.add(plan.t)
         asg = assign_pairs(plan, n)
         pairs = scanned_pairs(plan)
@@ -366,7 +365,7 @@ def test_block_multiply_matches_naive_on_tour_blocks():
         tree = Tree(n, tuple(
             WeightedEdge(rng.randrange(1, i), i, 0) for i in range(2, n + 1)
         ))
-        tour = euler_traversal(tree, root=1)
+        tour = euler_traversal(tree)
         wit = {
             idx: witnesses(rows[e.u - 1], rows[e.v - 1])
             for idx, e in enumerate(tree.edges, start=1)
@@ -407,7 +406,7 @@ def test_clusmat_identity_gives_b():
     n = 8
     B = random_matrix_local(n, rng)
     for routing in ("simulated", "accounted"):
-        C, _, _ = clusmat_protocol(
+        C, _, _ = clusmat_oriented(
             BooleanMatrix.identity(n), B, CliqueConfig(n=n, routing=routing, seed=1)
         )
         assert C == B
@@ -419,7 +418,7 @@ def test_clusmat_identical_rows():
     row = BitVector(n, rng.getrandbits(n))
     A = BooleanMatrix(tuple(row for _ in range(n)))
     B = random_matrix_local(n, rng)
-    C, ledger, info = clusmat_protocol(A, B, CliqueConfig(n=n, routing="accounted", seed=2))
+    C, ledger, info = clusmat_oriented(A, B, CliqueConfig(n=n, routing="accounted", seed=2))
     assert C == boolean_product_naive(A, B)
     assert info["m_realized"] == 0 and info["t"] == 1
 
@@ -431,7 +430,7 @@ def test_clusmat_random_simulated_and_accounted():
         B = random_matrix_local(n, rng)
         expect = boolean_product_naive(A, B)
         for routing in ("simulated", "accounted"):
-            C, ledger, _ = clusmat_protocol(
+            C, ledger, _ = clusmat_oriented(
                 A, B, CliqueConfig(n=n, routing=routing, seed=n)
             )
             assert C == expect, f"n={n} routing={routing}"
@@ -440,7 +439,7 @@ def test_clusmat_random_simulated_and_accounted():
 def test_clusmat_tiny_n2():
     A = BooleanMatrix.from_strings(["11", "01"])
     B = BooleanMatrix.from_strings(["10", "11"])
-    C, _, _ = clusmat_protocol(A, B, CliqueConfig(n=2, seed=0))
+    C, _, _ = clusmat_oriented(A, B, CliqueConfig(n=2, seed=0))
     assert C == boolean_product_naive(A, B)
 
 
@@ -449,7 +448,7 @@ def test_clusmat_ledger_step_decomposition():
     n = 16
     A = random_matrix_local(n, rng)
     B = random_matrix_local(n, rng)
-    _, ledger, _ = clusmat_protocol(A, B, CliqueConfig(n=n, seed=4))
+    _, ledger, _ = clusmat_oriented(A, B, CliqueConfig(n=n, seed=4))
     steps = {k: v for k, v in ledger.step_rounds.items() if k.startswith("step") and "_" not in k.removeprefix("step")}
     step_keys = [f"step{i}" for i in range(1, 11)]
     assert set(steps) == set(step_keys)
@@ -463,19 +462,20 @@ def test_clusmat_determinism():
     A = random_matrix_local(n, rng)
     B = random_matrix_local(n, rng)
     cfg = CliqueConfig(n=n, routing="accounted", seed=11)
-    r1 = clusmat_protocol(A, B, cfg)
-    r2 = clusmat_protocol(A, B, cfg)
+    r1 = clusmat_oriented(A, B, cfg)
+    r2 = clusmat_oriented(A, B, cfg)
     assert r1[0] == r2[0]
     assert r1[1].as_dict() == r2[1].as_dict()
     assert r1[2] == r2[2]
 
 
 def test_clusmat_strict_capacity_mode():
+    """The capacity --strict sets, ceil(log2 n) + 16 bits."""
     rng = random.Random(6)
     n = 16
     A = random_matrix_local(n, rng)
     B = random_matrix_local(n, rng)
-    C, _, _ = clusmat_protocol(A, B, CliqueConfig(n=n, strict=True, seed=7))
+    C, _, _ = clusmat_oriented(A, B, CliqueConfig(n=n, w=4 + 16, seed=7))
     assert C == boolean_product_naive(A, B)
 
 
@@ -611,8 +611,8 @@ def fresh_plan(tree, distances, n):
     """Step 6 derived from scratch: tour, plan, assignment, schedules."""
     from cliquemat.clusmat import witness_schedules
 
-    tour = euler_traversal(tree, root=1, edge_costs=distances)
-    plan = plan_blocks(tour, [distances[e] for e in tour.edge_indices], n)
+    tour = euler_traversal(tree, edge_costs=distances)
+    plan = plan_blocks(tour, n)
     assignment = assign_pairs(plan, n)
     return plan, assignment, witness_schedules(plan, assignment, distances, n)
 
@@ -659,7 +659,7 @@ def test_pair_nodes_with_altered_inputs_derive_their_own_rows(routing, monkeypat
         return rebuild(*args)
 
     class AlteringEngine(CliqueEngine):
-        def local(self, fn, ids=None):
+        def local(self, fn):
             if fn.__name__ == "store_block_witnesses":
                 with self.as_node(own_start) as node:
                     row = node.storage["start_row"]
@@ -668,7 +668,7 @@ def test_pair_nodes_with_altered_inputs_derive_their_own_rows(routing, monkeypat
                     packets = node.storage["witness_packets"]
                     assert packets
                     node.storage["witness_packets"] = [p[::-1].copy() for p in packets]
-            return super().local(fn, ids)
+            return super().local(fn)
 
     monkeypatch.setattr(clusmat, "visited_rows", counting_rebuild)
     engine = AlteringEngine(CliqueConfig(n=n, routing=routing, seed=7))

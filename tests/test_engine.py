@@ -20,12 +20,6 @@ def make_engine(n=4, **kw):
 # config
 # ---------------------------------------------------------------------------
 
-def test_config_strict_capacity():
-    cfg = CliqueConfig(n=64, strict=True)
-    assert cfg.payload_bits == 6 + 16
-    assert CliqueConfig(n=64).payload_bits == 64
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         CliqueConfig(n=1)

@@ -275,12 +275,12 @@ def test_build_estimated_graph_matches_pairwise_estimate(n, k):
     rng = random.Random(k)
     sets = near_sketch_sets(fam, n, rng)
     g = build_estimated_graph(sets, fam)
-    assert g.n == n
-    for i in range(1, n + 1):
-        assert g.weight(i, i) == 0
-        for j in range(1, n + 1):
+    assert g.shape == (n, n) and g.dtype == np.int64 and not g.flags.writeable
+    for i in range(n):
+        assert g[i, i] == 0
+        for j in range(n):
             if i != j:
-                assert g.weight(i, j) == estimate_distance(sets[i - 1], sets[j - 1], fam)
+                assert g[i, j] == estimate_distance(sets[i], sets[j], fam)
 
 
 def test_build_estimated_graph_of_real_sketches():
@@ -292,7 +292,7 @@ def test_build_estimated_graph_of_real_sketches():
     for i in range(n):
         for j in range(n):
             if i != j:
-                assert g.weight(i + 1, j + 1) == estimate_distance(sets[i], sets[j], fam)
+                assert g[i, j] == estimate_distance(sets[i], sets[j], fam)
 
 
 def test_build_estimated_graph_rejects_missing_scale():
@@ -311,11 +311,11 @@ def test_estimated_graph_symmetric():
     rng = random.Random(1)
     sets = [sketch_point(fam, BitVector(n, rng.getrandbits(n))) for _ in range(n)]
     g = build_estimated_graph(sets, fam)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            assert g.weight(i, j) == g.weight(j, i)
+    for i in range(n):
+        for j in range(n):
+            assert g[i, j] == g[j, i]
             if i != j:
-                assert g.weight(i, j) in scales_for(n)
+                assert g[i, j] in scales_for(n)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +430,9 @@ def record_broadcast_seed(monkeypatch):
     seeds = []
     broadcast = hmst._broadcast_from_node1
 
-    def recording(engine, chunks, label):
+    def recording(engine, chunks):
         seeds.append(unpack_chunks(chunks))
-        return broadcast(engine, chunks, label)
+        return broadcast(engine, chunks)
 
     monkeypatch.setattr(hmst, "_broadcast_from_node1", recording)
     return seeds
@@ -448,8 +448,8 @@ def record_multicast(monkeypatch, alter=None):
     received: dict[int, list[tuple[int, int]]] = {}
     multicast = hmst.vector_multicast
 
-    def recording(engine, senders, label="vector_multicast"):
-        out, rounds = multicast(engine, senders, label=label)
+    def recording(engine, senders):
+        out, rounds = multicast(engine, senders)
         if alter in out and alter not in received:
             src, got = out[alter][0]
             out[alter][0] = (src, ((got[0][0] ^ 1, got[0][1]),) + got[1:])

@@ -147,37 +147,32 @@ def test_bounded_route_degenerate_is_single_task():
     n = 8
     items = random_legal_batch(rng, n)
     eng = make_engine(n)
-    delivered, rounds = route(bounded_route, eng, items, k=1, ell=1)
+    delivered, rounds = route(bounded_route, eng, items)
     assert delivered_multiset(delivered) == requested_multiset(items)
 
 
 def test_bounded_route_k2_l3():
+    """Peak loads of 2n sends (node 1) and 3n receives (node n) derive
+    k=2 and l=3; the other nodes send n items each to nodes 1..n-1."""
     rng = random.Random(2)
     n = 8
-    # per-node sends <= 2n, receives <= 3n
-    recv = Counter()
-    items = []
-    for src in range(1, n + 1):
-        for _ in range(rng.randrange(n, 2 * n + 1)):
-            choices = [d for d in range(1, n + 1) if recv[d] < 3 * n]
-            dst = rng.choice(choices)
-            recv[dst] += 1
-            items.append(RoutingItem(src, dst, rng.randrange(256), 8))
+    dsts = {1: [n] * (2 * n), 2: [n] * n}
+    for src in range(3, n + 1):
+        dsts[src] = [rng.randrange(1, n) for _ in range(n)]
+    items = [
+        RoutingItem(src, dst, rng.randrange(256), 8)
+        for src in sorted(dsts) for dst in dsts[src]
+    ]
+    sends = Counter(it.src for it in items if it.src != it.dst)
+    recvs = Counter(it.dst for it in items if it.src != it.dst)
+    assert max(sends.values()) == 2 * n and max(recvs.values()) == 3 * n
     eng = make_engine(n)
-    delivered, rounds = route(bounded_route, eng, items, k=2, ell=3)
+    delivered, rounds = route(bounded_route, eng, items)
     assert delivered_multiset(delivered) == requested_multiset(items)
 
     acc = make_engine(n, routing="accounted")
-    _, acc_rounds = route(bounded_route, acc, items, k=2, ell=3)
-    assert acc_rounds <= 6 * acc.cfg.c_idt + 12
-
-
-def test_bounded_route_precondition():
-    n = 4
-    eng = make_engine(n)
-    items = [RoutingItem(1, 1 + (j % (n - 1)) + 1, 0, 1) for j in range(n + 1)]
-    with pytest.raises(PreconditionError):
-        route(bounded_route, eng, items, k=1, ell=n)
+    _, acc_rounds = route(bounded_route, acc, items)
+    assert acc_rounds == bounded_route_accounted_rounds(2, 3, acc.cfg.c_idt)
 
 
 def test_bounded_route_accounted_monotone():
@@ -254,6 +249,16 @@ def test_multicast_duplicate_recipient_rejected():
     eng = make_engine(4)
     with pytest.raises(PreconditionError):
         vector_multicast(eng, {1: ([(0, 1)], [2, 2])})
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+@pytest.mark.parametrize("sender", [0, 9])
+def test_multicast_rejects_sender_outside_clique(routing, sender):
+    """Both backends refuse a sender outside 1..n before any charge."""
+    eng = make_engine(8, routing=routing)
+    with pytest.raises(PreconditionError, match=f"sender {sender} outside 1..8"):
+        vector_multicast(eng, {sender: ([(1, 4)], [2, 3])})
+    assert eng.ledger.rounds == 0 and eng.ledger.messages == 0
 
 
 def test_multicast_self_recipient_free():
