@@ -50,29 +50,17 @@ class BitVector:
     def zeros(cls, n: int) -> "BitVector":
         return cls(n, 0)
 
-    @classmethod
-    def ones(cls, n: int) -> "BitVector":
-        return cls(n, (1 << n) - 1)
-
     def get(self, i: int) -> int:
         """Coordinate i, 1-based."""
         if not 1 <= i <= self.n:
             raise IndexError(f"coordinate {i} out of range 1..{self.n}")
         return (self.value >> (i - 1)) & 1
 
-    def flip(self, i: int) -> "BitVector":
-        if not 1 <= i <= self.n:
-            raise IndexError(f"coordinate {i} out of range 1..{self.n}")
-        return BitVector(self.n, self.value ^ (1 << (i - 1)))
-
     def bits(self) -> tuple[int, ...]:
         return tuple((self.value >> i) & 1 for i in range(self.n))
 
     def to01(self) -> str:
         return "".join(str(b) for b in self.bits())
-
-    def popcount(self) -> int:
-        return self.value.bit_count()
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         _check_len(self, other)
@@ -371,12 +359,10 @@ def local_mst(H) -> Tree:
     return Tree(n, tuple(picked))
 
 
-def euler_traversal(tree: Tree, edge_costs: Mapping[int, int] | None = None) -> Traversal:
+def euler_traversal(tree: Tree, edge_costs: Mapping[int, int]) -> Traversal:
     """Depth-first closed tour of ``tree`` from vertex 1, children visited
-    in ascending vertex order.  Per-directed-edge costs default to the
-    tree's own edge weights; ``edge_costs`` (1-based edge index -> cost)
-    overrides.
-    """
+    in ascending vertex order; each directed edge costs ``edge_costs`` of
+    its 1-based edge index."""
     adj = tree.adjacency()
     directed: list[tuple[int, int]] = []
     indices: list[int] = []
@@ -401,10 +387,7 @@ def euler_traversal(tree: Tree, edge_costs: Mapping[int, int] | None = None) -> 
             directed.append((v, parent))
             # Walking back over the same tree edge.
             indices.append(next(e for u, e in adj[v] if u == parent))
-    if edge_costs is None:
-        costs = tuple(tree.edge(i).weight for i in indices)
-    else:
-        costs = tuple(int(edge_costs[i]) for i in indices)
+    costs = tuple(int(edge_costs[i]) for i in indices)
     return Traversal(1, tuple(directed), tuple(indices), costs)
 
 

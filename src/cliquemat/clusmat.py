@@ -10,13 +10,11 @@ node, which reconstructs the block's rows incrementally from witness lists
 and updates per-column overlap counts only at flipped coordinates.
 
 The ledger charges that incremental-count work as the paper states it.  The
-simulation reaches the same entries more cheaply on the host.  What nodes
-derive from the same objects is derived once, keyed by identity (a node
-holding other objects derives its own): the step-6 plan, the step-8
-witness decode and the step-10 block rows, which come from one prefix XOR
-of per-edge masks (:func:`visited_rows`); each pair node then tests them
-against its own columns in one product (:func:`block_multiply`).  Bulk
-routing tasks are built and read as numpy columns.
+simulation reaches the same entries more cheaply on the host: a block's
+rows come from one prefix XOR of per-edge masks (:func:`visited_rows`), and
+each pair node tests them against its own columns in one product
+(:func:`block_multiply`).  Bulk routing tasks are built and read as numpy
+columns.
 
 Inputs come from node storage only: the entry points put row i of A and
 row i of B at node i once, and every step after that reads what the nodes
@@ -74,6 +72,7 @@ from .errors import (
     InvalidWitnessError,
     SchedulingError,
 )
+from . import routing
 from .hmst import ProjectionConfig, run_hmst
 from .routing import (
     Batch,
@@ -263,9 +262,45 @@ def witness_schedules(
     return out
 
 
+def _derive_plan(
+    tree: Tree, distances: Mapping[int, int], n: int
+) -> tuple[TraversalPlan, BlockAssignment, dict[int, WitnessSchedule]]:
+    """Step 6 at any node: the tour of the tree under the edge distances,
+    its blocks, the pair assignment and the witness schedules."""
+    plan = plan_blocks(euler_traversal(tree, edge_costs=distances), n)
+    assignment = assign_pairs(plan, n)
+    return plan, assignment, witness_schedules(plan, assignment, distances, n)
+
+
 # ---------------------------------------------------------------------------
 # witness distribution (step 8)
 # ---------------------------------------------------------------------------
+
+def _packet_array(vec: Sequence[tuple[int, int]]) -> np.ndarray:
+    return np.array([p for p, _ in vec], dtype=np.int64)
+
+
+def _block_witnesses(
+    n: int, plan: TraversalPlan, b: int, distances: Mapping[int, int], *arrays: np.ndarray
+) -> dict[int, np.ndarray]:
+    """Tour block b's witness lists (edge -> ascending coordinates) from the
+    packet arrays one of its pair nodes received."""
+    cb = count_bits(n)
+    packets = np.sort(np.concatenate([np.zeros(0, np.int64), *arrays]))
+    edges, coords = packets >> cb, (packets & ((1 << cb) - 1)) + 1
+    block_edges = plan.block_edge_ids(b)
+    lo = np.searchsorted(edges, block_edges, "left").tolist()
+    hi = np.searchsorted(edges, block_edges, "right").tolist()
+    by_edge: dict[int, np.ndarray] = {}
+    for e, a, z in zip(block_edges, lo, hi):
+        if z - a != distances[e]:
+            raise SchedulingError(
+                f"a pair node of block {b} holds {z - a} witnesses of edge {e}, "
+                f"expected {distances[e]}"
+            )
+        by_edge[e] = coords[a:z]
+    return by_edge
+
 
 def distribute_witnesses(engine: CliqueEngine) -> None:
     """Two-stage delivery: every edge owner routes each witness to one block
@@ -276,8 +311,7 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     Reads per-node storage written by earlier steps (``wit``, ``plan``,
     ``assignment``, ``schedules``, ``distances``), leaves each pair node's
     received packet arrays under ``witness_packets`` and fills
-    ``block_witnesses`` (edge -> ascending coordinates) from them, decoded
-    once per distinct (plan, block, distances, arrays), keyed by identity.
+    ``block_witnesses`` (edge -> ascending coordinates) from them.
 
     Accounted, stage 2 counts one message per packet copy from its
     representative and leaves out the multicast announcements (ranks and
@@ -310,7 +344,6 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     # representative -> (its packets (edge << cb) | (coordinate - 1), sorted
     # by (edge, coordinate), and its block's pair nodes)
     rep_packets: dict[int, tuple[np.ndarray, list[int]]] = {}
-    coord_mask = (1 << cb) - 1
 
     def collect_rep(node):
         got = delivered.span(node.id)
@@ -342,7 +375,7 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
         cap = max(s.capacity for s in schedules.values())
         used_pub = math.ceil(max_total / cap)
         substages = math.ceil(cap / n)
-        per_subtask = multicast_accounted_rounds(n, min(cap, n), engine.cfg.c_idt)
+        per_subtask = multicast_accounted_rounds(n, min(cap, n), routing.C_IDT)
         engine.charge_rounds(substages * used_pub * per_subtask, "vector_multicast")
         reps = sorted(rep_packets)
         fan = [len(rep_packets[rep][1]) for rep in reps]
@@ -369,44 +402,24 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
             if not senders:
                 continue
             out, _ = vector_multicast(engine, senders)
-            # recipients of one sender share its vector: decode it once
-            vectors = {id(vec): vec for got in out.values() for _, vec in got}
-            arrays = {i: np.array([p for p, _ in vec], dtype=np.int64) for i, vec in vectors.items()}
             for v in sorted(out):
-                received.setdefault(v, []).extend(arrays[id(vec)] for _, vec in out[v])
+                received.setdefault(v, []).extend(
+                    engine.derive(_packet_array, vec) for _, vec in out[v]
+                )
 
     def deliver(node):
         node.storage["witness_packets"] = received.get(node.id, [])
 
     engine.local(deliver)
-    decoded: dict[tuple, dict[int, np.ndarray]] = {}
 
     def store_block_witnesses(node):
-        assignment: BlockAssignment = node.storage.get("assignment")
+        st = node.storage
+        assignment: BlockAssignment = st.get("assignment")
         pair = assignment.pair_of(node.id) if assignment else None
-        if pair is None:
-            return
-        plan: TraversalPlan = node.storage["plan"]
-        distances: dict[int, int] = node.storage["distances"]
-        arrays: list[np.ndarray] = node.storage["witness_packets"]
-        b = pair[0]
-        key = (id(plan), b, id(distances), *map(id, arrays))
-        if key not in decoded:
-            packets = np.sort(np.concatenate([np.zeros(0, np.int64), *arrays]))
-            edges, coords = packets >> cb, (packets & coord_mask) + 1
-            block_edges = plan.block_edge_ids(b)
-            lo = np.searchsorted(edges, block_edges, "left").tolist()
-            hi = np.searchsorted(edges, block_edges, "right").tolist()
-            by_edge: dict[int, np.ndarray] = {}
-            for e, a, z in zip(block_edges, lo, hi):
-                if z - a != distances[e]:
-                    raise SchedulingError(
-                        f"pair node {node.id} holds {z - a} witnesses of edge {e}, "
-                        f"expected {distances[e]}"
-                    )
-                by_edge[e] = coords[a:z]
-            decoded[key] = by_edge
-        node.storage["block_witnesses"] = decoded[key]
+        if pair is not None:
+            st["block_witnesses"] = engine.derive(
+                _block_witnesses, n, st["plan"], pair[0], st["distances"], *st["witness_packets"]
+            )
 
     engine.local(store_block_witnesses)
 
@@ -452,6 +465,15 @@ def visited_rows(
     first = np.sort(np.unique(vertices, return_index=True)[1])
     bits = np.unpackbits(rows[first].view(np.uint8), axis=1, bitorder="little")[:, :n]
     return vertices[first], bits.astype(np.float32)
+
+
+def _block_rows(
+    plan: TraversalPlan, b: int, start_row: BitVector, witnesses_by_edge: Mapping[int, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`visited_rows` of tour block b."""
+    tour, (lo, hi) = plan.traversal, plan.traversal_blocks[b - 1]
+    walk = [(*tour.directed_edges[i], tour.edge_indices[i]) for i in range(lo, hi)]
+    return visited_rows(plan.block_start_vertex(b), start_row, walk, witnesses_by_edge)
 
 
 def block_multiply(
@@ -579,24 +601,24 @@ def _multicast_rows(
 
     engine.local(build)
     out, _ = vector_multicast(engine, senders)
-    # recipients of one sender share its vector: decode it once
-    vectors = {id(vec): vec for got in out.values() for _, vec in got}
-    rows = {i: BitVector(n, unpack_chunks(vec)[0]) for i, vec in vectors.items()}
-    return {v: {sender: rows[id(vec)] for sender, vec in got} for v, got in out.items()}
+    return {
+        v: {sender: engine.derive(_row_of, n, vec) for sender, vec in got}
+        for v, got in out.items()
+    }
+
+
+def _row_of(n: int, vec: Sequence[tuple[int, int]]) -> BitVector:
+    return BitVector(n, unpack_chunks(vec)[0])
 
 
 def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str, suffix: str = "") -> None:
     """Each node multicasts its row to the owners of its incident tree edges;
     every owner ends with both endpoint rows (at most two vectors each)
-    under ``edge_rows``.  Nodes share one adjacency per distinct tree
-    object (step 3 hands every node the same one)."""
-    adjacency: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    under ``edge_rows``."""
 
     def incident_edges(node):
-        tree: Tree = node.storage["tree" + suffix]
-        if id(tree) not in adjacency:
-            adjacency[id(tree)] = tree.adjacency()
-        return [idx for _, idx in adjacency[id(tree)][node.id]]
+        adjacency = engine.derive(Tree.adjacency, node.storage["tree" + suffix])
+        return [idx for _, idx in adjacency[node.id]]
 
     received = _multicast_rows(engine, row_key, incident_edges)
 
@@ -692,10 +714,7 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
     cb = count_bits(n)
 
     # step 6: owners list their edge's witnesses; identical local planning
-    # at every node.  Steps 3 and 5 hand every node the same tree and
-    # distance objects, so nodes share one derivation per distinct pair,
-    # keyed by identity (a node holding other objects derives its own); each
-    # node is still charged 2n for it.
+    # at every node
     with engine.step("step6"):
 
         def list_witnesses(node):
@@ -708,22 +727,12 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
             engine.charge_work(node.id, len(wit))
 
         engine.local(list_witnesses)
-        derived: dict[tuple[int, int], tuple] = {}
 
         def make_plan(node):
-            t: Tree = node.storage["tree"]
-            distances: dict[int, int] = node.storage["distances"]
-            key = (id(t), id(distances))
-            if key not in derived:
-                tour = euler_traversal(t, edge_costs=distances)
-                plan = plan_blocks(tour, n)
-                assignment = assign_pairs(plan, n)
-                schedules = witness_schedules(plan, assignment, distances, n)
-                derived[key] = (plan, assignment, schedules)
-            plan, assignment, schedules = derived[key]
-            node.storage["plan"] = plan
-            node.storage["assignment"] = assignment
-            node.storage["schedules"] = schedules
+            st = node.storage
+            st["plan"], st["assignment"], st["schedules"] = engine.derive(
+                _derive_plan, st["tree"], st["distances"], n
+            )
             engine.charge_work(node.id, 2 * n)
 
         engine.local(make_plan)
@@ -789,31 +798,22 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
         engine.local(store_cols)
 
     # step 10: incremental multiply, then entries home as (vertex, column,
-    # bit) columns; every row is assembled by one scatter into an n x n grid.
-    # A block's rows are rebuilt once per distinct (plan, block, start row,
-    # witnesses), keyed by identity; each node multiplies its own columns.
+    # bit) columns; every row is assembled by one scatter into an n x n grid
     with engine.step("step10"):
         blocks: list[tuple[np.ndarray, ...]] = []  # (src, vertex, column, bit)
-        rebuilt: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
         def multiply(node):
-            asg: BlockAssignment = node.storage["assignment"]
-            pair = asg.pair_of(node.id)
+            st = node.storage
+            pair = st["assignment"].pair_of(node.id)
             if pair is None:
                 return
-            pl: TraversalPlan = node.storage["plan"]
+            pl: TraversalPlan = st["plan"]
             b, _ = pair
-            start_row, wit = node.storage["start_row"], node.storage["block_witnesses"]
-            key = (id(pl), b, id(start_row), id(wit))
-            if key not in rebuilt:
-                tour, (lo, hi) = pl.traversal, pl.traversal_blocks[b - 1]
-                walk = [(*tour.directed_edges[i], tour.edge_indices[i]) for i in range(lo, hi)]
-                rebuilt[key] = visited_rows(pl.block_start_vertex(b), start_row, walk, wit)
-            node.storage["block_rows"] = rebuilt[key]
-            vertex, j, bit = block_multiply(*rebuilt[key], node.storage["columns"])
-            engine.charge_work(
-                node.id, (n + pl.block_costs[b - 1]) * len(node.storage["columns"])
+            st["block_rows"] = engine.derive(
+                _block_rows, pl, b, st["start_row"], st["block_witnesses"]
             )
+            vertex, j, bit = block_multiply(*st["block_rows"], st["columns"])
+            engine.charge_work(node.id, (n + pl.block_costs[b - 1]) * len(st["columns"]))
             blocks.append((np.full(vertex.size, node.id), vertex, j, bit))
 
         engine.local(multiply)

@@ -26,6 +26,10 @@ messages sent plus received), in which :meth:`exchange` and
 :meth:`measure` credits a block's rounds to a primitive and :meth:`step`
 records them as one protocol step.
 
+What nodes derive from the same objects, :meth:`derive` computes once and
+hands to each of them; a node holding other objects derives its own.
+Callers still charge every node its own work.
+
 Accounted per-node work is an upper bound, not a measurement: accounted
 ``vector_multicast`` counts every copy of a vector as a direct message from
 its sender, where the simulated doubling tree spreads the forwarding over
@@ -64,17 +68,12 @@ class Message(NamedTuple):
 
 @dataclass(frozen=True)
 class CliqueConfig:
-    """Model parameters for one run.
-
-    ``w`` is the payload capacity in bits.  ``c_idt`` is the round charge
-    for one relaxed information-distribution task in accounted mode.
-    """
+    """Model parameters for one run; ``w`` is the payload capacity in bits."""
 
     n: int
     w: int = 64
     seed: int = 0
     routing: str = SIMULATED
-    c_idt: int = 16
     max_rounds: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -82,8 +81,6 @@ class CliqueConfig:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
         if self.routing not in (SIMULATED, ACCOUNTED):
             raise ValueError(f"unknown routing mode {self.routing!r}")
-        if self.c_idt < 1:
-            raise ValueError("c_idt must be positive")
         floor = math.ceil(math.log2(self.n)) + 1
         if self.w < floor:
             raise ValueError(
@@ -204,6 +201,7 @@ class CliqueEngine:
         self.audit = False
         self._active: int | None = None
         self._buffer: dict[tuple[int, int], Message] = {}
+        self._derived: dict[tuple, tuple[object, tuple]] = {}
 
     # -- node access --------------------------------------------------------
 
@@ -238,6 +236,17 @@ class CliqueEngine:
             yield self.node(i)
         finally:
             self._active = prev
+
+    def derive(self, fn: Callable, *args):
+        """``fn(*args)``, computed once per engine for each distinct ``fn``
+        and arguments: ints compare by value, every other argument by
+        identity.  The engine keeps the arguments alive, so an id is never
+        reused; a call that raises caches nothing."""
+        key = (fn, *[a if type(a) is int else (id(a),) for a in args])
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = (fn(*args), args)
+        return hit[0]
 
     # -- messaging ----------------------------------------------------------
 

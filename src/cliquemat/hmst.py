@@ -16,14 +16,11 @@ Protocol outline (per-step round subtotals land in the ledger):
 3. estimate all pairwise distances and build the tree at node 1, from the
    chunks the delivered batch holds for it.
 
-Every node holds the replicated family, but the simulator derives it once
-per distinct input (the seed, or the received vector objects, which all
-recipients of one multicast share) and hands the same object to every node
-holding that input; each node is still charged its own regeneration.  Likewise, the points of all nodes holding the same
-family are sketched in one GF(2) matrix product (:func:`sketch_bits`),
-each node charged its own sketch.  Node 1's all-pairs estimate runs on
-packed sketch arrays and its tree is an O(n^2) Prim; the ledger charges the
-paper's per-pair work either way.
+The points of all nodes holding the same family object are sketched in one
+GF(2) matrix product (:func:`sketch_bits`), each node charged its own
+sketch.  Node 1's all-pairs estimate runs on packed sketch arrays and its
+tree is an O(n^2) Prim; the ledger charges the paper's per-pair work either
+way.
 """
 
 from __future__ import annotations
@@ -195,6 +192,18 @@ def rows_from_chunks(chunks: Sequence[tuple[int, int]], k: int, n: int) -> tuple
     return tuple((value >> (i * n)) & mask for i in range(k))
 
 
+def family_from_vectors(n: int, k: int, *vectors: tuple) -> ProjectionFamily:
+    """The family a node rebuilds from the projection vectors it received,
+    in scale order; every scale spans the same number of chunks."""
+    chunks = [c for vec in vectors for c in vec]
+    scales = scales_for(n)
+    per, extra = divmod(len(chunks), len(scales))
+    if extra:
+        raise MalformedSketchError(f"{len(chunks)} projection chunks for {len(scales)} scales")
+    mats = {r: rows_from_chunks(chunks[i * per:(i + 1) * per], k, n) for i, r in enumerate(scales)}
+    return ProjectionFamily(n, k, scales, mats, scale_thresholds(n, k))
+
+
 def sketches_from_chunks(
     chunks: Sequence[tuple[int, int]], k: int, num_scales: int
 ) -> tuple[int, ...]:
@@ -280,25 +289,15 @@ def run_hmst(
     k = proj.k_for(n)
     scales = scales_for(n)
 
-    # -- step 1: node 1 generates the projections and distributes them.
-    # Every node derives the family from what it holds; the simulator
-    # derives it once per distinct input (seed value or received vectors)
-    # and shares that object among the nodes holding the same input.
+    # -- step 1: node 1 generates the projections and distributes them
     with engine.step(step_prefix + "step1"):
         if proj.seed_mode:
             with engine.as_node(1) as node1:
                 seed64 = int(node1.rng.integers(0, 1 << 63))
-                by_seed = {seed64: ProjectionFamily.from_seed(n, k, seed64)}
-                node1.storage["family"] = by_seed[seed64]
-                engine.charge_work(1, len(scales) * math.ceil(k * n / w))
             _broadcast_from_node1(engine, pack_chunks(seed64, 64, w))
 
             def regen(node):
-                if node.id == 1:
-                    return
-                if seed64 not in by_seed:
-                    by_seed[seed64] = ProjectionFamily.from_seed(n, k, seed64)
-                node.storage["family"] = by_seed[seed64]
+                node.storage["family"] = engine.derive(ProjectionFamily.from_seed, n, k, seed64)
                 engine.charge_work(node.id, len(scales) * math.ceil(k * n / w))
 
             engine.local(regen)
@@ -308,10 +307,8 @@ def run_hmst(
                 node1.storage["family"] = family1
                 engine.charge_work(1, len(scales) * math.ceil(k * n / w))
             recipients = list(range(2, n + 1))
-            # per recipient and scale, the vectors it received, in order
-            received: dict[int, dict[int, list[tuple]]] = {
-                v: {r: [] for r in scales} for v in recipients
-            }
+            # per recipient, the vectors it received, in scale order
+            received: dict[int, list[tuple]] = {v: [] for v in recipients}
             for r in scales:
                 value, total_bits = family1.serialize_scale(r)
                 chunks = pack_chunks(value, total_bits, w)
@@ -319,21 +316,12 @@ def run_hmst(
                     vec = chunks[lo:lo + n]
                     out, _ = vector_multicast(engine, {1: (vec, recipients)})
                     for v, got in out.items():
-                        received[v][r].extend(vector for _, vector in got)
-
-            # keyed by the identities of the received vector objects, which
-            # every recipient of one multicast shares
-            by_vectors: dict[tuple, ProjectionFamily] = {}
+                        received[v].extend(vector for _, vector in got)
 
             def rebuild(node):
-                if node.id == 1:
-                    return
-                got = received[node.id]
-                key = tuple(tuple(map(id, got[r])) for r in scales)
-                if key not in by_vectors:
-                    mats = {r: rows_from_chunks(sum(got[r], ()), k, n) for r in scales}
-                    by_vectors[key] = ProjectionFamily(n, k, scales, mats, scale_thresholds(n, k))
-                node.storage["family"] = by_vectors[key]
+                if node.id != 1:
+                    got = received[node.id]
+                    node.storage["family"] = engine.derive(family_from_vectors, n, k, *got)
 
             engine.local(rebuild)
 

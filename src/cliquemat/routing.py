@@ -25,7 +25,7 @@ The simulated schedules:
   the next round announces one backlog count per (intermediate, destination)
   pair; then the item ranked q in its pair, by (src, tag, position), is
   drained q rounds later, one item per ordered pair per round.  Accounted:
-  ``c_idt`` rounds per ceil(sends/n) * ceil(receives/n).
+  :data:`C_IDT` rounds per ceil(sends/n) * ceil(receives/n).
 * ``bounded_route`` -- at most k*n sends and l*n receives per node, solved
   as sub-tasks of at most n items per sender, each split into relaxed tasks.
   Every relaxed task is preceded by two preamble rounds: senders announce
@@ -64,6 +64,9 @@ import numpy as np
 
 from .engine import CliqueEngine
 from .errors import CapacityError, PreconditionError
+
+# accounted round charge of one relaxed information-distribution task
+C_IDT = 16
 
 
 class RoutingItem(NamedTuple):
@@ -308,7 +311,7 @@ def solve_relaxed_idt(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
         raise PreconditionError(
             f"a node receives {max_recv} > n={n} items; use bounded_route"
         )
-    charge = idt_accounted_rounds(n, max_send, max_recv, engine.cfg.c_idt)
+    charge = idt_accounted_rounds(n, max_send, max_recv, C_IDT)
     return _deliver(b), _route(engine, b, charge, _idt_rounds, "relaxed_idt")
 
 
@@ -319,7 +322,7 @@ def bounded_route(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
     max_send, max_recv = _peak_loads(b)
     k = max(1, math.ceil(max_send / n))
     ell = max(1, math.ceil(max_recv / n))
-    charge = bounded_route_accounted_rounds(k, ell, engine.cfg.c_idt)
+    charge = bounded_route_accounted_rounds(k, ell, C_IDT)
     return _deliver(b), _route(engine, b, charge, _bounded_rounds, "bounded_route")
 
 
@@ -377,7 +380,7 @@ def vector_multicast(
         # direct message from the sender, each pair's rank, and each
         # recipient's announcement to every other node
         rounds = sum(
-            multicast_accounted_rounds(n, int(c), engine.cfg.c_idt)
+            multicast_accounted_rounds(n, int(c), C_IDT)
             for c in np.maximum.reduceat(chunks, cuts[:-1]).tolist()
         )
         engine.charge_rounds(rounds, "vector_multicast")

@@ -164,7 +164,8 @@ def test_witnesses_match_per_bit_reference(n):
             got = witnesses(x, y)
             assert got.dtype == np.int64
             assert got.tolist() == witnesses_per_bit(x, y)
-    assert witnesses(BitVector.zeros(n), BitVector.ones(n)).tolist() == list(range(1, n + 1))
+    ones = BitVector(n, (1 << n) - 1)
+    assert witnesses(BitVector.zeros(n), ones).tolist() == list(range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +316,21 @@ def test_tree_edge_numbering_and_validation():
 
 def test_euler_star():
     t = Tree(3, (WeightedEdge(1, 2, 1), WeightedEdge(1, 3, 1)))
-    tr = euler_traversal(t)
+    tr = euler_traversal(t, {i: e.weight for i, e in enumerate(t.edges, 1)})
     assert tr.directed_edges == ((1, 2), (2, 1), (1, 3), (3, 1))
     tr.validate(t)
 
 
 def test_euler_single_edge():
     t = Tree(2, (WeightedEdge(1, 2, 3),))
-    tr = euler_traversal(t)
+    tr = euler_traversal(t, {i: e.weight for i, e in enumerate(t.edges, 1)})
     assert tr.directed_edges == ((1, 2), (2, 1))
     assert tr.costs == (3, 3)
 
 
 def test_euler_path():
     t = Tree(3, (WeightedEdge(1, 2, 1), WeightedEdge(2, 3, 1)))
-    tr = euler_traversal(t)
+    tr = euler_traversal(t, {i: e.weight for i, e in enumerate(t.edges, 1)})
     assert tr.directed_edges == ((1, 2), (2, 3), (3, 2), (2, 1))
 
 
@@ -341,7 +342,7 @@ def test_euler_visits_all_and_costs_override():
         for j in range(i + 1, n):
             H[i][j] = H[j][i] = rng.randrange(1, 20)
     t = local_mst(H)
-    tr = euler_traversal(t)
+    tr = euler_traversal(t, {i: e.weight for i, e in enumerate(t.edges, 1)})
     tr.validate(t)
     seen = {tr.root} | {b for _, b in tr.directed_edges}
     assert seen == set(range(1, n + 1))

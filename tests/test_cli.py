@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cliquemat.bits import Tree, WeightedEdge, boolean_product_naive
+from cliquemat.bits import BitVector, Tree, WeightedEdge, boolean_product_naive
 from cliquemat.cli import main
 from cliquemat.harness import GenSpec, generate
 from cliquemat.textio import (
@@ -60,7 +60,7 @@ def test_verify_rejects_bad_product(tmp_path):
     run_cli("gen", "--n", "8", "--kind", "uniform", "--seed", "2", "--out", str(b))
     A, B = read_matrix(a), read_matrix(b)
     C = boolean_product_naive(A, B)
-    bad = C.rows[0].flip(1)
+    bad = C.rows[0] ^ BitVector(8, 1)
     write_matrix(c, type(C)((bad,) + C.rows[1:]))
     assert run_cli("verify", "--a", str(a), "--b", str(b), "--c", str(c)) == 1
 

@@ -67,7 +67,7 @@ def test_plan_blocks_zero_cost():
 def test_plan_blocks_column_arithmetic():
     # n=100, M=300 -> t=2, 50 column blocks of size 2
     tree = Tree(3, (WeightedEdge(1, 2, 75), WeightedEdge(2, 3, 75)))
-    tour = euler_traversal(tree)
+    tour = euler_traversal(tree, {i: e.weight for i, e in enumerate(tree.edges, 1)})
     plan = plan_blocks(tour, n=100)
     assert plan.total_cost == 300
     assert plan.t == 2
@@ -365,7 +365,7 @@ def test_block_multiply_matches_naive_on_tour_blocks():
         tree = Tree(n, tuple(
             WeightedEdge(rng.randrange(1, i), i, 0) for i in range(2, n + 1)
         ))
-        tour = euler_traversal(tree)
+        tour = euler_traversal(tree, {i: e.weight for i, e in enumerate(tree.edges, 1)})
         wit = {
             idx: witnesses(rows[e.u - 1], rows[e.v - 1])
             for idx, e in enumerate(tree.edges, start=1)

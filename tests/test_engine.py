@@ -326,3 +326,71 @@ def test_step_that_raises_records_nothing():
         with eng.step("s"):
             eng.exchange(3, [0, 2], [1, 2], [2, 1], 1)
     assert eng.ledger.step_rounds == {}
+
+
+# ---------------------------------------------------------------------------
+# derive
+# ---------------------------------------------------------------------------
+
+def counting(calls):
+    def fn(*args):
+        calls.append(args)
+        return [len(calls)]
+
+    return fn
+
+
+def test_derive_calls_once_for_the_same_objects():
+    eng = make_engine(4)
+    calls = []
+    fn = counting(calls)
+    table, row = {1: 2}, (3, 4)
+    first = eng.derive(fn, table, row)
+    assert eng.derive(fn, table, row) is first
+    assert calls == [(table, row)]
+
+
+def test_derive_separates_equal_but_distinct_objects():
+    eng = make_engine(4)
+    calls = []
+    fn = counting(calls)
+    a, b = {1: 2}, {1: 2}
+    assert a == b and a is not b
+    assert eng.derive(fn, a) is not eng.derive(fn, b)
+    assert len(calls) == 2
+    assert eng.derive(fn, a) is eng.derive(fn, a)
+    assert len(calls) == 2
+
+
+def test_derive_keys_ints_by_value():
+    eng = make_engine(4)
+    calls = []
+    fn = counting(calls)
+    big = 1 << 70
+    first = eng.derive(fn, big, 5)
+    assert eng.derive(fn, int(str(big)), 2 + 3) is first
+    assert eng.derive(fn, big, 6) is not first
+    assert len(calls) == 2
+
+
+def test_derive_keys_on_the_function():
+    eng = make_engine(4)
+    calls = []
+    fn, other = counting(calls), counting(calls)
+    row = (1,)
+    assert eng.derive(fn, row) is not eng.derive(other, row)
+    assert len(calls) == 2
+
+
+def test_derive_caches_nothing_when_fn_raises():
+    eng = make_engine(4)
+    calls = []
+
+    def fails(x):
+        calls.append(x)
+        raise ValueError("bad input")
+
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bad input"):
+            eng.derive(fails, 7)
+    assert calls == [7, 7]

@@ -165,7 +165,7 @@ def test_sketch_kernel_matches_per_row_parity(n, k):
     rng = random.Random(n * 1000 + k)
     fam = ProjectionFamily.generate(n, k, np.random.default_rng(n + k))
     points = [BitVector(n, rng.getrandbits(n)) for _ in range(n + 3)]
-    points[0] = BitVector.ones(n)
+    points[0] = BitVector(n, (1 << n) - 1)
     bits = sketch_bits(fam, points)
     assert bits.shape == (len(points), len(fam.scales) * k)
     for x, row in zip(points, bits):

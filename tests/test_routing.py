@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cliquemat.engine import CliqueConfig, CliqueEngine
 from cliquemat.errors import CapacityError, PreconditionError
 from cliquemat.routing import (
+    C_IDT,
     Batch,
     RoutingItem,
     bounded_route,
@@ -111,11 +112,11 @@ def test_idt_precondition_errors():
 
 
 def test_idt_accounted_charges_constant():
-    eng = make_engine(8, routing="accounted", c_idt=16)
+    eng = make_engine(8, routing="accounted")
     items = [RoutingItem(1, 2, 5, 8), RoutingItem(3, 4, 6, 8)]
     delivered, rounds = route(solve_relaxed_idt, eng, items)
-    assert rounds == 16
-    assert eng.ledger.rounds == 16
+    assert rounds == C_IDT
+    assert eng.ledger.rounds == C_IDT
     assert eng.ledger.messages == 2
     assert delivered_multiset(delivered) == requested_multiset(items)
 
@@ -172,7 +173,7 @@ def test_bounded_route_k2_l3():
 
     acc = make_engine(n, routing="accounted")
     _, acc_rounds = route(bounded_route, acc, items)
-    assert acc_rounds == bounded_route_accounted_rounds(2, 3, acc.cfg.c_idt)
+    assert acc_rounds == bounded_route_accounted_rounds(2, 3, C_IDT)
 
 
 def test_bounded_route_accounted_monotone():
@@ -309,7 +310,7 @@ def reference_multicast_ledger(eng, senders):
         rows += [(v, u, idbits) for _, v in pairs for u in range(1, n + 1) if u != v]
         rows += [(s, v, nbits) for s, v in pairs for _, nbits in net[s][0]]
         widest = max(len(net[s][0]) for s in sub)
-        eng.charge_rounds(multicast_accounted_rounds(n, widest, eng.cfg.c_idt), "vector_multicast")
+        eng.charge_rounds(multicast_accounted_rounds(n, widest, C_IDT), "vector_multicast")
         eng.count_messages(*(np.array(col) for col in zip(*rows)))
 
 
