@@ -66,14 +66,6 @@ class BitVector:
         _check_len(self, other)
         return BitVector(self.n, self.value ^ other.value)
 
-    def __and__(self, other: "BitVector") -> "BitVector":
-        _check_len(self, other)
-        return BitVector(self.n, self.value & other.value)
-
-    def __or__(self, other: "BitVector") -> "BitVector":
-        _check_len(self, other)
-        return BitVector(self.n, self.value | other.value)
-
 
 def _check_len(x: BitVector, y: BitVector) -> None:
     if x.n != y.n:
@@ -113,20 +105,8 @@ class BooleanMatrix:
         return len(self.rows)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[BitVector]) -> "BooleanMatrix":
-        return cls(tuple(rows))
-
-    @classmethod
     def from_strings(cls, lines: Iterable[str]) -> "BooleanMatrix":
         return cls(tuple(BitVector.from_string(s) for s in lines))
-
-    @classmethod
-    def from_lists(cls, data: Sequence[Sequence[int]]) -> "BooleanMatrix":
-        return cls(tuple(BitVector.from_bits(row) for row in data))
-
-    @classmethod
-    def identity(cls, n: int) -> "BooleanMatrix":
-        return cls(tuple(BitVector(n, 1 << i) for i in range(n)))
 
     @classmethod
     def zeros(cls, n: int) -> "BooleanMatrix":

@@ -197,9 +197,6 @@ class BlockAssignment:
     num_blocks: int
     q: int
 
-    def node_for(self, b: int, c: int) -> int:
-        return (b - 1) * self.q + c
-
     def pair_of(self, v: int) -> tuple[int, int] | None:
         """The (tour block, column block) pair node v serves, if any."""
         b, c = divmod(v - 1, self.q)
@@ -276,10 +273,6 @@ def _derive_plan(
 # witness distribution (step 8)
 # ---------------------------------------------------------------------------
 
-def _packet_array(vec: Sequence[tuple[int, int]]) -> np.ndarray:
-    return np.array([p for p, _ in vec], dtype=np.int64)
-
-
 def _block_witnesses(
     n: int, plan: TraversalPlan, b: int, distances: Mapping[int, int], *arrays: np.ndarray
 ) -> dict[int, np.ndarray]:
@@ -320,35 +313,31 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     """
     n = engine.n
     cb = count_bits(n)
-    # (edge, representative, coordinate) columns of every witness run
-    runs = [(np.zeros(0, np.int64),) * 3]
 
+    # (edge, representative, coordinate) columns of the witness run of each
+    # tour block that covers the node's edge
     def build_stage1(node):
         wit = node.storage.get("wit")
         if wit is None:
-            return
-        plan: TraversalPlan = node.storage["plan"]
+            return None
         schedules: dict[int, WitnessSchedule] = node.storage["schedules"]
-        e = node.id
-        for b in range(1, plan.num_blocks + 1):
-            sched = schedules[b]
-            if e in sched.edge_offsets:
-                pos = sched.edge_offsets[e] + np.arange(wit.size)
-                runs.append((np.full(wit.size, e), sched.rep_for_positions(pos), wit))
+        e, pos = node.id, np.arange(wit.size)
+        return [
+            (np.full(wit.size, e), s.rep_for_positions(s.edge_offsets[e] + pos), wit)
+            for s in schedules.values() if e in s.edge_offsets
+        ]
 
-    engine.local(build_stage1)
-    edge, reps, coords = (np.concatenate(c) for c in zip(*runs))
+    runs = [run for node_runs in engine.local(build_stage1).values() for run in node_runs]
+    edge, reps, coords = (np.concatenate(c) for c in zip((np.zeros(0, np.int64),) * 3, *runs))
     stage1 = Batch.build(engine.w, edge, reps, 2 * cb, (edge << cb) | (coords - 1), tag=edge)
     delivered, _ = bounded_route(engine, stage1)
 
-    # representative -> (its packets (edge << cb) | (coordinate - 1), sorted
-    # by (edge, coordinate), and its block's pair nodes)
-    rep_packets: dict[int, tuple[np.ndarray, list[int]]] = {}
-
+    # a representative's packets (edge << cb) | (coordinate - 1), sorted by
+    # (edge, coordinate), and its block's pair nodes
     def collect_rep(node):
         got = delivered.span(node.id)
         if got.start == got.stop:
-            return
+            return None
         sched_map: dict[int, WitnessSchedule] = node.storage["schedules"]
         assignment: BlockAssignment = node.storage["assignment"]
         pair = assignment.pair_of(node.id)
@@ -359,13 +348,17 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
             raise SchedulingError(
                 f"representative {node.id} got {packets.size} witnesses"
             )
-        rep_packets[node.id] = (packets, assignment.nodes_for_block(b))
+        return packets, assignment.nodes_for_block(b)
 
-    engine.local(collect_rep)
+    rep_packets: dict[int, tuple[np.ndarray, range]] = engine.local(collect_rep)
 
     # stage 2: representatives push their packets to every pair node of
-    # their block, as sub-vectors of at most n messages each
+    # their block, as sub-vectors of at most n messages each; both backends
+    # deliver the same arrays and differ only in what they charge
     received: dict[int, list[np.ndarray]] = {}
+    for packets, recips in rep_packets.values():
+        for v in recips:
+            received.setdefault(v, []).append(packets)
     if engine.accounted and rep_packets:
         # charge the published bound: O(1) sub-stages, each delivering one
         # vector from each of the O(block total / n) loaded representatives
@@ -377,40 +370,23 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
         substages = math.ceil(cap / n)
         per_subtask = multicast_accounted_rounds(n, min(cap, n), routing.C_IDT)
         engine.charge_rounds(substages * used_pub * per_subtask, "vector_multicast")
-        reps = sorted(rep_packets)
+        reps = list(rep_packets)
         fan = [len(rep_packets[rep][1]) for rep in reps]
         src = np.repeat(reps, fan)
         dst = np.concatenate([rep_packets[rep][1] for rep in reps])
         count = np.repeat([rep_packets[rep][0].size for rep in reps], fan) * (src != dst)
         load = np.bincount(src, count, n + 1) + np.bincount(dst, count, n + 1)
         engine.count_traffic(count.sum(), 2 * cb * count.sum(), load.astype(np.int64))
-        for rep in reps:
-            packets, recips = rep_packets[rep]
-            for v in recips:
-                received.setdefault(v, []).append(packets)
     else:
         substages = max(
             (math.ceil(p.size / n) for p, _ in rep_packets.values()), default=0
         )
         for s in range(substages):
-            senders = {}
-            for rep in sorted(rep_packets):
-                packets, recips = rep_packets[rep]
-                part = packets[s * n:(s + 1) * n].tolist()
-                if part:
-                    senders[rep] = ([(p, 2 * cb) for p in part], recips)
-            if not senders:
-                continue
-            out, _ = vector_multicast(engine, senders)
-            for v in sorted(out):
-                received.setdefault(v, []).extend(
-                    engine.derive(_packet_array, vec) for _, vec in out[v]
-                )
-
-    def deliver(node):
-        node.storage["witness_packets"] = received.get(node.id, [])
-
-    engine.local(deliver)
+            vector_multicast(engine, {
+                rep: ([(p, 2 * cb) for p in packets[s * n:(s + 1) * n].tolist()], recips)
+                for rep, (packets, recips) in rep_packets.items() if packets.size > s * n
+            })
+    engine.put("witness_packets", {v: received.get(v, []) for v in engine.node_ids()})
 
     def store_block_witnesses(node):
         st = node.storage
@@ -521,12 +497,8 @@ def _place_inputs(engine: CliqueEngine, A: BooleanMatrix, B: BooleanMatrix) -> N
             f"payload capacity {engine.w} cannot carry an edge id and a coordinate "
             f"({2 * cb} bits) at n={n}"
         )
-
-    def place(node):
-        node.storage["a_row"] = A.row(node.id)
-        node.storage["b_row"] = B.row(node.id)
-
-    engine.local(place)
+    engine.put("a_row", dict(enumerate(A.rows, 1)))
+    engine.put("b_row", dict(enumerate(B.rows, 1)))
 
 
 def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> None:
@@ -534,24 +506,14 @@ def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> Non
     under ``src_key`` to node i, so node i stores column i under
     ``out_key``."""
     n = engine.n
-    rows: list[BitVector] = []
-
-    def send(node):
-        rows.append(node.storage[src_key])
-
-    engine.local(send)
+    rows = engine.local(lambda node: node.storage[src_key])
     src = np.repeat(np.arange(1, n + 1), n)
-    bits = BooleanMatrix(tuple(rows)).to_array().ravel()  # node j's bit i goes to node i
+    bits = BooleanMatrix(tuple(rows.values())).to_array().ravel()  # node j's bit i goes to node i
     batch = Batch.build(engine.w, src, np.tile(np.arange(1, n + 1), n), 1, bits, tag=src)
     delivered, _ = solve_relaxed_idt(engine, batch)
     received = np.zeros((n, n), dtype=np.uint8)
     received[delivered.dst - 1, delivered.src - 1] = delivered.payload
-    columns = pack_rows(received)
-
-    def build(node):
-        node.storage[out_key] = BitVector(n, columns[node.id - 1])
-
-    engine.local(build)
+    engine.put(out_key, {i: BitVector(n, col) for i, col in enumerate(pack_rows(received), 1)})
 
 
 def _broadcast_tree(engine: CliqueEngine, suffix: str = "") -> None:
@@ -577,11 +539,7 @@ def _broadcast_tree(engine: CliqueEngine, suffix: str = "") -> None:
     )
 
     structure = Tree(n, tuple(WeightedEdge(u, v, 0) for u, v in pairs))
-
-    def store(node):
-        node.storage["tree" + suffix] = structure
-
-    engine.local(store)
+    engine.put("tree" + suffix, dict.fromkeys(engine.node_ids(), structure))
 
 
 def _multicast_rows(
@@ -591,16 +549,15 @@ def _multicast_rows(
     nodes ``recipients(node)`` names, if any.  Returns, per receiving node,
     the rows it received keyed by sender, in ascending sender order."""
     n = engine.n
-    senders = {}
 
     def build(node):
         recips = recipients(node)
-        if recips:
-            row: BitVector = node.storage[row_key]
-            senders[node.id] = (pack_chunks(row.value, n, engine.w), sorted(recips))
+        if not recips:
+            return None
+        row: BitVector = node.storage[row_key]
+        return pack_chunks(row.value, n, engine.w), sorted(recips)
 
-    engine.local(build)
-    out, _ = vector_multicast(engine, senders)
+    out, _ = vector_multicast(engine, engine.local(build))
     return {
         v: {sender: engine.derive(_row_of, n, vec) for sender, vec in got}
         for v, got in out.items()
@@ -621,11 +578,7 @@ def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str, suffix: str = "")
         return [idx for _, idx in adjacency[node.id]]
 
     received = _multicast_rows(engine, row_key, incident_edges)
-
-    def store(node):
-        node.storage["edge_rows" + suffix] = received.get(node.id, {})
-
-    engine.local(store)
+    engine.put("edge_rows" + suffix, {v: received.get(v, {}) for v in engine.node_ids()})
 
 
 def _owner_distance_broadcast(engine: CliqueEngine, suffix: str = "") -> None:
@@ -635,27 +588,20 @@ def _owner_distance_broadcast(engine: CliqueEngine, suffix: str = "") -> None:
     tree's true cost."""
     n = engine.n
     cb = count_bits(n)
-    values: dict[int, int] = {}
 
     def compute(node):
         tree: Tree = node.storage["tree" + suffix]
         if node.id > n - 1:
-            return
+            return None
         e = tree.edge(node.id)
         rows: dict[int, BitVector] = node.storage["edge_rows" + suffix]
-        values[node.id] = hamming_distance(rows[e.u], rows[e.v])
         engine.charge_work(node.id, math.ceil(n / engine.w))
+        return hamming_distance(rows[e.u], rows[e.v])
 
-    engine.local(compute)
-    src, dst = to_all_others(n, sorted(values))
+    table = engine.local(compute)
+    src, dst = to_all_others(n, list(table))
     engine.exchange(1, 0, src, dst, cb, label="step5")
-
-    table = dict(values)
-
-    def store(node):
-        node.storage["distances" + suffix] = table
-
-    engine.local(store)
+    engine.put("distances" + suffix, dict.fromkeys(engine.node_ids(), table))
 
 
 def _gather(engine: CliqueEngine) -> BooleanMatrix:
@@ -800,13 +746,12 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
     # step 10: incremental multiply, then entries home as (vertex, column,
     # bit) columns; every row is assembled by one scatter into an n x n grid
     with engine.step("step10"):
-        blocks: list[tuple[np.ndarray, ...]] = []  # (src, vertex, column, bit)
-
+        # (src, vertex, column, bit) columns of the node's block
         def multiply(node):
             st = node.storage
             pair = st["assignment"].pair_of(node.id)
             if pair is None:
-                return
+                return None
             pl: TraversalPlan = st["plan"]
             b, _ = pair
             st["block_rows"] = engine.derive(
@@ -814,10 +759,9 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
             )
             vertex, j, bit = block_multiply(*st["block_rows"], st["columns"])
             engine.charge_work(node.id, (n + pl.block_costs[b - 1]) * len(st["columns"]))
-            blocks.append((np.full(vertex.size, node.id), vertex, j, bit))
+            return np.full(vertex.size, node.id), vertex, j, bit
 
-        engine.local(multiply)
-        src, vertex, j, bit = (np.concatenate(c) for c in zip(*blocks))
+        src, vertex, j, bit = (np.concatenate(c) for c in zip(*engine.local(multiply).values()))
         entries = Batch.build(engine.w, src, vertex, cb + 1, ((j - 1) << 1) | bit, tag=j)
         delivered10, _ = bounded_route(engine, entries)
         # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit

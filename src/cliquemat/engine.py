@@ -26,8 +26,16 @@ messages sent plus received), in which :meth:`exchange` and
 :meth:`measure` credits a block's rounds to a primitive and :meth:`step`
 records them as one protocol step.
 
-What nodes derive from the same objects, :meth:`derive` computes once and
-hands to each of them; a node holding other objects derives its own.
+A node phase is :meth:`local`: it runs once per node, with the storage
+audit scoped to that node, and returns what each node emits, keyed by node
+id, for the routing call that follows.  :meth:`put` stores a delivered
+value at each receiving node through that node's storage, so the audit
+sees those writes too.
+
+What nodes derive from the same objects within one protocol step,
+:meth:`derive` computes once and hands to each of them; a node holding
+other objects derives its own.  A derived result lives until the step
+ends; later steps share through the objects nodes keep in storage.
 Callers still charge every node its own work.
 
 Accounted per-node work is an upper bound, not a measurement: accounted
@@ -217,16 +225,27 @@ class CliqueEngine:
     def node_ids(self) -> range:
         return range(1, self.cfg.n + 1)
 
-    def local(self, fn: Callable[[NodeState], None]) -> None:
+    def local(self, fn: Callable[[NodeState], object]) -> dict[int, object]:
         """Run ``fn`` once per node, ascending, with access auditing scoped
-        to that node."""
+        to that node; returns ``{node id: result}`` for every node whose
+        ``fn`` returned something other than None, in ascending id order."""
+        out = {}
         for i in self.node_ids():
             node = self.node(i)
             self._active = i
             try:
-                fn(node)
+                result = fn(node)
             finally:
                 self._active = None
+            if result is not None:
+                out[i] = result
+        return out
+
+    def put(self, key: str, values: dict[int, object]) -> None:
+        """Store ``values[i]`` under ``key`` at each listed node i, through
+        that node's storage, so the isolation audit sees every write."""
+        for i, value in values.items():
+            self.node(i).storage[key] = value
 
     @contextmanager
     def as_node(self, i: int):
@@ -238,10 +257,11 @@ class CliqueEngine:
             self._active = prev
 
     def derive(self, fn: Callable, *args):
-        """``fn(*args)``, computed once per engine for each distinct ``fn``
-        and arguments: ints compare by value, every other argument by
-        identity.  The engine keeps the arguments alive, so an id is never
-        reused; a call that raises caches nothing."""
+        """``fn(*args)``, computed once per protocol step for each distinct
+        ``fn`` and arguments: ints compare by value, every other argument by
+        identity.  The engine keeps the arguments alive until the step ends
+        (:meth:`step` clears the cache), so an id is never reused while it
+        is a key; a call that raises caches nothing."""
         key = (fn, *[a if type(a) is int else (id(a),) for a in args])
         hit = self._derived.get(key)
         if hit is None:
@@ -387,7 +407,11 @@ class CliqueEngine:
     def step(self, name: str):
         """Record the rounds spent inside the block as protocol step
         ``name`` in ``ledger.step_rounds``; a step that raises records
-        nothing."""
+        nothing.  Derived results (:meth:`derive`) are dropped when the
+        step ends."""
         start = self.ledger.rounds
-        yield
+        try:
+            yield
+        finally:
+            self._derived.clear()
         self.ledger.step_rounds[name] = self.ledger.rounds - start

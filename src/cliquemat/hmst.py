@@ -328,16 +328,16 @@ def run_hmst(
     # -- step 2: sketch locally, route every sketch set to node 1.  Nodes
     # holding the same family object are sketched in one product.
     with engine.step(step_prefix + "step2"):
-        groups: dict[int, tuple[ProjectionFamily, list[int], list[BitVector]]] = {}
 
         def sketch(node):
-            fam: ProjectionFamily = node.storage["family"]
-            _, ids, points = groups.setdefault(id(fam), (fam, [], []))
-            ids.append(node.id)
-            points.append(node.storage[point_key])
             engine.charge_work(node.id, len(scales) * k * math.ceil(n / w))
+            return node.storage["family"], node.storage[point_key]
 
-        engine.local(sketch)
+        groups: dict[int, tuple[ProjectionFamily, list[int], list[BitVector]]] = {}
+        for v, (fam, point) in engine.local(sketch).items():
+            _, ids, points = groups.setdefault(id(fam), (fam, [], []))
+            ids.append(v)
+            points.append(point)
         # each sketch set is len(scales) * k bits, sent as W-bit chunks, low bits first
         total, per_node = len(scales) * k, math.ceil(len(scales) * k / w)
         src = np.concatenate([ids for _, ids, _ in groups.values()])
@@ -353,11 +353,10 @@ def run_hmst(
     # -- step 3: node 1 estimates all pairs on arrays and builds the tree
     # locally; the ledger charges the paper's per-pair and n^2 tree work
     with engine.step(step_prefix + "step3"):
-        tree_holder: dict[str, Tree] = {}
 
         def estimate(node):
             if node.id != 1:
-                return
+                return None
             fam: ProjectionFamily = node.storage["family"]
             got = delivered.span(1)  # in (src, tag) order
             cuts = np.searchsorted(delivered.src[got], np.arange(1, n + 2)).tolist()
@@ -371,10 +370,9 @@ def run_hmst(
             tree = local_mst(graph)
             engine.charge_work(1, n * n)
             node.storage[tree_key] = tree
-            tree_holder["tree"] = tree
+            return tree
 
-        engine.local(estimate)
-    return tree_holder["tree"]
+        return engine.local(estimate)[1]
 
 
 def hmst_protocol(
@@ -391,10 +389,6 @@ def hmst_protocol(
         if p.n != n:
             raise DimensionError(f"points must have dimension n={n}, got {p.n}")
     engine = CliqueEngine(cfg)
-
-    def seed_points(node):
-        node.storage["point"] = points[node.id - 1]
-
-    engine.local(seed_points)
+    engine.put("point", dict(enumerate(points, 1)))
     tree = run_hmst(engine, proj)
     return tree, engine.ledger

@@ -131,7 +131,7 @@ def test_criterion_2_distance_identity():
     for trial in range(50):
         n = rng.choice((16, 24, 32, 48, 64, 96, 128))
         rows = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
-        P = BooleanMatrix.from_rows(rows)
+        P = BooleanMatrix(tuple(rows))
         H = distance_matrix_via_products(P)
         for i in range(n):
             for j in range(n):

@@ -188,7 +188,7 @@ def test_distance_identity_random_vs_pairwise():
     rng = random.Random(7)
     for n in (8, 17, 64):
         rows = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
-        P = BooleanMatrix.from_rows(rows)
+        P = BooleanMatrix(tuple(rows))
         H = distance_matrix_via_products(P)
         assert np.array_equal(H, H.T)
         assert np.all(np.diagonal(H) == 0)
@@ -355,9 +355,13 @@ def test_euler_visits_all_and_costs_override():
 # boolean_product_naive
 # ---------------------------------------------------------------------------
 
+def identity(n):
+    return BooleanMatrix(tuple(BitVector(n, 1 << i) for i in range(n)))
+
+
 def test_product_hand_example():
-    A = BooleanMatrix.from_lists([[1, 0], [1, 1]])
-    B = BooleanMatrix.from_lists([[0, 1], [1, 0]])
+    A = BooleanMatrix.from_strings(["10", "11"])
+    B = BooleanMatrix.from_strings(["01", "10"])
     C = boolean_product_naive(A, B)
     assert C.to_strings() == ["01", "11"]
 
@@ -365,8 +369,8 @@ def test_product_hand_example():
 def test_product_identity_and_zero():
     rng = random.Random(11)
     n = 9
-    B = BooleanMatrix.from_rows([BitVector(n, rng.getrandbits(n)) for _ in range(n)])
-    assert boolean_product_naive(BooleanMatrix.identity(n), B) == B
+    B = BooleanMatrix(tuple(BitVector(n, rng.getrandbits(n)) for _ in range(n)))
+    assert boolean_product_naive(identity(n), B) == B
     assert boolean_product_naive(BooleanMatrix.zeros(n), B) == BooleanMatrix.zeros(n)
 
 
@@ -375,8 +379,8 @@ def test_product_matches_integer_product():
     for n in (5, 16, 64):
         Aa = rng.integers(0, 2, size=(n, n))
         Bb = rng.integers(0, 2, size=(n, n))
-        A = BooleanMatrix.from_lists(Aa.tolist())
-        B = BooleanMatrix.from_lists(Bb.tolist())
+        A = BooleanMatrix(tuple(BitVector.from_bits(row) for row in Aa.tolist()))
+        B = BooleanMatrix(tuple(BitVector.from_bits(row) for row in Bb.tolist()))
         C = boolean_product_naive(A, B)
         expect = (Aa @ Bb) >= 1
         assert np.array_equal(C.to_array() == 1, expect)
@@ -384,7 +388,7 @@ def test_product_matches_integer_product():
 
 def test_product_shape_mismatch():
     with pytest.raises(DimensionError):
-        boolean_product_naive(BooleanMatrix.identity(2), BooleanMatrix.identity(3))
+        boolean_product_naive(identity(2), identity(3))
 
 
 # ---------------------------------------------------------------------------

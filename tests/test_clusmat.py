@@ -34,6 +34,10 @@ def bv(s):
     return BitVector.from_string(s)
 
 
+def identity(n):
+    return BooleanMatrix(tuple(BitVector(n, 1 << i) for i in range(n)))
+
+
 def make_traversal(pairs, costs, indices=None):
     indices = indices or tuple(1 for _ in pairs)
     return Traversal(pairs[0][0], tuple(pairs), tuple(indices), tuple(costs))
@@ -121,10 +125,8 @@ def test_assign_pairs_lexicographic():
     plan = plan_blocks(tour, n=4)  # M=8, t=2, q=2
     assert plan.t == 2 and plan.num_blocks == 2
     asg = assign_pairs(plan, 4)
-    assert asg.node_for(1, 1) == 1
-    assert asg.node_for(1, 2) == 2
-    assert asg.node_for(2, 1) == 3
-    assert asg.node_for(2, 2) == 4
+    assert asg.q == 2
+    assert [asg.pair_of(v) for v in range(1, 5)] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def test_assign_pairs_t1_identity():
@@ -132,7 +134,7 @@ def test_assign_pairs_t1_identity():
     plan = plan_blocks(tour, n=5)
     asg = assign_pairs(plan, 5)
     for c in range(1, 6):
-        assert asg.node_for(1, c) == c
+        assert asg.pair_of(c) == (1, c)
 
 
 def test_assign_pairs_deterministic():
@@ -179,7 +181,7 @@ def test_assignment_lookups_match_scans(n):
         pairs = scanned_pairs(plan)
         q = len(plan.column_blocks)
         for (b, c), v in pairs.items():
-            assert asg.node_for(b, c) == v
+            assert (b - 1) * asg.q + c == v
         for b in range(-1, plan.num_blocks + 3):
             expect = sorted(v for (bb, _), v in pairs.items() if bb == b)
             assert list(asg.nodes_for_block(b)) == expect
@@ -407,7 +409,7 @@ def test_clusmat_identity_gives_b():
     B = random_matrix_local(n, rng)
     for routing in ("simulated", "accounted"):
         C, _, _ = clusmat_oriented(
-            BooleanMatrix.identity(n), B, CliqueConfig(n=n, routing=routing, seed=1)
+            identity(n), B, CliqueConfig(n=n, routing=routing, seed=1)
         )
         assert C == B
 
@@ -521,7 +523,7 @@ def test_orientation_prefers_clustered_columns():
 
 def test_orientation_tie_breaks_to_ab():
     n = 4
-    A = BooleanMatrix.identity(n)
+    A = identity(n)
     C, orientation, _, info = choose_orientation(
         A, A, CliqueConfig(n=n, routing="accounted", seed=10)
     )
@@ -680,7 +682,7 @@ def test_pair_nodes_with_altered_inputs_derive_their_own_rows(routing, monkeypat
     assert asg.q >= 4 and list(asg.nodes_for_block(1))[1:3] == [own_start, own_packets]
     assert len(rebuilds) == plan.num_blocks + 2
     for b in range(1, plan.num_blocks + 1):
-        first = engine.node(asg.node_for(b, 1)).storage
+        first = engine.node((b - 1) * asg.q + 1).storage
         for v in asg.nodes_for_block(b):
             st = engine.node(v).storage
             assert (st["block_witnesses"] is first["block_witnesses"]) == (v != own_packets)
@@ -773,7 +775,7 @@ def test_witness_delivery_free_when_rows_identical():
     n = 8
     row = bv("10110100")
     A = BooleanMatrix(tuple(row for _ in range(n)))
-    B = BooleanMatrix.identity(n)
+    B = identity(n)
     engine, C, info = run_engine_protocol(n, A, B, routing="accounted")
     assert C == boolean_product_naive(A, B)
     assert info["m_realized"] == 0
@@ -802,7 +804,7 @@ def test_identical_rows_rounds_dominated_by_tree_step():
     n = 32
     row = BitVector(n, 0x5A5A5A5A & ((1 << n) - 1))
     A = BooleanMatrix(tuple(row for _ in range(n)))
-    B = BooleanMatrix.identity(n)
+    B = identity(n)
     engine, C, info = run_engine_protocol(n, A, B, routing="accounted", seed=2)
     assert C == boolean_product_naive(A, B)
     assert info["m_realized"] == 0

@@ -225,6 +225,41 @@ def test_isolation_audit_allows_own_access():
     eng.local(fine)
 
 
+def test_local_returns_the_results_that_are_not_none_by_ascending_id():
+    eng = make_engine(5)
+    seen = []
+
+    def emit(node):
+        seen.append(node.id)
+        return {1: 0, 2: "", 4: (node.id,)}.get(node.id)
+
+    out = eng.local(emit)
+    assert seen == [1, 2, 3, 4, 5]
+    assert list(out.items()) == [(1, 0), (2, ""), (4, (4,))]
+    assert eng.local(lambda node: None) == {}
+
+
+def test_put_writes_the_listed_nodes_only():
+    eng = make_engine(4)
+    eng.put("x", {3: "c", 1: "a"})
+    assert [eng.node(i).storage.get("x") for i in eng.node_ids()] == ["a", None, "c", None]
+
+
+def test_put_inside_another_nodes_phase_is_caught_by_the_audit():
+    eng = make_engine(4)
+    eng.audit = True
+    eng.local(lambda node: eng.put("x", {node.id: node.id}))
+    assert [eng.node(i).storage["x"] for i in eng.node_ids()] == [1, 2, 3, 4]
+
+    def cheat(node):
+        if node.id == 1:
+            eng.put("x", {2: 0})
+
+    with pytest.raises(IsolationError):
+        eng.local(cheat)
+    assert eng.node(2).storage["x"] == 2
+
+
 STORAGE_CALLS = {
     "__getitem__": lambda st: st["k"],
     "__setitem__": lambda st: st.__setitem__("k", 2),
@@ -394,3 +429,19 @@ def test_derive_caches_nothing_when_fn_raises():
         with pytest.raises(ValueError, match="bad input"):
             eng.derive(fails, 7)
     assert calls == [7, 7]
+
+
+def test_derive_runs_once_within_a_step_and_again_in_the_next():
+    eng = make_engine(4)
+    calls = []
+    fn = counting(calls)
+    row = (1,)
+    with eng.step("a"):
+        first = eng.derive(fn, row)
+        shared = eng.local(lambda node: eng.derive(fn, row) is first)
+        assert shared == dict.fromkeys(eng.node_ids(), True)
+    assert len(calls) == 1
+    with eng.step("b"):
+        assert eng.derive(fn, row) is not first
+        eng.derive(fn, row)
+    assert len(calls) == 2
