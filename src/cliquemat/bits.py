@@ -46,16 +46,6 @@ class BitVector:
         """Parse '1010' with the first character as coordinate 1."""
         return cls.from_bits(int(c) for c in s.strip())
 
-    @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
-    def get(self, i: int) -> int:
-        """Coordinate i, 1-based."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"coordinate {i} out of range 1..{self.n}")
-        return (self.value >> (i - 1)) & 1
-
     def bits(self) -> tuple[int, ...]:
         return tuple((self.value >> i) & 1 for i in range(self.n))
 
@@ -108,16 +98,9 @@ class BooleanMatrix:
     def from_strings(cls, lines: Iterable[str]) -> "BooleanMatrix":
         return cls(tuple(BitVector.from_string(s) for s in lines))
 
-    @classmethod
-    def zeros(cls, n: int) -> "BooleanMatrix":
-        return cls(tuple(BitVector.zeros(n) for _ in range(n)))
-
     def row(self, i: int) -> BitVector:
         """Row i, 1-based."""
         return self.rows[i - 1]
-
-    def get(self, i: int, j: int) -> int:
-        return self.rows[i - 1].get(j)
 
     def transpose(self) -> "BooleanMatrix":
         n = self.n
@@ -388,27 +371,35 @@ def boolean_product_naive(A: BooleanMatrix, B: BooleanMatrix) -> BooleanMatrix:
     return BooleanMatrix(tuple(out_rows))
 
 
-def pack_chunks(value: int, total_bits: int, w: int) -> list[tuple[int, int]]:
-    """Split a ``total_bits``-wide integer into (payload, nbits) chunks of at
+def pack_chunks(fields: Sequence[int], width: int, w: int) -> list[tuple[int, int]]:
+    """The wire format of a vector of fixed-width fields: field i at bit
+    i * ``width`` of one integer, cut into (payload, nbits) chunks of at
     most ``w`` bits, low bits first."""
-    if total_bits < 0:
-        raise ValueError("total_bits must be nonnegative")
+    value = 0
+    for i, f in enumerate(fields):
+        if not 0 <= f < 1 << width:
+            raise ValueError(f"field {i} does not fit in {width} bits")
+        value |= f << (i * width)
     chunks = []
-    remaining = total_bits
-    mask = (1 << w) - 1
+    remaining = len(fields) * width
     while remaining > 0:
         take = min(w, remaining)
-        chunks.append((value & mask if take == w else value & ((1 << take) - 1), take))
+        chunks.append((value & ((1 << take) - 1), take))
         value >>= take
         remaining -= take
     return chunks
 
 
-def unpack_chunks(chunks: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Inverse of :func:`pack_chunks`; returns (value, total_bits)."""
+def unpack_chunks(chunks: Sequence[tuple[int, int]], width: int, count: int) -> tuple[int, ...]:
+    """Inverse of :func:`pack_chunks`: the ``count`` fields of ``width``
+    bits.  Raises :class:`DimensionError` unless the chunks carry exactly
+    ``count * width`` bits."""
     value = 0
     shift = 0
     for payload, nbits in chunks:
         value |= payload << shift
         shift += nbits
-    return value, shift
+    if shift != count * width:
+        raise DimensionError(f"chunks carry {shift} bits, expected {count} fields of {width}")
+    mask = (1 << width) - 1
+    return tuple((value >> (i * width)) & mask for i in range(count))

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -27,20 +26,13 @@ from .textio import (
     write_tree,
 )
 
-MAX_ROUNDS_ENV = "CLIQUEMAT_MAX_ROUNDS"
-
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     capacity = p.add_mutually_exclusive_group()
     capacity.add_argument("--w", type=int, default=64, help="payload capacity in bits")
     capacity.add_argument("--strict", action="store_true", help="set W = ceil(log2 n) + 16")
-    p.add_argument(
-        "--max-rounds",
-        type=int,
-        default=None,
-        help=f"abort limit (default from ${MAX_ROUNDS_ENV} or 1000000)",
-    )
+    p.add_argument("--max-rounds", type=int, default=1_000_000, help="abort limit")
     _add_bench_flags(p)
 
 
@@ -56,15 +48,12 @@ def _add_bench_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args, n: int) -> CliqueConfig:
-    max_rounds = args.max_rounds
-    if max_rounds is None:
-        max_rounds = int(os.environ.get(MAX_ROUNDS_ENV, 1_000_000))
     return CliqueConfig(
         n=n,
         w=math.ceil(math.log2(n)) + 16 if args.strict else args.w,
         seed=args.seed,
         routing=args.routing,
-        max_rounds=max_rounds,
+        max_rounds=args.max_rounds,
     )
 
 

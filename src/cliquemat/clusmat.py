@@ -555,7 +555,7 @@ def _multicast_rows(
         if not recips:
             return None
         row: BitVector = node.storage[row_key]
-        return pack_chunks(row.value, n, engine.w), sorted(recips)
+        return pack_chunks([row.value], n, engine.w), sorted(recips)
 
     out, _ = vector_multicast(engine, engine.local(build))
     return {
@@ -565,7 +565,7 @@ def _multicast_rows(
 
 
 def _row_of(n: int, vec: Sequence[tuple[int, int]]) -> BitVector:
-    return BitVector(n, unpack_chunks(vec)[0])
+    return BitVector(n, *unpack_chunks(vec, n, 1))
 
 
 def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str, suffix: str = "") -> None:

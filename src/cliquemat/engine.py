@@ -137,9 +137,9 @@ class RoundLedger:
 
 
 class _Storage(dict):
-    """Node-private key/value store with an optional access audit: with
-    ``engine.audit`` set, every read, write and iteration from inside
-    another node's local phase raises :class:`IsolationError`."""
+    """Node-private key/value store of an audited engine: every read, write
+    and iteration from inside another node's local phase raises
+    :class:`IsolationError`."""
 
     __slots__ = ("_engine", "_owner")
 
@@ -149,11 +149,9 @@ class _Storage(dict):
         self._owner = owner
 
     def _check(self) -> None:
-        eng = self._engine
-        if eng.audit and eng._active is not None and eng._active != self._owner:
-            raise IsolationError(
-                f"node {eng._active} touched storage of node {self._owner}"
-            )
+        active = self._engine._active
+        if active is not None and active != self._owner:
+            raise IsolationError(f"node {active} touched storage of node {self._owner}")
 
 
 def _audited(name: str):
@@ -178,9 +176,9 @@ class NodeState:
 
     __slots__ = ("id", "storage", "_rng", "_engine")
 
-    def __init__(self, engine: "CliqueEngine", node_id: int) -> None:
+    def __init__(self, engine: "CliqueEngine", node_id: int, audit: bool) -> None:
         self.id = node_id
-        self.storage = _Storage(engine, node_id)
+        self.storage = _Storage(engine, node_id) if audit else {}
         self._rng: np.random.Generator | None = None
         self._engine = engine
 
@@ -196,17 +194,18 @@ class NodeState:
 
 
 class CliqueEngine:
-    """Round-synchronous executor with message, bit and work accounting."""
+    """Round-synchronous executor with message, bit and work accounting.
+    With ``audit``, node storage raises :class:`IsolationError` on access
+    from inside another node's local phase; without, it is a plain dict."""
 
-    def __init__(self, cfg: CliqueConfig) -> None:
+    def __init__(self, cfg: CliqueConfig, audit: bool = False) -> None:
         self.cfg = cfg
         self.w = cfg.w
         self.accounted = cfg.routing == ACCOUNTED
         self.ledger = RoundLedger(cfg.n)
         self.nodes: list[NodeState | None] = [None] + [
-            NodeState(self, i) for i in range(1, cfg.n + 1)
+            NodeState(self, i, audit) for i in range(1, cfg.n + 1)
         ]
-        self.audit = False
         self._active: int | None = None
         self._buffer: dict[tuple[int, int], Message] = {}
         self._derived: dict[tuple, tuple[object, tuple]] = {}
@@ -321,15 +320,9 @@ class CliqueEngine:
             for a in np.broadcast_arrays(rnd, src, dst, nbits)
         )
         if src.size:
-            self._check_endpoints(src, dst)
+            self._check_messages(src, dst, nbits)
             if rnd.min() < 0 or rnd.max() >= rounds:
                 raise ValueError(f"round index outside 0..{rounds - 1}")
-            if nbits.min() < 1:
-                raise CapacityError("payload must carry at least one bit")
-            if nbits.max() > self.w:
-                raise CapacityError(
-                    f"payload of {int(nbits.max())} bits exceeds capacity W={self.w}"
-                )
             side = self.cfg.n + 1
             key = np.sort((rnd * side + src) * side + dst)
             if np.any(key[1:] == key[:-1]):
@@ -340,12 +333,19 @@ class CliqueEngine:
         self._tally(src, dst, nbits)
         self.ledger.add_primitive_rounds(label, rounds)
 
-    def _check_endpoints(self, src: np.ndarray, dst: np.ndarray) -> None:
+    def _check_messages(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:
+        """Per-message rules: distinct endpoints in 1..n, 1 <= nbits <= W."""
         if np.any(src == dst):
             raise ValueError("src and dst must differ")
         n = self.cfg.n
         if min(src.min(), dst.min()) < 1 or max(src.max(), dst.max()) > n:
             raise ValueError(f"endpoints outside 1..{n}")
+        if nbits.min() < 1:
+            raise CapacityError("payload must carry at least one bit")
+        if nbits.max() > self.w:
+            raise CapacityError(
+                f"payload of {int(nbits.max())} bits exceeds capacity W={self.w}"
+            )
 
     def _add_rounds(self, rounds: int) -> None:
         self.ledger.rounds += rounds
@@ -367,13 +367,13 @@ class CliqueEngine:
         self.ledger.add_primitive_rounds(label, rounds)
 
     def count_messages(self, src, dst, nbits) -> None:
-        """Accounted mode: count one message per column entry, as
+        """Accounted mode: check and count one message per column entry, as
         :meth:`exchange` would, without scheduling them into rounds."""
         src, dst, nbits = (
             a.astype(np.int64, copy=False) for a in np.broadcast_arrays(src, dst, nbits)
         )
         if src.size:
-            self._check_endpoints(src, dst)
+            self._check_messages(src, dst, nbits)
         self._tally(src, dst, nbits)
 
     def _tally(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:

@@ -138,13 +138,6 @@ class ProjectionFamily:
     def from_seed(cls, n: int, k: int, seed: int) -> "ProjectionFamily":
         return cls.generate(n, k, np.random.default_rng(seed))
 
-    def serialize_scale(self, r: int) -> tuple[int, int]:
-        """(packed value, bit length) of the scale-r matrix, row-major."""
-        value = 0
-        for i, row in enumerate(self.matrices[r]):
-            value |= row << (i * self.n)
-        return value, self.k * self.n
-
 
 def sketch_bits(family: ProjectionFamily, points: Sequence[BitVector]) -> np.ndarray:
     """Sketches of many points in one GF(2) product, (X @ P.T) & 1 on 0/1
@@ -181,17 +174,6 @@ def estimate_distance(
     return family.scales[-1]
 
 
-def rows_from_chunks(chunks: Sequence[tuple[int, int]], k: int, n: int) -> tuple[int, ...]:
-    """Rows of one k x n projection matrix from its received chunks."""
-    value, nbits = unpack_chunks(chunks)
-    if nbits != k * n:
-        raise MalformedSketchError(
-            f"projection chunks carry {nbits} bits, expected {k * n}"
-        )
-    mask = (1 << n) - 1
-    return tuple((value >> (i * n)) & mask for i in range(k))
-
-
 def family_from_vectors(n: int, k: int, *vectors: tuple) -> ProjectionFamily:
     """The family a node rebuilds from the projection vectors it received,
     in scale order; every scale spans the same number of chunks."""
@@ -200,21 +182,8 @@ def family_from_vectors(n: int, k: int, *vectors: tuple) -> ProjectionFamily:
     per, extra = divmod(len(chunks), len(scales))
     if extra:
         raise MalformedSketchError(f"{len(chunks)} projection chunks for {len(scales)} scales")
-    mats = {r: rows_from_chunks(chunks[i * per:(i + 1) * per], k, n) for i, r in enumerate(scales)}
+    mats = {r: unpack_chunks(chunks[i * per:(i + 1) * per], n, k) for i, r in enumerate(scales)}
     return ProjectionFamily(n, k, scales, mats, scale_thresholds(n, k))
-
-
-def sketches_from_chunks(
-    chunks: Sequence[tuple[int, int]], k: int, num_scales: int
-) -> tuple[int, ...]:
-    """One k-bit sketch per scale from a node's received sketch chunks."""
-    value, nbits = unpack_chunks(chunks)
-    if nbits != num_scales * k:
-        raise MalformedSketchError(
-            f"sketch chunks carry {nbits} bits, expected {num_scales * k}"
-        )
-    kmask = (1 << k) - 1
-    return tuple((value >> (idx * k)) & kmask for idx in range(num_scales))
 
 
 # bytes of XOR scratch per row block of the all-pairs estimate
@@ -294,7 +263,7 @@ def run_hmst(
         if proj.seed_mode:
             with engine.as_node(1) as node1:
                 seed64 = int(node1.rng.integers(0, 1 << 63))
-            _broadcast_from_node1(engine, pack_chunks(seed64, 64, w))
+            _broadcast_from_node1(engine, pack_chunks([seed64], 64, w))
 
             def regen(node):
                 node.storage["family"] = engine.derive(ProjectionFamily.from_seed, n, k, seed64)
@@ -310,8 +279,7 @@ def run_hmst(
             # per recipient, the vectors it received, in scale order
             received: dict[int, list[tuple]] = {v: [] for v in recipients}
             for r in scales:
-                value, total_bits = family1.serialize_scale(r)
-                chunks = pack_chunks(value, total_bits, w)
+                chunks = pack_chunks(family1.matrices[r], n, w)
                 for lo in range(0, len(chunks), n):
                     vec = chunks[lo:lo + n]
                     out, _ = vector_multicast(engine, {1: (vec, recipients)})
@@ -362,7 +330,7 @@ def run_hmst(
             cuts = np.searchsorted(delivered.src[got], np.arange(1, n + 2)).tolist()
             payload, nbits = delivered.payload[got].tolist(), delivered.nbits[got].tolist()
             sketch_sets = [
-                sketches_from_chunks(list(zip(payload[lo:hi], nbits[lo:hi])), k, len(scales))
+                unpack_chunks(list(zip(payload[lo:hi], nbits[lo:hi])), k, len(scales))
                 for lo, hi in zip(cuts[:-1], cuts[1:])
             ]
             graph = build_estimated_graph(sketch_sets, fam)

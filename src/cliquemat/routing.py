@@ -39,11 +39,12 @@ The simulated schedules:
   bounded task with per-holder fan-out 2, its copies in (sender, rank,
   chunk) order.
 
-Out of band: payloads never enter a schedule, so each simulated primitive
-checks once, on receipt of its batch, that every payload fits its declared
-width; payload and width do not change between hops.  The forwarded
-destination, original source and position of an item travel with the
-schedule and are not charged as header bits.
+Out of band: payloads never enter a schedule, so each primitive checks
+once, on receipt of its batch and under either backend, that every payload
+fits its declared width and every width is in 1..W; payload and width do
+not change between hops.  The forwarded destination, original source and
+position of an item travel with the schedule and are not charged as
+header bits.
 
 All primitives deliver self-addressed items locally at no message cost and
 return ``(delivered, rounds_used)``.  The two task primitives take one
@@ -171,12 +172,15 @@ def to_all_others(n: int, senders) -> tuple[np.ndarray, np.ndarray]:
 # shared batch handling
 # ---------------------------------------------------------------------------
 
-def _check_payloads(payload: np.ndarray, nbits) -> None:
-    """Every payload is a nonnegative integer below 2**nbits (x >> nb is
-    nonzero exactly when x is negative or needs more than nb bits).  The
-    widths take the payload column's dtype: numpy promotes uint64 with
-    int64 to float."""
-    if np.any(payload >> np.asarray(nbits).astype(payload.dtype)):
+def _check_payloads(payload: np.ndarray, nbits: np.ndarray) -> None:
+    """Every payload of a nonempty column is a nonnegative integer below
+    2**nbits.  A column whose largest payload fits its narrowest width
+    passes unscanned; any other is scanned (x >> nb is nonzero exactly when
+    x is negative or needs more than nb bits), with the widths in the
+    payload's dtype, since numpy promotes uint64 with int64 to float."""
+    if payload.min() >= 0 and int(payload.max()).bit_length() <= nbits.min():
+        return
+    if np.any(payload >> nbits.astype(payload.dtype)):
         raise CapacityError("a payload value does not fit its declared bits")
 
 
@@ -277,18 +281,18 @@ def _bounded_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
 
 
 def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) -> int:
-    """Move the cross items of ``b``: accounted, charge ``charge`` rounds and
-    count one message per item; simulated, check the payloads and run
+    """Check the payloads of ``b`` and move its cross items: accounted,
+    charge ``charge`` rounds and count one message per item; simulated, run
     ``schedule``.  Returns the rounds used."""
     cross = b.src != b.dst
     if not cross.any():
         return 0
+    _check_payloads(b.payload, b.nbits)
     src, dst, nbits = b.src[cross], b.dst[cross], b.nbits[cross]
     if engine.accounted:
         engine.charge_rounds(charge, label)
         engine.count_messages(src, dst, nbits)
         return charge
-    _check_payloads(b.payload, b.nbits)
     start = engine.ledger.rounds
     with engine.measure(label):
         schedule(engine, src, dst, nbits, b.tag[cross])
@@ -343,6 +347,11 @@ def vector_multicast(
             raise PreconditionError(f"sender {s} outside 1..{n}")
         if not 1 <= len(vectors[s]) <= n:
             raise PreconditionError(f"sender {s} has {len(vectors[s])} chunks; must be in 1..n")
+        for payload, nbits in vectors[s]:
+            if not 1 <= nbits <= engine.w:
+                raise CapacityError(f"sender {s} has a {nbits}-bit chunk; capacity W={engine.w}")
+            if not 0 <= payload < 1 << nbits:
+                raise CapacityError("a payload value does not fit its declared bits")
     # (sender, recipient) pair columns in (recipient, sender) order
     src = np.repeat(np.array(order, dtype=np.int64), [len(senders[s][1]) for s in order])
     dst = np.array([v for s in order for v in senders[s][1]], dtype=np.int64)
@@ -395,8 +404,6 @@ def vector_multicast(
         )
         return result, rounds
 
-    payload, nbits = zip(*(c for i in np.unique(idx).tolist() for c in vectors[order[i]]))
-    _check_payloads(np.array(payload, dtype=object), nbits)
     start = engine.ledger.rounds
     with engine.measure("vector_multicast"):
         for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):

@@ -59,23 +59,16 @@ def run_report(
     result_text: str,
     extra: dict,
 ) -> dict:
-    report = {
+    return {
         "protocol": protocol,
         "n": cfg.n,
         "W": cfg.w,
         "seed": cfg.seed,
         "routing": cfg.routing,
-        "rounds": ledger.rounds,
-        "messages": ledger.messages,
-        "bits": ledger.bits,
-        "work_total": ledger.work_total,
-        "work_max_node": ledger.work_max_node,
-        "primitive_rounds": dict(sorted(ledger.primitive_rounds.items())),
-        "step_rounds": dict(ledger.step_rounds),
+        **ledger.as_dict(),
         "result_digest": digest(result_text),
+        **extra,
     }
-    report.update(extra)
-    return report
 
 
 def write_json(path: str | Path, data: dict) -> None:

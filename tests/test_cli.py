@@ -169,12 +169,14 @@ def test_run_nonfinite_or_nonpositive_kappa_is_one_line_error(tmp_path, capsys, 
     assert one_line_error(capsys) == f"kappa must be positive and finite, got {kappa}"
 
 
-def test_max_rounds_env(tmp_path, capsys, monkeypatch):
+def test_max_rounds_env(tmp_path, capsys):
+    """A run that needs more than ``--max-rounds`` rounds stops with a
+    one-line error."""
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     run_cli("gen", "--n", "8", "--kind", "uniform", "--seed", "1", "--out", str(a))
     run_cli("gen", "--n", "8", "--kind", "uniform", "--seed", "2", "--out", str(b))
-    monkeypatch.setenv("CLIQUEMAT_MAX_ROUNDS", "3")
-    assert run_cli("run", "--protocol", "clusmat", "--a", str(a), "--b", str(b)) == 2
+    rc = run_cli("run", "--protocol", "clusmat", "--a", str(a), "--b", str(b), "--max-rounds", "3")
+    assert rc == 2
     assert one_line_error(capsys) == "exceeded max_rounds=3 without terminating"
 
 
@@ -205,14 +207,6 @@ def test_run_bad_input_is_one_line_error(tmp_path, capsys, b_size, flags, expect
                  "--routing", "accounted", *flags)
     assert rc == 2
     assert one_line_error(capsys).startswith(expect)
-
-
-def test_non_integer_max_rounds_env_is_one_line_error(tmp_path, capsys, monkeypatch):
-    a = tmp_path / "a.txt"
-    run_cli("gen", "--n", "8", "--seed", "1", "--out", str(a))
-    monkeypatch.setenv("CLIQUEMAT_MAX_ROUNDS", "many")
-    assert run_cli("run", "--protocol", "hmst", "--points", str(a)) == 2
-    assert "many" in one_line_error(capsys)
 
 
 def test_verify_mismatched_sizes_is_one_line_error(tmp_path, capsys):

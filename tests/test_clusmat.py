@@ -557,8 +557,7 @@ def test_orientation_passes_isolation_audit(monkeypatch, inputs, expect):
 
     class AuditedEngine(CliqueEngine):
         def __init__(self, cfg):
-            super().__init__(cfg)
-            self.audit = True
+            super().__init__(cfg, audit=True)
 
     monkeypatch.setattr(clusmat, "CliqueEngine", AuditedEngine)
     A, B, cfg = inputs()
@@ -588,8 +587,7 @@ def test_clusmat_passes_isolation_audit():
     n = 8
     A = random_matrix_local(n, rng)
     B = random_matrix_local(n, rng)
-    engine = CliqueEngine(CliqueConfig(n=n, seed=3))
-    engine.audit = True
+    engine = CliqueEngine(CliqueConfig(n=n, seed=3), audit=True)
     C, _ = run_placed(engine, A, B)
     assert C == boolean_product_naive(A, B)
 
@@ -627,8 +625,7 @@ def test_replicated_plan_matches_fresh_derivation_at_every_node(routing):
     n = 12
     A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=5))
     B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=6))
-    engine = CliqueEngine(CliqueConfig(n=n, routing=routing, seed=5))
-    engine.audit = True
+    engine = CliqueEngine(CliqueConfig(n=n, routing=routing, seed=5), audit=True)
     C, _ = run_placed(engine, A, B)
     assert C == boolean_product_naive(A, B)
     for i in engine.node_ids():
@@ -673,8 +670,7 @@ def test_pair_nodes_with_altered_inputs_derive_their_own_rows(routing, monkeypat
             return super().local(fn)
 
     monkeypatch.setattr(clusmat, "visited_rows", counting_rebuild)
-    engine = AlteringEngine(CliqueConfig(n=n, routing=routing, seed=7))
-    engine.audit = True
+    engine = AlteringEngine(CliqueConfig(n=n, routing=routing, seed=7), audit=True)
     C, _ = run_placed(engine, A, B)
     assert C == boolean_product_naive(A, B)
 

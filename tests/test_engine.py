@@ -202,8 +202,7 @@ def test_node_rng_deterministic():
 
 
 def test_isolation_audit_catches_cross_node_read():
-    eng = make_engine(4)
-    eng.audit = True
+    eng = CliqueEngine(CliqueConfig(n=4), audit=True)
     eng.node(2).storage["secret"] = 5
 
     def cheat(node):
@@ -214,9 +213,16 @@ def test_isolation_audit_catches_cross_node_read():
         eng.local(cheat)
 
 
-def test_isolation_audit_allows_own_access():
+def test_storage_is_a_plain_dict_unless_audited():
+    """Without the audit, a cross-node read costs nothing and raises nothing."""
     eng = make_engine(4)
-    eng.audit = True
+    assert all(type(eng.node(i).storage) is dict for i in eng.node_ids())
+    eng.node(2).storage["secret"] = 5
+    assert eng.local(lambda node: eng.node(2).storage["secret"])[1] == 5
+
+
+def test_isolation_audit_allows_own_access():
+    eng = CliqueEngine(CliqueConfig(n=4), audit=True)
 
     def fine(node):
         node.storage["x"] = node.id
@@ -246,8 +252,7 @@ def test_put_writes_the_listed_nodes_only():
 
 
 def test_put_inside_another_nodes_phase_is_caught_by_the_audit():
-    eng = make_engine(4)
-    eng.audit = True
+    eng = CliqueEngine(CliqueConfig(n=4), audit=True)
     eng.local(lambda node: eng.put("x", {node.id: node.id}))
     assert [eng.node(i).storage["x"] for i in eng.node_ids()] == [1, 2, 3, 4]
 
@@ -282,8 +287,7 @@ STORAGE_CALLS = {
 @pytest.mark.parametrize("method", sorted(STORAGE_CALLS))
 def test_isolation_audit_covers_every_storage_method(method):
     call = STORAGE_CALLS[method]
-    eng = make_engine(4)
-    eng.audit = True
+    eng = CliqueEngine(CliqueConfig(n=4), audit=True)
     for i in eng.node_ids():
         eng.node(i).storage["k"] = 1
 

@@ -33,7 +33,7 @@ def test_gen_clustered_spread_bounds_cost():
 
 
 def test_gen_uniform_extremes():
-    assert gen_uniform(8, 0.0, 0) == BooleanMatrix.zeros(8)
+    assert gen_uniform(8, 0.0, 0) == BooleanMatrix((BitVector(8, 0),) * 8)
     ones = gen_uniform(8, 1.0, 0)
     assert all(r.value.bit_count() == 8 for r in ones.rows)
     assert exact_mst_cost(ones) == 0

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cliquemat.bits import BitVector, hamming_distance, pack_chunks, unpack_chunks
+from cliquemat.bits import BitVector, hamming_distance, unpack_chunks
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import DimensionError, MalformedSketchError
 from cliquemat.hmst import (
@@ -17,13 +17,11 @@ from cliquemat.hmst import (
     estimate_distance,
     gen_projection,
     hmst_protocol,
-    rows_from_chunks,
     run_hmst,
     scale_thresholds,
     scales_for,
     sketch_bits,
     sketch_point,
-    sketches_from_chunks,
 )
 
 
@@ -137,7 +135,7 @@ def test_project_identity_and_zero():
     rows = tuple(1 << i for i in range(n))  # identity matrix
     x = BitVector.from_string("10110010")
     assert kernel(rows, x) == x
-    assert kernel(rows, BitVector.zeros(n)) == BitVector.zeros(n)
+    assert kernel(rows, BitVector(n, 0)) == BitVector(n, 0)
 
 
 def test_project_linearity():
@@ -178,7 +176,7 @@ def test_sketch_kernel_matches_per_row_parity(n, k):
 def test_sketch_kernel_rejects_wrong_dimension():
     fam = family_for(8)
     with pytest.raises(DimensionError):
-        sketch_bits(fam, [BitVector.zeros(8), BitVector.zeros(9)])
+        sketch_bits(fam, [BitVector(8, 0), BitVector(9, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +207,9 @@ def test_estimate_fallback_on_adversarial_sketches():
 def test_estimate_missing_scale_rejected():
     n = 16
     fam = family_for(n)
-    sk = sketch_point(fam, BitVector.zeros(n))
+    sk = sketch_point(fam, BitVector(n, 0))
     with pytest.raises(MalformedSketchError):
         estimate_distance(sk[:-1], sk, fam)
-
-
-def test_truncated_chunk_list_rejected():
-    """A received projection or sketch that lost its last chunk raises
-    MalformedSketchError (not an assert, which ``python -O`` drops)."""
-    k, n = 5, 16
-    rows = tuple(range(1, k + 1))
-    value = sum(row << (i * n) for i, row in enumerate(rows))
-    chunks = pack_chunks(value, k * n, 32)
-    assert rows_from_chunks(chunks, k, n) == rows
-    with pytest.raises(MalformedSketchError):
-        rows_from_chunks(chunks[:-1], k, n)
-
-    sketches = (3, 0, 31, 7)
-    value = sum(s << (i * k) for i, s in enumerate(sketches))
-    chunks = pack_chunks(value, len(sketches) * k, 8)
-    assert sketches_from_chunks(chunks, k, len(sketches)) == sketches
-    with pytest.raises(MalformedSketchError):
-        sketches_from_chunks(chunks[:-1], k, len(sketches))
 
 
 def test_estimate_monotone_scale_rule():
@@ -413,13 +392,12 @@ def engine_with_points(n, routing, seed):
 
     rng = random.Random(seed)
     pts = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
-    engine = CliqueEngine(CliqueConfig(n=n, routing=routing, seed=seed))
+    engine = CliqueEngine(CliqueConfig(n=n, routing=routing, seed=seed), audit=True)
 
     def seed_points(node):
         node.storage["point"] = pts[node.id - 1]
 
     engine.local(seed_points)
-    engine.audit = True
     return engine
 
 
@@ -431,7 +409,7 @@ def record_broadcast_seed(monkeypatch):
     broadcast = hmst._broadcast_from_node1
 
     def recording(engine, chunks):
-        seeds.append(unpack_chunks(chunks))
+        seeds.append(unpack_chunks(chunks, 64, 1)[0])
         return broadcast(engine, chunks)
 
     monkeypatch.setattr(hmst, "_broadcast_from_node1", recording)
@@ -464,7 +442,7 @@ def record_multicast(monkeypatch, alter=None):
 
 def family_from_chunks(chunks, n, k):
     """Fresh ship-mode derivation: split a node's received chunks into
-    k*n-bit scales in order and decode each."""
+    k*n-bit scales in order and decode each into its k rows."""
     mats = {}
     pos = 0
     for r in scales_for(n):
@@ -472,7 +450,7 @@ def family_from_chunks(chunks, n, k):
         while bits < k * n:
             bits += chunks[pos][1]
             pos += 1
-        mats[r] = rows_from_chunks(chunks[start:pos], k, n)
+        mats[r] = unpack_chunks(chunks[start:pos], n, k)
     assert pos == len(chunks)
     return ProjectionFamily(n, k, scales_for(n), mats, scale_thresholds(n, k))
 
@@ -484,8 +462,7 @@ def test_seed_mode_family_matches_fresh_derivation_at_every_node(routing, monkey
     engine = engine_with_points(n, routing, 3)
     seeds = record_broadcast_seed(monkeypatch)
     run_hmst(engine, ProjectionConfig(seed_mode=True))
-    ((seed, nbits),) = seeds
-    assert nbits == 64
+    (seed,) = seeds
     fresh = ProjectionFamily.from_seed(n, k, seed)
     for i in engine.node_ids():
         assert engine.node(i).storage["family"] == fresh
@@ -534,13 +511,13 @@ def test_ship_mode_node_with_altered_chunks_derives_its_own_family(monkeypatch):
     engine = engine_with_points(n, "accounted", 6)
     received = record_multicast(monkeypatch, alter=other)
     decodes = []
-    decode = hmst.rows_from_chunks
+    decode = hmst.family_from_vectors
 
     def counting_decode(*args):
         decodes.append(args)
         return decode(*args)
 
-    monkeypatch.setattr(hmst, "rows_from_chunks", counting_decode)
+    monkeypatch.setattr(hmst, "family_from_vectors", counting_decode)
     run_hmst(engine, ProjectionConfig())
     node1 = engine.node(1).storage["family"]
     own = engine.node(other).storage["family"]
@@ -549,5 +526,5 @@ def test_ship_mode_node_with_altered_chunks_derives_its_own_family(monkeypatch):
     for v in range(2, n + 1):
         if v != other:
             assert engine.node(v).storage["family"] == node1
-    # one decode per scale for the shared chunks and one for the altered ones
-    assert len(decodes) == 2 * len(scales_for(n))
+    # one derivation from the shared vectors and one from the altered ones
+    assert len(decodes) == 2

@@ -374,8 +374,18 @@ PRIMITIVES = ("relaxed_idt", "bounded_route", "vector_multicast")
 @pytest.mark.parametrize("name", PRIMITIVES)
 @pytest.mark.parametrize("payload,nbits", [(8, 3), (-1, 8)])
 def test_simulated_primitive_rejects_payload_wider_than_nbits(name, payload, nbits):
+    """The payload check holds under both backends."""
+    for routing in ("simulated", "accounted"):
+        with pytest.raises(CapacityError):
+            _run_primitive(name, make_engine(4, routing=routing), payload, nbits)
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+@pytest.mark.parametrize("name", PRIMITIVES)
+def test_primitive_rejects_chunk_wider_than_w(name, routing):
+    """Capacity W holds under both backends."""
     with pytest.raises(CapacityError):
-        _run_primitive(name, make_engine(4), payload, nbits)
+        _run_primitive(name, make_engine(4, routing=routing), 1, 90)
 
 
 @pytest.mark.parametrize("name", PRIMITIVES)
@@ -391,9 +401,10 @@ def test_simulated_primitive_carries_wide_payload(name):
 @pytest.mark.parametrize("payload,nbits", [(1 << 90, 90), (-1, 8)])
 def test_simulated_primitive_rejects_payload_in_object_column(name, payload, nbits):
     """At W > 64 payloads sit in an object column; the same width check
-    holds there."""
-    with pytest.raises(CapacityError):
-        _run_primitive(name, make_engine(4, w=100), payload, nbits)
+    holds there, under both backends."""
+    for routing in ("simulated", "accounted"):
+        with pytest.raises(CapacityError):
+            _run_primitive(name, make_engine(4, routing=routing, w=100), payload, nbits)
 
 
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
