@@ -28,8 +28,6 @@ from .clusmat import (
 )
 from .engine import CliqueConfig, CliqueEngine, Message, NodeState, RoundLedger
 from .harness import (
-    BenchCell,
-    BenchReport,
     GenSpec,
     bench_grid,
     exact_mst_cost,

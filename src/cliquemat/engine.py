@@ -320,7 +320,7 @@ class CliqueEngine:
             for a in np.broadcast_arrays(rnd, src, dst, nbits)
         )
         if src.size:
-            self._check_messages(src, dst, nbits)
+            self.check_messages(src, dst, nbits)
             if rnd.min() < 0 or rnd.max() >= rounds:
                 raise ValueError(f"round index outside 0..{rounds - 1}")
             side = self.cfg.n + 1
@@ -333,7 +333,7 @@ class CliqueEngine:
         self._tally(src, dst, nbits)
         self.ledger.add_primitive_rounds(label, rounds)
 
-    def _check_messages(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:
+    def check_messages(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:
         """Per-message rules: distinct endpoints in 1..n, 1 <= nbits <= W."""
         if np.any(src == dst):
             raise ValueError("src and dst must differ")
@@ -373,7 +373,7 @@ class CliqueEngine:
             a.astype(np.int64, copy=False) for a in np.broadcast_arrays(src, dst, nbits)
         )
         if src.size:
-            self._check_messages(src, dst, nbits)
+            self.check_messages(src, dst, nbits)
         self._tally(src, dst, nbits)
 
     def _tally(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -85,12 +85,11 @@ def gen_ladder(spec: GenSpec) -> BooleanMatrix:
     coordinate at a time: ``clusters`` chain rows, window length ``spread``.
 
     The true MST is one window-length edge plus distance-2 chain links, so
-    the cost is pinned almost deterministically; used to anchor the low end
-    of benchmark grids without collapsing to a zero-cost instance.
+    the cost is pinned almost deterministically without collapsing to zero.
     """
     rng = np.random.default_rng(spec.seed)
     n, L, m = spec.n, max(1, spec.spread), min(spec.clusters, spec.n)
-    if m > n - L:
+    if m > n - L + 1:
         raise ValueError("too many chain rows for the window length")
     center = _random_vector(n, rng)
     window = (1 << L) - 1
@@ -156,113 +155,62 @@ def work_model(n: int, m_realized: int) -> float:
 # benchmark grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BenchCell:
-    a_spec: GenSpec
-    b_spec: GenSpec
-    routing: str = "accounted"
-    seed: int = 0
-
-
-@dataclass
-class BenchReport:
-    rows: list[dict] = field(default_factory=list)
-    fits: dict = field(default_factory=dict)
-
-    def all_correct(self) -> bool:
-        return all(r.get("correct") for r in self.rows)
-
-    def as_dict(self) -> dict:
-        return {"rows": self.rows, "fits": self.fits}
-
-
-def default_grid(
-    n_list: Sequence[int] = (64, 128, 256),
-    spreads: Sequence[int] | None = None,
-    seeds: Sequence[int] = (0,),
-    routing: str = "accounted",
-) -> list[BenchCell]:
-    """Grid with realized tree cost spanning a wide range at each n: the
-    spread knob moves per-row cluster radius, and a uniform cell anchors the
-    high end."""
-    cells = []
+def bench_grid(
+    n_list: Sequence[int],
+    spreads: Sequence[int],
+    seeds: Sequence[int],
+    routing: str,
+    proj: ProjectionConfig,
+) -> dict:
+    """One product per cell, as ``{"rows": [...], "fits": {...}}``: at each n,
+    A clustered (4 clusters) at each spread and seed, then A uniform at each
+    seed to anchor the high end of the realized tree cost; B is uniform.  A
+    failing cell gives an error row; the rounds and work envelopes are
+    fitted over the correct rows."""
+    cells = []  # (A's spec, B's seed, engine seed)
     for n in n_list:
-        sp = spreads if spreads is not None else (2, 6, 14, 32)
-        for s in sp:
-            for seed in seeds:
-                cells.append(
-                    BenchCell(
-                        a_spec=GenSpec(n=n, kind="clustered", clusters=4, spread=min(s, n), seed=seed),
-                        b_spec=GenSpec(n=n, kind="uniform", density=0.5, seed=seed + 1),
-                        routing=routing,
-                        seed=seed,
-                    )
-                )
-        for seed in seeds:
-            cells.append(
-                BenchCell(
-                    a_spec=GenSpec(n=n, kind="uniform", density=0.5, seed=seed + 2),
-                    b_spec=GenSpec(n=n, kind="uniform", density=0.5, seed=seed + 3),
-                    routing=routing,
-                    seed=seed,
-                )
-            )
-    return cells
-
-
-def run_cell(cell: BenchCell, proj: ProjectionConfig | None = None) -> dict:
-    a = generate(cell.a_spec)
-    b = generate(cell.b_spec)
-    n = cell.a_spec.n
-    cfg = CliqueConfig(n=n, routing=cell.routing, seed=cell.seed)
-    C, ledger, info = clusmat_oriented(a, b, cfg, proj)
-    return {
-        "n": n,
-        "a_kind": cell.a_spec.kind,
-        "clusters": cell.a_spec.clusters,
-        "spread": cell.a_spec.spread,
-        "density": cell.a_spec.density,
-        "seed": cell.seed,
-        "routing": cell.routing,
-        "orientation": "ab",
-        "exact_mst_cost": exact_mst_cost(a),
-        "m_realized": info["m_realized"],
-        "t": info["t"],
-        "blocks": info["blocks"],
-        "rounds": ledger.rounds,
-        "messages": ledger.messages,
-        "bits": ledger.bits,
-        "work": ledger.work_total,
-        "correct": verify(C, a, b),
-    }
-
-
-def bench_grid(cells: Sequence[BenchCell], proj: ProjectionConfig | None = None) -> BenchReport:
-    """One row per cell; per-cell failures are recorded, not raised."""
-    report = BenchReport()
-    for cell in cells:
+        cells += [
+            (GenSpec(n=n, clusters=4, spread=min(s, n), seed=seed), seed + 1, seed)
+            for s in spreads for seed in seeds
+        ]
+        cells += [(GenSpec(n=n, kind="uniform", seed=seed + 2), seed + 3, seed) for seed in seeds]
+    rows = []
+    for spec, b_seed, seed in cells:
+        cell = {
+            "n": spec.n,
+            "a_kind": spec.kind,
+            "clusters": spec.clusters,
+            "spread": spec.spread,
+            "density": spec.density,
+            "seed": seed,
+            "routing": routing,
+        }
         try:
-            report.rows.append(run_cell(cell, proj))
+            a, b = generate(spec), gen_uniform(spec.n, 0.5, b_seed)
+            cfg = CliqueConfig(n=spec.n, routing=routing, seed=seed)
+            C, ledger, info = clusmat_oriented(a, b, cfg, proj)
+            rows.append({
+                **cell,
+                "orientation": "ab",
+                "exact_mst_cost": exact_mst_cost(a),
+                "m_realized": info["m_realized"],
+                "t": info["t"],
+                "blocks": info["blocks"],
+                "rounds": ledger.rounds,
+                "messages": ledger.messages,
+                "bits": ledger.bits,
+                "work": ledger.work_total,
+                "correct": verify(C, a, b),
+            })
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-            report.rows.append(
-                {
-                    "n": cell.a_spec.n,
-                    "a_kind": cell.a_spec.kind,
-                    "spread": cell.a_spec.spread,
-                    "seed": cell.seed,
-                    "routing": cell.routing,
-                    "correct": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-    good = [r for r in report.rows if r.get("correct")]
-    if good:
-        report.fits["rounds"] = fit_envelope(
-            [r["rounds"] for r in good],
-            [rounds_model(r["n"], r["m_realized"]) for r in good],
+            rows.append({k: cell[k] for k in ("n", "a_kind", "spread", "seed", "routing")}
+                        | {"correct": False, "error": f"{type(exc).__name__}: {exc}"})
+    good = [r for r in rows if r["correct"]]
+    fits = {
+        key: fit_envelope(
+            [r[key] for r in good], [model(r["n"], r["m_realized"]) for r in good]
         )
-        report.fits["work"] = fit_envelope(
-            [r["work"] for r in good],
-            [work_model(r["n"], r["m_realized"]) for r in good],
-        )
-    return report
+        for key, model in (("rounds", rounds_model), ("work", work_model))
+        if good
+    }
+    return {"rows": rows, "fits": fits}

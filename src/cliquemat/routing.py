@@ -41,7 +41,8 @@ The simulated schedules:
 
 Out of band: payloads never enter a schedule, so each primitive checks
 once, on receipt of its batch and under either backend, that every payload
-fits its declared width and every width is in 1..W; payload and width do
+fits its declared width, every width is in 1..W and every endpoint in 1..n,
+so a batch that fails a check charges nothing; payload and width do
 not change between hops.  The forwarded destination, original source and
 position of an item travel with the schedule and are not charged as
 header bits.
@@ -281,14 +282,16 @@ def _bounded_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
 
 
 def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) -> int:
-    """Check the payloads of ``b`` and move its cross items: accounted,
-    charge ``charge`` rounds and count one message per item; simulated, run
-    ``schedule``.  Returns the rounds used."""
+    """Check the payloads, endpoints and widths of ``b`` and move its cross
+    items: accounted, charge ``charge`` rounds and count one message per
+    item; simulated, run ``schedule``.  Returns the rounds used; a batch
+    that fails a check charges nothing."""
     cross = b.src != b.dst
     if not cross.any():
         return 0
     _check_payloads(b.payload, b.nbits)
     src, dst, nbits = b.src[cross], b.dst[cross], b.nbits[cross]
+    engine.check_messages(src, dst, nbits)
     if engine.accounted:
         engine.charge_rounds(charge, label)
         engine.count_messages(src, dst, nbits)

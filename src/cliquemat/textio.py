@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable
 
 from .bits import BooleanMatrix, Tree
 from .engine import CliqueConfig, RoundLedger
@@ -74,17 +73,3 @@ def run_report(
 def write_json(path: str | Path, data: dict) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
-
-def rows_to_csv(rows: Iterable[dict]) -> str:
-    rows = list(rows)
-    if not rows:
-        return ""
-    keys: list[str] = []
-    for r in rows:
-        for k in r:
-            if k not in keys:
-                keys.append(k)
-    lines = [",".join(keys)]
-    for r in rows:
-        lines.append(",".join(str(r.get(k, "")) for k in keys))
-    return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
 """CLI round trips through temp files."""
 
+import csv
 import json
 
 import pytest
 
+from cliquemat import harness
 from cliquemat.bits import BitVector, Tree, WeightedEdge, boolean_product_naive
 from cliquemat.cli import main
 from cliquemat.harness import GenSpec, generate
@@ -120,6 +122,43 @@ def test_bench_cli_csv(tmp_path, capsys):
     assert "rounds" in header and "correct" in header
 
 
+def test_bench_grid_shape(capsys):
+    """Per n: clustered rows spread-major, then one uniform anchor per seed,
+    under a fixed header."""
+    rc = run_cli("bench", "--n-list", "8,16", "--spreads", "0,3", "--seeds", "2",
+                 "--format", "csv")
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[0] == (
+        "n,a_kind,clusters,spread,density,seed,routing,orientation,exact_mst_cost,"
+        "m_realized,t,blocks,rounds,messages,bits,work,correct"
+    )
+    rows = list(csv.DictReader(lines))
+    cells = [(int(r["n"]), r["a_kind"], int(r["spread"]), int(r["seed"])) for r in rows]
+    assert cells == [
+        (n, kind, spread, seed)
+        for n in (8, 16)
+        for kind, spread in (("clustered", 0), ("clustered", 3), ("uniform", 0))
+        for seed in (0, 1)
+    ]
+
+
+def test_bench_csv_quotes_error_with_comma(monkeypatch, capsys):
+    def fail(*args):
+        raise ValueError("shape (4, 16), too large")
+
+    monkeypatch.setattr(harness, "clusmat_oriented", fail)
+    rc = run_cli("bench", "--n-list", "8", "--spreads", "0", "--routing", "accounted",
+                 "--format", "csv")
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert rc == 1
+    assert len(rows) == 2
+    for row in rows:
+        assert None not in row  # no field beyond the header
+        assert row["error"] == "ValueError: shape (4, 16), too large"
+        assert row["correct"] == "False"
+
+
 @pytest.mark.parametrize(
     "flag", [["--w", "7"], ["--strict"], ["--max-rounds", "1"], ["--seed", "3"]]
 )
@@ -225,6 +264,15 @@ def test_gen_ladder(tmp_path):
     assert read_matrix(p) == generate(
         GenSpec(n=12, kind="ladder", clusters=3, spread=2, seed=4)
     )
+
+
+def test_gen_ladder_last_window_fits(capsys):
+    """n - L + 1 chain rows: the last window covers bits n - L .. n - 1."""
+    assert run_cli("gen", "--n", "5", "--kind", "ladder", "--clusters", "4",
+                   "--spread", "2") == 0
+    M = matrix_from_text(capsys.readouterr().out)
+    center = M.rows[4].value
+    assert [M.rows[i].value ^ center for i in range(4)] == [0b11 << i for i in range(4)]
 
 
 def test_gen_bad_spec_is_one_line_error(capsys):

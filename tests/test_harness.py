@@ -4,7 +4,6 @@ import pytest
 
 from cliquemat.bits import BitVector, BooleanMatrix, boolean_product_naive
 from cliquemat.harness import (
-    BenchCell,
     GenSpec,
     bench_grid,
     exact_mst_cost,
@@ -14,6 +13,7 @@ from cliquemat.harness import (
     generate,
     verify,
 )
+from cliquemat.hmst import ProjectionConfig
 
 
 # ---------------------------------------------------------------------------
@@ -126,26 +126,16 @@ def test_fit_envelope():
 
 
 def test_bench_grid_small():
-    cells = [
-        BenchCell(
-            a_spec=GenSpec(n=16, clusters=2, spread=2, seed=s),
-            b_spec=GenSpec(n=16, kind="uniform", seed=s + 1),
-            routing="accounted",
-            seed=s,
-        )
-        for s in range(3)
-    ]
-    report = bench_grid(cells)
-    assert len(report.rows) == 3
-    assert report.all_correct()
-    assert "rounds" in report.fits and "work" in report.fits
-    for row in report.rows:
+    report = bench_grid([16], [2], range(3), "accounted", ProjectionConfig())
+    assert len(report["rows"]) == 6  # three clustered, three uniform anchors
+    assert all(r["correct"] for r in report["rows"])
+    assert "rounds" in report["fits"] and "work" in report["fits"]
+    for row in report["rows"]:
         assert row["exact_mst_cost"] >= 0
         assert row["m_realized"] >= 0
         assert row["rounds"] > 0
 
 
 def test_bench_grid_empty():
-    report = bench_grid([])
-    assert report.rows == [] and report.fits == {}
-    assert report.all_correct()
+    report = bench_grid([], [2], [0], "accounted", ProjectionConfig())
+    assert report == {"rows": [], "fits": {}}

@@ -388,6 +388,18 @@ def test_primitive_rejects_chunk_wider_than_w(name, routing):
         _run_primitive(name, make_engine(4, routing=routing), 1, 90)
 
 
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+@pytest.mark.parametrize("prim", [solve_relaxed_idt, bounded_route])
+@pytest.mark.parametrize("dst,nbits,error", [(2, 90, CapacityError), (5, 8, ValueError)])
+def test_failed_task_primitive_charges_nothing(prim, routing, dst, nbits, error):
+    """A batch with a chunk wider than W or an endpoint outside 1..n is
+    rejected before either backend charges rounds, messages or a label."""
+    eng = make_engine(4, routing=routing)
+    with pytest.raises(error):
+        prim(eng, Batch.build(eng.w, [1, 3], [3, dst], [8, nbits], [1, 2]))
+    assert eng.ledger.as_dict() == make_engine(4, routing=routing).ledger.as_dict()
+
+
 @pytest.mark.parametrize("name", PRIMITIVES)
 def test_simulated_primitive_carries_wide_payload(name):
     """Payloads never enter an int64 column, so W > 64 still works."""
