@@ -30,13 +30,17 @@ hold.  Steps (per-step round subtotals land in ``ledger.step_rounds``):
  7. tour-block start rows go to the assigned pair nodes;
  8. witnesses go to block representatives, then to all pair nodes;
  9. column blocks go to the assigned pair nodes;
-10. pair nodes multiply incrementally and route finished entries home.
+10. pair nodes decode their witnesses, rebuild their block's rows, multiply
+    incrementally and route finished entries home.
 
-Orientation ``ba`` swaps the roles: the tree spans B's columns (from step
-1) against A's rows, so the nodes end with (A o B) transposed and one more
-transpose exchange flips it.  :func:`choose_orientation` builds both trees,
-runs steps 3-5 on each, lets every node pick the cheaper tree from the
-broadcast distances (ties to ``ab``), and runs steps 6-10 once on it.
+Steps 7-9 only deliver: every node stores what it received, and step 10 is
+each pair node's one local phase over it.  Orientation ``ba`` swaps the
+roles: the tree spans B's columns (from step 1) against A's rows, so the
+nodes end with (A o B) transposed and one more transpose exchange flips it.
+:func:`choose_orientation` builds both trees, runs steps 3-5 on each (a
+tree and what steps 3-5 derive from it are keyed by the rows it spans, so
+the two candidates keep apart), lets every node pick the cheaper tree from
+the broadcast distances (ties to ``ab``), and runs steps 6-10 once on it.
 
 End-to-end correctness is exact for every seed: randomness only moves the
 tree, and steps 4-10 are correct for any spanning tree.
@@ -47,7 +51,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -167,14 +171,8 @@ def plan_blocks(traversal: Traversal, n: int) -> TraversalPlan:
     if len(blocks) > t:
         raise InvalidPlanError(f"{len(blocks)} blocks exceed t={t}")
 
-    q = n // t
-    base, extra = divmod(n, q)
-    column_blocks: list[tuple[int, int]] = []
-    lo = 1
-    for c in range(q):
-        size = base + (1 if c < extra else 0)
-        column_blocks.append((lo, lo + size - 1))
-        lo += size
+    cuts = np.array_split(np.arange(1, n + 1), n // t)
+    column_blocks = [(int(c[0]), int(c[-1])) for c in cuts]
     if any(hi - lo + 1 > t + 1 for lo, hi in column_blocks):
         raise InvalidPlanError("a column block exceeds t+1 columns")
 
@@ -224,15 +222,14 @@ class WitnessSchedule:
     receives each witness position, with per-representative capacity big
     enough that at most O(total/n) representatives are used."""
 
-    reps: tuple[int, ...]
+    reps: range
     capacity: int
     edge_offsets: dict[int, int]
     total: int
 
     def rep_for_positions(self, pos: np.ndarray) -> np.ndarray:
         """The representative of each witness position."""
-        idx = np.minimum(pos // self.capacity, len(self.reps) - 1)
-        return np.asarray(self.reps, dtype=np.int64)[idx]
+        return self.reps.start + np.minimum(pos // self.capacity, len(self.reps) - 1)
 
 
 def witness_schedules(
@@ -247,7 +244,7 @@ def witness_schedules(
     every node computes the identical schedule."""
     out: dict[int, WitnessSchedule] = {}
     for b in range(1, plan.num_blocks + 1):
-        reps = tuple(assignment.nodes_for_block(b))
+        reps = assignment.nodes_for_block(b)
         edge_ids = plan.block_edge_ids(b)
         offsets: dict[int, int] = {}
         pos = 0
@@ -277,7 +274,8 @@ def _block_witnesses(
     n: int, plan: TraversalPlan, b: int, distances: Mapping[int, int], *arrays: np.ndarray
 ) -> dict[int, np.ndarray]:
     """Tour block b's witness lists (edge -> ascending coordinates) from the
-    packet arrays one of its pair nodes received."""
+    packet arrays one of its pair nodes received in step 8; step 10 decodes
+    them."""
     cb = count_bits(n)
     packets = np.sort(np.concatenate([np.zeros(0, np.int64), *arrays]))
     edges, coords = packets >> cb, (packets & ((1 << cb) - 1)) + 1
@@ -301,10 +299,9 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     representative), then representatives multicast their vectors to the
     block's pair nodes in sub-stages of at most n messages each.
 
-    Reads per-node storage written by earlier steps (``wit``, ``plan``,
-    ``assignment``, ``schedules``, ``distances``), leaves each pair node's
-    received packet arrays under ``witness_packets`` and fills
-    ``block_witnesses`` (edge -> ascending coordinates) from them.
+    Reads per-node storage written by step 6 (``wit``, ``schedules``,
+    ``assignment``) and leaves every node's received packet arrays under
+    ``witness_packets``.
 
     Accounted, stage 2 counts one message per packet copy from its
     representative and leaves out the multicast announcements (ranks and
@@ -338,17 +335,12 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
         got = delivered.span(node.id)
         if got.start == got.stop:
             return None
-        sched_map: dict[int, WitnessSchedule] = node.storage["schedules"]
-        assignment: BlockAssignment = node.storage["assignment"]
-        pair = assignment.pair_of(node.id)
-        b = pair[0] if pair else None
-        cap = sched_map[b].capacity if b else 0
+        pair = node.storage["assignment"].pair_of(node.id)
         packets = np.sort(delivered.payload[got].astype(np.int64))
-        if b is None or packets.size > cap:
-            raise SchedulingError(
-                f"representative {node.id} got {packets.size} witnesses"
-            )
-        return packets, assignment.nodes_for_block(b)
+        sched: WitnessSchedule | None = node.storage["schedules"][pair[0]] if pair else None
+        if sched is None or packets.size > sched.capacity:
+            raise SchedulingError(f"representative {node.id} got {packets.size} witnesses")
+        return packets, sched.reps
 
     rep_packets: dict[int, tuple[np.ndarray, range]] = engine.local(collect_rep)
 
@@ -387,17 +379,6 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
                 for rep, (packets, recips) in rep_packets.items() if packets.size > s * n
             })
     engine.put("witness_packets", {v: received.get(v, []) for v in engine.node_ids()})
-
-    def store_block_witnesses(node):
-        st = node.storage
-        assignment: BlockAssignment = st.get("assignment")
-        pair = assignment.pair_of(node.id) if assignment else None
-        if pair is not None:
-            st["block_witnesses"] = engine.derive(
-                _block_witnesses, n, st["plan"], pair[0], st["distances"], *st["witness_packets"]
-            )
-
-    engine.local(store_block_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +497,15 @@ def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> Non
     engine.put(out_key, {i: BitVector(n, col) for i, col in enumerate(pack_rows(received), 1)})
 
 
-def _broadcast_tree(engine: CliqueEngine, suffix: str = "") -> None:
-    """Node 1 sends edge j of the tree it stores under ``hmst_tree`` to node
-    j; next round node j re-broadcasts it.  Afterwards every node stores the
-    tree structure under ``tree``.  ``suffix`` extends every key, so the
-    two candidate trees of the orientation choice keep apart."""
+def _broadcast_tree(engine: CliqueEngine, row_key: str) -> None:
+    """Node 1 sends edge j of the tree over the rows under ``row_key``, which
+    it stores under ``("hmst_tree", row_key)``, to node j; next round node j
+    re-broadcasts it.  Afterwards every node stores the tree structure under
+    ``("tree", row_key)``."""
     n = engine.n
     cb = count_bits(n)
     with engine.as_node(1) as node1:
-        tree: Tree = node1.storage["hmst_tree" + suffix]
+        tree: Tree = node1.storage["hmst_tree", row_key]
     pairs = [(e.u, e.v) for e in tree.edges]
 
     owners = np.arange(2, len(pairs) + 1)
@@ -539,15 +520,17 @@ def _broadcast_tree(engine: CliqueEngine, suffix: str = "") -> None:
     )
 
     structure = Tree(n, tuple(WeightedEdge(u, v, 0) for u, v in pairs))
-    engine.put("tree" + suffix, dict.fromkeys(engine.node_ids(), structure))
+    engine.put(("tree", row_key), dict.fromkeys(engine.node_ids(), structure))
 
 
 def _multicast_rows(
-    engine: CliqueEngine, row_key: str, recipients: Callable[[NodeState], Sequence[int]]
-) -> dict[int, dict[int, BitVector]]:
+    engine: CliqueEngine, row_key: str, recipients: Callable[[NodeState], Sequence[int]],
+    out_key: Hashable,
+) -> None:
     """Every node multicasts the row it stores under ``row_key`` to the
-    nodes ``recipients(node)`` names, if any.  Returns, per receiving node,
-    the rows it received keyed by sender, in ascending sender order."""
+    nodes ``recipients(node)`` names, if any.  Every node then stores the
+    rows it received under ``out_key``, keyed by sender in ascending sender
+    order, ``{}`` if none arrived."""
     n = engine.n
 
     def build(node):
@@ -558,50 +541,50 @@ def _multicast_rows(
         return pack_chunks([row.value], n, engine.w), sorted(recips)
 
     out, _ = vector_multicast(engine, engine.local(build))
-    return {
-        v: {sender: engine.derive(_row_of, n, vec) for sender, vec in got}
-        for v, got in out.items()
-    }
+    engine.put(out_key, {
+        v: {sender: engine.derive(_row_of, n, vec) for sender, vec in out.get(v, ())}
+        for v in engine.node_ids()
+    })
 
 
 def _row_of(n: int, vec: Sequence[tuple[int, int]]) -> BitVector:
     return BitVector(n, *unpack_chunks(vec, n, 1))
 
 
-def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str, suffix: str = "") -> None:
-    """Each node multicasts its row to the owners of its incident tree edges;
-    every owner ends with both endpoint rows (at most two vectors each)
-    under ``edge_rows``."""
+def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str) -> None:
+    """Each node multicasts its row under ``row_key`` to the owners of its
+    incident edges of the tree under ``("tree", row_key)``; every owner ends
+    with both endpoint rows (at most two vectors each) under
+    ``("edge_rows", row_key)``."""
 
     def incident_edges(node):
-        adjacency = engine.derive(Tree.adjacency, node.storage["tree" + suffix])
+        adjacency = engine.derive(Tree.adjacency, node.storage["tree", row_key])
         return [idx for _, idx in adjacency[node.id]]
 
-    received = _multicast_rows(engine, row_key, incident_edges)
-    engine.put("edge_rows" + suffix, {v: received.get(v, {}) for v in engine.node_ids()})
+    _multicast_rows(engine, row_key, incident_edges, ("edge_rows", row_key))
 
 
-def _owner_distance_broadcast(engine: CliqueEngine, suffix: str = "") -> None:
+def _owner_distance_broadcast(engine: CliqueEngine, row_key: str) -> None:
     """Edge owner j computes the Hamming distance of its edge's endpoint
     rows (ceil(n/W) work) and broadcasts it to every node; all nodes store
-    the full distance table under ``distances``.  The distances sum to the
-    tree's true cost."""
+    the full distance table under ``("distances", row_key)``.  The
+    distances sum to the tree's true cost."""
     n = engine.n
     cb = count_bits(n)
 
     def compute(node):
-        tree: Tree = node.storage["tree" + suffix]
+        tree: Tree = node.storage["tree", row_key]
         if node.id > n - 1:
             return None
         e = tree.edge(node.id)
-        rows: dict[int, BitVector] = node.storage["edge_rows" + suffix]
+        rows: dict[int, BitVector] = node.storage["edge_rows", row_key]
         engine.charge_work(node.id, math.ceil(n / engine.w))
         return hamming_distance(rows[e.u], rows[e.v])
 
     table = engine.local(compute)
     src, dst = to_all_others(n, list(table))
     engine.exchange(1, 0, src, dst, cb, label="step5")
-    engine.put("distances" + suffix, dict.fromkeys(engine.node_ids(), table))
+    engine.put(("distances", row_key), dict.fromkeys(engine.node_ids(), table))
 
 
 def _gather(engine: CliqueEngine) -> BooleanMatrix:
@@ -638,7 +621,7 @@ def run_clusmat(
 
     # step 3: tree structure to every node
     with engine.step("step3"):
-        _broadcast_tree(engine)
+        _broadcast_tree(engine, row_key)
 
     # step 4: endpoint rows to edge owners
     with engine.step("step4"):
@@ -646,7 +629,7 @@ def run_clusmat(
 
     # step 5: distances at owners, then everywhere
     with engine.step("step5"):
-        _owner_distance_broadcast(engine)
+        _owner_distance_broadcast(engine, row_key)
 
     info = _multiply_along_tree(engine, row_key, col_key)
     return _gather(engine), info
@@ -654,8 +637,9 @@ def run_clusmat(
 
 def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> dict:
     """Steps 6-10 on the tree, edge rows and distances each node stores
-    under ``tree``, ``edge_rows`` and ``distances``; node i ends with row i
-    of the product under ``c_row``.  Returns the plan summary."""
+    under ``("tree", row_key)``, ``("edge_rows", row_key)`` and
+    ``("distances", row_key)``; node i ends with row i of the product under
+    ``c_row``.  Returns the plan summary."""
     n = engine.n
     cb = count_bits(n)
 
@@ -663,21 +647,15 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
     # at every node
     with engine.step("step6"):
 
-        def list_witnesses(node):
-            if node.id > n - 1:
-                return
-            e = node.storage["tree"].edge(node.id)
-            rows: dict[int, BitVector] = node.storage["edge_rows"]
-            wit = witnesses(rows[e.u], rows[e.v])
-            node.storage["wit"] = wit
-            engine.charge_work(node.id, len(wit))
-
-        engine.local(list_witnesses)
-
         def make_plan(node):
             st = node.storage
+            if node.id < n:
+                e = st["tree", row_key].edge(node.id)
+                rows: dict[int, BitVector] = st["edge_rows", row_key]
+                st["wit"] = witnesses(rows[e.u], rows[e.v])
+                engine.charge_work(node.id, len(st["wit"]))
             st["plan"], st["assignment"], st["schedules"] = engine.derive(
-                _derive_plan, st["tree"], st["distances"], n
+                _derive_plan, st["tree", row_key], st["distances", row_key], n
             )
             engine.charge_work(node.id, 2 * n)
 
@@ -691,26 +669,10 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
         def start_recipients(node):
             pl: TraversalPlan = node.storage["plan"]
             asg: BlockAssignment = node.storage["assignment"]
-            recips: set[int] = set()
-            for b in range(1, pl.num_blocks + 1):
-                if pl.block_start_vertex(b) == node.id:
-                    recips.update(asg.nodes_for_block(b))
-            return recips
+            mine = (b for b in range(1, pl.num_blocks + 1) if pl.block_start_vertex(b) == node.id)
+            return [v for b in mine for v in asg.nodes_for_block(b)]
 
-        start_rows = _multicast_rows(engine, row_key, start_recipients)
-
-        def store_start(node):
-            asg: BlockAssignment = node.storage["assignment"]
-            pair = asg.pair_of(node.id)
-            if pair is None:
-                return
-            pl: TraversalPlan = node.storage["plan"]
-            row = start_rows.get(node.id, {}).get(pl.block_start_vertex(pair[0]))
-            if row is None:
-                raise SchedulingError(f"pair node {node.id} missed its start row")
-            node.storage["start_row"] = row
-
-        engine.local(store_start)
+        _multicast_rows(engine, row_key, start_recipients, "start_rows")
 
     # step 8: witnesses to every pair node
     with engine.step("step8"):
@@ -724,26 +686,10 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
             asg: BlockAssignment = node.storage["assignment"]
             return asg.nodes_for_column_block(pl.column_block_of(node.id))
 
-        col_rows = _multicast_rows(engine, col_key, column_recipients)
+        _multicast_rows(engine, col_key, column_recipients, "col_rows")
 
-        def store_cols(node):
-            asg: BlockAssignment = node.storage["assignment"]
-            pair = asg.pair_of(node.id)
-            if pair is None:
-                return
-            pl: TraversalPlan = node.storage["plan"]
-            lo, hi = pl.column_blocks[pair[1] - 1]
-            cols = sorted(col_rows.get(node.id, {}).items())
-            got = [j for j, _ in cols]
-            if got != list(range(lo, hi + 1)):
-                raise SchedulingError(
-                    f"pair node {node.id} got columns {got}, wanted {lo}..{hi}"
-                )
-            node.storage["columns"] = cols
-
-        engine.local(store_cols)
-
-    # step 10: incremental multiply, then entries home as (vertex, column,
+    # step 10: pair nodes decode their witnesses, rebuild their block's rows
+    # and multiply incrementally, then entries go home as (vertex, column,
     # bit) columns; every row is assembled by one scatter into an n x n grid
     with engine.step("step10"):
         # (src, vertex, column, bit) columns of the node's block
@@ -753,12 +699,22 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
             if pair is None:
                 return None
             pl: TraversalPlan = st["plan"]
-            b, _ = pair
-            st["block_rows"] = engine.derive(
-                _block_rows, pl, b, st["start_row"], st["block_witnesses"]
+            b, c = pair
+            start, (lo, hi) = pl.block_start_vertex(b), pl.column_blocks[c - 1]
+            starts, cols = st["start_rows"], st["col_rows"]
+            if list(starts) != [start] or list(cols) != list(range(lo, hi + 1)):
+                raise SchedulingError(
+                    f"pair node {node.id} holds the rows of {list(starts)} and columns "
+                    f"{list(cols)}, wanted the row of {start} and columns {lo}..{hi}"
+                )
+            st["block_witnesses"] = engine.derive(
+                _block_witnesses, n, pl, b, st["distances", row_key], *st["witness_packets"]
             )
-            vertex, j, bit = block_multiply(*st["block_rows"], st["columns"])
-            engine.charge_work(node.id, (n + pl.block_costs[b - 1]) * len(st["columns"]))
+            st["block_rows"] = engine.derive(
+                _block_rows, pl, b, starts[start], st["block_witnesses"]
+            )
+            vertex, j, bit = block_multiply(*st["block_rows"], list(cols.items()))
+            engine.charge_work(node.id, (n + pl.block_costs[b - 1]) * len(cols))
             return np.full(vertex.size, node.id), vertex, j, bit
 
         src, vertex, j, bit = (np.concatenate(c) for c in zip(*engine.local(multiply).values()))
@@ -826,28 +782,25 @@ def choose_orientation(
 
     # candidate tree for the rows of A
     with engine.step("orient_tree_a"):
-        run_hmst(engine, proj, point_key="a_row", tree_key="hmst_tree_ab", step_prefix="orient_a_")
+        run_hmst(engine, proj, point_key="a_row", step_prefix="orient_a_")
 
     # candidate tree for the columns of B, which step 1 would deliver anyway
     with engine.step("orient_tree_b"):
         _transpose_exchange(engine, "b_row", "b_col")
-        run_hmst(engine, proj, point_key="b_col", tree_key="hmst_tree_ba", step_prefix="orient_b_")
+        run_hmst(engine, proj, point_key="b_col", step_prefix="orient_b_")
 
-    # steps 3-5 on each candidate, then every node adopts the cheaper one
+    # steps 3-5 on each candidate, then every node picks the cheaper one
     with engine.step("orient_choice"):
-        for side, (row_key, _) in _ROLES.items():
-            _broadcast_tree(engine, suffix="_" + side)
-            _deliver_endpoint_rows(engine, row_key, suffix="_" + side)
-            _owner_distance_broadcast(engine, suffix="_" + side)
+        for row_key, _ in _ROLES.values():
+            _broadcast_tree(engine, row_key)
+            _deliver_endpoint_rows(engine, row_key)
+            _owner_distance_broadcast(engine, row_key)
 
         def choose(node):
             st = node.storage
-            costs = {side: sum(st["distances_" + side].values()) for side in _ROLES}
-            side = "ba" if costs["ba"] < costs["ab"] else "ab"
-            for key in ("tree", "edge_rows", "distances"):
-                st[key] = st[key + "_" + side]
+            costs = {side: sum(st["distances", r].values()) for side, (r, _) in _ROLES.items()}
             st["orient_costs"] = costs
-            st["orientation"] = side
+            st["orientation"] = "ba" if costs["ba"] < costs["ab"] else "ab"
 
         engine.local(choose)
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Hashable, NamedTuple
 
 import numpy as np
 
@@ -240,9 +240,10 @@ class CliqueEngine:
                 out[i] = result
         return out
 
-    def put(self, key: str, values: dict[int, object]) -> None:
-        """Store ``values[i]`` under ``key`` at each listed node i, through
-        that node's storage, so the isolation audit sees every write."""
+    def put(self, key: Hashable, values: dict[int, object]) -> None:
+        """Store ``values[i]`` under ``key`` (any hashable, such as
+        ``("tree", row_key)``) at each listed node i, through that node's
+        storage, so the isolation audit sees every write."""
         for i, value in values.items():
             self.node(i).storage[key] = value
 

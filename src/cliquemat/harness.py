@@ -163,14 +163,14 @@ def bench_grid(
     proj: ProjectionConfig,
 ) -> dict:
     """One product per cell, as ``{"rows": [...], "fits": {...}}``: at each n,
-    A clustered (4 clusters) at each spread and seed, then A uniform at each
-    seed to anchor the high end of the realized tree cost; B is uniform.  A
-    failing cell gives an error row; the rounds and work envelopes are
-    fitted over the correct rows."""
+    A clustered (min(4, n) clusters) at each spread and seed, then A uniform
+    at each seed to anchor the high end of the realized tree cost; B is
+    uniform.  A failing cell gives an error row; the rounds and work
+    envelopes are fitted over the correct rows."""
     cells = []  # (A's spec, B's seed, engine seed)
     for n in n_list:
         cells += [
-            (GenSpec(n=n, clusters=4, spread=min(s, n), seed=seed), seed + 1, seed)
+            (GenSpec(n=n, clusters=min(4, n), spread=min(s, n), seed=seed), seed + 1, seed)
             for s in spreads for seed in seeds
         ]
         cells += [(GenSpec(n=n, kind="uniform", seed=seed + 2), seed + 3, seed) for seed in seeds]

@@ -247,12 +247,12 @@ def run_hmst(
     engine: CliqueEngine,
     proj: ProjectionConfig,
     point_key: str = "point",
-    tree_key: str = "hmst_tree",
     step_prefix: str = "hmst_",
 ) -> Tree:
     """Run the tree protocol on an engine whose node i already stores its
-    point under ``point_key``; leaves the tree at node 1 under ``tree_key``
-    and returns it."""
+    point under ``point_key``; leaves the tree at node 1 under
+    ``("hmst_tree", point_key)``, so trees over different point sets keep
+    apart, and returns it."""
     n = engine.n
     w = engine.w
     k = proj.k_for(n)
@@ -337,7 +337,7 @@ def run_hmst(
             engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))
             tree = local_mst(graph)
             engine.charge_work(1, n * n)
-            node.storage[tree_key] = tree
+            node.storage["hmst_tree", point_key] = tree
             return tree
 
         return engine.local(estimate)[1]

@@ -143,6 +143,20 @@ def test_bench_grid_shape(capsys):
     ]
 
 
+def test_bench_grid_below_four_nodes(capsys):
+    """At n < 4 the clustered cells draw one cluster per node instead of
+    four, so those n give correct rows and do not abort the other n."""
+    rc = run_cli("bench", "--n-list", "2,3,8", "--spreads", "0,3", "--seeds", "1",
+                 "--format", "csv")
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert rc == 0
+    assert [(int(r["n"]), r["a_kind"]) for r in rows] == [
+        (n, kind) for n in (2, 3, 8) for kind in ("clustered", "clustered", "uniform")
+    ]
+    assert all(r["correct"] == "True" for r in rows)
+    assert [int(r["clusters"]) for r in rows if r["a_kind"] == "clustered"] == [2, 2, 3, 3, 4, 4]
+
+
 def test_bench_csv_quotes_error_with_comma(monkeypatch, capsys):
     def fail(*args):
         raise ValueError("shape (4, 16), too large")

@@ -1,6 +1,7 @@
 """Unit tests for the tree-guided Boolean product protocol."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -630,7 +631,7 @@ def test_replicated_plan_matches_fresh_derivation_at_every_node(routing):
     assert C == boolean_product_naive(A, B)
     for i in engine.node_ids():
         st = engine.node(i).storage
-        plan, assignment, schedules = fresh_plan(st["tree"], st["distances"], n)
+        plan, assignment, schedules = fresh_plan(st["tree", "a_row"], st["distances", "a_row"], n)
         assert st["plan"] == plan
         assert st["assignment"] == assignment
         assert st["schedules"] == schedules
@@ -659,10 +660,10 @@ def test_pair_nodes_with_altered_inputs_derive_their_own_rows(routing, monkeypat
 
     class AlteringEngine(CliqueEngine):
         def local(self, fn):
-            if fn.__name__ == "store_block_witnesses":
+            if fn.__name__ == "multiply":
                 with self.as_node(own_start) as node:
-                    row = node.storage["start_row"]
-                    node.storage["start_row"] = BitVector(row.n, row.value)
+                    (start, row), = node.storage["start_rows"].items()
+                    node.storage["start_rows"] = {start: BitVector(row.n, row.value)}
                 with self.as_node(own_packets) as node:
                     packets = node.storage["witness_packets"]
                     assert packets
@@ -690,6 +691,83 @@ def test_pair_nodes_with_altered_inputs_derive_their_own_rows(routing, monkeypat
                 assert np.array_equal(got, shared)
 
 
+@pytest.mark.parametrize("drop", ["col_rows", "witness_packets"])
+def test_pair_node_missing_a_delivery_stops_step10(drop):
+    """Step 10 checks what steps 7-9 delivered before a pair node
+    multiplies: a node short of one column of its block stops the run with
+    a SchedulingError naming the node, and a node short of one witness
+    packet with one naming its block and the packet's edge."""
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.errors import SchedulingError
+    from cliquemat.harness import GenSpec, generate
+    from cliquemat.routing import count_bits
+
+    n = 16
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=7))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.3, seed=8))
+    expect = []
+
+    class AlteringEngine(CliqueEngine):
+        def local(self, fn):
+            if fn.__name__ == "multiply":
+                v = min(i for i in self.node_ids() if any(
+                    p.size for p in self.node(i).storage["witness_packets"]
+                ))
+                with self.as_node(v) as node:
+                    st = node.storage
+                    if drop == "col_rows":
+                        st["col_rows"] = dict(list(st["col_rows"].items())[1:])
+                        expect.append(f"pair node {v} ")
+                    else:
+                        first, *rest = (p for p in st["witness_packets"] if p.size)
+                        st["witness_packets"] = [first[1:], *rest]
+                        b = st["assignment"].pair_of(v)[0]
+                        e = int(first[0]) >> count_bits(n)
+                        expect.append(f"block {b} holds .* witnesses of edge {e},")
+            return super().local(fn)
+
+    engine = AlteringEngine(CliqueConfig(n=n, routing="accounted", seed=7), audit=True)
+    with pytest.raises(SchedulingError) as err:
+        run_placed(engine, A, B)
+    assert len(expect) == 1
+    assert re.search(expect[0], str(err.value))
+
+
+def test_orientation_choice_keeps_both_candidates(monkeypatch):
+    """After the choice every node still holds both candidate trees'
+    distance tables, which sum to the reported costs, and its plan is the
+    fresh step-6 derivation over the chosen rows' tree and distances."""
+    from cliquemat import clusmat
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+
+    n = 23
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=n))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.15, seed=n + 1))
+    engines = []
+
+    class KeptEngine(CliqueEngine):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            engines.append(self)
+
+    monkeypatch.setattr(clusmat, "CliqueEngine", KeptEngine)
+    C, orientation, _, info = choose_orientation(
+        A, B, CliqueConfig(n=n, routing="accounted", seed=7)
+    )
+    assert orientation == "ba" and info["cost_b"] < info["cost_a"]
+    assert C == boolean_product_naive(A, B)
+    (engine,) = engines
+    for i in engine.node_ids():
+        st = engine.node(i).storage
+        assert sum(st["distances", "a_row"].values()) == info["cost_a"]
+        assert sum(st["distances", "b_col"].values()) == info["cost_b"]
+        plan, assignment, schedules = fresh_plan(st["tree", "b_col"], st["distances", "b_col"], n)
+        assert st["plan"] == plan
+        assert st["assignment"] == assignment
+        assert st["schedules"] == schedules
+
+
 def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
     """Nodes holding the same shared tree and distance table share one
     derivation; a node holding its own copy of the tree derives its own."""
@@ -711,8 +789,8 @@ def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
     def broadcast_then_copy(engine, *args, **kwargs):
         broadcast(engine, *args, **kwargs)
         with engine.as_node(other) as node:
-            t = node.storage["tree"]
-            node.storage["tree"] = Tree(t.n, t.edges)
+            t = node.storage["tree", "a_row"]
+            node.storage["tree", "a_row"] = Tree(t.n, t.edges)
 
     monkeypatch.setattr(clusmat, "euler_traversal", counting_euler)
     monkeypatch.setattr(clusmat, "_broadcast_tree", broadcast_then_copy)
@@ -721,8 +799,8 @@ def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
     assert C == boolean_product_naive(A, B)
     shared = engine.node(1).storage
     own = engine.node(other).storage
-    assert tours == [shared["tree"], own["tree"]]
-    assert tours[0] is shared["tree"] and tours[1] is own["tree"]
+    assert tours == [shared["tree", "a_row"], own["tree", "a_row"]]
+    assert tours[0] is shared["tree", "a_row"] and tours[1] is own["tree", "a_row"]
     assert own["plan"] == shared["plan"]
     assert own["plan"] is not shared["plan"]
     assert all(
@@ -760,7 +838,7 @@ def test_witnesses_at_pair_nodes_match_direct_union():
             continue
         plan = st["plan"]
         got = st["block_witnesses"]
-        tree = st["tree"]
+        tree = st["tree", "a_row"]
         for e in plan.block_edge_ids(pair[0]):
             edge = tree.edge(e)
             expect = witnesses(A.row(edge.u), A.row(edge.v))

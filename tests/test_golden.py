@@ -50,14 +50,30 @@ GOLDEN = {
     "23-accounted-seed-auto": ("3f7a3347bd44f00d", "1e7c45b26f90084b", "ba"),
 }
 
+# the same, at payload capacity W = the cell's "-w" suffix
+GOLDEN_W = {
+    "16-simulated-ship-ab-w10": ("2a4b597c9ab732c3", "0708b83da524d979", "ab"),
+    "16-simulated-ship-ba-w10": ("2a4b597c9ab732c3", "0775bbc82db9c018", "ba"),
+    "16-simulated-ship-auto-w10": ("2a4b597c9ab732c3", "331d13f613ac04b9", "ab"),
+    "16-accounted-ship-ab-w10": ("2a4b597c9ab732c3", "ef70be20e0d8e3b9", "ab"),
+    "16-accounted-ship-ba-w10": ("2a4b597c9ab732c3", "3677ee018baa6d6d", "ba"),
+    "16-accounted-ship-auto-w10": ("2a4b597c9ab732c3", "e2e4c4ec579b8647", "ab"),
+    "16-simulated-ship-ab-w100": ("2a4b597c9ab732c3", "57b7c0adca3f1257", "ab"),
+    "16-simulated-ship-ba-w100": ("2a4b597c9ab732c3", "233c4cb4822889cf", "ba"),
+    "16-simulated-ship-auto-w100": ("2a4b597c9ab732c3", "5bb1b3c639c80cbc", "ab"),
+    "16-accounted-ship-ab-w100": ("2a4b597c9ab732c3", "20d71b53b0536df2", "ab"),
+    "16-accounted-ship-ba-w100": ("2a4b597c9ab732c3", "15c06b23ed015ac3", "ba"),
+    "16-accounted-ship-auto-w100": ("2a4b597c9ab732c3", "96f938999d0914bf", "ab"),
+}
+
 
 def run_cell(cell):
     """(A, B, product, orientation run, ledger) of one grid cell."""
-    n_text, routing, mode, orientation = cell.split("-")
+    n_text, routing, mode, orientation, *w = cell.split("-")
     n = int(n_text)
     A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=n))
     B = generate(GenSpec(n=n, kind="uniform", density=0.15, seed=n + 1))
-    cfg = CliqueConfig(n=n, routing=routing, seed=7)
+    cfg = CliqueConfig(n=n, routing=routing, seed=7, w=int(w[0][1:]) if w else 64)
     proj = ProjectionConfig(seed_mode=mode == "seed")
     if orientation == "auto":
         C, chosen, ledger, _ = choose_orientation(A, B, cfg, proj)
@@ -67,15 +83,24 @@ def run_cell(cell):
     return A, B, C, chosen, ledger
 
 
-@pytest.mark.parametrize("cell", sorted(GOLDEN))
-def test_golden_digests(cell):
+def cell_digests(cell):
+    """(product digest prefix, ledger digest prefix, orientation run)."""
     A, B, C, chosen, ledger = run_cell(cell)
     assert verify(C, A, B)
     ledger_digest = hashlib.sha256(
         json.dumps(ledger.as_dict(), sort_keys=True).encode()
     ).hexdigest()
-    got = (digest(matrix_to_text(C))[:16], ledger_digest[:16], chosen)
-    assert got == GOLDEN[cell]
+    return digest(matrix_to_text(C))[:16], ledger_digest[:16], chosen
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN))
+def test_golden_digests(cell):
+    assert cell_digests(cell) == GOLDEN[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_W))
+def test_golden_digests_off_w64(cell):
+    assert cell_digests(cell) == GOLDEN_W[cell]
 
 
 @pytest.mark.parametrize("cell", sorted(c for c in GOLDEN if c.endswith("-auto")))
