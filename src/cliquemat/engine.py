@@ -24,7 +24,9 @@ has one tally, :meth:`count_traffic` (messages, bits and a per-node load of
 messages sent plus received), in which :meth:`exchange` and
 :meth:`count_messages` end and which a closed-form count calls directly.
 :meth:`measure` credits a block's rounds to a primitive and :meth:`step`
-records them as one protocol step.
+records them as one protocol step; a block that raises records nothing in
+either.  A call that would pass ``max_rounds`` raises before it charges
+anything (:meth:`check_rounds`).
 
 A node phase is :meth:`local`: it runs once per node, with the storage
 audit scoped to that node, and returns what each node emits, keyed by node
@@ -34,7 +36,8 @@ sees those writes too.
 
 What nodes derive from the same objects within one protocol step,
 :meth:`derive` computes once and hands to each of them; a node holding
-other objects derives its own.  A derived result lives until the step
+other objects derives its own.  Ints and ``bytes`` key by value, so routing
+derives each simulated multicast schedule once per step and shape.  A derived result lives until the step
 ends; later steps share through the objects nodes keep in storage.
 Callers still charge every node its own work.
 
@@ -258,11 +261,12 @@ class CliqueEngine:
 
     def derive(self, fn: Callable, *args):
         """``fn(*args)``, computed once per protocol step for each distinct
-        ``fn`` and arguments: ints compare by value, every other argument by
-        identity.  The engine keeps the arguments alive until the step ends
-        (:meth:`step` clears the cache), so an id is never reused while it
-        is a key; a call that raises caches nothing."""
-        key = (fn, *[a if type(a) is int else (id(a),) for a in args])
+        ``fn`` and arguments: ints and ``bytes`` compare by value, every
+        other argument by identity.  The engine keeps the arguments alive
+        until the step ends (:meth:`step` clears the cache), so an id is
+        never reused while it is a key; a call that raises caches nothing.
+        Nothing is shared across engines or steps."""
+        key = (fn, *[a if type(a) is int or type(a) is bytes else (id(a),) for a in args])
         hit = self._derived.get(key)
         if hit is None:
             hit = self._derived[key] = (fn(*args), args)
@@ -307,25 +311,31 @@ class CliqueEngine:
         """Run ``rounds`` consecutive rounds whose messages are given as
         columns: message i leaves ``src[i]`` for ``dst[i]`` in round
         ``rnd[i]`` (0-based within the batch) and carries ``nbits[i]``
-        payload bits.  A scalar stands for a constant column.
+        payload bits.  A scalar stands for a constant column; columns may
+        have any integer dtype.
 
         Every rule :meth:`post_message` enforces holds for the batch: both
         endpoints in 1..n and distinct, 1 <= nbits <= W, and at most one
         message per ordered pair per round.  Rounds without messages still
-        count.  The rounds are credited to ``label`` when it is nonempty.
+        count.  The rounds are credited to ``label`` when it is nonempty.  A
+        batch that breaks a rule or would pass ``max_rounds`` charges
+        nothing.
         """
         if self._buffer:
             raise RuntimeError("batched rounds cannot start while messages are buffered")
-        rnd, src, dst, nbits = (
-            a.astype(np.int64, copy=False)
-            for a in np.broadcast_arrays(rnd, src, dst, nbits)
-        )
+        rnd, src, dst, nbits = np.broadcast_arrays(rnd, src, dst, nbits)
         if src.size:
             self.check_messages(src, dst, nbits)
             if rnd.min() < 0 or rnd.max() >= rounds:
                 raise ValueError(f"round index outside 0..{rounds - 1}")
+            # one int64 (round, src, dst) key per message, built and sorted
+            # in place, whatever the columns' integer dtype
             side = self.cfg.n + 1
-            key = np.sort((rnd * side + src) * side + dst)
+            key = np.multiply(rnd, side, dtype=np.int64)
+            key += src
+            key *= side
+            key += dst
+            key.sort()
             if np.any(key[1:] == key[:-1]):
                 raise PairConflictError(
                     "second message for an ordered pair in one round"
@@ -348,12 +358,17 @@ class CliqueEngine:
                 f"payload of {int(nbits.max())} bits exceeds capacity W={self.w}"
             )
 
-    def _add_rounds(self, rounds: int) -> None:
-        self.ledger.rounds += rounds
-        if self.ledger.rounds > self.cfg.max_rounds:
+    def check_rounds(self, rounds: int) -> None:
+        """Raise :class:`MaxRoundsError` if ``rounds`` more rounds would
+        pass ``max_rounds``; charges nothing either way."""
+        if self.ledger.rounds + rounds > self.cfg.max_rounds:
             raise MaxRoundsError(
                 f"exceeded max_rounds={self.cfg.max_rounds} without terminating"
             )
+
+    def _add_rounds(self, rounds: int) -> None:
+        self.check_rounds(rounds)
+        self.ledger.rounds += rounds
 
     def charge_work(self, node_id: int, units: int) -> None:
         if units < 0:
@@ -397,12 +412,11 @@ class CliqueEngine:
 
     @contextmanager
     def measure(self, label: str):
-        """Attribute all rounds spent inside the block to ``label``."""
+        """Attribute all rounds spent inside the block to ``label``; a block
+        that raises records nothing, as in :meth:`step`."""
         start = self.ledger.rounds
-        try:
-            yield
-        finally:
-            self.ledger.add_primitive_rounds(label, self.ledger.rounds - start)
+        yield
+        self.ledger.add_primitive_rounds(label, self.ledger.rounds - start)
 
     @contextmanager
     def step(self, name: str):

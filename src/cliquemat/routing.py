@@ -7,8 +7,9 @@ routing mode:
 
 * ``simulated`` builds every round of the schedule below as message columns
   (round, src, dst, nbits) and runs them through
-  :meth:`CliqueEngine.exchange`, which enforces endpoints, capacity and one
-  message per ordered pair per round, and fills the ledger;
+  :meth:`CliqueEngine.exchange`, which enforces endpoints, capacity, one
+  message per ordered pair per round and ``max_rounds``, and fills the
+  ledger;
 * ``accounted`` charges the published analytic round cost and counts one
   message per item (plus the multicast announcements) without scheduling.
   A multicast counts every copy as a direct message from the sender, so the
@@ -18,7 +19,15 @@ routing mode:
   The multicast count is closed-form over (sender, recipient) pairs and
   never expands copies or announcements.
 
-The simulated schedules:
+The simulated schedules are pure functions of n and the cross columns:
+each appends (rounds, rnd, src, dst, nbits) blocks to a list and touches no
+engine.  A task primitive checks its blocks' total against ``max_rounds``,
+then exchanges them one by one.  A multicast joins its blocks into one
+exchange of int32 columns, derived through :meth:`CliqueEngine.derive` and
+keyed by the bytes of the columns it reads, so repeats of one multicast
+shape within a protocol step are scheduled once; every call, repeat or not,
+still runs its whole schedule through :meth:`CliqueEngine.exchange`.
+
 
 * ``solve_relaxed_idt`` -- every node sends and receives at most n items.
   The item of rank j at its source goes to intermediate ((src-1+j) mod n)+1;
@@ -218,12 +227,12 @@ def _rank_within(keys: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# simulated schedules (columns of cross items in position order)
+# simulated schedules: pure functions of n and the cross columns (in
+# position order) that append (rounds, rnd, src, dst, nbits) blocks
 # ---------------------------------------------------------------------------
 
-def _idt_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
+def _idt_rounds(n: int, src, dst, nbits, tag, blocks: list) -> None:
     """One relaxed task: spread over intermediates, announce backlogs, drain."""
-    n = engine.n
     mid = (src - 1 + _rank_within(src)) % n + 1
     hop = np.flatnonzero(mid != src)
     held = np.flatnonzero(mid != dst)
@@ -231,21 +240,22 @@ def _idt_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
     held = held[np.lexsort((held, tag[held], src[held], dst[held], mid[held]))]
     q = _run_ranks(mid[held] * (n + 1) + dst[held])
     announce = held[q == 0]
-    engine.exchange(
+    blocks.append((
         2 + (int(q.max()) + 1 if q.size else 0),
-        np.concatenate([np.repeat([0, 1], [hop.size, announce.size]), 2 + q]),
-        np.concatenate([src[hop], mid[announce], mid[held]]),
-        np.concatenate([mid[hop], dst[announce], dst[held]]),
-        np.concatenate([nbits[hop], np.full(announce.size, count_bits(n)), nbits[held]]),
-    )
+        np.concatenate([np.repeat([0, 1], [hop.size, announce.size]), 2 + q], dtype=np.int32),
+        np.concatenate([src[hop], mid[announce], mid[held]], dtype=np.int32),
+        np.concatenate([mid[hop], dst[announce], dst[held]], dtype=np.int32),
+        np.concatenate(
+            [nbits[hop], np.full(announce.size, count_bits(n)), nbits[held]], dtype=np.int32
+        ),
+    ))
 
 
-def _bounded_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
+def _bounded_rounds(n: int, src, dst, nbits, tag, blocks: list) -> None:
     """Sub-tasks of at most n items per sender; each releases relaxed tasks
     under receiver quotas until its items are gone."""
     if not src.size:
         return
-    n = engine.n
     cbits = count_bits(2 * n)
     by_src = np.argsort(src, kind="stable")
     subtask = _rank_within(src)[by_src] // n
@@ -269,23 +279,80 @@ def _bounded_rounds(engine: CliqueEngine, src, dst, nbits, tag) -> None:
             quota[by_dst] = np.minimum(c, np.maximum(0, n - asked))
             release = np.zeros(pending.size, dtype=bool)
             release[order] = rank < np.repeat(quota, count)
-            engine.exchange(
+            blocks.append((
                 2,
                 np.repeat([0, 1], first.size),
                 np.concatenate([pair_src, pair_dst]),
                 np.concatenate([pair_dst, pair_src]),
                 cbits,
-            )
+            ))
             batch = pending[release]
-            _idt_rounds(engine, src[batch], dst[batch], nbits[batch], tag[batch])
+            _idt_rounds(n, src[batch], dst[batch], nbits[batch], tag[batch], blocks)
             pending = pending[~release]
+
+
+def _multicast_schedule(
+    n: int, idbits: int, src: bytes, dst: bytes, sub: bytes, chunks: bytes, off: bytes,
+    widths: bytes,
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A whole simulated multicast as one exchange ``(rounds, rnd, src, dst,
+    nbits)`` in int32 columns: per sub-task, two announcement rounds, then
+    every doubling phase.  Takes the int64 bytes of the cross pairs' columns
+    in (sub-task, sender, recipient) order (each pair's sender, recipient,
+    sub-task, chunk count and first flat chunk) and of every sender's chunk
+    widths, flat, so :meth:`CliqueEngine.derive` keys it by value."""
+    src, dst, sub, chunks, off, widths = (
+        np.frombuffer(col, dtype=np.int64) for col in (src, dst, sub, chunks, off, widths)
+    )
+    cuts = np.searchsorted(sub, np.arange(int(sub[-1]) + 2))
+    blocks: list = []
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        s, v, c, o = src[a:b], dst[a:b], chunks[a:b], off[a:b]
+        t = _run_ranks(s)  # the recipient's rank in its sender's set
+        # announcement 1: each sender tells its recipients their rank;
+        # announcement 2: each recipient tells everyone whose it is
+        told_src, told_dst = to_all_others(n, v)
+        blocks.append((
+            2,
+            np.repeat([0, 1], [v.size, told_src.size]),
+            np.concatenate([s, told_src]),
+            np.concatenate([v, told_dst]),
+            idbits,
+        ))
+        for p in range(1, multicast_phases(int(t.max()) + 1) + 1):
+            # phase p reaches ranks lo..hi-1; the sender holds the vector
+            # in phase 1, later the recipient of rank plo + (t-lo)//2
+            lo, hi, plo = (1 << p) - 2, (1 << (p + 1)) - 2, (1 << (p - 1)) - 2
+            at = np.flatnonzero((t >= lo) & (t < hi))
+            holders = s[at] if p == 1 else v[at - t[at] + plo + (t[at] - lo) // 2]
+            # one copy per (pair, chunk) in (sender, rank, chunk) order;
+            # the tag is the chunk index
+            pair = np.repeat(np.arange(at.size), c[at])
+            chunk = np.arange(pair.size) - (np.cumsum(c[at]) - c[at])[pair]
+            _bounded_rounds(
+                n, holders[pair], v[at][pair], widths[o[at][pair] + chunk], chunk, blocks
+            )
+    # each block's rounds follow the previous blocks'; a block is freed as
+    # soon as it is copied, so the blocks and the join never both exist whole
+    out = np.empty((4, sum(np.broadcast(*block[1:]).size for block in blocks)), dtype=np.int32)
+    rounds = at = 0
+    for i, (r, *cols) in enumerate(blocks):
+        blocks[i] = None
+        size = np.broadcast(*cols).size
+        for row, col in zip(out, cols):
+            row[at:at + size] = col
+        out[0, at:at + size] += rounds
+        rounds, at = rounds + r, at + size
+    out.flags.writeable = False  # shared by every call in the step
+    return rounds, *out
 
 
 def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) -> int:
     """Check the payloads, endpoints and widths of ``b`` and move its cross
     items: accounted, charge ``charge`` rounds and count one message per
-    item; simulated, run ``schedule``.  Returns the rounds used; a batch
-    that fails a check charges nothing."""
+    item; simulated, exchange the blocks of ``schedule`` one by one, after
+    checking their total against ``max_rounds``.  Returns the rounds used;
+    a batch that fails a check charges nothing."""
     cross = b.src != b.dst
     if not cross.any():
         return 0
@@ -296,10 +363,14 @@ def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) ->
         engine.charge_rounds(charge, label)
         engine.count_messages(src, dst, nbits)
         return charge
-    start = engine.ledger.rounds
+    blocks: list = []
+    schedule(engine.n, src, dst, nbits, b.tag[cross], blocks)
+    rounds = sum(block[0] for block in blocks)
+    engine.check_rounds(rounds)
     with engine.measure(label):
-        schedule(engine, src, dst, nbits, b.tag[cross])
-    return engine.ledger.rounds - start
+        for block in blocks:
+            engine.exchange(*block)
+    return rounds
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +454,6 @@ def vector_multicast(
     idx = np.searchsorted(np.array(order), src)
     chunks, off = first[idx + 1] - first[idx], first[idx]
     widths = np.array([nb for s in order for _, nb in vectors[s]], dtype=np.int64)
-    cuts = np.searchsorted(sub, np.arange(int(sub[-1]) + 2))
     idbits = count_bits(n)
 
     if engine.accounted:
@@ -391,9 +461,10 @@ def vector_multicast(
         # count in closed form what the schedule sends: every chunk as one
         # direct message from the sender, each pair's rank, and each
         # recipient's announcement to every other node
+        cuts = np.searchsorted(sub, np.arange(int(sub[-1]) + 1))
         rounds = sum(
             multicast_accounted_rounds(n, int(c), C_IDT)
-            for c in np.maximum.reduceat(chunks, cuts[:-1]).tolist()
+            for c in np.maximum.reduceat(chunks, cuts).tolist()
         )
         engine.charge_rounds(rounds, "vector_multicast")
         deg = np.bincount(dst, minlength=n + 1)
@@ -407,32 +478,11 @@ def vector_multicast(
         )
         return result, rounds
 
-    start = engine.ledger.rounds
-    with engine.measure("vector_multicast"):
-        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            s, v, c, o = src[a:b], dst[a:b], chunks[a:b], off[a:b]
-            t = _run_ranks(s)  # the recipient's rank in its sender's set
-            # announcement 1: each sender tells its recipients their rank;
-            # announcement 2: each recipient tells everyone whose it is
-            told_src, told_dst = to_all_others(n, v)
-            engine.exchange(
-                2,
-                np.repeat([0, 1], [v.size, told_src.size]),
-                np.concatenate([s, told_src]),
-                np.concatenate([v, told_dst]),
-                idbits,
-            )
-            for p in range(1, multicast_phases(int(t.max()) + 1) + 1):
-                # phase p reaches ranks lo..hi-1; the sender holds the vector
-                # in phase 1, later the recipient of rank plo + (t-lo)//2
-                lo, hi, plo = (1 << p) - 2, (1 << (p + 1)) - 2, (1 << (p - 1)) - 2
-                at = np.flatnonzero((t >= lo) & (t < hi))
-                holders = s[at] if p == 1 else v[at - t[at] + plo + (t[at] - lo) // 2]
-                # one copy per (pair, chunk) in (sender, rank, chunk) order;
-                # the tag is the chunk index
-                pair = np.repeat(np.arange(at.size), c[at])
-                chunk = np.arange(pair.size) - (np.cumsum(c[at]) - c[at])[pair]
-                _bounded_rounds(
-                    engine, holders[pair], v[at][pair], widths[o[at][pair] + chunk], chunk
-                )
-    return result, engine.ledger.rounds - start
+    # the schedule is derived once per step for each distinct shape; every
+    # call still runs it through the engine's checks and ledger
+    cols = (src, dst, sub, chunks, off, widths)
+    rounds, *schedule = engine.derive(
+        _multicast_schedule, n, idbits, *(col.tobytes() for col in cols)
+    )
+    engine.exchange(rounds, *schedule, label="vector_multicast")
+    return result, rounds

@@ -330,6 +330,16 @@ def test_measure_attributes_rounds():
     assert eng.ledger.primitive_rounds["phase"] == 2
 
 
+def test_measure_that_raises_records_nothing():
+    eng = make_engine(4, max_rounds=2)
+    eng.exchange(1, [0], [1], [2], 1)
+    with pytest.raises(MaxRoundsError):
+        with eng.measure("phase"):
+            eng.exchange(2, [0, 1], [1, 2], [2, 1], 1)
+    assert eng.ledger.primitive_rounds == {}
+    assert (eng.ledger.rounds, eng.ledger.messages) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # protocol steps
 # ---------------------------------------------------------------------------
@@ -409,6 +419,19 @@ def test_derive_keys_ints_by_value():
     first = eng.derive(fn, big, 5)
     assert eng.derive(fn, int(str(big)), 2 + 3) is first
     assert eng.derive(fn, big, 6) is not first
+    assert len(calls) == 2
+
+
+def test_derive_keys_bytes_by_value():
+    eng = make_engine(4)
+    calls = []
+    fn = counting(calls)
+    key = bytes(range(10))
+    twin = bytes(bytearray(key))
+    assert twin == key and twin is not key
+    first = eng.derive(fn, key, 5)
+    assert eng.derive(fn, twin, 5) is first
+    assert eng.derive(fn, bytes(range(1, 11)), 5) is not first
     assert len(calls) == 2
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquemat import routing
 from cliquemat.engine import CliqueConfig, CliqueEngine
-from cliquemat.errors import CapacityError, PreconditionError
+from cliquemat.errors import CapacityError, MaxRoundsError, PreconditionError
 from cliquemat.routing import (
     C_IDT,
     Batch,
@@ -353,6 +354,128 @@ def test_multicast_ledger_matches_expanded_reference_and_shares_vectors(case):
     assert ledger_fields(eng.ledger) == ledger_fields(ref.ledger)
 
 
+class RecordingEngine(CliqueEngine):
+    """An engine that also keeps every exchanged message as a (round, src,
+    dst, nbits) row, its round counted from the start of the run."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.rows = []
+
+    def exchange(self, rounds, rnd, src, dst, nbits, label=""):
+        start = self.ledger.rounds
+        super().exchange(rounds, rnd, src, dst, nbits, label)
+        rnd, src, dst, nbits = (a.tolist() for a in np.broadcast_arrays(rnd, src, dst, nbits))
+        self.rows += zip([r + start for r in rnd], src, dst, nbits)
+
+
+def per_block_multicast(eng, senders):
+    """Simulated multicast, one exchange per block: per sub-task (each
+    recipient's m-th sender), the two announcement rounds, then each
+    doubling phase's copies, in (sender, rank, chunk) order and tagged by
+    chunk, through the bounded-route schedule one block at a time."""
+    n = eng.n
+    idbits = count_bits(n)
+    by_recipient = {}
+    for s in sorted(senders):
+        for v in senders[s][1]:
+            if v != s:
+                by_recipient.setdefault(v, []).append(s)
+    if not by_recipient:
+        return
+    with eng.measure("vector_multicast"):
+        for m in range(max(map(len, by_recipient.values()))):
+            sub = {}
+            for v in sorted(by_recipient):
+                if m < len(by_recipient[v]):
+                    sub.setdefault(by_recipient[v][m], []).append(v)
+            pairs = [(s, v) for s in sorted(sub) for v in sub[s]]
+            told = [(v, u) for _, v in pairs for u in range(1, n + 1) if u != v]
+            eng.exchange(
+                2,
+                [0] * len(pairs) + [1] * len(told),
+                [s for s, _ in pairs] + [v for v, _ in told],
+                [v for _, v in pairs] + [u for _, u in told],
+                idbits,
+            )
+            phase = 1
+            while True:
+                # ranks lo..hi-1; rank t takes the vector from the sender in
+                # phase 1, later from the recipient of rank plo + (t-lo)//2
+                lo, hi, plo = (1 << phase) - 2, (1 << (phase + 1)) - 2, (1 << (phase - 1)) - 2
+                copies = [
+                    (s if phase == 1 else sub[s][plo + (t - lo) // 2], sub[s][t], nbits, chunk)
+                    for s in sorted(sub)
+                    for t in range(lo, min(hi, len(sub[s])))
+                    for chunk, (_, nbits) in enumerate(senders[s][0])
+                ]
+                if not copies:
+                    break
+                blocks = []
+                routing._bounded_rounds(n, *(np.array(col) for col in zip(*copies)), blocks)
+                for block in blocks:
+                    eng.exchange(*block)
+                phase += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(multicasts())
+def test_simulated_multicast_matches_per_block_reference(case):
+    """The joined schedule sends exactly the messages of the per-block one,
+    in the same rounds, and charges the same ledger."""
+    n, w, senders = case
+    eng = RecordingEngine(CliqueConfig(n=n, w=w))
+    _, rounds = vector_multicast(eng, senders)
+    ref = RecordingEngine(CliqueConfig(n=n, w=w))
+    per_block_multicast(ref, senders)
+    assert rounds == ref.ledger.rounds
+    assert ledger_fields(eng.ledger) == ledger_fields(ref.ledger)
+    assert sorted(eng.rows) == sorted(ref.rows)
+
+
+def ledger_counts(led):
+    return np.array([led.rounds, led.messages, led.bits, *led.work])
+
+
+def test_multicast_schedule_is_derived_once_per_step_and_shape(monkeypatch):
+    """Repeats of one multicast shape within a step share one schedule and
+    each charges a full multicast; any other shape, or the next step,
+    schedules afresh."""
+    calls = []
+    schedule = routing._multicast_schedule
+
+    def spy(*args):
+        calls.append(args)
+        return schedule(*args)
+
+    monkeypatch.setattr(routing, "_multicast_schedule", spy)
+    n = 8
+    vec, recips = ((5, 6), (3, 2), (1, 1)), [2, 3, 5, 8]
+    fresh = make_engine(n)
+    vector_multicast(fresh, {1: (vec, recips)})
+    one = ledger_counts(fresh.ledger)
+    assert len(calls) == 1
+
+    eng = make_engine(n)
+    with eng.step("s"):
+        for _ in range(4):
+            before = ledger_counts(eng.ledger)
+            vector_multicast(eng, {1: (list(vec), list(recips))})  # equal, not the same
+            assert np.array_equal(ledger_counts(eng.ledger) - before, one)
+        assert len(calls) == 2
+        for senders in (
+            {1: (((5, 6), (3, 3), (1, 1)), recips)},  # one chunk width
+            {1: (vec, [2, 3, 5, 7])},  # one recipient
+            {4: (vec, recips)},  # the sender
+        ):
+            vector_multicast(eng, senders)
+        assert len(calls) == 5
+    assert eng.ledger.primitive_rounds["vector_multicast"] == eng.ledger.rounds
+    with eng.step("t"):
+        vector_multicast(eng, {1: (vec, recips)})
+    assert len(calls) == 6
+
+
 # ---------------------------------------------------------------------------
 # payload widths and delivery order
 # ---------------------------------------------------------------------------
@@ -389,15 +512,24 @@ def test_primitive_rejects_chunk_wider_than_w(name, routing):
 
 
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
-@pytest.mark.parametrize("prim", [solve_relaxed_idt, bounded_route])
-@pytest.mark.parametrize("dst,nbits,error", [(2, 90, CapacityError), (5, 8, ValueError)])
+@pytest.mark.parametrize("prim", [solve_relaxed_idt, bounded_route, vector_multicast])
+@pytest.mark.parametrize(
+    "dst,nbits,error", [(2, 90, CapacityError), (5, 8, ValueError), (2, 8, MaxRoundsError)]
+)
 def test_failed_task_primitive_charges_nothing(prim, routing, dst, nbits, error):
-    """A batch with a chunk wider than W or an endpoint outside 1..n is
-    rejected before either backend charges rounds, messages or a label."""
-    eng = make_engine(4, routing=routing)
+    """A batch with a chunk wider than W, an endpoint outside 1..n or more
+    rounds than ``max_rounds`` leaves is rejected before either backend
+    charges rounds, messages or a label.  A multicast sends each row as a
+    one-chunk vector."""
+    cfg = {"routing": routing, "max_rounds": 2 if error is MaxRoundsError else 1_000_000}
+    eng = make_engine(4, **cfg)
+    rows = ([1, 3], [3, dst], [8, nbits], [1, 2])
     with pytest.raises(error):
-        prim(eng, Batch.build(eng.w, [1, 3], [3, dst], [8, nbits], [1, 2]))
-    assert eng.ledger.as_dict() == make_engine(4, routing=routing).ledger.as_dict()
+        if prim is vector_multicast:
+            prim(eng, {s: ([(p, nb)], [d]) for s, d, nb, p in zip(*rows)})
+        else:
+            prim(eng, Batch.build(eng.w, *rows))
+    assert eng.ledger.as_dict() == make_engine(4, **cfg).ledger.as_dict()
 
 
 @pytest.mark.parametrize("name", PRIMITIVES)
