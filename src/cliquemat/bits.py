@@ -281,7 +281,10 @@ def local_mst(H) -> Tree:
     Edges compare on (weight, u, v) with u < v.  That order is total, so
     the tree is unique (Kruskal's, wherever it is recomputed); an O(n^2)
     Prim finds it, taking at each step the smallest crossing edge in that
-    order.
+    order.  Each edge's place in the order is one int64 key, weight * n^2
+    + rank with rank = u * n + v (0-based), from which its endpoints come
+    back; weights too large for the key enter by their dense rank, which
+    keeps the order.
     """
     M = np.asarray(H)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -297,28 +300,30 @@ def local_mst(H) -> Tree:
         raise InvalidMatrixError("weights must be nonnegative")
 
     W = M.astype(np.int64, copy=False)
+    nn = n * n
+    if n > 1 and int(W.max()) >= (1 << 63) // nn - 1:
+        W = np.unique(W, return_inverse=True)[1].reshape(n, n)
     pos = np.arange(n)
-    # best edge from each outside vertex x to the tree: weight, tree endpoint
-    # and the rank min(u, x) * n + max(u, x) that orders equal weights
+    pos_n = pos * n
+    done = np.iinfo(np.int64).max
+    # best key of an edge from each outside vertex to the tree; tree
+    # vertices hold ``done``, which no key reaches
     outside = pos > 0
-    best_w = W[0].copy()
-    best_u = np.zeros(n, dtype=np.int64)
-    best_rank = pos.copy()
+    best = W[0] * nn + pos
+    best[0] = done
     picked: list[WeightedEdge] = []
     for _ in range(n - 1):
-        cand = np.flatnonzero(outside)
-        weight = best_w[cand].min()
-        tied = cand[best_w[cand] == weight]
-        x = int(tied[np.argmin(best_rank[tied])])
-        u = int(best_u[x])
-        picked.append(WeightedEdge(min(u, x) + 1, max(u, x) + 1, int(weight)))
+        x = int(best.argmin())
+        a, b = divmod(int(best[x]) % nn, n)
+        u = a if b == x else b
+        picked.append(WeightedEdge(min(u, x) + 1, max(u, x) + 1, int(M[u, x])))
         outside[x] = False
-        row = W[x]
-        rank = np.minimum(pos, x) * n + np.maximum(pos, x)
-        better = outside & ((row < best_w) | ((row == best_w) & (rank < best_rank)))
-        best_w[better] = row[better]
-        best_u[better] = x
-        best_rank[better] = rank[better]
+        best[x] = done
+        # rank of edge (x, y) is x * n + y for y > x and y * n + x below
+        key = W[x] * nn
+        key[:x] += pos_n[:x] + x
+        key[x:] += pos[x:] + x * n
+        np.minimum(best, key, out=best, where=outside)
     return Tree(n, tuple(picked))
 
 

@@ -12,9 +12,12 @@ and updates per-column overlap counts only at flipped coordinates.
 The ledger charges that incremental-count work as the paper states it.  The
 simulation reaches the same entries more cheaply on the host: a block's
 rows come from one prefix XOR of per-edge masks (:func:`visited_rows`), and
-each pair node tests them against its own columns in one product
-(:func:`block_multiply`).  Bulk routing tasks are built and read as numpy
-columns.
+the pair nodes of one tour block, which hold the same derived rows, are
+multiplied in one product over their stacked columns (one
+:func:`block_multiply` per tour block); each node gets the entries of its
+own columns and is charged its own work.  Bulk
+routing tasks are built and read as numpy columns, and steps 3 and 5
+broadcast through the engine's closed-form all-to-all round.
 
 Inputs come from node storage only: the entry points put row i of A and
 row i of B at node i once, and every step after that reads what the nodes
@@ -34,7 +37,8 @@ hold.  Steps (per-step round subtotals land in ``ledger.step_rounds``):
     incrementally and route finished entries home.
 
 Steps 7-9 only deliver: every node stores what it received, and step 10 is
-each pair node's one local phase over it.  Orientation ``ba`` swaps the
+each pair node's one local phase over it, followed by one product per tour
+block.  Orientation ``ba`` swaps the
 roles: the tree spans B's columns (from step 1) against A's rows, so the
 nodes end with (A o B) transposed and one more transpose exchange flips it.
 :func:`choose_orientation` builds both trees, runs steps 3-5 on each (a
@@ -84,7 +88,6 @@ from .routing import (
     count_bits,
     multicast_accounted_rounds,
     solve_relaxed_idt,
-    to_all_others,
     vector_multicast,
 )
 
@@ -120,6 +123,13 @@ class TraversalPlan:
     def block_start_vertex(self, b: int) -> int:
         lo, _ = self.traversal_blocks[b - 1]
         return self.traversal.directed_edges[lo][0]
+
+    def blocks_by_start_vertex(self) -> dict[int, list[int]]:
+        """Start vertex -> the tour blocks that start there, ascending."""
+        out: dict[int, list[int]] = {}
+        for b in range(1, self.num_blocks + 1):
+            out.setdefault(self.block_start_vertex(b), []).append(b)
+        return out
 
     def column_block_of(self, j: int) -> int:
         c = bisect_right(self.column_blocks, (j, math.inf))
@@ -412,8 +422,8 @@ def visited_rows(
     words = (n + 63) // 64
     masks = np.zeros((edges.size, words), dtype="<u8")
     np.bitwise_xor.at(
-        masks,
-        (np.repeat(np.arange(edges.size), [c.size for c in lists]), (coords - 1) // 64),
+        masks.reshape(-1),
+        np.repeat(np.arange(edges.size) * words, [c.size for c in lists]) + (coords - 1) // 64,
         np.left_shift(np.uint64(1), ((coords - 1) % 64).astype(np.uint64)),
     )
     start = np.frombuffer(start_row.value.to_bytes(8 * words, "little"), dtype="<u8")
@@ -508,16 +518,9 @@ def _broadcast_tree(engine: CliqueEngine, row_key: str) -> None:
         tree: Tree = node1.storage["hmst_tree", row_key]
     pairs = [(e.u, e.v) for e in tree.edges]
 
-    owners = np.arange(2, len(pairs) + 1)
-    src, dst = to_all_others(n, np.arange(1, len(pairs) + 1))
-    engine.exchange(
-        2,
-        np.repeat([0, 1], [owners.size, src.size]),
-        np.concatenate([np.ones(owners.size, np.int64), src]),
-        np.concatenate([owners, dst]),
-        2 * cb,
-        label="step3",
-    )
+    engine.check_rounds(2)
+    engine.exchange(1, 0, 1, np.arange(2, len(pairs) + 1), 2 * cb, label="step3")
+    engine.broadcast(np.arange(1, len(pairs) + 1), 2 * cb, label="step3")
 
     structure = Tree(n, tuple(WeightedEdge(u, v, 0) for u, v in pairs))
     engine.put(("tree", row_key), dict.fromkeys(engine.node_ids(), structure))
@@ -541,14 +544,12 @@ def _multicast_rows(
         return pack_chunks([row.value], n, engine.w), sorted(recips)
 
     out, _ = vector_multicast(engine, engine.local(build))
+    # every recipient of a sender holds the same vector, decoded once
+    vectors = {s: vec for got in out.values() for s, vec in got}
+    rows = {s: BitVector(n, *unpack_chunks(vec, n, 1)) for s, vec in vectors.items()}
     engine.put(out_key, {
-        v: {sender: engine.derive(_row_of, n, vec) for sender, vec in out.get(v, ())}
-        for v in engine.node_ids()
+        v: {sender: rows[sender] for sender, _ in out.get(v, ())} for v in engine.node_ids()
     })
-
-
-def _row_of(n: int, vec: Sequence[tuple[int, int]]) -> BitVector:
-    return BitVector(n, *unpack_chunks(vec, n, 1))
 
 
 def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str) -> None:
@@ -582,8 +583,7 @@ def _owner_distance_broadcast(engine: CliqueEngine, row_key: str) -> None:
         return hamming_distance(rows[e.u], rows[e.v])
 
     table = engine.local(compute)
-    src, dst = to_all_others(n, list(table))
-    engine.exchange(1, 0, src, dst, cb, label="step5")
+    engine.broadcast(list(table), cb, label="step5")
     engine.put(("distances", row_key), dict.fromkeys(engine.node_ids(), table))
 
 
@@ -667,10 +667,9 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
     with engine.step("step7"):
 
         def start_recipients(node):
-            pl: TraversalPlan = node.storage["plan"]
+            starts = engine.derive(TraversalPlan.blocks_by_start_vertex, node.storage["plan"])
             asg: BlockAssignment = node.storage["assignment"]
-            mine = (b for b in range(1, pl.num_blocks + 1) if pl.block_start_vertex(b) == node.id)
-            return [v for b in mine for v in asg.nodes_for_block(b)]
+            return [v for b in starts.get(node.id, ()) for v in asg.nodes_for_block(b)]
 
         _multicast_rows(engine, row_key, start_recipients, "start_rows")
 
@@ -692,7 +691,7 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
     # and multiply incrementally, then entries go home as (vertex, column,
     # bit) columns; every row is assembled by one scatter into an n x n grid
     with engine.step("step10"):
-        # (src, vertex, column, bit) columns of the node's block
+
         def multiply(node):
             st = node.storage
             pair = st["assignment"].pair_of(node.id)
@@ -713,17 +712,32 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
             st["block_rows"] = engine.derive(
                 _block_rows, pl, b, starts[start], st["block_witnesses"]
             )
-            vertex, j, bit = block_multiply(*st["block_rows"], list(cols.items()))
             engine.charge_work(node.id, (n + pl.block_costs[b - 1]) * len(cols))
-            return np.full(vertex.size, node.id), vertex, j, bit
+            return st["block_rows"], cols
 
-        src, vertex, j, bit = (np.concatenate(c) for c in zip(*engine.local(multiply).values()))
+        # the pair nodes holding the same block rows (one tour block's)
+        # multiply in one product over their stacked columns; each node's
+        # entries are those of its own columns
+        groups: dict[int, tuple[tuple, list[int], list[tuple[int, BitVector]]]] = {}
+        for v, (rows, cols) in engine.local(multiply).items():
+            _, owners, columns = groups.setdefault(id(rows), (rows, [], []))
+            owners += [v] * len(cols)
+            columns += cols.items()
+
+        def block_entries(rows, owners, columns):
+            vertex, j, bit = block_multiply(*rows, columns)
+            return np.tile(owners, len(rows[0])), vertex, j, bit
+
+        src, vertex, j, bit = (
+            np.concatenate(c) for c in zip(*(block_entries(*g) for g in groups.values()))
+        )
         entries = Batch.build(engine.w, src, vertex, cb + 1, ((j - 1) << 1) | bit, tag=j)
         delivered10, _ = bounded_route(engine, entries)
         # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit
         got = delivered10.payload.astype(np.int64)
         entry = np.zeros((n, n), dtype=np.int8)
-        np.maximum.at(entry, (delivered10.dst - 1, got >> 1), 1 + (got & 1))
+        flat = (delivered10.dst - 1) * n + (got >> 1)
+        np.maximum.at(entry.reshape(-1), flat, (1 + (got & 1)).astype(np.int8))
         counts = (entry > 0).sum(axis=1).tolist()
         values = pack_rows(entry == 2)
 

@@ -17,6 +17,13 @@ it.  :meth:`post_message` and :meth:`advance_round` state the same rules one
 message at a time; no protocol uses them, and the tests check
 :meth:`exchange` against them.
 
+One all-to-all round -- each of S senders sends one message of at most W
+bits to every other node -- has a closed form, :meth:`broadcast`: it
+checks the same rules as :meth:`exchange` on the senders alone (the pair
+rule holds by construction once senders are distinct, since a sender never
+sends to itself) and tallies S(n-1) messages in O(S + n) instead of
+building and sorting n(n-1) message columns.
+
 In ``accounted`` routing mode the primitives charge their published
 analytic round costs instead of scheduling rounds; the engine exposes
 :meth:`charge_rounds` and :meth:`count_messages` for that path.  The ledger
@@ -321,9 +328,8 @@ class CliqueEngine:
         batch that breaks a rule or would pass ``max_rounds`` charges
         nothing.
         """
-        if self._buffer:
-            raise RuntimeError("batched rounds cannot start while messages are buffered")
-        rnd, src, dst, nbits = np.broadcast_arrays(rnd, src, dst, nbits)
+        self._check_idle()
+        rnd, src, dst, nbits = np.broadcast_arrays(*map(np.atleast_1d, (rnd, src, dst, nbits)))
         if src.size:
             self.check_messages(src, dst, nbits)
             if rnd.min() < 0 or rnd.max() >= rounds:
@@ -344,13 +350,52 @@ class CliqueEngine:
         self._tally(src, dst, nbits)
         self.ledger.add_primitive_rounds(label, rounds)
 
+    def broadcast(self, senders, nbits, label: str = "") -> None:
+        """One round in which each of ``senders`` sends one message of
+        ``nbits`` payload bits (a scalar, or one width per sender) to every
+        other node.  Charges exactly what :meth:`exchange` charges for the
+        columns ``routing.to_all_others(n, senders)`` in one round, tallied
+        in O(S + n) for S senders without building them: S(n-1) messages,
+        and a load of S at every node plus n-2 more at each sender.
+
+        The same rules hold: senders in 1..n, 1 <= nbits <= W, and distinct
+        senders, which is the one-message-per-pair rule for this round (a
+        sender never sends to itself, so endpoints differ by construction).
+        A round that breaks a rule or would pass ``max_rounds`` charges
+        nothing; a round without senders still counts.
+        """
+        self._check_idle()
+        senders, nbits = np.broadcast_arrays(np.asarray(senders, dtype=np.int64).ravel(), nbits)
+        n = self.cfg.n
+        if senders.size:
+            self._check_nodes(senders)
+            self._check_widths(nbits)
+        sent = np.bincount(senders, minlength=n + 1)
+        if sent.max() > 1:
+            raise PairConflictError("second message for an ordered pair in one round")
+        self._add_rounds(1)
+        load = senders.size + (n - 2) * sent
+        load[0] = 0
+        self.count_traffic(senders.size * (n - 1), (n - 1) * int(nbits.sum()), load)
+        self.ledger.add_primitive_rounds(label, 1)
+
     def check_messages(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:
         """Per-message rules: distinct endpoints in 1..n, 1 <= nbits <= W."""
         if np.any(src == dst):
             raise ValueError("src and dst must differ")
+        self._check_nodes(src, dst)
+        self._check_widths(nbits)
+
+    def _check_idle(self) -> None:
+        if self._buffer:
+            raise RuntimeError("batched rounds cannot start while messages are buffered")
+
+    def _check_nodes(self, *cols: np.ndarray) -> None:
         n = self.cfg.n
-        if min(src.min(), dst.min()) < 1 or max(src.max(), dst.max()) > n:
+        if min(c.min() for c in cols) < 1 or max(c.max() for c in cols) > n:
             raise ValueError(f"endpoints outside 1..{n}")
+
+    def _check_widths(self, nbits: np.ndarray) -> None:
         if nbits.min() < 1:
             raise CapacityError("payload must carry at least one bit")
         if nbits.max() > self.w:
@@ -386,7 +431,8 @@ class CliqueEngine:
         """Accounted mode: check and count one message per column entry, as
         :meth:`exchange` would, without scheduling them into rounds."""
         src, dst, nbits = (
-            a.astype(np.int64, copy=False) for a in np.broadcast_arrays(src, dst, nbits)
+            a.astype(np.int64, copy=False)
+            for a in np.broadcast_arrays(*map(np.atleast_1d, (src, dst, nbits)))
         )
         if src.size:
             self.check_messages(src, dst, nbits)
@@ -406,9 +452,10 @@ class CliqueEngine:
         led = self.ledger
         led.messages += int(messages)
         led.bits += int(bits)
-        work = led.work
-        for i in np.flatnonzero(load).tolist():
-            work[i] += int(load[i]) * self.w
+        work, w = led.work, self.w
+        nodes = np.flatnonzero(load)
+        for i, units in zip(nodes.tolist(), load[nodes].astype(np.int64, copy=False).tolist()):
+            work[i] += units * w
 
     @contextmanager
     def measure(self, label: str):

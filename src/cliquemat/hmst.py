@@ -34,7 +34,7 @@ import numpy as np
 from .bits import BitVector, Tree, local_mst, pack_chunks, pack_rows, unpack_chunks, unpack_rows
 from .engine import CliqueConfig, CliqueEngine, RoundLedger
 from .errors import DimensionError, MalformedSketchError
-from .routing import Batch, bounded_route, to_all_others, vector_multicast
+from .routing import Batch, bounded_route, vector_multicast
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,10 @@ def build_estimated_graph(
     """:func:`estimate_distance` for every pair at once, as a symmetric
     read-only (n, n) int64 array with a zero diagonal that :func:`local_mst`
     takes as is.  The sketches are packed into an (n, scales, ceil(k/64))
-    array of 64-bit words, and each block of rows is XORed against all rows
-    and popcounted per scale."""
+    array of 64-bit words with one more scale column of zeros, whose cutoff
+    every pair passes, so the first passing column is the estimate or the
+    top-scale fallback; each block of rows is XORed against all rows and
+    popcounted per scale."""
     n = len(sketch_sets)
     num_scales = len(family.scales)
     words = (family.k + 63) // 64
@@ -208,17 +210,19 @@ def build_estimated_graph(
         raw = b"".join(s.to_bytes(8 * words, "little") for sk in sketch_sets for s in sk)
     except OverflowError as exc:
         raise MalformedSketchError(f"a sketch does not fit in k={family.k} bits") from exc
-    packed = np.frombuffer(raw, dtype="<u8").reshape(n, num_scales, words)
-    scales = np.array(family.scales, dtype=np.int64)
-    cutoffs = np.array([family.thresholds[r] for r in family.scales])
+    packed = np.zeros((n, num_scales + 1, words), dtype="<u8")
+    packed[:, :num_scales] = np.frombuffer(raw, dtype="<u8").reshape(n, num_scales, words)
+    if words == 1:
+        packed = packed[..., 0]
+    scales = np.array([*family.scales, family.scales[-1]], dtype=np.int64)
+    cutoffs = np.array([*(family.thresholds[r] for r in family.scales), 0], dtype=np.int32)
     weights = np.empty((n, n), dtype=np.int64)
-    block = max(1, _BLOCK_BYTES // max(1, n * num_scales * 8 * words))
+    block = max(1, _BLOCK_BYTES // max(1, n * packed[0].nbytes))
     for lo in range(0, n, block):
-        diff = np.bitwise_xor(packed[lo:lo + block, None], packed[None])
-        dist = np.bitwise_count(diff).sum(axis=-1, dtype=np.int32)
-        passes = dist <= cutoffs
-        first = np.where(passes.any(axis=-1), passes.argmax(axis=-1), num_scales - 1)
-        weights[lo:lo + block] = scales[first]
+        dist = np.bitwise_count(np.bitwise_xor(packed[lo:lo + block, None], packed[None]))
+        if words > 1:
+            dist = dist.sum(axis=-1, dtype=np.int32)
+        weights[lo:lo + block] = scales[(dist <= cutoffs).argmax(axis=-1)]
     np.fill_diagonal(weights, 0)
     weights.flags.writeable = False
     return weights
@@ -231,16 +235,9 @@ def build_estimated_graph(
 def _broadcast_from_node1(engine: CliqueEngine, payload_chunks) -> None:
     """Node 1 sends the same small chunk sequence to every other node, one
     chunk per round (used only for seed mode)."""
-    src, dst = to_all_others(engine.n, [1])
-    rounds = len(payload_chunks)
-    engine.exchange(
-        rounds,
-        np.repeat(np.arange(rounds), src.size),
-        np.tile(src, rounds),
-        np.tile(dst, rounds),
-        np.repeat([nbits for _, nbits in payload_chunks], src.size),
-        label="seed_bcast",
-    )
+    engine.check_rounds(len(payload_chunks))
+    for _, nbits in payload_chunks:
+        engine.broadcast([1], nbits, label="seed_bcast")
 
 
 def run_hmst(

@@ -56,6 +56,14 @@ not change between hops.  The forwarded destination, original source and
 position of an item travel with the schedule and are not charged as
 header bits.
 
+Every ordering here -- delivery by (dst, src, tag), held items by
+(intermediate, dst, src, tag), quota pairs, multicast pairs -- comes from
+one stable argsort of one packed int64 key, so equal keys keep their
+position order and no position column is sorted; checked node ids and
+ranks below n pack with radix n+1, as in :meth:`CliqueEngine.exchange`,
+and columns of any other range through :func:`_stable_order`, which
+cannot overflow.
+
 All primitives deliver self-addressed items locally at no message cost and
 return ``(delivered, rounds_used)``.  The two task primitives take one
 :class:`Batch` of columns and deliver one, ordered by (dst, src, tag,
@@ -202,10 +210,41 @@ def _peak_loads(b: Batch) -> tuple[int, int]:
     return int(np.bincount(b.src[cross]).max()), int(np.bincount(b.dst[cross]).max())
 
 
+def _stable_order(*cols: np.ndarray) -> np.ndarray:
+    """Indices that sort the rows by ``cols``, most significant first, with
+    equal rows in position order: ``np.lexsort(cols[::-1])`` as one stable
+    argsort of one int64 key.  Each column enters offset from its minimum,
+    in mixed radix with the columns before it.  Where a column would
+    overflow the key, the key so far and, if still needed, the column enter
+    by their dense ranks instead, which keeps the order and bounds each by
+    the row count."""
+    if not cols[0].size:
+        return np.zeros(0, dtype=np.int64)
+    key, span = None, 1  # key values lie in 0..span-1
+    for col in cols:
+        lo = int(col.min())
+        width = int(col.max()) - lo + 1
+        if span * width >= 1 << 63:
+            if key is not None:
+                key = np.unique(key, return_inverse=True)[1]
+                span = int(key.max()) + 1
+            if span * width >= 1 << 63:
+                col, lo = np.unique(col, return_inverse=True)[1], 0
+                width = int(col.max()) + 1
+        part = np.subtract(col, lo, dtype=np.int64)
+        if key is None:
+            key = part
+        else:
+            key *= width
+            key += part
+        span *= width
+    return np.argsort(key, kind="stable")
+
+
 def _deliver(b: Batch) -> Batch:
     """Every item at its destination: one stable sort by (dst, src, tag),
     so equal keys keep their position order."""
-    order = np.lexsort((b.tag, b.src, b.dst))
+    order = _stable_order(b.dst, b.src, b.tag)
     return Batch(b.src[order], b.dst[order], b.nbits[order], b.tag[order], b.payload[order])
 
 
@@ -237,7 +276,7 @@ def _idt_rounds(n: int, src, dst, nbits, tag, blocks: list) -> None:
     hop = np.flatnonzero(mid != src)
     held = np.flatnonzero(mid != dst)
     # held items by (intermediate, dst) pair, then by (src, tag, position)
-    held = held[np.lexsort((held, tag[held], src[held], dst[held], mid[held]))]
+    held = held[_stable_order((mid[held] * (n + 1) + dst[held]) * (n + 1) + src[held], tag[held])]
     q = _run_ranks(mid[held] * (n + 1) + dst[held])
     announce = held[q == 0]
     blocks.append((
@@ -264,13 +303,13 @@ def _bounded_rounds(n: int, src, dst, nbits, tag, blocks: list) -> None:
         while pending.size:
             ps, pd = src[pending], dst[pending]
             # preamble 1: one count per (src, dst) pair
-            order = np.lexsort((pd, ps))
+            order = np.argsort(ps * (n + 1) + pd, kind="stable")
             rank = _run_ranks(ps[order] * (n + 1) + pd[order])
             first = np.flatnonzero(rank == 0)
             pair_src, pair_dst = ps[order][first], pd[order][first]
             count = np.diff(np.append(first, order.size))
             # preamble 2: quotas in (dst, src) order, at most n per receiver
-            by_dst = np.lexsort((pair_src, pair_dst))
+            by_dst = np.argsort(pair_dst * (n + 1) + pair_src, kind="stable")
             c = count[by_dst]
             before = np.cumsum(c) - c  # nondecreasing
             starts = _run_ranks(pair_dst[by_dst]) == 0
@@ -429,7 +468,7 @@ def vector_multicast(
     # (sender, recipient) pair columns in (recipient, sender) order
     src = np.repeat(np.array(order, dtype=np.int64), [len(senders[s][1]) for s in order])
     dst = np.array([v for s in order for v in senders[s][1]], dtype=np.int64)
-    by_dst = np.lexsort((src, dst))
+    by_dst = _stable_order(dst, src)
     src, dst = src[by_dst], dst[by_dst]
     twice = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
     if twice.any():
@@ -448,7 +487,7 @@ def vector_multicast(
     # recipient), with each pair's chunk count and first flat chunk
     src, dst = src[cross], dst[cross]
     sub = _run_ranks(dst)
-    pos = np.lexsort((dst, src, sub))
+    pos = np.argsort((sub * (n + 1) + src) * (n + 1) + dst, kind="stable")
     src, dst, sub = src[pos], dst[pos], sub[pos]
     first = np.cumsum([0] + [len(vectors[s]) for s in order])
     idx = np.searchsorted(np.array(order), src)

@@ -282,7 +282,7 @@ def tie_heavy_matrix(n, rng):
     return H
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 256])
 def test_local_mst_equals_kruskal_reference(n):
     """Same edges and weights as Kruskal on (weight, u, v), on tie-heavy
     weights in {0, 1, 2} and on Hamming distances of clustered points."""
@@ -294,6 +294,18 @@ def test_local_mst_equals_kruskal_reference(n):
         sparse = [rng.getrandbits(24) & rng.getrandbits(24) & rng.getrandbits(24) for _ in range(n)]
         H = dist_matrix([BitVector(24, base ^ s) for s in sparse])
         assert local_mst(H).edges == kruskal_reference(H).edges
+
+
+def test_local_mst_orders_weights_too_large_for_one_key():
+    """Weights near 2**62 cannot share an int64 key with the edge rank; the
+    tree is still Kruskal's, with the weights as given."""
+    rng = random.Random(7)
+    n = 40
+    H = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            H[i][j] = H[j][i] = (1 << 62) - rng.randrange(0, 4)
+    assert local_mst(H).edges == kruskal_reference(H).edges
 
 
 def test_tree_edge_numbering_and_validation():

@@ -10,6 +10,7 @@ from cliquemat.errors import (
     MaxRoundsError,
     PairConflictError,
 )
+from cliquemat.routing import to_all_others
 
 
 def make_engine(n=4, **kw):
@@ -187,6 +188,72 @@ def test_exchange_ledger_matches_post_message():
         per.ledger.rounds, per.ledger.messages, per.ledger.bits
     )
     assert batch.ledger.primitive_rounds == {"demo": 3}
+
+
+def test_all_scalar_columns_charge_one_message():
+    """Scalars stand for constant columns even when every column is one."""
+    sim = make_engine(4)
+    sim.exchange(1, 0, 1, 2, 1)
+    acc = make_engine(4, routing="accounted")
+    acc.count_messages(1, 2, 1)
+    for led in (sim.ledger, acc.ledger):
+        assert (led.messages, led.bits, led.work[1:]) == (1, 1, [64, 64, 0, 0])
+    assert sim.ledger.rounds == 1
+    with pytest.raises(ValueError):
+        make_engine(4).exchange(1, 0, 2, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# broadcast: one all-to-all round, tallied in closed form
+# ---------------------------------------------------------------------------
+
+def column_broadcast(eng, senders, nbits, label=""):
+    """The same round as message columns through :meth:`exchange`."""
+    src, dst = to_all_others(eng.n, senders)
+    widths = np.repeat(np.broadcast_to(nbits, (len(senders),)), eng.n - 1)
+    eng.exchange(1, 0, src, dst, widths, label)
+
+
+@pytest.mark.parametrize("n", [16, 23])
+def test_broadcast_ledger_equals_column_form(n):
+    rng = np.random.default_rng(n)
+    some = rng.choice(np.arange(1, n + 1), n // 2, replace=False).tolist()
+    for senders in ([], [1], [n, 3, 1], some, list(range(1, n + 1))):
+        for nbits in (7, rng.integers(1, 65, len(senders))):
+            closed, columns = make_engine(n), make_engine(n)
+            closed.broadcast(senders, nbits, label="b")
+            column_broadcast(columns, senders, nbits, label="b")
+            assert closed.ledger.as_dict() == columns.ledger.as_dict()
+            assert closed.ledger.work == columns.ledger.work
+
+
+BROADCAST_ERRORS = [
+    ("sender twice", [2, 5, 2], 4, PairConflictError),
+    ("over capacity", [1, 2], [4, 65], CapacityError),
+    ("no bits", [1, 2], 0, CapacityError),
+    ("sender 0", [0, 3], 4, ValueError),
+    ("sender n+1", [3, 9], 4, ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "case,senders,nbits,error", BROADCAST_ERRORS, ids=[c[0] for c in BROADCAST_ERRORS]
+)
+def test_broadcast_raises_what_the_column_form_raises(case, senders, nbits, error):
+    engines = make_engine(8), make_engine(8)
+    assert _raised(lambda: engines[0].broadcast(senders, nbits)) is error
+    assert _raised(lambda: column_broadcast(engines[1], senders, nbits)) is error
+    for eng in engines:
+        assert (eng.ledger.rounds, eng.ledger.messages, eng.ledger.work_total) == (0, 0, 0)
+
+
+def test_broadcast_past_max_rounds_charges_nothing():
+    eng = make_engine(8, max_rounds=1)
+    eng.broadcast([1, 2], 4, label="b")
+    before = eng.ledger.as_dict(), list(eng.ledger.work)
+    with pytest.raises(MaxRoundsError):
+        eng.broadcast([3], 4, label="b")
+    assert (eng.ledger.as_dict(), eng.ledger.work) == before
 
 
 # ---------------------------------------------------------------------------

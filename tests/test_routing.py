@@ -584,8 +584,23 @@ def task_batches(draw, send_cap, recv_cap):
         recvs[dst] += 1
         nbits = draw(st.integers(1, w))
         payload = draw(st.integers(0, (1 << nbits) - 1))
-        rows.append(RoutingItem(src, dst, payload, nbits, draw(st.integers(0, 2))))
+        tag = draw(st.one_of(st.integers(-2, 2), st.sampled_from([-(2**62), 2**62])))
+        rows.append(RoutingItem(src, dst, payload, nbits, tag))
     return n, w, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_order_equals_lexsort(data):
+    """One stable argsort of the packed key orders rows as np.lexsort does,
+    for small columns and for columns spanning all of int64."""
+    size = data.draw(st.integers(0, 30))
+    value = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+    cols = [
+        np.array(data.draw(st.lists(value, min_size=size, max_size=size)), dtype=np.int64)
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    assert routing._stable_order(*cols).tolist() == np.lexsort(cols[::-1]).tolist()
 
 
 def _delivered_both_ways(prim, n, w, rows):
