@@ -80,7 +80,6 @@ from .errors import (
     InvalidWitnessError,
     SchedulingError,
 )
-from . import routing
 from .hmst import ProjectionConfig, run_hmst
 from .routing import (
     Batch,
@@ -336,7 +335,7 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
 
     runs = [run for node_runs in engine.local(build_stage1).values() for run in node_runs]
     edge, reps, coords = (np.concatenate(c) for c in zip((np.zeros(0, np.int64),) * 3, *runs))
-    stage1 = Batch.build(engine.w, edge, reps, 2 * cb, (edge << cb) | (coords - 1), tag=edge)
+    stage1 = Batch.build(engine.w, edge, reps, 2 * cb, (edge << cb) | (coords - 1))
     delivered, _ = bounded_route(engine, stage1)
 
     # a representative's packets (edge << cb) | (coordinate - 1), sorted by
@@ -370,7 +369,7 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
         cap = max(s.capacity for s in schedules.values())
         used_pub = math.ceil(max_total / cap)
         substages = math.ceil(cap / n)
-        per_subtask = multicast_accounted_rounds(n, min(cap, n), routing.C_IDT)
+        per_subtask = multicast_accounted_rounds(n, min(cap, n))
         engine.charge_rounds(substages * used_pub * per_subtask, "vector_multicast")
         reps = list(rep_packets)
         fan = [len(rep_packets[rep][1]) for rep in reps]
@@ -500,7 +499,7 @@ def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> Non
     rows = engine.local(lambda node: node.storage[src_key])
     src = np.repeat(np.arange(1, n + 1), n)
     bits = BooleanMatrix(tuple(rows.values())).to_array().ravel()  # node j's bit i goes to node i
-    batch = Batch.build(engine.w, src, np.tile(np.arange(1, n + 1), n), 1, bits, tag=src)
+    batch = Batch.build(engine.w, src, np.tile(np.arange(1, n + 1), n), 1, bits)
     delivered, _ = solve_relaxed_idt(engine, batch)
     received = np.zeros((n, n), dtype=np.uint8)
     received[delivered.dst - 1, delivered.src - 1] = delivered.payload
@@ -731,7 +730,7 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
         src, vertex, j, bit = (
             np.concatenate(c) for c in zip(*(block_entries(*g) for g in groups.values()))
         )
-        entries = Batch.build(engine.w, src, vertex, cb + 1, ((j - 1) << 1) | bit, tag=j)
+        entries = Batch.build(engine.w, src, vertex, cb + 1, ((j - 1) << 1) | bit)
         delivered10, _ = bounded_route(engine, entries)
         # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit
         got = delivered10.payload.astype(np.int64)

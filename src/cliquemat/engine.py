@@ -30,10 +30,11 @@ analytic round costs instead of scheduling rounds; the engine exposes
 has one tally, :meth:`count_traffic` (messages, bits and a per-node load of
 messages sent plus received), in which :meth:`exchange` and
 :meth:`count_messages` end and which a closed-form count calls directly.
-:meth:`measure` credits a block's rounds to a primitive and :meth:`step`
-records them as one protocol step; a block that raises records nothing in
-either.  A call that would pass ``max_rounds`` raises before it charges
-anything (:meth:`check_rounds`).
+:meth:`exchange`, :meth:`broadcast` and :meth:`charge_rounds` credit their
+rounds to a primitive label; :meth:`step` records a block's rounds as one
+protocol step, and a step that raises records nothing.  A call that breaks
+a rule or would pass ``max_rounds`` (:meth:`check_rounds`) raises before it
+charges anything.
 
 A node phase is :meth:`local`: it runs once per node, with the storage
 audit scoped to that node, and returns what each node emits, keyed by node
@@ -44,9 +45,10 @@ sees those writes too.
 What nodes derive from the same objects within one protocol step,
 :meth:`derive` computes once and hands to each of them; a node holding
 other objects derives its own.  Ints and ``bytes`` key by value, so routing
-derives each simulated multicast schedule once per step and shape.  A derived result lives until the step
-ends; later steps share through the objects nodes keep in storage.
-Callers still charge every node its own work.
+derives each simulated multicast schedule once per step and shape.  A
+derived result lives until the step ends; later steps share through the
+objects nodes keep in storage.  Callers still charge every node its own
+work.
 
 Accounted per-node work is an upper bound, not a measurement: accounted
 ``vector_multicast`` counts every copy of a vector as a direct message from
@@ -368,8 +370,8 @@ class CliqueEngine:
         senders, nbits = np.broadcast_arrays(np.asarray(senders, dtype=np.int64).ravel(), nbits)
         n = self.cfg.n
         if senders.size:
-            self._check_nodes(senders)
-            self._check_widths(nbits)
+            self.check_nodes(senders)
+            self.check_widths(nbits)
         sent = np.bincount(senders, minlength=n + 1)
         if sent.max() > 1:
             raise PairConflictError("second message for an ordered pair in one round")
@@ -383,19 +385,21 @@ class CliqueEngine:
         """Per-message rules: distinct endpoints in 1..n, 1 <= nbits <= W."""
         if np.any(src == dst):
             raise ValueError("src and dst must differ")
-        self._check_nodes(src, dst)
-        self._check_widths(nbits)
+        self.check_nodes(src, dst)
+        self.check_widths(nbits)
 
     def _check_idle(self) -> None:
         if self._buffer:
             raise RuntimeError("batched rounds cannot start while messages are buffered")
 
-    def _check_nodes(self, *cols: np.ndarray) -> None:
+    def check_nodes(self, *cols: np.ndarray) -> None:
+        """Every entry of the nonempty columns is a node id in 1..n."""
         n = self.cfg.n
         if min(c.min() for c in cols) < 1 or max(c.max() for c in cols) > n:
             raise ValueError(f"endpoints outside 1..{n}")
 
-    def _check_widths(self, nbits: np.ndarray) -> None:
+    def check_widths(self, nbits: np.ndarray) -> None:
+        """Every width of a nonempty column is in 1..W."""
         if nbits.min() < 1:
             raise CapacityError("payload must carry at least one bit")
         if nbits.max() > self.w:
@@ -456,14 +460,6 @@ class CliqueEngine:
         nodes = np.flatnonzero(load)
         for i, units in zip(nodes.tolist(), load[nodes].astype(np.int64, copy=False).tolist()):
             work[i] += units * w
-
-    @contextmanager
-    def measure(self, label: str):
-        """Attribute all rounds spent inside the block to ``label``; a block
-        that raises records nothing, as in :meth:`step`."""
-        start = self.ledger.rounds
-        yield
-        self.ledger.add_primitive_rounds(label, self.ledger.rounds - start)
 
     @contextmanager
     def step(self, name: str):

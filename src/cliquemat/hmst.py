@@ -311,7 +311,7 @@ def run_hmst(
         widths = np.minimum(w, total - w * np.arange(per_node))
         chunks = Batch.build(
             w, np.repeat(src, per_node), 1, np.tile(widths, src.size),
-            pack_rows(sketches.reshape(-1, w)), tag=np.tile(np.arange(per_node), src.size),
+            pack_rows(sketches.reshape(-1, w)),
         )
         delivered, _ = bounded_route(engine, chunks)
 
@@ -323,7 +323,7 @@ def run_hmst(
             if node.id != 1:
                 return None
             fam: ProjectionFamily = node.storage["family"]
-            got = delivered.span(1)  # in (src, tag) order
+            got = delivered.span(1)  # by source, each source's chunks in order
             cuts = np.searchsorted(delivered.src[got], np.arange(1, n + 2)).tolist()
             payload, nbits = delivered.payload[got].tolist(), delivered.nbits[got].tolist()
             sketch_sets = [

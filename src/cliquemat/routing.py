@@ -21,18 +21,19 @@ routing mode:
 
 The simulated schedules are pure functions of n and the cross columns:
 each appends (rounds, rnd, src, dst, nbits) blocks to a list and touches no
-engine.  A task primitive checks its blocks' total against ``max_rounds``,
-then exchanges them one by one.  A multicast joins its blocks into one
-exchange of int32 columns, derived through :meth:`CliqueEngine.derive` and
-keyed by the bytes of the columns it reads, so repeats of one multicast
-shape within a protocol step are scheduled once; every call, repeat or not,
-still runs its whole schedule through :meth:`CliqueEngine.exchange`.
+engine.  :func:`_join` joins a call's blocks into one exchange of int32
+columns, so every call runs its whole schedule through one
+:meth:`CliqueEngine.exchange`, and a schedule that breaks a rule in any
+block charges nothing.  A multicast's joined schedule is derived through
+:meth:`CliqueEngine.derive`, keyed by the bytes of the columns it reads, so
+repeats of one multicast shape within a protocol step are scheduled once;
+every call, repeat or not, still runs it through the engine.
 
 
 * ``solve_relaxed_idt`` -- every node sends and receives at most n items.
   The item of rank j at its source goes to intermediate ((src-1+j) mod n)+1;
   the next round announces one backlog count per (intermediate, destination)
-  pair; then the item ranked q in its pair, by (src, tag, position), is
+  pair; then the item ranked q in its pair, by (src, position), is
   drained q rounds later, one item per ordered pair per round.  Accounted:
   :data:`C_IDT` rounds per ceil(sends/n) * ceil(receives/n).
 * ``bounded_route`` -- at most k*n sends and l*n receives per node, solved
@@ -56,17 +57,16 @@ not change between hops.  The forwarded destination, original source and
 position of an item travel with the schedule and are not charged as
 header bits.
 
-Every ordering here -- delivery by (dst, src, tag), held items by
-(intermediate, dst, src, tag), quota pairs, multicast pairs -- comes from
-one stable argsort of one packed int64 key, so equal keys keep their
-position order and no position column is sorted; checked node ids and
-ranks below n pack with radix n+1, as in :meth:`CliqueEngine.exchange`,
-and columns of any other range through :func:`_stable_order`, which
-cannot overflow.
+The routing tasks promise that every item arrives, not an order among the
+items of one (source, destination) pair; those keep their batch order.
+Every ordering here -- delivery by (dst, src), held items by (intermediate,
+dst, src), quota pairs, multicast pairs -- is one stable argsort of checked
+node ids and ranks below n packed with radix n+1, as in
+:meth:`CliqueEngine.exchange`, so equal keys keep their position order.
 
 All primitives deliver self-addressed items locally at no message cost and
 return ``(delivered, rounds_used)``.  The two task primitives take one
-:class:`Batch` of columns and deliver one, ordered by (dst, src, tag,
+:class:`Batch` of columns and deliver one, ordered by (dst, src,
 position); a node finds its rows with :meth:`Batch.span`.
 ``vector_multicast`` takes each sender's chunks and recipients and returns
 each recipient's (sender, vector) list, where every recipient of a sender
@@ -95,44 +95,42 @@ class RoutingItem(NamedTuple):
     dst: int
     payload: int
     nbits: int
-    tag: int = 0
 
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """A routing batch as columns: item i goes from ``src[i]`` to ``dst[i]``
-    under ``tag[i]``, carrying ``payload[i]`` in ``nbits[i]`` bits.  The
-    payload is uint64, or Python ints when built for W > 64; the rest is
-    int64.  ``len`` counts items; iteration yields :class:`RoutingItem` rows."""
+    """A routing batch as columns: item i goes from ``src[i]`` to ``dst[i]``,
+    carrying ``payload[i]`` in ``nbits[i]`` bits.  The payload is uint64, or
+    Python ints when built for W > 64; the rest is int64.  ``len`` counts
+    items; iteration yields :class:`RoutingItem` rows."""
 
     src: np.ndarray
     dst: np.ndarray
     nbits: np.ndarray
-    tag: np.ndarray
     payload: np.ndarray
 
     @classmethod
-    def build(cls, w: int, src, dst, nbits, payload, tag=0) -> "Batch":
+    def build(cls, w: int, src, dst, nbits, payload) -> "Batch":
         """A batch for capacity ``w``; a scalar stands for a constant column.
         At ``w`` <= 64 a payload outside 0..2**64-1 raises CapacityError.
         Payloads not given as an array are read as Python ints (numpy reads
         ints mixed below and above 2**63 as float64)."""
         if not isinstance(payload, np.ndarray):
             payload = np.array(payload, dtype=object)
-        src, dst, nbits, tag, payload = np.broadcast_arrays(
-            *(np.atleast_1d(a) for a in (src, dst, nbits, tag, payload))
+        src, dst, nbits, payload = np.broadcast_arrays(
+            *(np.atleast_1d(a) for a in (src, dst, nbits, payload))
         )
         if w <= 64 and payload.dtype.kind != "u" and payload.size:
             if payload.min() < 0 or payload.max() >= 1 << 64:
                 raise CapacityError("a payload value does not fit a 64-bit column")
         payload = payload.astype(object if w > 64 else np.uint64)
-        return cls(*(a.astype(np.int64, copy=False) for a in (src, dst, nbits, tag)), payload)
+        return cls(*(a.astype(np.int64, copy=False) for a in (src, dst, nbits)), payload)
 
     def __len__(self) -> int:
         return self.src.size
 
     def __iter__(self):
-        cols = (self.src, self.dst, self.payload, self.nbits, self.tag)
+        cols = (self.src, self.dst, self.payload, self.nbits)
         return map(RoutingItem._make, zip(*(c.tolist() for c in cols)))
 
     def span(self, node: int) -> slice:
@@ -147,22 +145,22 @@ def count_bits(n: int) -> int:
     return max(1, math.ceil(math.log2(n + 1)))
 
 
-def idt_accounted_rounds(n: int, max_send: int, max_recv: int, c_idt: int) -> int:
-    return math.ceil(max_send / n) * math.ceil(max_recv / n) * c_idt
+def idt_accounted_rounds(n: int, max_send: int, max_recv: int) -> int:
+    return math.ceil(max_send / n) * math.ceil(max_recv / n) * C_IDT
 
 
-def bounded_route_accounted_rounds(k: int, ell: int, c_idt: int) -> int:
+def bounded_route_accounted_rounds(k: int, ell: int) -> int:
     # two preamble rounds per relaxed sub-sub-task
-    return k * ell * (c_idt + 2)
+    return k * ell * (C_IDT + 2)
 
 
-def multicast_accounted_rounds(n: int, chunks: int, c_idt: int) -> int:
+def multicast_accounted_rounds(n: int, chunks: int) -> int:
     """Published bound of one multicast sub-task of vectors of at most
     ``chunks`` chunks: two announcement rounds, then ceil(log2 n) doubling
     phases whatever the recipient count, each one bounded task with
     per-holder fan-out 2."""
     kk = max(1, math.ceil(2 * chunks / n))
-    return 2 + max(1, math.ceil(math.log2(n))) * bounded_route_accounted_rounds(kk, 1, c_idt)
+    return 2 + max(1, math.ceil(math.log2(n))) * bounded_route_accounted_rounds(kk, 1)
 
 
 def multicast_phases(num_recipients: int) -> int:
@@ -202,50 +200,22 @@ def _check_payloads(payload: np.ndarray, nbits: np.ndarray) -> None:
         raise CapacityError("a payload value does not fit its declared bits")
 
 
-def _peak_loads(b: Batch) -> tuple[int, int]:
-    """Largest per-node count of cross items sent and received."""
+def _peak_loads(engine: CliqueEngine, b: Batch) -> tuple[int, int]:
+    """Largest per-node count of cross items sent and received, once every
+    endpoint is checked against 1..n, self-addressed ones included."""
+    if len(b):
+        engine.check_nodes(b.src, b.dst)
     cross = b.src != b.dst
     if not cross.any():
         return 0, 0
     return int(np.bincount(b.src[cross]).max()), int(np.bincount(b.dst[cross]).max())
 
 
-def _stable_order(*cols: np.ndarray) -> np.ndarray:
-    """Indices that sort the rows by ``cols``, most significant first, with
-    equal rows in position order: ``np.lexsort(cols[::-1])`` as one stable
-    argsort of one int64 key.  Each column enters offset from its minimum,
-    in mixed radix with the columns before it.  Where a column would
-    overflow the key, the key so far and, if still needed, the column enter
-    by their dense ranks instead, which keeps the order and bounds each by
-    the row count."""
-    if not cols[0].size:
-        return np.zeros(0, dtype=np.int64)
-    key, span = None, 1  # key values lie in 0..span-1
-    for col in cols:
-        lo = int(col.min())
-        width = int(col.max()) - lo + 1
-        if span * width >= 1 << 63:
-            if key is not None:
-                key = np.unique(key, return_inverse=True)[1]
-                span = int(key.max()) + 1
-            if span * width >= 1 << 63:
-                col, lo = np.unique(col, return_inverse=True)[1], 0
-                width = int(col.max()) + 1
-        part = np.subtract(col, lo, dtype=np.int64)
-        if key is None:
-            key = part
-        else:
-            key *= width
-            key += part
-        span *= width
-    return np.argsort(key, kind="stable")
-
-
-def _deliver(b: Batch) -> Batch:
-    """Every item at its destination: one stable sort by (dst, src, tag),
-    so equal keys keep their position order."""
-    order = _stable_order(b.dst, b.src, b.tag)
-    return Batch(b.src[order], b.dst[order], b.nbits[order], b.tag[order], b.payload[order])
+def _deliver(b: Batch, n: int) -> Batch:
+    """Every item at its destination: one stable sort by (dst, src), so the
+    items of one pair keep their position order."""
+    order = np.argsort(b.dst * (n + 1) + b.src, kind="stable")
+    return Batch(b.src[order], b.dst[order], b.nbits[order], b.payload[order])
 
 
 def _run_ranks(keys: np.ndarray) -> np.ndarray:
@@ -256,27 +226,22 @@ def _run_ranks(keys: np.ndarray) -> np.ndarray:
     return idx - np.maximum.accumulate(np.where(start, idx, 0))
 
 
-def _rank_within(keys: np.ndarray) -> np.ndarray:
-    """Rank of each entry among the entries with the same key, in column
-    order."""
-    order = np.argsort(keys, kind="stable")
-    rank = np.empty(keys.size, dtype=np.int64)
-    rank[order] = _run_ranks(keys[order])
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # simulated schedules: pure functions of n and the cross columns (in
 # position order) that append (rounds, rnd, src, dst, nbits) blocks
 # ---------------------------------------------------------------------------
 
-def _idt_rounds(n: int, src, dst, nbits, tag, blocks: list) -> None:
+def _idt_rounds(n: int, src, dst, nbits, blocks: list) -> None:
     """One relaxed task: spread over intermediates, announce backlogs, drain."""
-    mid = (src - 1 + _rank_within(src)) % n + 1
+    by_src = np.argsort(src, kind="stable")
+    rank = np.empty(src.size, dtype=np.int64)  # each item's rank at its source
+    rank[by_src] = _run_ranks(src[by_src])
+    mid = (src - 1 + rank) % n + 1
     hop = np.flatnonzero(mid != src)
     held = np.flatnonzero(mid != dst)
-    # held items by (intermediate, dst) pair, then by (src, tag, position)
-    held = held[_stable_order((mid[held] * (n + 1) + dst[held]) * (n + 1) + src[held], tag[held])]
+    # held items by (intermediate, dst) pair, then by (src, position)
+    key = (mid[held] * (n + 1) + dst[held]) * (n + 1) + src[held]
+    held = held[np.argsort(key, kind="stable")]
     q = _run_ranks(mid[held] * (n + 1) + dst[held])
     announce = held[q == 0]
     blocks.append((
@@ -290,14 +255,14 @@ def _idt_rounds(n: int, src, dst, nbits, tag, blocks: list) -> None:
     ))
 
 
-def _bounded_rounds(n: int, src, dst, nbits, tag, blocks: list) -> None:
+def _bounded_rounds(n: int, src, dst, nbits, blocks: list) -> None:
     """Sub-tasks of at most n items per sender; each releases relaxed tasks
     under receiver quotas until its items are gone."""
     if not src.size:
         return
     cbits = count_bits(2 * n)
     by_src = np.argsort(src, kind="stable")
-    subtask = _rank_within(src)[by_src] // n
+    subtask = _run_ranks(src[by_src]) // n
     for s in range(int(subtask.max()) + 1):
         pending = by_src[subtask == s]  # (src, position) order
         while pending.size:
@@ -326,7 +291,7 @@ def _bounded_rounds(n: int, src, dst, nbits, tag, blocks: list) -> None:
                 cbits,
             ))
             batch = pending[release]
-            _idt_rounds(n, src[batch], dst[batch], nbits[batch], tag[batch], blocks)
+            _idt_rounds(n, src[batch], dst[batch], nbits[batch], blocks)
             pending = pending[~release]
 
 
@@ -334,12 +299,12 @@ def _multicast_schedule(
     n: int, idbits: int, src: bytes, dst: bytes, sub: bytes, chunks: bytes, off: bytes,
     widths: bytes,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A whole simulated multicast as one exchange ``(rounds, rnd, src, dst,
-    nbits)`` in int32 columns: per sub-task, two announcement rounds, then
-    every doubling phase.  Takes the int64 bytes of the cross pairs' columns
-    in (sub-task, sender, recipient) order (each pair's sender, recipient,
-    sub-task, chunk count and first flat chunk) and of every sender's chunk
-    widths, flat, so :meth:`CliqueEngine.derive` keys it by value."""
+    """A whole simulated multicast as one exchange from :func:`_join`: per
+    sub-task, two announcement rounds, then every doubling phase.  Takes the
+    int64 bytes of the cross pairs' columns in (sub-task, sender, recipient)
+    order (each pair's sender, recipient, sub-task, chunk count and first
+    flat chunk) and of every sender's chunk widths, flat, so
+    :meth:`CliqueEngine.derive` keys it by value."""
     src, dst, sub, chunks, off, widths = (
         np.frombuffer(col, dtype=np.int64) for col in (src, dst, sub, chunks, off, widths)
     )
@@ -364,15 +329,18 @@ def _multicast_schedule(
             lo, hi, plo = (1 << p) - 2, (1 << (p + 1)) - 2, (1 << (p - 1)) - 2
             at = np.flatnonzero((t >= lo) & (t < hi))
             holders = s[at] if p == 1 else v[at - t[at] + plo + (t[at] - lo) // 2]
-            # one copy per (pair, chunk) in (sender, rank, chunk) order;
-            # the tag is the chunk index
+            # one copy per (pair, chunk) in (sender, rank, chunk) order
             pair = np.repeat(np.arange(at.size), c[at])
             chunk = np.arange(pair.size) - (np.cumsum(c[at]) - c[at])[pair]
-            _bounded_rounds(
-                n, holders[pair], v[at][pair], widths[o[at][pair] + chunk], chunk, blocks
-            )
-    # each block's rounds follow the previous blocks'; a block is freed as
-    # soon as it is copied, so the blocks and the join never both exist whole
+            _bounded_rounds(n, holders[pair], v[at][pair], widths[o[at][pair] + chunk], blocks)
+    return _join(blocks)
+
+
+def _join(blocks: list) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A schedule's blocks as one exchange ``(rounds, rnd, src, dst, nbits)``
+    of read-only int32 columns, each block's rounds after the previous
+    blocks'.  A block is freed as soon as it is copied, so the blocks and
+    the join never both exist whole."""
     out = np.empty((4, sum(np.broadcast(*block[1:]).size for block in blocks)), dtype=np.int32)
     rounds = at = 0
     for i, (r, *cols) in enumerate(blocks):
@@ -382,33 +350,29 @@ def _multicast_schedule(
             row[at:at + size] = col
         out[0, at:at + size] += rounds
         rounds, at = rounds + r, at + size
-    out.flags.writeable = False  # shared by every call in the step
+    out.flags.writeable = False  # a derived multicast is shared by every call in the step
     return rounds, *out
 
 
 def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) -> int:
-    """Check the payloads, endpoints and widths of ``b`` and move its cross
-    items: accounted, charge ``charge`` rounds and count one message per
-    item; simulated, exchange the blocks of ``schedule`` one by one, after
-    checking their total against ``max_rounds``.  Returns the rounds used;
-    a batch that fails a check charges nothing."""
+    """Check the payloads and widths of ``b`` and move its cross items:
+    accounted, charge ``charge`` rounds and count one message per item;
+    simulated, run the joined blocks of ``schedule`` as one exchange.
+    Returns the rounds used; a batch that fails a check charges nothing."""
     cross = b.src != b.dst
     if not cross.any():
         return 0
     _check_payloads(b.payload, b.nbits)
     src, dst, nbits = b.src[cross], b.dst[cross], b.nbits[cross]
-    engine.check_messages(src, dst, nbits)
+    engine.check_widths(nbits)
     if engine.accounted:
         engine.charge_rounds(charge, label)
         engine.count_messages(src, dst, nbits)
         return charge
     blocks: list = []
-    schedule(engine.n, src, dst, nbits, b.tag[cross], blocks)
-    rounds = sum(block[0] for block in blocks)
-    engine.check_rounds(rounds)
-    with engine.measure(label):
-        for block in blocks:
-            engine.exchange(*block)
+    schedule(engine.n, src, dst, nbits, blocks)
+    rounds, *cols = _join(blocks)
+    engine.exchange(rounds, *cols, label=label)
     return rounds
 
 
@@ -419,7 +383,7 @@ def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) ->
 def solve_relaxed_idt(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
     """Deliver a batch in which every node sends <= n and receives <= n items."""
     n = engine.n
-    max_send, max_recv = _peak_loads(b)
+    max_send, max_recv = _peak_loads(engine, b)
     if max_send > n:
         raise PreconditionError(
             f"a node sends {max_send} > n={n} items; use bounded_route"
@@ -428,19 +392,21 @@ def solve_relaxed_idt(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
         raise PreconditionError(
             f"a node receives {max_recv} > n={n} items; use bounded_route"
         )
-    charge = idt_accounted_rounds(n, max_send, max_recv, C_IDT)
-    return _deliver(b), _route(engine, b, charge, _idt_rounds, "relaxed_idt")
+    charge = idt_accounted_rounds(n, max_send, max_recv)
+    rounds = _route(engine, b, charge, _idt_rounds, "relaxed_idt")
+    return _deliver(b, n), rounds
 
 
 def bounded_route(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
     """Deliver a batch; the least k, ell >= 1 with per-node sends <= k*n
     and receives <= ell*n set the accounted charge."""
     n = engine.n
-    max_send, max_recv = _peak_loads(b)
+    max_send, max_recv = _peak_loads(engine, b)
     k = max(1, math.ceil(max_send / n))
     ell = max(1, math.ceil(max_recv / n))
-    charge = bounded_route_accounted_rounds(k, ell, C_IDT)
-    return _deliver(b), _route(engine, b, charge, _bounded_rounds, "bounded_route")
+    charge = bounded_route_accounted_rounds(k, ell)
+    rounds = _route(engine, b, charge, _bounded_rounds, "bounded_route")
+    return _deliver(b, n), rounds
 
 
 def vector_multicast(
@@ -460,21 +426,23 @@ def vector_multicast(
             raise PreconditionError(f"sender {s} outside 1..{n}")
         if not 1 <= len(vectors[s]) <= n:
             raise PreconditionError(f"sender {s} has {len(vectors[s])} chunks; must be in 1..n")
-        for payload, nbits in vectors[s]:
-            if not 1 <= nbits <= engine.w:
-                raise CapacityError(f"sender {s} has a {nbits}-bit chunk; capacity W={engine.w}")
-            if not 0 <= payload < 1 << nbits:
-                raise CapacityError("a payload value does not fit its declared bits")
+    # every sender's chunks, flat
+    flat = [chunk for s in order for chunk in vectors[s]]
+    widths = np.array([nb for _, nb in flat], dtype=np.int64)
+    if flat:
+        engine.check_widths(widths)
+        _check_payloads(np.array([p for p, _ in flat], dtype=object), widths)
     # (sender, recipient) pair columns in (recipient, sender) order
     src = np.repeat(np.array(order, dtype=np.int64), [len(senders[s][1]) for s in order])
     dst = np.array([v for s in order for v in senders[s][1]], dtype=np.int64)
-    by_dst = _stable_order(dst, src)
+    if dst.size and (dst.min() < 1 or dst.max() > n):
+        bad = dst.min() if dst.min() < 1 else dst.max()
+        raise PreconditionError(f"recipient {bad} outside 1..{n}")
+    by_dst = np.argsort(dst * (n + 1) + src, kind="stable")
     src, dst = src[by_dst], dst[by_dst]
     twice = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
     if twice.any():
         raise PreconditionError(f"sender {src[1:][twice].min()} lists a recipient twice")
-    if dst.size and (dst[0] < 1 or dst[-1] > n):
-        raise PreconditionError(f"recipient {dst[0] if dst[0] < 1 else dst[-1]} outside 1..{n}")
     result: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
     for v, s in zip(dst.tolist(), src.tolist()):
         result.setdefault(v, []).append((s, vectors[s]))
@@ -492,7 +460,6 @@ def vector_multicast(
     first = np.cumsum([0] + [len(vectors[s]) for s in order])
     idx = np.searchsorted(np.array(order), src)
     chunks, off = first[idx + 1] - first[idx], first[idx]
-    widths = np.array([nb for s in order for _, nb in vectors[s]], dtype=np.int64)
     idbits = count_bits(n)
 
     if engine.accounted:
@@ -502,7 +469,7 @@ def vector_multicast(
         # recipient's announcement to every other node
         cuts = np.searchsorted(sub, np.arange(int(sub[-1]) + 1))
         rounds = sum(
-            multicast_accounted_rounds(n, int(c), C_IDT)
+            multicast_accounted_rounds(n, int(c))
             for c in np.maximum.reduceat(chunks, cuts).tolist()
         )
         engine.charge_rounds(rounds, "vector_multicast")

@@ -74,7 +74,6 @@ def per_node(prim, engine, items):
         [it.dst for it in items],
         [it.nbits for it in items],
         [it.payload for it in items],
-        tag=[it.tag for it in items],
     )
     out, _ = prim(engine, batch)
     delivered = {}

@@ -389,24 +389,6 @@ def test_charge_rounds_and_traffic():
     assert led.work[1] == 3 * eng.w and led.work[2] == 3 * eng.w
 
 
-def test_measure_attributes_rounds():
-    eng = make_engine(4)
-    with eng.measure("phase"):
-        eng.advance_round()
-        eng.advance_round()
-    assert eng.ledger.primitive_rounds["phase"] == 2
-
-
-def test_measure_that_raises_records_nothing():
-    eng = make_engine(4, max_rounds=2)
-    eng.exchange(1, [0], [1], [2], 1)
-    with pytest.raises(MaxRoundsError):
-        with eng.measure("phase"):
-            eng.exchange(2, [0, 1], [1, 2], [2, 1], 1)
-    assert eng.ledger.primitive_rounds == {}
-    assert (eng.ledger.rounds, eng.ledger.messages) == (1, 1)
-
-
 # ---------------------------------------------------------------------------
 # protocol steps
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cliquemat import routing
 from cliquemat.engine import CliqueConfig, CliqueEngine
-from cliquemat.errors import CapacityError, MaxRoundsError, PreconditionError
+from cliquemat.errors import CapacityError, MaxRoundsError, PairConflictError, PreconditionError
 from cliquemat.routing import (
     C_IDT,
     Batch,
@@ -38,7 +38,6 @@ def batch(eng, items):
         [it.dst for it in items],
         [it.nbits for it in items],
         [it.payload for it in items],
-        tag=[it.tag for it in items],
     )
 
 
@@ -174,15 +173,15 @@ def test_bounded_route_k2_l3():
 
     acc = make_engine(n, routing="accounted")
     _, acc_rounds = route(bounded_route, acc, items)
-    assert acc_rounds == bounded_route_accounted_rounds(2, 3, C_IDT)
+    assert acc_rounds == bounded_route_accounted_rounds(2, 3)
 
 
 def test_bounded_route_accounted_monotone():
     prev_k = []
     for k in range(1, 5):
-        prev_k.append(bounded_route_accounted_rounds(k, 2, 16))
+        prev_k.append(bounded_route_accounted_rounds(k, 2))
     assert prev_k == sorted(prev_k)
-    prev_l = [bounded_route_accounted_rounds(2, ell, 16) for ell in range(1, 5)]
+    prev_l = [bounded_route_accounted_rounds(2, ell) for ell in range(1, 5)]
     assert prev_l == sorted(prev_l)
 
 
@@ -311,7 +310,7 @@ def reference_multicast_ledger(eng, senders):
         rows += [(v, u, idbits) for _, v in pairs for u in range(1, n + 1) if u != v]
         rows += [(s, v, nbits) for s, v in pairs for _, nbits in net[s][0]]
         widest = max(len(net[s][0]) for s in sub)
-        eng.charge_rounds(multicast_accounted_rounds(n, widest, C_IDT), "vector_multicast")
+        eng.charge_rounds(multicast_accounted_rounds(n, widest), "vector_multicast")
         eng.count_messages(*(np.array(col) for col in zip(*rows)))
 
 
@@ -370,10 +369,11 @@ class RecordingEngine(CliqueEngine):
 
 
 def per_block_multicast(eng, senders):
-    """Simulated multicast, one exchange per block: per sub-task (each
-    recipient's m-th sender), the two announcement rounds, then each
-    doubling phase's copies, in (sender, rank, chunk) order and tagged by
-    chunk, through the bounded-route schedule one block at a time."""
+    """Simulated multicast, one exchange per block, each labelled as the
+    primitive: per sub-task (each recipient's m-th sender), the two
+    announcement rounds, then each doubling phase's copies, in (sender,
+    rank, chunk) order, through the bounded-route schedule one block at a
+    time."""
     n = eng.n
     idbits = count_bits(n)
     by_recipient = {}
@@ -381,41 +381,39 @@ def per_block_multicast(eng, senders):
         for v in senders[s][1]:
             if v != s:
                 by_recipient.setdefault(v, []).append(s)
-    if not by_recipient:
-        return
-    with eng.measure("vector_multicast"):
-        for m in range(max(map(len, by_recipient.values()))):
-            sub = {}
-            for v in sorted(by_recipient):
-                if m < len(by_recipient[v]):
-                    sub.setdefault(by_recipient[v][m], []).append(v)
-            pairs = [(s, v) for s in sorted(sub) for v in sub[s]]
-            told = [(v, u) for _, v in pairs for u in range(1, n + 1) if u != v]
-            eng.exchange(
-                2,
-                [0] * len(pairs) + [1] * len(told),
-                [s for s, _ in pairs] + [v for v, _ in told],
-                [v for _, v in pairs] + [u for _, u in told],
-                idbits,
-            )
-            phase = 1
-            while True:
-                # ranks lo..hi-1; rank t takes the vector from the sender in
-                # phase 1, later from the recipient of rank plo + (t-lo)//2
-                lo, hi, plo = (1 << phase) - 2, (1 << (phase + 1)) - 2, (1 << (phase - 1)) - 2
-                copies = [
-                    (s if phase == 1 else sub[s][plo + (t - lo) // 2], sub[s][t], nbits, chunk)
-                    for s in sorted(sub)
-                    for t in range(lo, min(hi, len(sub[s])))
-                    for chunk, (_, nbits) in enumerate(senders[s][0])
-                ]
-                if not copies:
-                    break
-                blocks = []
-                routing._bounded_rounds(n, *(np.array(col) for col in zip(*copies)), blocks)
-                for block in blocks:
-                    eng.exchange(*block)
-                phase += 1
+    for m in range(max(map(len, by_recipient.values()), default=0)):
+        sub = {}
+        for v in sorted(by_recipient):
+            if m < len(by_recipient[v]):
+                sub.setdefault(by_recipient[v][m], []).append(v)
+        pairs = [(s, v) for s in sorted(sub) for v in sub[s]]
+        told = [(v, u) for _, v in pairs for u in range(1, n + 1) if u != v]
+        eng.exchange(
+            2,
+            [0] * len(pairs) + [1] * len(told),
+            [s for s, _ in pairs] + [v for v, _ in told],
+            [v for _, v in pairs] + [u for _, u in told],
+            idbits,
+            label="vector_multicast",
+        )
+        phase = 1
+        while True:
+            # ranks lo..hi-1; rank t takes the vector from the sender in
+            # phase 1, later from the recipient of rank plo + (t-lo)//2
+            lo, hi, plo = (1 << phase) - 2, (1 << (phase + 1)) - 2, (1 << (phase - 1)) - 2
+            copies = [
+                (s if phase == 1 else sub[s][plo + (t - lo) // 2], sub[s][t], nbits)
+                for s in sorted(sub)
+                for t in range(lo, min(hi, len(sub[s])))
+                for _, nbits in senders[s][0]
+            ]
+            if not copies:
+                break
+            blocks = []
+            routing._bounded_rounds(n, *(np.array(col) for col in zip(*copies)), blocks)
+            for block in blocks:
+                eng.exchange(*block, label="vector_multicast")
+            phase += 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -532,6 +530,59 @@ def test_failed_task_primitive_charges_nothing(prim, routing, dst, nbits, error)
     assert eng.ledger.as_dict() == make_engine(4, **cfg).ledger.as_dict()
 
 
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+@pytest.mark.parametrize("prim", [solve_relaxed_idt, bounded_route])
+def test_task_primitive_checks_every_node_first(prim, routing):
+    """Every endpoint is checked against 1..n before the loads are counted
+    or delivery sorts by node id: a cross item's, and a self-addressed
+    item's, which costs nothing."""
+    for src, dst in (([1, -1], [2, 3]), ([1, 5], [2, 5])):
+        eng = make_engine(4, routing=routing)
+        with pytest.raises(ValueError, match="outside 1..4"):
+            prim(eng, Batch.build(eng.w, src, dst, 8, [1, 2]))
+        assert eng.ledger.as_dict() == make_engine(4, routing=routing).ledger.as_dict()
+
+
+def test_schedule_broken_in_a_later_block_charges_nothing(monkeypatch):
+    """A simulated bounded_route whose second block, the relaxed task after
+    the preamble, sends two messages on one ordered pair in one round
+    raises and leaves the ledger as it was, preamble included."""
+
+    def clashing(n, src, dst, nbits, blocks):
+        blocks.append((1, np.zeros(2, dtype=np.int64), src[[0, 0]], dst[[0, 0]], nbits[[0, 0]]))
+
+    monkeypatch.setattr(routing, "_idt_rounds", clashing)
+    eng = make_engine(4)
+    with pytest.raises(PairConflictError):
+        route(bounded_route, eng, [RoutingItem(1, 2, 5, 8)])
+    assert eng.ledger.as_dict() == make_engine(4).ledger.as_dict()
+
+
+@pytest.mark.parametrize(
+    "prim,label,items",
+    [
+        (solve_relaxed_idt, "relaxed_idt", random_legal_batch(random.Random(5), 8)),
+        # three sub-tasks of n items from node 1: six blocks
+        (bounded_route, "bounded_route", [RoutingItem(1, 2, 0, 8)] * 24),
+    ],
+)
+def test_simulated_task_primitive_makes_one_exchange(monkeypatch, prim, label, items):
+    """However many blocks its schedule has, a simulated task-primitive call
+    runs it through exactly one labelled engine.exchange."""
+    calls = []
+    exchange = CliqueEngine.exchange
+
+    def spy(self, *args, **kwargs):
+        calls.append(kwargs.get("label"))
+        return exchange(self, *args, **kwargs)
+
+    monkeypatch.setattr(CliqueEngine, "exchange", spy)
+    eng = make_engine(8)
+    _, rounds = route(prim, eng, items)
+    assert calls == [label]
+    assert rounds == eng.ledger.rounds == eng.ledger.primitive_rounds[label] > 0
+
+
 @pytest.mark.parametrize("name", PRIMITIVES)
 def test_simulated_primitive_carries_wide_payload(name):
     """Payloads never enter an int64 column, so W > 64 still works."""
@@ -584,23 +635,8 @@ def task_batches(draw, send_cap, recv_cap):
         recvs[dst] += 1
         nbits = draw(st.integers(1, w))
         payload = draw(st.integers(0, (1 << nbits) - 1))
-        tag = draw(st.one_of(st.integers(-2, 2), st.sampled_from([-(2**62), 2**62])))
-        rows.append(RoutingItem(src, dst, payload, nbits, tag))
+        rows.append(RoutingItem(src, dst, payload, nbits))
     return n, w, rows
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_packed_order_equals_lexsort(data):
-    """One stable argsort of the packed key orders rows as np.lexsort does,
-    for small columns and for columns spanning all of int64."""
-    size = data.draw(st.integers(0, 30))
-    value = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
-    cols = [
-        np.array(data.draw(st.lists(value, min_size=size, max_size=size)), dtype=np.int64)
-        for _ in range(data.draw(st.integers(1, 4)))
-    ]
-    assert routing._stable_order(*cols).tolist() == np.lexsort(cols[::-1]).tolist()
 
 
 def _delivered_both_ways(prim, n, w, rows):
@@ -611,7 +647,7 @@ def _delivered_both_ways(prim, n, w, rows):
         eng = make_engine(n, routing=routing, w=w)
         out.append(prim(eng, batch(eng, rows))[0])
     sim, acc = out
-    for col in ("src", "dst", "nbits", "tag", "payload"):
+    for col in ("src", "dst", "nbits", "payload"):
         a, b = getattr(sim, col), getattr(acc, col)
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
     return sim
@@ -622,7 +658,7 @@ def _delivered_both_ways(prim, n, w, rows):
 def test_relaxed_idt_delivers_input_rows_in_order(case):
     n, w, rows = case
     got = _delivered_both_ways(solve_relaxed_idt, n, w, rows)
-    order = sorted(range(len(rows)), key=lambda i: (rows[i].dst, rows[i].src, rows[i].tag, i))
+    order = sorted(range(len(rows)), key=lambda i: (rows[i].dst, rows[i].src, i))
     assert list(got) == [rows[i] for i in order]
 
 
@@ -631,7 +667,7 @@ def test_relaxed_idt_delivers_input_rows_in_order(case):
 def test_bounded_route_delivers_input_rows_in_order(case):
     n, w, rows = case
     got = _delivered_both_ways(bounded_route, n, w, rows)
-    order = sorted(range(len(rows)), key=lambda i: (rows[i].dst, rows[i].src, rows[i].tag, i))
+    order = sorted(range(len(rows)), key=lambda i: (rows[i].dst, rows[i].src, i))
     assert list(got) == [rows[i] for i in order]
 
 
@@ -652,22 +688,23 @@ def test_count_bits_carries_every_value_up_to_n():
         assert count_bits(n) == 1 or n >= 1 << (count_bits(n) - 1)
 
 
-def test_multicast_accounted_rounds_equals_both_inline_bounds():
-    for n in (2, 3, 4, 5, 16, 17, 64, 100):
-        for c_idt in (1, 16):
+def test_multicast_accounted_rounds_equals_both_inline_bounds(monkeypatch):
+    """Both bounds, with ``routing.C_IDT`` patched: the formulas read it when
+    called."""
+    for c_idt in (1, 16):
+        monkeypatch.setattr(routing, "C_IDT", c_idt)
+        for n in (2, 3, 4, 5, 16, 17, 64, 100):
             for chunks in range(1, n + 1):
                 # vector_multicast: vectors of at most ``chunks`` chunks
                 kk = max(1, math.ceil(2 * chunks / n))
                 flat_phases = max(1, math.ceil(math.log2(n)))
-                want = 2 + flat_phases * bounded_route_accounted_rounds(kk, 1, c_idt)
-                assert multicast_accounted_rounds(n, chunks, c_idt) == want
+                want = 2 + flat_phases * kk * (c_idt + 2)
+                assert multicast_accounted_rounds(n, chunks) == want
             for cap in (1, n - 1, n, 2 * n, 5 * n + 3):
                 # witness stage 2: sub-vectors of at most min(cap, n) chunks
                 kk = max(1, math.ceil(2 * min(cap, n) / n))
-                want = 2 + max(1, math.ceil(math.log2(n))) * bounded_route_accounted_rounds(
-                    kk, 1, c_idt
-                )
-                assert multicast_accounted_rounds(n, min(cap, n), c_idt) == want
+                want = 2 + max(1, math.ceil(math.log2(n))) * bounded_route_accounted_rounds(kk, 1)
+                assert multicast_accounted_rounds(n, min(cap, n)) == want
 
 
 # ---------------------------------------------------------------------------
