@@ -376,35 +376,27 @@ def boolean_product_naive(A: BooleanMatrix, B: BooleanMatrix) -> BooleanMatrix:
     return BooleanMatrix(tuple(out_rows))
 
 
-def pack_chunks(fields: Sequence[int], width: int, w: int) -> list[tuple[int, int]]:
-    """The wire format of a vector of fixed-width fields: field i at bit
-    i * ``width`` of one integer, cut into (payload, nbits) chunks of at
-    most ``w`` bits, low bits first."""
-    value = 0
-    for i, f in enumerate(fields):
-        if not 0 <= f < 1 << width:
-            raise ValueError(f"field {i} does not fit in {width} bits")
-        value |= f << (i * width)
-    chunks = []
-    remaining = len(fields) * width
-    while remaining > 0:
-        take = min(w, remaining)
-        chunks.append((value & ((1 << take) - 1), take))
-        value >>= take
-        remaining -= take
-    return chunks
+def pack_chunks(bits, w: int) -> tuple[list[int], list[int]]:
+    """The wire format of vectors: each row of a 2-D 0/1 array, entry j at
+    bit j, cut into chunks of at most ``w`` bits, low bits first.  Returns
+    the chunks' payloads and widths, row after row; all rows share one
+    pattern of widths."""
+    bits = np.asarray(bits, dtype=bool)
+    rows, length = bits.shape
+    widths = np.minimum(w, length - w * np.arange(-(-length // w)))
+    padded = np.zeros((rows, widths.size * w), dtype=bool)
+    padded[:, :length] = bits
+    return pack_rows(padded.reshape(-1, w)), widths.tolist() * rows
 
 
-def unpack_chunks(chunks: Sequence[tuple[int, int]], width: int, count: int) -> tuple[int, ...]:
-    """Inverse of :func:`pack_chunks`: the ``count`` fields of ``width``
-    bits.  Raises :class:`DimensionError` unless the chunks carry exactly
-    ``count * width`` bits."""
-    value = 0
-    shift = 0
-    for payload, nbits in chunks:
-        value |= payload << shift
-        shift += nbits
-    if shift != count * width:
-        raise DimensionError(f"chunks carry {shift} bits, expected {count} fields of {width}")
-    mask = (1 << width) - 1
-    return tuple((value >> (i * width)) & mask for i in range(count))
+def unpack_chunks(payloads: Sequence[int], nbits: Sequence[int], length: int) -> np.ndarray:
+    """Inverse of :func:`pack_chunks`: the (rows, ``length``) uint8 array
+    whose rows the chunks carry, W taken from the widest chunk.  Raises
+    :class:`DimensionError` unless the widths repeat, row after row, the
+    pattern :func:`pack_chunks` gives one ``length``-bit row."""
+    w = max(nbits, default=1)
+    pattern = pack_chunks(np.zeros((1, length)), w)[1]
+    rows, extra = divmod(len(nbits), len(pattern))
+    if extra or list(nbits) != pattern * rows:
+        raise DimensionError(f"chunk widths do not cut rows of {length} bits")
+    return unpack_rows(payloads, w).reshape(rows, len(pattern) * w)[:, :length]

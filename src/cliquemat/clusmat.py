@@ -539,13 +539,20 @@ def _multicast_rows(
         recips = recipients(node)
         if not recips:
             return None
-        row: BitVector = node.storage[row_key]
-        return pack_chunks([row.value], n, engine.w), sorted(recips)
+        return node.storage[row_key].value, sorted(recips)
 
-    out, _ = vector_multicast(engine, engine.local(build))
-    # every recipient of a sender holds the same vector, decoded once
+    sending = engine.local(build)
+    payloads, widths = pack_chunks(unpack_rows([row for row, _ in sending.values()], n), engine.w)
+    chunks, per = list(zip(payloads, widths)), math.ceil(n / engine.w)
+    out, _ = vector_multicast(engine, {
+        s: (chunks[i * per:(i + 1) * per], recips)
+        for i, (s, (_, recips)) in enumerate(sending.items())
+    })
+    # every recipient of a sender holds the same vector; all are decoded at once
     vectors = {s: vec for got in out.values() for s, vec in got}
-    rows = {s: BitVector(n, *unpack_chunks(vec, n, 1)) for s, vec in vectors.items()}
+    flat = [c for vec in vectors.values() for c in vec]
+    bits = unpack_chunks([p for p, _ in flat], [nb for _, nb in flat], n)
+    rows = dict(zip(vectors, (BitVector(n, row) for row in pack_rows(bits))))
     engine.put(out_key, {
         v: {sender: rows[sender] for sender, _ in out.get(v, ())} for v in engine.node_ids()
     })

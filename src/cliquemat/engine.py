@@ -2,7 +2,7 @@
 
 ``n`` fully connected nodes exchange point-to-point messages in rounds; each
 ordered pair may carry at most one message of at most W payload bits per
-round.  Headers (src, dst, tag, seq) travel out of band and are not charged
+round.  Headers (src, dst) travel out of band and are not charged
 against W.  The ledger tracks rounds, messages, payload bits, and per-node
 work units; every message charges W work to its sender and W to its
 receiver.
@@ -80,8 +80,6 @@ ACCOUNTED = "accounted"
 class Message(NamedTuple):
     src: int
     dst: int
-    tag: int
-    seq: int
     payload: int
     nbits: int
 

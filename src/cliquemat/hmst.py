@@ -13,14 +13,16 @@ Protocol outline (per-step round subtotals land in the ledger):
    (or, in seed mode, broadcast one 64-bit seed and regenerate locally);
 2. sketch every point locally and route all sketches to node 1 as one
    batch of W-bit chunks;
-3. estimate all pairwise distances and build the tree at node 1, from the
-   chunks the delivered batch holds for it.
+3. check that every node's sketch set arrived whole, estimate all pairwise
+   distances and build the tree at node 1.
 
-The points of all nodes holding the same family object are sketched in one
-GF(2) matrix product (:func:`sketch_bits`), each node charged its own
-sketch.  Node 1's all-pairs estimate runs on packed sketch arrays and its
-tree is an O(n^2) Prim; the ledger charges the paper's per-pair work either
-way.
+Each projection matrix, the seed and each sketch set is one row of the
+:func:`pack_chunks` wire format; a step encodes or decodes all its rows in
+one call.  The points of all nodes holding the same family object are
+sketched in one GF(2) matrix product (:func:`sketch_bits`), each node
+charged its own sketch.  Node 1's all-pairs estimate runs on the
+(n, scales * k) sketch bit array and its tree is an O(n^2) Prim; the
+ledger charges the paper's per-pair work either way.
 """
 
 from __future__ import annotations
@@ -176,13 +178,13 @@ def estimate_distance(
 
 def family_from_vectors(n: int, k: int, *vectors: tuple) -> ProjectionFamily:
     """The family a node rebuilds from the projection vectors it received,
-    in scale order; every scale spans the same number of chunks."""
+    in scale order: one k*n-bit row of the wire format per scale."""
     chunks = [c for vec in vectors for c in vec]
+    bits = unpack_chunks([p for p, _ in chunks], [nb for _, nb in chunks], k * n)
     scales = scales_for(n)
-    per, extra = divmod(len(chunks), len(scales))
-    if extra:
-        raise MalformedSketchError(f"{len(chunks)} projection chunks for {len(scales)} scales")
-    mats = {r: unpack_chunks(chunks[i * per:(i + 1) * per], n, k) for i, r in enumerate(scales)}
+    if len(bits) != len(scales):
+        raise MalformedSketchError(f"projection chunks carry {len(bits)} of {len(scales)} scales")
+    mats = {r: tuple(pack_rows(row.reshape(k, n))) for r, row in zip(scales, bits)}
     return ProjectionFamily(n, k, scales, mats, scale_thresholds(n, k))
 
 
@@ -190,28 +192,23 @@ def family_from_vectors(n: int, k: int, *vectors: tuple) -> ProjectionFamily:
 _BLOCK_BYTES = 1 << 20
 
 
-def build_estimated_graph(
-    sketch_sets: Sequence[Sequence[int]], family: ProjectionFamily
-) -> np.ndarray:
-    """:func:`estimate_distance` for every pair at once, as a symmetric
-    read-only (n, n) int64 array with a zero diagonal that :func:`local_mst`
-    takes as is.  The sketches are packed into an (n, scales, ceil(k/64))
-    array of 64-bit words with one more scale column of zeros, whose cutoff
-    every pair passes, so the first passing column is the estimate or the
-    top-scale fallback; each block of rows is XORed against all rows and
-    popcounted per scale."""
-    n = len(sketch_sets)
-    num_scales = len(family.scales)
-    words = (family.k + 63) // 64
-    for sk in sketch_sets:
-        if len(sk) != num_scales:
-            raise MalformedSketchError(f"sketch sets must cover all {num_scales} scales")
-    try:
-        raw = b"".join(s.to_bytes(8 * words, "little") for sk in sketch_sets for s in sk)
-    except OverflowError as exc:
-        raise MalformedSketchError(f"a sketch does not fit in k={family.k} bits") from exc
-    packed = np.zeros((n, num_scales + 1, words), dtype="<u8")
-    packed[:, :num_scales] = np.frombuffer(raw, dtype="<u8").reshape(n, num_scales, words)
+def build_estimated_graph(sketches: np.ndarray, family: ProjectionFamily) -> np.ndarray:
+    """:func:`estimate_distance` for every pair of rows of a
+    :func:`sketch_bits` array at once, as a symmetric read-only (n, n) int64
+    array with a zero diagonal that :func:`local_mst` takes as is.  The
+    sketches are packed into an (n, scales, ceil(k/64)) array of 64-bit
+    words with one more scale column of zeros, whose cutoff every pair
+    passes, so the first passing column is the estimate or the top-scale
+    fallback; each block of rows is XORed against all rows and popcounted
+    per scale."""
+    num_scales, k = len(family.scales), family.k
+    if np.ndim(sketches) != 2 or np.shape(sketches)[1] != num_scales * k:
+        raise MalformedSketchError(f"sketch sets must be {num_scales} scales of {k} bits")
+    n = len(sketches)
+    words = (k + 63) // 64
+    padded = np.zeros((n, num_scales + 1, 64 * words), dtype=np.uint8)
+    padded[:, :num_scales, :k] = np.reshape(sketches, (n, num_scales, k))
+    packed = np.packbits(padded, axis=-1, bitorder="little").view("<u8")
     if words == 1:
         packed = packed[..., 0]
     scales = np.array([*family.scales, family.scales[-1]], dtype=np.int64)
@@ -260,7 +257,8 @@ def run_hmst(
         if proj.seed_mode:
             with engine.as_node(1) as node1:
                 seed64 = int(node1.rng.integers(0, 1 << 63))
-            _broadcast_from_node1(engine, pack_chunks([seed64], 64, w))
+            payloads, widths = pack_chunks(unpack_rows([seed64], 64), w)
+            _broadcast_from_node1(engine, list(zip(payloads, widths)))
 
             def regen(node):
                 node.storage["family"] = engine.derive(ProjectionFamily.from_seed, n, k, seed64)
@@ -275,10 +273,13 @@ def run_hmst(
             recipients = list(range(2, n + 1))
             # per recipient, the vectors it received, in scale order
             received: dict[int, list[tuple]] = {v: [] for v in recipients}
-            for r in scales:
-                chunks = pack_chunks(family1.matrices[r], n, w)
-                for lo in range(0, len(chunks), n):
-                    vec = chunks[lo:lo + n]
+            # one k*n-bit row per scale, sent as vectors of at most n chunks
+            rows = unpack_rows([row for r in scales for row in family1.matrices[r]], n)
+            chunks = list(zip(*pack_chunks(rows.reshape(len(scales), k * n), w)))
+            per = len(chunks) // len(scales)
+            for first in range(0, len(chunks), per):
+                for lo in range(first, first + per, n):
+                    vec = chunks[lo:min(lo + n, first + per)]
                     out, _ = vector_multicast(engine, {1: (vec, recipients)})
                     for v, got in out.items():
                         received[v].extend(vector for _, vector in got)
@@ -303,17 +304,13 @@ def run_hmst(
             _, ids, points = groups.setdefault(id(fam), (fam, [], []))
             ids.append(v)
             points.append(point)
-        # each sketch set is len(scales) * k bits, sent as W-bit chunks, low bits first
-        total, per_node = len(scales) * k, math.ceil(len(scales) * k / w)
+        # each sketch set is one len(scales) * k-bit row of the wire format
+        per_node = math.ceil(len(scales) * k / w)
         src = np.concatenate([ids for _, ids, _ in groups.values()])
-        sketches = np.zeros((src.size, per_node * w), dtype=np.uint8)
-        sketches[:, :total] = np.concatenate([sketch_bits(f, pts) for f, _, pts in groups.values()])
-        widths = np.minimum(w, total - w * np.arange(per_node))
-        chunks = Batch.build(
-            w, np.repeat(src, per_node), 1, np.tile(widths, src.size),
-            pack_rows(sketches.reshape(-1, w)),
-        )
-        delivered, _ = bounded_route(engine, chunks)
+        sketches = np.concatenate([sketch_bits(f, pts) for f, _, pts in groups.values()])
+        payloads, widths = pack_chunks(sketches, w)
+        batch = Batch.build(w, np.repeat(src, per_node), 1, widths, payloads)
+        delivered, _ = bounded_route(engine, batch)
 
     # -- step 3: node 1 estimates all pairs on arrays and builds the tree
     # locally; the ledger charges the paper's per-pair and n^2 tree work
@@ -324,13 +321,12 @@ def run_hmst(
                 return None
             fam: ProjectionFamily = node.storage["family"]
             got = delivered.span(1)  # by source, each source's chunks in order
-            cuts = np.searchsorted(delivered.src[got], np.arange(1, n + 2)).tolist()
-            payload, nbits = delivered.payload[got].tolist(), delivered.nbits[got].tolist()
-            sketch_sets = [
-                unpack_chunks(list(zip(payload[lo:hi], nbits[lo:hi])), k, len(scales))
-                for lo, hi in zip(cuts[:-1], cuts[1:])
-            ]
-            graph = build_estimated_graph(sketch_sets, fam)
+            sent = np.bincount(delivered.src[got], minlength=n + 1)[1:]
+            if (sent != per_node).any():
+                v = int((sent != per_node).argmax())
+                raise MalformedSketchError(f"node {v + 1} sent {sent[v]} of {per_node} chunks")
+            payloads, nbits = delivered.payload[got].tolist(), delivered.nbits[got].tolist()
+            graph = build_estimated_graph(unpack_chunks(payloads, nbits, len(scales) * k), fam)
             engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))
             tree = local_mst(graph)
             engine.charge_work(1, n * n)

@@ -324,12 +324,12 @@ def test_criterion_8_model_enforcement():
     eng = CliqueEngine(CliqueConfig(n=8, w=16))
     overflow = conflict = False
     try:
-        eng.post_message(Message(1, 2, 0, 0, 0, 17))
+        eng.post_message(Message(1, 2, 0, 17))
     except CapacityError:
         overflow = True
-    eng.post_message(Message(3, 7, 0, 0, 1, 1))
+    eng.post_message(Message(3, 7, 1, 1))
     try:
-        eng.post_message(Message(3, 7, 1, 1, 1, 1))
+        eng.post_message(Message(3, 7, 1, 1))
     except PairConflictError:
         conflict = True
 

@@ -21,8 +21,10 @@ from cliquemat.bits import (
     pack_chunks,
     pack_rows,
     unpack_chunks,
+    unpack_rows,
     witnesses,
 )
+from field_codec import pack_fields, unpack_fields
 from cliquemat.harness import GenSpec, exact_mst_cost, gen_clustered, gen_uniform
 from cliquemat.errors import (
     DimensionError,
@@ -407,34 +409,51 @@ def test_product_shape_mismatch():
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 12), st.integers(1, 150), st.integers(1, 130), st.data())
-def test_chunk_codec_roundtrip(count, width, w, data):
-    """Fields come back unchanged from chunks of 1..w bits, for w above 64
-    and fields wider than a chunk; field i sits at bit i * width."""
+def test_chunk_codec_matches_field_codec(count, width, w, data):
+    """A vector of fixed-width fields, as the 0/1 row unpack_rows gives,
+    goes on the wire exactly as the reference field codec sends it, for
+    fields wider than a chunk and chunks above 64 bits, and comes back."""
     fields = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=count, max_size=count))
-    chunks = pack_chunks(fields, width, w)
-    assert all(1 <= nb <= w for _, nb in chunks)
-    assert len(chunks) == -(-count * width // w)
-    joined = sum(payload << shift for (payload, _), shift in zip(
-        chunks, itertools.accumulate((nb for _, nb in chunks), initial=0)))
-    assert joined == sum(f << (i * width) for i, f in enumerate(fields))
-    assert unpack_chunks(chunks, width, count) == tuple(fields)
+    row = unpack_rows(fields, width).reshape(1, -1)
+    payloads, widths = pack_chunks(row, w)
+    assert list(zip(payloads, widths)) == pack_fields(fields, width, w)
+    if count:  # a row of no bits sends no chunks, so there is nothing to decode
+        assert np.array_equal(unpack_chunks(payloads, widths, count * width), row)
 
 
-@pytest.mark.parametrize("field", [-1, 32])
-def test_chunk_codec_rejects_field_wider_than_width(field):
-    with pytest.raises(ValueError):
-        pack_chunks([3, field], 5, 8)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 200), st.integers(1, 130), st.data())
+def test_chunk_codec_roundtrip(rows, length, w, data):
+    """Rows come back unchanged from chunks of 1..w bits, low bits first;
+    every row is cut into the same widths."""
+    values = data.draw(st.lists(st.integers(0, (1 << length) - 1), min_size=rows, max_size=rows))
+    bits = unpack_rows(values, length)
+    payloads, widths = pack_chunks(bits, w)
+    per = -(-length // w)
+    assert len(payloads) == len(widths) == rows * per
+    assert all(1 <= nb <= w for nb in widths) and widths == widths[:per] * rows
+    chunks = list(zip(payloads, widths))
+    for i, value in enumerate(values):
+        assert unpack_fields(chunks[i * per:(i + 1) * per], length, 1) == (value,)
+    assert np.array_equal(unpack_chunks(payloads, widths, length), bits)
 
 
 def test_chunk_codec_rejects_wrong_bit_count():
-    """A chunk list that lost its last chunk, or carries one too many,
-    raises DimensionError (not an assert, which ``python -O`` drops)."""
-    chunks = pack_chunks([3, 0, 31, 7], 5, 8)
-    assert unpack_chunks(chunks, 5, 4) == (3, 0, 31, 7)
-    with pytest.raises(DimensionError):
-        unpack_chunks(chunks[:-1], 5, 4)
-    with pytest.raises(DimensionError):
-        unpack_chunks(chunks + [(0, 1)], 5, 4)
+    """A chunk list that lost its last chunk, carries one too many, or has
+    a width out of the row pattern raises DimensionError (not an assert,
+    which ``python -O`` drops)."""
+    bits = unpack_rows([0b0111_11111_00000_00011, 1 << 19], 20)
+    payloads, widths = pack_chunks(bits, 8)
+    assert widths == [8, 8, 4] * 2
+    assert np.array_equal(unpack_chunks(payloads, widths, 20), bits)
+    bad = [
+        (payloads[:-1], widths[:-1]),
+        (payloads + [0], widths + [1]),
+        (payloads, [8, 8, 4, 8, 4, 8]),
+    ]
+    for p, nb in bad:
+        with pytest.raises(DimensionError):
+            unpack_chunks(p, nb, 20)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65])

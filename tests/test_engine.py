@@ -36,7 +36,7 @@ def test_config_validation():
 
 def test_payload_at_capacity_accepted():
     eng = make_engine(4, w=16)
-    eng.post_message(Message(1, 2, 0, 0, (1 << 16) - 1, 16))
+    eng.post_message(Message(1, 2, (1 << 16) - 1, 16))
     eng.advance_round()
     assert eng.ledger.messages == 1
     assert eng.ledger.bits == 16
@@ -45,22 +45,22 @@ def test_payload_at_capacity_accepted():
 def test_payload_over_capacity_rejected():
     eng = make_engine(4, w=16)
     with pytest.raises(CapacityError):
-        eng.post_message(Message(1, 2, 0, 0, 0, 17))
+        eng.post_message(Message(1, 2, 0, 17))
 
 
 def test_pair_conflict_rejected():
     eng = make_engine(8)
-    eng.post_message(Message(3, 7, 0, 0, 1, 1))
+    eng.post_message(Message(3, 7, 1, 1))
     with pytest.raises(PairConflictError):
-        eng.post_message(Message(3, 7, 1, 5, 0, 1))
+        eng.post_message(Message(3, 7, 0, 1))
 
 
 def test_payload_must_fit_declared_bits():
     eng = make_engine(4)
     with pytest.raises(CapacityError):
-        eng.post_message(Message(1, 2, 0, 0, 4, 2))
+        eng.post_message(Message(1, 2, 4, 2))
     with pytest.raises(CapacityError):
-        eng.post_message(Message(1, 2, 0, 0, 1, 0))
+        eng.post_message(Message(1, 2, 1, 0))
 
 
 def test_empty_round_counts():
@@ -75,7 +75,7 @@ def test_full_exchange_counts():
     for s in range(1, 5):
         for d in range(1, 5):
             if s != d:
-                eng.post_message(Message(s, d, 0, 0, 1, 1))
+                eng.post_message(Message(s, d, 1, 1))
     eng.advance_round()
     assert eng.ledger.messages == 12
     assert eng.ledger.bits == 12
@@ -83,14 +83,14 @@ def test_full_exchange_counts():
 
 def test_bits_counted_by_payload_size():
     eng = make_engine(4, w=32)
-    eng.post_message(Message(1, 2, 0, 0, 0xFFFFF, 20))
+    eng.post_message(Message(1, 2, 0xFFFFF, 20))
     eng.advance_round()
     assert eng.ledger.bits == 20
 
 
 def test_message_work_convention():
     eng = make_engine(4, w=32)
-    eng.post_message(Message(1, 2, 0, 0, 1, 1))
+    eng.post_message(Message(1, 2, 1, 1))
     assert eng.ledger.work[1] == 32  # sender charged at post
     eng.advance_round()
     assert eng.ledger.work[2] == 32  # receiver charged at delivery
@@ -135,7 +135,7 @@ def test_exchange_enforces_post_message_rules(case, msgs, error):
     def per_message():
         eng = make_engine(8, w=16)
         for src, dst, nbits in msgs:
-            eng.post_message(Message(src, dst, 0, 0, 0, nbits))
+            eng.post_message(Message(src, dst, 0, nbits))
         eng.advance_round()
 
     def batched():
@@ -154,7 +154,7 @@ def test_exchange_pair_may_repeat_in_another_round():
 
 def test_exchange_refuses_to_overtake_buffered_messages():
     eng = make_engine(4)
-    eng.post_message(Message(1, 2, 0, 0, 1, 1))
+    eng.post_message(Message(1, 2, 1, 1))
     with pytest.raises(RuntimeError):
         eng.exchange(1, 0, [3], [4], 1)
 
@@ -178,7 +178,7 @@ def test_exchange_ledger_matches_post_message():
     for r in range(3):
         for rnd, src, dst, nbits in msgs:
             if rnd == r:
-                per.post_message(Message(src, dst, 0, 0, 0, nbits))
+                per.post_message(Message(src, dst, 0, nbits))
         per.advance_round()
     batch = make_engine(4, w=16)
     rnd, src, dst, nbits = (np.array(col) for col in zip(*msgs))

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cliquemat.bits import BitVector, hamming_distance, unpack_chunks
+from cliquemat.bits import BitVector, hamming_distance, pack_rows, unpack_rows
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import DimensionError, MalformedSketchError
 from cliquemat.hmst import (
@@ -23,6 +23,7 @@ from cliquemat.hmst import (
     sketch_bits,
     sketch_point,
 )
+from field_codec import unpack_fields
 
 
 def exact_mst_cost(points):
@@ -246,6 +247,17 @@ def near_sketch_sets(fam, count, rng):
     return sets
 
 
+def sketch_array(sets, fam):
+    """Per-scale sketch integers as the (count, scales * k) bit array that
+    sketch_bits returns."""
+    return unpack_rows([s for sk in sets for s in sk], fam.k).reshape(len(sets), -1)
+
+
+def sketch_sets(bits, fam):
+    """Rows of a sketch_bits array as per-scale sketch integers."""
+    return [tuple(pack_rows(row.reshape(len(fam.scales), fam.k))) for row in bits]
+
+
 @pytest.mark.parametrize("n, k", [(32, 40), (24, 64), (24, 72), (40, 130)])
 def test_build_estimated_graph_matches_pairwise_estimate(n, k):
     """The all-pairs estimate equals estimate_distance on every pair, for
@@ -253,7 +265,7 @@ def test_build_estimated_graph_matches_pairwise_estimate(n, k):
     fam = ProjectionFamily.generate(n, k, np.random.default_rng(n + k))
     rng = random.Random(k)
     sets = near_sketch_sets(fam, n, rng)
-    g = build_estimated_graph(sets, fam)
+    g = build_estimated_graph(sketch_array(sets, fam), fam)
     assert g.shape == (n, n) and g.dtype == np.int64 and not g.flags.writeable
     for i in range(n):
         assert g[i, i] == 0
@@ -267,7 +279,9 @@ def test_build_estimated_graph_of_real_sketches():
     fam = family_for(n, seed=4)
     pts = clustered_points(n, 3, 3, 6)
     sets = [sketch_point(fam, p) for p in pts]
-    g = build_estimated_graph(sets, fam)
+    bits = sketch_bits(fam, pts)
+    assert sketch_sets(bits, fam) == sets
+    g = build_estimated_graph(bits, fam)
     for i in range(n):
         for j in range(n):
             if i != j:
@@ -275,21 +289,30 @@ def test_build_estimated_graph_of_real_sketches():
 
 
 def test_build_estimated_graph_rejects_missing_scale():
+    """A sketch array that is not (points, scales * k) raises, whether a
+    scale or a bit is missing or extra, or the points are not rows."""
     n = 16
     fam = family_for(n)
     rng = random.Random(3)
-    sets = [sketch_point(fam, BitVector(n, rng.getrandbits(n))) for _ in range(n)]
-    sets[5] = sets[5][:-1]
-    with pytest.raises(MalformedSketchError):
-        build_estimated_graph(sets, fam)
+    bits = sketch_bits(fam, [BitVector(n, rng.getrandbits(n)) for _ in range(n)])
+    bad = [
+        bits[:, :-fam.k],
+        bits[:, :-1],
+        np.hstack([bits, bits[:, :1]]),
+        bits.ravel(),
+        bits.reshape(n, len(fam.scales), fam.k),
+    ]
+    for sketches in bad:
+        with pytest.raises(MalformedSketchError):
+            build_estimated_graph(sketches, fam)
 
 
 def test_estimated_graph_symmetric():
     n = 16
     fam = family_for(n)
     rng = random.Random(1)
-    sets = [sketch_point(fam, BitVector(n, rng.getrandbits(n))) for _ in range(n)]
-    g = build_estimated_graph(sets, fam)
+    pts = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+    g = build_estimated_graph(sketch_bits(fam, pts), fam)
     for i in range(n):
         for j in range(n):
             assert g[i, j] == g[j, i]
@@ -409,7 +432,7 @@ def record_broadcast_seed(monkeypatch):
     broadcast = hmst._broadcast_from_node1
 
     def recording(engine, chunks):
-        seeds.append(unpack_chunks(chunks, 64, 1)[0])
+        seeds.append(unpack_fields(chunks, 64, 1)[0])
         return broadcast(engine, chunks)
 
     monkeypatch.setattr(hmst, "_broadcast_from_node1", recording)
@@ -442,7 +465,8 @@ def record_multicast(monkeypatch, alter=None):
 
 def family_from_chunks(chunks, n, k):
     """Fresh ship-mode derivation: split a node's received chunks into
-    k*n-bit scales in order and decode each into its k rows."""
+    k*n-bit scales in order and decode each into its k rows with the
+    reference field codec."""
     mats = {}
     pos = 0
     for r in scales_for(n):
@@ -450,9 +474,37 @@ def family_from_chunks(chunks, n, k):
         while bits < k * n:
             bits += chunks[pos][1]
             pos += 1
-        mats[r] = unpack_chunks(chunks[start:pos], n, k)
+        mats[r] = unpack_fields(chunks[start:pos], n, k)
     assert pos == len(chunks)
     return ProjectionFamily(n, k, scales_for(n), mats, scale_thresholds(n, k))
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+@pytest.mark.parametrize("w", [64, 256])
+def test_lost_sketch_chunk_raises(routing, w, monkeypatch):
+    """Node 1 checks that every node's sketch set arrived whole: one chunk
+    lost on its way there raises, also when a set is a single chunk and
+    the rest would still decode into whole rows."""
+    from cliquemat import hmst
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.routing import Batch
+
+    n, lossy = 12, 5
+    rng = random.Random(8)
+    engine = CliqueEngine(CliqueConfig(n=n, w=w, routing=routing, seed=8))
+    engine.put("point", {i: BitVector(n, rng.getrandbits(n)) for i in engine.node_ids()})
+    route = hmst.bounded_route
+
+    def dropping(engine, batch):
+        delivered, rounds = route(engine, batch)
+        keep = np.ones(len(delivered), dtype=bool)
+        keep[np.flatnonzero(delivered.src == lossy)[-1]] = False
+        cols = (delivered.src, delivered.dst, delivered.nbits, delivered.payload)
+        return Batch(*(col[keep] for col in cols)), rounds
+
+    monkeypatch.setattr(hmst, "bounded_route", dropping)
+    with pytest.raises(MalformedSketchError, match=f"node {lossy} "):
+        run_hmst(engine, ProjectionConfig())
 
 
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
