@@ -38,8 +38,6 @@ from .harness import (
 from .hmst import (
     ProjectionConfig,
     ProjectionFamily,
-    estimate_distance,
-    gen_projection,
     hmst_protocol,
     sketch_bits,
 )

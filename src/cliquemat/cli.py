@@ -31,7 +31,7 @@ from .textio import (
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     capacity = p.add_mutually_exclusive_group()
-    capacity.add_argument("--w", type=int, default=64, help="payload capacity in bits")
+    capacity.add_argument("--w", type=int, help="payload capacity in bits (default 64)")
     capacity.add_argument("--strict", action="store_true", help="set W = ceil(log2 n) + 16")
     p.add_argument("--max-rounds", type=int, default=1_000_000, help="abort limit")
     _add_bench_flags(p)
@@ -49,9 +49,10 @@ def _add_bench_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args, n: int) -> CliqueConfig:
+    w = CliqueConfig.w if args.w is None else args.w
     return CliqueConfig(
         n=n,
-        w=math.ceil(math.log2(n)) + 16 if args.strict else args.w,
+        w=math.ceil(math.log2(n)) + 16 if args.strict else w,
         seed=args.seed,
         routing=args.routing,
         max_rounds=args.max_rounds,

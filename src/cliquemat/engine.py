@@ -99,6 +99,10 @@ class CliqueConfig:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
         if self.routing not in (SIMULATED, ACCOUNTED):
             raise ValueError(f"unknown routing mode {self.routing!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
         floor = math.ceil(math.log2(self.n)) + 1
         if self.w < floor:
             raise ValueError(

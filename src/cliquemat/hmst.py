@@ -16,7 +16,8 @@ Protocol outline (per-step round subtotals land in the ledger):
 3. check that every node's sketch set arrived whole, estimate all pairwise
    distances and build the tree at node 1.
 
-Each projection matrix, the seed and each sketch set is one row of the
+A family's matrices are one read-only (scales * k, n) 0/1 array.  Each
+scale's k*n bits, the seed and each sketch set is one row of the
 :func:`pack_chunks` wire format; a step encodes or decodes all its rows in
 one call.  The points of all nodes holding the same family object are
 sketched in one GF(2) matrix product (:func:`sketch_bits`), each node
@@ -112,29 +113,26 @@ def scale_thresholds(n: int, k: int) -> dict[int, int]:
     return out
 
 
-def gen_projection(r: int, k: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """k x n binary matrix with entries one with probability delta(r),
-    returned as one packed n-bit integer per row."""
-    if r < 1 or r > (1 << math.ceil(math.log2(n))):
-        raise ValueError(f"scale {r} out of range for n={n}")
-    return tuple(pack_rows(rng.random((k, n)) < delta_for_scale(r)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionFamily:
-    """One projection matrix per scale plus the calibrated cutoffs."""
+    """One projection matrix per scale plus the calibrated cutoffs: rows
+    s*k .. (s+1)*k - 1 of the 0/1 uint8 array ``bits`` are the s-th scale's,
+    read-only because nodes share one family."""
 
     n: int
     k: int
     scales: tuple[int, ...]
-    matrices: dict[int, tuple[int, ...]]
+    bits: np.ndarray
     thresholds: dict[int, int]
+
+    def __post_init__(self) -> None:
+        self.bits.flags.writeable = False
 
     @classmethod
     def generate(cls, n: int, k: int, rng: np.random.Generator) -> "ProjectionFamily":
         scales = scales_for(n)
-        matrices = {r: gen_projection(r, k, n, rng) for r in scales}
-        return cls(n, k, scales, matrices, scale_thresholds(n, k))
+        blocks = [rng.random((k, n)) < delta_for_scale(r) for r in scales]
+        return cls(n, k, scales, np.concatenate(blocks).view(np.uint8), scale_thresholds(n, k))
 
     @classmethod
     def from_seed(cls, n: int, k: int, seed: int) -> "ProjectionFamily":
@@ -151,29 +149,13 @@ def sketch_bits(family: ProjectionFamily, points: Sequence[BitVector]) -> np.nda
         if x.n != n:
             raise DimensionError(f"point length {x.n} does not match n={n}")
     X = unpack_rows([x.value for x in points], n).astype(np.float32)
-    P = unpack_rows([row for r in family.scales for row in family.matrices[r]], n)
-    return (X @ P.T.astype(np.float32)).astype(np.int64) & 1
+    return (X @ family.bits.T.astype(np.float32)).astype(np.int64) & 1
 
 
 def sketch_point(family: ProjectionFamily, x: BitVector) -> tuple[int, ...]:
     """Sketches of x at every scale, one packed k-bit integer per scale."""
     bits = sketch_bits(family, [x]).reshape(len(family.scales), family.k)
     return tuple(pack_rows(bits))
-
-
-def estimate_distance(
-    sketches_i: Sequence[int], sketches_j: Sequence[int], family: ProjectionFamily
-) -> int:
-    """Power-of-two distance estimate: the smallest scale whose sketch
-    distance passes that scale's cutoff, or the top scale as fallback."""
-    if len(sketches_i) != len(family.scales) or len(sketches_j) != len(family.scales):
-        raise MalformedSketchError(
-            f"sketch sets must cover all {len(family.scales)} scales"
-        )
-    for idx, r in enumerate(family.scales):
-        if (sketches_i[idx] ^ sketches_j[idx]).bit_count() <= family.thresholds[r]:
-            return r
-    return family.scales[-1]
 
 
 def family_from_vectors(n: int, k: int, *vectors: tuple) -> ProjectionFamily:
@@ -184,8 +166,7 @@ def family_from_vectors(n: int, k: int, *vectors: tuple) -> ProjectionFamily:
     scales = scales_for(n)
     if len(bits) != len(scales):
         raise MalformedSketchError(f"projection chunks carry {len(bits)} of {len(scales)} scales")
-    mats = {r: tuple(pack_rows(row.reshape(k, n))) for r, row in zip(scales, bits)}
-    return ProjectionFamily(n, k, scales, mats, scale_thresholds(n, k))
+    return ProjectionFamily(n, k, scales, bits.reshape(len(scales) * k, n), scale_thresholds(n, k))
 
 
 # bytes of XOR scratch per row block of the all-pairs estimate
@@ -193,14 +174,14 @@ _BLOCK_BYTES = 1 << 20
 
 
 def build_estimated_graph(sketches: np.ndarray, family: ProjectionFamily) -> np.ndarray:
-    """:func:`estimate_distance` for every pair of rows of a
-    :func:`sketch_bits` array at once, as a symmetric read-only (n, n) int64
-    array with a zero diagonal that :func:`local_mst` takes as is.  The
-    sketches are packed into an (n, scales, ceil(k/64)) array of 64-bit
-    words with one more scale column of zeros, whose cutoff every pair
-    passes, so the first passing column is the estimate or the top-scale
-    fallback; each block of rows is XORed against all rows and popcounted
-    per scale."""
+    """The estimated distance of every pair of rows of a :func:`sketch_bits`
+    array, as a symmetric read-only (n, n) int64 array with a zero diagonal
+    that :func:`local_mst` takes as is: the smallest scale whose cutoff the
+    pair's sketch distance passes, or the top scale.  The sketches are
+    packed into an (n, scales, ceil(k/64)) array of 64-bit words with one
+    more scale column of zeros, whose cutoff every pair passes, so the
+    first passing column is the estimate or the top-scale fallback; each
+    block of rows is XORed against all rows and popcounted per scale."""
     num_scales, k = len(family.scales), family.k
     if np.ndim(sketches) != 2 or np.shape(sketches)[1] != num_scales * k:
         raise MalformedSketchError(f"sketch sets must be {num_scales} scales of {k} bits")
@@ -229,14 +210,6 @@ def build_estimated_graph(sketches: np.ndarray, family: ProjectionFamily) -> np.
 # the protocol
 # ---------------------------------------------------------------------------
 
-def _broadcast_from_node1(engine: CliqueEngine, payload_chunks) -> None:
-    """Node 1 sends the same small chunk sequence to every other node, one
-    chunk per round (used only for seed mode)."""
-    engine.check_rounds(len(payload_chunks))
-    for _, nbits in payload_chunks:
-        engine.broadcast([1], nbits, label="seed_bcast")
-
-
 def run_hmst(
     engine: CliqueEngine,
     proj: ProjectionConfig,
@@ -257,8 +230,11 @@ def run_hmst(
         if proj.seed_mode:
             with engine.as_node(1) as node1:
                 seed64 = int(node1.rng.integers(0, 1 << 63))
-            payloads, widths = pack_chunks(unpack_rows([seed64], 64), w)
-            _broadcast_from_node1(engine, list(zip(payloads, widths)))
+            # node 1 sends the seed's chunks to every other node, one per round
+            _, widths = pack_chunks(unpack_rows([seed64], 64), w)
+            engine.check_rounds(len(widths))
+            for nbits in widths:
+                engine.broadcast([1], nbits, label="seed_bcast")
 
             def regen(node):
                 node.storage["family"] = engine.derive(ProjectionFamily.from_seed, n, k, seed64)
@@ -274,8 +250,7 @@ def run_hmst(
             # per recipient, the vectors it received, in scale order
             received: dict[int, list[tuple]] = {v: [] for v in recipients}
             # one k*n-bit row per scale, sent as vectors of at most n chunks
-            rows = unpack_rows([row for r in scales for row in family1.matrices[r]], n)
-            chunks = list(zip(*pack_chunks(rows.reshape(len(scales), k * n), w)))
+            chunks = list(zip(*pack_chunks(family1.bits.reshape(len(scales), k * n), w)))
             per = len(chunks) // len(scales)
             for first in range(0, len(chunks), per):
                 for lo in range(first, first + per, n):

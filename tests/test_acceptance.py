@@ -35,11 +35,11 @@ from cliquemat.harness import GenSpec, generate, rounds_model, work_model
 from cliquemat.hmst import (
     ProjectionConfig,
     ProjectionFamily,
-    estimate_distance,
     hmst_protocol,
     sketch_point,
 )
 from cliquemat.routing import Batch, RoutingItem, solve_relaxed_idt
+from sketch_reference import estimate_distance
 
 BENCH_C_IDT = 8
 

@@ -204,11 +204,13 @@ def test_run_strict_sets_capacity(tmp_path):
     }
 
 
-def test_run_strict_with_w_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("w", ["32", "64"])
+def test_run_strict_with_w_is_usage_error(tmp_path, capsys, w):
+    """Also at the default capacity: --w given at all clashes with --strict."""
     a = tmp_path / "a.txt"
     run_cli("gen", "--n", "8", "--seed", "1", "--out", str(a))
     with pytest.raises(SystemExit) as exc:
-        run_cli("run", "--protocol", "hmst", "--points", str(a), "--strict", "--w", "32")
+        run_cli("run", "--protocol", "hmst", "--points", str(a), "--strict", "--w", w)
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
 
@@ -250,6 +252,8 @@ def one_line_error(capsys):
         (16, (), "matrices must match n=8"),
         (8, ("--w", "3"), "payload capacity 3 below minimum 4 for n=8"),
         (8, ("--w", "6"), "payload capacity 6 cannot carry"),
+        (8, ("--seed", "-1"), "seed must be nonnegative, got -1"),
+        (8, ("--max-rounds", "0"), "max_rounds must be at least 1, got 0"),
     ],
 )
 def test_run_bad_input_is_one_line_error(tmp_path, capsys, b_size, flags, expect):

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cliquemat.bits import BitVector, hamming_distance, pack_rows, unpack_rows
+from cliquemat.bits import BitVector, hamming_distance, pack_chunks, pack_rows, unpack_rows
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import DimensionError, MalformedSketchError
 from cliquemat.hmst import (
@@ -14,8 +14,7 @@ from cliquemat.hmst import (
     ProjectionFamily,
     build_estimated_graph,
     delta_for_scale,
-    estimate_distance,
-    gen_projection,
+    family_from_vectors,
     hmst_protocol,
     run_hmst,
     scale_thresholds,
@@ -24,6 +23,7 @@ from cliquemat.hmst import (
     sketch_point,
 )
 from field_codec import unpack_fields
+from sketch_reference import estimate_distance
 
 
 def exact_mst_cost(points):
@@ -92,64 +92,84 @@ def test_thresholds_shape():
 
 
 # ---------------------------------------------------------------------------
-# gen_projection / the GF(2) sketch kernel
+# the projection family / the GF(2) sketch kernel
 # ---------------------------------------------------------------------------
 
-def test_gen_projection_deterministic():
-    a = gen_projection(4, 16, 32, np.random.default_rng(9))
-    b = gen_projection(4, 16, 32, np.random.default_rng(9))
-    assert a == b
+def same_family(a, b) -> bool:
+    """Field-wise equality of two families, their bits compared as arrays."""
+    fields = [(f.n, f.k, f.scales, f.thresholds) for f in (a, b)]
+    return fields[0] == fields[1] and np.array_equal(a.bits, b.bits)
 
 
-def test_gen_projection_density():
+@pytest.mark.parametrize("n", [7, 9, 65])
+@pytest.mark.parametrize("k, seed", [(5, 0), (13, 1), (70, 2)])
+def test_generate_draws_one_block_per_scale_in_scale_order(n, k, seed):
+    """The family array stacks the k x n blocks that one generator draws
+    scale after scale: the reference draws each scale's matrix on its own
+    and keeps it as one packed n-bit integer per row."""
+    rng = np.random.default_rng(seed)
+    want = [pack_rows(rng.random((k, n)) < delta_for_scale(r)) for r in scales_for(n)]
+    fam = ProjectionFamily.generate(n, k, np.random.default_rng(seed))
+    assert fam.bits.dtype == np.uint8 and fam.bits.shape == (len(fam.scales) * k, n)
+    assert [pack_rows(fam.bits[s * k:(s + 1) * k]) for s in range(len(fam.scales))] == want
+
+
+def test_generate_deterministic():
+    a = ProjectionFamily.generate(32, 16, np.random.default_rng(9))
+    b = ProjectionFamily.generate(32, 16, np.random.default_rng(9))
+    assert same_family(a, b)
+    assert same_family(a, ProjectionFamily.from_seed(32, 16, 9))
+
+
+def test_generate_density():
     n, k = 64, 256
     r = scales_for(n)[-1]  # top scale, r >= n
-    rows = gen_projection(r, k, n, np.random.default_rng(3))
-    ones = sum(row.bit_count() for row in rows)
+    block = ProjectionFamily.generate(n, k, np.random.default_rng(3)).bits[-k:]
+    ones = int(block.sum())
     total = k * n
     delta = delta_for_scale(r)
     sigma = math.sqrt(delta * (1 - delta) / total)
     assert abs(ones / total - delta) <= 3 * sigma
 
 
-def project(rows, x: BitVector) -> BitVector:
-    """Per-row parity reference: output bit j is the parity of row j AND x."""
+def project(matrix, x: BitVector) -> BitVector:
+    """Per-row parity reference: output bit j is the parity of row j of the
+    0/1 ``matrix`` AND x."""
     value = 0
-    for j, row in enumerate(rows):
+    for j, row in enumerate(pack_rows(matrix)):
         value |= ((row & x.value).bit_count() & 1) << j
-    return BitVector(len(rows), value)
+    return BitVector(len(matrix), value)
 
 
-def one_scale_family(rows, n):
-    """A family holding ``rows`` as its only (scale-1) matrix."""
-    return ProjectionFamily(n, len(rows), (1,), {1: tuple(rows)}, {1: 0})
+def one_scale_family(matrix, n):
+    """A family holding the 0/1 ``matrix`` as its only (scale-1) matrix."""
+    return ProjectionFamily(n, len(matrix), (1,), np.array(matrix, dtype=np.uint8), {1: 0})
 
 
-def kernel(rows, x: BitVector) -> BitVector:
+def kernel(matrix, x: BitVector) -> BitVector:
     """The GF(2) sketch kernel applied to one matrix and one point."""
-    (value,) = sketch_point(one_scale_family(rows, x.n), x)
-    return BitVector(len(rows), value)
+    (value,) = sketch_point(one_scale_family(matrix, x.n), x)
+    return BitVector(len(matrix), value)
 
 
 def test_project_identity_and_zero():
     n = 8
-    rows = tuple(1 << i for i in range(n))  # identity matrix
+    matrix = np.eye(n, dtype=np.uint8)
     x = BitVector.from_string("10110010")
-    assert kernel(rows, x) == x
-    assert kernel(rows, BitVector(n, 0)) == BitVector(n, 0)
+    assert kernel(matrix, x) == x
+    assert kernel(matrix, BitVector(n, 0)) == BitVector(n, 0)
 
 
 def test_project_linearity():
     rng = np.random.default_rng(5)
     n, k = 24, 12
-    rows = gen_projection(2, k, n, rng)
-    A = np.array([[(row >> c) & 1 for c in range(n)] for row in rows])
+    A = (rng.random((k, n)) < delta_for_scale(2)).astype(np.uint8)
     for _ in range(20):
         xv = int(rng.integers(0, 1 << n))
         yv = int(rng.integers(0, 1 << n))
         x, y = BitVector(n, xv), BitVector(n, yv)
-        left = kernel(rows, x ^ y)
-        right = kernel(rows, x) ^ kernel(rows, y)
+        left = kernel(A, x ^ y)
+        right = kernel(A, x) ^ kernel(A, y)
         assert left == right
         direct = (A @ np.array([(xv ^ yv) >> c & 1 for c in range(n)])) % 2
         assert list(left.bits()) == list(direct)
@@ -167,11 +187,12 @@ def test_sketch_kernel_matches_per_row_parity(n, k):
     points[0] = BitVector(n, (1 << n) - 1)
     bits = sketch_bits(fam, points)
     assert bits.shape == (len(points), len(fam.scales) * k)
+    matrices = [fam.bits[idx * k:(idx + 1) * k] for idx in range(len(fam.scales))]
     for x, row in zip(points, bits):
-        for idx, r in enumerate(fam.scales):
-            want = project(fam.matrices[r], x).bits()
+        for idx, matrix in enumerate(matrices):
+            want = project(matrix, x).bits()
             assert tuple(row[idx * k:(idx + 1) * k].tolist()) == want
-        assert sketch_point(fam, x) == tuple(project(fam.matrices[r], x).value for r in fam.scales)
+        assert sketch_point(fam, x) == tuple(project(matrix, x).value for matrix in matrices)
 
 
 def test_sketch_kernel_rejects_wrong_dimension():
@@ -425,17 +446,20 @@ def engine_with_points(n, routing, seed):
 
 
 def record_broadcast_seed(monkeypatch):
-    """Wrap the seed broadcast; the returned list collects each seed sent."""
+    """Spy on hmst's chunk encoder; the returned list collects the seed that
+    each call on a (1, 64) row, the seed broadcast, encodes."""
     from cliquemat import hmst
 
     seeds = []
-    broadcast = hmst._broadcast_from_node1
+    encode = hmst.pack_chunks
 
-    def recording(engine, chunks):
-        seeds.append(unpack_fields(chunks, 64, 1)[0])
-        return broadcast(engine, chunks)
+    def recording(bits, w):
+        payloads, widths = encode(bits, w)
+        if np.shape(bits) == (1, 64):
+            seeds.append(unpack_fields(list(zip(payloads, widths)), 64, 1)[0])
+        return payloads, widths
 
-    monkeypatch.setattr(hmst, "_broadcast_from_node1", recording)
+    monkeypatch.setattr(hmst, "pack_chunks", recording)
     return seeds
 
 
@@ -467,16 +491,16 @@ def family_from_chunks(chunks, n, k):
     """Fresh ship-mode derivation: split a node's received chunks into
     k*n-bit scales in order and decode each into its k rows with the
     reference field codec."""
-    mats = {}
+    rows = []
     pos = 0
-    for r in scales_for(n):
+    for _ in scales_for(n):
         start, bits = pos, 0
         while bits < k * n:
             bits += chunks[pos][1]
             pos += 1
-        mats[r] = unpack_fields(chunks[start:pos], n, k)
+        rows += unpack_fields(chunks[start:pos], n, k)
     assert pos == len(chunks)
-    return ProjectionFamily(n, k, scales_for(n), mats, scale_thresholds(n, k))
+    return ProjectionFamily(n, k, scales_for(n), unpack_rows(rows, n), scale_thresholds(n, k))
 
 
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
@@ -517,7 +541,7 @@ def test_seed_mode_family_matches_fresh_derivation_at_every_node(routing, monkey
     (seed,) = seeds
     fresh = ProjectionFamily.from_seed(n, k, seed)
     for i in engine.node_ids():
-        assert engine.node(i).storage["family"] == fresh
+        assert same_family(engine.node(i).storage["family"], fresh)
 
 
 def test_seed_mode_derives_family_once_per_run(monkeypatch):
@@ -551,8 +575,8 @@ def test_ship_mode_family_matches_fresh_derivation_at_every_node(routing, monkey
     node1 = engine.node(1).storage["family"]
     for v, chunks in received.items():
         fam = engine.node(v).storage["family"]
-        assert fam == family_from_chunks(chunks, n, k)
-        assert fam == node1
+        assert same_family(fam, family_from_chunks(chunks, n, k))
+        assert same_family(fam, node1)
 
 
 def test_ship_mode_node_with_altered_chunks_derives_its_own_family(monkeypatch):
@@ -573,10 +597,43 @@ def test_ship_mode_node_with_altered_chunks_derives_its_own_family(monkeypatch):
     run_hmst(engine, ProjectionConfig())
     node1 = engine.node(1).storage["family"]
     own = engine.node(other).storage["family"]
-    assert own == family_from_chunks(received[other], n, k)
-    assert own != node1
+    assert same_family(own, family_from_chunks(received[other], n, k))
+    assert not same_family(own, node1)
     for v in range(2, n + 1):
         if v != other:
-            assert engine.node(v).storage["family"] == node1
+            assert same_family(engine.node(v).storage["family"], node1)
     # one derivation from the shared vectors and one from the altered ones
     assert len(decodes) == 2
+
+
+def test_family_bits_are_read_only():
+    """Nodes share one family object, so no holder can write its bits:
+    not after generate, from_seed, or the ship-mode rebuild."""
+    n = 12
+    engine = engine_with_points(n, "accounted", 7)
+    run_hmst(engine, ProjectionConfig())
+    families = [
+        ProjectionFamily.generate(n, 9, np.random.default_rng(1)),
+        ProjectionFamily.from_seed(n, 9, 1),
+        engine.node(1).storage["family"],
+        engine.node(2).storage["family"],
+    ]
+    assert families[2] is not families[3]  # node 2 holds the rebuilt family
+    for fam in families:
+        assert not fam.bits.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fam.bits[0, 0] ^= 1
+
+
+def test_family_from_vectors_missing_last_scale_raises():
+    """The rebuild decodes the vectors it got in scale order; one scale's
+    vector short raises instead of leaving a family with fewer scales."""
+    n, k, w = 12, 9, 64
+    fam = ProjectionFamily.generate(n, k, np.random.default_rng(2))
+    scales = len(fam.scales)
+    chunks = list(zip(*pack_chunks(fam.bits.reshape(scales, k * n), w)))
+    per = len(chunks) // scales
+    vectors = [tuple(chunks[lo:lo + per]) for lo in range(0, len(chunks), per)]
+    assert same_family(family_from_vectors(n, k, *vectors), fam)
+    with pytest.raises(MalformedSketchError, match=f"carry {scales - 1} of {scales} scales"):
+        family_from_vectors(n, k, *vectors[:-1])
