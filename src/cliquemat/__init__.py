@@ -3,7 +3,6 @@ in Hamming space and tree-guided Boolean matrix multiplication, on top of a
 round-accurate clique simulator."""
 
 from .bits import (
-    BitVector,
     BooleanMatrix,
     Traversal,
     Tree,

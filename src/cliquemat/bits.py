@@ -1,10 +1,12 @@
-"""Bit-level primitives: packed binary vectors, Hamming geometry, a local MST
-oracle, Euler tours, and the naive Boolean matrix product.
+"""Bit-level primitives: points of {0,1}^n and their Hamming geometry, the
+wire codec, a local MST oracle, Euler tours, and the naive Boolean matrix
+product.
 
 Coordinates and vertex labels are 1-based in every public signature.  A
-vector's coordinate i lives at bit i-1 of the packed integer, so XOR,
-AND and popcount work directly on whole vectors.  All types here are
-immutable; every function is pure.
+point of {0,1}^n, such as a row of a matrix, is a 1-D uint8 array of 0s and
+1s whose entry i-1 is coordinate i; a :class:`BooleanMatrix` is one
+read-only (n, n) array of them.  Only the wire codec packs bits into
+integers: entry j of a row goes to bit j.  Every function is pure.
 """
 
 from __future__ import annotations
@@ -17,101 +19,76 @@ import numpy as np
 from .errors import DimensionError, InvalidMatrixError
 
 
-@dataclass(frozen=True, slots=True)
-class BitVector:
-    """Fixed-length binary vector packed into an int."""
-
-    n: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DimensionError(f"vector length must be >= 1, got {self.n}")
-        if not 0 <= self.value < (1 << self.n):
-            raise ValueError(f"value does not fit in {self.n} bits")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"coordinate must be 0 or 1, got {b!r}")
-            value |= b << n
-            n += 1
-        return cls(n, value)
-
-    @classmethod
-    def from_string(cls, s: str) -> "BitVector":
-        """Parse '1010' with the first character as coordinate 1."""
-        return cls.from_bits(int(c) for c in s.strip())
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.n))
-
-    def to01(self) -> str:
-        return "".join(str(b) for b in self.bits())
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        _check_len(self, other)
-        return BitVector(self.n, self.value ^ other.value)
+def _check_len(x: np.ndarray, y: np.ndarray) -> None:
+    if len(x) != len(y):
+        raise DimensionError(f"length mismatch: {len(x)} vs {len(y)}")
 
 
-def _check_len(x: BitVector, y: BitVector) -> None:
-    if x.n != y.n:
-        raise DimensionError(f"length mismatch: {x.n} vs {y.n}")
-
-
-def hamming_distance(x: BitVector, y: BitVector) -> int:
-    """Number of coordinates where x and y differ."""
+def hamming_distance(x: np.ndarray, y: np.ndarray) -> int:
+    """Number of coordinates where the 0/1 rows x and y differ."""
     _check_len(x, y)
-    return (x.value ^ y.value).bit_count()
+    return int(np.count_nonzero(x != y))
 
 
-def witnesses(x: BitVector, y: BitVector) -> np.ndarray:
+def witnesses(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ascending int64 array of the coordinates where x and y differ."""
     _check_len(x, y)
-    return np.flatnonzero(unpack_rows([x.value ^ y.value], x.n)[0]) + 1
+    return np.flatnonzero(x != y) + 1
 
 
-@dataclass(frozen=True, slots=True)
+def own_rows(bits) -> list[np.ndarray]:
+    """Each row of a 2-D 0/1 array as its own read-only uint8 array, which
+    shares no memory with ``bits`` or with another row."""
+    rows = [np.array(row, dtype=np.uint8) for row in bits]
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
 class BooleanMatrix:
-    """Square 0/1 matrix stored as one packed BitVector per row."""
+    """Square 0/1 matrix as one read-only (n, n) uint8 array ``bits``, a copy
+    of the array given; row i is ``bits[i - 1]``.  Matrices compare by
+    entries."""
 
-    rows: tuple[BitVector, ...]
+    bits: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        if n < 1:
-            raise DimensionError("matrix must have at least one row")
-        for r in self.rows:
-            if r.n != n:
-                raise DimensionError(
-                    f"matrix must be square: {n} rows but a row of length {r.n}"
-                )
+        bits = np.asarray(self.bits)
+        if bits.ndim != 2 or bits.shape[0] != bits.shape[1] or bits.size == 0:
+            raise DimensionError(f"matrix must be square and nonempty, got shape {bits.shape}")
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValueError("matrix entries must be 0 or 1")
+        bits = np.array(bits, dtype=np.uint8, order="C")
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BooleanMatrix) and np.array_equal(self.bits, other.bits)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.bits)
 
     @classmethod
     def from_strings(cls, lines: Iterable[str]) -> "BooleanMatrix":
-        return cls(tuple(BitVector.from_string(s) for s in lines))
+        """Rows such as '1010', the first character as coordinate 1."""
+        rows = [s.strip() for s in lines]
+        for i, s in enumerate(rows, 1):
+            bad = s.replace("0", "").replace("1", "")
+            if bad:
+                raise ValueError(f"row {i} holds {bad[0]!r}, not 0 or 1")
+        return cls(np.array([np.frombuffer(s.encode(), np.uint8) for s in rows]) - ord("0"))
 
-    def row(self, i: int) -> BitVector:
+    def row(self, i: int) -> np.ndarray:
         """Row i, 1-based."""
-        return self.rows[i - 1]
+        return self.bits[i - 1]
 
     def transpose(self) -> "BooleanMatrix":
-        n = self.n
-        return BooleanMatrix(tuple(BitVector(n, v) for v in pack_rows(self.to_array().T)))
+        return BooleanMatrix(self.bits.T)
 
     def to_strings(self) -> list[str]:
-        return [r.to01() for r in self.rows]
-
-    def to_array(self) -> np.ndarray:
-        """0/1 entries as an (n, n) int64 array."""
-        return unpack_rows([r.value for r in self.rows], self.n).astype(np.int64)
+        return [row.tobytes().decode() for row in self.bits + ord("0")]
 
 
 def pack_rows(bits) -> list[int]:
@@ -144,7 +121,7 @@ def distance_matrix_via_products(P: BooleanMatrix) -> np.ndarray:
     X = P (1-P)^T counts the coordinates where row i has a one and row j a
     zero, so the distance matrix is X + X^T.  The product runs in float64
     (BLAS), exact for every count below 2^53, and comes back as int64."""
-    R = P.to_array().astype(np.float64)
+    R = P.bits.astype(np.float64)
     X = R @ (1.0 - R).T
     return (X + X.T).astype(np.int64)
 
@@ -360,20 +337,13 @@ def euler_traversal(tree: Tree, edge_costs: Mapping[int, int]) -> Traversal:
 
 
 def boolean_product_naive(A: BooleanMatrix, B: BooleanMatrix) -> BooleanMatrix:
-    """C[i][j] = OR_k (A[i][k] AND B[k][j]); the reference product."""
+    """C[i][j] = OR_k (A[i][k] AND B[k][j]); the reference product, as the
+    positive entries of one product of the 0/1 matrices.  It runs in
+    float64 (BLAS), exact for every count below 2^53, so it shares no kernel
+    with the float32 products of the protocols."""
     if A.n != B.n:
         raise DimensionError(f"shape mismatch: {A.n} vs {B.n}")
-    n = A.n
-    cols = [c.value for c in B.transpose().rows]
-    out_rows = []
-    for r in A.rows:
-        value = 0
-        rv = r.value
-        for j in range(n):
-            if rv & cols[j]:
-                value |= 1 << j
-        out_rows.append(BitVector(n, value))
-    return BooleanMatrix(tuple(out_rows))
+    return BooleanMatrix(A.bits.astype(np.float64) @ B.bits.astype(np.float64) > 0)
 
 
 def pack_chunks(bits, w: int) -> tuple[list[int], list[int]]:

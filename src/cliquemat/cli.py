@@ -102,7 +102,7 @@ def cmd_run(args) -> int:
     else:
         pts_matrix = read_matrix(args.points)
         cfg = _config(args, pts_matrix.n)
-        tree, ledger = hmst_protocol(list(pts_matrix.rows), cfg, _proj(args))
+        tree, ledger = hmst_protocol(pts_matrix.bits, cfg, _proj(args))
         text = tree_to_text(tree)
         if args.out_tree:
             write_tree(args.out_tree, tree)

@@ -60,17 +60,15 @@ from typing import Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from .bits import (
-    BitVector,
     BooleanMatrix,
     Traversal,
     Tree,
     WeightedEdge,
     euler_traversal,
     hamming_distance,
+    own_rows,
     pack_chunks,
-    pack_rows,
     unpack_chunks,
-    unpack_rows,
     witnesses,
 )
 from .engine import CliqueConfig, CliqueEngine, NodeState, RoundLedger
@@ -396,21 +394,21 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
 
 def visited_rows(
     start_vertex: int,
-    start_row: BitVector,
+    start_row: np.ndarray,
     walk: Sequence[tuple[int, int, int]],
     witnesses_by_edge: Mapping[int, Sequence[int]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rebuild every row a tour block visits from its start row and the
+    """Rebuild every row a tour block visits from its 0/1 start row and the
     witness lists of the (tail, head, edge) walk; returns the vertices in
     first-visit order and, for each, its row at that visit as one 0/1
     float32 row of an array ready for :func:`block_multiply`.
 
-    The witnesses of each distinct walk edge are XORed into one mask of
-    64-bit words (a repeated coordinate cancels, as two flips would); the
-    row after step i is the start row XOR the running XOR of the first i
-    step masks, taken over the whole walk at once.
+    The witnesses of each distinct walk edge are XORed into one 0/1 mask (a
+    repeated coordinate cancels, as two flips would); the row after step i
+    is the start row XOR the running XOR of the first i step masks, taken
+    over the whole walk at once.
     """
-    n = start_row.n
+    n = len(start_row)
     _, heads, eidx = np.asarray(walk, dtype=np.int64).reshape(-1, 3).T
     edges, step_edge = np.unique(eidx, return_inverse=True)
     lists = [np.asarray(witnesses_by_edge.get(e, ()), dtype=np.int64) for e in edges.tolist()]
@@ -418,23 +416,17 @@ def visited_rows(
     if coords.size and (coords.min() < 1 or coords.max() > n):
         bad = coords.min() if coords.min() < 1 else coords.max()
         raise InvalidWitnessError(f"witness {bad} outside 1..{n}")
-    words = (n + 63) // 64
-    masks = np.zeros((edges.size, words), dtype="<u8")
-    np.bitwise_xor.at(
-        masks.reshape(-1),
-        np.repeat(np.arange(edges.size) * words, [c.size for c in lists]) + (coords - 1) // 64,
-        np.left_shift(np.uint64(1), ((coords - 1) % 64).astype(np.uint64)),
-    )
-    start = np.frombuffer(start_row.value.to_bytes(8 * words, "little"), dtype="<u8")
-    rows = np.vstack([start, np.bitwise_xor.accumulate(masks[step_edge], axis=0) ^ start])
+    masks = np.zeros((edges.size, n), dtype=np.uint8)
+    owner = np.repeat(np.arange(edges.size), [c.size for c in lists])
+    np.bitwise_xor.at(masks, (owner, coords - 1), 1)
+    rows = np.vstack([start_row, np.bitwise_xor.accumulate(masks[step_edge], axis=0) ^ start_row])
     vertices = np.concatenate([[start_vertex], heads])
     first = np.sort(np.unique(vertices, return_index=True)[1])
-    bits = np.unpackbits(rows[first].view(np.uint8), axis=1, bitorder="little")[:, :n]
-    return vertices[first], bits.astype(np.float32)
+    return vertices[first], rows[first].astype(np.float32)
 
 
 def _block_rows(
-    plan: TraversalPlan, b: int, start_row: BitVector, witnesses_by_edge: Mapping[int, np.ndarray]
+    plan: TraversalPlan, b: int, start_row: np.ndarray, witnesses_by_edge: Mapping[int, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`visited_rows` of tour block b."""
     tour, (lo, hi) = plan.traversal, plan.traversal_blocks[b - 1]
@@ -443,7 +435,7 @@ def _block_rows(
 
 
 def block_multiply(
-    vertices: np.ndarray, rows: np.ndarray, columns: Sequence[tuple[int, BitVector]]
+    vertices: np.ndarray, rows: np.ndarray, columns: Sequence[tuple[int, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (row vertex, column index, bit) columns of each visited vertex x
     column, vertices in the order given and columns in the given order.
@@ -456,7 +448,7 @@ def block_multiply(
     whatever this simulation spends.
     """
     js = np.array([j for j, _ in columns], dtype=np.int64)
-    cols = unpack_rows([col.value for _, col in columns], rows.shape[1]).astype(np.float32)
+    cols = np.array([col for _, col in columns], dtype=np.float32).reshape(len(js), rows.shape[1])
     hits = rows @ cols.T
     return (
         np.repeat(vertices, js.size),
@@ -487,8 +479,8 @@ def _place_inputs(engine: CliqueEngine, A: BooleanMatrix, B: BooleanMatrix) -> N
             f"payload capacity {engine.w} cannot carry an edge id and a coordinate "
             f"({2 * cb} bits) at n={n}"
         )
-    engine.put("a_row", dict(enumerate(A.rows, 1)))
-    engine.put("b_row", dict(enumerate(B.rows, 1)))
+    engine.put("a_row", dict(enumerate(own_rows(A.bits), 1)))
+    engine.put("b_row", dict(enumerate(own_rows(B.bits), 1)))
 
 
 def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> None:
@@ -498,12 +490,12 @@ def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> Non
     n = engine.n
     rows = engine.local(lambda node: node.storage[src_key])
     src = np.repeat(np.arange(1, n + 1), n)
-    bits = BooleanMatrix(tuple(rows.values())).to_array().ravel()  # node j's bit i goes to node i
+    bits = np.concatenate(list(rows.values()))  # node j's bit i goes to node i
     batch = Batch.build(engine.w, src, np.tile(np.arange(1, n + 1), n), 1, bits)
     delivered, _ = solve_relaxed_idt(engine, batch)
     received = np.zeros((n, n), dtype=np.uint8)
     received[delivered.dst - 1, delivered.src - 1] = delivered.payload
-    engine.put(out_key, {i: BitVector(n, col) for i, col in enumerate(pack_rows(received), 1)})
+    engine.put(out_key, dict(enumerate(own_rows(received), 1)))
 
 
 def _broadcast_tree(engine: CliqueEngine, row_key: str) -> None:
@@ -539,10 +531,10 @@ def _multicast_rows(
         recips = recipients(node)
         if not recips:
             return None
-        return node.storage[row_key].value, sorted(recips)
+        return node.storage[row_key], sorted(recips)
 
     sending = engine.local(build)
-    payloads, widths = pack_chunks(unpack_rows([row for row, _ in sending.values()], n), engine.w)
+    payloads, widths = pack_chunks([row for row, _ in sending.values()], engine.w)
     chunks, per = list(zip(payloads, widths)), math.ceil(n / engine.w)
     out, _ = vector_multicast(engine, {
         s: (chunks[i * per:(i + 1) * per], recips)
@@ -552,7 +544,7 @@ def _multicast_rows(
     vectors = {s: vec for got in out.values() for s, vec in got}
     flat = [c for vec in vectors.values() for c in vec]
     bits = unpack_chunks([p for p, _ in flat], [nb for _, nb in flat], n)
-    rows = dict(zip(vectors, (BitVector(n, row) for row in pack_rows(bits))))
+    rows = dict(zip(vectors, own_rows(bits)))
     engine.put(out_key, {
         v: {sender: rows[sender] for sender, _ in out.get(v, ())} for v in engine.node_ids()
     })
@@ -584,7 +576,7 @@ def _owner_distance_broadcast(engine: CliqueEngine, row_key: str) -> None:
         if node.id > n - 1:
             return None
         e = tree.edge(node.id)
-        rows: dict[int, BitVector] = node.storage["edge_rows", row_key]
+        rows: dict[int, np.ndarray] = node.storage["edge_rows", row_key]
         engine.charge_work(node.id, math.ceil(n / engine.w))
         return hamming_distance(rows[e.u], rows[e.v])
 
@@ -595,7 +587,7 @@ def _owner_distance_broadcast(engine: CliqueEngine, row_key: str) -> None:
 
 def _gather(engine: CliqueEngine) -> BooleanMatrix:
     """The product rows the nodes hold under ``c_row``."""
-    return BooleanMatrix(tuple(engine.node(i).storage["c_row"] for i in engine.node_ids()))
+    return BooleanMatrix([engine.node(i).storage["c_row"] for i in engine.node_ids()])
 
 
 def _flip(engine: CliqueEngine) -> BooleanMatrix:
@@ -657,7 +649,7 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
             st = node.storage
             if node.id < n:
                 e = st["tree", row_key].edge(node.id)
-                rows: dict[int, BitVector] = st["edge_rows", row_key]
+                rows: dict[int, np.ndarray] = st["edge_rows", row_key]
                 st["wit"] = witnesses(rows[e.u], rows[e.v])
                 engine.charge_work(node.id, len(st["wit"]))
             st["plan"], st["assignment"], st["schedules"] = engine.derive(
@@ -724,7 +716,7 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
         # the pair nodes holding the same block rows (one tour block's)
         # multiply in one product over their stacked columns; each node's
         # entries are those of its own columns
-        groups: dict[int, tuple[tuple, list[int], list[tuple[int, BitVector]]]] = {}
+        groups: dict[int, tuple[tuple, list[int], list[tuple[int, np.ndarray]]]] = {}
         for v, (rows, cols) in engine.local(multiply).items():
             _, owners, columns = groups.setdefault(id(rows), (rows, [], []))
             owners += [v] * len(cols)
@@ -745,14 +737,14 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
         flat = (delivered10.dst - 1) * n + (got >> 1)
         np.maximum.at(entry.reshape(-1), flat, (1 + (got & 1)).astype(np.int8))
         counts = (entry > 0).sum(axis=1).tolist()
-        values = pack_rows(entry == 2)
+        c_rows = own_rows(entry == 2)
 
         def assemble(node):
             if counts[node.id - 1] != n:
                 raise SchedulingError(
                     f"row {node.id} incomplete: {counts[node.id - 1]} of {n} entries"
                 )
-            node.storage["c_row"] = BitVector(n, values[node.id - 1])
+            node.storage["c_row"] = c_rows[node.id - 1]
 
         engine.local(assemble)
 

@@ -9,12 +9,10 @@ from typing import Sequence
 import numpy as np
 
 from .bits import (
-    BitVector,
     BooleanMatrix,
     boolean_product_naive,
     distance_matrix_via_products,
     local_mst,
-    pack_rows,
 )
 from .clusmat import clusmat_oriented
 from .engine import CliqueConfig
@@ -52,8 +50,14 @@ class GenSpec:
             raise ValueError("density must lie in [0, 1]")
 
 
-def _random_vector(n: int, rng: np.random.Generator, density: float = 0.5) -> BitVector:
-    return BitVector(n, pack_rows(rng.random((1, n)) < density)[0])
+def _random_rows(count: int, n: int, rng: np.random.Generator, density: float = 0.5) -> np.ndarray:
+    """``count`` rows of i.i.d. Bernoulli(density) entries, drawn one row at
+    a time: the numbers of one (count, n) draw without its count * n
+    floats."""
+    bits = np.empty((count, n), dtype=np.uint8)
+    for row in bits:
+        row[:] = rng.random(n) < density
+    return bits
 
 
 def gen_clustered(spec: GenSpec) -> BooleanMatrix:
@@ -61,23 +65,19 @@ def gen_clustered(spec: GenSpec) -> BooleanMatrix:
     ``spread`` flips away from its center."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n
-    centers = [_random_vector(n, rng) for _ in range(spec.clusters)]
-    rows = []
-    for _ in range(n):
-        base = centers[int(rng.integers(spec.clusters))]
+    centers = _random_rows(spec.clusters, n, rng)
+    bits = np.empty((n, n), dtype=np.uint8)
+    for row in bits:
+        row[:] = centers[int(rng.integers(spec.clusters))]
         flips = int(rng.integers(0, spec.spread + 1))
-        value = base.value
         if flips:
-            for c in rng.choice(n, size=flips, replace=False):
-                value ^= 1 << int(c)
-        rows.append(BitVector(n, value))
-    return BooleanMatrix(tuple(rows))
+            row[rng.choice(n, size=flips, replace=False)] ^= 1
+    return BooleanMatrix(bits)
 
 
 def gen_uniform(n: int, density: float, seed: int) -> BooleanMatrix:
     """I.i.d. Bernoulli(density) entries."""
-    rng = np.random.default_rng(seed)
-    return BooleanMatrix(tuple(_random_vector(n, rng, density) for _ in range(n)))
+    return BooleanMatrix(_random_rows(n, n, np.random.default_rng(seed), density))
 
 
 def gen_ladder(spec: GenSpec) -> BooleanMatrix:
@@ -91,11 +91,10 @@ def gen_ladder(spec: GenSpec) -> BooleanMatrix:
     n, L, m = spec.n, max(1, spec.spread), min(spec.clusters, spec.n)
     if m > n - L + 1:
         raise ValueError("too many chain rows for the window length")
-    center = _random_vector(n, rng)
-    window = (1 << L) - 1
-    rows = [BitVector(n, center.value ^ (window << i)) for i in range(m)]
-    rows += [center for _ in range(n - m)]
-    return BooleanMatrix(tuple(rows))
+    bits = np.repeat(_random_rows(1, n, rng), n, axis=0)
+    for i in range(m):
+        bits[i, i:i + L] ^= 1
+    return BooleanMatrix(bits)
 
 
 def generate(spec: GenSpec) -> BooleanMatrix:

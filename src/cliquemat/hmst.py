@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bits import BitVector, Tree, local_mst, pack_chunks, pack_rows, unpack_chunks, unpack_rows
+from .bits import BooleanMatrix, Tree, local_mst, own_rows, pack_chunks, unpack_chunks, unpack_rows
 from .engine import CliqueConfig, CliqueEngine, RoundLedger
 from .errors import DimensionError, MalformedSketchError
 from .routing import Batch, bounded_route, vector_multicast
@@ -139,23 +139,22 @@ class ProjectionFamily:
         return cls.generate(n, k, np.random.default_rng(seed))
 
 
-def sketch_bits(family: ProjectionFamily, points: Sequence[BitVector]) -> np.ndarray:
-    """Sketches of many points in one GF(2) product, (X @ P.T) & 1 on 0/1
-    arrays: row i, bit s*k + j is the parity of row j of the scale-s matrix
-    AND point i.  The product runs in float32 (BLAS); each sum counts at
-    most n ones, exact below 2**24."""
+def sketch_bits(family: ProjectionFamily, points: Sequence[np.ndarray]) -> np.ndarray:
+    """Sketches of many 0/1 points in one GF(2) product, (X @ P.T) & 1:
+    row i, bit s*k + j is the parity of row j of the scale-s matrix AND
+    point i.  The product runs in float32 (BLAS); each sum counts at most n
+    ones, exact below 2**24."""
     n = family.n
     for x in points:
-        if x.n != n:
-            raise DimensionError(f"point length {x.n} does not match n={n}")
-    X = unpack_rows([x.value for x in points], n).astype(np.float32)
+        if len(x) != n:
+            raise DimensionError(f"point length {len(x)} does not match n={n}")
+    X = np.array(points, dtype=np.float32)
     return (X @ family.bits.T.astype(np.float32)).astype(np.int64) & 1
 
 
-def sketch_point(family: ProjectionFamily, x: BitVector) -> tuple[int, ...]:
-    """Sketches of x at every scale, one packed k-bit integer per scale."""
-    bits = sketch_bits(family, [x]).reshape(len(family.scales), family.k)
-    return tuple(pack_rows(bits))
+def sketch_point(family: ProjectionFamily, x: np.ndarray) -> np.ndarray:
+    """Sketches of x at every scale, one row of k bits per scale."""
+    return sketch_bits(family, [x]).reshape(len(family.scales), family.k)
 
 
 def family_from_vectors(n: int, k: int, *vectors: tuple) -> ProjectionFamily:
@@ -274,7 +273,7 @@ def run_hmst(
             engine.charge_work(node.id, len(scales) * k * math.ceil(n / w))
             return node.storage["family"], node.storage[point_key]
 
-        groups: dict[int, tuple[ProjectionFamily, list[int], list[BitVector]]] = {}
+        groups: dict[int, tuple[ProjectionFamily, list[int], list[np.ndarray]]] = {}
         for v, (fam, point) in engine.local(sketch).items():
             _, ids, points = groups.setdefault(id(fam), (fam, [], []))
             ids.append(v)
@@ -312,19 +311,16 @@ def run_hmst(
 
 
 def hmst_protocol(
-    points: Sequence[BitVector],
+    points: Sequence[np.ndarray],
     cfg: CliqueConfig,
     proj: ProjectionConfig | None = None,
 ) -> tuple[Tree, RoundLedger]:
-    """Full run on a fresh engine: point i at node i, tree at node 1."""
-    proj = proj or ProjectionConfig()
-    n = cfg.n
-    if len(points) != n:
-        raise DimensionError(f"need {n} points, got {len(points)}")
-    for p in points:
-        if p.n != n:
-            raise DimensionError(f"points must have dimension n={n}, got {p.n}")
+    """Full run on a fresh engine: point i, row i of the n x n 0/1 array
+    ``points``, at node i; tree at node 1."""
+    P = BooleanMatrix(points)
+    if P.n != cfg.n:
+        raise DimensionError(f"need {cfg.n} points of dimension n={cfg.n}, got {P.n}")
     engine = CliqueEngine(cfg)
-    engine.put("point", dict(enumerate(points, 1)))
-    tree = run_hmst(engine, proj)
+    engine.put("point", dict(enumerate(own_rows(P.bits), 1)))
+    tree = run_hmst(engine, proj or ProjectionConfig())
     return tree, engine.ledger

@@ -9,7 +9,8 @@ from cliquemat.errors import MalformedSketchError
 
 def estimate_distance(sketches_i: Sequence[int], sketches_j: Sequence[int], family) -> int:
     """Power-of-two distance estimate of two sketch sets, one packed k-bit
-    integer per scale as ``hmst.sketch_point`` returns them: the smallest
+    integer per scale (row s of ``hmst.sketch_point``, entry j at bit j):
+    the smallest
     scale whose sketch distance passes that scale's cutoff, or the top
     scale as fallback."""
     if len(sketches_i) != len(family.scales) or len(sketches_j) != len(family.scales):

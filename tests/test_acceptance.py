@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from cliquemat.bits import (
-    BitVector,
     BooleanMatrix,
     boolean_product_naive,
     distance_matrix_via_products,
@@ -39,6 +38,7 @@ from cliquemat.hmst import (
     sketch_point,
 )
 from cliquemat.routing import Batch, RoutingItem, solve_relaxed_idt
+from rows import row_of, value_of
 from sketch_reference import estimate_distance
 
 BENCH_C_IDT = 8
@@ -82,8 +82,8 @@ def per_node(prim, engine, items):
     return delivered
 
 
-def clustered_points(n: int, clusters: int, spread: int, seed: int) -> list[BitVector]:
-    return list(generate(GenSpec(n=n, kind="clustered", clusters=clusters, spread=spread, seed=seed)).rows)
+def clustered_points(n: int, clusters: int, spread: int, seed: int) -> np.ndarray:
+    return generate(GenSpec(n=n, kind="clustered", clusters=clusters, spread=spread, seed=seed)).bits
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def test_criterion_2_distance_identity():
     exact = True
     for trial in range(50):
         n = rng.choice((16, 24, 32, 48, 64, 96, 128))
-        rows = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+        rows = [row_of(rng.getrandbits(n), n) for _ in range(n)]
         P = BooleanMatrix(tuple(rows))
         H = distance_matrix_via_products(P)
         for i in range(n):
@@ -190,8 +190,8 @@ def test_criterion_4_estimator_sandwich():
         value = 0
         for chunk in range(4):
             value |= int(rng.integers(0, 1 << 64, dtype=np.uint64)) << (64 * chunk)
-        pts.append(BitVector(n, value & ((1 << n) - 1)))
-    sketches = [sketch_point(family, p) for p in pts]
+        pts.append(row_of(value & ((1 << n) - 1), n))
+    sketches = [tuple(value_of(row) for row in sketch_point(family, p)) for p in pts]
     pairs = left_ok = right_ok = 0
     for i in range(npoints):
         for j in range(i + 1, npoints):
@@ -379,7 +379,7 @@ def test_criterion_9_determinism():
         c2, l2, i2 = clusmat_oriented(A, B, cfg)
         if c1 != c2 or l1.as_dict() != l2.as_dict() or i1 != i2:
             same = False
-    pts = list(A.rows)
+    pts = A.bits
     t1, m1 = hmst_protocol(pts, CliqueConfig(n=n, seed=8))
     t2, m2 = hmst_protocol(pts, CliqueConfig(n=n, seed=8))
     if t1.edges != t2.edges or m1.as_dict() != m2.as_dict():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquemat.bits import (
-    BitVector,
     BooleanMatrix,
     Tree,
     WeightedEdge,
@@ -25,15 +24,12 @@ from cliquemat.bits import (
     witnesses,
 )
 from field_codec import pack_fields, unpack_fields
+from rows import row01, row_of, rows_of
 from cliquemat.harness import GenSpec, exact_mst_cost, gen_clustered, gen_uniform
 from cliquemat.errors import (
     DimensionError,
     InvalidMatrixError,
 )
-
-
-def bv(s: str) -> BitVector:
-    return BitVector.from_string(s)
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +67,9 @@ def pack_rows_per_bit(bits) -> list[int]:
 def transpose_per_bit(M: BooleanMatrix) -> BooleanMatrix:
     """Transpose by single-entry reads: column j becomes row j."""
     n = M.n
-    return BooleanMatrix(tuple(
-        BitVector(n, sum(((M.row(i).value >> (j - 1)) & 1) << (i - 1) for i in range(1, n + 1)))
-        for j in range(1, n + 1)
-    ))
+    return BooleanMatrix(
+        [[int(M.row(i)[j - 1]) for i in range(1, n + 1)] for j in range(1, n + 1)]
+    )
 
 
 def mst_cost_exhaustive(H) -> int:
@@ -109,21 +104,53 @@ def mst_cost_exhaustive(H) -> int:
 
 
 # ---------------------------------------------------------------------------
-# BitVector basics
+# BooleanMatrix
 # ---------------------------------------------------------------------------
 
-def test_bitvector_roundtrip():
-    x = bv("10110")
-    assert x.n == 5
-    assert x.bits() == (1, 0, 1, 1, 0)
-    assert x.to01() == "10110"
+def test_matrix_strings_roundtrip():
+    M = BooleanMatrix.from_strings(["101", "110", " 011 "])
+    assert M.n == 3
+    assert M.bits.dtype == np.uint8
+    assert M.row(3).tolist() == [0, 1, 1]
+    assert M.to_strings() == ["101", "110", "011"]
+    assert M.transpose().to_strings() == ["110", "011", "101"]
 
 
-def test_bitvector_validation():
-    with pytest.raises(DimensionError):
-        BitVector(0, 0)
+@pytest.mark.parametrize(
+    "bits, error",
+    [
+        (np.zeros((2, 3)), DimensionError),
+        (np.zeros((0, 0)), DimensionError),
+        (np.zeros(4), DimensionError),
+        (np.zeros((2, 2, 2)), DimensionError),
+        ([[0, 2], [1, 0]], ValueError),
+        ([[0, -1], [1, 0]], ValueError),
+    ],
+)
+def test_matrix_rejects_bad_input(bits, error):
+    with pytest.raises(error):
+        BooleanMatrix(bits)
+
+
+@pytest.mark.parametrize("lines", [["01", "1x"], ["0 1", "110", "011"], ["02", "10"]])
+def test_matrix_from_strings_names_the_bad_character(lines):
+    bad = next(c for c in "".join(lines) if c not in "01")
+    row = next(i for i, s in enumerate(lines, 1) if bad in s)
+    with pytest.raises(ValueError, match=f"row {row} holds {bad!r}, not 0 or 1"):
+        BooleanMatrix.from_strings(lines)
+
+
+def test_matrix_bits_are_a_read_only_copy():
+    given = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+    M = BooleanMatrix(given)
+    given[0, 0] = 0
+    assert M.row(1).tolist() == [1, 0]
     with pytest.raises(ValueError):
-        BitVector(2, 4)
+        M.bits[0, 0] = 0
+    with pytest.raises(ValueError):
+        M.row(2)[0] = 1
+    assert M == BooleanMatrix(np.eye(2, dtype=bool))
+    assert M != BooleanMatrix(np.ones((2, 2))) and M != M.bits
 
 
 # ---------------------------------------------------------------------------
@@ -131,40 +158,43 @@ def test_bitvector_validation():
 # ---------------------------------------------------------------------------
 
 def test_hamming_distance_examples():
-    assert hamming_distance(bv("1010"), bv("1001")) == 2
-    x = bv("10110")
+    assert hamming_distance(row01("1010"), row01("1001")) == 2
+    x = row01("10110")
     assert hamming_distance(x, x) == 0
-    assert hamming_distance(bv("0000"), bv("1111")) == 4
+    assert hamming_distance(row01("0000"), row01("1111")) == 4
 
 
 def test_hamming_distance_mismatch():
     with pytest.raises(DimensionError):
-        hamming_distance(bv("10"), bv("100"))
+        hamming_distance(row01("10"), row01("100"))
+    with pytest.raises(DimensionError):
+        witnesses(row01("10"), row01("100"))
 
 
 def test_witnesses_examples():
-    assert witnesses(bv("110"), bv("011")).tolist() == [1, 3]
-    x = bv("0110")
+    assert witnesses(row01("110"), row01("011")).tolist() == [1, 3]
+    x = row01("0110")
     assert witnesses(x, x).tolist() == []
-    assert witnesses(bv("0000"), bv("1111")).tolist() == [1, 2, 3, 4]
+    assert witnesses(row01("0000"), row01("1111")).tolist() == [1, 2, 3, 4]
 
 
-def witnesses_per_bit(x, y):
-    """Reference: the differing coordinates, one bit test each."""
-    return [i for i in range(1, x.n + 1) if (x.value >> (i - 1)) & 1 != (y.value >> (i - 1)) & 1]
+def witnesses_per_bit(x: int, y: int, n: int):
+    """Reference: the differing coordinates of two n-bit integers, one bit
+    test each."""
+    return [i for i in range(1, n + 1) if (x >> (i - 1)) & 1 != (y >> (i - 1)) & 1]
 
 
 @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 256])
 def test_witnesses_match_per_bit_reference(n):
     rng = random.Random(n)
     for _ in range(20):
-        x = BitVector(n, rng.getrandbits(n))
-        for y in (BitVector(n, rng.getrandbits(n)), x, BitVector(n, x.value ^ (1 << (n - 1)))):
-            got = witnesses(x, y)
+        x = rng.getrandbits(n)
+        for y in (rng.getrandbits(n), x, x ^ (1 << (n - 1))):
+            got = witnesses(row_of(x, n), row_of(y, n))
             assert got.dtype == np.int64
-            assert got.tolist() == witnesses_per_bit(x, y)
-    ones = BitVector(n, (1 << n) - 1)
-    assert witnesses(BitVector(n, 0), ones).tolist() == list(range(1, n + 1))
+            assert got.tolist() == witnesses_per_bit(x, y, n)
+    ones = row_of((1 << n) - 1, n)
+    assert witnesses(row_of(0, n), ones).tolist() == list(range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +216,8 @@ def test_distance_identity_identical_rows():
 def test_distance_identity_random_vs_pairwise():
     rng = random.Random(7)
     for n in (8, 17, 64):
-        rows = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
-        P = BooleanMatrix(tuple(rows))
+        rows = rows_of([rng.getrandbits(n) for _ in range(n)], n)
+        P = BooleanMatrix(rows)
         H = distance_matrix_via_products(P)
         assert np.array_equal(H, H.T)
         assert np.all(np.diagonal(H) == 0)
@@ -206,7 +236,7 @@ def dist_matrix(points):
 
 
 def test_local_mst_three_points():
-    pts = [bv("00"), bv("01"), bv("11")]
+    pts = [row01("00"), row01("01"), row01("11")]
     t = local_mst(dist_matrix(pts))
     assert {(e.u, e.v) for e in t.edges} == {(1, 2), (2, 3)}
     assert t.cost() == 2
@@ -245,7 +275,7 @@ def test_exact_mst_cost_matches_prim_oracle():
             gen_uniform(n, 0.5, seed),
             gen_clustered(GenSpec(n=n, clusters=min(4, n), spread=min(5, n), seed=seed)),
         ):
-            assert exact_mst_cost(M) == mst_cost_prim(dist_matrix(M.rows))
+            assert exact_mst_cost(M) == mst_cost_prim(dist_matrix(M.bits))
 
 
 def test_local_mst_against_exhaustive_small():
@@ -294,7 +324,7 @@ def test_local_mst_equals_kruskal_reference(n):
         assert local_mst(H).edges == kruskal_reference(H).edges
         base = rng.getrandbits(24)
         sparse = [rng.getrandbits(24) & rng.getrandbits(24) & rng.getrandbits(24) for _ in range(n)]
-        H = dist_matrix([BitVector(24, base ^ s) for s in sparse])
+        H = dist_matrix(rows_of([base ^ s for s in sparse], 24))
         assert local_mst(H).edges == kruskal_reference(H).edges
 
 
@@ -367,7 +397,7 @@ def test_euler_visits_all_and_costs_override():
 # ---------------------------------------------------------------------------
 
 def identity(n):
-    return BooleanMatrix(tuple(BitVector(n, 1 << i) for i in range(n)))
+    return BooleanMatrix(rows_of([1 << i for i in range(n)], n))
 
 
 def test_product_hand_example():
@@ -380,9 +410,9 @@ def test_product_hand_example():
 def test_product_identity_and_zero():
     rng = random.Random(11)
     n = 9
-    B = BooleanMatrix(tuple(BitVector(n, rng.getrandbits(n)) for _ in range(n)))
+    B = BooleanMatrix(rows_of([rng.getrandbits(n) for _ in range(n)], n))
     assert boolean_product_naive(identity(n), B) == B
-    zero = BooleanMatrix((BitVector(n, 0),) * n)
+    zero = BooleanMatrix(rows_of([0] * n, n))
     assert boolean_product_naive(zero, B) == zero
 
 
@@ -391,11 +421,9 @@ def test_product_matches_integer_product():
     for n in (5, 16, 64):
         Aa = rng.integers(0, 2, size=(n, n))
         Bb = rng.integers(0, 2, size=(n, n))
-        A = BooleanMatrix(tuple(BitVector.from_bits(row) for row in Aa.tolist()))
-        B = BooleanMatrix(tuple(BitVector.from_bits(row) for row in Bb.tolist()))
-        C = boolean_product_naive(A, B)
+        C = boolean_product_naive(BooleanMatrix(Aa), BooleanMatrix(Bb))
         expect = (Aa @ Bb) >= 1
-        assert np.array_equal(C.to_array() == 1, expect)
+        assert np.array_equal(C.bits == 1, expect)
 
 
 def test_product_shape_mismatch():
@@ -463,7 +491,7 @@ def test_pack_rows_and_transpose_match_per_bit_reference(n):
     bits[0] = True  # the top bit of a full row
     assert pack_rows(bits) == pack_rows_per_bit(bits)
     assert pack_rows(bits[:1].astype(np.int64)) == pack_rows_per_bit(bits[:1])
-    M = BooleanMatrix(tuple(BitVector(n, v) for v in pack_rows_per_bit(bits)))
+    M = BooleanMatrix(rows_of(pack_rows_per_bit(bits), n))
     T = M.transpose()
     assert T == transpose_per_bit(M)
     assert T.transpose() == M

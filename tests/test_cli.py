@@ -6,7 +6,7 @@ import json
 import pytest
 
 from cliquemat import harness
-from cliquemat.bits import BitVector, Tree, WeightedEdge, boolean_product_naive
+from cliquemat.bits import BooleanMatrix, Tree, WeightedEdge, boolean_product_naive
 from cliquemat.cli import main
 from cliquemat.harness import GenSpec, generate
 from cliquemat.textio import (
@@ -62,8 +62,9 @@ def test_verify_rejects_bad_product(tmp_path):
     run_cli("gen", "--n", "8", "--kind", "uniform", "--seed", "2", "--out", str(b))
     A, B = read_matrix(a), read_matrix(b)
     C = boolean_product_naive(A, B)
-    bad = C.rows[0] ^ BitVector(8, 1)
-    write_matrix(c, type(C)((bad,) + C.rows[1:]))
+    bad = C.bits.copy()
+    bad[0, 0] ^= 1
+    write_matrix(c, BooleanMatrix(bad))
     assert run_cli("verify", "--a", str(a), "--b", str(b), "--c", str(c)) == 1
 
 
@@ -289,8 +290,8 @@ def test_gen_ladder_last_window_fits(capsys):
     assert run_cli("gen", "--n", "5", "--kind", "ladder", "--clusters", "4",
                    "--spread", "2") == 0
     M = matrix_from_text(capsys.readouterr().out)
-    center = M.rows[4].value
-    assert [M.rows[i].value ^ center for i in range(4)] == [0b11 << i for i in range(4)]
+    flips = M.bits[:4] ^ M.row(5)
+    assert flips.tolist() == [[1 if i <= j <= i + 1 else 0 for j in range(5)] for i in range(4)]
 
 
 def test_gen_bad_spec_is_one_line_error(capsys):
@@ -320,3 +321,22 @@ def test_missing_input_file_is_one_line_error(tmp_path, capsys, command):
     assert run_cli(*argv) == 2
     message = one_line_error(capsys)
     assert "No such file or directory" in message and "nothere.txt" in message
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("line, char", [("0120", "'2'"), ("01x0", "'x'"), ("01 0", "' '")])
+def test_matrix_file_with_other_character_is_one_line_error(tmp_path, capsys, command, line, char):
+    """A character other than 0 or 1 in a matrix file, also a space inside
+    a row, is named with its row."""
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    run_cli("gen", "--n", "4", "--seed", "1", "--out", str(good))
+    rows = good.read_text().splitlines()
+    rows[3] = line
+    bad.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    if command == "run":
+        argv = ("run", "--protocol", "clusmat", "--a", str(good), "--b", str(bad))
+    else:
+        argv = ("verify", "--a", str(good), "--b", str(good), "--c", str(bad))
+    assert run_cli(*argv) == 2
+    assert one_line_error(capsys) == f"row 3 holds {char}, not 0 or 1"

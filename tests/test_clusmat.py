@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cliquemat.bits import (
-    BitVector,
     BooleanMatrix,
     Traversal,
     Tree,
@@ -29,14 +28,11 @@ from cliquemat.clusmat import (
 )
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import InvalidPlanError, InvalidWitnessError
-
-
-def bv(s):
-    return BitVector.from_string(s)
+from rows import row01, row_of, value_of
 
 
 def identity(n):
-    return BooleanMatrix(tuple(BitVector(n, 1 << i) for i in range(n)))
+    return BooleanMatrix(tuple(row_of(1 << i, n) for i in range(n)))
 
 
 def make_traversal(pairs, costs, indices=None):
@@ -212,8 +208,8 @@ def block_rows(start_vertex, start_row, walk, wit, columns):
 
 
 def test_block_multiply_no_edges_is_inner_product():
-    r = bv("1010")
-    cols = [(1, bv("1000")), (2, bv("0101"))]
+    r = row01("1010")
+    cols = [(1, row01("1000")), (2, row01("0101"))]
     out = block_rows(3, r, [], {}, cols)
     assert out == [(3, 1, 1), (3, 2, 0)]
 
@@ -221,12 +217,12 @@ def test_block_multiply_no_edges_is_inner_product():
 def test_block_multiply_two_rows_oracle():
     # rows 1010 -> (witnesses [2, 4]) -> 1111 against column 0101:
     # direct inner products give 0 and 2 shared ones, so bits 0 and 1
-    start = bv("1010")
-    col = bv("0101")
-    nxt = bv("1111")
+    start = row01("1010")
+    col = row01("0101")
+    nxt = row01("1111")
     assert witnesses(start, nxt).tolist() == [2, 4]
-    assert (start.value & col.value).bit_count() == 0
-    assert (nxt.value & col.value).bit_count() == 2
+    assert (value_of(start) & value_of(col)).bit_count() == 0
+    assert (value_of(nxt) & value_of(col)).bit_count() == 2
     out = block_rows(1, start, [(1, 2, 1)], {1: [2, 4]}, [(1, col)])
     assert out == [(1, 1, 0), (2, 1, 1)]
 
@@ -235,20 +231,20 @@ def test_block_multiply_matches_naive_on_random_blocks():
     rng = random.Random(9)
     n = 32
     for _ in range(10):
-        rows = [BitVector(n, rng.getrandbits(n)) for _ in range(4)]
+        rows = [row_of(rng.getrandbits(n), n) for _ in range(4)]
         walk = [(i + 1, i + 2, i + 1) for i in range(3)]
         wit = {i + 1: witnesses(rows[i], rows[i + 1]) for i in range(3)}
-        cols = [(j, BitVector(n, rng.getrandbits(n))) for j in (2, 5, 7)]
+        cols = [(j, row_of(rng.getrandbits(n), n)) for j in (2, 5, 7)]
         out = block_rows(1, rows[0], walk, wit, cols)
         for vertex, j, bit in out:
             colv = dict(cols)[j]
-            expect = 1 if (rows[vertex - 1].value & colv.value) else 0
+            expect = 1 if (value_of(rows[vertex - 1]) & value_of(colv)) else 0
             assert bit == expect
 
 
 def test_block_multiply_bad_witness():
     with pytest.raises(InvalidWitnessError):
-        block_rows(1, bv("1010"), [(1, 2, 1)], {1: [9]}, [(1, bv("1111"))])
+        block_rows(1, row01("1010"), [(1, 2, 1)], {1: [9]}, [(1, row01("1111"))])
 
 
 @pytest.mark.parametrize("coord", [0, 5])
@@ -256,14 +252,14 @@ def test_block_multiply_rejects_witness_just_outside_range(coord):
     # n = 4: coordinates 0 and n+1 are the nearest invalid ones
     with pytest.raises(InvalidWitnessError):
         block_rows(
-            1, bv("1010"), [(1, 2, 1)], {1: [2, coord]}, [(1, bv("1111"))]
+            1, row01("1010"), [(1, 2, 1)], {1: [2, coord]}, [(1, row01("1111"))]
         )
 
 
 def test_block_multiply_duplicated_witness_cancels():
     # two flips of coordinate 3 leave the row as it was: [2, 3, 3] acts as [2]
-    start = bv("1010")
-    cols = [(1, bv("0100")), (2, bv("0010")), (3, bv("1000"))]
+    start = row01("1010")
+    cols = [(1, row01("0100")), (2, row01("0010")), (3, row01("1000"))]
     walk = [(1, 2, 1)]
     once = block_rows(1, start, walk, {1: [2]}, cols)
     twice = block_rows(1, start, walk, {1: [2, 3, 3]}, cols)
@@ -280,8 +276,8 @@ def test_block_multiply_emits_revisited_vertex_once_at_first_visit():
     # 1 -> 2 -> 1 -> 3; the return to 1 runs over an edge whose witnesses do
     # not undo the first step, so the row rebuilt for vertex 1 on the second
     # visit differs from its start row, and only the first visit counts
-    start = bv("1000")
-    cols = [(4, bv("1000")), (7, bv("0100"))]
+    start = row01("1000")
+    cols = [(4, row01("1000")), (7, row01("0100"))]
     walk = [(1, 2, 1), (2, 1, 2), (1, 3, 3)]
     wit = {1: [2], 2: [1], 3: []}
     out = block_rows(1, start, walk, wit, cols)
@@ -293,14 +289,14 @@ def test_block_multiply_emits_revisited_vertex_once_at_first_visit():
 
 
 def test_block_multiply_no_columns():
-    assert block_rows(1, bv("1010"), [(1, 2, 1)], {1: [2]}, []) == []
-    assert block_rows(1, bv("1010"), [], {}, []) == []
+    assert block_rows(1, row01("1010"), [(1, 2, 1)], {1: [2]}, []) == []
+    assert block_rows(1, row01("1010"), [], {}, []) == []
 
 
 def walked_rows(start_vertex, start_row, walk, wit):
     """A tour block's first-visit vertices and rows, walked edge by edge,
     one flip per listed coordinate: the reference for visited_rows."""
-    cur = start_row.value
+    cur = value_of(start_row)
     vertices, rows = [start_vertex], [cur]
     for _, head, e in walk:
         for i in wit.get(e, ()):
@@ -316,7 +312,7 @@ def check_visited_rows(start_vertex, start_row, walk, wit):
     expect_vertices, expect_rows = walked_rows(start_vertex, start_row, walk, wit)
     assert vertices.tolist() == expect_vertices
     assert rows.dtype == np.float32
-    assert rows.shape == (len(expect_vertices), start_row.n)
+    assert rows.shape == (len(expect_vertices), len(start_row))
     assert set(np.unique(rows).tolist()) <= {0.0, 1.0}
     assert pack_rows(rows) == expect_rows
 
@@ -338,23 +334,23 @@ def test_visited_rows_match_python_walk(n):
         for _, _, e in walk:
             coords = [rng.randrange(1, n + 1) for _ in range(rng.randrange(0, 6))]
             wit[e] = np.array(coords, dtype=np.int64) if rng.random() < 0.5 else coords
-        check_visited_rows(start, BitVector(n, rng.getrandbits(n)), walk, wit)
+        check_visited_rows(start, row_of(rng.getrandbits(n), n), walk, wit)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65])
 def test_visited_rows_edge_cases(n):
-    row = BitVector(n, (1 << n) - 1)
+    row = row_of((1 << n) - 1, n)
     # an empty walk is the start row alone
     check_visited_rows(4, row, [], {})
     vertices, rows = visited_rows(4, row, [], {})
-    assert vertices.tolist() == [4] and pack_rows(rows) == [row.value]
+    assert vertices.tolist() == [4] and pack_rows(rows) == [value_of(row)]
     # a coordinate repeated in one list: an odd count flips, an even one
     # cancels; an edge without a list flips nothing
     walk = [(1, 2, 1), (2, 3, 2), (3, 2, 2), (2, 4, 3)]
     check_visited_rows(1, row, walk, {1: [n, n, n], 2: [1, 1]})
     _, rows = visited_rows(1, row, walk, {1: [n, n, n], 2: [1, 1]})
-    flipped = row.value ^ (1 << (n - 1))
-    assert pack_rows(rows) == [row.value, flipped, flipped, flipped]
+    flipped = value_of(row) ^ (1 << (n - 1))
+    assert pack_rows(rows) == [value_of(row), flipped, flipped, flipped]
 
 
 def test_block_multiply_matches_naive_on_tour_blocks():
@@ -364,7 +360,7 @@ def test_block_multiply_matches_naive_on_tour_blocks():
     rng = random.Random(20261018)
     for _ in range(25):
         n = rng.randrange(2, 40)
-        rows = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+        rows = [row_of(rng.getrandbits(n), n) for _ in range(n)]
         tree = Tree(n, tuple(
             WeightedEdge(rng.randrange(1, i), i, 0) for i in range(2, n + 1)
         ))
@@ -381,7 +377,7 @@ def test_block_multiply_matches_naive_on_tour_blocks():
         ]
         start = tour.directed_edges[lo][0]
         cols = [
-            (j, BitVector(n, rng.getrandbits(n)))
+            (j, row_of(rng.getrandbits(n), n))
             for j in sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
         ]
         order = [start]
@@ -389,7 +385,7 @@ def test_block_multiply_matches_naive_on_tour_blocks():
             if head not in order:
                 order.append(head)
         expect = [
-            (x, j, 1 if rows[x - 1].value & col.value else 0)
+            (x, j, 1 if value_of(rows[x - 1]) & value_of(col) else 0)
             for x in order
             for j, col in cols
         ]
@@ -401,7 +397,7 @@ def test_block_multiply_matches_naive_on_tour_blocks():
 # ---------------------------------------------------------------------------
 
 def random_matrix_local(n, rng):
-    return BooleanMatrix(tuple(BitVector(n, rng.getrandbits(n)) for _ in range(n)))
+    return BooleanMatrix(tuple(row_of(rng.getrandbits(n), n) for _ in range(n)))
 
 
 def test_clusmat_identity_gives_b():
@@ -418,7 +414,7 @@ def test_clusmat_identity_gives_b():
 def test_clusmat_identical_rows():
     rng = random.Random(1)
     n = 8
-    row = BitVector(n, rng.getrandbits(n))
+    row = row_of(rng.getrandbits(n), n)
     A = BooleanMatrix(tuple(row for _ in range(n)))
     B = random_matrix_local(n, rng)
     C, ledger, info = clusmat_oriented(A, B, CliqueConfig(n=n, routing="accounted", seed=2))
@@ -490,7 +486,7 @@ def clustered_rows_inputs():
     """A with identical rows (row-side cost 0), B random."""
     rng = random.Random(7)
     n = 8
-    row = BitVector(n, rng.getrandbits(n))
+    row = row_of(rng.getrandbits(n), n)
     A = BooleanMatrix(tuple(row for _ in range(n)))
     B = random_matrix_local(n, rng)
     return A, B, CliqueConfig(n=n, routing="accounted", seed=8)
@@ -501,7 +497,7 @@ def clustered_columns_inputs():
     rng = random.Random(8)
     n = 8
     A = random_matrix_local(n, rng)
-    col_row = BitVector(n, rng.getrandbits(n))
+    col_row = row_of(rng.getrandbits(n), n)
     B = BooleanMatrix(tuple(col_row for _ in range(n))).transpose()
     return A, B, CliqueConfig(n=n, routing="accounted", seed=9)
 
@@ -663,7 +659,7 @@ def test_pair_nodes_with_altered_inputs_derive_their_own_rows(routing, monkeypat
             if fn.__name__ == "multiply":
                 with self.as_node(own_start) as node:
                     (start, row), = node.storage["start_rows"].items()
-                    node.storage["start_rows"] = {start: BitVector(row.n, row.value)}
+                    node.storage["start_rows"] = {start: row.copy()}
                 with self.as_node(own_packets) as node:
                     packets = node.storage["witness_packets"]
                     assert packets
@@ -847,7 +843,7 @@ def test_witnesses_at_pair_nodes_match_direct_union():
 
 def test_witness_delivery_free_when_rows_identical():
     n = 8
-    row = bv("10110100")
+    row = row01("10110100")
     A = BooleanMatrix(tuple(row for _ in range(n)))
     B = identity(n)
     engine, C, info = run_engine_protocol(n, A, B, routing="accounted")
@@ -876,7 +872,7 @@ def test_identical_rows_rounds_dominated_by_tree_step():
     """With all rows of A equal, the tree-construction step carries the
     round count; every other step together stays below it."""
     n = 32
-    row = BitVector(n, 0x5A5A5A5A & ((1 << n) - 1))
+    row = row_of(0x5A5A5A5A & ((1 << n) - 1), n)
     A = BooleanMatrix(tuple(row for _ in range(n)))
     B = identity(n)
     engine, C, info = run_engine_protocol(n, A, B, routing="accounted", seed=2)
@@ -885,3 +881,91 @@ def test_identical_rows_rounds_dominated_by_tree_step():
     steps = engine.ledger.step_rounds
     others = sum(steps[f"step{i}"] for i in range(1, 11) if i != 2)
     assert steps["step2"] > others
+
+
+# ---------------------------------------------------------------------------
+# stored rows
+# ---------------------------------------------------------------------------
+
+ROW_KEYS = ("a_row", "b_row", "b_col", "c_row", "point")
+ROW_DICT_KEYS = ("edge_rows", "start_rows", "col_rows")
+
+
+def stored_rows(engine):
+    """(storage key, sender or None, row) of every 0/1 row the nodes
+    store: under the row keys, and as the values of the received-row
+    dicts, keyed by sender."""
+    for i in engine.node_ids():
+        for key, value in engine.node(i).storage.items():
+            name = key[0] if isinstance(key, tuple) else key
+            if name in ROW_KEYS:
+                yield key, None, value
+            elif name in ROW_DICT_KEYS:
+                yield from ((key, s, row) for s, row in value.items())
+
+
+def check_stored_rows(engine, names):
+    """Each stored row is its own read-only uint8 array, and all recipients
+    of one sender's multicast hold one row object."""
+    seen = set()
+    by_sender = {}
+    for key, sender, row in stored_rows(engine):
+        seen.add(key[0] if isinstance(key, tuple) else key)
+        assert row.dtype == np.uint8 and row.shape == (engine.n,)
+        assert row.base is None and not row.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1 - row[0]
+        if sender is not None:
+            by_sender.setdefault((key, sender), set()).add(id(row))
+    assert seen == set(names)
+    assert all(len(ids) == 1 for ids in by_sender.values())
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """The engines the entry points create, in order."""
+    from cliquemat import clusmat, hmst
+    from cliquemat.engine import CliqueEngine
+
+    made = []
+
+    class Recording(CliqueEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(clusmat, "CliqueEngine", Recording)
+    monkeypatch.setattr(hmst, "CliqueEngine", Recording)
+    return made
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+@pytest.mark.parametrize("entry", ["ab", "ba", "auto"])
+def test_stored_rows_are_own_read_only_arrays(engines, routing, entry):
+    """A view would hand a node the whole input through ``.base``, and a
+    writable row shared by a multicast's recipients would let one node
+    change another's copy."""
+    from cliquemat.harness import GenSpec, generate
+
+    n = 16
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=4))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.4, seed=5))
+    cfg = CliqueConfig(n=n, routing=routing, seed=6)
+    if entry == "auto":
+        C, _, _, _ = choose_orientation(A, B, cfg)
+    else:
+        C, _, _ = clusmat_oriented(A, B, cfg, orientation=entry)
+    assert C == boolean_product_naive(A, B)
+    (engine,) = engines
+    check_stored_rows(engine, ROW_KEYS[:4] + ROW_DICT_KEYS)
+
+
+def test_stored_points_are_own_read_only_arrays(engines):
+    from cliquemat.harness import GenSpec, generate
+    from cliquemat.hmst import hmst_protocol
+
+    M = generate(GenSpec(n=12, kind="clustered", clusters=2, spread=2, seed=3))
+    hmst_protocol(M.bits, CliqueConfig(n=12, seed=1))
+    (engine,) = engines
+    check_stored_rows(engine, ("point",))
+    assert not np.shares_memory(engine.node(1).storage["point"], M.bits)

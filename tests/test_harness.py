@@ -1,8 +1,11 @@
 """Unit tests for generators, verification, and the bench grid."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
-from cliquemat.bits import BitVector, BooleanMatrix, boolean_product_naive
+from cliquemat.bits import BooleanMatrix, boolean_product_naive
 from cliquemat.harness import (
     GenSpec,
     bench_grid,
@@ -14,6 +17,7 @@ from cliquemat.harness import (
     verify,
 )
 from cliquemat.hmst import ProjectionConfig
+from cliquemat.textio import matrix_to_text
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +26,7 @@ from cliquemat.hmst import ProjectionConfig
 
 def test_gen_clustered_single_center_no_spread():
     M = gen_clustered(GenSpec(n=16, clusters=1, spread=0, seed=0))
-    assert all(r == M.rows[0] for r in M.rows)
+    assert (M.bits == M.row(1)).all()
     assert exact_mst_cost(M) == 0
 
 
@@ -33,9 +37,9 @@ def test_gen_clustered_spread_bounds_cost():
 
 
 def test_gen_uniform_extremes():
-    assert gen_uniform(8, 0.0, 0) == BooleanMatrix((BitVector(8, 0),) * 8)
+    assert gen_uniform(8, 0.0, 0) == BooleanMatrix(np.zeros((8, 8)))
     ones = gen_uniform(8, 1.0, 0)
-    assert all(r.value.bit_count() == 8 for r in ones.rows)
+    assert ones.bits.sum() == 64
     assert exact_mst_cost(ones) == 0
 
 
@@ -93,6 +97,28 @@ def test_ladder_generator_pins_cost():
     assert generate(spec) == M
 
 
+# sha256 of each generated matrix's text, recorded when rows were packed
+# integers; the 0/1 array rows must draw the same numbers
+GENERATED = {
+    ("clustered", 7): "6e734c87a47bf6f91fc471254341346b25e17c823a91eab798a09534a378f4e3",
+    ("clustered", 64): "af0fd19343f233755e004565e7b47387f50bc0881ccf4a1f2305d31c974c83e2",
+    ("clustered", 65): "dba288f4e7502d339252aec7524dd209560c9bb35445ace5968549c56bf4ca85",
+    ("uniform", 7): "50c79be8b8fb7b6ed7f4df912a4f00e1eb6d64875909ee42188cb02be6dfc2e2",
+    ("uniform", 64): "9bbdbb0064a69530f07578e668d19e28211f64339484b18a925c41729a40ab70",
+    ("uniform", 65): "cf4edd1056609f636bf98d8a49937c8c35fc5e5253013262b472a1f3924b6383",
+    ("ladder", 7): "2e57b12bd7d5da6f2e943e4025561ce832a1ade456e3f38e179bc1b2764ead9f",
+    ("ladder", 64): "c4127678450cc9c47cb72b6fb0a16d0542d7ab9a249c8c35fee2e3314fa63465",
+    ("ladder", 65): "ff566662ebcee51e0794562aaea5dc11a00cc60c2d6d90ba257d4437692e964d",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(GENERATED))
+def test_generated_matrices_are_pinned(kind, n):
+    spec = GenSpec(n=n, kind=kind, clusters=3, spread=2, density=0.3, seed=n + 1)
+    text = matrix_to_text(generate(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED[kind, n]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -108,7 +134,9 @@ def test_verify_rejects_flipped_bit():
     A = generate(GenSpec(n=8, kind="uniform", seed=3))
     B = generate(GenSpec(n=8, kind="uniform", seed=4))
     C = boolean_product_naive(A, B)
-    flipped = BooleanMatrix((C.rows[0] ^ BitVector(8, 1),) + C.rows[1:])
+    bits = C.bits.copy()
+    bits[0, 0] ^= 1
+    flipped = BooleanMatrix(bits)
     assert not verify(flipped, A, B)
 
 

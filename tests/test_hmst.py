@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cliquemat.bits import BitVector, hamming_distance, pack_chunks, pack_rows, unpack_rows
+from cliquemat.bits import hamming_distance, pack_chunks, pack_rows, unpack_rows
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import DimensionError, MalformedSketchError
 from cliquemat.hmst import (
@@ -23,6 +23,7 @@ from cliquemat.hmst import (
     sketch_point,
 )
 from field_codec import unpack_fields
+from rows import row01, row_of, value_of
 from sketch_reference import estimate_distance
 
 
@@ -47,23 +48,22 @@ def exact_mst_cost(points):
 
 def clustered_points(n, clusters, spread, seed):
     rng = np.random.default_rng(seed)
-    centers = [BitVector(n, int(rng.integers(0, 1 << n, dtype=np.uint64)) if n <= 63 else 0) for _ in range(clusters)]
+    centers = [int(rng.integers(0, 1 << n, dtype=np.uint64)) if n <= 63 else 0 for _ in range(clusters)]
     if n > 63:
         centers = []
         for _ in range(clusters):
             value = 0
             for chunk in range((n + 62) // 63):
                 value |= int(rng.integers(0, 1 << min(63, n - chunk * 63))) << (chunk * 63)
-            centers.append(BitVector(n, value))
+            centers.append(value)
     pts = []
     for _ in range(n):
-        c = centers[int(rng.integers(clusters))]
+        v = centers[int(rng.integers(clusters))]
         nf = int(rng.integers(0, spread + 1))
         coords = rng.choice(n, size=nf, replace=False) + 1
-        v = c.value
         for f in coords:
             v ^= 1 << (int(f) - 1)
-        pts.append(BitVector(n, v))
+        pts.append(row_of(v, n))
     return pts
 
 
@@ -132,13 +132,13 @@ def test_generate_density():
     assert abs(ones / total - delta) <= 3 * sigma
 
 
-def project(matrix, x: BitVector) -> BitVector:
+def project(matrix, x) -> int:
     """Per-row parity reference: output bit j is the parity of row j of the
-    0/1 ``matrix`` AND x."""
+    0/1 ``matrix`` AND the 0/1 point x."""
     value = 0
-    for j, row in enumerate(pack_rows(matrix)):
-        value |= ((row & x.value).bit_count() & 1) << j
-    return BitVector(len(matrix), value)
+    for j, row in enumerate(matrix):
+        value |= ((value_of(row) & value_of(x)).bit_count() & 1) << j
+    return value
 
 
 def one_scale_family(matrix, n):
@@ -146,18 +146,24 @@ def one_scale_family(matrix, n):
     return ProjectionFamily(n, len(matrix), (1,), np.array(matrix, dtype=np.uint8), {1: 0})
 
 
-def kernel(matrix, x: BitVector) -> BitVector:
-    """The GF(2) sketch kernel applied to one matrix and one point."""
-    (value,) = sketch_point(one_scale_family(matrix, x.n), x)
-    return BitVector(len(matrix), value)
+def kernel(matrix, x) -> int:
+    """The GF(2) sketch kernel applied to one matrix and one point, its
+    sketch bits packed."""
+    (row,) = sketch_point(one_scale_family(matrix, len(x)), x)
+    return value_of(row)
+
+
+def sketch_ints(fam, x) -> tuple[int, ...]:
+    """sketch_point's rows as one packed k-bit integer per scale."""
+    return tuple(value_of(row) for row in sketch_point(fam, x))
 
 
 def test_project_identity_and_zero():
     n = 8
     matrix = np.eye(n, dtype=np.uint8)
-    x = BitVector.from_string("10110010")
-    assert kernel(matrix, x) == x
-    assert kernel(matrix, BitVector(n, 0)) == BitVector(n, 0)
+    x = row01("10110010")
+    assert kernel(matrix, x) == value_of(x)
+    assert kernel(matrix, row_of(0, n)) == 0
 
 
 def test_project_linearity():
@@ -167,12 +173,11 @@ def test_project_linearity():
     for _ in range(20):
         xv = int(rng.integers(0, 1 << n))
         yv = int(rng.integers(0, 1 << n))
-        x, y = BitVector(n, xv), BitVector(n, yv)
-        left = kernel(A, x ^ y)
-        right = kernel(A, x) ^ kernel(A, y)
+        left = kernel(A, row_of(xv ^ yv, n))
+        right = kernel(A, row_of(xv, n)) ^ kernel(A, row_of(yv, n))
         assert left == right
         direct = (A @ np.array([(xv ^ yv) >> c & 1 for c in range(n)])) % 2
-        assert list(left.bits()) == list(direct)
+        assert row_of(left, k).tolist() == list(direct)
 
 
 @pytest.mark.parametrize("n", [2, 7, 9, 64, 65])
@@ -183,22 +188,22 @@ def test_sketch_kernel_matches_per_row_parity(n, k):
     byte or 64-bit word."""
     rng = random.Random(n * 1000 + k)
     fam = ProjectionFamily.generate(n, k, np.random.default_rng(n + k))
-    points = [BitVector(n, rng.getrandbits(n)) for _ in range(n + 3)]
-    points[0] = BitVector(n, (1 << n) - 1)
+    points = [row_of(rng.getrandbits(n), n) for _ in range(n + 3)]
+    points[0] = row_of((1 << n) - 1, n)
     bits = sketch_bits(fam, points)
     assert bits.shape == (len(points), len(fam.scales) * k)
     matrices = [fam.bits[idx * k:(idx + 1) * k] for idx in range(len(fam.scales))]
     for x, row in zip(points, bits):
         for idx, matrix in enumerate(matrices):
-            want = project(matrix, x).bits()
-            assert tuple(row[idx * k:(idx + 1) * k].tolist()) == want
-        assert sketch_point(fam, x) == tuple(project(matrix, x).value for matrix in matrices)
+            want = row_of(project(matrix, x), k).tolist()
+            assert row[idx * k:(idx + 1) * k].tolist() == want
+        assert sketch_ints(fam, x) == tuple(project(matrix, x) for matrix in matrices)
 
 
 def test_sketch_kernel_rejects_wrong_dimension():
     fam = family_for(8)
     with pytest.raises(DimensionError):
-        sketch_bits(fam, [BitVector(8, 0), BitVector(9, 0)])
+        sketch_bits(fam, [row_of(0, 8), row_of(0, 9)])
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +218,8 @@ def family_for(n, kappa=8.0, seed=0):
 def test_estimate_equal_points_is_one():
     n = 32
     fam = family_for(n)
-    x = BitVector(n, 0x12345678)
-    sk = sketch_point(fam, x)
+    x = row_of(0x12345678, n)
+    sk = sketch_ints(fam, x)
     assert estimate_distance(sk, sk, fam) == 1
 
 
@@ -229,7 +234,7 @@ def test_estimate_fallback_on_adversarial_sketches():
 def test_estimate_missing_scale_rejected():
     n = 16
     fam = family_for(n)
-    sk = sketch_point(fam, BitVector(n, 0))
+    sk = sketch_ints(fam, row_of(0, n))
     with pytest.raises(MalformedSketchError):
         estimate_distance(sk[:-1], sk, fam)
 
@@ -240,9 +245,9 @@ def test_estimate_monotone_scale_rule():
     fam = family_for(n)
     rng = random.Random(0)
     for _ in range(50):
-        x = BitVector(n, rng.getrandbits(n))
-        y = BitVector(n, rng.getrandbits(n))
-        si, sj = sketch_point(fam, x), sketch_point(fam, y)
+        x = row_of(rng.getrandbits(n), n)
+        y = row_of(rng.getrandbits(n), n)
+        si, sj = sketch_ints(fam, x), sketch_ints(fam, y)
         w = estimate_distance(si, sj, fam)
         for idx, r in enumerate(fam.scales):
             if (si[idx] ^ sj[idx]).bit_count() <= fam.thresholds[r]:
@@ -299,7 +304,7 @@ def test_build_estimated_graph_of_real_sketches():
     n = 48
     fam = family_for(n, seed=4)
     pts = clustered_points(n, 3, 3, 6)
-    sets = [sketch_point(fam, p) for p in pts]
+    sets = [sketch_ints(fam, p) for p in pts]
     bits = sketch_bits(fam, pts)
     assert sketch_sets(bits, fam) == sets
     g = build_estimated_graph(bits, fam)
@@ -315,7 +320,7 @@ def test_build_estimated_graph_rejects_missing_scale():
     n = 16
     fam = family_for(n)
     rng = random.Random(3)
-    bits = sketch_bits(fam, [BitVector(n, rng.getrandbits(n)) for _ in range(n)])
+    bits = sketch_bits(fam, [row_of(rng.getrandbits(n), n) for _ in range(n)])
     bad = [
         bits[:, :-fam.k],
         bits[:, :-1],
@@ -332,7 +337,7 @@ def test_estimated_graph_symmetric():
     n = 16
     fam = family_for(n)
     rng = random.Random(1)
-    pts = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+    pts = [row_of(rng.getrandbits(n), n) for _ in range(n)]
     g = build_estimated_graph(sketch_bits(fam, pts), fam)
     for i in range(n):
         for j in range(n):
@@ -347,7 +352,7 @@ def test_estimated_graph_symmetric():
 
 def test_hmst_identical_points():
     n = 16
-    pts = [BitVector(n, 0xBEEF) for _ in range(n)]
+    pts = [row_of(0xBEEF, n) for _ in range(n)]
     tree, ledger = hmst_protocol(pts, CliqueConfig(n=n, routing="accounted", seed=1))
     true_cost = sum(
         hamming_distance(pts[e.u - 1], pts[e.v - 1]) for e in tree.edges
@@ -360,7 +365,7 @@ def test_hmst_tree_always_spans():
     for seed in range(3):
         n = 32
         rng = random.Random(seed)
-        pts = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+        pts = [row_of(rng.getrandbits(n), n) for _ in range(n)]
         tree, _ = hmst_protocol(pts, CliqueConfig(n=n, routing="accounted", seed=seed))
         assert tree.n == n and len(tree.edges) == n - 1  # Tree() validates shape
 
@@ -380,7 +385,7 @@ def test_hmst_approximation_smoke():
 def test_hmst_simulated_matches_accounted_tree():
     n = 8
     rng = random.Random(7)
-    pts = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+    pts = [row_of(rng.getrandbits(n), n) for _ in range(n)]
     t_sim, led_sim = hmst_protocol(pts, CliqueConfig(n=n, seed=3))
     t_acc, led_acc = hmst_protocol(pts, CliqueConfig(n=n, routing="accounted", seed=3))
     assert t_sim.edges == t_acc.edges
@@ -390,7 +395,7 @@ def test_hmst_simulated_matches_accounted_tree():
 def test_hmst_deterministic():
     n = 16
     rng = random.Random(2)
-    pts = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+    pts = [row_of(rng.getrandbits(n), n) for _ in range(n)]
     runs = [hmst_protocol(pts, CliqueConfig(n=n, seed=5)) for _ in range(2)]
     assert runs[0][0].edges == runs[1][0].edges
     assert runs[0][1].as_dict() == runs[1][1].as_dict()
@@ -399,7 +404,7 @@ def test_hmst_deterministic():
 def test_hmst_seed_mode_cheaper():
     n = 16
     rng = random.Random(4)
-    pts = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+    pts = [row_of(rng.getrandbits(n), n) for _ in range(n)]
     cfg = CliqueConfig(n=n, routing="accounted", seed=6)
     _, led_full = hmst_protocol(pts, cfg)
     tree, led_seed = hmst_protocol(pts, cfg, ProjectionConfig(seed_mode=True))
@@ -410,7 +415,7 @@ def test_hmst_seed_mode_cheaper():
 def test_hmst_step_subtotals_cover_rounds():
     n = 16
     rng = random.Random(8)
-    pts = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+    pts = [row_of(rng.getrandbits(n), n) for _ in range(n)]
     _, led = hmst_protocol(pts, CliqueConfig(n=n, seed=9))
     steps = {k: v for k, v in led.step_rounds.items() if k.startswith("hmst_")}
     assert set(steps) == {"hmst_step1", "hmst_step2", "hmst_step3"}
@@ -419,11 +424,11 @@ def test_hmst_step_subtotals_cover_rounds():
 
 
 def test_hmst_input_validation():
-    pts = [BitVector(4, 0)] * 3
+    pts = [row_of(0, 4)] * 3
     with pytest.raises(DimensionError):
         hmst_protocol(pts, CliqueConfig(n=4))
     with pytest.raises(DimensionError):
-        hmst_protocol([BitVector(3, 0)] * 4, CliqueConfig(n=4))
+        hmst_protocol([row_of(0, 3)] * 4, CliqueConfig(n=4))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +440,7 @@ def engine_with_points(n, routing, seed):
     from cliquemat.engine import CliqueEngine
 
     rng = random.Random(seed)
-    pts = [BitVector(n, rng.getrandbits(n)) for _ in range(n)]
+    pts = [row_of(rng.getrandbits(n), n) for _ in range(n)]
     engine = CliqueEngine(CliqueConfig(n=n, routing=routing, seed=seed), audit=True)
 
     def seed_points(node):
@@ -516,7 +521,7 @@ def test_lost_sketch_chunk_raises(routing, w, monkeypatch):
     n, lossy = 12, 5
     rng = random.Random(8)
     engine = CliqueEngine(CliqueConfig(n=n, w=w, routing=routing, seed=8))
-    engine.put("point", {i: BitVector(n, rng.getrandbits(n)) for i in engine.node_ids()})
+    engine.put("point", {i: row_of(rng.getrandbits(n), n) for i in engine.node_ids()})
     route = hmst.bounded_route
 
     def dropping(engine, batch):
