@@ -1,6 +1,6 @@
 """Bit-level primitives: points of {0,1}^n and their Hamming geometry, the
-wire codec, a local MST oracle, Euler tours, and the naive Boolean matrix
-product.
+wire codec, a local MST oracle, spanning trees that carry their depth-first
+walk (the one Euler tour), and the naive Boolean matrix product.
 
 Coordinates and vertex labels are 1-based in every public signature.  A
 point of {0,1}^n, such as a row of a matrix, is a 1-D uint8 array of 0s and
@@ -11,7 +11,7 @@ integers: entry j of a row goes to bit j.  Every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -126,33 +126,6 @@ def distance_matrix_via_products(P: BooleanMatrix) -> np.ndarray:
     return (X + X.T).astype(np.int64)
 
 
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n + 1))
-        self.rank = [0] * (n + 1)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 @dataclass(frozen=True, slots=True)
 class WeightedEdge:
     u: int
@@ -177,10 +150,17 @@ class Tree:
 
     Edges are normalized to u < v and stored sorted by (u, v); that order is
     the canonical edge numbering: ``edge(i)`` is the i-th edge, 1-based.
+    ``adjacency[v]`` holds v's sorted (neighbour, edge index) pairs (index 0
+    is empty), and ``walk`` is the tree's closed depth-first walk from
+    vertex 1, children in ascending order, as (tail, head, edge index)
+    triples: the one Euler tour every plan reads.  Both are nested tuples,
+    since nodes share one tree, and neither takes part in equality.
     """
 
     n: int
     edges: tuple[WeightedEdge, ...]
+    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, compare=False, repr=False)
+    walk: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -190,17 +170,43 @@ class Tree:
                 f"spanning tree on {self.n} vertices needs {self.n - 1} edges, "
                 f"got {len(self.edges)}"
             )
-        norm = []
-        uf = _UnionFind(self.n)
         for e in self.edges:
             if e.v > self.n or e.u > self.n:
                 raise ValueError(f"edge {e} outside vertex set 1..{self.n}")
-            a, b = e.key()
-            if not uf.union(a, b):
-                raise ValueError("edges contain a cycle")
-            norm.append(WeightedEdge(a, b, e.weight))
-        norm.sort(key=lambda e: (e.u, e.v))
-        object.__setattr__(self, "edges", tuple(norm))
+        # edges are immutable, so one already normalized is kept as it is
+        edges = [e if e.u < e.v else WeightedEdge(e.v, e.u, e.weight) for e in self.edges]
+        edges.sort(key=lambda e: (e.u, e.v))
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n + 1)]
+        for idx, e in enumerate(edges, start=1):
+            adj[e.u].append((e.v, idx))
+            adj[e.v].append((e.u, idx))
+        # the edges ascend by (u, v), so each vertex gets its smaller
+        # neighbours, then its larger ones, each in ascending order
+        adjacency = tuple(map(tuple, adj))
+        # Iterative DFS; each frame is (vertex, edge from its parent, the
+        # rest of its neighbours).
+        walk: list[tuple[int, int, int]] = []
+        seen = [False] * (self.n + 1)
+        seen[1] = True
+        stack = [(1, 0, iter(adjacency[1]))]
+        while stack:
+            v, up, nbrs = stack[-1]
+            for w, idx in nbrs:
+                if not seen[w]:
+                    seen[w] = True
+                    walk.append((v, w, idx))
+                    stack.append((w, idx, iter(adjacency[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    walk.append((v, stack[-1][0], up))
+        # n-1 edges that miss a vertex of 1..n hold a cycle
+        if len(walk) != 2 * (self.n - 1):
+            raise ValueError("edges contain a cycle")
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "walk", tuple(walk))
 
     def edge(self, i: int) -> WeightedEdge:
         """The i-th edge in the canonical numbering, 1-based."""
@@ -208,16 +214,6 @@ class Tree:
 
     def cost(self) -> int:
         return sum(e.weight for e in self.edges)
-
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        """vertex -> sorted list of (neighbour, 1-based edge index)."""
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.n + 1)}
-        for idx, e in enumerate(self.edges, start=1):
-            adj[e.u].append((e.v, idx))
-            adj[e.v].append((e.u, idx))
-        for v in adj:
-            adj[v].sort()
-        return adj
 
 
 @dataclass(frozen=True)
@@ -305,35 +301,11 @@ def local_mst(H) -> Tree:
 
 
 def euler_traversal(tree: Tree, edge_costs: Mapping[int, int]) -> Traversal:
-    """Depth-first closed tour of ``tree`` from vertex 1, children visited
-    in ascending vertex order; each directed edge costs ``edge_costs`` of
-    its 1-based edge index."""
-    adj = tree.adjacency()
-    directed: list[tuple[int, int]] = []
-    indices: list[int] = []
-    # Iterative DFS; each frame is (vertex, parent, iterator position).
-    stack: list[tuple[int, int, int]] = [(1, 0, 0)]
-    while stack:
-        v, parent, pos = stack.pop()
-        nbrs = adj[v]
-        advanced = False
-        while pos < len(nbrs):
-            w, eidx = nbrs[pos]
-            pos += 1
-            if w == parent:
-                continue
-            stack.append((v, parent, pos))
-            directed.append((v, w))
-            indices.append(eidx)
-            stack.append((w, v, 0))
-            advanced = True
-            break
-        if not advanced and parent != 0:
-            directed.append((v, parent))
-            # Walking back over the same tree edge.
-            indices.append(next(e for u, e in adj[v] if u == parent))
+    """``tree.walk`` as a :class:`Traversal` from vertex 1; each directed
+    edge costs ``edge_costs`` of its 1-based edge index."""
+    indices = tuple(idx for _, _, idx in tree.walk)
     costs = tuple(int(edge_costs[i]) for i in indices)
-    return Traversal(1, tuple(directed), tuple(indices), costs)
+    return Traversal(1, tuple((a, b) for a, b, _ in tree.walk), indices, costs)
 
 
 def boolean_product_naive(A: BooleanMatrix, B: BooleanMatrix) -> BooleanMatrix:

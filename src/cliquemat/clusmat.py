@@ -557,8 +557,7 @@ def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str) -> None:
     ``("edge_rows", row_key)``."""
 
     def incident_edges(node):
-        adjacency = engine.derive(Tree.adjacency, node.storage["tree", row_key])
-        return [idx for _, idx in adjacency[node.id]]
+        return [idx for _, idx in node.storage["tree", row_key].adjacency[node.id]]
 
     _multicast_rows(engine, row_key, incident_edges, ("edge_rows", row_key))
 

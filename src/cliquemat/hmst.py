@@ -289,11 +289,8 @@ def run_hmst(
     # -- step 3: node 1 estimates all pairs on arrays and builds the tree
     # locally; the ledger charges the paper's per-pair and n^2 tree work
     with engine.step(step_prefix + "step3"):
-
-        def estimate(node):
-            if node.id != 1:
-                return None
-            fam: ProjectionFamily = node.storage["family"]
+        with engine.as_node(1) as node1:
+            fam: ProjectionFamily = node1.storage["family"]
             got = delivered.span(1)  # by source, each source's chunks in order
             sent = np.bincount(delivered.src[got], minlength=n + 1)[1:]
             if (sent != per_node).any():
@@ -304,10 +301,8 @@ def run_hmst(
             engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))
             tree = local_mst(graph)
             engine.charge_work(1, n * n)
-            node.storage["hmst_tree", point_key] = tree
-            return tree
-
-        return engine.local(estimate)[1]
+            node1.storage["hmst_tree", point_key] = tree
+    return tree
 
 
 def hmst_protocol(

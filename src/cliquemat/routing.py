@@ -166,12 +166,7 @@ def multicast_accounted_rounds(n: int, chunks: int) -> int:
 def multicast_phases(num_recipients: int) -> int:
     """Doubling phases needed to cover ``num_recipients``: groups of
     2, 4, 8, ... nodes, each member forwarding to at most two."""
-    if num_recipients <= 0:
-        return 0
-    p = 1
-    while (1 << (p + 1)) - 2 < num_recipients:
-        p += 1
-    return p
+    return max(1, num_recipients + 1).bit_length() - 1
 
 
 def to_all_others(n: int, senders) -> tuple[np.ndarray, np.ndarray]:

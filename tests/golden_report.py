@@ -1,0 +1,43 @@
+"""Old -> new ledgers of the golden cells, for a change that moves ledgers
+on purpose.
+
+    python tests/golden_report.py [cell ...]
+
+prints one line per golden cell of ``tests/test_golden.py`` (every cell when
+none is named): the ledger's rounds, messages, bits and work_total, its
+digest prefix, the recorded prefix, and ``match`` or ``MOVED``.  Run it at
+two commits and diff the output.  It writes and re-records nothing.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from test_golden import GOLDEN, GOLDEN_W, ledger_digest, run_cell  # noqa: E402
+
+
+def report_line(cell: str) -> str:
+    recorded = {**GOLDEN, **GOLDEN_W}[cell][1]
+    ledger = run_cell(cell)[4]
+    now = ledger_digest(ledger)
+    return (
+        f"{cell} rounds={ledger.rounds} messages={ledger.messages} bits={ledger.bits} "
+        f"work_total={ledger.work_total} ledger={now} recorded={recorded} "
+        + ("match" if now == recorded else "MOVED")
+    )
+
+
+def main(cells: list[str]) -> int:
+    known = sorted(GOLDEN) + sorted(GOLDEN_W)
+    unknown = [c for c in cells if c not in known]
+    if unknown:
+        print(f"unknown golden cell: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    for cell in cells or known:
+        print(report_line(cell), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

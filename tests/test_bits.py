@@ -25,6 +25,7 @@ from cliquemat.bits import (
 )
 from field_codec import pack_fields, unpack_fields
 from rows import row01, row_of, rows_of
+from tree_reference import euler_walk, is_spanning_tree
 from cliquemat.harness import GenSpec, exact_mst_cost, gen_clustered, gen_uniform
 from cliquemat.errors import (
     DimensionError,
@@ -349,6 +350,74 @@ def test_tree_edge_numbering_and_validation():
         Tree(3, (WeightedEdge(1, 2, 0),))
     with pytest.raises(ValueError):
         Tree(3, (WeightedEdge(1, 2, 0), WeightedEdge(2, 1, 0)))
+
+
+def mixed_edges(pairs, weight=0):
+    """Edges of the pairs, every other one written (v, u)."""
+    return tuple(
+        WeightedEdge(*((u, v) if i % 2 else (v, u)), weight) for i, (u, v) in enumerate(pairs)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tree_accepts_exactly_the_spanning_trees(n):
+    """Every multiset of n-1 edges over the C(n, 2) pairs (715 at n=5):
+    ``Tree`` accepts exactly the spanning trees the union-find reference
+    finds, and each accepted tree walks the reference tour."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    accepted = 0
+    for chosen in itertools.combinations_with_replacement(pairs, n - 1):
+        if not is_spanning_tree(n, chosen):
+            with pytest.raises(ValueError, match="cycle"):
+                Tree(n, mixed_edges(chosen))
+            continue
+        t = Tree(n, mixed_edges(chosen))
+        accepted += 1
+        assert list(t.walk) == euler_walk(t)
+        euler_traversal(t, {i: 1 for i in range(1, n)}).validate(t)
+    assert accepted == (n ** (n - 2) if n > 1 else 1)  # Cayley's formula
+
+
+def random_tree_pairs(n, rng):
+    """A uniformly labelled random tree as shuffled (u, v) pairs: each
+    vertex but the first of a random order attaches to an earlier one."""
+    order = rng.sample(range(1, n + 1), n)
+    pairs = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("n, seed", [(17, 0), (17, 1), (300, 2), (300, 3)])
+def test_tree_walk_matches_reference_on_random_trees(n, seed):
+    t = Tree(n, mixed_edges(random_tree_pairs(n, random.Random(seed))))
+    assert list(t.walk) == euler_walk(t)
+    assert len(t.walk) == 2 * (n - 1)
+
+
+def test_tree_walks_a_long_path_without_recursion():
+    n = 5000
+    t = Tree(n, mixed_edges([(v, v + 1) for v in range(1, n)]))
+    assert list(t.walk) == euler_walk(t)
+    assert t.walk[n - 2] == (n - 1, n, n - 1) and t.walk[-1] == (2, 1, 1)
+
+
+def test_tree_equality_ignores_edge_order():
+    pairs = random_tree_pairs(40, random.Random(4))
+    a = Tree(40, mixed_edges(pairs, weight=3))
+    b = Tree(40, mixed_edges(pairs[::-1], weight=3))
+    assert a == b and hash(a) == hash(b)
+    assert a != Tree(40, mixed_edges(pairs, weight=2))
+
+
+def test_tree_adjacency_and_walk_are_read_only():
+    t = Tree(3, (WeightedEdge(1, 2, 0), WeightedEdge(2, 3, 0)))
+    assert t.adjacency == ((), ((2, 1),), ((1, 1), (3, 2)), ((2, 2),))
+    with pytest.raises(TypeError):
+        t.adjacency[1] = ()
+    with pytest.raises(TypeError):
+        t.adjacency[2][0] = (3, 2)
+    with pytest.raises(TypeError):
+        t.walk[0] = (1, 3, 2)
 
 
 # ---------------------------------------------------------------------------

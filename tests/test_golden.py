@@ -13,6 +13,9 @@ products have zeros, so a constant product cannot pass.
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,14 +86,16 @@ def run_cell(cell):
     return A, B, C, chosen, ledger
 
 
+def ledger_digest(ledger) -> str:
+    """Prefix of the sha256 of the ledger's sorted JSON."""
+    return hashlib.sha256(json.dumps(ledger.as_dict(), sort_keys=True).encode()).hexdigest()[:16]
+
+
 def cell_digests(cell):
     """(product digest prefix, ledger digest prefix, orientation run)."""
     A, B, C, chosen, ledger = run_cell(cell)
     assert verify(C, A, B)
-    ledger_digest = hashlib.sha256(
-        json.dumps(ledger.as_dict(), sort_keys=True).encode()
-    ).hexdigest()
-    return digest(matrix_to_text(C))[:16], ledger_digest[:16], chosen
+    return digest(matrix_to_text(C))[:16], ledger_digest(ledger), chosen
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN))
@@ -121,3 +126,19 @@ def test_accounted_step_rounds_bound_simulated(cell):
     assert list(simulated) == list(accounted)
     for step, rounds in simulated.items():
         assert rounds <= accounted[step], step
+
+
+def test_golden_report_prints_one_line_per_cell():
+    """``tests/golden_report.py`` reports a cell's ledger totals and its
+    digest next to the recorded one."""
+    cell = "16-accounted-ship-ab"
+    script = Path(__file__).with_name("golden_report.py")
+    out = subprocess.run(
+        [sys.executable, str(script), cell], capture_output=True, text=True, check=True
+    ).stdout
+    ledger = run_cell(cell)[4]
+    recorded = GOLDEN[cell][1]
+    assert out.splitlines() == [
+        f"{cell} rounds={ledger.rounds} messages={ledger.messages} bits={ledger.bits} "
+        f"work_total={ledger.work_total} ledger={recorded} recorded={recorded} match"
+    ]

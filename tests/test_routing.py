@@ -199,6 +199,17 @@ def test_bounded_route_accounted_shape_only():
 # vector_multicast
 # ---------------------------------------------------------------------------
 
+def multicast_phases_loop(num_recipients):
+    """Reference: the fewest doubling phases p whose groups of 2, 4, ...,
+    2^p nodes cover ``num_recipients``, counted one phase at a time."""
+    if num_recipients <= 0:
+        return 0
+    p = 1
+    while (1 << (p + 1)) - 2 < num_recipients:
+        p += 1
+    return p
+
+
 def test_multicast_phase_counts():
     assert multicast_phases(1) == 1
     assert multicast_phases(2) == 1
@@ -206,6 +217,8 @@ def test_multicast_phase_counts():
     assert multicast_phases(6) == 2
     assert multicast_phases(15) == 4  # full broadcast at n=16
     assert multicast_phases(0) == 0
+    for r in range(-2, 5001):
+        assert multicast_phases(r) == multicast_phases_loop(r), r
 
 
 def test_multicast_single_pair():
