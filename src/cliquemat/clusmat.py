@@ -395,18 +395,21 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
 def visited_rows(
     start_vertex: int,
     start_row: np.ndarray,
-    walk: Sequence[tuple[int, int, int]],
+    walk: Sequence[tuple[int, int, int]] | np.ndarray,
     witnesses_by_edge: Mapping[int, Sequence[int]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rebuild every row a tour block visits from its 0/1 start row and the
-    witness lists of the (tail, head, edge) walk; returns the vertices in
-    first-visit order and, for each, its row at that visit as one 0/1
-    float32 row of an array ready for :func:`block_multiply`.
+    witness lists of the (tail, head, edge) walk, given as triples or as a
+    (steps, 3) array; returns the vertices in first-visit order and, for
+    each, its row at that visit as one 0/1 float32 row of an array ready
+    for :func:`block_multiply`.
 
-    The witnesses of each distinct walk edge are XORed into one 0/1 mask (a
-    repeated coordinate cancels, as two flips would); the row after step i
-    is the start row XOR the running XOR of the first i step masks, taken
-    over the whole walk at once.
+    The witnesses of each distinct walk edge make one 0/1 mask: a
+    coordinate listed an odd number of times is set, an even one cancels,
+    as two flips would.  The counts come from one sort of the flat (edge,
+    coordinate) indices.  The row after step i is the start row XOR the
+    running XOR of the first i step masks, taken over the whole walk at
+    once.
     """
     n = len(start_row)
     _, heads, eidx = np.asarray(walk, dtype=np.int64).reshape(-1, 3).T
@@ -416,22 +419,38 @@ def visited_rows(
     if coords.size and (coords.min() < 1 or coords.max() > n):
         bad = coords.min() if coords.min() < 1 else coords.max()
         raise InvalidWitnessError(f"witness {bad} outside 1..{n}")
+    flat = np.repeat(np.arange(edges.size) * n - 1, [c.size for c in lists]) + coords
+    flat, count = np.unique(flat, return_counts=True)
     masks = np.zeros((edges.size, n), dtype=np.uint8)
-    owner = np.repeat(np.arange(edges.size), [c.size for c in lists])
-    np.bitwise_xor.at(masks, (owner, coords - 1), 1)
+    masks.reshape(-1)[flat] = count & 1
     rows = np.vstack([start_row, np.bitwise_xor.accumulate(masks[step_edge], axis=0) ^ start_row])
     vertices = np.concatenate([[start_vertex], heads])
     first = np.sort(np.unique(vertices, return_index=True)[1])
     return vertices[first], rows[first].astype(np.float32)
 
 
+def _walk_array(plan: TraversalPlan) -> np.ndarray:
+    """The plan's tour as one read-only (steps, 3) int64 array of (tail,
+    head, edge index) rows."""
+    tour = plan.traversal
+    walk = np.empty((len(tour), 3), dtype=np.int64)
+    walk[:, :2] = np.reshape(tour.directed_edges, (-1, 2))
+    walk[:, 2] = tour.edge_indices
+    walk.flags.writeable = False
+    return walk
+
+
 def _block_rows(
-    plan: TraversalPlan, b: int, start_row: np.ndarray, witnesses_by_edge: Mapping[int, np.ndarray]
+    plan: TraversalPlan,
+    walk: np.ndarray,
+    b: int,
+    start_row: np.ndarray,
+    witnesses_by_edge: Mapping[int, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`visited_rows` of tour block b."""
-    tour, (lo, hi) = plan.traversal, plan.traversal_blocks[b - 1]
-    walk = [(*tour.directed_edges[i], tour.edge_indices[i]) for i in range(lo, hi)]
-    return visited_rows(plan.block_start_vertex(b), start_row, walk, witnesses_by_edge)
+    """:func:`visited_rows` of tour block b, its walk a slice of the plan's
+    :func:`_walk_array`."""
+    lo, hi = plan.traversal_blocks[b - 1]
+    return visited_rows(plan.block_start_vertex(b), start_row, walk[lo:hi], witnesses_by_edge)
 
 
 def block_multiply(
@@ -707,7 +726,8 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
                 _block_witnesses, n, pl, b, st["distances", row_key], *st["witness_packets"]
             )
             st["block_rows"] = engine.derive(
-                _block_rows, pl, b, starts[start], st["block_witnesses"]
+                _block_rows, pl, engine.derive(_walk_array, pl), b, starts[start],
+                st["block_witnesses"],
             )
             engine.charge_work(node.id, (n + pl.block_costs[b - 1]) * len(cols))
             return st["block_rows"], cols

@@ -9,32 +9,35 @@ receiver.
 
 Protocols put their messages on the wire as batched rounds
 (:meth:`CliqueEngine.exchange`): the messages of one or more consecutive
-rounds as numpy columns (round, src, dst, nbits).  The engine checks
-endpoints, capacity and one message per ordered pair per round for the
-whole batch at once and fills the ledger from sums.  Payloads stay with the
-caller, which checks that each fits its declared width before scheduling
-it.  :meth:`post_message` and :meth:`advance_round` state the same rules one
-message at a time; no protocol uses them, and the tests check
-:meth:`exchange` against them.
+rounds as numpy columns (round, src, dst, nbits).  An exchange is two
+steps.  :meth:`check_exchange` checks endpoints, capacity and one message
+per ordered pair per round for the whole batch at once and returns its
+:class:`Traffic` -- rounds, messages, bits and per-node load, from sums --
+without charging it; :meth:`charge` then charges that traffic.  A caller
+that runs one schedule many times can check it once and charge it on every
+run.  Payloads stay with the caller, which checks that each fits its
+declared width before scheduling it.  :meth:`post_message` and
+:meth:`advance_round` state the same rules one message at a time; no
+protocol uses them, and the tests check :meth:`exchange` against them.
 
-One all-to-all round -- each of S senders sends one message of at most W
-bits to every other node -- has a closed form, :meth:`broadcast`: it
-checks the same rules as :meth:`exchange` on the senders alone (the pair
-rule holds by construction once senders are distinct, since a sender never
-sends to itself) and tallies S(n-1) messages in O(S + n) instead of
-building and sorting n(n-1) message columns.
+An all-to-all round -- each of S senders sends one message of at most W
+bits to every other node -- can be given whole instead of as columns.
+:meth:`check_exchange` checks it on the senders alone (the pair rule holds
+by construction once senders are distinct, since a sender never sends to
+itself) and tallies S(n-1) messages in O(S + n) instead of building and
+sorting n(n-1) message columns.  :meth:`broadcast` is the one-round case.
 
 In ``accounted`` routing mode the primitives charge their published
 analytic round costs instead of scheduling rounds; the engine exposes
 :meth:`charge_rounds` and :meth:`count_messages` for that path.  The ledger
 has one tally, :meth:`count_traffic` (messages, bits and a per-node load of
-messages sent plus received), in which :meth:`exchange` and
+messages sent plus received), in which :meth:`charge` and
 :meth:`count_messages` end and which a closed-form count calls directly.
-:meth:`exchange`, :meth:`broadcast` and :meth:`charge_rounds` credit their
-rounds to a primitive label; :meth:`step` records a block's rounds as one
-protocol step, and a step that raises records nothing.  A call that breaks
-a rule or would pass ``max_rounds`` (:meth:`check_rounds`) raises before it
-charges anything.
+:meth:`charge` (so :meth:`exchange` and :meth:`broadcast`) and
+:meth:`charge_rounds` credit their rounds to a primitive label;
+:meth:`step` records a block's rounds as one protocol step, and a step that
+raises records nothing.  A call that breaks a rule or would pass
+``max_rounds`` (:meth:`check_rounds`) raises before it charges anything.
 
 A node phase is :meth:`local`: it runs once per node, with the storage
 audit scoped to that node, and returns what each node emits, keyed by node
@@ -45,7 +48,8 @@ sees those writes too.
 What nodes derive from the same objects within one protocol step,
 :meth:`derive` computes once and hands to each of them; a node holding
 other objects derives its own.  Ints and ``bytes`` key by value, so routing
-derives each simulated multicast schedule once per step and shape.  A
+derives and checks each simulated multicast schedule once per step and
+shape, and charges its traffic on every call.  A
 derived result lives until the step ends; later steps share through the
 objects nodes keep in storage.  Callers still charge every node its own
 work.
@@ -82,6 +86,17 @@ class Message(NamedTuple):
     dst: int
     payload: int
     nbits: int
+
+
+class Traffic(NamedTuple):
+    """What a checked schedule charges: its rounds, messages and payload
+    bits, and each node's count of messages sent plus received (index 0
+    unused)."""
+
+    rounds: int
+    messages: int
+    bits: int
+    load: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -318,70 +333,100 @@ class CliqueEngine:
             led.work[m.dst] += self.w
         self._buffer = {}
 
-    def exchange(self, rounds: int, rnd, src, dst, nbits, label: str = "") -> None:
-        """Run ``rounds`` consecutive rounds whose messages are given as
+    def exchange(
+        self, rounds: int, rnd, src, dst, nbits, label: str = "", all_to_all=()
+    ) -> None:
+        """:meth:`charge` the :meth:`check_exchange` of a schedule."""
+        self.charge(self.check_exchange(rounds, rnd, src, dst, nbits, all_to_all), label)
+
+    def check_exchange(self, rounds: int, rnd, src, dst, nbits, all_to_all=()) -> Traffic:
+        """Check ``rounds`` consecutive rounds and return their
+        :class:`Traffic` without charging it.  Messages are given as
         columns: message i leaves ``src[i]`` for ``dst[i]`` in round
         ``rnd[i]`` (0-based within the batch) and carries ``nbits[i]``
         payload bits.  A scalar stands for a constant column; columns may
         have any integer dtype.
 
-        Every rule :meth:`post_message` enforces holds for the batch: both
+        Every rule :meth:`post_message` enforces holds for the columns: both
         endpoints in 1..n and distinct, 1 <= nbits <= W, and at most one
         message per ordered pair per round.  Rounds without messages still
-        count.  The rounds are credited to ``label`` when it is nonempty.  A
-        batch that breaks a rule or would pass ``max_rounds`` charges
-        nothing.
+        count.
+
+        ``all_to_all`` lists whole rounds as (round, senders, nbits): each
+        sender sends one message of ``nbits`` bits (a scalar, or one width
+        per sender) to every other node.  Such a round is tallied in closed
+        form, in O(S + n) for S senders, without building its n-1 columns
+        per sender: S(n-1) messages, and a load of S at every node plus n-2
+        more at each sender.  Its rules: a round index in 0..rounds-1 used
+        by no other all-to-all round and by no column message, senders in
+        1..n and distinct (a sender never sends to itself, so the pair rule
+        holds by construction), and 1 <= nbits <= W.
         """
-        self._check_idle()
         rnd, src, dst, nbits = np.broadcast_arrays(*map(np.atleast_1d, (rnd, src, dst, nbits)))
+        n = self.cfg.n
+        load = np.zeros(n + 1, dtype=np.int64)
+        messages, bits = src.size, 0
         if src.size:
             self.check_messages(src, dst, nbits)
             if rnd.min() < 0 or rnd.max() >= rounds:
                 raise ValueError(f"round index outside 0..{rounds - 1}")
             # one int64 (round, src, dst) key per message, built and sorted
             # in place, whatever the columns' integer dtype
-            side = self.cfg.n + 1
-            key = np.multiply(rnd, side, dtype=np.int64)
+            key = np.multiply(rnd, n + 1, dtype=np.int64)
             key += src
-            key *= side
+            key *= n + 1
             key += dst
             key.sort()
             if np.any(key[1:] == key[:-1]):
                 raise PairConflictError(
                     "second message for an ordered pair in one round"
                 )
-        self._add_rounds(rounds)
-        self._tally(src, dst, nbits)
-        self.ledger.add_primitive_rounds(label, rounds)
+            load += np.bincount(src, minlength=n + 1)
+            load += np.bincount(dst, minlength=n + 1)
+            bits = int(nbits.sum())
+        if all_to_all:
+            busy = np.zeros(rounds, dtype=bool)
+            if src.size:
+                busy[rnd] = True
+            for r, senders, widths in all_to_all:
+                if not 0 <= r < rounds:
+                    raise ValueError(f"round index outside 0..{rounds - 1}")
+                if busy[r]:
+                    raise PairConflictError(f"round {r} is all-to-all and carries other messages")
+                busy[r] = True
+                senders, widths = np.broadcast_arrays(
+                    np.asarray(senders, dtype=np.int64).ravel(), widths
+                )
+                if not senders.size:
+                    continue
+                self.check_nodes(senders)
+                self.check_widths(widths)
+                sent = np.bincount(senders, minlength=n + 1)
+                if sent.max() > 1:
+                    raise PairConflictError("second message for an ordered pair in one round")
+                load += senders.size + (n - 2) * sent
+                messages += senders.size * (n - 1)
+                bits += (n - 1) * int(widths.sum())
+            load[0] = 0
+        load.flags.writeable = False  # checked traffic may be charged many times
+        return Traffic(rounds, messages, bits, load)
+
+    def charge(self, traffic: Traffic, label: str = "") -> None:
+        """Charge checked :class:`Traffic`: its rounds, credited to
+        ``label`` when it is nonempty, and its :meth:`count_traffic`.
+        Traffic that would pass ``max_rounds`` charges nothing."""
+        self._check_idle()
+        self._add_rounds(traffic.rounds)
+        self.count_traffic(traffic.messages, traffic.bits, traffic.load)
+        self.ledger.add_primitive_rounds(label, traffic.rounds)
 
     def broadcast(self, senders, nbits, label: str = "") -> None:
-        """One round in which each of ``senders`` sends one message of
-        ``nbits`` payload bits (a scalar, or one width per sender) to every
-        other node.  Charges exactly what :meth:`exchange` charges for the
-        columns ``routing.to_all_others(n, senders)`` in one round, tallied
-        in O(S + n) for S senders without building them: S(n-1) messages,
-        and a load of S at every node plus n-2 more at each sender.
-
-        The same rules hold: senders in 1..n, 1 <= nbits <= W, and distinct
-        senders, which is the one-message-per-pair rule for this round (a
-        sender never sends to itself, so endpoints differ by construction).
-        A round that breaks a rule or would pass ``max_rounds`` charges
-        nothing; a round without senders still counts.
-        """
-        self._check_idle()
-        senders, nbits = np.broadcast_arrays(np.asarray(senders, dtype=np.int64).ravel(), nbits)
-        n = self.cfg.n
-        if senders.size:
-            self.check_nodes(senders)
-            self.check_widths(nbits)
-        sent = np.bincount(senders, minlength=n + 1)
-        if sent.max() > 1:
-            raise PairConflictError("second message for an ordered pair in one round")
-        self._add_rounds(1)
-        load = senders.size + (n - 2) * sent
-        load[0] = 0
-        self.count_traffic(senders.size * (n - 1), (n - 1) * int(nbits.sum()), load)
-        self.ledger.add_primitive_rounds(label, 1)
+        """One all-to-all round (:meth:`check_exchange`): each of
+        ``senders`` sends one message of ``nbits`` payload bits (a scalar,
+        or one width per sender) to every other node.  A round that breaks
+        a rule or would pass ``max_rounds`` charges nothing; a round without
+        senders still counts."""
+        self.exchange(1, 0, (), (), (), label, ((0, senders, nbits),))
 
     def check_messages(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:
         """Per-message rules: distinct endpoints in 1..n, 1 <= nbits <= W."""
@@ -442,16 +487,12 @@ class CliqueEngine:
         )
         if src.size:
             self.check_messages(src, dst, nbits)
-        self._tally(src, dst, nbits)
-
-    def _tally(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:
-        """:meth:`count_traffic` of message columns."""
         side = self.cfg.n + 1
         load = np.bincount(src, minlength=side) + np.bincount(dst, minlength=side)
         self.count_traffic(src.size, nbits.sum(), load)
 
     def count_traffic(self, messages: int, bits: int, load: np.ndarray) -> None:
-        """The one ledger tally, in which :meth:`exchange` and
+        """The one ledger tally, in which :meth:`charge` and
         :meth:`count_messages` end: add ``messages`` messages carrying
         ``bits`` payload bits in all, and charge node i W work for each of
         the ``load[i]`` messages it sent or received (index 0 unused)."""

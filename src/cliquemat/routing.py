@@ -6,7 +6,8 @@ delivered to the caller.  Only the cost rule depends on the engine's
 routing mode:
 
 * ``simulated`` builds every round of the schedule below as message columns
-  (round, src, dst, nbits) and runs them through
+  (round, src, dst, nbits), or, for a round in which every sender messages
+  all n-1 other nodes, as one all-to-all round, and runs them through
   :meth:`CliqueEngine.exchange`, which enforces endpoints, capacity, one
   message per ordered pair per round and ``max_rounds``, and fills the
   ledger;
@@ -20,14 +21,18 @@ routing mode:
   never expands copies or announcements.
 
 The simulated schedules are pure functions of n and the cross columns:
-each appends (rounds, rnd, src, dst, nbits) blocks to a list and touches no
-engine.  :func:`_join` joins a call's blocks into one exchange of int32
-columns, so every call runs its whole schedule through one
-:meth:`CliqueEngine.exchange`, and a schedule that breaks a rule in any
-block charges nothing.  A multicast's joined schedule is derived through
+each appends (rounds, rnd, src, dst, nbits, *all_to_all) blocks to a list
+and touches no engine.  :func:`_join` joins a call's blocks into one
+exchange of int32 columns and all-to-all rounds, so every call runs its
+whole schedule through one :meth:`CliqueEngine.exchange`, and a schedule
+that breaks a rule in any block charges nothing.  A multicast's schedule is
+derived and checked (:meth:`CliqueEngine.check_exchange`) through
 :meth:`CliqueEngine.derive`, keyed by the bytes of the columns it reads, so
-repeats of one multicast shape within a protocol step are scheduled once;
-every call, repeat or not, still runs it through the engine.
+repeats of one multicast shape within a protocol step are scheduled and
+checked once; the step keeps only the checked traffic (an (n+1) load
+vector and three counts), which every call, repeat or not, charges in
+full.  A schedule that fails its check is not kept, so it raises on every
+call.
 
 
 * ``solve_relaxed_idt`` -- every node sends and receives at most n items.
@@ -43,11 +48,11 @@ every call, repeat or not, still runs it through the engine.
   ascending (dst, src) order up to n items per receiver.
 * ``vector_multicast`` -- each sender pushes one vector of at most n chunks
   to a recipient set.  Sub-task m serves every recipient's m-th sender; it
-  opens with two announcement rounds (senders tell recipients their rank,
-  recipients tell every node whose vector they take), then covers the
-  recipients by doubling (groups of 2, 4, 8...), each phase routed as one
-  bounded task with per-holder fan-out 2, its copies in (sender, rank,
-  chunk) order.
+  opens with two announcement rounds (senders tell recipients their rank;
+  then, in one all-to-all round, recipients tell every node whose vector
+  they take), then covers the recipients by doubling (groups of 2, 4,
+  8...), each phase routed as one bounded task with per-holder fan-out 2,
+  its copies in (sender, rank, chunk) order.
 
 Out of band: payloads never enter a schedule, so each primitive checks
 once, on receipt of its batch and under either backend, that every payload
@@ -81,7 +86,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .engine import CliqueEngine
+from .engine import CliqueEngine, Traffic
 from .errors import CapacityError, PreconditionError
 
 # accounted round charge of one relaxed information-distribution task
@@ -167,16 +172,6 @@ def multicast_phases(num_recipients: int) -> int:
     """Doubling phases needed to cover ``num_recipients``: groups of
     2, 4, 8, ... nodes, each member forwarding to at most two."""
     return max(1, num_recipients + 1).bit_length() - 1
-
-
-def to_all_others(n: int, senders) -> tuple[np.ndarray, np.ndarray]:
-    """(src, dst) columns of one message from each sender to every other
-    node, senders in the given order, receivers ascending."""
-    senders = np.asarray(senders, dtype=np.int64)
-    src = np.repeat(senders, n)
-    dst = np.tile(np.arange(1, n + 1), senders.size)
-    keep = src != dst
-    return src[keep], dst[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +288,13 @@ def _bounded_rounds(n: int, src, dst, nbits, blocks: list) -> None:
 def _multicast_schedule(
     n: int, idbits: int, src: bytes, dst: bytes, sub: bytes, chunks: bytes, off: bytes,
     widths: bytes,
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
     """A whole simulated multicast as one exchange from :func:`_join`: per
-    sub-task, two announcement rounds, then every doubling phase.  Takes the
-    int64 bytes of the cross pairs' columns in (sub-task, sender, recipient)
-    order (each pair's sender, recipient, sub-task, chunk count and first
-    flat chunk) and of every sender's chunk widths, flat, so
-    :meth:`CliqueEngine.derive` keys it by value."""
+    sub-task, two announcement rounds, the second one all-to-all, then every
+    doubling phase.  Takes the int64 bytes of the cross pairs' columns in
+    (sub-task, sender, recipient) order (each pair's sender, recipient,
+    sub-task, chunk count and first flat chunk) and of every sender's chunk
+    widths, flat, so :meth:`CliqueEngine.derive` keys it by value."""
     src, dst, sub, chunks, off, widths = (
         np.frombuffer(col, dtype=np.int64) for col in (src, dst, sub, chunks, off, widths)
     )
@@ -310,14 +305,7 @@ def _multicast_schedule(
         t = _run_ranks(s)  # the recipient's rank in its sender's set
         # announcement 1: each sender tells its recipients their rank;
         # announcement 2: each recipient tells everyone whose it is
-        told_src, told_dst = to_all_others(n, v)
-        blocks.append((
-            2,
-            np.repeat([0, 1], [v.size, told_src.size]),
-            np.concatenate([s, told_src]),
-            np.concatenate([v, told_dst]),
-            idbits,
-        ))
+        blocks.append((2, 0, s, v, idbits, (1, v, idbits)))
         for p in range(1, multicast_phases(int(t.max()) + 1) + 1):
             # phase p reaches ranks lo..hi-1; the sender holds the vector
             # in phase 1, later the recipient of rank plo + (t-lo)//2
@@ -331,22 +319,32 @@ def _multicast_schedule(
     return _join(blocks)
 
 
-def _join(blocks: list) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A schedule's blocks as one exchange ``(rounds, rnd, src, dst, nbits)``
-    of read-only int32 columns, each block's rounds after the previous
-    blocks'.  A block is freed as soon as it is copied, so the blocks and
-    the join never both exist whole."""
-    out = np.empty((4, sum(np.broadcast(*block[1:]).size for block in blocks)), dtype=np.int32)
+def _checked_multicast(engine: CliqueEngine, idbits: int, *cols: bytes) -> Traffic:
+    """The engine-checked :class:`Traffic` of :func:`_multicast_schedule`."""
+    return engine.check_exchange(*_multicast_schedule(engine.n, idbits, *cols))
+
+
+def _join(blocks: list) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """A schedule's blocks as one exchange ``(rounds, rnd, src, dst, nbits,
+    all_to_all)`` of int32 columns and all-to-all rounds, each block's
+    rounds after the previous blocks'.  A block is ``(rounds, rnd, src,
+    dst, nbits, *all_to_all)``, its all-to-all rounds given as
+    :meth:`CliqueEngine.check_exchange` takes them and numbered within the
+    block.  A block is freed as soon as it is copied, so the blocks and the
+    join never both exist whole."""
+    out = np.empty((4, sum(np.broadcast(*block[1:5]).size for block in blocks)), dtype=np.int32)
+    everyone = []
     rounds = at = 0
     for i, (r, *cols) in enumerate(blocks):
         blocks[i] = None
+        cols, alls = cols[:4], cols[4:]
         size = np.broadcast(*cols).size
         for row, col in zip(out, cols):
             row[at:at + size] = col
         out[0, at:at + size] += rounds
+        everyone += [(rounds + k, senders, nbits) for k, senders, nbits in alls]
         rounds, at = rounds + r, at + size
-    out.flags.writeable = False  # a derived multicast is shared by every call in the step
-    return rounds, *out
+    return rounds, *out, tuple(everyone)
 
 
 def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) -> int:
@@ -366,8 +364,8 @@ def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) ->
         return charge
     blocks: list = []
     schedule(engine.n, src, dst, nbits, blocks)
-    rounds, *cols = _join(blocks)
-    engine.exchange(rounds, *cols, label=label)
+    rounds, *cols, everyone = _join(blocks)
+    engine.exchange(rounds, *cols, label=label, all_to_all=everyone)
     return rounds
 
 
@@ -479,11 +477,9 @@ def vector_multicast(
         )
         return result, rounds
 
-    # the schedule is derived once per step for each distinct shape; every
-    # call still runs it through the engine's checks and ledger
+    # the schedule is derived and checked once per step for each distinct
+    # shape; every call charges its traffic in full
     cols = (src, dst, sub, chunks, off, widths)
-    rounds, *schedule = engine.derive(
-        _multicast_schedule, n, idbits, *(col.tobytes() for col in cols)
-    )
-    engine.exchange(rounds, *schedule, label="vector_multicast")
-    return result, rounds
+    traffic = engine.derive(_checked_multicast, engine, idbits, *(col.tobytes() for col in cols))
+    engine.charge(traffic, "vector_multicast")
+    return result, traffic.rounds

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from all_to_all import expand, to_all_others
 from cliquemat.engine import CliqueConfig, CliqueEngine, Message
 from cliquemat.errors import (
     CapacityError,
@@ -10,7 +13,6 @@ from cliquemat.errors import (
     MaxRoundsError,
     PairConflictError,
 )
-from cliquemat.routing import to_all_others
 
 
 def make_engine(n=4, **kw):
@@ -254,6 +256,91 @@ def test_broadcast_past_max_rounds_charges_nothing():
     with pytest.raises(MaxRoundsError):
         eng.broadcast([3], 4, label="b")
     assert (eng.ledger.as_dict(), eng.ledger.work) == before
+
+
+
+@st.composite
+def all_to_all_schedules(draw):
+    """(n, w, rounds, columns, all_to_all) of a random legal exchange: some
+    rounds all-to-all, each with distinct senders and a scalar width or
+    one per sender, the others holding distinct ordered pairs."""
+    n = draw(st.integers(2, 12))
+    w = draw(st.sampled_from([8, 64]))
+    rounds = draw(st.integers(1, 5))
+    whole = draw(st.lists(st.integers(0, rounds - 1), unique=True, max_size=rounds))
+    all_to_all = []
+    for r in whole:
+        senders = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+        widths = draw(st.one_of(
+            st.integers(1, w), st.lists(st.integers(1, w), min_size=len(senders), max_size=len(senders))
+        ))
+        all_to_all.append((r, senders, widths))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    cols = []
+    for r in set(range(rounds)) - set(whole):
+        for s, d in draw(st.lists(pairs, unique=True, max_size=2 * n)):
+            cols.append((r, s, d, draw(st.integers(1, w))))
+    columns = [np.array(col, dtype=np.int64) for col in zip(*cols)] or [(), (), (), ()]
+    return n, w, rounds, columns, all_to_all
+
+
+@settings(max_examples=80, deadline=None)
+@given(all_to_all_schedules())
+def test_all_to_all_rounds_charge_what_their_columns_charge(case):
+    """A schedule with all-to-all rounds charges exactly the rounds,
+    messages, bits and per-node work of the same schedule with those rounds
+    expanded into column messages through :meth:`exchange`."""
+    n, w, rounds, columns, all_to_all = case
+    closed, expanded = make_engine(n, w=w), make_engine(n, w=w)
+    traffic = closed.check_exchange(rounds, *columns, all_to_all)
+    assert closed.ledger.as_dict() == make_engine(n, w=w).ledger.as_dict()  # checked, not charged
+    closed.charge(traffic, label="a")
+    expanded.exchange(rounds, *expand(n, *columns, all_to_all), label="a")
+    assert closed.ledger.as_dict() == expanded.ledger.as_dict()
+    assert closed.ledger.work == expanded.ledger.work
+
+
+# (case, columns of a 2-round exchange, its all-to-all rounds, error)
+ALL_TO_ALL_ERRORS = [
+    ("sender twice", [(), (), (), ()], [(0, [2, 5, 2], 4)], PairConflictError),
+    ("sender 0", [(), (), (), ()], [(1, [0, 3], 4)], ValueError),
+    ("sender n+1", [(), (), (), ()], [(0, [3, 9], 4)], ValueError),
+    ("over capacity", [(), (), (), ()], [(0, [1, 2], [4, 65])], CapacityError),
+    ("no bits", [(), (), (), ()], [(0, [1, 2], 0)], CapacityError),
+    ("column from a sender", [[1], [3], [2], [4]], [(1, [3], 4)], PairConflictError),
+    ("column from another node", [[1], [4], [5], [4]], [(1, [3], 4)], PairConflictError),
+    ("two in one round", [(), (), (), ()], [(0, [1], 4), (0, [2], 4)], PairConflictError),
+    ("round 2 of 2", [(), (), (), ()], [(2, [1], 4)], ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "case,columns,all_to_all,error", ALL_TO_ALL_ERRORS, ids=[c[0] for c in ALL_TO_ALL_ERRORS]
+)
+def test_bad_all_to_all_round_raises_and_charges_nothing(case, columns, all_to_all, error):
+    eng = make_engine(8)
+    eng.exchange(1, 0, 1, 2, 4)
+    before = eng.ledger.as_dict(), list(eng.ledger.work)
+    assert _raised(lambda: eng.check_exchange(2, *columns, all_to_all)) is error
+    assert _raised(lambda: eng.exchange(2, *columns, "a", all_to_all)) is error
+    assert (eng.ledger.as_dict(), eng.ledger.work) == before
+
+
+def test_checked_traffic_charges_in_full_every_time():
+    """Traffic checked once is charged in full by every :meth:`charge`, and
+    one that would pass ``max_rounds`` charges nothing."""
+    eng = make_engine(8, max_rounds=5)
+    traffic = eng.check_exchange(2, 0, [1, 2], [2, 1], 4, [(1, [3, 4], 5)])
+    assert traffic.rounds == 2 and traffic.messages == 2 + 2 * 7
+    assert traffic.bits == 8 + 7 * 10
+    for times in (1, 2):
+        eng.charge(traffic, "a")
+        assert (eng.ledger.rounds, eng.ledger.messages) == (2 * times, 16 * times)
+    before = eng.ledger.as_dict(), list(eng.ledger.work)
+    with pytest.raises(MaxRoundsError):
+        eng.charge(traffic, "a")
+    assert (eng.ledger.as_dict(), eng.ledger.work) == before
+    assert eng.ledger.primitive_rounds == {"a": 4}
 
 
 # ---------------------------------------------------------------------------

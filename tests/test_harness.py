@@ -1,6 +1,9 @@
 """Unit tests for generators, verification, and the bench grid."""
 
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,3 +170,35 @@ def test_bench_grid_small():
 def test_bench_grid_empty():
     report = bench_grid([], [2], [0], "accounted", ProjectionConfig())
     assert report == {"rows": [], "fits": {}}
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+PRODUCT_IMPORTS = """
+import sys
+from cliquemat.clusmat import choose_orientation, clusmat_oriented
+from cliquemat.engine import CliqueConfig
+from cliquemat.harness import GenSpec, generate, verify
+from cliquemat.hmst import ProjectionConfig
+A = generate(GenSpec(n=16, clusters=2, spread=3, seed=0))
+B = generate(GenSpec(n=16, kind="uniform", seed=1))
+for routing in ("simulated", "accounted"):
+    cfg = CliqueConfig(n=16, routing=routing)
+    assert verify(clusmat_oriented(A, B, cfg)[0], A, B)
+    assert verify(choose_orientation(A, B, cfg, ProjectionConfig(seed_mode=True))[0], A, B)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_products_do_not_import_numpy_ma():
+    """A product under either backend never imports ``numpy.ma`` (about
+    0.5 MiB of resident memory), which numpy loads lazily, for instance on
+    a plain ``np.unique``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n" + PRODUCT_IMPORTS],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == ["False"]

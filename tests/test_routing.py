@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from all_to_all import expand
 from cliquemat import routing
 from cliquemat.engine import CliqueConfig, CliqueEngine
 from cliquemat.errors import CapacityError, MaxRoundsError, PairConflictError, PreconditionError
@@ -367,18 +368,22 @@ def test_multicast_ledger_matches_expanded_reference_and_shares_vectors(case):
 
 
 class RecordingEngine(CliqueEngine):
-    """An engine that also keeps every exchanged message as a (round, src,
-    dst, nbits) row, its round counted from the start of the run."""
+    """An engine that also keeps every checked message as a (round, src,
+    dst, nbits) row, all-to-all rounds expanded into their messages, its
+    round counted from the start of the run.  Every schedule here is
+    checked once and charged right after, so a check's rounds start where
+    the ledger stands."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.rows = []
 
-    def exchange(self, rounds, rnd, src, dst, nbits, label=""):
+    def check_exchange(self, rounds, rnd, src, dst, nbits, all_to_all=()):
+        traffic = super().check_exchange(rounds, rnd, src, dst, nbits, all_to_all)
         start = self.ledger.rounds
-        super().exchange(rounds, rnd, src, dst, nbits, label)
-        rnd, src, dst, nbits = (a.tolist() for a in np.broadcast_arrays(rnd, src, dst, nbits))
+        rnd, src, dst, nbits = (a.tolist() for a in expand(self.n, rnd, src, dst, nbits, all_to_all))
         self.rows += zip([r + start for r in rnd], src, dst, nbits)
+        return traffic
 
 
 def per_block_multicast(eng, senders):
@@ -449,23 +454,28 @@ def ledger_counts(led):
 
 
 def test_multicast_schedule_is_derived_once_per_step_and_shape(monkeypatch):
-    """Repeats of one multicast shape within a step share one schedule and
-    each charges a full multicast; any other shape, or the next step,
-    schedules afresh."""
-    calls = []
-    schedule = routing._multicast_schedule
+    """Repeats of one multicast shape within a step share one schedule,
+    checked once, and each charges a full multicast; any other shape, or
+    the next step, schedules and checks afresh."""
+    calls, checks = [], []
+    schedule, check = routing._multicast_schedule, CliqueEngine.check_exchange
 
     def spy(*args):
         calls.append(args)
         return schedule(*args)
 
+    def check_spy(self, *args):
+        checks.append(args)
+        return check(self, *args)
+
     monkeypatch.setattr(routing, "_multicast_schedule", spy)
+    monkeypatch.setattr(CliqueEngine, "check_exchange", check_spy)
     n = 8
     vec, recips = ((5, 6), (3, 2), (1, 1)), [2, 3, 5, 8]
     fresh = make_engine(n)
     vector_multicast(fresh, {1: (vec, recips)})
     one = ledger_counts(fresh.ledger)
-    assert len(calls) == 1
+    assert len(calls) == len(checks) == 1
 
     eng = make_engine(n)
     with eng.step("s"):
@@ -473,18 +483,39 @@ def test_multicast_schedule_is_derived_once_per_step_and_shape(monkeypatch):
             before = ledger_counts(eng.ledger)
             vector_multicast(eng, {1: (list(vec), list(recips))})  # equal, not the same
             assert np.array_equal(ledger_counts(eng.ledger) - before, one)
-        assert len(calls) == 2
+        assert len(calls) == len(checks) == 2
         for senders in (
             {1: (((5, 6), (3, 3), (1, 1)), recips)},  # one chunk width
             {1: (vec, [2, 3, 5, 7])},  # one recipient
             {4: (vec, recips)},  # the sender
         ):
             vector_multicast(eng, senders)
-        assert len(calls) == 5
+        assert len(calls) == len(checks) == 5
     assert eng.ledger.primitive_rounds["vector_multicast"] == eng.ledger.rounds
     with eng.step("t"):
         vector_multicast(eng, {1: (vec, recips)})
-    assert len(calls) == 6
+    assert len(calls) == len(checks) == 6
+
+
+def test_multicast_schedule_that_fails_its_check_raises_on_every_call(monkeypatch):
+    """A derived schedule that breaks a rule is not kept: each repeat in the
+    step derives it again, raises again and charges nothing."""
+    calls = []
+    schedule = routing._multicast_schedule
+
+    def clash(*args):
+        calls.append(args)
+        rounds, rnd, src, dst, nbits, everyone = schedule(*args)
+        return rounds, *(np.append(col, col[0]) for col in (rnd, src, dst, nbits)), everyone
+
+    monkeypatch.setattr(routing, "_multicast_schedule", clash)
+    eng = make_engine(8)
+    with eng.step("s"):
+        for times in (1, 2):
+            with pytest.raises(PairConflictError):
+                vector_multicast(eng, {1: (((5, 6),), [2, 3])})
+            assert len(calls) == times
+            assert (eng.ledger.rounds, eng.ledger.messages, eng.ledger.work_total) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
