@@ -1,6 +1,7 @@
 """Bit-level primitives: points of {0,1}^n and their Hamming geometry, the
 wire codec, a local MST oracle, spanning trees that carry their depth-first
-walk (the one Euler tour), and the naive Boolean matrix product.
+walk as one int64 array (the one Euler tour, which a :class:`Traversal`
+holds itself next to its step costs), and the naive Boolean matrix product.
 
 Coordinates and vertex labels are 1-based in every public signature.  A
 point of {0,1}^n, such as a row of a matrix, is a 1-D uint8 array of 0s and
@@ -12,7 +13,7 @@ integers: entry j of a row goes to bit j.  Every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,9 +141,6 @@ class WeightedEdge:
         if self.weight < 0:
             raise ValueError("negative edge weight")
 
-    def key(self) -> tuple[int, int]:
-        return (min(self.u, self.v), max(self.u, self.v))
-
 
 @dataclass(frozen=True)
 class Tree:
@@ -151,16 +149,16 @@ class Tree:
     Edges are normalized to u < v and stored sorted by (u, v); that order is
     the canonical edge numbering: ``edge(i)`` is the i-th edge, 1-based.
     ``adjacency[v]`` holds v's sorted (neighbour, edge index) pairs (index 0
-    is empty), and ``walk`` is the tree's closed depth-first walk from
-    vertex 1, children in ascending order, as (tail, head, edge index)
-    triples: the one Euler tour every plan reads.  Both are nested tuples,
-    since nodes share one tree, and neither takes part in equality.
+    is empty), as nested tuples, and ``walk`` is the tree's closed
+    depth-first walk from vertex 1, children ascending, as one read-only
+    (2(n-1), 3) int64 array of (tail, head, edge index) rows: the one Euler
+    tour every plan reads.  Neither takes part in equality.
     """
 
     n: int
     edges: tuple[WeightedEdge, ...]
     adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, compare=False, repr=False)
-    walk: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
+    walk: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -206,7 +204,8 @@ class Tree:
             raise ValueError("edges contain a cycle")
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "walk", tuple(walk))
+        object.__setattr__(self, "walk", np.array(walk, dtype=np.int64).reshape(-1, 3))
+        self.walk.flags.writeable = False
 
     def edge(self, i: int) -> WeightedEdge:
         """The i-th edge in the canonical numbering, 1-based."""
@@ -216,36 +215,53 @@ class Tree:
         return sum(e.weight for e in self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Traversal:
-    """Closed walk visiting every tree edge once in each direction."""
+    """Closed walk from ``root`` over every tree edge once each way: ``walk``
+    holds its (tail, head, edge index) int64 rows and ``costs`` each step's
+    int64 cost.  Traversals compare by value."""
 
     root: int
-    directed_edges: tuple[tuple[int, int], ...]
-    edge_indices: tuple[int, ...]
-    costs: tuple[int, ...]
+    walk: np.ndarray
+    costs: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Traversal)
+            and self.root == other.root
+            and np.array_equal(self.walk, other.walk)
+            and np.array_equal(self.costs, other.costs)
+        )
 
     def __len__(self) -> int:
-        return len(self.directed_edges)
+        return len(self.walk)
+
+    @property
+    def directed_edges(self) -> np.ndarray:
+        """The (tail, head) columns of the walk, a view."""
+        return self.walk[:, :2]
 
     def validate(self, tree: Tree) -> None:
-        if len(self.directed_edges) != 2 * (tree.n - 1):
+        """Raise ValueError unless this is a closed walk of ``tree`` from
+        ``root`` over each edge once each way, each step naming its edge, with
+        one cost per step."""
+        if self.walk.shape != (2 * (tree.n - 1), 3):
             raise ValueError("traversal must contain 2(n-1) directed edges")
-        if self.directed_edges:
-            if self.directed_edges[0][0] != self.root:
-                raise ValueError("traversal must start at the root")
-            if self.directed_edges[-1][1] != self.root:
-                raise ValueError("traversal must end at the root")
-        seen: dict[tuple[int, int], int] = {}
-        prev_to = self.root
-        for (a, b) in self.directed_edges:
-            if a != prev_to:
-                raise ValueError("consecutive edges must share an endpoint")
-            seen[(a, b)] = seen.get((a, b), 0) + 1
-            prev_to = b
-        for e in tree.edges:
-            if seen.get((e.u, e.v), 0) != 1 or seen.get((e.v, e.u), 0) != 1:
-                raise ValueError("each tree edge must appear once per direction")
+        if self.costs.shape != (len(self.walk),):
+            raise ValueError("traversal must carry one cost per step")
+        if not self.walk.size:
+            return
+        tails, heads, _ = self.walk.T
+        if tails[0] != self.root:
+            raise ValueError("traversal must start at the root")
+        if heads[-1] != self.root:
+            raise ValueError("traversal must end at the root")
+        if np.any(tails[1:] != heads[:-1]):
+            raise ValueError("consecutive edges must share an endpoint")
+        # the tree's own walk takes each (tail, head, edge index) step once
+        steps, tree_steps = (w[np.lexsort(w.T)] for w in (self.walk, tree.walk))
+        if not np.array_equal(steps, tree_steps):
+            raise ValueError("each tree edge must appear once per direction, named by its index")
 
 
 def local_mst(H) -> Tree:
@@ -300,12 +316,13 @@ def local_mst(H) -> Tree:
     return Tree(n, tuple(picked))
 
 
-def euler_traversal(tree: Tree, edge_costs: Mapping[int, int]) -> Traversal:
-    """``tree.walk`` as a :class:`Traversal` from vertex 1; each directed
-    edge costs ``edge_costs`` of its 1-based edge index."""
-    indices = tuple(idx for _, _, idx in tree.walk)
-    costs = tuple(int(edge_costs[i]) for i in indices)
-    return Traversal(1, tuple((a, b) for a, b, _ in tree.walk), indices, costs)
+def euler_traversal(tree: Tree, edge_costs: np.ndarray) -> Traversal:
+    """``tree.walk`` itself as a :class:`Traversal` from vertex 1; each step
+    costs entry e of ``edge_costs``, an (n,) array whose entry e is edge e's
+    cost (entry 0 unused), for the edge e it crosses."""
+    costs = np.asarray(edge_costs, dtype=np.int64)[tree.walk[:, 2]]
+    costs.flags.writeable = False
+    return Traversal(1, tree.walk, costs)
 
 
 def boolean_product_naive(A: BooleanMatrix, B: BooleanMatrix) -> BooleanMatrix:

@@ -15,9 +15,11 @@ rows come from one prefix XOR of per-edge masks (:func:`visited_rows`), and
 the pair nodes of one tour block, which hold the same derived rows, are
 multiplied in one product over their stacked columns (one
 :func:`block_multiply` per tour block); each node gets the entries of its
-own columns and is charged its own work.  Bulk
-routing tasks are built and read as numpy columns, and steps 3 and 5
-broadcast through the engine's closed-form all-to-all round.
+own columns and is charged its own work.  Bulk routing tasks are built
+and read as numpy columns; steps 3 and 5 broadcast through the engine's
+closed-form all-to-all round.  From step 5 on, the plan reads one array per
+tree for the tour (the tree's walk, which each tour block slices) and one
+for the distances (entry e is edge e's distance).
 
 Inputs come from node storage only: the entry points put row i of A and
 row i of B at node i once, and every step after that reads what the nodes
@@ -112,14 +114,13 @@ class TraversalPlan:
     def num_blocks(self) -> int:
         return len(self.traversal_blocks)
 
-    def block_edge_ids(self, b: int) -> list[int]:
+    def block_edge_ids(self, b: int) -> np.ndarray:
         """Sorted distinct undirected edge ids covered by tour block b."""
         lo, hi = self.traversal_blocks[b - 1]
-        return sorted({self.traversal.edge_indices[i] for i in range(lo, hi)})
+        return np.flatnonzero(np.bincount(self.traversal.walk[lo:hi, 2]))
 
     def block_start_vertex(self, b: int) -> int:
-        lo, _ = self.traversal_blocks[b - 1]
-        return self.traversal.directed_edges[lo][0]
+        return int(self.traversal.walk[self.traversal_blocks[b - 1][0], 0])
 
     def blocks_by_start_vertex(self) -> dict[int, list[int]]:
         """Start vertex -> the tour blocks that start there, ascending."""
@@ -146,8 +147,8 @@ def plan_blocks(traversal: Traversal, n: int) -> TraversalPlan:
     predecessor.  t is clamped to floor(sqrt(n+1)) so that floor(n/t)
     column blocks of size at most t+1 can always cover all n columns.
     """
-    m = len(traversal.directed_edges)
-    edge_costs = traversal.costs
+    m = len(traversal)
+    edge_costs = traversal.costs.tolist()
     if any(c < 0 for c in edge_costs):
         raise InvalidPlanError("edge costs must be nonnegative")
     total = sum(edge_costs)
@@ -242,7 +243,7 @@ class WitnessSchedule:
 def witness_schedules(
     plan: TraversalPlan,
     assignment: BlockAssignment,
-    distances: Mapping[int, int],
+    distances: np.ndarray,
     n: int,
 ) -> dict[int, WitnessSchedule]:
     """Derive, for every tour block, the representative interval (the
@@ -253,18 +254,16 @@ def witness_schedules(
     for b in range(1, plan.num_blocks + 1):
         reps = assignment.nodes_for_block(b)
         edge_ids = plan.block_edge_ids(b)
-        offsets: dict[int, int] = {}
-        pos = 0
-        for e in edge_ids:
-            offsets[e] = pos
-            pos += distances[e]
+        counts = distances[edge_ids]
+        offsets = dict(zip(edge_ids.tolist(), (np.cumsum(counts) - counts).tolist()))
+        pos = int(counts.sum())
         capacity = max(2 * n, math.ceil(pos / len(reps))) if pos else 2 * n
         out[b] = WitnessSchedule(reps, capacity, offsets, pos)
     return out
 
 
 def _derive_plan(
-    tree: Tree, distances: Mapping[int, int], n: int
+    tree: Tree, distances: np.ndarray, n: int
 ) -> tuple[TraversalPlan, BlockAssignment, dict[int, WitnessSchedule]]:
     """Step 6 at any node: the tour of the tree under the edge distances,
     its blocks, the pair assignment and the witness schedules."""
@@ -278,7 +277,7 @@ def _derive_plan(
 # ---------------------------------------------------------------------------
 
 def _block_witnesses(
-    n: int, plan: TraversalPlan, b: int, distances: Mapping[int, int], *arrays: np.ndarray
+    n: int, plan: TraversalPlan, b: int, distances: np.ndarray, *arrays: np.ndarray
 ) -> dict[int, np.ndarray]:
     """Tour block b's witness lists (edge -> ascending coordinates) from the
     packet arrays one of its pair nodes received in step 8; step 10 decodes
@@ -287,17 +286,16 @@ def _block_witnesses(
     packets = np.sort(np.concatenate([np.zeros(0, np.int64), *arrays]))
     edges, coords = packets >> cb, (packets & ((1 << cb) - 1)) + 1
     block_edges = plan.block_edge_ids(b)
-    lo = np.searchsorted(edges, block_edges, "left").tolist()
-    hi = np.searchsorted(edges, block_edges, "right").tolist()
-    by_edge: dict[int, np.ndarray] = {}
-    for e, a, z in zip(block_edges, lo, hi):
-        if z - a != distances[e]:
-            raise SchedulingError(
-                f"a pair node of block {b} holds {z - a} witnesses of edge {e}, "
-                f"expected {distances[e]}"
-            )
-        by_edge[e] = coords[a:z]
-    return by_edge
+    lo = np.searchsorted(edges, block_edges, "left")
+    hi = np.searchsorted(edges, block_edges, "right")
+    short = np.flatnonzero(hi - lo != distances[block_edges])
+    if short.size:
+        e = block_edges[short[0]]
+        raise SchedulingError(
+            f"a pair node of block {b} holds {hi[short[0]] - lo[short[0]]} witnesses "
+            f"of edge {e}, expected {distances[e]}"
+        )
+    return {e: coords[a:z] for e, a, z in zip(block_edges.tolist(), lo.tolist(), hi.tolist())}
 
 
 def distribute_witnesses(engine: CliqueEngine) -> None:
@@ -395,12 +393,12 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
 def visited_rows(
     start_vertex: int,
     start_row: np.ndarray,
-    walk: Sequence[tuple[int, int, int]] | np.ndarray,
+    walk: np.ndarray,
     witnesses_by_edge: Mapping[int, Sequence[int]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rebuild every row a tour block visits from its 0/1 start row and the
-    witness lists of the (tail, head, edge) walk, given as triples or as a
-    (steps, 3) array; returns the vertices in first-visit order and, for
+    witness lists of its walk, a (steps, 3) int64 array of (tail, head,
+    edge) rows; returns the vertices in first-visit order and, for
     each, its row at that visit as one 0/1 float32 row of an array ready
     for :func:`block_multiply`.
 
@@ -412,7 +410,7 @@ def visited_rows(
     once.
     """
     n = len(start_row)
-    _, heads, eidx = np.asarray(walk, dtype=np.int64).reshape(-1, 3).T
+    _, heads, eidx = walk.T
     edges, step_edge = np.unique(eidx, return_inverse=True)
     lists = [np.asarray(witnesses_by_edge.get(e, ()), dtype=np.int64) for e in edges.tolist()]
     coords = np.concatenate([np.zeros(0, np.int64), *lists])
@@ -429,28 +427,16 @@ def visited_rows(
     return vertices[first], rows[first].astype(np.float32)
 
 
-def _walk_array(plan: TraversalPlan) -> np.ndarray:
-    """The plan's tour as one read-only (steps, 3) int64 array of (tail,
-    head, edge index) rows."""
-    tour = plan.traversal
-    walk = np.empty((len(tour), 3), dtype=np.int64)
-    walk[:, :2] = np.reshape(tour.directed_edges, (-1, 2))
-    walk[:, 2] = tour.edge_indices
-    walk.flags.writeable = False
-    return walk
-
-
 def _block_rows(
     plan: TraversalPlan,
-    walk: np.ndarray,
     b: int,
     start_row: np.ndarray,
     witnesses_by_edge: Mapping[int, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`visited_rows` of tour block b, its walk a slice of the plan's
-    :func:`_walk_array`."""
+    """:func:`visited_rows` of tour block b, its walk a slice of the tour's."""
     lo, hi = plan.traversal_blocks[b - 1]
-    return visited_rows(plan.block_start_vertex(b), start_row, walk[lo:hi], witnesses_by_edge)
+    walk = plan.traversal.walk[lo:hi]
+    return visited_rows(plan.block_start_vertex(b), start_row, walk, witnesses_by_edge)
 
 
 def block_multiply(
@@ -526,13 +512,11 @@ def _broadcast_tree(engine: CliqueEngine, row_key: str) -> None:
     cb = count_bits(n)
     with engine.as_node(1) as node1:
         tree: Tree = node1.storage["hmst_tree", row_key]
-    pairs = [(e.u, e.v) for e in tree.edges]
 
-    engine.check_rounds(2)
-    engine.exchange(1, 0, 1, np.arange(2, len(pairs) + 1), 2 * cb, label="step3")
-    engine.broadcast(np.arange(1, len(pairs) + 1), 2 * cb, label="step3")
+    # round 0: node 1 to nodes 2..n-1; round 1: nodes 1..n-1 to all others
+    engine.exchange(2, 0, 1, np.arange(2, n), 2 * cb, "step3", ((1, np.arange(1, n), 2 * cb),))
 
-    structure = Tree(n, tuple(WeightedEdge(u, v, 0) for u, v in pairs))
+    structure = Tree(n, tuple(WeightedEdge(e.u, e.v, 0) for e in tree.edges))
     engine.put(("tree", row_key), dict.fromkeys(engine.node_ids(), structure))
 
 
@@ -584,8 +568,9 @@ def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str) -> None:
 def _owner_distance_broadcast(engine: CliqueEngine, row_key: str) -> None:
     """Edge owner j computes the Hamming distance of its edge's endpoint
     rows (ceil(n/W) work) and broadcasts it to every node; all nodes store
-    the full distance table under ``("distances", row_key)``.  The
-    distances sum to the tree's true cost."""
+    the full distance table under ``("distances", row_key)``, one read-only
+    (n,) int64 array whose entry e is edge e's distance (entry 0 unused).
+    The distances sum to the tree's true cost."""
     n = engine.n
     cb = count_bits(n)
 
@@ -600,7 +585,9 @@ def _owner_distance_broadcast(engine: CliqueEngine, row_key: str) -> None:
 
     table = engine.local(compute)
     engine.broadcast(list(table), cb, label="step5")
-    engine.put(("distances", row_key), dict.fromkeys(engine.node_ids(), table))
+    distances = np.array([0, *table.values()], dtype=np.int64)
+    distances.flags.writeable = False
+    engine.put(("distances", row_key), dict.fromkeys(engine.node_ids(), distances))
 
 
 def _gather(engine: CliqueEngine) -> BooleanMatrix:
@@ -726,8 +713,7 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
                 _block_witnesses, n, pl, b, st["distances", row_key], *st["witness_packets"]
             )
             st["block_rows"] = engine.derive(
-                _block_rows, pl, engine.derive(_walk_array, pl), b, starts[start],
-                st["block_witnesses"],
+                _block_rows, pl, b, starts[start], st["block_witnesses"]
             )
             engine.charge_work(node.id, (n + pl.block_costs[b - 1]) * len(cols))
             return st["block_rows"], cols
@@ -829,7 +815,7 @@ def choose_orientation(
 
         def choose(node):
             st = node.storage
-            costs = {side: sum(st["distances", r].values()) for side, (r, _) in _ROLES.items()}
+            costs = {side: int(st["distances", r].sum()) for side, (r, _) in _ROLES.items()}
             st["orient_costs"] = costs
             st["orientation"] = "ba" if costs["ba"] < costs["ab"] else "ab"
 

@@ -37,7 +37,7 @@ messages sent plus received), in which :meth:`charge` and
 :meth:`charge_rounds` credit their rounds to a primitive label;
 :meth:`step` records a block's rounds as one protocol step, and a step that
 raises records nothing.  A call that breaks a rule or would pass
-``max_rounds`` (:meth:`check_rounds`) raises before it charges anything.
+``max_rounds`` raises before it charges anything.
 
 A node phase is :meth:`local`: it runs once per node, with the storage
 audit scoped to that node, and returns what each node emits, keyed by node
@@ -454,16 +454,13 @@ class CliqueEngine:
                 f"payload of {int(nbits.max())} bits exceeds capacity W={self.w}"
             )
 
-    def check_rounds(self, rounds: int) -> None:
-        """Raise :class:`MaxRoundsError` if ``rounds`` more rounds would
-        pass ``max_rounds``; charges nothing either way."""
+    def _add_rounds(self, rounds: int) -> None:
+        """Add ``rounds`` rounds, or raise :class:`MaxRoundsError` and charge
+        nothing if they would pass ``max_rounds``."""
         if self.ledger.rounds + rounds > self.cfg.max_rounds:
             raise MaxRoundsError(
                 f"exceeded max_rounds={self.cfg.max_rounds} without terminating"
             )
-
-    def _add_rounds(self, rounds: int) -> None:
-        self.check_rounds(rounds)
         self.ledger.rounds += rounds
 
     def charge_work(self, node_id: int, units: int) -> None:

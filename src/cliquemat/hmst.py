@@ -231,9 +231,8 @@ def run_hmst(
                 seed64 = int(node1.rng.integers(0, 1 << 63))
             # node 1 sends the seed's chunks to every other node, one per round
             _, widths = pack_chunks(unpack_rows([seed64], 64), w)
-            engine.check_rounds(len(widths))
-            for nbits in widths:
-                engine.broadcast([1], nbits, label="seed_bcast")
+            rounds = [(r, [1], nbits) for r, nbits in enumerate(widths)]
+            engine.exchange(len(widths), 0, (), (), (), "seed_bcast", rounds)
 
             def regen(node):
                 node.storage["family"] = engine.derive(ProjectionFamily.from_seed, n, k, seed64)

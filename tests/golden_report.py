@@ -7,6 +7,10 @@ prints one line per golden cell of ``tests/test_golden.py`` (every cell when
 none is named): the ledger's rounds, messages, bits and work_total, its
 digest prefix, the recorded prefix, and ``match`` or ``MOVED``.  Run it at
 two commits and diff the output.  It writes and re-records nothing.
+
+It exits 0 when every cell matches, 1 when any cell prints ``MOVED`` and 2
+for an unknown cell, so a change that must leave every ledger as it was
+gates on this one command.
 """
 
 import sys
@@ -34,9 +38,12 @@ def main(cells: list[str]) -> int:
     if unknown:
         print(f"unknown golden cell: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    moved = False
     for cell in cells or known:
-        print(report_line(cell), flush=True)
-    return 0
+        line = report_line(cell)
+        print(line, flush=True)
+        moved |= line.endswith("MOVED")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cliquemat.bits import (
     BooleanMatrix,
+    Traversal,
     Tree,
     WeightedEdge,
     boolean_product_naive,
@@ -25,7 +26,7 @@ from cliquemat.bits import (
 )
 from field_codec import pack_fields, unpack_fields
 from rows import row01, row_of, rows_of
-from tree_reference import euler_walk, is_spanning_tree
+from tree_reference import edge_weights, euler_walk, is_spanning_tree, walk_triples
 from cliquemat.harness import GenSpec, exact_mst_cost, gen_clustered, gen_uniform
 from cliquemat.errors import (
     DimensionError,
@@ -373,8 +374,8 @@ def test_tree_accepts_exactly_the_spanning_trees(n):
             continue
         t = Tree(n, mixed_edges(chosen))
         accepted += 1
-        assert list(t.walk) == euler_walk(t)
-        euler_traversal(t, {i: 1 for i in range(1, n)}).validate(t)
+        assert walk_triples(t) == euler_walk(t)
+        euler_traversal(t, np.ones(n, dtype=np.int64)).validate(t)
     assert accepted == (n ** (n - 2) if n > 1 else 1)  # Cayley's formula
 
 
@@ -390,15 +391,15 @@ def random_tree_pairs(n, rng):
 @pytest.mark.parametrize("n, seed", [(17, 0), (17, 1), (300, 2), (300, 3)])
 def test_tree_walk_matches_reference_on_random_trees(n, seed):
     t = Tree(n, mixed_edges(random_tree_pairs(n, random.Random(seed))))
-    assert list(t.walk) == euler_walk(t)
+    assert walk_triples(t) == euler_walk(t)
     assert len(t.walk) == 2 * (n - 1)
 
 
 def test_tree_walks_a_long_path_without_recursion():
     n = 5000
     t = Tree(n, mixed_edges([(v, v + 1) for v in range(1, n)]))
-    assert list(t.walk) == euler_walk(t)
-    assert t.walk[n - 2] == (n - 1, n, n - 1) and t.walk[-1] == (2, 1, 1)
+    assert walk_triples(t) == euler_walk(t)
+    assert t.walk[n - 2].tolist() == [n - 1, n, n - 1] and t.walk[-1].tolist() == [2, 1, 1]
 
 
 def test_tree_equality_ignores_edge_order():
@@ -416,7 +417,7 @@ def test_tree_adjacency_and_walk_are_read_only():
         t.adjacency[1] = ()
     with pytest.raises(TypeError):
         t.adjacency[2][0] = (3, 2)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="read-only"):
         t.walk[0] = (1, 3, 2)
 
 
@@ -426,22 +427,22 @@ def test_tree_adjacency_and_walk_are_read_only():
 
 def test_euler_star():
     t = Tree(3, (WeightedEdge(1, 2, 1), WeightedEdge(1, 3, 1)))
-    tr = euler_traversal(t, {i: e.weight for i, e in enumerate(t.edges, 1)})
-    assert tr.directed_edges == ((1, 2), (2, 1), (1, 3), (3, 1))
+    tr = euler_traversal(t, edge_weights(t))
+    assert tr.directed_edges.tolist() == [[1, 2], [2, 1], [1, 3], [3, 1]]
     tr.validate(t)
 
 
 def test_euler_single_edge():
     t = Tree(2, (WeightedEdge(1, 2, 3),))
-    tr = euler_traversal(t, {i: e.weight for i, e in enumerate(t.edges, 1)})
-    assert tr.directed_edges == ((1, 2), (2, 1))
-    assert tr.costs == (3, 3)
+    tr = euler_traversal(t, edge_weights(t))
+    assert tr.directed_edges.tolist() == [[1, 2], [2, 1]]
+    assert tr.costs.tolist() == [3, 3]
 
 
 def test_euler_path():
     t = Tree(3, (WeightedEdge(1, 2, 1), WeightedEdge(2, 3, 1)))
-    tr = euler_traversal(t, {i: e.weight for i, e in enumerate(t.edges, 1)})
-    assert tr.directed_edges == ((1, 2), (2, 3), (3, 2), (2, 1))
+    tr = euler_traversal(t, edge_weights(t))
+    assert tr.directed_edges.tolist() == [[1, 2], [2, 3], [3, 2], [2, 1]]
 
 
 def test_euler_visits_all_and_costs_override():
@@ -452,13 +453,34 @@ def test_euler_visits_all_and_costs_override():
         for j in range(i + 1, n):
             H[i][j] = H[j][i] = rng.randrange(1, 20)
     t = local_mst(H)
-    tr = euler_traversal(t, {i: e.weight for i, e in enumerate(t.edges, 1)})
+    tr = euler_traversal(t, edge_weights(t))
     tr.validate(t)
     seen = {tr.root} | {b for _, b in tr.directed_edges}
     assert seen == set(range(1, n + 1))
-    override = {i: 7 for i in range(1, n)}
+    override = np.full(n, 7)
     tr2 = euler_traversal(t, edge_costs=override)
     assert sum(tr2.costs) == 7 * 2 * (n - 1)
+
+
+@pytest.mark.parametrize("fault, match", [
+    ("swap", "named by its index"),
+    ("short", "one cost per step"),
+])
+def test_traversal_validate_rejects_steps_off_their_edges(fault, match):
+    """Swapping the edge indices of the first two steps keeps every edge
+    crossed once in each direction, yet each of the two steps names the
+    other's edge; a tour one cost short is rejected too."""
+    t = Tree(4, (WeightedEdge(1, 2, 1), WeightedEdge(2, 3, 2), WeightedEdge(2, 4, 3)))
+    tr = euler_traversal(t, edge_weights(t))
+    tr.validate(t)
+    walk, costs = tr.walk.copy(), tr.costs
+    if fault == "swap":
+        walk[[0, 1], 2] = walk[[1, 0], 2]
+        assert walk[:2].tolist() == [[1, 2, 2], [2, 3, 1]]
+    else:
+        costs = costs[:-1]
+    with pytest.raises(ValueError, match=match):
+        Traversal(tr.root, walk, costs).validate(t)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from cliquemat.clusmat import (
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import InvalidPlanError, InvalidWitnessError
 from rows import row01, row_of, value_of
+from tree_reference import edge_weights
 
 
 def identity(n):
@@ -37,7 +38,14 @@ def identity(n):
 
 def make_traversal(pairs, costs, indices=None):
     indices = indices or tuple(1 for _ in pairs)
-    return Traversal(pairs[0][0], tuple(pairs), tuple(indices), tuple(costs))
+    walk = [(u, v, e) for (u, v), e in zip(pairs, indices)]
+    return Traversal(pairs[0][0], walk_array(walk), np.array(costs, dtype=np.int64))
+
+
+def walk_array(triples):
+    """(tail, head, edge index) triples as the (steps, 3) int64 walk array
+    :func:`visited_rows` takes."""
+    return np.array(triples, dtype=np.int64).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +76,7 @@ def test_plan_blocks_zero_cost():
 def test_plan_blocks_column_arithmetic():
     # n=100, M=300 -> t=2, 50 column blocks of size 2
     tree = Tree(3, (WeightedEdge(1, 2, 75), WeightedEdge(2, 3, 75)))
-    tour = euler_traversal(tree, {i: e.weight for i, e in enumerate(tree.edges, 1)})
+    tour = euler_traversal(tree, edge_weights(tree))
     plan = plan_blocks(tour, n=100)
     assert plan.total_cost == 300
     assert plan.t == 2
@@ -83,7 +91,7 @@ def test_plan_blocks_block_invariants():
             WeightedEdge(rng.randrange(1, i), i, 0) for i in range(2, n + 1)
         )
         tree = Tree(n, tree_edges)
-        costs_by_edge = {i: rng.randrange(0, n + 1) for i in range(1, n)}
+        costs_by_edge = np.array([0] + [rng.randrange(0, n + 1) for i in range(1, n)])
         tour = euler_traversal(tree, edge_costs=costs_by_edge)
         plan = plan_blocks(tour, n)
         M, t = plan.total_cost, plan.t
@@ -170,7 +178,7 @@ def test_assignment_lookups_match_scans(n):
         tree = Tree(n, tuple(
             WeightedEdge(rng.randrange(1, i), i, 0) for i in range(2, n + 1)
         ))
-        costs = {i: rng.randrange(0, scale + 1) for i in range(1, n)}
+        costs = np.array([0] + [rng.randrange(0, scale + 1) for i in range(1, n)])
         tour = euler_traversal(tree, edge_costs=costs)
         plan = plan_blocks(tour, n)
         ts.add(plan.t)
@@ -203,7 +211,7 @@ def test_assignment_lookups_match_scans(n):
 def block_rows(start_vertex, start_row, walk, wit, columns):
     """The (vertex, column, bit) columns of :func:`block_multiply` on the
     rows :func:`visited_rows` rebuilds, as a list of rows."""
-    rows = visited_rows(start_vertex, start_row, walk, wit)
+    rows = visited_rows(start_vertex, start_row, walk_array(walk), wit)
     return list(zip(*(c.tolist() for c in block_multiply(*rows, columns))))
 
 
@@ -308,7 +316,7 @@ def walked_rows(start_vertex, start_row, walk, wit):
 
 
 def check_visited_rows(start_vertex, start_row, walk, wit):
-    vertices, rows = visited_rows(start_vertex, start_row, walk, wit)
+    vertices, rows = visited_rows(start_vertex, start_row, walk_array(walk), wit)
     expect_vertices, expect_rows = walked_rows(start_vertex, start_row, walk, wit)
     assert vertices.tolist() == expect_vertices
     assert rows.dtype == np.float32
@@ -342,13 +350,13 @@ def test_visited_rows_edge_cases(n):
     row = row_of((1 << n) - 1, n)
     # an empty walk is the start row alone
     check_visited_rows(4, row, [], {})
-    vertices, rows = visited_rows(4, row, [], {})
+    vertices, rows = visited_rows(4, row, walk_array([]), {})
     assert vertices.tolist() == [4] and pack_rows(rows) == [value_of(row)]
     # a coordinate repeated in one list: an odd count flips, an even one
     # cancels; an edge without a list flips nothing
     walk = [(1, 2, 1), (2, 3, 2), (3, 2, 2), (2, 4, 3)]
     check_visited_rows(1, row, walk, {1: [n, n, n], 2: [1, 1]})
-    _, rows = visited_rows(1, row, walk, {1: [n, n, n], 2: [1, 1]})
+    _, rows = visited_rows(1, row, walk_array(walk), {1: [n, n, n], 2: [1, 1]})
     flipped = value_of(row) ^ (1 << (n - 1))
     assert pack_rows(rows) == [value_of(row), flipped, flipped, flipped]
 
@@ -364,17 +372,14 @@ def test_block_multiply_matches_naive_on_tour_blocks():
         tree = Tree(n, tuple(
             WeightedEdge(rng.randrange(1, i), i, 0) for i in range(2, n + 1)
         ))
-        tour = euler_traversal(tree, {i: e.weight for i, e in enumerate(tree.edges, 1)})
+        tour = euler_traversal(tree, edge_weights(tree))
         wit = {
             idx: witnesses(rows[e.u - 1], rows[e.v - 1])
             for idx, e in enumerate(tree.edges, start=1)
         }
         lo = rng.randrange(len(tour.directed_edges))
         hi = rng.randrange(lo, len(tour.directed_edges) + 1)
-        walk = [
-            (u, v, tour.edge_indices[i])
-            for i, (u, v) in enumerate(tour.directed_edges[lo:hi], start=lo)
-        ]
+        walk = [tuple(step) for step in tour.walk[lo:hi].tolist()]
         start = tour.directed_edges[lo][0]
         cols = [
             (j, row_of(rng.getrandbits(n), n))
@@ -756,8 +761,8 @@ def test_orientation_choice_keeps_both_candidates(monkeypatch):
     (engine,) = engines
     for i in engine.node_ids():
         st = engine.node(i).storage
-        assert sum(st["distances", "a_row"].values()) == info["cost_a"]
-        assert sum(st["distances", "b_col"].values()) == info["cost_b"]
+        assert st["distances", "a_row"].sum() == info["cost_a"]
+        assert st["distances", "b_col"].sum() == info["cost_b"]
         plan, assignment, schedules = fresh_plan(st["tree", "b_col"], st["distances", "b_col"], n)
         assert st["plan"] == plan
         assert st["assignment"] == assignment
@@ -803,6 +808,60 @@ def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
         engine.node(i).storage["plan"] is shared["plan"]
         for i in engine.node_ids() if i != other
     )
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_one_tour_array_from_step5_to_step10(routing, monkeypatch):
+    """Every node stores step 5's distances as one read-only (n,) array;
+    the tour holds the tree's read-only walk itself, and every walk step 10
+    rebuilds rows from is a slice of it.  What the plan, the summary and
+    the ledger report are Python ints, as the JSON ledger digest and the
+    run report need."""
+    from cliquemat import clusmat
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+
+    n = 16
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=7))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.3, seed=8))
+    engines, walks = [], []
+    rebuild = clusmat.visited_rows
+
+    class KeptEngine(CliqueEngine):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            engines.append(self)
+
+    def spy(start_vertex, start_row, walk, wit):
+        walks.append(walk)
+        return rebuild(start_vertex, start_row, walk, wit)
+
+    monkeypatch.setattr(clusmat, "CliqueEngine", KeptEngine)
+    monkeypatch.setattr(clusmat, "visited_rows", spy)
+    C, orientation, ledger, info = choose_orientation(
+        A, B, CliqueConfig(n=n, routing=routing, seed=7)
+    )
+    assert C == boolean_product_naive(A, B)
+    (engine,) = engines
+    for i in engine.node_ids():
+        for row_key in ("a_row", "b_col"):
+            d = engine.node(i).storage["distances", row_key]
+            assert type(d) is np.ndarray and d.dtype == np.int64 and d.shape == (n,)
+            assert not d.flags.writeable
+    st = engine.node(1).storage
+    row_key = "a_row" if orientation == "ab" else "b_col"
+    tree, plan = st["tree", row_key], st["plan"]
+    tour = euler_traversal(tree, st["distances", row_key])
+    assert tour.walk is tree.walk and plan.traversal.walk is tree.walk
+    assert plan.traversal == tour
+    assert not tour.walk.flags.writeable and not tour.costs.flags.writeable
+    assert len(walks) == plan.num_blocks
+    assert all(np.shares_memory(walk, plan.traversal.walk) for walk in walks)
+    reported = [
+        plan.total_cost, plan.t, *plan.block_costs,
+        info["m_realized"], info["cost_a"], info["cost_b"], *ledger.work,
+    ]
+    assert [type(x) for x in reported] == [int] * len(reported)
 
 
 # ---------------------------------------------------------------------------

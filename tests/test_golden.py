@@ -142,3 +142,17 @@ def test_golden_report_prints_one_line_per_cell():
         f"{cell} rounds={ledger.rounds} messages={ledger.messages} bits={ledger.bits} "
         f"work_total={ledger.work_total} ledger={recorded} recorded={recorded} match"
     ]
+
+
+def test_golden_report_exit_code_gates_on_moved_ledgers(monkeypatch):
+    """``golden_report.main`` returns 0 when every named cell matches, 1
+    when one prints MOVED (here a recorded digest no run gives) and 2 for
+    an unknown cell."""
+    import golden_report
+
+    cell = "16-accounted-ship-ab"
+    assert golden_report.main([cell]) == 0
+    product, _, chosen = GOLDEN[cell]
+    monkeypatch.setitem(GOLDEN, cell, (product, "0" * 16, chosen))
+    assert golden_report.main([cell]) == 1
+    assert golden_report.main(["no-such-cell"]) == 2

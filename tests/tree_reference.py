@@ -2,7 +2,10 @@
 union-find that tells whether n-1 edges form a spanning tree of 1..n, and
 the depth-first closed tour over an adjacency dict.  ``Tree`` must accept
 exactly the edge sets the union-find calls spanning trees, and its ``walk``
-must be the tour given here."""
+must be the tour given here.  Two helpers put a tree's edge weights and its
+walk in the forms the tests pass and compare."""
+
+import numpy as np
 
 
 class UnionFind:
@@ -48,6 +51,17 @@ def adjacency(tree) -> dict[int, list[tuple[int, int]]]:
     for v in adj:
         adj[v].sort()
     return adj
+
+
+def edge_weights(tree) -> np.ndarray:
+    """The (n,) distance array whose entry e is edge e's weight (entry 0
+    unused), the form step 5 hands to ``euler_traversal``."""
+    return np.array([0, *(e.weight for e in tree.edges)], dtype=np.int64)
+
+
+def walk_triples(tree) -> list[tuple[int, int, int]]:
+    """The rows of ``tree.walk`` as (tail, head, edge index) tuples."""
+    return [tuple(step) for step in tree.walk.tolist()]
 
 
 def euler_walk(tree) -> list[tuple[int, int, int]]:
