@@ -12,6 +12,7 @@ integers: entry j of a row goes to bit j.  Every function is pure.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -211,6 +212,14 @@ class Tree:
         """The i-th edge in the canonical numbering, 1-based."""
         return self.edges[i - 1]
 
+    def structure(self) -> "Tree":
+        """The same edges, numbered the same, at weight 0.  The walk and the
+        adjacency depend on the edge set only, so the new tree shares them
+        with this one instead of walking again."""
+        tree = copy.copy(self)
+        object.__setattr__(tree, "edges", tuple(WeightedEdge(e.u, e.v, 0) for e in self.edges))
+        return tree
+
     def cost(self) -> int:
         return sum(e.weight for e in self.edges)
 
@@ -271,9 +280,13 @@ def local_mst(H) -> Tree:
     the tree is unique (Kruskal's, wherever it is recomputed); an O(n^2)
     Prim finds it, taking at each step the smallest crossing edge in that
     order.  Each edge's place in the order is one int64 key, weight * n^2
-    + rank with rank = u * n + v (0-based), from which its endpoints come
-    back; weights too large for the key enter by their dense rank, which
-    keeps the order.
+    + rank with rank = u * n + v (0-based); weights too large for the key
+    enter by their dense rank, which keeps the order.
+
+    Each step is one ``argmin`` over the best key of every outside vertex
+    and one masked ``np.minimum`` with the new vertex's keys, built in
+    preallocated rows, so the scratch is O(n).  The picked keys are kept
+    and decoded to edges in one pass after the loop.
     """
     M = np.asarray(H)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -300,20 +313,24 @@ def local_mst(H) -> Tree:
     outside = pos > 0
     best = W[0] * nn + pos
     best[0] = done
-    picked: list[WeightedEdge] = []
-    for _ in range(n - 1):
+    picked = np.empty(n - 1, dtype=np.int64)
+    key = np.empty(n, dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    for i in range(n - 1):
         x = int(best.argmin())
-        a, b = divmod(int(best[x]) % nn, n)
-        u = a if b == x else b
-        picked.append(WeightedEdge(min(u, x) + 1, max(u, x) + 1, int(M[u, x])))
+        picked[i] = best[x]
         outside[x] = False
         best[x] = done
         # rank of edge (x, y) is x * n + y for y > x and y * n + x below
-        key = W[x] * nn
-        key[:x] += pos_n[:x] + x
-        key[x:] += pos[x:] + x * n
+        np.add(pos_n[:x], x, out=rank[:x])
+        np.add(pos[x:], x * n, out=rank[x:])
+        np.multiply(W[x], nn, out=key)
+        np.add(key, rank, out=key)
         np.minimum(best, key, out=best, where=outside)
-    return Tree(n, tuple(picked))
+    # ranks ascend in (u, v) order, the order Tree keeps its edges in
+    u, v = np.divmod(np.sort(picked % nn), n)
+    weights = map(int, M[u, v].tolist())
+    return Tree(n, tuple(map(WeightedEdge, (u + 1).tolist(), (v + 1).tolist(), weights)))
 
 
 def euler_traversal(tree: Tree, edge_costs: np.ndarray) -> Traversal:

@@ -65,7 +65,6 @@ from .bits import (
     BooleanMatrix,
     Traversal,
     Tree,
-    WeightedEdge,
     euler_traversal,
     hamming_distance,
     own_rows,
@@ -507,7 +506,8 @@ def _broadcast_tree(engine: CliqueEngine, row_key: str) -> None:
     """Node 1 sends edge j of the tree over the rows under ``row_key``, which
     it stores under ``("hmst_tree", row_key)``, to node j; next round node j
     re-broadcasts it.  Afterwards every node stores the tree structure under
-    ``("tree", row_key)``."""
+    ``("tree", row_key)``: the same edges at weight 0, sharing node 1's
+    walk, so only node 1 holds estimated weights."""
     n = engine.n
     cb = count_bits(n)
     with engine.as_node(1) as node1:
@@ -516,8 +516,7 @@ def _broadcast_tree(engine: CliqueEngine, row_key: str) -> None:
     # round 0: node 1 to nodes 2..n-1; round 1: nodes 1..n-1 to all others
     engine.exchange(2, 0, 1, np.arange(2, n), 2 * cb, "step3", ((1, np.arange(1, n), 2 * cb),))
 
-    structure = Tree(n, tuple(WeightedEdge(e.u, e.v, 0) for e in tree.edges))
-    engine.put(("tree", row_key), dict.fromkeys(engine.node_ids(), structure))
+    engine.put(("tree", row_key), dict.fromkeys(engine.node_ids(), tree.structure()))
 
 
 def _multicast_rows(

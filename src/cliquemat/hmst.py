@@ -168,7 +168,7 @@ def family_from_vectors(n: int, k: int, *vectors: tuple) -> ProjectionFamily:
     return ProjectionFamily(n, k, scales, bits.reshape(len(scales) * k, n), scale_thresholds(n, k))
 
 
-# bytes of XOR scratch per row block of the all-pairs estimate
+# bytes of XOR words per row block of the all-pairs estimate
 _BLOCK_BYTES = 1 << 20
 
 
@@ -176,30 +176,40 @@ def build_estimated_graph(sketches: np.ndarray, family: ProjectionFamily) -> np.
     """The estimated distance of every pair of rows of a :func:`sketch_bits`
     array, as a symmetric read-only (n, n) int64 array with a zero diagonal
     that :func:`local_mst` takes as is: the smallest scale whose cutoff the
-    pair's sketch distance passes, or the top scale.  The sketches are
-    packed into an (n, scales, ceil(k/64)) array of 64-bit words with one
-    more scale column of zeros, whose cutoff every pair passes, so the
-    first passing column is the estimate or the top-scale fallback; each
-    block of rows is XORed against all rows and popcounted per scale."""
+    pair's sketch distance passes, or the top scale if none does.
+
+    The sketches are packed into 64-bit words, ceil(k/64) per scale.  The
+    array starts filled with the top scale; then, for each block of rows
+    (all n rows while their XOR words fit in 1 MiB, up to n = 256 at the
+    default kappa), one pass per scale below the top, from the largest
+    down, XORs and popcounts that scale's words against all rows and
+    writes the scale where the pair passes its cutoff.  The smallest
+    passing scale is written last, so it stands.  Scratch is the XOR words,
+    their popcounts and one pass mask of a single scale and block."""
     num_scales, k = len(family.scales), family.k
     if np.ndim(sketches) != 2 or np.shape(sketches)[1] != num_scales * k:
         raise MalformedSketchError(f"sketch sets must be {num_scales} scales of {k} bits")
     n = len(sketches)
     words = (k + 63) // 64
-    padded = np.zeros((n, num_scales + 1, 64 * words), dtype=np.uint8)
-    padded[:, :num_scales, :k] = np.reshape(sketches, (n, num_scales, k))
+    padded = np.zeros((num_scales, n, 64 * words), dtype=np.uint8)
+    padded[..., :k] = np.reshape(sketches, (n, num_scales, k)).transpose(1, 0, 2)
     packed = np.packbits(padded, axis=-1, bitorder="little").view("<u8")
-    if words == 1:
-        packed = packed[..., 0]
-    scales = np.array([*family.scales, family.scales[-1]], dtype=np.int64)
-    cutoffs = np.array([*(family.thresholds[r] for r in family.scales), 0], dtype=np.int32)
-    weights = np.empty((n, n), dtype=np.int64)
-    block = max(1, _BLOCK_BYTES // max(1, n * packed[0].nbytes))
+    del padded
+    weights = np.full((n, n), family.scales[-1], dtype=np.int64)
+    block = max(1, _BLOCK_BYTES // (8 * n * words))
     for lo in range(0, n, block):
-        dist = np.bitwise_count(np.bitwise_xor(packed[lo:lo + block, None], packed[None]))
-        if words > 1:
-            dist = dist.sum(axis=-1, dtype=np.int32)
-        weights[lo:lo + block] = scales[(dist <= cutoffs).argmax(axis=-1)]
+        part = weights[lo:lo + block]
+        xor = np.empty((len(part), n, words), dtype=np.uint64)
+        count = np.empty(xor.shape, dtype=np.uint8)
+        dist = count[..., 0] if words == 1 else np.empty(part.shape, dtype=np.int32)
+        passed = np.empty(part.shape, dtype=bool)
+        for s in range(num_scales - 2, -1, -1):
+            np.bitwise_xor(packed[s, lo:lo + len(part), None], packed[s, None], out=xor)
+            np.bitwise_count(xor, out=count)
+            if words > 1:
+                np.sum(count, axis=-1, out=dist)
+            np.less_equal(dist, family.thresholds[family.scales[s]], out=passed)
+            np.copyto(part, family.scales[s], where=passed)
     np.fill_diagonal(weights, 0)
     weights.flags.writeable = False
     return weights

@@ -28,6 +28,7 @@ from field_codec import pack_fields, unpack_fields
 from rows import row01, row_of, rows_of
 from tree_reference import edge_weights, euler_walk, is_spanning_tree, walk_triples
 from cliquemat.harness import GenSpec, exact_mst_cost, gen_clustered, gen_uniform
+from cliquemat.hmst import scales_for
 from cliquemat.errors import (
     DimensionError,
     InvalidMatrixError,
@@ -342,6 +343,18 @@ def test_local_mst_orders_weights_too_large_for_one_key():
     assert local_mst(H).edges == kruskal_reference(H).edges
 
 
+@pytest.mark.parametrize("n", [2, 5, 33, 128])
+def test_local_mst_equals_kruskal_reference_on_scale_weights(n):
+    """Same tree as Kruskal on weights drawn from scales_for(n), the only
+    values the all-pairs estimate writes off the diagonal: few distinct
+    weights, so nearly every choice falls to the (u, v) tie-break."""
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        H = rng.choice(np.array(scales_for(n)), size=(n, n))
+        H = np.triu(H, 1) + np.triu(H, 1).T
+        assert local_mst(H).edges == kruskal_reference(H.tolist()).edges
+
+
 def test_tree_edge_numbering_and_validation():
     t = Tree(3, (WeightedEdge(3, 2, 1), WeightedEdge(2, 1, 4)))
     # normalized and sorted by (min, max)
@@ -419,6 +432,16 @@ def test_tree_adjacency_and_walk_are_read_only():
         t.adjacency[2][0] = (3, 2)
     with pytest.raises(ValueError, match="read-only"):
         t.walk[0] = (1, 3, 2)
+
+
+def test_tree_structure_keeps_the_edges_at_weight_zero_and_shares_the_walk():
+    pairs = random_tree_pairs(40, random.Random(9))
+    t = Tree(40, mixed_edges(pairs, weight=3))
+    s = t.structure()
+    assert s == Tree(40, mixed_edges(pairs, weight=0))
+    assert [(e.u, e.v) for e in s.edges] == [(e.u, e.v) for e in t.edges]
+    assert s.walk is t.walk and s.adjacency is t.adjacency
+    assert all(e.weight == 3 for e in t.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -864,6 +864,45 @@ def test_one_tour_array_from_step5_to_step10(routing, monkeypatch):
     assert [type(x) for x in reported] == [int] * len(reported)
 
 
+def test_step3_structure_is_node1_tree_at_weight_zero(monkeypatch):
+    """Both candidate trees reach every node as node 1's tree at weight 0,
+    sharing its walk and adjacency, so each edge set is walked once; no
+    node but node 1 holds an estimated weight."""
+    from cliquemat import clusmat
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+
+    n = 16
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=5))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.3, seed=6))
+    engines = []
+
+    class KeptEngine(CliqueEngine):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            engines.append(self)
+
+    monkeypatch.setattr(clusmat, "CliqueEngine", KeptEngine)
+    C, _, _, _ = choose_orientation(A, B, CliqueConfig(n=n, routing="accounted", seed=5))
+    assert C == boolean_product_naive(A, B)
+    (engine,) = engines
+    node1 = engine.node(1).storage
+    for row_key in ("a_row", "b_col"):
+        estimated, structure = node1["hmst_tree", row_key], node1["tree", row_key]
+        assert all(e.weight > 0 for e in estimated.edges)
+        assert structure.walk is estimated.walk
+        assert structure.adjacency is estimated.adjacency
+        assert [(e.u, e.v, e.weight) for e in structure.edges] == [
+            (e.u, e.v, 0) for e in estimated.edges
+        ]
+    for i in range(2, n + 1):
+        storage = engine.node(i).storage
+        trees = [v for v in storage.values() if isinstance(v, Tree)]
+        assert len(trees) == 2
+        assert all(storage["tree", key] is node1["tree", key] for key in ("a_row", "b_col"))
+        assert all(e.weight == 0 for tree in trees for e in tree.edges)
+
+
 # ---------------------------------------------------------------------------
 # witness distribution
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cliquemat.bits import hamming_distance, pack_chunks, pack_rows, unpack_rows
+from cliquemat.bits import Tree, hamming_distance, local_mst, pack_chunks, pack_rows, unpack_rows
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import DimensionError, MalformedSketchError
 from cliquemat.hmst import (
@@ -312,6 +313,103 @@ def test_build_estimated_graph_of_real_sketches():
         for j in range(n):
             if i != j:
                 assert g[i, j] == estimate_distance(sets[i], sets[j], fam)
+
+
+@pytest.mark.parametrize("k", [40, 130])
+def test_build_estimated_graph_in_row_blocks(k, monkeypatch):
+    """Blocks of 5 rows, the last one short, give the estimate of one
+    whole-array block, pair by pair estimate_distance's."""
+    from cliquemat import hmst
+
+    n = 23
+    fam = ProjectionFamily.generate(n, k, np.random.default_rng(k))
+    sets = near_sketch_sets(fam, n, random.Random(n + k))
+    sketches = sketch_array(sets, fam)
+    whole = build_estimated_graph(sketches, fam)
+    monkeypatch.setattr(hmst, "_BLOCK_BYTES", 5 * 8 * n * ((k + 63) // 64))
+    g = build_estimated_graph(sketches, fam)
+    assert np.array_equal(g, whole)
+    for i in range(n):
+        for j in range(n):
+            assert g[i, j] == (estimate_distance(sets[i], sets[j], fam) if i != j else 0)
+
+
+def crafted_pair(fam, flips, rng):
+    """Two sketch rows whose sketch distance at scale index s is
+    ``flips[s]``, the flipped bits spread over every word of a scale."""
+    base = rng.integers(0, 2, (len(fam.scales), fam.k), dtype=np.uint8)
+    other = base.copy()
+    for s, count in enumerate(flips):
+        other[s, rng.choice(fam.k, size=count, replace=False)] ^= 1
+    return np.stack([base.ravel(), other.ravel()])
+
+
+@pytest.mark.parametrize("k", [64, 130])
+@pytest.mark.parametrize("n", [2, 64])
+def test_build_estimated_graph_at_scale_edges(n, k):
+    """Pairs that pass scale s + 1 but not s, pass s but not s + 1, pass
+    every scale, or pass none, in one and in three 64-bit words per scale;
+    each is estimated as estimate_distance does, alone as an n = 2 array
+    and among all the crafted rows."""
+    fam = ProjectionFamily.generate(n, k, np.random.default_rng(k))
+    cut = [fam.thresholds[r] for r in fam.scales]
+    fail = [c + 1 for c in cut]
+    s = max(0, len(cut) - 3)
+    cases = [
+        (fam.scales[s + 1], fail[:s + 1] + [0] * (len(cut) - s - 1)),
+        (fam.scales[s], fail[:s] + [0] + fail[s + 1:]),
+        (fam.scales[0], [0] * len(cut)),
+        (fam.scales[-1], fail),
+    ]
+    rng = np.random.default_rng(n + k)
+    rows = []
+    for expected, flips in cases:
+        pair = crafted_pair(fam, flips, rng)
+        assert build_estimated_graph(pair, fam).tolist() == [[0, expected], [expected, 0]]
+        rows.extend(pair)
+    sets = sketch_sets(np.array(rows), fam)
+    g = build_estimated_graph(np.array(rows), fam)
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            assert g[i, j] == (estimate_distance(sets[i], sets[j], fam) if i != j else 0)
+
+
+@pytest.mark.parametrize("k", [64, 130])
+def test_build_estimated_graph_of_one_point(k):
+    """One point, one scale: the estimate is the 1 x 1 zero array and its
+    tree has no edges."""
+    fam = ProjectionFamily.generate(1, k, np.random.default_rng(k))
+    assert fam.scales == (1,)
+    g = build_estimated_graph(np.ones((1, k), dtype=np.uint8), fam)
+    assert g.tolist() == [[0]] and g.dtype == np.int64 and not g.flags.writeable
+    assert local_mst(g) == Tree(1, ())
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes at the tracemalloc peak of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_node1_kernels_keep_their_scratch_small():
+    """At n = 256 the all-pairs estimate, its (n, n) result included,
+    peaks below the 1,968 KiB of the (rows, n, scales + 1) kernel it
+    replaced, and
+    Prim on that graph keeps O(n) scratch, at most 256 KiB."""
+    n = 256
+    fam = family_for(n)
+    rng = np.random.default_rng(2)
+    base = rng.integers(0, 2, n, dtype=np.uint8)
+    points = [base ^ (rng.random(n) < (0.02 if i % 3 else 0.5)) for i in range(n)]
+    sketches = sketch_bits(fam, points).astype(np.uint8)
+    assert traced_peak(build_estimated_graph, sketches, fam) < 1968 * 1024
+    graph = build_estimated_graph(sketches, fam)
+    assert len(np.unique(graph)) > 3
+    assert traced_peak(local_mst, graph) <= 256 * 1024
 
 
 def test_build_estimated_graph_rejects_missing_scale():
