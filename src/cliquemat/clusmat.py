@@ -29,7 +29,8 @@ hold.  Steps (per-step round subtotals land in ``ledger.step_rounds``):
  2. approximate spanning tree of A's rows, built at node 1;
  3. node 1 ships edge j to node j, which re-broadcasts it;
  4. each row goes to the owners of its incident tree edges;
- 5. edge owners compute their edge's distance and broadcast it;
+ 5. edge owners compute their edge's distance and broadcast it; every node
+    picks the cheapest candidate tree;
  6. edge owners list their edge's witnesses; every node derives the same
     tour, blocks, and pair assignment locally;
  7. tour-block start rows go to the assigned pair nodes;
@@ -40,13 +41,17 @@ hold.  Steps (per-step round subtotals land in ``ledger.step_rounds``):
 
 Steps 7-9 only deliver: every node stores what it received, and step 10 is
 each pair node's one local phase over it, followed by one product per tour
-block.  Orientation ``ba`` swaps the
-roles: the tree spans B's columns (from step 1) against A's rows, so the
-nodes end with (A o B) transposed and one more transpose exchange flips it.
-:func:`choose_orientation` builds both trees, runs steps 3-5 on each (a
-tree and what steps 3-5 derive from it are keyed by the rows it spans, so
-the two candidates keep apart), lets every node pick the cheaper tree from
-the broadcast distances (ties to ``ab``), and runs steps 6-10 once on it.
+block.
+
+The paper's bound takes M from the cheaper of the trees over A's rows and
+over B's columns, so the orientation is part of the protocol.  Orientation
+``ba`` swaps the roles: the tree spans B's columns (from step 1) against
+A's rows, so the nodes end with (A o B) transposed and one more transpose
+exchange flips it.  :func:`run_clusmat` runs steps 2-5 once per candidate
+orientation, each step's rounds summed over them (a tree and what steps
+3-5 derive from it are keyed by the rows it spans, so candidates keep
+apart), and steps 6-10 once on the cheapest tree.  A forced orientation is
+one candidate; :func:`choose_orientation` passes ``ab`` and ``ba``.
 
 End-to-end correctness is exact for every seed: randomness only moves the
 tree, and steps 4-10 are correct for any spanning tree.
@@ -603,38 +608,49 @@ def _flip(engine: CliqueEngine) -> BooleanMatrix:
 
 
 def run_clusmat(
-    engine: CliqueEngine, row_key: str, col_key: str, proj: ProjectionConfig
-) -> tuple[BooleanMatrix, dict]:
+    engine: CliqueEngine, orientations: Sequence[str], proj: ProjectionConfig
+) -> tuple[BooleanMatrix, str, dict[str, int], dict]:
     """Execute the ten protocol steps on ``engine`` whose nodes hold their
-    inputs as :func:`_place_inputs` leaves them; returns the product and a
-    plan summary.
+    inputs as :func:`_place_inputs` leaves them; returns A o B, the chosen
+    orientation, each candidate's tree cost and a plan summary.
 
-    Step 1 gives node i column i of B under ``b_col``.  The tree then runs
-    over the rows stored under ``row_key`` against the columns stored under
-    ``col_key``: (``a_row``, ``b_col``) computes A o B, and (``b_col``,
-    ``a_row``) computes (A o B) transposed."""
+    Steps 2-5 run for each of ``orientations`` in the order given; every
+    node then picks the cheapest tree (ties to the first candidate) and
+    steps 6-10 run once on it."""
+    rows = [_ROLES[o][0] for o in orientations]
+
     # step 1: transpose exchange so node i also holds column i of B
     with engine.step("step1"):
         _transpose_exchange(engine, "b_row", "b_col")
 
-    # step 2: approximate spanning tree of the rows at node 1
+    # step 2: approximate spanning tree of each candidate's rows at node 1
     with engine.step("step2"):
-        run_hmst(engine, proj, point_key=row_key, step_prefix="step2_hmst_")
+        for row_key in rows:
+            run_hmst(engine, proj, point_key=row_key, step_prefix="step2_hmst_")
 
     # step 3: tree structure to every node
     with engine.step("step3"):
-        _broadcast_tree(engine, row_key)
+        for row_key in rows:
+            _broadcast_tree(engine, row_key)
 
     # step 4: endpoint rows to edge owners
     with engine.step("step4"):
-        _deliver_endpoint_rows(engine, row_key)
+        for row_key in rows:
+            _deliver_endpoint_rows(engine, row_key)
 
     # step 5: distances at owners, then everywhere
     with engine.step("step5"):
-        _owner_distance_broadcast(engine, row_key)
+        for row_key in rows:
+            _owner_distance_broadcast(engine, row_key)
 
-    info = _multiply_along_tree(engine, row_key, col_key)
-    return _gather(engine), info
+    # every node sums each candidate's distances and picks the least
+    def pick(node):
+        costs = {o: int(node.storage["distances", r].sum()) for o, r in zip(orientations, rows)}
+        return min(costs, key=costs.__getitem__), costs
+
+    orientation, costs = engine.local(pick)[1]
+    info = _multiply_along_tree(engine, *_ROLES[orientation])
+    return (_gather(engine) if orientation == "ab" else _flip(engine)), orientation, costs, info
 
 
 def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> dict:
@@ -769,15 +785,13 @@ def clusmat_oriented(
 ) -> tuple[BooleanMatrix, RoundLedger, dict]:
     """Full product run on a fresh engine; node i starts with row i of A and
     row i of B and finishes with row i of C = A o B.  The orientation is
-    forced: ``ab`` follows A's rows, ``ba`` follows B's columns and flips
-    the result back."""
+    forced, as :func:`run_clusmat` with one candidate: ``ab`` follows A's
+    rows, ``ba`` follows B's columns and flips the result back."""
     if orientation not in _ROLES:
         raise ValueError(f"orientation must be 'ab' or 'ba', got {orientation!r}")
     engine = CliqueEngine(cfg)
     _place_inputs(engine, A, B)
-    C, info = run_clusmat(engine, *_ROLES[orientation], proj or ProjectionConfig())
-    if orientation == "ba":
-        C = _flip(engine)
+    C, _, _, info = run_clusmat(engine, (orientation,), proj or ProjectionConfig())
     return C, engine.ledger, info
 
 
@@ -787,44 +801,14 @@ def choose_orientation(
     cfg: CliqueConfig,
     proj: ProjectionConfig | None = None,
 ) -> tuple[BooleanMatrix, str, RoundLedger, dict]:
-    """Build approximate trees for A's rows and for B's columns, run steps
-    3-5 on each, and run steps 6-10 once, on the cheaper tree (ties go to
-    the row side).  Step 5 hands every node both trees' edge distances, so
-    each node makes the same choice locally.  The transposed run's result
-    is transposed back, so the output equals A o B either way."""
-    proj = proj or ProjectionConfig()
+    """:func:`run_clusmat` on a fresh engine with both candidates: the
+    trees over A's rows and over B's columns, steps 6-10 on the cheaper
+    (ties go to the row side).  Step 5 hands every node both trees' edge
+    distances, so each node makes the same choice locally.  ``info`` adds
+    both tree costs as ``cost_a`` and ``cost_b``."""
     engine = CliqueEngine(cfg)
     _place_inputs(engine, A, B)
-
-    # candidate tree for the rows of A
-    with engine.step("orient_tree_a"):
-        run_hmst(engine, proj, point_key="a_row", step_prefix="orient_a_")
-
-    # candidate tree for the columns of B, which step 1 would deliver anyway
-    with engine.step("orient_tree_b"):
-        _transpose_exchange(engine, "b_row", "b_col")
-        run_hmst(engine, proj, point_key="b_col", step_prefix="orient_b_")
-
-    # steps 3-5 on each candidate, then every node picks the cheaper one
-    with engine.step("orient_choice"):
-        for row_key, _ in _ROLES.values():
-            _broadcast_tree(engine, row_key)
-            _deliver_endpoint_rows(engine, row_key)
-            _owner_distance_broadcast(engine, row_key)
-
-        def choose(node):
-            st = node.storage
-            costs = {side: int(st["distances", r].sum()) for side, (r, _) in _ROLES.items()}
-            st["orient_costs"] = costs
-            st["orientation"] = "ba" if costs["ba"] < costs["ab"] else "ab"
-
-        engine.local(choose)
-
-    with engine.as_node(1) as node1:
-        orientation: str = node1.storage["orientation"]
-        costs: dict[str, int] = node1.storage["orient_costs"]
-    info = _multiply_along_tree(engine, *_ROLES[orientation])
-    C = _gather(engine) if orientation == "ab" else _flip(engine)
+    C, orientation, costs, info = run_clusmat(engine, ("ab", "ba"), proj or ProjectionConfig())
     info["cost_a"] = costs["ab"]
     info["cost_b"] = costs["ba"]
     return C, orientation, engine.ledger, info

@@ -35,8 +35,9 @@ messages sent plus received), in which :meth:`charge` and
 :meth:`count_messages` end and which a closed-form count calls directly.
 :meth:`charge` (so :meth:`exchange` and :meth:`broadcast`) and
 :meth:`charge_rounds` credit their rounds to a primitive label;
-:meth:`step` records a block's rounds as one protocol step, and a step that
-raises records nothing.  A call that breaks a rule or would pass
+:meth:`step` adds a block's rounds to one protocol step, so a step name
+entered twice records the sum of both blocks, and a block that raises adds
+nothing.  A call that breaks a rule or would pass
 ``max_rounds`` raises before it charges anything.
 
 A node phase is :meth:`local`: it runs once per node, with the storage
@@ -503,13 +504,14 @@ class CliqueEngine:
 
     @contextmanager
     def step(self, name: str):
-        """Record the rounds spent inside the block as protocol step
-        ``name`` in ``ledger.step_rounds``; a step that raises records
-        nothing.  Derived results (:meth:`derive`) are dropped when the
-        step ends."""
+        """Add the rounds spent inside the block to protocol step ``name``
+        in ``ledger.step_rounds``, so a step entered again records the sum
+        of its blocks; a block that raises adds nothing.  Derived results
+        (:meth:`derive`) are dropped when the block ends."""
         start = self.ledger.rounds
         try:
             yield
         finally:
             self._derived.clear()
-        self.ledger.step_rounds[name] = self.ledger.rounds - start
+        steps = self.ledger.step_rounds
+        steps[name] = steps.get(name, 0) + self.ledger.rounds - start

@@ -447,16 +447,26 @@ def test_clusmat_tiny_n2():
     assert C == boolean_product_naive(A, B)
 
 
-def test_clusmat_ledger_step_decomposition():
+@pytest.mark.parametrize("entry", ["ab", "ba", "auto"])
+def test_clusmat_ledger_step_decomposition(entry):
+    """The top-level step records sum to the ledger's rounds, and an auto
+    run records the same steps as the forced run of the orientation it
+    picks."""
     rng = random.Random(3)
     n = 16
     A = random_matrix_local(n, rng)
     B = random_matrix_local(n, rng)
-    _, ledger, _ = clusmat_oriented(A, B, CliqueConfig(n=n, seed=4))
-    steps = {k: v for k, v in ledger.step_rounds.items() if k.startswith("step") and "_" not in k.removeprefix("step")}
-    step_keys = [f"step{i}" for i in range(1, 11)]
-    assert set(steps) == set(step_keys)
-    assert sum(steps.values()) == ledger.rounds
+    cfg = CliqueConfig(n=n, seed=4)
+    if entry == "auto":
+        _, chosen, ledger, _ = choose_orientation(A, B, cfg)
+    else:
+        _, ledger, _ = clusmat_oriented(A, B, cfg, orientation=entry)
+        chosen = entry
+    forced = clusmat_oriented(A, B, cfg, orientation=chosen)[1]
+    top = [f"step{i}" for i in range(1, 11)] + ["orient_transpose"] * (chosen == "ba")
+    hmst = [f"step2_hmst_step{i}" for i in range(1, 4)]
+    assert set(ledger.step_rounds) == set(forced.step_rounds) == {*top, *hmst}
+    assert sum(ledger.step_rounds[k] for k in top) == ledger.rounds
     assert ledger.step_rounds["step6"] == 0  # planning is local
 
 
@@ -578,7 +588,8 @@ def run_placed(engine, A, B):
     from cliquemat.hmst import ProjectionConfig
 
     clusmat._place_inputs(engine, A, B)
-    return clusmat.run_clusmat(engine, "a_row", "b_col", ProjectionConfig())
+    C, _, _, info = clusmat.run_clusmat(engine, ("ab",), ProjectionConfig())
+    return C, info
 
 
 def test_clusmat_passes_isolation_audit():

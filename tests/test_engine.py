@@ -490,6 +490,17 @@ def test_step_records_rounds_of_its_block():
     assert eng.ledger.primitive_rounds == {}
 
 
+def test_step_entered_twice_records_the_sum():
+    eng = make_engine(4)
+    with eng.step("s"):
+        eng.advance_round()
+    with eng.step("t"):
+        eng.charge_rounds(2)
+    with eng.step("s"):
+        eng.charge_rounds(3)
+    assert list(eng.ledger.step_rounds.items()) == [("s", 4), ("t", 2)]
+
+
 def test_nested_steps_each_get_their_own_count():
     eng = make_engine(4)
     with eng.step("outer"):
