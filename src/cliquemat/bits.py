@@ -7,7 +7,8 @@ Coordinates and vertex labels are 1-based in every public signature.  A
 point of {0,1}^n, such as a row of a matrix, is a 1-D uint8 array of 0s and
 1s whose entry i-1 is coordinate i; a :class:`BooleanMatrix` is one
 read-only (n, n) array of them.  Only the wire codec packs bits into
-integers: entry j of a row goes to bit j.  Every function is pure.
+integers: entry j of a row goes to bit j, and chunk payloads travel as
+uint64 columns at W <= 64, Python ints above.  Every function is pure.
 """
 
 from __future__ import annotations
@@ -352,27 +353,41 @@ def boolean_product_naive(A: BooleanMatrix, B: BooleanMatrix) -> BooleanMatrix:
     return BooleanMatrix(A.bits.astype(np.float64) @ B.bits.astype(np.float64) > 0)
 
 
-def pack_chunks(bits, w: int) -> tuple[list[int], list[int]]:
+def pack_chunks(bits, w: int) -> tuple[np.ndarray, np.ndarray]:
     """The wire format of vectors: each row of a 2-D 0/1 array, entry j at
     bit j, cut into chunks of at most ``w`` bits, low bits first.  Returns
-    the chunks' payloads and widths, row after row; all rows share one
-    pattern of widths."""
+    the chunks' payload and width columns, row after row, both uint64 at
+    ``w`` <= 64 and Python ints above, so ``np.stack(..., axis=1)`` makes
+    the (chunks, 2) vectors of a multicast.  All rows share one pattern of
+    widths."""
     bits = np.asarray(bits, dtype=bool)
     rows, length = bits.shape
-    widths = np.minimum(w, length - w * np.arange(-(-length // w)))
-    padded = np.zeros((rows, widths.size * w), dtype=bool)
+    pattern = np.minimum(w, length - w * np.arange(-(-length // w)))
+    padded = np.zeros((rows, pattern.size * w), dtype=bool)
     padded[:, :length] = bits
-    return pack_rows(padded.reshape(-1, w)), widths.tolist() * rows
+    widths = np.tile(pattern, rows).astype(object if w > 64 else np.uint64)
+    if w > 64:
+        return np.array(pack_rows(padded.reshape(-1, w)), dtype=object), widths
+    words = np.zeros((widths.size, 8), dtype=np.uint8)
+    words[:, :(w + 7) // 8] = np.packbits(padded.reshape(-1, w), axis=1, bitorder="little")
+    return words.view("<u8").ravel(), widths
 
 
-def unpack_chunks(payloads: Sequence[int], nbits: Sequence[int], length: int) -> np.ndarray:
+def unpack_chunks(payloads, nbits, length: int) -> np.ndarray:
     """Inverse of :func:`pack_chunks`: the (rows, ``length``) uint8 array
-    whose rows the chunks carry, W taken from the widest chunk.  Raises
+    whose rows the chunks carry, given as payload and width columns (a
+    delivered batch's will do), W taken from the widest chunk.  Raises
     :class:`DimensionError` unless the widths repeat, row after row, the
     pattern :func:`pack_chunks` gives one ``length``-bit row."""
-    w = max(nbits, default=1)
+    nbits = np.asarray(nbits, dtype=np.int64)
+    w = int(nbits.max(initial=1))
     pattern = pack_chunks(np.zeros((1, length)), w)[1]
-    rows, extra = divmod(len(nbits), len(pattern))
-    if extra or list(nbits) != pattern * rows:
+    rows, extra = divmod(nbits.size, pattern.size)
+    if extra or np.any(nbits != np.tile(pattern, rows)):
         raise DimensionError(f"chunk widths do not cut rows of {length} bits")
-    return unpack_rows(payloads, w).reshape(rows, len(pattern) * w)[:, :length]
+    if w > 64:
+        bits = unpack_rows(payloads, w)
+    else:
+        words = np.ascontiguousarray(payloads, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(words, axis=1, bitorder="little")
+    return bits[:, :w].reshape(rows, pattern.size * w)[:, :length]

@@ -379,13 +379,16 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
         load = np.bincount(src, count, n + 1) + np.bincount(dst, count, n + 1)
         engine.count_traffic(count.sum(), 2 * cb * count.sum(), load.astype(np.int64))
     else:
-        substages = max(
-            (math.ceil(p.size / n) for p, _ in rep_packets.values()), default=0
-        )
-        for s in range(substages):
+        # each packet is one 2*cb-bit chunk, in the payload column's dtype
+        dtype = delivered.payload.dtype
+        vectors = {
+            rep: (np.stack((p, np.full_like(p, 2 * cb)), axis=1).astype(dtype), recips)
+            for rep, (p, recips) in rep_packets.items()
+        }
+        for s in range(max((math.ceil(len(v) / n) for v, _ in vectors.values()), default=0)):
             vector_multicast(engine, {
-                rep: ([(p, 2 * cb) for p in packets[s * n:(s + 1) * n].tolist()], recips)
-                for rep, (packets, recips) in rep_packets.items() if packets.size > s * n
+                rep: (vec[s * n:(s + 1) * n], recips)
+                for rep, (vec, recips) in vectors.items() if len(vec) > s * n
             })
     engine.put("witness_packets", {v: received.get(v, []) for v in engine.node_ids()})
 
@@ -541,17 +544,16 @@ def _multicast_rows(
         return node.storage[row_key], sorted(recips)
 
     sending = engine.local(build)
-    payloads, widths = pack_chunks([row for row, _ in sending.values()], engine.w)
-    chunks, per = list(zip(payloads, widths)), math.ceil(n / engine.w)
+    chunks = np.stack(pack_chunks([row for row, _ in sending.values()], engine.w), axis=1)
+    per = math.ceil(n / engine.w)
     out, _ = vector_multicast(engine, {
         s: (chunks[i * per:(i + 1) * per], recips)
         for i, (s, (_, recips)) in enumerate(sending.items())
     })
     # every recipient of a sender holds the same vector; all are decoded at once
     vectors = {s: vec for got in out.values() for s, vec in got}
-    flat = [c for vec in vectors.values() for c in vec]
-    bits = unpack_chunks([p for p, _ in flat], [nb for _, nb in flat], n)
-    rows = dict(zip(vectors, own_rows(bits)))
+    flat = np.concatenate(list(vectors.values()))
+    rows = dict(zip(vectors, own_rows(unpack_chunks(flat[:, 0], flat[:, 1], n))))
     engine.put(out_key, {
         v: {sender: rows[sender] for sender, _ in out.get(v, ())} for v in engine.node_ids()
     })
@@ -643,10 +645,14 @@ def run_clusmat(
         for row_key in rows:
             _owner_distance_broadcast(engine, row_key)
 
-    # every node sums each candidate's distances and picks the least
-    def pick(node):
-        costs = {o: int(node.storage["distances", r].sum()) for o, r in zip(orientations, rows)}
+    # every node sums each candidate's distances and picks the least; all
+    # nodes hold the same distance arrays, so the pick is derived once
+    def cheapest(*distances):
+        costs = dict(zip(orientations, (int(d.sum()) for d in distances)))
         return min(costs, key=costs.__getitem__), costs
+
+    def pick(node):
+        return engine.derive(cheapest, *(node.storage["distances", r] for r in rows))
 
     orientation, costs = engine.local(pick)[1]
     info = _multiply_along_tree(engine, *_ROLES[orientation])

@@ -19,11 +19,14 @@ Protocol outline (per-step round subtotals land in the ledger):
 A family's matrices are one read-only (scales * k, n) 0/1 array.  Each
 scale's k*n bits, the seed and each sketch set is one row of the
 :func:`pack_chunks` wire format; a step encodes or decodes all its rows in
-one call.  The points of all nodes holding the same family object are
-sketched in one GF(2) matrix product (:func:`sketch_bits`), each node
-charged its own sketch.  Node 1's all-pairs estimate runs on the
-(n, scales * k) sketch bit array and its tree is an O(n^2) Prim; the
-ledger charges the paper's per-pair work either way.
+one call, and the chunks stay numpy columns in between: step 1 multicasts
+(chunks, 2) slices of one packed array, step 2 builds its batch from the
+codec's columns and step 3 decodes the delivered ones.  The points of all
+nodes holding the same family object are sketched in one GF(2) matrix
+product (:func:`sketch_bits`), each node charged its own sketch.  Node 1's
+all-pairs estimate runs on the (n, scales * k) sketch bit array and its
+tree is an O(n^2) Prim; the ledger charges the paper's per-pair work
+either way.
 """
 
 from __future__ import annotations
@@ -157,11 +160,11 @@ def sketch_point(family: ProjectionFamily, x: np.ndarray) -> np.ndarray:
     return sketch_bits(family, [x]).reshape(len(family.scales), family.k)
 
 
-def family_from_vectors(n: int, k: int, *vectors: tuple) -> ProjectionFamily:
-    """The family a node rebuilds from the projection vectors it received,
-    in scale order: one k*n-bit row of the wire format per scale."""
-    chunks = [c for vec in vectors for c in vec]
-    bits = unpack_chunks([p for p, _ in chunks], [nb for _, nb in chunks], k * n)
+def family_from_vectors(n: int, k: int, *vectors) -> ProjectionFamily:
+    """The family a node rebuilds from the (chunks, 2) projection vectors
+    it received, in scale order: one k*n-bit wire-format row per scale."""
+    chunks = np.concatenate([np.zeros((0, 2), np.uint64), *vectors])
+    bits = unpack_chunks(chunks[:, 0], chunks[:, 1], k * n)
     scales = scales_for(n)
     if len(bits) != len(scales):
         raise MalformedSketchError(f"projection chunks carry {len(bits)} of {len(scales)} scales")
@@ -183,9 +186,10 @@ def build_estimated_graph(sketches: np.ndarray, family: ProjectionFamily) -> np.
     (all n rows while their XOR words fit in 1 MiB, up to n = 256 at the
     default kappa), one pass per scale below the top, from the largest
     down, XORs and popcounts that scale's words against all rows and
-    writes the scale where the pair passes its cutoff.  The smallest
-    passing scale is written last, so it stands.  Scratch is the XOR words,
-    their popcounts and one pass mask of a single scale and block."""
+    writes the scale where the pair passes its cutoff (one ``np.add`` per
+    further word sums a pair's popcounts).  The smallest passing scale is
+    written last, so it stands.  Scratch is the XOR words, their popcounts
+    and one pass mask of a single scale and block."""
     num_scales, k = len(family.scales), family.k
     if np.ndim(sketches) != 2 or np.shape(sketches)[1] != num_scales * k:
         raise MalformedSketchError(f"sketch sets must be {num_scales} scales of {k} bits")
@@ -206,8 +210,8 @@ def build_estimated_graph(sketches: np.ndarray, family: ProjectionFamily) -> np.
         for s in range(num_scales - 2, -1, -1):
             np.bitwise_xor(packed[s, lo:lo + len(part), None], packed[s, None], out=xor)
             np.bitwise_count(xor, out=count)
-            if words > 1:
-                np.sum(count, axis=-1, out=dist)
+            for j in range(1, words):
+                np.add(dist if j > 1 else count[..., 0], count[..., j], out=dist, dtype=np.int32)
             np.less_equal(dist, family.thresholds[family.scales[s]], out=passed)
             np.copyto(part, family.scales[s], where=passed)
     np.fill_diagonal(weights, 0)
@@ -256,9 +260,9 @@ def run_hmst(
                 engine.charge_work(1, len(scales) * math.ceil(k * n / w))
             recipients = list(range(2, n + 1))
             # per recipient, the vectors it received, in scale order
-            received: dict[int, list[tuple]] = {v: [] for v in recipients}
+            received: dict[int, list[np.ndarray]] = {v: [] for v in recipients}
             # one k*n-bit row per scale, sent as vectors of at most n chunks
-            chunks = list(zip(*pack_chunks(family1.bits.reshape(len(scales), k * n), w)))
+            chunks = np.stack(pack_chunks(family1.bits.reshape(len(scales), k * n), w), axis=1)
             per = len(chunks) // len(scales)
             for first in range(0, len(chunks), per):
                 for lo in range(first, first + per, n):
@@ -305,8 +309,8 @@ def run_hmst(
             if (sent != per_node).any():
                 v = int((sent != per_node).argmax())
                 raise MalformedSketchError(f"node {v + 1} sent {sent[v]} of {per_node} chunks")
-            payloads, nbits = delivered.payload[got].tolist(), delivered.nbits[got].tolist()
-            graph = build_estimated_graph(unpack_chunks(payloads, nbits, len(scales) * k), fam)
+            bits = unpack_chunks(delivered.payload[got], delivered.nbits[got], len(scales) * k)
+            graph = build_estimated_graph(bits, fam)
             engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))
             tree = local_mst(graph)
             engine.charge_work(1, n * n)

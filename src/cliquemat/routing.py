@@ -73,9 +73,9 @@ All primitives deliver self-addressed items locally at no message cost and
 return ``(delivered, rounds_used)``.  The two task primitives take one
 :class:`Batch` of columns and deliver one, ordered by (dst, src,
 position); a node finds its rows with :meth:`Batch.span`.
-``vector_multicast`` takes each sender's chunks and recipients and returns
+``vector_multicast`` takes each sender's vector and recipients and returns
 each recipient's (sender, vector) list, where every recipient of a sender
-holds the same tuple of chunks; no copy is materialised.
+holds the vector object the sender gave; no copy is materialised.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class Batch:
         if w <= 64 and payload.dtype.kind != "u" and payload.size:
             if payload.min() < 0 or payload.max() >= 1 << 64:
                 raise CapacityError("a payload value does not fit a 64-bit column")
-        payload = payload.astype(object if w > 64 else np.uint64)
+        payload = payload.astype(object if w > 64 else np.uint64, copy=False)
         return cls(*(a.astype(np.int64, copy=False) for a in (src, dst, nbits)), payload)
 
     def __len__(self) -> int:
@@ -403,28 +403,33 @@ def bounded_route(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
 
 
 def vector_multicast(
-    engine: CliqueEngine,
-    senders: dict[int, tuple[Sequence[tuple[int, int]], Sequence[int]]],
-) -> tuple[dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]], int]:
+    engine: CliqueEngine, senders: dict[int, tuple[Sequence, Sequence[int]]]
+) -> tuple[dict[int, list[tuple[int, Sequence]]], int]:
     """Each sender pushes its vector of (payload, nbits) chunks to every node
-    in its recipient set.  Returns per-recipient lists of (sender, vector),
-    ascending by sender, and the rounds used; ``vector`` is the sender's
-    tuple of chunks, one object shared by all its recipients.
+    in its recipient set.  A vector is a (chunks, 2) array in the codec's
+    dtype, as ``np.stack`` of ``pack_chunks``' columns gives, or any
+    sequence of pairs, read as Python ints; its ``len`` is its chunk count.
+    Returns per-recipient lists of (sender, vector), ascending by sender,
+    and the rounds used; ``vector`` is the object the sender gave, shared
+    by all its recipients.
     """
     n = engine.n
     order = sorted(senders)
-    vectors = {s: tuple(senders[s][0]) for s in order}
+    vectors = {s: senders[s][0] for s in order}
     for s in order:
         if not 1 <= s <= n:
             raise PreconditionError(f"sender {s} outside 1..{n}")
         if not 1 <= len(vectors[s]) <= n:
             raise PreconditionError(f"sender {s} has {len(vectors[s])} chunks; must be in 1..n")
-    # every sender's chunks, flat
-    flat = [chunk for s in order for chunk in vectors[s]]
-    widths = np.array([nb for _, nb in flat], dtype=np.int64)
-    if flat:
+    # every sender's chunks, flat, checked once
+    flat = np.concatenate([np.zeros((0, 2), np.uint64)] + [
+        v if isinstance(v, np.ndarray) else np.array(v, dtype=object).reshape(-1, 2)
+        for v in vectors.values()
+    ])
+    widths = flat[:, 1].astype(np.int64)
+    if widths.size:
         engine.check_widths(widths)
-        _check_payloads(np.array([p for p, _ in flat], dtype=object), widths)
+        _check_payloads(flat[:, 0], widths)
     # (sender, recipient) pair columns in (recipient, sender) order
     src = np.repeat(np.array(order, dtype=np.int64), [len(senders[s][1]) for s in order])
     dst = np.array([v for s in order for v in senders[s][1]], dtype=np.int64)
@@ -436,7 +441,7 @@ def vector_multicast(
     twice = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
     if twice.any():
         raise PreconditionError(f"sender {src[1:][twice].min()} lists a recipient twice")
-    result: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+    result: dict[int, list[tuple[int, Sequence]]] = {}
     for v, s in zip(dst.tolist(), src.tolist()):
         result.setdefault(v, []).append((s, vectors[s]))
     cross = src != dst

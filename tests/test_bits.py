@@ -558,7 +558,7 @@ def test_chunk_codec_matches_field_codec(count, width, w, data):
     fields = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=count, max_size=count))
     row = unpack_rows(fields, width).reshape(1, -1)
     payloads, widths = pack_chunks(row, w)
-    assert list(zip(payloads, widths)) == pack_fields(fields, width, w)
+    assert list(zip(payloads.tolist(), widths.tolist())) == pack_fields(fields, width, w)
     if count:  # a row of no bits sends no chunks, so there is nothing to decode
         assert np.array_equal(unpack_chunks(payloads, widths, count * width), row)
 
@@ -567,14 +567,18 @@ def test_chunk_codec_matches_field_codec(count, width, w, data):
 @given(st.integers(0, 5), st.integers(1, 200), st.integers(1, 130), st.data())
 def test_chunk_codec_roundtrip(rows, length, w, data):
     """Rows come back unchanged from chunks of 1..w bits, low bits first;
-    every row is cut into the same widths."""
+    every row is cut into the same widths.  Both columns are uint64 at
+    w <= 64 and Python ints in an object column above."""
     values = data.draw(st.lists(st.integers(0, (1 << length) - 1), min_size=rows, max_size=rows))
     bits = unpack_rows(values, length)
     payloads, widths = pack_chunks(bits, w)
+    assert payloads.dtype == widths.dtype == (np.uint64 if w <= 64 else object)
+    assert w <= 64 or all(type(x) is int for x in [*payloads, *widths])
     per = -(-length // w)
     assert len(payloads) == len(widths) == rows * per
-    assert all(1 <= nb <= w for nb in widths) and widths == widths[:per] * rows
-    chunks = list(zip(payloads, widths))
+    nbits = widths.tolist()
+    assert all(1 <= nb <= w for nb in nbits) and nbits == nbits[:per] * rows
+    chunks = list(zip(payloads.tolist(), nbits))
     for i, value in enumerate(values):
         assert unpack_fields(chunks[i * per:(i + 1) * per], length, 1) == (value,)
     assert np.array_equal(unpack_chunks(payloads, widths, length), bits)
@@ -586,11 +590,11 @@ def test_chunk_codec_rejects_wrong_bit_count():
     which ``python -O`` drops)."""
     bits = unpack_rows([0b0111_11111_00000_00011, 1 << 19], 20)
     payloads, widths = pack_chunks(bits, 8)
-    assert widths == [8, 8, 4] * 2
+    assert widths.tolist() == [8, 8, 4] * 2
     assert np.array_equal(unpack_chunks(payloads, widths, 20), bits)
     bad = [
         (payloads[:-1], widths[:-1]),
-        (payloads + [0], widths + [1]),
+        (np.append(payloads, 0), np.append(widths, 1)),
         (payloads, [8, 8, 4, 8, 4, 8]),
     ]
     for p, nb in bad:

@@ -20,6 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cliquemat.clusmat import choose_orientation, clusmat_oriented
@@ -120,6 +121,54 @@ def test_golden_digests(cell):
 @pytest.mark.parametrize("cell", sorted(GOLDEN_W))
 def test_golden_digests_off_w64(cell):
     assert cell_digests(cell) == GOLDEN_W[cell]
+
+
+def spy_chunk_columns(monkeypatch):
+    """Wrap ``Batch.build`` and every binding of ``vector_multicast``; the
+    returned lists collect each build's (given, built) payload columns and
+    each multicast vector."""
+    from cliquemat import clusmat, hmst, routing
+
+    builds, vectors = [], []
+    build, multicast = routing.Batch.build.__func__, routing.vector_multicast
+
+    def building(cls, *args):
+        batch = build(cls, *args)
+        builds.append((args[-1], batch.payload))
+        return batch
+
+    def multicasting(engine, senders):
+        vectors.extend(vec for vec, _ in senders.values())
+        return multicast(engine, senders)
+
+    monkeypatch.setattr(routing.Batch, "build", classmethod(building))
+    for module in (routing, hmst, clusmat):
+        monkeypatch.setattr(module, "vector_multicast", multicasting)
+    return builds, vectors
+
+
+def python_ints(column) -> bool:
+    return column.dtype == object and all(type(x) is int for x in column.ravel())
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(c for c in {**GOLDEN, **GOLDEN_W} if c.startswith("16-") and "-ba" not in c)
+)
+def test_chunks_travel_as_numpy_columns(cell, monkeypatch):
+    """Chunks go from pack to decode as numpy columns.  At W <= 64 every
+    batch is built from an integer array into a uint64 payload column and
+    every multicast vector is a uint64 (chunks, 2) array; at W = 100 both
+    hold Python ints.  Products and ledgers stay the golden ones."""
+    builds, vectors = spy_chunk_columns(monkeypatch)
+    assert cell_digests(cell) == {**GOLDEN, **GOLDEN_W}[cell]
+    assert builds and vectors
+    wide = cell.endswith("-w100")
+    for given, built in builds:
+        assert python_ints(built) if wide else built.dtype == np.uint64
+        assert isinstance(given, np.ndarray) and (wide or given.dtype.kind in "iu")
+    for vec in vectors:
+        assert isinstance(vec, np.ndarray) and vec.ndim == 2 and vec.shape[1] == 2
+        assert python_ints(vec) if wide else vec.dtype == np.uint64
 
 
 @pytest.mark.parametrize("cell", sorted(c for c in GOLDEN if c.endswith("-auto")))

@@ -285,7 +285,7 @@ def sketch_sets(bits, fam):
     return [tuple(pack_rows(row.reshape(len(fam.scales), fam.k))) for row in bits]
 
 
-@pytest.mark.parametrize("n, k", [(32, 40), (24, 64), (24, 72), (40, 130)])
+@pytest.mark.parametrize("n, k", [(32, 40), (24, 64), (24, 65), (24, 72), (40, 130)])
 def test_build_estimated_graph_matches_pairwise_estimate(n, k):
     """The all-pairs estimate equals estimate_distance on every pair, for
     sketch widths within one and beyond one 64-bit word."""
@@ -315,7 +315,7 @@ def test_build_estimated_graph_of_real_sketches():
                 assert g[i, j] == estimate_distance(sets[i], sets[j], fam)
 
 
-@pytest.mark.parametrize("k", [40, 130])
+@pytest.mark.parametrize("k", [40, 65, 130])
 def test_build_estimated_graph_in_row_blocks(k, monkeypatch):
     """Blocks of 5 rows, the last one short, give the estimate of one
     whole-array block, pair by pair estimate_distance's."""
@@ -580,10 +580,12 @@ def record_multicast(monkeypatch, alter=None):
         out, rounds = multicast(engine, senders)
         if alter in out and alter not in received:
             src, got = out[alter][0]
-            out[alter][0] = (src, ((got[0][0] ^ 1, got[0][1]),) + got[1:])
+            got = got.copy()
+            got[0, 0] ^= 1
+            out[alter][0] = (src, got)
         for v, lists in out.items():
             for _, got in lists:
-                received.setdefault(v, []).extend(got)
+                received.setdefault(v, []).extend(map(tuple, got.tolist()))
         return out, rounds
 
     monkeypatch.setattr(hmst, "vector_multicast", recording)
