@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -92,31 +92,6 @@ class BooleanMatrix:
 
     def to_strings(self) -> list[str]:
         return [row.tobytes().decode() for row in self.bits + ord("0")]
-
-
-def pack_rows(bits) -> list[int]:
-    """Each row of a 2-D 0/1 array as one packed integer, entry j of a row
-    at bit j."""
-    bits = np.asarray(bits, dtype=bool)
-    nbytes = (bits.shape[1] + 7) // 8
-    raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
-    return [
-        int.from_bytes(raw[lo:lo + nbytes], "little")
-        for lo in range(0, len(raw), nbytes)
-    ]
-
-
-def unpack_rows(values: Sequence[int], width: int) -> np.ndarray:
-    """Inverse of :func:`pack_rows`: bit j of each nonnegative integer below
-    2**width as entry j of one row of a (len(values), width) uint8 array."""
-    nbytes = (width + 7) // 8
-    raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
-    bits = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes),
-        axis=1,
-        bitorder="little",
-    )
-    return bits[:, :width]
 
 
 def distance_matrix_via_products(P: BooleanMatrix) -> np.ndarray:
@@ -353,23 +328,31 @@ def boolean_product_naive(A: BooleanMatrix, B: BooleanMatrix) -> BooleanMatrix:
     return BooleanMatrix(A.bits.astype(np.float64) @ B.bits.astype(np.float64) > 0)
 
 
+def chunk_widths(length: int, w: int) -> np.ndarray:
+    """The int64 widths of the chunks of at most ``w`` bits that cut one
+    ``length``-bit row, low bits first: the one width pattern of the wire."""
+    return np.minimum(w, length - w * np.arange(-(-length // w)))
+
+
 def pack_chunks(bits, w: int) -> tuple[np.ndarray, np.ndarray]:
     """The wire format of vectors: each row of a 2-D 0/1 array, entry j at
-    bit j, cut into chunks of at most ``w`` bits, low bits first.  Returns
-    the chunks' payload and width columns, row after row, both uint64 at
-    ``w`` <= 64 and Python ints above, so ``np.stack(..., axis=1)`` makes
-    the (chunks, 2) vectors of a multicast.  All rows share one pattern of
-    widths."""
+    bit j, cut into the :func:`chunk_widths` chunks.  Returns the chunks'
+    payload and width columns, row after row, both uint64 at ``w`` <= 64
+    and Python ints above, so ``np.stack(..., axis=1)`` makes the
+    (chunks, 2) vectors of a multicast."""
     bits = np.asarray(bits, dtype=bool)
     rows, length = bits.shape
-    pattern = np.minimum(w, length - w * np.arange(-(-length // w)))
+    pattern = chunk_widths(length, w)
     padded = np.zeros((rows, pattern.size * w), dtype=bool)
     padded[:, :length] = bits
+    packed = np.packbits(padded.reshape(-1, w), axis=1, bitorder="little")
     widths = np.tile(pattern, rows).astype(object if w > 64 else np.uint64)
     if w > 64:
-        return np.array(pack_rows(padded.reshape(-1, w)), dtype=object), widths
+        raw, nbytes = packed.tobytes(), packed.shape[1]
+        ints = [int.from_bytes(raw[lo:lo + nbytes], "little") for lo in range(0, len(raw), nbytes)]
+        return np.array(ints, dtype=object), widths
     words = np.zeros((widths.size, 8), dtype=np.uint8)
-    words[:, :(w + 7) // 8] = np.packbits(padded.reshape(-1, w), axis=1, bitorder="little")
+    words[:, :packed.shape[1]] = packed
     return words.view("<u8").ravel(), widths
 
 
@@ -378,16 +361,18 @@ def unpack_chunks(payloads, nbits, length: int) -> np.ndarray:
     whose rows the chunks carry, given as payload and width columns (a
     delivered batch's will do), W taken from the widest chunk.  Raises
     :class:`DimensionError` unless the widths repeat, row after row, the
-    pattern :func:`pack_chunks` gives one ``length``-bit row."""
+    :func:`chunk_widths` of one ``length``-bit row."""
     nbits = np.asarray(nbits, dtype=np.int64)
     w = int(nbits.max(initial=1))
-    pattern = pack_chunks(np.zeros((1, length)), w)[1]
+    pattern = chunk_widths(length, w)
     rows, extra = divmod(nbits.size, pattern.size)
     if extra or np.any(nbits != np.tile(pattern, rows)):
         raise DimensionError(f"chunk widths do not cut rows of {length} bits")
     if w > 64:
-        bits = unpack_rows(payloads, w)
+        nbytes = (w + 7) // 8
+        raw = b"".join(v.to_bytes(nbytes, "little") for v in payloads)
+        words = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
     else:
         words = np.ascontiguousarray(payloads, dtype="<u8").view(np.uint8).reshape(-1, 8)
-        bits = np.unpackbits(words, axis=1, bitorder="little")
+    bits = np.unpackbits(words, axis=1, bitorder="little")
     return bits[:, :w].reshape(rows, pattern.size * w)[:, :length]

@@ -28,11 +28,11 @@ itself) and tallies S(n-1) messages in O(S + n) instead of building and
 sorting n(n-1) message columns.  :meth:`broadcast` is the one-round case.
 
 In ``accounted`` routing mode the primitives charge their published
-analytic round costs instead of scheduling rounds; the engine exposes
-:meth:`charge_rounds` and :meth:`count_messages` for that path.  The ledger
-has one tally, :meth:`count_traffic` (messages, bits and a per-node load of
-messages sent plus received), in which :meth:`charge` and
-:meth:`count_messages` end and which a closed-form count calls directly.
+analytic round costs with :meth:`charge_rounds` instead of scheduling
+rounds, and tally the messages of the columns they have checked themselves.
+The ledger has one tally, :meth:`count_traffic` (messages, bits and a
+per-node load of messages sent plus received), in which :meth:`charge` ends
+and which an accounted count calls directly.
 :meth:`charge` (so :meth:`exchange` and :meth:`broadcast`) and
 :meth:`charge_rounds` credit their rounds to a primitive label;
 :meth:`step` adds a block's rounds to one protocol step, so a step name
@@ -259,15 +259,14 @@ class CliqueEngine:
         to that node; returns ``{node id: result}`` for every node whose
         ``fn`` returned something other than None, in ascending id order."""
         out = {}
-        for i in self.node_ids():
-            node = self.node(i)
-            self._active = i
+        for node in self.nodes[1:]:
+            self._active = node.id
             try:
                 result = fn(node)
             finally:
                 self._active = None
             if result is not None:
-                out[i] = result
+                out[node.id] = result
         return out
 
     def put(self, key: Hashable, values: dict[int, object]) -> None:
@@ -368,7 +367,10 @@ class CliqueEngine:
         load = np.zeros(n + 1, dtype=np.int64)
         messages, bits = src.size, 0
         if src.size:
-            self.check_messages(src, dst, nbits)
+            if np.any(src == dst):
+                raise ValueError("src and dst must differ")
+            self.check_nodes(src, dst)
+            self.check_widths(nbits)
             if rnd.min() < 0 or rnd.max() >= rounds:
                 raise ValueError(f"round index outside 0..{rounds - 1}")
             # one int64 (round, src, dst) key per message, built and sorted
@@ -429,13 +431,6 @@ class CliqueEngine:
         senders still counts."""
         self.exchange(1, 0, (), (), (), label, ((0, senders, nbits),))
 
-    def check_messages(self, src: np.ndarray, dst: np.ndarray, nbits: np.ndarray) -> None:
-        """Per-message rules: distinct endpoints in 1..n, 1 <= nbits <= W."""
-        if np.any(src == dst):
-            raise ValueError("src and dst must differ")
-        self.check_nodes(src, dst)
-        self.check_widths(nbits)
-
     def _check_idle(self) -> None:
         if self._buffer:
             raise RuntimeError("batched rounds cannot start while messages are buffered")
@@ -476,22 +471,9 @@ class CliqueEngine:
         self._add_rounds(rounds)
         self.ledger.add_primitive_rounds(label, rounds)
 
-    def count_messages(self, src, dst, nbits) -> None:
-        """Accounted mode: check and count one message per column entry, as
-        :meth:`exchange` would, without scheduling them into rounds."""
-        src, dst, nbits = (
-            a.astype(np.int64, copy=False)
-            for a in np.broadcast_arrays(*map(np.atleast_1d, (src, dst, nbits)))
-        )
-        if src.size:
-            self.check_messages(src, dst, nbits)
-        side = self.cfg.n + 1
-        load = np.bincount(src, minlength=side) + np.bincount(dst, minlength=side)
-        self.count_traffic(src.size, nbits.sum(), load)
-
     def count_traffic(self, messages: int, bits: int, load: np.ndarray) -> None:
-        """The one ledger tally, in which :meth:`charge` and
-        :meth:`count_messages` end: add ``messages`` messages carrying
+        """The one ledger tally, in which :meth:`charge` and every accounted
+        count end: add ``messages`` messages carrying
         ``bits`` payload bits in all, and charge node i W work for each of
         the ``load[i]`` messages it sent or received (index 0 unused)."""
         led = self.ledger

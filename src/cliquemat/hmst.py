@@ -17,16 +17,16 @@ Protocol outline (per-step round subtotals land in the ledger):
    distances and build the tree at node 1.
 
 A family's matrices are one read-only (scales * k, n) 0/1 array.  Each
-scale's k*n bits, the seed and each sketch set is one row of the
-:func:`pack_chunks` wire format; a step encodes or decodes all its rows in
-one call, and the chunks stay numpy columns in between: step 1 multicasts
-(chunks, 2) slices of one packed array, step 2 builds its batch from the
-codec's columns and step 3 decodes the delivered ones.  The points of all
-nodes holding the same family object are sketched in one GF(2) matrix
-product (:func:`sketch_bits`), each node charged its own sketch.  Node 1's
-all-pairs estimate runs on the (n, scales * k) sketch bit array and its
-tree is an O(n^2) Prim; the ledger charges the paper's per-pair work
-either way.
+scale's k*n bits and each sketch set is one row of the :func:`pack_chunks`
+wire format, and the seed takes the :func:`chunk_widths` of a 64-bit row; a
+step encodes or decodes all its rows in one call, and the chunks stay numpy
+columns in between: step 1 multicasts (chunks, 2) slices of one packed
+array, step 2 builds its batch from the codec's columns and step 3 decodes
+the delivered ones.  The points of all nodes holding the same family object
+are sketched in one GF(2) matrix product (:func:`sketch_bits`), each node
+charged its own sketch.  Node 1's all-pairs estimate runs on the
+(n, scales * k) sketch bit array and its tree is an O(n^2) Prim; the ledger
+charges the paper's per-pair work either way.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bits import BooleanMatrix, Tree, local_mst, own_rows, pack_chunks, unpack_chunks, unpack_rows
+from .bits import BooleanMatrix, Tree, chunk_widths, local_mst, own_rows, pack_chunks, unpack_chunks
 from .engine import CliqueConfig, CliqueEngine, RoundLedger
 from .errors import DimensionError, MalformedSketchError
 from .routing import Batch, bounded_route, vector_multicast
@@ -244,7 +244,7 @@ def run_hmst(
             with engine.as_node(1) as node1:
                 seed64 = int(node1.rng.integers(0, 1 << 63))
             # node 1 sends the seed's chunks to every other node, one per round
-            _, widths = pack_chunks(unpack_rows([seed64], 64), w)
+            widths = chunk_widths(64, w)
             rounds = [(r, [1], nbits) for r, nbits in enumerate(widths)]
             engine.exchange(len(widths), 0, (), (), (), "seed_bcast", rounds)
 

@@ -359,8 +359,11 @@ def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) ->
     src, dst, nbits = b.src[cross], b.dst[cross], b.nbits[cross]
     engine.check_widths(nbits)
     if engine.accounted:
+        # _peak_loads checked the endpoints, and the widths are checked above
         engine.charge_rounds(charge, label)
-        engine.count_messages(src, dst, nbits)
+        side = engine.n + 1
+        load = np.bincount(src, minlength=side) + np.bincount(dst, minlength=side)
+        engine.count_traffic(src.size, nbits.sum(), load)
         return charge
     blocks: list = []
     schedule(engine.n, src, dst, nbits, blocks)

@@ -25,3 +25,9 @@ def row01(s: str) -> np.ndarray:
 def value_of(row) -> int:
     """Inverse of :func:`row_of`: entry j of a 0/1 row as bit j."""
     return sum(int(b) << j for j, b in enumerate(row))
+
+
+def values_of(rows) -> list[int]:
+    """Inverse of :func:`rows_of`: :func:`value_of` of each row of a 2-D
+    0/1 array."""
+    return [value_of(row) for row in rows]

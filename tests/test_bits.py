@@ -18,10 +18,9 @@ from cliquemat.bits import (
     euler_traversal,
     hamming_distance,
     local_mst,
+    chunk_widths,
     pack_chunks,
-    pack_rows,
     unpack_chunks,
-    unpack_rows,
     witnesses,
 )
 from field_codec import pack_fields, unpack_fields
@@ -552,11 +551,11 @@ def test_product_shape_mismatch():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 12), st.integers(1, 150), st.integers(1, 130), st.data())
 def test_chunk_codec_matches_field_codec(count, width, w, data):
-    """A vector of fixed-width fields, as the 0/1 row unpack_rows gives,
+    """A vector of fixed-width fields, as the 0/1 row rows_of gives,
     goes on the wire exactly as the reference field codec sends it, for
     fields wider than a chunk and chunks above 64 bits, and comes back."""
     fields = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=count, max_size=count))
-    row = unpack_rows(fields, width).reshape(1, -1)
+    row = rows_of(fields, width).reshape(1, -1)
     payloads, widths = pack_chunks(row, w)
     assert list(zip(payloads.tolist(), widths.tolist())) == pack_fields(fields, width, w)
     if count:  # a row of no bits sends no chunks, so there is nothing to decode
@@ -570,7 +569,7 @@ def test_chunk_codec_roundtrip(rows, length, w, data):
     every row is cut into the same widths.  Both columns are uint64 at
     w <= 64 and Python ints in an object column above."""
     values = data.draw(st.lists(st.integers(0, (1 << length) - 1), min_size=rows, max_size=rows))
-    bits = unpack_rows(values, length)
+    bits = rows_of(values, length)
     payloads, widths = pack_chunks(bits, w)
     assert payloads.dtype == widths.dtype == (np.uint64 if w <= 64 else object)
     assert w <= 64 or all(type(x) is int for x in [*payloads, *widths])
@@ -584,11 +583,22 @@ def test_chunk_codec_roundtrip(rows, length, w, data):
     assert np.array_equal(unpack_chunks(payloads, widths, length), bits)
 
 
+@pytest.mark.parametrize("length, w, want", [
+    (20, 8, [8, 8, 4]), (64, 10, [10] * 6 + [4]), (64, 64, [64]), (64, 100, [64]),
+    (130, 65, [65, 65]), (1, 1, [1]), (0, 8, []),
+])
+def test_chunk_widths_cut_one_row_low_bits_first(length, w, want):
+    """Full chunks of w bits, then the remainder; the widths sum to the
+    row's length and each is in 1..w."""
+    widths = chunk_widths(length, w)
+    assert widths.dtype == np.int64 and widths.tolist() == want
+
+
 def test_chunk_codec_rejects_wrong_bit_count():
     """A chunk list that lost its last chunk, carries one too many, or has
     a width out of the row pattern raises DimensionError (not an assert,
     which ``python -O`` drops)."""
-    bits = unpack_rows([0b0111_11111_00000_00011, 1 << 19], 20)
+    bits = rows_of([0b0111_11111_00000_00011, 1 << 19], 20)
     payloads, widths = pack_chunks(bits, 8)
     assert widths.tolist() == [8, 8, 4] * 2
     assert np.array_equal(unpack_chunks(payloads, widths, 20), bits)
@@ -607,8 +617,6 @@ def test_pack_rows_and_transpose_match_per_bit_reference(n):
     rng = np.random.default_rng(n)
     bits = rng.random((n, n)) < 0.5
     bits[0] = True  # the top bit of a full row
-    assert pack_rows(bits) == pack_rows_per_bit(bits)
-    assert pack_rows(bits[:1].astype(np.int64)) == pack_rows_per_bit(bits[:1])
     M = BooleanMatrix(rows_of(pack_rows_per_bit(bits), n))
     T = M.transpose()
     assert T == transpose_per_bit(M)

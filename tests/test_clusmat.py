@@ -14,7 +14,6 @@ from cliquemat.bits import (
     boolean_product_naive,
     euler_traversal,
     hamming_distance,
-    pack_rows,
     witnesses,
 )
 from cliquemat.clusmat import (
@@ -28,7 +27,7 @@ from cliquemat.clusmat import (
 )
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import InvalidPlanError, InvalidWitnessError
-from rows import row01, row_of, value_of
+from rows import row01, row_of, value_of, values_of
 from tree_reference import edge_weights
 
 
@@ -322,7 +321,7 @@ def check_visited_rows(start_vertex, start_row, walk, wit):
     assert rows.dtype == np.float32
     assert rows.shape == (len(expect_vertices), len(start_row))
     assert set(np.unique(rows).tolist()) <= {0.0, 1.0}
-    assert pack_rows(rows) == expect_rows
+    assert values_of(rows) == expect_rows
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65])
@@ -351,14 +350,14 @@ def test_visited_rows_edge_cases(n):
     # an empty walk is the start row alone
     check_visited_rows(4, row, [], {})
     vertices, rows = visited_rows(4, row, walk_array([]), {})
-    assert vertices.tolist() == [4] and pack_rows(rows) == [value_of(row)]
+    assert vertices.tolist() == [4] and values_of(rows) == [value_of(row)]
     # a coordinate repeated in one list: an odd count flips, an even one
     # cancels; an edge without a list flips nothing
     walk = [(1, 2, 1), (2, 3, 2), (3, 2, 2), (2, 4, 3)]
     check_visited_rows(1, row, walk, {1: [n, n, n], 2: [1, 1]})
     _, rows = visited_rows(1, row, walk_array(walk), {1: [n, n, n], 2: [1, 1]})
     flipped = value_of(row) ^ (1 << (n - 1))
-    assert pack_rows(rows) == [value_of(row), flipped, flipped, flipped]
+    assert values_of(rows) == [value_of(row), flipped, flipped, flipped]
 
 
 def test_block_multiply_matches_naive_on_tour_blocks():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cliquemat.bits import Tree, hamming_distance, local_mst, pack_chunks, pack_rows, unpack_rows
+from cliquemat.bits import Tree, hamming_distance, local_mst, pack_chunks
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import DimensionError, MalformedSketchError
 from cliquemat.hmst import (
@@ -24,7 +24,7 @@ from cliquemat.hmst import (
     sketch_point,
 )
 from field_codec import unpack_fields
-from rows import row01, row_of, value_of
+from rows import row01, row_of, rows_of, value_of, values_of
 from sketch_reference import estimate_distance
 
 
@@ -109,10 +109,10 @@ def test_generate_draws_one_block_per_scale_in_scale_order(n, k, seed):
     scale after scale: the reference draws each scale's matrix on its own
     and keeps it as one packed n-bit integer per row."""
     rng = np.random.default_rng(seed)
-    want = [pack_rows(rng.random((k, n)) < delta_for_scale(r)) for r in scales_for(n)]
+    want = [values_of(rng.random((k, n)) < delta_for_scale(r)) for r in scales_for(n)]
     fam = ProjectionFamily.generate(n, k, np.random.default_rng(seed))
     assert fam.bits.dtype == np.uint8 and fam.bits.shape == (len(fam.scales) * k, n)
-    assert [pack_rows(fam.bits[s * k:(s + 1) * k]) for s in range(len(fam.scales))] == want
+    assert [values_of(fam.bits[s * k:(s + 1) * k]) for s in range(len(fam.scales))] == want
 
 
 def test_generate_deterministic():
@@ -277,12 +277,12 @@ def near_sketch_sets(fam, count, rng):
 def sketch_array(sets, fam):
     """Per-scale sketch integers as the (count, scales * k) bit array that
     sketch_bits returns."""
-    return unpack_rows([s for sk in sets for s in sk], fam.k).reshape(len(sets), -1)
+    return rows_of([s for sk in sets for s in sk], fam.k).reshape(len(sets), -1)
 
 
 def sketch_sets(bits, fam):
     """Rows of a sketch_bits array as per-scale sketch integers."""
-    return [tuple(pack_rows(row.reshape(len(fam.scales), fam.k))) for row in bits]
+    return [tuple(values_of(row.reshape(len(fam.scales), fam.k))) for row in bits]
 
 
 @pytest.mark.parametrize("n, k", [(32, 40), (24, 64), (24, 65), (24, 72), (40, 130)])
@@ -549,20 +549,16 @@ def engine_with_points(n, routing, seed):
 
 
 def record_broadcast_seed(monkeypatch):
-    """Spy on hmst's chunk encoder; the returned list collects the seed that
-    each call on a (1, 64) row, the seed broadcast, encodes."""
-    from cliquemat import hmst
-
+    """Spy on ProjectionFamily.from_seed; the returned list collects the
+    seed of each call, which in seed mode is the seed node 1 broadcast."""
     seeds = []
-    encode = hmst.pack_chunks
+    from_seed = ProjectionFamily.from_seed.__func__
 
-    def recording(bits, w):
-        payloads, widths = encode(bits, w)
-        if np.shape(bits) == (1, 64):
-            seeds.append(unpack_fields(list(zip(payloads, widths)), 64, 1)[0])
-        return payloads, widths
+    def recording(cls, n, k, seed):
+        seeds.append(seed)
+        return from_seed(cls, n, k, seed)
 
-    monkeypatch.setattr(hmst, "pack_chunks", recording)
+    monkeypatch.setattr(ProjectionFamily, "from_seed", classmethod(recording))
     return seeds
 
 
@@ -605,7 +601,7 @@ def family_from_chunks(chunks, n, k):
             pos += 1
         rows += unpack_fields(chunks[start:pos], n, k)
     assert pos == len(chunks)
-    return ProjectionFamily(n, k, scales_for(n), unpack_rows(rows, n), scale_thresholds(n, k))
+    return ProjectionFamily(n, k, scales_for(n), rows_of(rows, n), scale_thresholds(n, k))
 
 
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
@@ -644,9 +640,38 @@ def test_seed_mode_family_matches_fresh_derivation_at_every_node(routing, monkey
     seeds = record_broadcast_seed(monkeypatch)
     run_hmst(engine, ProjectionConfig(seed_mode=True))
     (seed,) = seeds
+    assert 0 <= seed < 1 << 63
     fresh = ProjectionFamily.from_seed(n, k, seed)
     for i in engine.node_ids():
         assert same_family(engine.node(i).storage["family"], fresh)
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+@pytest.mark.parametrize("w", [10, 64, 100])
+def test_seed_broadcast_sends_the_64_bit_seed_in_w_bit_chunks(routing, w, monkeypatch):
+    """Seed-mode step 1 sends ceil(64/W) chunks, one round each, from node
+    1 to every other node: ceil(64/W) rounds, (n-1) ceil(64/W) messages and
+    (n-1) 64 bits, the ledger as step 2's routing finds it."""
+    from cliquemat import hmst
+    from cliquemat.engine import CliqueEngine
+
+    n = 12
+    rng = random.Random(w)
+    engine = CliqueEngine(CliqueConfig(n=n, w=w, routing=routing, seed=3))
+    engine.put("point", {i: row_of(rng.getrandbits(n), n) for i in engine.node_ids()})
+    route = hmst.bounded_route
+    at_step2 = []
+
+    def snapshot(engine, batch):
+        at_step2.append((engine.ledger.messages, engine.ledger.bits))
+        return route(engine, batch)
+
+    monkeypatch.setattr(hmst, "bounded_route", snapshot)
+    run_hmst(engine, ProjectionConfig(seed_mode=True))
+    chunks = math.ceil(64 / w)
+    assert engine.ledger.primitive_rounds["seed_bcast"] == chunks
+    assert engine.ledger.step_rounds["hmst_step1"] == chunks
+    assert at_step2 == [((n - 1) * chunks, (n - 1) * 64)]
 
 
 def test_seed_mode_derives_family_once_per_run(monkeypatch):

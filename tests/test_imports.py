@@ -1,12 +1,16 @@
 """Every module of the package uses each name it imports, so a deletion
 cannot leave a dead import behind, and every top-level definition has a
-caller in the package, so no code serves only the tests.  Only the
-standard library's ``ast``."""
+caller in the package, so no code serves only the tests.  Every name that
+perfbench's tracer wraps is bound, so an edit that unbinds one fails here
+and not only inside a benchmark run.  perfbench is read with the standard
+library's ``ast``, not imported."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cliquemat"
+TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 
 
 def imported_names(tree: ast.Module):
@@ -30,14 +34,50 @@ def test_every_module_uses_each_name_it_imports():
 
 
 def tracer_bindings() -> set[tuple[str, str]]:
-    """The (module, attribute) pairs that perfbench's tracer wraps by name."""
-    tree = ast.parse((PACKAGE.parent.parent / "perfbench" / "tracing.py").read_text())
+    """The (module, attribute) pairs that perfbench's tracer wraps by name:
+    its pairs of string constants whose first name is a package module."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
     return {
         (node.elts[0].value, node.elts[1].value)
-        for node in ast.walk(tree)
+        for node in ast.walk(ast.parse(TRACING.read_text()))
         if isinstance(node, ast.Tuple) and len(node.elts) == 2
         and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)
+        and node.elts[0].value in modules
     }
+
+
+def tracer_names(name: str) -> tuple[str, ...]:
+    """The tuple of method names perfbench's tracer assigns to ``name``."""
+    for stmt in ast.parse(TRACING.read_text()).body:
+        targets = [getattr(t, "id", None) for t in getattr(stmt, "targets", ())]
+        if isinstance(stmt, ast.Assign) and targets == [name]:
+            return ast.literal_eval(stmt.value)
+    raise AssertionError(f"{TRACING.name} assigns no {name}")
+
+
+def test_every_name_the_tracer_wraps_is_bound():
+    """Each (module, attribute) binding resolves on its package module, and
+    each traced method is defined on its own class, where the tracer looks
+    it up in the class ``__dict__``."""
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.hmst import ProjectionFamily
+
+    bindings = tracer_bindings()
+    assert ("routing", "vector_multicast") in bindings
+    assert ("generate", "from_seed") not in bindings
+    unbound = [
+        f"{module}.{attr}" for module, attr in sorted(bindings)
+        if not hasattr(importlib.import_module(f"cliquemat.{module}"), attr)
+    ]
+    unbound += [
+        f"CliqueEngine.{meth}" for meth in (*tracer_names("_ENGINE_METHODS"), "charge_rounds")
+        if meth not in CliqueEngine.__dict__
+    ]
+    unbound += [
+        f"ProjectionFamily.{meth}" for meth in tracer_names("_PROJECTION_METHODS")
+        if meth not in ProjectionFamily.__dict__
+    ]
+    assert unbound == []
 
 
 def referenced_names(stmt: ast.stmt):

@@ -306,7 +306,7 @@ def reference_multicast_ledger(eng, senders):
     """Accounted multicast cost by expanding every message: per sub-task
     (each recipient's m-th sender), the published bound for its widest
     vector, then each rank announcement, each recipient's announcement to
-    every other node and every chunk copy, counted with count_messages."""
+    every other node and every chunk copy, tallied message by message."""
     n = eng.n
     idbits = count_bits(n)
     net = {s: (chunks, sorted(v for v in recips if v != s)) for s, (chunks, recips) in senders.items()}
@@ -325,7 +325,9 @@ def reference_multicast_ledger(eng, senders):
         rows += [(s, v, nbits) for s, v in pairs for _, nbits in net[s][0]]
         widest = max(len(net[s][0]) for s in sub)
         eng.charge_rounds(multicast_accounted_rounds(n, widest), "vector_multicast")
-        eng.count_messages(*(np.array(col) for col in zip(*rows)))
+        src, dst, nbits = (np.array(col) for col in zip(*rows))
+        load = np.bincount(src, minlength=n + 1) + np.bincount(dst, minlength=n + 1)
+        eng.count_traffic(src.size, nbits.sum(), load)
 
 
 @st.composite
