@@ -306,7 +306,7 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     """Two-stage delivery: every edge owner routes each witness to one block
     representative chosen by the shared schedule (balanced, O(n) per
     representative), then representatives multicast their vectors to the
-    block's pair nodes in sub-stages of at most n messages each.
+    block's pair nodes.
 
     Reads per-node storage written by step 6 (``wit``, ``schedules``,
     ``assignment``) and leaves every node's received packet arrays under
@@ -354,8 +354,8 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     rep_packets: dict[int, tuple[np.ndarray, range]] = engine.local(collect_rep)
 
     # stage 2: representatives push their packets to every pair node of
-    # their block, as sub-vectors of at most n messages each; both backends
-    # deliver the same arrays and differ only in what they charge
+    # their block; both backends deliver the same arrays and differ only in
+    # what they charge
     received: dict[int, list[np.ndarray]] = {}
     for packets, recips in rep_packets.values():
         for v in recips:
@@ -381,15 +381,10 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     else:
         # each packet is one 2*cb-bit chunk, in the payload column's dtype
         dtype = delivered.payload.dtype
-        vectors = {
+        vector_multicast(engine, {
             rep: (np.stack((p, np.full_like(p, 2 * cb)), axis=1).astype(dtype), recips)
             for rep, (p, recips) in rep_packets.items()
-        }
-        for s in range(max((math.ceil(len(v) / n) for v, _ in vectors.values()), default=0)):
-            vector_multicast(engine, {
-                rep: (vec[s * n:(s + 1) * n], recips)
-                for rep, (vec, recips) in vectors.items() if len(vec) > s * n
-            })
+        })
     engine.put("witness_packets", {v: received.get(v, []) for v in engine.node_ids()})
 
 
@@ -545,10 +540,9 @@ def _multicast_rows(
 
     sending = engine.local(build)
     chunks = np.stack(pack_chunks([row for row, _ in sending.values()], engine.w), axis=1)
-    per = math.ceil(n / engine.w)
+    split = np.split(chunks, len(sending))
     out, _ = vector_multicast(engine, {
-        s: (chunks[i * per:(i + 1) * per], recips)
-        for i, (s, (_, recips)) in enumerate(sending.items())
+        s: (vec, recips) for vec, (s, (_, recips)) in zip(split, sending.items())
     })
     # every recipient of a sender holds the same vector; all are decoded at once
     vectors = {s: vec for got in out.values() for s, vec in got}

@@ -27,17 +27,15 @@ by construction once senders are distinct, since a sender never sends to
 itself) and tallies S(n-1) messages in O(S + n) instead of building and
 sorting n(n-1) message columns.  :meth:`broadcast` is the one-round case.
 
-In ``accounted`` routing mode the primitives charge their published
-analytic round costs with :meth:`charge_rounds` instead of scheduling
-rounds, and tally the messages of the columns they have checked themselves.
-The ledger has one tally, :meth:`count_traffic` (messages, bits and a
-per-node load of messages sent plus received), in which :meth:`charge` ends
-and which an accounted count calls directly.
-:meth:`charge` (so :meth:`exchange` and :meth:`broadcast`) and
-:meth:`charge_rounds` credit their rounds to a primitive label;
-:meth:`step` adds a block's rounds to one protocol step, so a step name
-entered twice records the sum of both blocks, and a block that raises adds
-nothing.  A call that breaks a rule or would pass
+In ``accounted`` routing mode the primitives build the :class:`Traffic` of
+their published analytic costs instead of scheduling, and charge it the
+same way.  The ledger has one tally, :meth:`count_traffic` (messages, bits
+and a per-node load of messages sent plus received), in which
+:meth:`charge` ends; only step 8's accounted stage 2 calls it and
+:meth:`charge_rounds` directly.  Both charges credit their rounds to a
+primitive label; :meth:`step` adds a block's rounds to one protocol step,
+so a step entered twice records the sum of its blocks, and a block that
+raises adds nothing.  A call that breaks a rule or would pass
 ``max_rounds`` raises before it charges anything.
 
 A node phase is :meth:`local`: it runs once per node, with the storage
@@ -55,11 +53,13 @@ derived result lives until the step ends; later steps share through the
 objects nodes keep in storage.  Callers still charge every node its own
 work.
 
-Accounted per-node work is an upper bound, not a measurement: accounted
-``vector_multicast`` counts every copy of a vector as a direct message from
-its sender, where the simulated doubling tree spreads the forwarding over
-the recipients.  So ``work_max_node`` under ``accounted`` is an upper bound
-on the hottest node's work and cannot be compared with a simulated run's.
+An ``accounted`` ledger against the ``simulated`` one of the same run, as
+the 18 pairs of the golden grid test it: each protocol step's rounds,
+accounted >= simulated; ``messages``, ``bits`` and ``work_total``,
+accounted < simulated, since accounted routing counts each item once, as
+a direct message; ``work_max_node``, no relation, since accounted
+``vector_multicast`` charges every copy to its sender, where the simulated
+doubling tree spreads the forwarding over the recipients.
 """
 
 from __future__ import annotations

@@ -261,15 +261,12 @@ def run_hmst(
             recipients = list(range(2, n + 1))
             # per recipient, the vectors it received, in scale order
             received: dict[int, list[np.ndarray]] = {v: [] for v in recipients}
-            # one k*n-bit row per scale, sent as vectors of at most n chunks
+            # one k*n-bit row per scale, one multicast each
             chunks = np.stack(pack_chunks(family1.bits.reshape(len(scales), k * n), w), axis=1)
-            per = len(chunks) // len(scales)
-            for first in range(0, len(chunks), per):
-                for lo in range(first, first + per, n):
-                    vec = chunks[lo:min(lo + n, first + per)]
-                    out, _ = vector_multicast(engine, {1: (vec, recipients)})
-                    for v, got in out.items():
-                        received[v].extend(vector for _, vector in got)
+            for vec in np.split(chunks, len(scales)):
+                out, _ = vector_multicast(engine, {1: (vec, recipients)})
+                for v, got in out.items():
+                    received[v].extend(vector for _, vector in got)
 
             def rebuild(node):
                 if node.id != 1:

@@ -1,38 +1,37 @@
 """Message-distribution subprotocols on the clique engine.
 
-Three primitives share one code path for both routing backends: the batch's
-columns are checked against the per-node send and receive bounds and
-delivered to the caller.  Only the cost rule depends on the engine's
-routing mode:
+Three primitives share one code path for both routing backends, and every
+call has one shape.  It checks every item once, self-addressed ones
+included: endpoints in 1..n, widths in 1..W, and each payload within its
+width (payloads never enter a schedule, and payload and width do not
+change between hops).  Then it builds one :class:`Traffic` and charges it
+once with :meth:`CliqueEngine.charge` under the primitive's label, so a
+call that fails a check, or whose traffic would pass ``max_rounds``,
+charges nothing.  Only the rule that builds the traffic depends on the
+engine's routing mode:
 
 * ``simulated`` builds every round of the schedule below as message columns
   (round, src, dst, nbits), or, for a round in which every sender messages
-  all n-1 other nodes, as one all-to-all round, and runs them through
-  :meth:`CliqueEngine.exchange`, which enforces endpoints, capacity, one
-  message per ordered pair per round and ``max_rounds``, and fills the
-  ledger;
-* ``accounted`` charges the published analytic round cost and counts one
+  all n-1 other nodes, as one all-to-all round, and takes their traffic
+  from :meth:`CliqueEngine.check_exchange`, which enforces endpoints,
+  capacity and one message per ordered pair per round;
+* ``accounted`` takes the published analytic round cost and counts one
   message per item (plus the multicast announcements) without scheduling.
-  A multicast counts every copy as a direct message from the sender, so the
-  sender carries W work per copy; accounted per-node work, and with it
-  ``work_max_node``, is an upper bound and not comparable with simulated
-  runs, where the doubling tree spreads the copies over the recipients.
-  The multicast count is closed-form over (sender, recipient) pairs and
-  never expands copies or announcements.
+  A multicast counts every copy as a direct message from the sender, where
+  the simulated doubling tree spreads the copies over the recipients; the
+  engine docstring states how the two ledgers relate.  The multicast count
+  is closed-form over (sender, recipient) pairs and never expands copies or
+  announcements.
 
 The simulated schedules are pure functions of n and the cross columns:
 each appends (rounds, rnd, src, dst, nbits, *all_to_all) blocks to a list
 and touches no engine.  :func:`_join` joins a call's blocks into one
-exchange of int32 columns and all-to-all rounds, so every call runs its
-whole schedule through one :meth:`CliqueEngine.exchange`, and a schedule
-that breaks a rule in any block charges nothing.  A multicast's schedule is
-derived and checked (:meth:`CliqueEngine.check_exchange`) through
+exchange of int32 columns and all-to-all rounds, checked at once.  A
+multicast's schedule is derived and checked through
 :meth:`CliqueEngine.derive`, keyed by the bytes of the columns it reads, so
 repeats of one multicast shape within a protocol step are scheduled and
-checked once; the step keeps only the checked traffic (an (n+1) load
-vector and three counts), which every call, repeat or not, charges in
-full.  A schedule that fails its check is not kept, so it raises on every
-call.
+checked once, and every call charges the checked traffic in full; a
+schedule that fails its check is not kept, so it raises on every call.
 
 
 * ``solve_relaxed_idt`` -- every node sends and receives at most n items.
@@ -46,21 +45,20 @@ call.
   Every relaxed task is preceded by two preamble rounds: senders announce
   per-destination counts, and receivers reply with quotas granted in
   ascending (dst, src) order up to n items per receiver.
-* ``vector_multicast`` -- each sender pushes one vector of at most n chunks
-  to a recipient set.  Sub-task m serves every recipient's m-th sender; it
-  opens with two announcement rounds (senders tell recipients their rank;
-  then, in one all-to-all round, recipients tell every node whose vector
-  they take), then covers the recipients by doubling (groups of 2, 4,
-  8...), each phase routed as one bounded task with per-holder fan-out 2,
-  its copies in (sender, rank, chunk) order.
+* ``vector_multicast`` -- each sender pushes one vector of chunks to a
+  recipient set.  The published bound serves vectors of at most n chunks,
+  so a longer call runs as sub-multicasts: sub-multicast s carries chunks
+  s*n .. s*n+n-1 of every vector longer than s*n, exactly as a call of
+  those slices alone would, and the call charges their summed traffic.
+  Within one, sub-task m serves every recipient's m-th sender; it opens
+  with two announcement rounds (senders tell recipients their rank; then,
+  in one all-to-all round, recipients tell every node whose vector they
+  take), then covers the recipients by doubling (groups of 2, 4, 8...),
+  each phase routed as one bounded task with per-holder fan-out 2, its
+  copies in (sender, rank, chunk) order.
 
-Out of band: payloads never enter a schedule, so each primitive checks
-once, on receipt of its batch and under either backend, that every payload
-fits its declared width, every width is in 1..W and every endpoint in 1..n,
-so a batch that fails a check charges nothing; payload and width do
-not change between hops.  The forwarded destination, original source and
-position of an item travel with the schedule and are not charged as
-header bits.
+The forwarded destination, original source and position of an item travel
+with the schedule and are not charged as header bits.
 
 The routing tasks promise that every item arrives, not an order among the
 items of one (source, destination) pair; those keep their batch order.
@@ -178,12 +176,13 @@ def multicast_phases(num_recipients: int) -> int:
 # shared batch handling
 # ---------------------------------------------------------------------------
 
-def _check_payloads(payload: np.ndarray, nbits: np.ndarray) -> None:
-    """Every payload of a nonempty column is a nonnegative integer below
-    2**nbits.  A column whose largest payload fits its narrowest width
+def _check_chunks(engine: CliqueEngine, payload: np.ndarray, nbits: np.ndarray) -> None:
+    """Nonempty columns: every width is in 1..W, every payload in
+    0..2**nbits-1.  A column whose largest payload fits its narrowest width
     passes unscanned; any other is scanned (x >> nb is nonzero exactly when
     x is negative or needs more than nb bits), with the widths in the
     payload's dtype, since numpy promotes uint64 with int64 to float."""
+    engine.check_widths(nbits)
     if payload.min() >= 0 and int(payload.max()).bit_length() <= nbits.min():
         return
     if np.any(payload >> nbits.astype(payload.dtype)):
@@ -192,9 +191,11 @@ def _check_payloads(payload: np.ndarray, nbits: np.ndarray) -> None:
 
 def _peak_loads(engine: CliqueEngine, b: Batch) -> tuple[int, int]:
     """Largest per-node count of cross items sent and received, once every
-    endpoint is checked against 1..n, self-addressed ones included."""
+    item, self-addressed ones included, is checked: endpoints in 1..n,
+    widths in 1..W and payloads within their widths."""
     if len(b):
         engine.check_nodes(b.src, b.dst)
+        _check_chunks(engine, b.payload, b.nbits)
     cross = b.src != b.dst
     if not cross.any():
         return 0, 0
@@ -348,28 +349,25 @@ def _join(blocks: list) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.nda
 
 
 def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) -> int:
-    """Check the payloads and widths of ``b`` and move its cross items:
-    accounted, charge ``charge`` rounds and count one message per item;
-    simulated, run the joined blocks of ``schedule`` as one exchange.
-    Returns the rounds used; a batch that fails a check charges nothing."""
+    """Charge the traffic of moving the cross items of ``b``, which
+    :func:`_peak_loads` has checked: accounted, ``charge`` rounds and one
+    message per item; simulated, the joined blocks of ``schedule``.
+    Returns the rounds used."""
     cross = b.src != b.dst
     if not cross.any():
         return 0
-    _check_payloads(b.payload, b.nbits)
     src, dst, nbits = b.src[cross], b.dst[cross], b.nbits[cross]
-    engine.check_widths(nbits)
     if engine.accounted:
-        # _peak_loads checked the endpoints, and the widths are checked above
-        engine.charge_rounds(charge, label)
         side = engine.n + 1
         load = np.bincount(src, minlength=side) + np.bincount(dst, minlength=side)
-        engine.count_traffic(src.size, nbits.sum(), load)
-        return charge
-    blocks: list = []
-    schedule(engine.n, src, dst, nbits, blocks)
-    rounds, *cols, everyone = _join(blocks)
-    engine.exchange(rounds, *cols, label=label, all_to_all=everyone)
-    return rounds
+        traffic = Traffic(charge, src.size, int(nbits.sum()), load)
+    else:
+        blocks: list = []
+        schedule(engine.n, src, dst, nbits, blocks)
+        rounds, *cols, everyone = _join(blocks)
+        traffic = engine.check_exchange(rounds, *cols, all_to_all=everyone)
+    engine.charge(traffic, label)
+    return traffic.rounds
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +378,9 @@ def solve_relaxed_idt(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
     """Deliver a batch in which every node sends <= n and receives <= n items."""
     n = engine.n
     max_send, max_recv = _peak_loads(engine, b)
-    if max_send > n:
-        raise PreconditionError(
-            f"a node sends {max_send} > n={n} items; use bounded_route"
-        )
-    if max_recv > n:
-        raise PreconditionError(
-            f"a node receives {max_recv} > n={n} items; use bounded_route"
-        )
+    for verb, peak in (("sends", max_send), ("receives", max_recv)):
+        if peak > n:
+            raise PreconditionError(f"a node {verb} {peak} > n={n} items; use bounded_route")
     charge = idt_accounted_rounds(n, max_send, max_recv)
     rounds = _route(engine, b, charge, _idt_rounds, "relaxed_idt")
     return _deliver(b, n), rounds
@@ -405,16 +398,58 @@ def bounded_route(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
     return _deliver(b, n), rounds
 
 
+def _multicast_traffic(engine: CliqueEngine, src, dst, idx, counts, widths) -> Traffic:
+    """The :class:`Traffic` of one multicast of vectors of at most n chunks:
+    its cross pairs ``src``, ``dst`` in (recipient, sender) order, each
+    pair's sender as an index ``idx`` into ``counts``, the senders' chunk
+    counts, and ``widths``, the senders' chunk widths, flat."""
+    n = engine.n
+    # sub-task m serves every recipient's m-th sender, so recipient sets
+    # inside a sub-task are disjoint; cross pairs by (sub-task, sender,
+    # recipient), with each pair's chunk count and first flat chunk
+    sub = _run_ranks(dst)
+    pos = np.argsort((sub * (n + 1) + src) * (n + 1) + dst, kind="stable")
+    src, dst, sub, idx = src[pos], dst[pos], sub[pos], idx[pos]
+    first = np.cumsum(counts) - counts
+    chunks, off = counts[idx], first[idx]
+    idbits = count_bits(n)
+
+    if engine.accounted:
+        # each sub-task's published bound for its widest vector, and in
+        # closed form what the schedule sends: every chunk as one direct
+        # message from the sender, each pair's rank, and each recipient's
+        # announcement to every other node
+        cuts = np.searchsorted(sub, np.arange(int(sub[-1]) + 1))
+        rounds = sum(
+            multicast_accounted_rounds(n, int(c))
+            for c in np.maximum.reduceat(chunks, cuts).tolist()
+        )
+        deg = np.bincount(dst, minlength=n + 1)
+        load = (n - 1) * deg + (src.size - deg)
+        np.add.at(load, src, 1 + chunks)
+        np.add.at(load, dst, 1 + chunks)
+        load[0] = 0
+        vector_bits = np.add.reduceat(widths, first)[idx]
+        return Traffic(
+            rounds, src.size * n + chunks.sum(), idbits * src.size * n + vector_bits.sum(), load
+        )
+
+    # the schedule is derived and checked once per step for each distinct
+    # shape; every call charges its traffic in full
+    cols = (src, dst, sub, chunks, off, widths)
+    return engine.derive(_checked_multicast, engine, idbits, *(col.tobytes() for col in cols))
+
+
 def vector_multicast(
     engine: CliqueEngine, senders: dict[int, tuple[Sequence, Sequence[int]]]
 ) -> tuple[dict[int, list[tuple[int, Sequence]]], int]:
     """Each sender pushes its vector of (payload, nbits) chunks to every node
     in its recipient set.  A vector is a (chunks, 2) array in the codec's
     dtype, as ``np.stack`` of ``pack_chunks``' columns gives, or any
-    sequence of pairs, read as Python ints; its ``len`` is its chunk count.
-    Returns per-recipient lists of (sender, vector), ascending by sender,
-    and the rounds used; ``vector`` is the object the sender gave, shared
-    by all its recipients.
+    sequence of pairs, read as Python ints; its ``len``, at least 1, is its
+    chunk count.  Returns per-recipient lists of (sender, vector), ascending
+    by sender, and the rounds used; ``vector`` is the object the sender
+    gave, shared by all its recipients.
     """
     n = engine.n
     order = sorted(senders)
@@ -422,8 +457,8 @@ def vector_multicast(
     for s in order:
         if not 1 <= s <= n:
             raise PreconditionError(f"sender {s} outside 1..{n}")
-        if not 1 <= len(vectors[s]) <= n:
-            raise PreconditionError(f"sender {s} has {len(vectors[s])} chunks; must be in 1..n")
+        if not len(vectors[s]):
+            raise PreconditionError(f"sender {s} has no chunks")
     # every sender's chunks, flat, checked once
     flat = np.concatenate([np.zeros((0, 2), np.uint64)] + [
         v if isinstance(v, np.ndarray) else np.array(v, dtype=object).reshape(-1, 2)
@@ -431,8 +466,7 @@ def vector_multicast(
     ])
     widths = flat[:, 1].astype(np.int64)
     if widths.size:
-        engine.check_widths(widths)
-        _check_payloads(flat[:, 0], widths)
+        _check_chunks(engine, flat[:, 0], widths)
     # (sender, recipient) pair columns in (recipient, sender) order
     src = np.repeat(np.array(order, dtype=np.int64), [len(senders[s][1]) for s in order])
     dst = np.array([v for s in order for v in senders[s][1]], dtype=np.int64)
@@ -451,43 +485,18 @@ def vector_multicast(
     if not cross.any():
         return result, 0
 
-    # sub-task m serves every recipient's m-th sender, so recipient sets
-    # inside a sub-task are disjoint; cross pairs by (sub-task, sender,
-    # recipient), with each pair's chunk count and first flat chunk
+    # sub-multicast s: chunks s*n .. s*n+n-1 of every vector longer than s*n
     src, dst = src[cross], dst[cross]
-    sub = _run_ranks(dst)
-    pos = np.argsort((sub * (n + 1) + src) * (n + 1) + dst, kind="stable")
-    src, dst, sub = src[pos], dst[pos], sub[pos]
-    first = np.cumsum([0] + [len(vectors[s]) for s in order])
+    lengths = np.array([len(vectors[s]) for s in order], dtype=np.int64)
+    rank = _run_ranks(np.repeat(np.arange(lengths.size), lengths))  # of a chunk in its vector
     idx = np.searchsorted(np.array(order), src)
-    chunks, off = first[idx + 1] - first[idx], first[idx]
-    idbits = count_bits(n)
-
-    if engine.accounted:
-        # charge each sub-task's published bound for its widest vector, and
-        # count in closed form what the schedule sends: every chunk as one
-        # direct message from the sender, each pair's rank, and each
-        # recipient's announcement to every other node
-        cuts = np.searchsorted(sub, np.arange(int(sub[-1]) + 1))
-        rounds = sum(
-            multicast_accounted_rounds(n, int(c))
-            for c in np.maximum.reduceat(chunks, cuts).tolist()
-        )
-        engine.charge_rounds(rounds, "vector_multicast")
-        deg = np.bincount(dst, minlength=n + 1)
-        load = (n - 1) * deg + (src.size - deg)
-        np.add.at(load, src, 1 + chunks)
-        np.add.at(load, dst, 1 + chunks)
-        load[0] = 0
-        vector_bits = np.add.reduceat(widths, first[:-1])[idx]
-        engine.count_traffic(
-            src.size * n + chunks.sum(), idbits * src.size * n + vector_bits.sum(), load
-        )
-        return result, rounds
-
-    # the schedule is derived and checked once per step for each distinct
-    # shape; every call charges its traffic in full
-    cols = (src, dst, sub, chunks, off, widths)
-    traffic = engine.derive(_checked_multicast, engine, idbits, *(col.tobytes() for col in cols))
+    parts = []
+    for lo in range(0, int(lengths[idx].max()), n):
+        kept = np.flatnonzero(lengths > lo)
+        counts = np.minimum(lengths[kept] - lo, n)
+        pairs = np.flatnonzero(lengths[idx] > lo)
+        part = src[pairs], dst[pairs], np.searchsorted(kept, idx[pairs]), counts
+        parts.append(_multicast_traffic(engine, *part, widths[(rank >= lo) & (rank < lo + n)]))
+    traffic = Traffic(*map(sum, zip(*parts)))  # field by field
     engine.charge(traffic, "vector_multicast")
     return result, traffic.rounds

@@ -180,15 +180,43 @@ def test_auto_transposes_each_input_once(cell):
     assert ledger.primitive_rounds["relaxed_idt"] == forced.primitive_rounds["relaxed_idt"]
 
 
-@pytest.mark.parametrize("cell", sorted(c for c in GOLDEN if "-simulated-" in c))
+# the simulated cells of the 18 (simulated, accounted) pairs of the grid
+SIMULATED_CELLS = sorted(c for c in {**GOLDEN, **GOLDEN_W} if "-simulated-" in c)
+
+
+def ledger_pair(cell):
+    """(simulated, accounted) ledgers of a simulated cell and its pair."""
+    return run_cell(cell)[4], run_cell(cell.replace("-simulated-", "-accounted-"))[4]
+
+
+@pytest.mark.parametrize("cell", SIMULATED_CELLS)
 def test_accounted_step_rounds_bound_simulated(cell):
     """Per protocol step, the accounted ledger is an upper bound on the
     simulated rounds of the same cell, and both record the same steps."""
-    simulated = run_cell(cell)[4].step_rounds
-    accounted = run_cell(cell.replace("-simulated-", "-accounted-"))[4].step_rounds
+    simulated, accounted = (led.step_rounds for led in ledger_pair(cell))
     assert list(simulated) == list(accounted)
     for step, rounds in simulated.items():
         assert rounds <= accounted[step], step
+
+
+@pytest.mark.parametrize("cell", SIMULATED_CELLS)
+def test_accounted_counts_below_simulated(cell):
+    """The engine docstring's label for messages, bits and work_total: the
+    accounted count is below the simulated one of the same cell."""
+    simulated, accounted = ledger_pair(cell)
+    for field in ("messages", "bits", "work_total"):
+        assert getattr(accounted, field) < getattr(simulated, field), field
+
+
+def test_work_max_node_has_no_relation_across_backends():
+    """The engine docstring's label for work_max_node: over the grid's
+    pairs, the accounted hottest node is below the simulated one in some
+    and above it in others."""
+    signs = set()
+    for cell in SIMULATED_CELLS:
+        simulated, accounted = ledger_pair(cell)
+        signs.add(np.sign(accounted.work_max_node - simulated.work_max_node))
+    assert {-1, 1} <= signs
 
 
 def test_golden_report_prints_one_line_per_cell():

@@ -2,7 +2,8 @@
 cannot leave a dead import behind, and every top-level definition has a
 caller in the package, so no code serves only the tests.  Every name that
 perfbench's tracer wraps is bound, so an edit that unbinds one fails here
-and not only inside a benchmark run.  perfbench is read with the standard
+and not only inside a benchmark run.  ``routing.py`` enters the ledger only
+through ``CliqueEngine.charge``.  perfbench is read with the standard
 library's ``ast``, not imported."""
 
 import ast
@@ -115,3 +116,13 @@ def test_every_definition_is_used_by_the_package():
         and (module, stmt.name) not in exempt
     ]
     assert unused == []
+
+
+def test_routing_enters_the_ledger_only_through_charge():
+    """Every routing call builds one Traffic and charges it with
+    ``CliqueEngine.charge``: ``routing.py`` names neither ``charge_rounds``
+    nor ``count_traffic``."""
+    tree = ast.parse((PACKAGE / "routing.py").read_text())
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert named & {"charge_rounds", "count_traffic"} == set()

@@ -520,6 +520,49 @@ def test_multicast_schedule_that_fails_its_check_raises_on_every_call(monkeypatc
             assert (eng.ledger.rounds, eng.ledger.messages, eng.ledger.work_total) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+@pytest.mark.parametrize("w", [64, 100])
+def test_long_multicast_equals_its_n_chunk_calls(routing, w):
+    """Vectors of n-1, n, n+1 and 2n+3 chunks from senders that share
+    recipients (and one that lists itself) go out in one call, which
+    charges exactly the explicit sequence of <= n-chunk calls: call s
+    carries chunks s*n .. s*n+n-1 of every vector longer than s*n.  Every
+    recipient gets each sender's whole vector object, the concatenation of
+    the pieces the sequence delivers.  A call whose summed traffic would
+    pass ``max_rounds`` charges nothing."""
+    n, rng = 8, random.Random(w)
+    lengths = {1: n - 1, 2: n, 5: n + 1, 6: 2 * n + 3}
+    recips = {1: [2, 3, 4, 6], 2: [1, 3, 4, 8], 5: [3, 4, 5, 7], 6: [1, 2, 3, 4]}
+    senders = {}
+    for s, length in lengths.items():
+        widths = [rng.randint(1, w) for _ in range(length)]
+        chunks = [(rng.getrandbits(nb), nb) for nb in widths]
+        senders[s] = (np.array(chunks, dtype=object if w > 64 else np.uint64), recips[s])
+    eng = make_engine(n, routing=routing, w=w)
+    got, rounds = vector_multicast(eng, senders)
+    ref = make_engine(n, routing=routing, w=w)
+    pieces = {}
+    for lo in range(0, max(lengths.values()), n):
+        out, _ = vector_multicast(ref, {
+            s: (vec[lo:lo + n], r) for s, (vec, r) in senders.items() if len(vec) > lo
+        })
+        for v, lst in out.items():
+            for s, piece in lst:
+                pieces.setdefault(v, {}).setdefault(s, []).append(piece)
+    assert lo > 0 and rounds == eng.ledger.rounds
+    assert eng.ledger.as_dict() == ref.ledger.as_dict() and eng.ledger.work == ref.ledger.work
+    senders_of = {v: [s for s, _ in lst] for v, lst in got.items()}
+    assert senders_of == {v: list(p) for v, p in pieces.items()}
+    for v, lst in got.items():
+        for s, vec in lst:
+            assert vec is senders[s][0]
+            assert np.concatenate(pieces[v][s]).tolist() == vec.tolist()
+    short = make_engine(n, routing=routing, w=w, max_rounds=rounds - 1)
+    with pytest.raises(MaxRoundsError):
+        vector_multicast(short, senders)
+    assert short.ledger.as_dict() == make_engine(n, routing=routing, w=w).ledger.as_dict()
+
+
 # ---------------------------------------------------------------------------
 # payload widths and delivery order
 # ---------------------------------------------------------------------------
@@ -604,29 +647,59 @@ def test_schedule_broken_in_a_later_block_charges_nothing(monkeypatch):
     assert eng.ledger.as_dict() == make_engine(4).ledger.as_dict()
 
 
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
 @pytest.mark.parametrize(
-    "prim,label,items",
+    "prim,label,arg",
     [
         (solve_relaxed_idt, "relaxed_idt", random_legal_batch(random.Random(5), 8)),
         # three sub-tasks of n items from node 1: six blocks
         (bounded_route, "bounded_route", [RoutingItem(1, 2, 0, 8)] * 24),
+        # two sub-multicasts, the first with two sub-tasks
+        (vector_multicast, "vector_multicast",
+         {1: ([(1, 4)] * 11, [2, 3]), 4: ([(2, 5)] * 3, [3])}),
     ],
+    ids=["relaxed_idt", "bounded_route", "vector_multicast"],
 )
-def test_simulated_task_primitive_makes_one_exchange(monkeypatch, prim, label, items):
-    """However many blocks its schedule has, a simulated task-primitive call
-    runs it through exactly one labelled engine.exchange."""
-    calls = []
-    exchange = CliqueEngine.exchange
+def test_routing_call_makes_one_labelled_charge(monkeypatch, routing, prim, label, arg):
+    """However many blocks, sub-tasks or sub-multicasts it has, a routing
+    call enters the ledger in either backend through exactly one labelled
+    ``CliqueEngine.charge``, which makes the one ledger tally."""
+    charges, tallies = [], []
+    charge, tally = CliqueEngine.charge, CliqueEngine.count_traffic
 
-    def spy(self, *args, **kwargs):
-        calls.append(kwargs.get("label"))
-        return exchange(self, *args, **kwargs)
+    def charge_spy(self, traffic, label=""):
+        charges.append(label)
+        return charge(self, traffic, label)
 
-    monkeypatch.setattr(CliqueEngine, "exchange", spy)
-    eng = make_engine(8)
-    _, rounds = route(prim, eng, items)
-    assert calls == [label]
+    def tally_spy(self, *args):
+        tallies.append(args)
+        return tally(self, *args)
+
+    monkeypatch.setattr(CliqueEngine, "charge", charge_spy)
+    monkeypatch.setattr(CliqueEngine, "count_traffic", tally_spy)
+    eng = make_engine(8, routing=routing)
+    _, rounds = prim(eng, arg) if prim is vector_multicast else route(prim, eng, arg)
+    assert charges == [label] and len(tallies) == 1
     assert rounds == eng.ledger.rounds == eng.ledger.primitive_rounds[label] > 0
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+@pytest.mark.parametrize("prim", [solve_relaxed_idt, bounded_route])
+@pytest.mark.parametrize("case", ["self-only payload", "self width 0", "self width W+1"])
+def test_task_primitive_checks_self_addressed_items(routing, prim, case):
+    """Self-addressed items cost nothing but are checked like the rest: a
+    self-only batch whose payload needs more than its width, and a mixed
+    batch whose self item has width 0 or W+1, raise CapacityError and leave
+    the ledger at zero."""
+    eng = make_engine(4, routing=routing)
+    rows = {
+        "self-only payload": ([3], [3], [1], [5]),
+        "self width 0": ([1, 3], [2, 3], [8, 0], [1, 0]),
+        "self width W+1": ([1, 3], [2, 3], [8, eng.w + 1], [1, 1]),
+    }[case]
+    with pytest.raises(CapacityError):
+        prim(eng, Batch.build(eng.w, *rows))
+    assert eng.ledger.as_dict() == make_engine(4, routing=routing).ledger.as_dict()
 
 
 @pytest.mark.parametrize("name", PRIMITIVES)
