@@ -493,16 +493,18 @@ def _place_inputs(engine: CliqueEngine, A: BooleanMatrix, B: BooleanMatrix) -> N
 def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> None:
     """One relaxed routing task: node j ships bit i of the row it stores
     under ``src_key`` to node i, so node i stores column i under
-    ``out_key``."""
+    ``out_key``.  The items are laid out in delivery order, (dst, src), so
+    the delivered payloads are the columns, row-major.  The schedule is the
+    (src, dst) layout's: each source's items still go in ascending
+    destination, one per ordered pair, so ranks, intermediates, drain ranks
+    and loads stay the same."""
     n = engine.n
     rows = engine.local(lambda node: node.storage[src_key])
-    src = np.repeat(np.arange(1, n + 1), n)
-    bits = np.concatenate(list(rows.values()))  # node j's bit i goes to node i
-    batch = Batch.build(engine.w, src, np.tile(np.arange(1, n + 1), n), 1, bits)
+    ids = np.arange(1, n + 1)
+    bits = np.stack(list(rows.values()), axis=1)  # [i-1, j-1]: node j's bit i
+    batch = Batch.build(engine.w, np.tile(ids, n), np.repeat(ids, n), 1, bits.ravel())
     delivered, _ = solve_relaxed_idt(engine, batch)
-    received = np.zeros((n, n), dtype=np.uint8)
-    received[delivered.dst - 1, delivered.src - 1] = delivered.payload
-    engine.put(out_key, dict(enumerate(own_rows(received), 1)))
+    engine.put(out_key, dict(enumerate(own_rows(delivered.payload.reshape(n, n)), 1)))
 
 
 def _broadcast_tree(engine: CliqueEngine, row_key: str) -> None:
@@ -590,19 +592,6 @@ def _owner_distance_broadcast(engine: CliqueEngine, row_key: str) -> None:
     engine.put(("distances", row_key), dict.fromkeys(engine.node_ids(), distances))
 
 
-def _gather(engine: CliqueEngine) -> BooleanMatrix:
-    """The product rows the nodes hold under ``c_row``."""
-    return BooleanMatrix([engine.node(i).storage["c_row"] for i in engine.node_ids()])
-
-
-def _flip(engine: CliqueEngine) -> BooleanMatrix:
-    """Node i holds row i of (A o B) transposed; one exchange turns it into
-    row i of A o B."""
-    with engine.step("orient_transpose"):
-        _transpose_exchange(engine, "c_row", "c_row")
-    return _gather(engine)
-
-
 def run_clusmat(
     engine: CliqueEngine, orientations: Sequence[str], proj: ProjectionConfig
 ) -> tuple[BooleanMatrix, str, dict[str, int], dict]:
@@ -650,7 +639,11 @@ def run_clusmat(
 
     orientation, costs = engine.local(pick)[1]
     info = _multiply_along_tree(engine, *_ROLES[orientation])
-    return (_gather(engine) if orientation == "ab" else _flip(engine)), orientation, costs, info
+    if orientation == "ba":  # node i holds row i of (A o B) transposed
+        with engine.step("orient_transpose"):
+            _transpose_exchange(engine, "c_row", "c_row")
+    C = BooleanMatrix([engine.node(i).storage["c_row"] for i in engine.node_ids()])
+    return C, orientation, costs, info
 
 
 def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> dict:

@@ -181,15 +181,15 @@ def build_estimated_graph(sketches: np.ndarray, family: ProjectionFamily) -> np.
     that :func:`local_mst` takes as is: the smallest scale whose cutoff the
     pair's sketch distance passes, or the top scale if none does.
 
-    The sketches are packed into 64-bit words, ceil(k/64) per scale.  The
-    array starts filled with the top scale; then, for each block of rows
-    (all n rows while their XOR words fit in 1 MiB, up to n = 256 at the
-    default kappa), one pass per scale below the top, from the largest
-    down, XORs and popcounts that scale's words against all rows and
-    writes the scale where the pair passes its cutoff (one ``np.add`` per
-    further word sums a pair's popcounts).  The smallest passing scale is
-    written last, so it stands.  Scratch is the XOR words, their popcounts
-    and one pass mask of a single scale and block."""
+    The sketches are packed into 64-bit words, ceil(k/64) per scale.  A
+    uint8 (n, n) array of scale indices starts at the top scale; then, for
+    each block of rows (all n rows while their XOR words fit in 1 MiB, up
+    to n = 256 at the default kappa), one pass per scale below the top
+    XORs and popcounts that scale's words against all rows (one
+    ``np.add`` per further word sums a pair's popcounts) and, branchless,
+    takes the minimum of each index and the scale where the pair passes
+    its cutoff; one ``take`` maps indices to scales.  Scratch is the
+    indices, the XOR words, their popcounts and one candidate block."""
     num_scales, k = len(family.scales), family.k
     if np.ndim(sketches) != 2 or np.shape(sketches)[1] != num_scales * k:
         raise MalformedSketchError(f"sketch sets must be {num_scales} scales of {k} bits")
@@ -199,21 +199,24 @@ def build_estimated_graph(sketches: np.ndarray, family: ProjectionFamily) -> np.
     padded[..., :k] = np.reshape(sketches, (n, num_scales, k)).transpose(1, 0, 2)
     packed = np.packbits(padded, axis=-1, bitorder="little").view("<u8")
     del padded
-    weights = np.full((n, n), family.scales[-1], dtype=np.int64)
+    index = np.full((n, n), num_scales - 1, dtype=np.uint8)
     block = max(1, _BLOCK_BYTES // (8 * n * words))
     for lo in range(0, n, block):
-        part = weights[lo:lo + block]
+        part = index[lo:lo + block]
         xor = np.empty((len(part), n, words), dtype=np.uint64)
         count = np.empty(xor.shape, dtype=np.uint8)
         dist = count[..., 0] if words == 1 else np.empty(part.shape, dtype=np.int32)
-        passed = np.empty(part.shape, dtype=bool)
+        lower = np.empty(part.shape, dtype=np.uint8)
         for s in range(num_scales - 2, -1, -1):
             np.bitwise_xor(packed[s, lo:lo + len(part), None], packed[s, None], out=xor)
             np.bitwise_count(xor, out=count)
             for j in range(1, words):
                 np.add(dist if j > 1 else count[..., 0], count[..., j], out=dist, dtype=np.int32)
-            np.less_equal(dist, family.thresholds[family.scales[s]], out=passed)
-            np.copyto(part, family.scales[s], where=passed)
+            # s where the pair passes, 255 (0 - 1) where it fails
+            np.negative(np.greater(dist, family.thresholds[family.scales[s]], out=lower), out=lower)
+            np.minimum(part, np.bitwise_or(lower, s, out=lower), out=part)
+    del packed, xor, count, dist, lower
+    weights = np.array(family.scales, dtype=np.int64).take(index.astype(np.intp))
     np.fill_diagonal(weights, 0)
     weights.flags.writeable = False
     return weights

@@ -33,7 +33,6 @@ repeats of one multicast shape within a protocol step are scheduled and
 checked once, and every call charges the checked traffic in full; a
 schedule that fails its check is not kept, so it raises on every call.
 
-
 * ``solve_relaxed_idt`` -- every node sends and receives at most n items.
   The item of rank j at its source goes to intermediate ((src-1+j) mod n)+1;
   the next round announces one backlog count per (intermediate, destination)
@@ -65,7 +64,9 @@ items of one (source, destination) pair; those keep their batch order.
 Every ordering here -- delivery by (dst, src), held items by (intermediate,
 dst, src), quota pairs, multicast pairs -- is one stable argsort of checked
 node ids and ranks below n packed with radix n+1, as in
-:meth:`CliqueEngine.exchange`, so equal keys keep their position order.
+:meth:`CliqueEngine.exchange`, so equal keys keep their position order.  A
+task batch already in delivery order is not sorted again, and its per-node
+loads are counted once, for the peak loads and the accounted tally alike.
 
 All primitives deliver self-addressed items locally at no message cost and
 return ``(delivered, rounds_used)``.  The two task primitives take one
@@ -189,23 +190,28 @@ def _check_chunks(engine: CliqueEngine, payload: np.ndarray, nbits: np.ndarray) 
         raise CapacityError("a payload value does not fit its declared bits")
 
 
-def _peak_loads(engine: CliqueEngine, b: Batch) -> tuple[int, int]:
-    """Largest per-node count of cross items sent and received, once every
-    item, self-addressed ones included, is checked: endpoints in 1..n,
-    widths in 1..W and payloads within their widths."""
+def _peak_loads(engine: CliqueEngine, b: Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check every item, self-addressed ones included (endpoints in 1..n,
+    widths in 1..W, payloads within their widths), then count once: the
+    cross mask and each node's cross sends and receives (index 0 unused),
+    whose maxima are the peak loads and which :func:`_route` tallies."""
     if len(b):
         engine.check_nodes(b.src, b.dst)
         _check_chunks(engine, b.payload, b.nbits)
     cross = b.src != b.dst
-    if not cross.any():
-        return 0, 0
-    return int(np.bincount(b.src[cross]).max()), int(np.bincount(b.dst[cross]).max())
+    side = engine.n + 1
+    stay = np.bincount(b.src[~cross], minlength=side)  # self-addressed, per node
+    return cross, np.bincount(b.src, minlength=side) - stay, np.bincount(b.dst, minlength=side) - stay
 
 
 def _deliver(b: Batch, n: int) -> Batch:
-    """Every item at its destination: one stable sort by (dst, src), so the
-    items of one pair keep their position order."""
-    order = np.argsort(b.dst * (n + 1) + b.src, kind="stable")
+    """Every item at its destination by (dst, src), the items of one pair
+    in position order.  A batch whose keys never decrease (an O(N) check)
+    is returned as it is; any other takes one stable sort."""
+    key = b.dst * (n + 1) + b.src
+    if np.all(key[1:] >= key[:-1]):
+        return b
+    order = np.argsort(key, kind="stable")
     return Batch(b.src[order], b.dst[order], b.nbits[order], b.payload[order])
 
 
@@ -348,26 +354,26 @@ def _join(blocks: list) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.nda
     return rounds, *out, tuple(everyone)
 
 
-def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) -> int:
-    """Charge the traffic of moving the cross items of ``b``, which
-    :func:`_peak_loads` has checked: accounted, ``charge`` rounds and one
-    message per item; simulated, the joined blocks of ``schedule``.
-    Returns the rounds used."""
-    cross = b.src != b.dst
-    if not cross.any():
-        return 0
-    src, dst, nbits = b.src[cross], b.dst[cross], b.nbits[cross]
+def _route(
+    engine: CliqueEngine, b: Batch, loads: tuple, charge: int, schedule, label: str
+) -> tuple[Batch, int]:
+    """Charge the traffic of moving the cross items of ``b``, from the
+    ``(cross, sent, received)`` of :func:`_peak_loads`: accounted,
+    ``charge`` rounds, one message per cross item and each node's sends
+    plus receives as its load; simulated, the joined blocks of
+    ``schedule``.  Returns the batch :func:`_deliver` gives and the rounds."""
+    cross, sent, received = loads
+    if not sent.any():
+        return _deliver(b, engine.n), 0
     if engine.accounted:
-        side = engine.n + 1
-        load = np.bincount(src, minlength=side) + np.bincount(dst, minlength=side)
-        traffic = Traffic(charge, src.size, int(nbits.sum()), load)
+        traffic = Traffic(charge, int(sent.sum()), int(b.nbits[cross].sum()), sent + received)
     else:
         blocks: list = []
-        schedule(engine.n, src, dst, nbits, blocks)
+        schedule(engine.n, b.src[cross], b.dst[cross], b.nbits[cross], blocks)
         rounds, *cols, everyone = _join(blocks)
         traffic = engine.check_exchange(rounds, *cols, all_to_all=everyone)
     engine.charge(traffic, label)
-    return traffic.rounds
+    return _deliver(b, engine.n), traffic.rounds
 
 
 # ---------------------------------------------------------------------------
@@ -377,25 +383,23 @@ def _route(engine: CliqueEngine, b: Batch, charge: int, schedule, label: str) ->
 def solve_relaxed_idt(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
     """Deliver a batch in which every node sends <= n and receives <= n items."""
     n = engine.n
-    max_send, max_recv = _peak_loads(engine, b)
+    loads = _peak_loads(engine, b)
+    max_send, max_recv = (int(count.max()) for count in loads[1:])
     for verb, peak in (("sends", max_send), ("receives", max_recv)):
         if peak > n:
             raise PreconditionError(f"a node {verb} {peak} > n={n} items; use bounded_route")
     charge = idt_accounted_rounds(n, max_send, max_recv)
-    rounds = _route(engine, b, charge, _idt_rounds, "relaxed_idt")
-    return _deliver(b, n), rounds
+    return _route(engine, b, loads, charge, _idt_rounds, "relaxed_idt")
 
 
 def bounded_route(engine: CliqueEngine, b: Batch) -> tuple[Batch, int]:
     """Deliver a batch; the least k, ell >= 1 with per-node sends <= k*n
     and receives <= ell*n set the accounted charge."""
     n = engine.n
-    max_send, max_recv = _peak_loads(engine, b)
-    k = max(1, math.ceil(max_send / n))
-    ell = max(1, math.ceil(max_recv / n))
+    loads = _peak_loads(engine, b)
+    k, ell = (max(1, math.ceil(int(count.max()) / n)) for count in loads[1:])
     charge = bounded_route_accounted_rounds(k, ell)
-    rounds = _route(engine, b, charge, _bounded_rounds, "bounded_route")
-    return _deliver(b, n), rounds
+    return _route(engine, b, loads, charge, _bounded_rounds, "bounded_route")
 
 
 def _multicast_traffic(engine: CliqueEngine, src, dst, idx, counts, widths) -> Traffic:

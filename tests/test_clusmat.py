@@ -1,11 +1,15 @@
 """Unit tests for the tree-guided Boolean product protocol."""
 
+import math
 import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cliquemat import clusmat
 from cliquemat.bits import (
     BooleanMatrix,
     Traversal,
@@ -14,6 +18,7 @@ from cliquemat.bits import (
     boolean_product_naive,
     euler_traversal,
     hamming_distance,
+    own_rows,
     witnesses,
 )
 from cliquemat.clusmat import (
@@ -27,6 +32,8 @@ from cliquemat.clusmat import (
 )
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import InvalidPlanError, InvalidWitnessError
+from cliquemat.routing import Batch, solve_relaxed_idt
+from recording import RecordingEngine
 from rows import row01, row_of, value_of, values_of
 from tree_reference import edge_weights
 
@@ -490,6 +497,55 @@ def test_clusmat_strict_capacity_mode():
     B = random_matrix_local(n, rng)
     C, _, _ = clusmat_oriented(A, B, CliqueConfig(n=n, w=4 + 16, seed=7))
     assert C == boolean_product_naive(A, B)
+
+
+def reference_transpose(engine, src_key, out_key):
+    """The transpose exchange with its n^2 items in (src, dst) order:
+    node j's bit i goes to node i, and node i's received column is
+    scattered back from the delivered (dst, src) rows."""
+    n = engine.n
+    rows = engine.local(lambda node: node.storage[src_key])
+    src = np.repeat(np.arange(1, n + 1), n)
+    dst = np.tile(np.arange(1, n + 1), n)
+    delivered, _ = solve_relaxed_idt(
+        engine, Batch.build(engine.w, src, dst, 1, np.concatenate(list(rows.values())))
+    )
+    received = np.zeros((n, n), dtype=np.uint8)
+    received[delivered.dst - 1, delivered.src - 1] = delivered.payload
+    engine.put(out_key, dict(enumerate(own_rows(received), 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    w=st.sampled_from(["strict", 64, 100]),
+    routing=st.sampled_from(["simulated", "accounted"]),
+    in_place=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transpose_layout_leaves_schedule_and_columns_unchanged(n, w, routing, in_place, seed):
+    """The transpose in (dst, src) order charges the ledger and per-node
+    work of the (src, dst) layout, sends the same messages in the same
+    rounds (simulated), and leaves every node the same column, whether the
+    column replaces the row (the ``ba`` flip) or is stored beside it
+    (step 1)."""
+    cfg = CliqueConfig(n=n, w=math.ceil(math.log2(n)) + 16 if w == "strict" else w, routing=routing)
+    M = np.random.default_rng(seed).integers(0, 2, (n, n), dtype=np.uint8)
+    keys = ("c_row", "c_row") if in_place else ("b_row", "b_col")
+    engines = []
+    for transpose in (clusmat._transpose_exchange, reference_transpose):
+        eng = RecordingEngine(cfg)
+        eng.put(keys[0], dict(enumerate(own_rows(M), 1)))
+        transpose(eng, *keys)
+        engines.append(eng)
+    got, want = engines
+    assert got.ledger.as_dict() == want.ledger.as_dict()
+    assert got.ledger.work == want.ledger.work
+    assert sorted(got.rows) == sorted(want.rows)
+    for i in got.node_ids():
+        col = got.node(i).storage[keys[1]]
+        assert col.dtype == np.uint8 and not col.flags.writeable
+        assert col.tolist() == want.node(i).storage[keys[1]].tolist() == M[:, i - 1].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from all_to_all import expand
 from cliquemat import routing
 from cliquemat.engine import CliqueConfig, CliqueEngine
 from cliquemat.errors import CapacityError, MaxRoundsError, PairConflictError, PreconditionError
@@ -25,6 +24,7 @@ from cliquemat.routing import (
     solve_relaxed_idt,
     vector_multicast,
 )
+from recording import RecordingEngine
 
 
 def make_engine(n, routing="simulated", **kw):
@@ -369,25 +369,6 @@ def test_multicast_ledger_matches_expanded_reference_and_shares_vectors(case):
     assert ledger_fields(eng.ledger) == ledger_fields(ref.ledger)
 
 
-class RecordingEngine(CliqueEngine):
-    """An engine that also keeps every checked message as a (round, src,
-    dst, nbits) row, all-to-all rounds expanded into their messages, its
-    round counted from the start of the run.  Every schedule here is
-    checked once and charged right after, so a check's rounds start where
-    the ledger stands."""
-
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self.rows = []
-
-    def check_exchange(self, rounds, rnd, src, dst, nbits, all_to_all=()):
-        traffic = super().check_exchange(rounds, rnd, src, dst, nbits, all_to_all)
-        start = self.ledger.rounds
-        rnd, src, dst, nbits = (a.tolist() for a in expand(self.n, rnd, src, dst, nbits, all_to_all))
-        self.rows += zip([r + start for r in rnd], src, dst, nbits)
-        return traffic
-
-
 def per_block_multicast(eng, senders):
     """Simulated multicast, one exchange per block, each labelled as the
     primitive: per sub-task (each recipient's m-th sender), the two
@@ -601,12 +582,20 @@ def test_primitive_rejects_chunk_wider_than_w(name, routing):
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
 @pytest.mark.parametrize("prim", [solve_relaxed_idt, bounded_route, vector_multicast])
 @pytest.mark.parametrize(
-    "dst,nbits,error", [(2, 90, CapacityError), (5, 8, ValueError), (2, 8, MaxRoundsError)]
+    "dst,nbits,error",
+    [
+        (2, 90, CapacityError),
+        (2, 1, CapacityError),
+        (2, 0, CapacityError),
+        (5, 8, ValueError),
+        (2, 8, MaxRoundsError),
+    ],
 )
 def test_failed_task_primitive_charges_nothing(prim, routing, dst, nbits, error):
-    """A batch with a chunk wider than W, an endpoint outside 1..n or more
-    rounds than ``max_rounds`` leaves is rejected before either backend
-    charges rounds, messages or a label.  A multicast sends each row as a
+    """A batch with a chunk wider than W, a payload wider than its width, a
+    width of 0, an endpoint outside 1..n or more rounds than
+    ``max_rounds`` leaves is rejected before either backend charges
+    rounds, messages or a label.  A multicast sends each row as a
     one-chunk vector."""
     cfg = {"routing": routing, "max_rounds": 2 if error is MaxRoundsError else 1_000_000}
     eng = make_engine(4, **cfg)
@@ -795,6 +784,126 @@ def test_bounded_route_delivers_in_position_order(routing):
     items = [RoutingItem(1, 2, p, 4) for p in (9, 3, 7)]
     delivered, _ = route(bounded_route, make_engine(4, routing=routing), items)
     assert [it.payload for it in delivered[2]] == [9, 3, 7]
+
+
+# ---------------------------------------------------------------------------
+# one check-and-tally pass per call; an ordered batch is not sorted again
+# ---------------------------------------------------------------------------
+
+# each task primitive with the send and receive caps it serves
+TASKS = {
+    "relaxed_idt": (solve_relaxed_idt, lambda n: n, lambda n: n),
+    "bounded_route": (bounded_route, lambda n: 2 * n, lambda n: 3 * n),
+}
+
+
+def two_pass_traffic(prim, n, b):
+    """(rounds, messages, bits, load) of the accounted charge as two passes
+    counted it: the peak loads from one bincount of each side's cross
+    items, then the tally from the cross columns taken again; None when no
+    item crosses."""
+    cross = b.src != b.dst
+    src, dst, nbits = b.src[cross], b.dst[cross], b.nbits[cross]
+    if not src.size:
+        return None
+    max_send, max_recv = int(np.bincount(src).max()), int(np.bincount(dst).max())
+    if prim is solve_relaxed_idt:
+        rounds = routing.idt_accounted_rounds(n, max_send, max_recv)
+    else:
+        k, ell = max(1, math.ceil(max_send / n)), max(1, math.ceil(max_recv / n))
+        rounds = bounded_route_accounted_rounds(k, ell)
+    load = np.bincount(src, minlength=n + 1) + np.bincount(dst, minlength=n + 1)
+    return rounds, src.size, int(nbits.sum()), load.tolist()
+
+
+def spied(prim, eng, b):
+    """``prim(eng, b)``; returns the delivered batch, the :class:`Traffic`
+    of every charge, and the size of every array ``np.argsort`` sorted
+    while ``routing._deliver`` ran."""
+    charges, sorts, delivering = [], [], []
+    argsort, deliver, charge = np.argsort, routing._deliver, CliqueEngine.charge
+
+    def argsort_spy(a, *args, **kwargs):
+        if delivering:
+            sorts.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    def deliver_spy(batch, n):
+        delivering.append(True)
+        try:
+            return deliver(batch, n)
+        finally:
+            delivering.pop()
+
+    def charge_spy(self, traffic, label=""):
+        charges.append(traffic)
+        return charge(self, traffic, label)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "argsort", argsort_spy)
+        mp.setattr(routing, "_deliver", deliver_spy)
+        mp.setattr(CliqueEngine, "charge", charge_spy)
+        out, _ = prim(eng, b)
+    return out, charges, sorts
+
+
+@pytest.mark.parametrize("mode", ["simulated", "accounted"])
+@pytest.mark.parametrize("name", list(TASKS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_task_primitive_tallies_once_and_sorts_only_an_unordered_batch(name, mode, data):
+    """A batch, self-addressed items included, is delivered as a lexsort
+    by (dst, src, position) gives it, and the same batch in delivery order
+    is delivered without a call to ``np.argsort``; one in any other order
+    takes exactly one.  The accounted charge equals the two-pass tally."""
+    prim, send_cap, recv_cap = TASKS[name]
+    n, w, rows = data.draw(task_batches(send_cap, recv_cap))
+    for ordered in (False, True):
+        if ordered:
+            rows = sorted(rows, key=lambda r: (r.dst, r.src))
+        eng = make_engine(n, routing=mode, w=w)
+        b = batch(eng, rows)
+        out, charges, sorts = spied(prim, eng, b)
+        order = np.lexsort((np.arange(len(b)), b.src, b.dst))
+        for col in ("src", "dst", "nbits", "payload"):
+            assert getattr(out, col).tolist() == getattr(b, col)[order].tolist()
+        key = b.dst * (n + 1) + b.src
+        assert sorts == ([] if np.all(key[1:] >= key[:-1]) else [len(b)])
+        want = two_pass_traffic(prim, n, b)
+        assert len(charges) == (want is not None)
+        if want is not None and mode == "accounted":
+            rounds, messages, bits, load = charges[0]
+            assert (rounds, messages, bits, load.tolist()) == want
+
+
+@pytest.mark.parametrize("mode", ["simulated", "accounted"])
+@pytest.mark.parametrize("name", list(TASKS))
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 12), w=st.sampled_from([64, 100]), data=st.data())
+def test_task_primitive_delivers_an_all_self_batch_free(name, mode, n, w, data):
+    """A batch whose every item is self-addressed is delivered in (dst,
+    position) order and charges nothing."""
+    prim = TASKS[name][0]
+    nodes = data.draw(st.lists(st.integers(1, n), max_size=3 * n))
+    eng = make_engine(n, routing=mode, w=w)
+    b = Batch.build(w, nodes, nodes, 8, [i % 256 for i in range(len(nodes))])
+    out, charges, _ = spied(prim, eng, b)
+    order = np.lexsort((np.arange(len(b)), b.dst))
+    assert out.payload.tolist() == b.payload[order].tolist()
+    assert charges == []
+    assert eng.ledger.as_dict() == make_engine(n, routing=mode, w=w).ledger.as_dict()
+
+
+@pytest.mark.parametrize("mode", ["simulated", "accounted"])
+@pytest.mark.parametrize("src", [[1] * 5, [1, 1, 3, 3, 4, 4]], ids=["sends", "receives"])
+def test_overloaded_relaxed_batch_charges_nothing(src, mode):
+    """A relaxed batch in which a node sends or receives more than n items
+    raises in either backend before anything is charged."""
+    eng = make_engine(4, routing=mode)
+    dst = [2, 3, 4, 2, 3] if len(src) == 5 else 2
+    with pytest.raises(PreconditionError):
+        spied(solve_relaxed_idt, eng, Batch.build(eng.w, src, dst, 1, 0))
+    assert eng.ledger.as_dict() == make_engine(4, routing=mode).ledger.as_dict()
 
 
 # ---------------------------------------------------------------------------
