@@ -12,14 +12,17 @@ and updates per-column overlap counts only at flipped coordinates.
 The ledger charges that incremental-count work as the paper states it.  The
 simulation reaches the same entries more cheaply on the host: a block's
 rows come from one prefix XOR of per-edge masks (:func:`visited_rows`), and
-the pair nodes of one tour block, which hold the same derived rows, are
-multiplied in one product over their stacked columns (one
-:func:`block_multiply` per tour block); each node gets the entries of its
-own columns and is charged its own work.  Bulk routing tasks are built
-and read as numpy columns; steps 3 and 5 broadcast through the engine's
-closed-form all-to-all round.  From step 5 on, the plan reads one array per
-tree for the tour (the tree's walk, which each tour block slices) and one
-for the distances (entry e is edge e's distance).
+the tour blocks whose pair nodes hold the same column rows are multiplied
+in one product over their stacked rows (one :func:`block_multiply` per
+column set; in the protocol every block's pair nodes hold the same one);
+each node gets the entries of its own columns and is charged its own
+work.  In steps 8 and 10 each node's phase emits only what it holds, and
+the routing columns are built from that in one pass per shared object
+(:func:`_stage1_columns`, :func:`_pair_entries`).  Bulk routing tasks are
+built and read as numpy columns; steps 3 and 5 broadcast through the
+engine's closed-form all-to-all round.  From step 5 on, the plan reads one
+array per tree for the tour (the tree's walk, which each tour block
+slices) and one for the distances (entry e is edge e's distance).
 
 Inputs come from node storage only: the entry points put row i of A and
 row i of B at node i once, and every step after that reads what the nodes
@@ -40,8 +43,8 @@ hold.  Steps (per-step round subtotals land in ``ledger.step_rounds``):
     incrementally and route finished entries home.
 
 Steps 7-9 only deliver: every node stores what it received, and step 10 is
-each pair node's one local phase over it, followed by one product per tour
-block.
+each pair node's one local phase over it, followed by one product per
+column set.
 
 The paper's bound takes M from the cheaper of the trees over A's rows and
 over B's columns, so the orientation is part of the protocol.  Orientation
@@ -239,10 +242,6 @@ class WitnessSchedule:
     edge_offsets: dict[int, int]
     total: int
 
-    def rep_for_positions(self, pos: np.ndarray) -> np.ndarray:
-        """The representative of each witness position."""
-        return self.reps.start + np.minimum(pos // self.capacity, len(self.reps) - 1)
-
 
 def witness_schedules(
     plan: TraversalPlan,
@@ -302,6 +301,50 @@ def _block_witnesses(
     return {e: coords[a:z] for e, a, z in zip(block_edges.tolist(), lo.tolist(), hi.tolist())}
 
 
+def _witness_runs(
+    schedules: dict[int, WitnessSchedule], owners: Sequence[int]
+) -> np.ndarray:
+    """The (edge, offset, first representative, representatives, capacity)
+    rows, as int64 columns, of every edge of ``owners`` in every tour block
+    of ``schedules`` that covers it: blocks in the dict's order, each
+    block's edges ascending."""
+    runs = np.array([
+        (e, offset, s.reps.start, len(s.reps), s.capacity)
+        for s in schedules.values() for e, offset in s.edge_offsets.items()
+    ], dtype=np.int64).reshape(-1, 5).T
+    return runs[:, np.isin(runs[0], owners)]
+
+
+def _stage1_columns(
+    owned: Mapping[int, tuple[np.ndarray, dict[int, WitnessSchedule]]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 1 of step 8 as (edge, representative, coordinate) columns.
+    ``owned`` maps each edge owner, ascending, to its witness array and
+    the schedules it holds.  Every witness of each owner's edge goes, in
+    each tour block that covers the edge, to the representative that its
+    position in the block's run picks; rows are in (owner, block,
+    position) order.
+
+    The runs are read once per distinct schedules object, for the owners
+    holding it, as :func:`~cliquemat.hmst.sketch_bits` groups nodes by
+    family; one pass over all runs then lays out the columns."""
+    groups: dict[int, tuple[dict[int, WitnessSchedule], list[int]]] = {}
+    for e, (_, schedules) in owned.items():
+        groups.setdefault(id(schedules), (schedules, []))[1].append(e)
+    runs = np.concatenate(
+        [np.zeros((5, 0), np.int64)] + [_witness_runs(*g) for g in groups.values()], axis=1
+    )
+    edge, offset, first, reps, capacity = runs[:, np.argsort(runs[0], kind="stable")]
+    wits = [owned[e][0] for e in edge.tolist()]
+    count = np.array([wit.size for wit in wits], dtype=np.int64)
+    # each row's position in its block's run, then its representative
+    pos = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - offset, count)
+    rep = np.repeat(first, count) + np.minimum(
+        pos // np.repeat(capacity, count), np.repeat(reps - 1, count)
+    )
+    return np.repeat(edge, count), rep, np.concatenate([np.zeros(0, np.int64), *wits])
+
+
 def distribute_witnesses(engine: CliqueEngine) -> None:
     """Two-stage delivery: every edge owner routes each witness to one block
     representative chosen by the shared schedule (balanced, O(n) per
@@ -309,8 +352,10 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     block's pair nodes.
 
     Reads per-node storage written by step 6 (``wit``, ``schedules``,
-    ``assignment``) and leaves every node's received packet arrays under
-    ``witness_packets``.
+    ``assignment``).  Each representative receives the packets stage 1
+    delivered to it under ``stage1_packets``, as int64, and takes them out
+    to send them on; every node ends with its received packet arrays
+    under ``witness_packets``.
 
     Accounted, stage 2 counts one message per packet copy from its
     representative and leaves out the multicast announcements (ranks and
@@ -320,32 +365,29 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     n = engine.n
     cb = count_bits(n)
 
-    # (edge, representative, coordinate) columns of the witness run of each
-    # tour block that covers the node's edge
-    def build_stage1(node):
+    # every edge owner emits its witnesses and the schedules it holds
+    def emit_witnesses(node):
         wit = node.storage.get("wit")
-        if wit is None:
-            return None
-        schedules: dict[int, WitnessSchedule] = node.storage["schedules"]
-        e, pos = node.id, np.arange(wit.size)
-        return [
-            (np.full(wit.size, e), s.rep_for_positions(s.edge_offsets[e] + pos), wit)
-            for s in schedules.values() if e in s.edge_offsets
-        ]
+        return None if wit is None else (wit, node.storage["schedules"])
 
-    runs = [run for node_runs in engine.local(build_stage1).values() for run in node_runs]
-    edge, reps, coords = (np.concatenate(c) for c in zip((np.zeros(0, np.int64),) * 3, *runs))
+    edge, reps, coords = _stage1_columns(engine.local(emit_witnesses))
     stage1 = Batch.build(engine.w, edge, reps, 2 * cb, (edge << cb) | (coords - 1))
     delivered, _ = bounded_route(engine, stage1)
+    # each representative's rows of the delivery, found by one search
+    cuts = np.searchsorted(delivered.dst, np.arange(1, n + 2)).tolist()
+    engine.put("stage1_packets", {
+        v: delivered.payload[lo:hi].astype(np.int64)
+        for v, lo, hi in zip(engine.node_ids(), cuts, cuts[1:]) if lo < hi
+    })
 
     # a representative's packets (edge << cb) | (coordinate - 1), sorted by
     # (edge, coordinate), and its block's pair nodes
     def collect_rep(node):
-        got = delivered.span(node.id)
-        if got.start == got.stop:
+        packets = node.storage.pop("stage1_packets", None)
+        if packets is None:
             return None
+        packets.sort()
         pair = node.storage["assignment"].pair_of(node.id)
-        packets = np.sort(delivered.payload[got].astype(np.int64))
         sched: WitnessSchedule | None = node.storage["schedules"][pair[0]] if pair else None
         if sched is None or packets.size > sched.capacity:
             raise SchedulingError(f"representative {node.id} got {packets.size} witnesses")
@@ -447,21 +489,65 @@ def block_multiply(
     """The (row vertex, column index, bit) columns of each visited vertex x
     column, vertices in the order given and columns in the given order.
 
-    ``vertices`` and ``rows`` are a tour block's rows from
-    :func:`visited_rows`; the bits of all of them against all columns come
-    from one product of 0/1 arrays.  The paper's algorithm instead keeps
+    ``vertices`` and ``rows`` are the rows of one tour block from
+    :func:`visited_rows`, or of several stacked; the bits of all of them
+    against all columns come from one product of 0/1 arrays, for which the
+    columns are converted once.  The paper's algorithm instead keeps
     one count of shared ones per column and updates it at every flipped
     coordinate; the ledger charges that work, (n + block cost) x columns,
     whatever this simulation spends.
     """
     js = np.array([j for j, _ in columns], dtype=np.int64)
     cols = np.array([col for _, col in columns], dtype=np.float32).reshape(len(js), rows.shape[1])
-    hits = rows @ cols.T
-    return (
-        np.repeat(vertices, js.size),
-        np.tile(js, len(vertices)),
-        (hits > 0).astype(np.int64).ravel(),
-    )
+    bits = (rows @ cols.T > 0).astype(np.int64).ravel()
+    del cols  # before the entry columns are allocated
+    return np.repeat(vertices, js.size), np.tile(js, len(vertices)), bits
+
+
+def _pair_entries(
+    emitted: Mapping[int, tuple[tuple[np.ndarray, np.ndarray], Mapping[int, np.ndarray]]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step 10's (pair node, vertex, column, bit) columns.  ``emitted``
+    maps each pair node, ascending, to its tour block's rows from
+    :func:`visited_rows` and its ``{column: row}`` dict.
+
+    The pair nodes holding the same block rows (one tour block's) form a
+    block, in the order of their first nodes; a block's entries are each
+    visited vertex against its pair nodes' columns, in node order.  The
+    blocks whose pair nodes hold the same column rows, in the same order,
+    share one :func:`block_multiply` over their stacked rows, so each column
+    set is converted for the product once."""
+    by_rows: dict[int, tuple[tuple, list[int], list[Mapping[int, np.ndarray]]]] = {}
+    for v, (block_rows, cols) in emitted.items():
+        _, nodes, dicts = by_rows.setdefault(id(block_rows), (block_rows, [], []))
+        nodes.append(v)
+        dicts.append(cols)
+    blocks = list(by_rows.values())
+    products: dict[tuple, list[int]] = {}
+    for b, (_, _, dicts) in enumerate(blocks):
+        js = tuple(j for cols in dicts for j in cols)
+        objs = [col for cols in dicts for col in cols.values()]
+        products.setdefault((js, *map(id, objs)), []).append(b)
+    pieces: list = [None] * len(blocks)
+    for (js, *_), members in products.items():
+        columns = [item for cols in blocks[members[0]][2] for item in cols.items()]
+        vertices, rows = (np.concatenate(c) for c in zip(*(blocks[b][0] for b in members)))
+        counts = [len(blocks[b][0][0]) for b in members]
+        # row i: each column's pair node in member block i
+        owners = np.stack([
+            np.repeat(nodes, [len(cols) for cols in dicts])
+            for _, nodes, dicts in (blocks[b] for b in members)
+        ])
+        entries = (
+            owners[np.repeat(np.arange(len(members)), counts)].ravel(),
+            *block_multiply(vertices, rows, columns),
+        )
+        if len(products) == 1:  # one product covers every block, in order
+            return entries
+        cuts = np.cumsum(counts)[:-1] * len(js)
+        for b, *piece in zip(members, *(np.split(c, cuts) for c in entries)):
+            pieces[b] = piece
+    return tuple(np.concatenate(c) for c in zip(*pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -726,22 +812,7 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
             engine.charge_work(node.id, (n + pl.block_costs[b - 1]) * len(cols))
             return st["block_rows"], cols
 
-        # the pair nodes holding the same block rows (one tour block's)
-        # multiply in one product over their stacked columns; each node's
-        # entries are those of its own columns
-        groups: dict[int, tuple[tuple, list[int], list[tuple[int, np.ndarray]]]] = {}
-        for v, (rows, cols) in engine.local(multiply).items():
-            _, owners, columns = groups.setdefault(id(rows), (rows, [], []))
-            owners += [v] * len(cols)
-            columns += cols.items()
-
-        def block_entries(rows, owners, columns):
-            vertex, j, bit = block_multiply(*rows, columns)
-            return np.tile(owners, len(rows[0])), vertex, j, bit
-
-        src, vertex, j, bit = (
-            np.concatenate(c) for c in zip(*(block_entries(*g) for g in groups.values()))
-        )
+        src, vertex, j, bit = _pair_entries(engine.local(multiply))
         entries = Batch.build(engine.w, src, vertex, cb + 1, ((j - 1) << 1) | bit)
         delivered10, _ = bounded_route(engine, entries)
         # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit

@@ -42,7 +42,9 @@ A node phase is :meth:`local`: it runs once per node, with the storage
 audit scoped to that node, and returns what each node emits, keyed by node
 id, for the routing call that follows.  :meth:`put` stores a delivered
 value at each receiving node through that node's storage, so the audit
-sees those writes too.
+sees those writes too.  No node refers to its engine (audited storage
+reads the active node from a holder it shares with the engine), so a
+finished engine, its nodes and all they store go by reference counting.
 
 What nodes derive from the same objects within one protocol step,
 :meth:`derive` computes once and hands to each of them; a node holding
@@ -166,20 +168,31 @@ class RoundLedger:
         }
 
 
+class _Active:
+    """The node whose local phase is running, or None: one holder that an
+    engine and its audited storage share, so no node refers to its
+    engine."""
+
+    __slots__ = ("node",)
+
+    def __init__(self) -> None:
+        self.node: int | None = None
+
+
 class _Storage(dict):
     """Node-private key/value store of an audited engine: every read, write
     and iteration from inside another node's local phase raises
     :class:`IsolationError`."""
 
-    __slots__ = ("_engine", "_owner")
+    __slots__ = ("_active", "_owner")
 
-    def __init__(self, engine: "CliqueEngine", owner: int) -> None:
+    def __init__(self, active: _Active, owner: int) -> None:
         super().__init__()
-        self._engine = engine
+        self._active = active
         self._owner = owner
 
     def _check(self) -> None:
-        active = self._engine._active
+        active = self._active.node
         if active is not None and active != self._owner:
             raise IsolationError(f"node {active} touched storage of node {self._owner}")
 
@@ -204,21 +217,19 @@ for _name in ("__getitem__", "__setitem__", "__delitem__", "__contains__", "__it
 class NodeState:
     """One clique node: id, private storage, RNG stream."""
 
-    __slots__ = ("id", "storage", "_rng", "_engine")
+    __slots__ = ("id", "storage", "_rng", "_seed")
 
-    def __init__(self, engine: "CliqueEngine", node_id: int, audit: bool) -> None:
+    def __init__(self, node_id: int, seed: int, storage: dict) -> None:
         self.id = node_id
-        self.storage = _Storage(engine, node_id) if audit else {}
+        self.storage = storage
         self._rng: np.random.Generator | None = None
-        self._engine = engine
+        self._seed = seed
 
     @property
     def rng(self) -> np.random.Generator:
         """Private random stream derived from (master seed, node id)."""
         if self._rng is None:
-            seq = np.random.SeedSequence(
-                entropy=self._engine.cfg.seed, spawn_key=(self.id,)
-            )
+            seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(self.id,))
             self._rng = np.random.Generator(np.random.PCG64(seq))
         return self._rng
 
@@ -233,12 +244,14 @@ class CliqueEngine:
         self.w = cfg.w
         self.accounted = cfg.routing == ACCOUNTED
         self.ledger = RoundLedger(cfg.n)
+        self._active = _Active()
         self.nodes: list[NodeState | None] = [None] + [
-            NodeState(self, i, audit) for i in range(1, cfg.n + 1)
+            NodeState(i, cfg.seed, _Storage(self._active, i) if audit else {})
+            for i in range(1, cfg.n + 1)
         ]
-        self._active: int | None = None
         self._buffer: dict[tuple[int, int], Message] = {}
         self._derived: dict[tuple, tuple[object, tuple]] = {}
+        self._derived_by_id: dict[tuple, tuple[object, tuple]] = {}
 
     # -- node access --------------------------------------------------------
 
@@ -259,12 +272,13 @@ class CliqueEngine:
         to that node; returns ``{node id: result}`` for every node whose
         ``fn`` returned something other than None, in ascending id order."""
         out = {}
+        active = self._active
         for node in self.nodes[1:]:
-            self._active = node.id
+            active.node = node.id
             try:
                 result = fn(node)
             finally:
-                self._active = None
+                active.node = None
             if result is not None:
                 out[node.id] = result
         return out
@@ -278,12 +292,12 @@ class CliqueEngine:
 
     @contextmanager
     def as_node(self, i: int):
-        prev = self._active
-        self._active = i
+        active = self._active
+        prev, active.node = active.node, i
         try:
             yield self.node(i)
         finally:
-            self._active = prev
+            active.node = prev
 
     def derive(self, fn: Callable, *args):
         """``fn(*args)``, computed once per protocol step for each distinct
@@ -291,11 +305,20 @@ class CliqueEngine:
         other argument by identity.  The engine keeps the arguments alive
         until the step ends (:meth:`step` clears the cache), so an id is
         never reused while it is a key; a call that raises caches nothing.
-        Nothing is shared across engines or steps."""
-        key = (fn, *[a if type(a) is int or type(a) is bytes else (id(a),) for a in args])
-        hit = self._derived.get(key)
+        Nothing is shared across engines or steps.
+
+        Calls with the very same argument objects hit through a key of
+        their ids alone, built without Python code per argument; only a
+        call that misses it builds the value key."""
+        ids = (fn, *map(id, args))
+        hit = self._derived_by_id.get(ids)
         if hit is None:
-            hit = self._derived[key] = (fn(*args), args)
+            key = (fn, *[a if type(a) is int or type(a) is bytes else (id(a),) for a in args])
+            hit = self._derived.get(key)
+            if hit is None:
+                hit = self._derived[key] = (fn(*args), args)
+            # keeps these arguments alive too, so their ids stay unique
+            self._derived_by_id[ids] = (hit[0], args)
         return hit[0]
 
     # -- messaging ----------------------------------------------------------
@@ -495,5 +518,6 @@ class CliqueEngine:
             yield
         finally:
             self._derived.clear()
+            self._derived_by_id.clear()
         steps = self.ledger.step_rounds
         steps[name] = steps.get(name, 0) + self.ledger.rounds - start

@@ -71,7 +71,10 @@ loads are counted once, for the peak loads and the accounted tally alike.
 All primitives deliver self-addressed items locally at no message cost and
 return ``(delivered, rounds_used)``.  The two task primitives take one
 :class:`Batch` of columns and deliver one, ordered by (dst, src,
-position); a node finds its rows with :meth:`Batch.span`.
+position).  No node phase reads a delivered batch: the caller finds each
+node's rows with one ``searchsorted`` over the ``dst`` column and stores
+them at the node through :meth:`CliqueEngine.put`, so the isolation audit
+sees the hand-over.
 ``vector_multicast`` takes each sender's vector and recipients and returns
 each recipient's (sender, vector) list, where every recipient of a sender
 holds the vector object the sender gave; no copy is materialised.
@@ -136,12 +139,6 @@ class Batch:
     def __iter__(self):
         cols = (self.src, self.dst, self.payload, self.nbits)
         return map(RoutingItem._make, zip(*(c.tolist() for c in cols)))
-
-    def span(self, node: int) -> slice:
-        """The rows addressed to ``node`` in a delivered batch, which is
-        sorted by destination."""
-        lo, hi = np.searchsorted(self.dst, [node, node + 1])
-        return slice(int(lo), int(hi))
 
 
 def count_bits(n: int) -> int:

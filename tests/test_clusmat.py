@@ -32,7 +32,7 @@ from cliquemat.clusmat import (
 )
 from cliquemat.engine import CliqueConfig
 from cliquemat.errors import InvalidPlanError, InvalidWitnessError
-from cliquemat.routing import Batch, solve_relaxed_idt
+from cliquemat.routing import Batch, count_bits, solve_relaxed_idt
 from recording import RecordingEngine
 from rows import row01, row_of, value_of, values_of
 from tree_reference import edge_weights
@@ -660,6 +660,40 @@ def test_clusmat_passes_isolation_audit():
     assert C == boolean_product_naive(A, B)
 
 
+@pytest.mark.parametrize("audit", [False, True])
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_finished_run_frees_its_engine_by_reference_counting(monkeypatch, routing, audit):
+    """No node refers back to its engine, so a finished run's engine, its
+    nodes and all they store go as soon as the last reference does,
+    without the cycle collector."""
+    import gc
+    import weakref
+
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+
+    refs = []
+
+    class Watched(CliqueEngine):
+        def __init__(self, cfg):
+            super().__init__(cfg, audit=audit)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(clusmat, "CliqueEngine", Watched)
+    n = 16
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=5))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.4, seed=6))
+    gc.collect()
+    gc.disable()
+    try:
+        C, _, _ = clusmat_oriented(A, B, CliqueConfig(n=n, routing=routing, seed=3))
+        (ref,) = refs
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert C == boolean_product_naive(A, B)
+
+
 def test_clusmat_plans_identical_across_nodes():
     from cliquemat.engine import CliqueEngine
 
@@ -1045,6 +1079,202 @@ def test_identical_rows_rounds_dominated_by_tree_step():
     steps = engine.ledger.step_rounds
     others = sum(steps[f"step{i}"] for i in range(1, 11) if i != 2)
     assert steps["step2"] > others
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_representatives_receive_their_slice_of_stage1(routing, monkeypatch):
+    """Step 8 hands each representative its rows of the stage-1 delivery
+    through ``put``, under the isolation audit: one own int64 array per
+    node with rows, equal to that node's slice of the delivered batch, and
+    nothing for any other node."""
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+
+    n = 16
+    A = generate(GenSpec(n=n, kind="uniform", density=0.3, seed=2))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=3))
+    routed, handed = [], []
+    route = clusmat.bounded_route
+
+    def spy(engine, batch):
+        routed.append(route(engine, batch)[0])
+        return routed[-1], None
+
+    class Handing(CliqueEngine):
+        def put(self, key, values):
+            if key == "stage1_packets":
+                handed.append((routed[-1], dict(values)))
+            super().put(key, values)
+
+    monkeypatch.setattr(clusmat, "bounded_route", spy)
+    engine = Handing(CliqueConfig(n=n, routing=routing, seed=4), audit=True)
+    C, _ = run_placed(engine, A, B)
+    assert C == boolean_product_naive(A, B)
+    (delivered, values), = handed
+    assert values
+    for v in engine.node_ids():
+        rows = delivered.payload[delivered.dst == v]
+        if not rows.size:
+            assert v not in values
+            continue
+        got = values[v]
+        assert got.dtype == np.int64 and got.base is None
+        assert got.tolist() == rows.tolist()
+        assert "stage1_packets" not in engine.node(v).storage  # taken to send on
+
+
+# ---------------------------------------------------------------------------
+# grouped column builders against their one-at-a-time references
+# ---------------------------------------------------------------------------
+
+def random_schedules(rng, n):
+    """Step 6's witness schedules and distances over a random tree."""
+    tree = Tree(n, tuple(WeightedEdge(rng.randrange(1, i), i, 0) for i in range(2, n + 1)))
+    distances = np.array([0] + [rng.randrange(0, n + 1) for _ in range(1, n)], dtype=np.int64)
+    return clusmat._derive_plan(tree, distances, n)[2], distances
+
+
+def assert_same_columns(got, expect):
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def assert_same_stage1(n, got, expect):
+    """The same columns, and the same stage-1 batch built from them."""
+    assert_same_columns(got, expect)
+    cb = count_bits(n)
+    batches = [
+        Batch.build(64, edge, rep, 2 * cb, (edge << cb) | (coords - 1))
+        for edge, rep, coords in (got, expect)
+    ]
+    assert_same_columns(*((b.src, b.dst, b.nbits, b.payload) for b in batches))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_stage1_columns_match_per_owner_reference(seed):
+    """Over random plans, with every owner holding one schedules object
+    (even seeds) or some owners holding a second, different one (odd
+    seeds), the grouped stage-1 builder gives the per-owner reference's
+    columns in the same order."""
+    from step_reference import stage1_columns
+
+    rng = random.Random(seed)
+    n = rng.randrange(2, 80)
+    (first, distances), (second, _) = random_schedules(rng, n), random_schedules(rng, n)
+    others = set(rng.sample(range(1, n), rng.randrange(1, n))) if seed % 2 else set()
+    owned = {
+        e: (
+            np.array(sorted(rng.sample(range(1, n + 1), int(distances[e]))), dtype=np.int64),
+            second if e in others else first,
+        )
+        for e in range(1, n)
+    }
+    assert_same_stage1(n, clusmat._stage1_columns(owned), stage1_columns(owned))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_pair_entries_match_per_block_reference(seed):
+    """Random tour blocks and column blocks; a pair node may hold a copy
+    of its block's rows (its own block) or copies of its column rows (its
+    block's own column set), so products run for several column sets and
+    their entries must come back in block order."""
+    from step_reference import pair_entries
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    t = max(1, int(rng.integers(1, math.isqrt(n + 1) + 1)))
+    cuts = np.array_split(np.arange(1, n + 1), n // t)
+    columns = own_rows(rng.integers(0, 2, (n, n)))
+    emitted = {}
+    for b in range(t):
+        count = int(rng.integers(1, n + 1))
+        vertices = rng.permutation(np.arange(1, n + 1))[:count]
+        rows = (vertices, rng.integers(0, 2, (count, n)).astype(np.float32))
+        for c, cut in enumerate(cuts):
+            cols = {int(j): columns[j - 1] for j in cut}
+            if rng.random() < 0.2:
+                rows = (rows[0], rows[1].copy())
+            if rng.random() < 0.2:
+                cols = {j: col.copy() for j, col in cols.items()}
+            emitted[b * len(cuts) + c + 1] = (rows, cols)
+    assert_same_columns(clusmat._pair_entries(emitted), pair_entries(emitted))
+
+
+def test_grouped_builders_match_references_in_products(monkeypatch):
+    """In whole products over fuzz seeds and both backends, every stage-1
+    and step-10 build equals its reference.  Then one run gives a node its
+    own copy of the tree, so its schedules are a second object, and a pair
+    node of tour block 2 copies of its column rows, so step 10 multiplies
+    several column sets and puts block 2's entries back between the
+    others'; the product is still exact."""
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+    from step_reference import pair_entries, stage1_columns
+    from test_fuzz import draw_spec
+
+    stage1, entries, product = clusmat._stage1_columns, clusmat._pair_entries, clusmat.block_multiply
+    schedules, products = [], []
+
+    def checked_stage1(owned):
+        got = stage1(owned)
+        assert_same_columns(got, stage1_columns(owned))
+        schedules.append(len({id(s) for _, s in owned.values()}))
+        return got
+
+    def checked_entries(emitted):
+        got = entries(emitted)
+        assert_same_columns(got, pair_entries(emitted))
+        return got
+
+    def counted_product(*args):
+        products[-1] += 1
+        return product(*args)
+
+    def counted_entries(emitted):
+        products.append(0)
+        return checked_entries(emitted)
+
+    monkeypatch.setattr(clusmat, "_stage1_columns", checked_stage1)
+    monkeypatch.setattr(clusmat, "_pair_entries", counted_entries)
+    monkeypatch.setattr(clusmat, "block_multiply", counted_product)
+    rng = np.random.default_rng(20261020)
+    for i in range(8):
+        n = int(rng.integers(2, 40))
+        A, B = generate(draw_spec(rng, n)), generate(draw_spec(rng, n))
+        cfg = CliqueConfig(n=n, routing=("simulated", "accounted")[i % 2], seed=i)
+        C, _, _, _ = choose_orientation(A, B, cfg)
+        assert C == boolean_product_naive(A, B)
+    assert schedules == [1] * 8 and products == [1] * 8
+
+    n, other = 16, 4
+    broadcast = clusmat._broadcast_tree
+
+    def broadcast_then_copy(engine, *args, **kwargs):
+        broadcast(engine, *args, **kwargs)
+        with engine.as_node(other) as node:
+            t = node.storage["tree", "a_row"]
+            node.storage["tree", "a_row"] = Tree(t.n, t.edges)
+
+    class CopyingEngine(CliqueEngine):
+        def local(self, fn):
+            if fn.__name__ == "multiply":
+                with self.as_node(1) as node:
+                    v = node.storage["assignment"].nodes_for_block(2)[0]
+                with self.as_node(v) as node:
+                    cols = node.storage["col_rows"]
+                    node.storage["col_rows"] = {j: col.copy() for j, col in cols.items()}
+            return super().local(fn)
+
+    monkeypatch.setattr(clusmat, "_broadcast_tree", broadcast_then_copy)
+    A = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=1))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=2))
+    engine = CopyingEngine(CliqueConfig(n=n, routing="accounted", seed=7), audit=True)
+    C, info = run_placed(engine, A, B)
+    assert C == boolean_product_naive(A, B)
+    assert info["blocks"] >= 3
+    assert schedules[-1] == 2 and products[-1] > 1
 
 
 # ---------------------------------------------------------------------------

@@ -633,6 +633,38 @@ def test_lost_sketch_chunk_raises(routing, w, monkeypatch):
 
 
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_node1_receives_its_sketch_rows_through_put(routing, monkeypatch):
+    """Step 2 hands node 1 its rows of the delivered sketch batch through
+    ``put``, under the isolation audit, as the (source, payload, nbits)
+    columns of its slice; step 3 takes them out of its storage."""
+    from cliquemat import hmst
+
+    n = 12
+    engine = engine_with_points(n, routing, 4)
+    routed, handed = [], []
+    route, put = hmst.bounded_route, engine.put
+
+    def spy(engine, batch):
+        routed.append(route(engine, batch)[0])
+        return routed[-1], None
+
+    def recording_put(key, values):
+        if key == ("sketch_chunks", "point"):
+            handed.append(dict(values))
+        put(key, values)
+
+    monkeypatch.setattr(hmst, "bounded_route", spy)
+    monkeypatch.setattr(engine, "put", recording_put)
+    run_hmst(engine, ProjectionConfig())
+    (delivered,), (values,) = routed, handed
+    assert list(values) == [1]
+    mine = delivered.dst == 1
+    for got, col in zip(values[1], (delivered.src, delivered.payload, delivered.nbits)):
+        assert got.dtype == col.dtype and np.array_equal(got, col[mine])
+    assert ("sketch_chunks", "point") not in engine.node(1).storage
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
 def test_seed_mode_family_matches_fresh_derivation_at_every_node(routing, monkeypatch):
     n = 12
     k = ProjectionConfig().k_for(n)
