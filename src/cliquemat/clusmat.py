@@ -812,15 +812,38 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
             engine.charge_work(node.id, (n + pl.block_costs[b - 1]) * len(cols))
             return st["block_rows"], cols
 
-        src, vertex, j, bit = _pair_entries(engine.local(multiply))
-        entries = Batch.build(engine.w, src, vertex, cb + 1, ((j - 1) << 1) | bit)
+        # each n^2-sized column exists once: the payload ((j - 1) << 1) | bit
+        # is folded into the fresh column of j, and the entry columns live
+        # on only in the batch, which is dropped once delivered
+        src, vertex, payload, bit = _pair_entries(engine.local(multiply))
+        payload -= 1
+        payload <<= 1
+        payload |= bit
+        # a view, not a uint64 copy: every payload is nonnegative
+        entries = Batch.build(engine.w, src, vertex, cb + 1, payload.view(np.uint64))
+        del src, vertex, payload, bit
         delivered10, _ = bounded_route(engine, entries)
-        # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit
-        got = delivered10.payload.astype(np.int64)
-        entry = np.zeros((n, n), dtype=np.int8)
-        flat = (delivered10.dst - 1) * n + (got >> 1)
-        np.maximum.at(entry.reshape(-1), flat, (1 + (got & 1)).astype(np.int8))
-        counts = (entry > 0).sum(axis=1).tolist()
+        del entries
+        # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit; a
+        # vertex visited in several tour blocks gets one copy per block, and
+        # the last copy written must equal every other
+        flat = delivered10.dst - 1
+        flat *= 2 * n
+        flat += delivered10.payload.astype(np.int64)  # twice the flat index, plus the bit
+        del delivered10
+        value = (flat & 1).astype(np.uint8)
+        value += 1
+        flat >>= 1
+        entry = np.zeros((n, n), dtype=np.uint8)
+        entry.reshape(-1)[flat] = value
+        disagree = np.flatnonzero(entry.reshape(-1)[flat] != value)
+        if disagree.size:
+            row, col = divmod(int(flat[disagree[0]]), n)
+            raise SchedulingError(
+                f"entry ({row + 1}, {col + 1}) arrived as both a zero and a one"
+            )
+        del flat, value
+        counts = np.count_nonzero(entry, axis=1).tolist()
         c_rows = own_rows(entry == 2)
 
         def assemble(node):

@@ -71,10 +71,12 @@ loads are counted once, for the peak loads and the accounted tally alike.
 All primitives deliver self-addressed items locally at no message cost and
 return ``(delivered, rounds_used)``.  The two task primitives take one
 :class:`Batch` of columns and deliver one, ordered by (dst, src,
-position).  No node phase reads a delivered batch: the caller finds each
-node's rows with one ``searchsorted`` over the ``dst`` column and stores
-them at the node through :meth:`CliqueEngine.put`, so the isolation audit
-sees the hand-over.
+position); a constant (stride-0) column, such as a scalar width's, comes
+back as it is, and every other column of a sorted delivery is a fresh
+copy, so the input batch never changes.  No node phase reads a delivered
+batch: the caller finds each node's rows with one ``searchsorted`` over
+the ``dst`` column and stores them at the node through
+:meth:`CliqueEngine.put`, so the isolation audit sees the hand-over.
 ``vector_multicast`` takes each sender's vector and recipients and returns
 each recipient's (sender, vector) list, where every recipient of a sender
 holds the vector object the sender gave; no copy is materialised.
@@ -204,12 +206,18 @@ def _peak_loads(engine: CliqueEngine, b: Batch) -> tuple[np.ndarray, np.ndarray,
 def _deliver(b: Batch, n: int) -> Batch:
     """Every item at its destination by (dst, src), the items of one pair
     in position order.  A batch whose keys never decrease (an O(N) check)
-    is returned as it is; any other takes one stable sort."""
-    key = b.dst * (n + 1) + b.src
+    is returned as it is; any other takes one stable sort, whose key is
+    freed before the columns are gathered.  A constant (stride-0) column,
+    such as the width column a scalar width builds, is returned as it is;
+    every other column is a sorted copy, so ``b`` is never changed."""
+    key = b.dst * (n + 1)
+    key += b.src
     if np.all(key[1:] >= key[:-1]):
         return b
     order = np.argsort(key, kind="stable")
-    return Batch(b.src[order], b.dst[order], b.nbits[order], b.payload[order])
+    del key
+    cols = (b.src, b.dst, b.nbits, b.payload)
+    return Batch(*(col if col.strides == (0,) else col[order] for col in cols))
 
 
 def _run_ranks(keys: np.ndarray) -> np.ndarray:
@@ -363,7 +371,8 @@ def _route(
     if not sent.any():
         return _deliver(b, engine.n), 0
     if engine.accounted:
-        traffic = Traffic(charge, int(sent.sum()), int(b.nbits[cross].sum()), sent + received)
+        bits = int(b.nbits.sum(where=cross))  # gathers no width column
+        traffic = Traffic(charge, int(sent.sum()), bits, sent + received)
     else:
         blocks: list = []
         schedule(engine.n, b.src[cross], b.dst[cross], b.nbits[cross], blocks)

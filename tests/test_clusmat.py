@@ -834,6 +834,84 @@ def test_pair_node_missing_a_delivery_stops_step10(drop):
     assert re.search(expect[0], str(err.value))
 
 
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+@pytest.mark.parametrize("flip", [False, True])
+def test_step10_copies_that_disagree_stop_the_run(routing, flip, monkeypatch):
+    """A vertex visited in several tour blocks receives each of its entries
+    once per block.  With one such copy's bit flipped in the delivered
+    step-10 batch, the run stops with a SchedulingError naming the entry's
+    row and column; unflipped, the product is exact."""
+    from cliquemat.errors import SchedulingError
+    from cliquemat.harness import GenSpec, generate
+
+    n = 32
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=7))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=8))
+    route, flipped = clusmat.bounded_route, []
+
+    def spy(engine, batch):
+        delivered, rounds = route(engine, batch)
+        if flip and "step9" in engine.ledger.step_rounds:  # step 10's call
+            # (row, column) of each entry; flip the second copy of the first
+            # entry that arrives twice
+            key = delivered.dst * 2 * n + (delivered.payload.astype(np.int64) >> 1)
+            _, first, count = np.unique(key, return_index=True, return_counts=True)
+            i = int(np.flatnonzero(key == key[first[count > 1][0]])[1])
+            payload = delivered.payload.copy()
+            payload[i] ^= 1
+            flipped.append((int(delivered.dst[i]), (int(payload[i]) >> 1) + 1))
+            delivered = Batch(delivered.src, delivered.dst, delivered.nbits, payload)
+        return delivered, rounds
+
+    monkeypatch.setattr(clusmat, "bounded_route", spy)
+    cfg = CliqueConfig(n=n, routing=routing, seed=7)
+    if not flip:
+        assert clusmat_oriented(A, B, cfg, orientation="ab")[0] == boolean_product_naive(A, B)
+        return
+    with pytest.raises(SchedulingError) as err:
+        clusmat_oriented(A, B, cfg, orientation="ab")
+    (row, col), = flipped
+    assert f"entry ({row}, {col})" in str(err.value)
+
+
+def test_step10_holds_each_entry_column_once(monkeypatch):
+    """Step 10's (vertex, column, bit) entries, about n^2 of them, set the
+    run's memory peak.  On the accounted n=256 instance with A uniform the
+    step peaks, under tracemalloc, less than 70 bytes per routed entry
+    above its start (66 measured): the pair nodes' rows, then the batch's
+    three int64 columns, its delivery sort and the sorted copy, each once.
+    Keeping the entry columns beside the batch, a uint64 payload copy and
+    a gathered width column took 107."""
+    import tracemalloc
+
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+    from memory_report import measuring_steps
+
+    n = 256
+    A = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=0))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=1))
+    traced, routed = {}, []
+    route = clusmat.bounded_route
+
+    def spy(engine, batch):
+        routed.append(len(batch))
+        return route(engine, batch)
+
+    monkeypatch.setattr(clusmat, "bounded_route", spy)
+    monkeypatch.setattr(
+        CliqueEngine, "step", measuring_steps(lambda name, peak, _: traced.update({name: peak}))
+    )
+    tracemalloc.start()
+    try:
+        C, _, _ = clusmat_oriented(A, B, CliqueConfig(n=n, routing="accounted", seed=0))
+    finally:
+        tracemalloc.stop()
+    assert C == boolean_product_naive(A, B)
+    assert routed[-1] > n * n
+    assert traced["step10"] < 70 * routed[-1]
+
+
 def test_orientation_choice_keeps_both_candidates(monkeypatch):
     """After the choice every node still holds both candidate trees'
     distance tables, which sum to the reported costs, and its plan is the

@@ -906,6 +906,35 @@ def test_overloaded_relaxed_batch_charges_nothing(src, mode):
     assert eng.ledger.as_dict() == make_engine(4, routing=mode).ledger.as_dict()
 
 
+@pytest.mark.parametrize("w", [64, 100])
+@pytest.mark.parametrize("width", ["scalar", "per-item"])
+@pytest.mark.parametrize("ordered", [False, True])
+def test_deliver_gathers_each_column_once_and_keeps_a_constant_one(w, width, ordered):
+    """``_deliver`` gives every column as the ``np.lexsort`` by (dst, src,
+    position) does, in value and dtype, and leaves the input columns as
+    they were.  A constant column, such as the widths a scalar width
+    builds, comes back as a stride-0 view with the same values."""
+    n, size = 12, 300
+    rng = np.random.default_rng(w + 2 * ordered + (width == "scalar"))
+    src, dst = rng.integers(1, n + 1, size), rng.integers(1, n + 1, size)
+    if ordered:
+        src, dst = zip(*sorted(zip(src.tolist(), dst.tolist()), key=lambda p: (p[1], p[0])))
+    nbits = 40 if width == "scalar" else rng.integers(1, 41, size)
+    b = Batch.build(w, src, dst, nbits, rng.integers(0, 1 << 40, size).tolist())
+    cols = ("src", "dst", "nbits", "payload")
+    before = {col: getattr(b, col).copy() for col in cols}
+    assert (b.nbits.strides == (0,)) == (width == "scalar")
+    out = routing._deliver(b, n)
+    order = np.lexsort((np.arange(size), b.src, b.dst))
+    assert ordered == np.array_equal(order, np.arange(size))
+    for col in cols:
+        got, given = getattr(out, col), getattr(b, col)
+        assert got.dtype == given.dtype and got.tolist() == given[order].tolist()
+        assert given.tolist() == before[col].tolist()
+        if given.strides == (0,):
+            assert got.strides == (0,)
+
+
 # ---------------------------------------------------------------------------
 # accounted formulas
 # ---------------------------------------------------------------------------
