@@ -25,9 +25,12 @@ engine's routing mode:
 
 The simulated schedules are pure functions of n and the cross columns:
 each appends (rounds, rnd, src, dst, nbits, *all_to_all) blocks to a list
-and touches no engine.  :func:`_join` joins a call's blocks into one
-exchange of int32 columns and all-to-all rounds, checked at once.  A
-multicast's schedule is derived and checked through
+and touches no engine.  Node ids, ranks, rounds and widths are int32, and
+a column constant in a block (a phase's round, a count's width, a scalar
+width) is one scalar; only the packed sort keys are int64, each sorted in
+place and freed before the next is built.  :func:`_join` joins a call's
+blocks into one exchange of int32 columns and all-to-all rounds, checked
+at once.  A multicast's schedule is derived and checked through
 :meth:`CliqueEngine.derive`, keyed by the bytes of the columns it reads, so
 repeats of one multicast shape within a protocol step are scheduled and
 checked once, and every call charges the checked traffic in full; a
@@ -40,10 +43,14 @@ schedule that fails its check is not kept, so it raises on every call.
   drained q rounds later, one item per ordered pair per round.  Accounted:
   :data:`C_IDT` rounds per ceil(sends/n) * ceil(receives/n).
 * ``bounded_route`` -- at most k*n sends and l*n receives per node, solved
-  as sub-tasks of at most n items per sender, each split into relaxed tasks.
-  Every relaxed task is preceded by two preamble rounds: senders announce
-  per-destination counts, and receivers reply with quotas granted in
-  ascending (dst, src) order up to n items per receiver.
+  as sub-tasks of at most n items per sender (sub-task s holds each
+  sender's items ranked s*n .. s*n+n-1 by position), each split into
+  relaxed tasks.  Every relaxed task is preceded by two preamble rounds:
+  senders announce per-destination counts, and receivers reply with quotas
+  granted in ascending (dst, src) order up to n items per receiver.  In
+  closed form, an item's relaxed task is its rank among its receiver's
+  items of the sub-task, by (src, position), over n, and each preamble
+  lists the (src, dst) pairs whose last release is at or after it.
 * ``vector_multicast`` -- each sender pushes one vector of chunks to a
   recipient set.  The published bound serves vectors of at most n chunks,
   so a longer call runs as sub-multicasts: sub-multicast s carries chunks
@@ -205,15 +212,21 @@ def _peak_loads(engine: CliqueEngine, b: Batch) -> tuple[np.ndarray, np.ndarray,
 
 def _deliver(b: Batch, n: int) -> Batch:
     """Every item at its destination by (dst, src), the items of one pair
-    in position order.  A batch whose keys never decrease (an O(N) check)
-    is returned as it is; any other takes one stable sort, whose key is
+    in position order.  A batch already in that order (an O(N) check by
+    pairwise comparisons of the dst and src columns into N-byte masks) is
+    returned as it is; any other takes one stable sort, whose int64 key is
     freed before the columns are gathered.  A constant (stride-0) column,
     such as the width column a scalar width builds, is returned as it is;
     every other column is a sorted copy, so ``b`` is never changed."""
-    key = b.dst * (n + 1)
-    key += b.src
-    if np.all(key[1:] >= key[:-1]):
+    dst, src = b.dst, b.src
+    ordered = dst[1:] > dst[:-1]  # a later receiver,
+    ordered |= src[1:] >= src[:-1]  # or a sender no earlier,
+    ordered &= dst[1:] >= dst[:-1]  # and never an earlier receiver
+    if ordered.all():
         return b
+    del ordered
+    key = dst * (n + 1)
+    key += src
     order = np.argsort(key, kind="stable")
     del key
     cols = (b.src, b.dst, b.nbits, b.payload)
@@ -221,11 +234,29 @@ def _deliver(b: Batch, n: int) -> Batch:
 
 
 def _run_ranks(keys: np.ndarray) -> np.ndarray:
-    """Rank of each entry within its run of equal consecutive keys."""
-    idx = np.arange(keys.size)
-    start = np.ones(keys.size, dtype=bool)
-    start[1:] = keys[1:] != keys[:-1]
-    return idx - np.maximum.accumulate(np.where(start, idx, 0))
+    """Rank of each entry within its run of equal consecutive keys, int32."""
+    rank = np.arange(keys.size, dtype=np.int32)
+    start = rank * np.append(True, keys[1:] != keys[:-1])
+    np.maximum.accumulate(start, out=start)
+    rank -= start
+    return rank
+
+
+def _ranked_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of ``keys``, integers in 0..2**31-1, and each
+    sorted entry's rank within its run of equal keys, both int32.  It sorts
+    one int64 column, each key packed above its position, in place."""
+    packed = np.left_shift(keys, 32, dtype=np.int64)
+    packed += np.arange(keys.size, dtype=np.int32)
+    packed.sort()
+    order = packed.astype(np.uint32).view(np.int32)  # the low words
+    packed >>= 32
+    return order, _run_ranks(packed)
+
+
+def _pick(col, sel):
+    """``col[sel]``, or ``col`` itself when it is a scalar (a constant column)."""
+    return col[sel] if np.ndim(col) else col
 
 
 # ---------------------------------------------------------------------------
@@ -234,67 +265,53 @@ def _run_ranks(keys: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _idt_rounds(n: int, src, dst, nbits, blocks: list) -> None:
-    """One relaxed task: spread over intermediates, announce backlogs, drain."""
-    by_src = np.argsort(src, kind="stable")
-    rank = np.empty(src.size, dtype=np.int64)  # each item's rank at its source
-    rank[by_src] = _run_ranks(src[by_src])
+    """One relaxed task: spread over intermediates, announce backlogs,
+    drain; one block per phase, of the columns each phase sends."""
+    order, rank = _ranked_order(src)  # by (src, position); the rank at the source
+    src, dst, nbits = src[order], dst[order], _pick(nbits, order)
+    del order
     mid = (src - 1 + rank) % n + 1
-    hop = np.flatnonzero(mid != src)
-    held = np.flatnonzero(mid != dst)
-    # held items by (intermediate, dst) pair, then by (src, position)
-    key = (mid[held] * (n + 1) + dst[held]) * (n + 1) + src[held]
-    held = held[np.argsort(key, kind="stable")]
-    q = _run_ranks(mid[held] * (n + 1) + dst[held])
-    announce = held[q == 0]
-    blocks.append((
-        2 + (int(q.max()) + 1 if q.size else 0),
-        np.concatenate([np.repeat([0, 1], [hop.size, announce.size]), 2 + q], dtype=np.int32),
-        np.concatenate([src[hop], mid[announce], mid[held]], dtype=np.int32),
-        np.concatenate([mid[hop], dst[announce], dst[held]], dtype=np.int32),
-        np.concatenate(
-            [nbits[hop], np.full(announce.size, count_bits(n)), nbits[held]], dtype=np.int32
-        ),
-    ))
+    hop = mid != src
+    blocks.append((1, 0, src[hop], mid[hop], _pick(nbits, hop)))
+    held = mid != dst
+    # held items by (intermediate, dst) pair, then by (src, position); the
+    # item ranked q in its pair drains q rounds after the announcements
+    by_pair, q = _ranked_order(mid[held] * (n + 1) + dst[held])
+    mid, dst, nbits = mid[held][by_pair], dst[held][by_pair], _pick(_pick(nbits, held), by_pair)
+    first = q == 0
+    blocks.append((1, 0, mid[first], dst[first], count_bits(n)))
+    blocks.append((int(q.max(initial=-1)) + 1, q, mid, dst, nbits))
 
 
 def _bounded_rounds(n: int, src, dst, nbits, blocks: list) -> None:
-    """Sub-tasks of at most n items per sender; each releases relaxed tasks
-    under receiver quotas until its items are gone."""
+    """Sub-tasks of at most n items per sender, each split into relaxed
+    tasks by the closed-form release rule (module docstring), each after
+    its two preamble rounds."""
     if not src.size:
         return
     cbits = count_bits(2 * n)
-    by_src = np.argsort(src, kind="stable")
-    subtask = _run_ranks(src[by_src]) // n
-    for s in range(int(subtask.max()) + 1):
-        pending = by_src[subtask == s]  # (src, position) order
-        while pending.size:
-            ps, pd = src[pending], dst[pending]
-            # preamble 1: one count per (src, dst) pair
-            order = np.argsort(ps * (n + 1) + pd, kind="stable")
-            rank = _run_ranks(ps[order] * (n + 1) + pd[order])
-            first = np.flatnonzero(rank == 0)
-            pair_src, pair_dst = ps[order][first], pd[order][first]
-            count = np.diff(np.append(first, order.size))
-            # preamble 2: quotas in (dst, src) order, at most n per receiver
-            by_dst = np.argsort(pair_dst * (n + 1) + pair_src, kind="stable")
-            c = count[by_dst]
-            before = np.cumsum(c) - c  # nondecreasing
-            starts = _run_ranks(pair_dst[by_dst]) == 0
-            asked = before - np.maximum.accumulate(np.where(starts, before, 0))
-            quota = np.empty_like(count)
-            quota[by_dst] = np.minimum(c, np.maximum(0, n - asked))
-            release = np.zeros(pending.size, dtype=bool)
-            release[order] = rank < np.repeat(quota, count)
-            blocks.append((
-                2,
-                np.repeat([0, 1], first.size),
-                np.concatenate([pair_src, pair_dst]),
-                np.concatenate([pair_dst, pair_src]),
-                cbits,
-            ))
-            batch = pending[release]
-            _idt_rounds(n, src[batch], dst[batch], nbits[batch], blocks)
-            pending = pending[~release]
+    by_src, sub = _ranked_order(src)  # by (src, position); the rank at the sender
+    sub //= n
+    # by (sub-task, dst, src, position); the rank at the receiver
+    by_dst, release = _ranked_order(sub * (n + 1) + dst[by_src])
+    release //= n
+    at, sub = by_src[by_dst], sub[by_dst]  # positions; sub-tasks
+    del by_src, by_dst
+    cuts = np.searchsorted(sub, np.arange(int(sub[-1]) + 2)).tolist()
+    del sub
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        pos, rel = at[a:b], release[a:b]
+        # the sub-task's (src, dst) pairs, runs here, each with the release
+        # of its last item
+        ps, pd = src[pos], dst[pos]
+        last = np.append((ps[1:] != ps[:-1]) | (pd[1:] != pd[:-1]), True)
+        ps, pd, plast = ps[last], pd[last], rel[last]
+        for t in range(int(plast.max()) + 1):
+            live = plast >= t
+            ls, ld = ps[live], pd[live]
+            blocks += [(1, 0, ls, ld, cbits), (1, 0, ld, ls, cbits)]
+            take = np.sort(pos[rel == t])  # the relaxed task, by position
+            _idt_rounds(n, src[take], dst[take], _pick(nbits, take), blocks)
 
 
 def _multicast_schedule(
@@ -303,12 +320,12 @@ def _multicast_schedule(
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
     """A whole simulated multicast as one exchange from :func:`_join`: per
     sub-task, two announcement rounds, the second one all-to-all, then every
-    doubling phase.  Takes the int64 bytes of the cross pairs' columns in
+    doubling phase.  Takes the int32 bytes of the cross pairs' columns in
     (sub-task, sender, recipient) order (each pair's sender, recipient,
     sub-task, chunk count and first flat chunk) and of every sender's chunk
     widths, flat, so :meth:`CliqueEngine.derive` keys it by value."""
     src, dst, sub, chunks, off, widths = (
-        np.frombuffer(col, dtype=np.int64) for col in (src, dst, sub, chunks, off, widths)
+        np.frombuffer(col, dtype=np.int32) for col in (src, dst, sub, chunks, off, widths)
     )
     cuts = np.searchsorted(sub, np.arange(int(sub[-1]) + 2))
     blocks: list = []
@@ -374,8 +391,12 @@ def _route(
         bits = int(b.nbits.sum(where=cross))  # gathers no width column
         traffic = Traffic(charge, int(sent.sum()), bits, sent + received)
     else:
+        # int32 cross columns; a constant width column stays one scalar
+        src, dst = (col[cross].astype(np.int32) for col in (b.src, b.dst))
+        nbits = int(b.nbits[0]) if b.nbits.strides == (0,) else b.nbits[cross].astype(np.int32)
         blocks: list = []
-        schedule(engine.n, b.src[cross], b.dst[cross], b.nbits[cross], blocks)
+        schedule(engine.n, src, dst, nbits, blocks)
+        del src, dst, nbits
         rounds, *cols, everyone = _join(blocks)
         traffic = engine.check_exchange(rounds, *cols, all_to_all=everyone)
     engine.charge(traffic, label)
@@ -447,7 +468,9 @@ def _multicast_traffic(engine: CliqueEngine, src, dst, idx, counts, widths) -> T
     # the schedule is derived and checked once per step for each distinct
     # shape; every call charges its traffic in full
     cols = (src, dst, sub, chunks, off, widths)
-    return engine.derive(_checked_multicast, engine, idbits, *(col.tobytes() for col in cols))
+    return engine.derive(
+        _checked_multicast, engine, idbits, *(col.astype(np.int32).tobytes() for col in cols)
+    )
 
 
 def vector_multicast(

@@ -912,6 +912,61 @@ def test_step10_holds_each_entry_column_once(monkeypatch):
     assert traced["step10"] < 70 * routed[-1]
 
 
+def test_simulated_step10_schedule_holds_few_bytes_per_entry(monkeypatch):
+    """Simulated, step 10 schedules every round of routing its entries.
+    On the n=128 simulated baseline instance (A clustered, 4 clusters,
+    spread 6, seed 0; B uniform, density 0.5, seed 1) the step peaks, under
+    tracemalloc, at most 150 bytes per routed cross entry above its start
+    (121 measured), and the schedule builder's own peak is at most 120
+    bytes per item it schedules (56 measured).  Releasing each sub-task's
+    relaxed tasks pass by pass, every pass gathering the pending int64
+    columns again, took 240 and 184.  tracemalloc keeps one peak, so the
+    builder is measured in a second run, whose steps are not measured."""
+    import tracemalloc
+
+    from cliquemat import routing
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+    from memory_report import cross_items, measuring_steps
+
+    n = 128
+    A = generate(GenSpec(n=n, kind="clustered", clusters=4, spread=6, seed=0))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=1))
+    cfg = CliqueConfig(n=n, routing="simulated", seed=0)
+    traced, routed, built = {}, [], []
+    route, build = clusmat.bounded_route, routing._bounded_rounds
+
+    def route_spy(engine, batch):
+        routed.append(cross_items(batch))
+        return route(engine, batch)
+
+    def build_spy(n, src, dst, nbits, blocks):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build(n, src, dst, nbits, blocks)
+        built.append((src.size, tracemalloc.get_traced_memory()[1] - start))
+
+    monkeypatch.setattr(clusmat, "bounded_route", route_spy)
+    tracemalloc.start()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(
+                CliqueEngine, "step",
+                measuring_steps(lambda name, peak, _: traced.update({name: peak})),
+            )
+            C, _, _ = clusmat_oriented(A, B, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(routing, "_bounded_rounds", build_spy)
+            clusmat_oriented(A, B, cfg)
+    finally:
+        tracemalloc.stop()
+    assert C == boolean_product_naive(A, B)
+    items, peak = built[-1]  # step 10's call, the run's last
+    assert items == routed[-1] > n * n
+    assert traced["step10"] <= 150 * items
+    assert peak <= 120 * items
+
+
 def test_orientation_choice_keeps_both_candidates(monkeypatch):
     """After the choice every node still holds both candidate trees'
     distance tables, which sum to the reported costs, and its plan is the

@@ -24,6 +24,7 @@ from cliquemat.routing import (
     solve_relaxed_idt,
     vector_multicast,
 )
+import schedule_reference
 from recording import RecordingEngine
 
 
@@ -373,8 +374,8 @@ def per_block_multicast(eng, senders):
     """Simulated multicast, one exchange per block, each labelled as the
     primitive: per sub-task (each recipient's m-th sender), the two
     announcement rounds, then each doubling phase's copies, in (sender,
-    rank, chunk) order, through the bounded-route schedule one block at a
-    time."""
+    rank, chunk) order, through the loop reference of the bounded-route
+    schedule, one block at a time."""
     n = eng.n
     idbits = count_bits(n)
     by_recipient = {}
@@ -411,7 +412,7 @@ def per_block_multicast(eng, senders):
             if not copies:
                 break
             blocks = []
-            routing._bounded_rounds(n, *(np.array(col) for col in zip(*copies)), blocks)
+            schedule_reference._bounded_rounds(n, *(np.array(col) for col in zip(*copies)), blocks)
             for block in blocks:
                 eng.exchange(*block, label="vector_multicast")
             phase += 1
@@ -430,6 +431,52 @@ def test_simulated_multicast_matches_per_block_reference(case):
     assert rounds == ref.ledger.rounds
     assert ledger_fields(eng.ledger) == ledger_fields(ref.ledger)
     assert sorted(eng.rows) == sorted(ref.rows)
+
+
+@st.composite
+def schedule_inputs(draw):
+    """(n, src, dst, nbits) of cross columns in position order for a
+    schedule builder: n in 2..40, up to 5n items, a share of them from one
+    hot sender (so it has several sub-tasks) and to one hot receiver (so a
+    sub-task needs several releases), and widths one scalar or one per
+    item."""
+    n = draw(st.integers(2, 40))
+    size = draw(st.integers(0, 5 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for share in (draw(st.sampled_from([0, 0.5, 0.9])) for _ in range(2)):
+        hot = rng.random(size) < share
+        cols.append(np.where(hot, rng.integers(1, n + 1), rng.integers(1, n + 1, size)))
+    src, dst = cols
+    dst = np.where(dst == src, dst % n + 1, dst)  # cross items only
+    nbits = draw(st.one_of(st.integers(1, 64), st.just(None)))
+    if nbits is None:
+        nbits = rng.integers(1, 65, size).astype(np.int32)
+    return n, src.astype(np.int32), dst.astype(np.int32), nbits
+
+
+def joined_messages(builder, n, src, dst, nbits):
+    """The round count and the multiset of (round, src, dst, nbits)
+    messages of ``builder``'s joined blocks."""
+    blocks = []
+    builder(n, src, dst, nbits, blocks)
+    rounds, *cols, everyone = routing._join(blocks)
+    assert everyone == ()
+    return rounds, Counter(zip(*(col.tolist() for col in cols)))
+
+
+@pytest.mark.parametrize("name", ["_idt_rounds", "_bounded_rounds"])
+@settings(max_examples=150, deadline=None)
+@given(case=schedule_inputs())
+def test_schedule_builder_matches_loop_reference(name, case):
+    """The closed-form builders send exactly the messages of the loop
+    versions in tests/schedule_reference.py, in the same rounds, for any
+    loads (the relaxed one too, whose checks come later), and a scalar
+    width stands for its constant column."""
+    n, src, dst, nbits = case
+    widths = np.broadcast_to(nbits, src.shape)
+    want = joined_messages(getattr(schedule_reference, name), n, src, dst, widths)
+    assert joined_messages(getattr(routing, name), n, src, dst, nbits) == want
 
 
 def ledger_counts(led):
@@ -622,9 +669,9 @@ def test_task_primitive_checks_every_node_first(prim, routing):
 
 
 def test_schedule_broken_in_a_later_block_charges_nothing(monkeypatch):
-    """A simulated bounded_route whose second block, the relaxed task after
-    the preamble, sends two messages on one ordered pair in one round
-    raises and leaves the ledger as it was, preamble included."""
+    """A simulated bounded_route whose relaxed task, the block after the
+    two preamble rounds, sends two messages on one ordered pair in one
+    round raises and leaves the ledger as it was, preamble included."""
 
     def clashing(n, src, dst, nbits, blocks):
         blocks.append((1, np.zeros(2, dtype=np.int64), src[[0, 0]], dst[[0, 0]], nbits[[0, 0]]))
@@ -641,7 +688,7 @@ def test_schedule_broken_in_a_later_block_charges_nothing(monkeypatch):
     "prim,label,arg",
     [
         (solve_relaxed_idt, "relaxed_idt", random_legal_batch(random.Random(5), 8)),
-        # three sub-tasks of n items from node 1: six blocks
+        # three sub-tasks of n items from node 1, each its own relaxed task
         (bounded_route, "bounded_route", [RoutingItem(1, 2, 0, 8)] * 24),
         # two sub-multicasts, the first with two sub-tasks
         (vector_multicast, "vector_multicast",
