@@ -373,10 +373,13 @@ def distribute_witnesses(engine: CliqueEngine) -> None:
     edge, reps, coords = _stage1_columns(engine.local(emit_witnesses))
     stage1 = Batch.build(engine.w, edge, reps, 2 * cb, (edge << cb) | (coords - 1))
     delivered, _ = bounded_route(engine, stage1)
-    # each representative's rows of the delivery, found by one search
-    cuts = np.searchsorted(delivered.dst, np.arange(1, n + 2)).tolist()
+    # each representative's rows of the delivery: one stable sort by
+    # receiver, then one search
+    by_dst = np.argsort(delivered.dst, kind="stable")
+    payload = delivered.payload[by_dst]
+    cuts = np.searchsorted(delivered.dst[by_dst], np.arange(1, n + 2)).tolist()
     engine.put("stage1_packets", {
-        v: delivered.payload[lo:hi].astype(np.int64)
+        v: payload[lo:hi].astype(np.int64)
         for v, lo, hi in zip(engine.node_ids(), cuts, cuts[1:]) if lo < hi
     })
 
@@ -579,11 +582,11 @@ def _place_inputs(engine: CliqueEngine, A: BooleanMatrix, B: BooleanMatrix) -> N
 def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> None:
     """One relaxed routing task: node j ships bit i of the row it stores
     under ``src_key`` to node i, so node i stores column i under
-    ``out_key``.  The items are laid out in delivery order, (dst, src), so
-    the delivered payloads are the columns, row-major.  The schedule is the
-    (src, dst) layout's: each source's items still go in ascending
-    destination, one per ordered pair, so ranks, intermediates, drain ranks
-    and loads stay the same."""
+    ``out_key``.  The items are laid out by (dst, src), and routing hands
+    the batch back in its order, so the delivered payloads are the columns,
+    row-major.  The schedule is the (src, dst) layout's: each source's
+    items still go in ascending destination, one per ordered pair, so
+    ranks, intermediates, drain ranks and loads stay the same."""
     n = engine.n
     rows = engine.local(lambda node: node.storage[src_key])
     ids = np.arange(1, n + 1)
@@ -822,15 +825,14 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
         # a view, not a uint64 copy: every payload is nonnegative
         entries = Batch.build(engine.w, src, vertex, cb + 1, payload.view(np.uint64))
         del src, vertex, payload, bit
-        delivered10, _ = bounded_route(engine, entries)
-        del entries
+        entries, _ = bounded_route(engine, entries)  # the batch, in its order
         # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit; a
         # vertex visited in several tour blocks gets one copy per block, and
         # the last copy written must equal every other
-        flat = delivered10.dst - 1
+        flat = entries.dst - 1
         flat *= 2 * n
-        flat += delivered10.payload.astype(np.int64)  # twice the flat index, plus the bit
-        del delivered10
+        flat += entries.payload.astype(np.int64)  # twice the flat index, plus the bit
+        del entries
         value = (flat & 1).astype(np.uint8)
         value += 1
         flat >>= 1

@@ -298,11 +298,10 @@ def run_hmst(
         payloads, widths = pack_chunks(sketches, w)
         batch = Batch.build(w, np.repeat(src, per_node), 1, widths, payloads)
         delivered, _ = bounded_route(engine, batch)
-        # node 1's rows of the delivery, by source, each source's chunks in
-        # order, as its (source, payload, nbits) columns
-        lo, hi = np.searchsorted(delivered.dst, [1, 2]).tolist()
+        # node 1's rows of the delivery, as its (source, payload, nbits) columns
+        mine = delivered.dst == 1
         engine.put(("sketch_chunks", point_key), {
-            1: tuple(c[lo:hi] for c in (delivered.src, delivered.payload, delivered.nbits))
+            1: tuple(c[mine] for c in (delivered.src, delivered.payload, delivered.nbits))
         })
 
     # -- step 3: node 1 estimates all pairs on arrays and builds the tree
@@ -311,11 +310,13 @@ def run_hmst(
         with engine.as_node(1) as node1:
             fam: ProjectionFamily = node1.storage["family"]
             senders, payloads, widths = node1.storage.pop(("sketch_chunks", point_key))
+            # by sender, each sender's chunks in the order it sent them
+            by_src = np.argsort(senders, kind="stable")
             sent = np.bincount(senders, minlength=n + 1)[1:]
             if (sent != per_node).any():
                 v = int((sent != per_node).argmax())
                 raise MalformedSketchError(f"node {v + 1} sent {sent[v]} of {per_node} chunks")
-            bits = unpack_chunks(payloads, widths, len(scales) * k)
+            bits = unpack_chunks(payloads[by_src], widths[by_src], len(scales) * k)
             graph = build_estimated_graph(bits, fam)
             engine.charge_work(1, (n * (n - 1) // 2) * len(scales) * math.ceil(k / w))
             tree = local_mst(graph)

@@ -67,23 +67,21 @@ The forwarded destination, original source and position of an item travel
 with the schedule and are not charged as header bits.
 
 The routing tasks promise that every item arrives, not an order among the
-items of one (source, destination) pair; those keep their batch order.
-Every ordering here -- delivery by (dst, src), held items by (intermediate,
-dst, src), quota pairs, multicast pairs -- is one stable argsort of checked
+items.  Every ordering a schedule uses -- held items by (intermediate,
+dst, src), quota pairs, multicast pairs -- is one stable sort of checked
 node ids and ranks below n packed with radix n+1, as in
 :meth:`CliqueEngine.exchange`, so equal keys keep their position order.  A
-task batch already in delivery order is not sorted again, and its per-node
-loads are counted once, for the peak loads and the accounted tally alike.
+call's per-node loads are counted once, for the peak loads and the
+accounted tally alike.
 
 All primitives deliver self-addressed items locally at no message cost and
 return ``(delivered, rounds_used)``.  The two task primitives take one
-:class:`Batch` of columns and deliver one, ordered by (dst, src,
-position); a constant (stride-0) column, such as a scalar width's, comes
-back as it is, and every other column of a sorted delivery is a fresh
-copy, so the input batch never changes.  No node phase reads a delivered
-batch: the caller finds each node's rows with one ``searchsorted`` over
-the ``dst`` column and stores them at the node through
-:meth:`CliqueEngine.put`, so the isolation audit sees the hand-over.
+:class:`Batch` of columns and, in both backends, deliver the checked batch
+itself, in batch order, so nothing is copied and the input never changes.
+No node phase reads a delivered batch: the caller finds each node's rows
+(a ``dst`` mask, or one stable sort by ``dst`` and a ``searchsorted``)
+and stores them at the node through :meth:`CliqueEngine.put`, so the
+isolation audit sees the hand-over.
 ``vector_multicast`` takes each sender's vector and recipients and returns
 each recipient's (sender, vector) list, where every recipient of a sender
 holds the vector object the sender gave; no copy is materialised.
@@ -208,29 +206,6 @@ def _peak_loads(engine: CliqueEngine, b: Batch) -> tuple[np.ndarray, np.ndarray,
     side = engine.n + 1
     stay = np.bincount(b.src[~cross], minlength=side)  # self-addressed, per node
     return cross, np.bincount(b.src, minlength=side) - stay, np.bincount(b.dst, minlength=side) - stay
-
-
-def _deliver(b: Batch, n: int) -> Batch:
-    """Every item at its destination by (dst, src), the items of one pair
-    in position order.  A batch already in that order (an O(N) check by
-    pairwise comparisons of the dst and src columns into N-byte masks) is
-    returned as it is; any other takes one stable sort, whose int64 key is
-    freed before the columns are gathered.  A constant (stride-0) column,
-    such as the width column a scalar width builds, is returned as it is;
-    every other column is a sorted copy, so ``b`` is never changed."""
-    dst, src = b.dst, b.src
-    ordered = dst[1:] > dst[:-1]  # a later receiver,
-    ordered |= src[1:] >= src[:-1]  # or a sender no earlier,
-    ordered &= dst[1:] >= dst[:-1]  # and never an earlier receiver
-    if ordered.all():
-        return b
-    del ordered
-    key = dst * (n + 1)
-    key += src
-    order = np.argsort(key, kind="stable")
-    del key
-    cols = (b.src, b.dst, b.nbits, b.payload)
-    return Batch(*(col if col.strides == (0,) else col[order] for col in cols))
 
 
 def _run_ranks(keys: np.ndarray) -> np.ndarray:
@@ -383,10 +358,11 @@ def _route(
     ``(cross, sent, received)`` of :func:`_peak_loads`: accounted,
     ``charge`` rounds, one message per cross item and each node's sends
     plus receives as its load; simulated, the joined blocks of
-    ``schedule``.  Returns the batch :func:`_deliver` gives and the rounds."""
+    ``schedule``.  Returns ``b`` itself, every item delivered, and the
+    rounds."""
     cross, sent, received = loads
     if not sent.any():
-        return _deliver(b, engine.n), 0
+        return b, 0
     if engine.accounted:
         bits = int(b.nbits.sum(where=cross))  # gathers no width column
         traffic = Traffic(charge, int(sent.sum()), bits, sent + received)
@@ -400,7 +376,7 @@ def _route(
         rounds, *cols, everyone = _join(blocks)
         traffic = engine.check_exchange(rounds, *cols, all_to_all=everyone)
     engine.charge(traffic, label)
-    return _deliver(b, engine.n), traffic.rounds
+    return b, traffic.rounds
 
 
 # ---------------------------------------------------------------------------

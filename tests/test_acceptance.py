@@ -75,7 +75,7 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def per_node(prim, engine, items):
     """Route the columns of ``items`` with a task primitive; returns the
-    items each node received, in delivery order."""
+    items each node received, in batch order."""
     batch = Batch.build(
         engine.w,
         [it.src for it in items],

@@ -502,7 +502,7 @@ def test_clusmat_strict_capacity_mode():
 def reference_transpose(engine, src_key, out_key):
     """The transpose exchange with its n^2 items in (src, dst) order:
     node j's bit i goes to node i, and node i's received column is
-    scattered back from the delivered (dst, src) rows."""
+    scattered back from the delivered rows."""
     n = engine.n
     rows = engine.local(lambda node: node.storage[src_key])
     src = np.repeat(np.arange(1, n + 1), n)
@@ -877,11 +877,13 @@ def test_step10_copies_that_disagree_stop_the_run(routing, flip, monkeypatch):
 def test_step10_holds_each_entry_column_once(monkeypatch):
     """Step 10's (vertex, column, bit) entries, about n^2 of them, set the
     run's memory peak.  On the accounted n=256 instance with A uniform the
-    step peaks, under tracemalloc, less than 70 bytes per routed entry
-    above its start (66 measured): the pair nodes' rows, then the batch's
-    three int64 columns, its delivery sort and the sorted copy, each once.
-    Keeping the entry columns beside the batch, a uint64 payload copy and
-    a gathered width column took 107."""
+    step peaks, under tracemalloc, less than 52 bytes per routed entry
+    above its start (48.9 measured): the pair nodes' rows, then the
+    batch's three int64 columns, which routing hands back as they are, and
+    the flat index column scattered from them, each once.  A delivery
+    sorted into a copy beside the batch took 66; keeping the entry columns
+    beside the batch, a uint64 payload copy and a gathered width column
+    took 107."""
     import tracemalloc
 
     from cliquemat.engine import CliqueEngine
@@ -909,7 +911,7 @@ def test_step10_holds_each_entry_column_once(monkeypatch):
         tracemalloc.stop()
     assert C == boolean_product_naive(A, B)
     assert routed[-1] > n * n
-    assert traced["step10"] < 70 * routed[-1]
+    assert traced["step10"] < 52 * routed[-1]
 
 
 def test_simulated_step10_schedule_holds_few_bytes_per_entry(monkeypatch):

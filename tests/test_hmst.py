@@ -768,6 +768,39 @@ def test_ship_mode_node_with_altered_chunks_derives_its_own_family(monkeypatch):
     assert len(decodes) == 2
 
 
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_node1_decodes_each_sketch_set_as_its_sender_row(routing, monkeypatch):
+    """Step 2 sketches the nodes of each family object together, so with
+    one node holding altered projection chunks the sketch batch is out of
+    sender order: node 1's family alone, the shared one, then the altered
+    node's.  Node 1 sorts what it receives by sender, so row v of the
+    sketches it decodes is node v's sketch under node v's own family."""
+    from cliquemat import hmst
+
+    n, other = 12, 5
+    engine = engine_with_points(n, routing, 6)
+    record_multicast(monkeypatch, alter=other)
+    routed, decoded = [], []
+    route, build = hmst.bounded_route, hmst.build_estimated_graph
+
+    def spy(engine, batch):
+        routed.append(batch.src.tolist())
+        return route(engine, batch)
+
+    def recording_build(bits, fam):
+        decoded.append(bits)
+        return build(bits, fam)
+
+    monkeypatch.setattr(hmst, "bounded_route", spy)
+    monkeypatch.setattr(hmst, "build_estimated_graph", recording_build)
+    run_hmst(engine, ProjectionConfig())
+    (senders,), (bits,) = routed, decoded
+    assert senders != sorted(senders)
+    for v in engine.node_ids():
+        st = engine.node(v).storage
+        assert bits[v - 1].tolist() == sketch_bits(st["family"], [st["point"]])[0].tolist()
+
+
 def test_family_bits_are_read_only():
     """Nodes share one family object, so no holder can write its bits:
     not after generate, from_seed, or the ship-mode rebuild."""

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, so a deletion
-cannot leave a dead import behind, and every top-level definition has a
-caller in the package, so no code serves only the tests.  Every name that
+cannot leave a dead import behind, and every top-level definition and
+every method and property of a package class has a caller in the package
+or in perfbench, so no code serves only the tests.  Every name that
 perfbench's tracer wraps is bound, so an edit that unbinds one fails here
 and not only inside a benchmark run.  ``routing.py`` enters the ledger only
 through ``CliqueEngine.charge``.  perfbench is read with the standard
@@ -8,10 +9,12 @@ library's ``ast``, not imported."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cliquemat"
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+CHECKS = TRACING.with_name("checks.py")
 
 
 def imported_names(tree: ast.Module):
@@ -81,39 +84,59 @@ def test_every_name_the_tracer_wraps_is_bound():
     assert unbound == []
 
 
-def referenced_names(stmt: ast.stmt):
-    """Each name a top-level statement reads, imports or reaches as an
-    attribute."""
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.ImportFrom):
-            yield from (a.name for a in node.names)
+def referenced_names(node: ast.AST):
+    """Each name ``node`` reads, imports or reaches as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (a.name for a in sub.names)
+
+
+def definitions(tree: ast.Module):
+    """Each top-level function and class, and each method and property of
+    a top-level class other than its dunders, with its class name or
+    None."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield None, stmt
+        if isinstance(stmt, ast.ClassDef):
+            yield from (
+                (stmt.name, member) for member in stmt.body
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (member.name.startswith("__") and member.name.endswith("__"))
+            )
 
 
 def test_every_definition_is_used_by_the_package():
-    """No top-level function or class serves only the tests: each is
-    referenced in ``src/`` outside its own definition or is a binding
-    perfbench's tracer wraps by name.  A re-export in ``__init__`` is not a
-    use, since it only hands the name on to callers outside the package."""
+    """No top-level function or class, and no method or property of a
+    package class, serves only the tests: each is referenced in ``src/``
+    outside its own definition, or perfbench uses it from outside the
+    package.  Those are the bindings its tracer wraps by name (the module
+    functions of its binding pairs, and the ``CliqueEngine`` and
+    ``ProjectionFamily`` methods it wraps) and the attributes its
+    correctness checks reach.  A re-export in ``__init__`` is not a use,
+    since it only hands the name on to callers outside the package.  Names
+    are matched without types, so a member counts as used wherever any
+    attribute shares its name."""
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
-    uses: dict[str, set[int]] = {}
-    for module, tree in trees.items():
-        if module == "__init__":
-            continue
-        for stmt in tree.body:
-            for name in referenced_names(stmt):
-                uses.setdefault(name, set()).add(id(stmt))
-    exempt = tracer_bindings()
+    uses = Counter(
+        name for module, tree in trees.items() if module != "__init__"
+        for name in referenced_names(tree)
+    )
+    exempt = tracer_bindings() | {
+        ("CliqueEngine", meth) for meth in (*tracer_names("_ENGINE_METHODS"), "charge_rounds")
+    } | {("ProjectionFamily", meth) for meth in tracer_names("_PROJECTION_METHODS")}
+    checked = set(referenced_names(ast.parse(CHECKS.read_text())))
     unused = [
-        f"{module}.{stmt.name}"
+        f"{module}.{owner + '.' if owner else ''}{node.name}"
         for module, tree in trees.items()
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not uses.get(stmt.name, set()) - {id(stmt)}
-        and (module, stmt.name) not in exempt
+        for owner, node in definitions(tree)
+        if uses[node.name] == Counter(referenced_names(node))[node.name]
+        and (owner or module, node.name) not in exempt
+        and not (owner and node.name in checked)
     ]
     assert unused == []
 

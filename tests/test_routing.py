@@ -45,7 +45,7 @@ def batch(eng, items):
 
 def route(prim, eng, items, **kw):
     """Run a task primitive on the batch of ``items``; returns the items
-    each node received, in delivery order, and the rounds used."""
+    each node received, in batch order, and the rounds used."""
     out, rounds = prim(eng, batch(eng, items), **kw)
     delivered = {}
     for it in out:
@@ -592,7 +592,7 @@ def test_long_multicast_equals_its_n_chunk_calls(routing, w):
 
 
 # ---------------------------------------------------------------------------
-# payload widths and delivery order
+# payload widths
 # ---------------------------------------------------------------------------
 
 def _run_primitive(name, eng, payload, nbits):
@@ -794,47 +794,8 @@ def task_batches(draw, send_cap, recv_cap):
     return n, w, rows
 
 
-def _delivered_both_ways(prim, n, w, rows):
-    """The batch each backend delivers, after checking they match column
-    for column."""
-    out = []
-    for routing in ("simulated", "accounted"):
-        eng = make_engine(n, routing=routing, w=w)
-        out.append(prim(eng, batch(eng, rows))[0])
-    sim, acc = out
-    for col in ("src", "dst", "nbits", "payload"):
-        a, b = getattr(sim, col), getattr(acc, col)
-        assert a.dtype == b.dtype and a.tolist() == b.tolist()
-    return sim
-
-
-@settings(max_examples=60, deadline=None)
-@given(task_batches(lambda n: n, lambda n: n))
-def test_relaxed_idt_delivers_input_rows_in_order(case):
-    n, w, rows = case
-    got = _delivered_both_ways(solve_relaxed_idt, n, w, rows)
-    order = sorted(range(len(rows)), key=lambda i: (rows[i].dst, rows[i].src, i))
-    assert list(got) == [rows[i] for i in order]
-
-
-@settings(max_examples=60, deadline=None)
-@given(task_batches(lambda n: 2 * n, lambda n: 3 * n))
-def test_bounded_route_delivers_input_rows_in_order(case):
-    n, w, rows = case
-    got = _delivered_both_ways(bounded_route, n, w, rows)
-    order = sorted(range(len(rows)), key=lambda i: (rows[i].dst, rows[i].src, i))
-    assert list(got) == [rows[i] for i in order]
-
-
-@pytest.mark.parametrize("routing", ["simulated", "accounted"])
-def test_bounded_route_delivers_in_position_order(routing):
-    items = [RoutingItem(1, 2, p, 4) for p in (9, 3, 7)]
-    delivered, _ = route(bounded_route, make_engine(4, routing=routing), items)
-    assert [it.payload for it in delivered[2]] == [9, 3, 7]
-
-
 # ---------------------------------------------------------------------------
-# one check-and-tally pass per call; an ordered batch is not sorted again
+# the batch handed back as given; one check-and-tally pass per call
 # ---------------------------------------------------------------------------
 
 # each task primitive with the send and receive caps it serves
@@ -864,58 +825,49 @@ def two_pass_traffic(prim, n, b):
 
 
 def spied(prim, eng, b):
-    """``prim(eng, b)``; returns the delivered batch, the :class:`Traffic`
-    of every charge, and the size of every array ``np.argsort`` sorted
-    while ``routing._deliver`` ran."""
-    charges, sorts, delivering = [], [], []
-    argsort, deliver, charge = np.argsort, routing._deliver, CliqueEngine.charge
-
-    def argsort_spy(a, *args, **kwargs):
-        if delivering:
-            sorts.append(np.size(a))
-        return argsort(a, *args, **kwargs)
-
-    def deliver_spy(batch, n):
-        delivering.append(True)
-        try:
-            return deliver(batch, n)
-        finally:
-            delivering.pop()
+    """``prim(eng, b)``; returns the delivered batch and the
+    :class:`Traffic` of every charge."""
+    charges, charge = [], CliqueEngine.charge
 
     def charge_spy(self, traffic, label=""):
         charges.append(traffic)
         return charge(self, traffic, label)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "argsort", argsort_spy)
-        mp.setattr(routing, "_deliver", deliver_spy)
         mp.setattr(CliqueEngine, "charge", charge_spy)
         out, _ = prim(eng, b)
-    return out, charges, sorts
+    return out, charges
 
 
-@pytest.mark.parametrize("mode", ["simulated", "accounted"])
 @pytest.mark.parametrize("name", list(TASKS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_task_primitive_tallies_once_and_sorts_only_an_unordered_batch(name, mode, data):
-    """A batch, self-addressed items included, is delivered as a lexsort
-    by (dst, src, position) gives it, and the same batch in delivery order
-    is delivered without a call to ``np.argsort``; one in any other order
-    takes exactly one.  The accounted charge equals the two-pass tally."""
+def test_task_primitive_hands_back_its_batch_and_tallies_once(name, data):
+    """In both backends a task primitive delivers the batch it was given,
+    self-addressed items included: every item in batch order, with the
+    values and dtypes it was built with (a scalar width's constant column
+    included), and the input left as it was.  The call charges once,
+    nothing when no item crosses, and the accounted charge equals the
+    two-pass tally."""
     prim, send_cap, recv_cap = TASKS[name]
     n, w, rows = data.draw(task_batches(send_cap, recv_cap))
-    for ordered in (False, True):
-        if ordered:
-            rows = sorted(rows, key=lambda r: (r.dst, r.src))
+    width = data.draw(st.none() | st.integers(1, w))  # None: a width per item
+    if width is not None:
+        rows = [r._replace(payload=r.payload % (1 << width), nbits=width) for r in rows]
+    cols = ("src", "dst", "nbits", "payload")
+    dtypes = (np.int64, np.int64, np.int64, np.uint64 if w <= 64 else object)
+    for mode in ("simulated", "accounted"):
         eng = make_engine(n, routing=mode, w=w)
-        b = batch(eng, rows)
-        out, charges, sorts = spied(prim, eng, b)
-        order = np.lexsort((np.arange(len(b)), b.src, b.dst))
-        for col in ("src", "dst", "nbits", "payload"):
-            assert getattr(out, col).tolist() == getattr(b, col)[order].tolist()
-        key = b.dst * (n + 1) + b.src
-        assert sorts == ([] if np.all(key[1:] >= key[:-1]) else [len(b)])
+        b = batch(eng, rows) if width is None else Batch.build(
+            w, [r.src for r in rows], [r.dst for r in rows], width, [r.payload for r in rows]
+        )
+        before = {col: getattr(b, col).copy() for col in cols}
+        out, charges = spied(prim, eng, b)
+        assert out is b
+        for col, dtype in zip(cols, dtypes):
+            got = getattr(out, col)
+            assert got.dtype == dtype
+            assert got.tolist() == before[col].tolist() == [getattr(r, col) for r in rows]
         want = two_pass_traffic(prim, n, b)
         assert len(charges) == (want is not None)
         if want is not None and mode == "accounted":
@@ -928,15 +880,13 @@ def test_task_primitive_tallies_once_and_sorts_only_an_unordered_batch(name, mod
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 12), w=st.sampled_from([64, 100]), data=st.data())
 def test_task_primitive_delivers_an_all_self_batch_free(name, mode, n, w, data):
-    """A batch whose every item is self-addressed is delivered in (dst,
-    position) order and charges nothing."""
+    """A batch whose every item is self-addressed charges nothing."""
     prim = TASKS[name][0]
     nodes = data.draw(st.lists(st.integers(1, n), max_size=3 * n))
     eng = make_engine(n, routing=mode, w=w)
     b = Batch.build(w, nodes, nodes, 8, [i % 256 for i in range(len(nodes))])
-    out, charges, _ = spied(prim, eng, b)
-    order = np.lexsort((np.arange(len(b)), b.dst))
-    assert out.payload.tolist() == b.payload[order].tolist()
+    out, charges = spied(prim, eng, b)
+    assert out is b
     assert charges == []
     assert eng.ledger.as_dict() == make_engine(n, routing=mode, w=w).ledger.as_dict()
 
@@ -951,35 +901,6 @@ def test_overloaded_relaxed_batch_charges_nothing(src, mode):
     with pytest.raises(PreconditionError):
         spied(solve_relaxed_idt, eng, Batch.build(eng.w, src, dst, 1, 0))
     assert eng.ledger.as_dict() == make_engine(4, routing=mode).ledger.as_dict()
-
-
-@pytest.mark.parametrize("w", [64, 100])
-@pytest.mark.parametrize("width", ["scalar", "per-item"])
-@pytest.mark.parametrize("ordered", [False, True])
-def test_deliver_gathers_each_column_once_and_keeps_a_constant_one(w, width, ordered):
-    """``_deliver`` gives every column as the ``np.lexsort`` by (dst, src,
-    position) does, in value and dtype, and leaves the input columns as
-    they were.  A constant column, such as the widths a scalar width
-    builds, comes back as a stride-0 view with the same values."""
-    n, size = 12, 300
-    rng = np.random.default_rng(w + 2 * ordered + (width == "scalar"))
-    src, dst = rng.integers(1, n + 1, size), rng.integers(1, n + 1, size)
-    if ordered:
-        src, dst = zip(*sorted(zip(src.tolist(), dst.tolist()), key=lambda p: (p[1], p[0])))
-    nbits = 40 if width == "scalar" else rng.integers(1, 41, size)
-    b = Batch.build(w, src, dst, nbits, rng.integers(0, 1 << 40, size).tolist())
-    cols = ("src", "dst", "nbits", "payload")
-    before = {col: getattr(b, col).copy() for col in cols}
-    assert (b.nbits.strides == (0,)) == (width == "scalar")
-    out = routing._deliver(b, n)
-    order = np.lexsort((np.arange(size), b.src, b.dst))
-    assert ordered == np.array_equal(order, np.arange(size))
-    for col in cols:
-        got, given = getattr(out, col), getattr(b, col)
-        assert got.dtype == given.dtype and got.tolist() == given[order].tolist()
-        assert given.tolist() == before[col].tolist()
-        if given.strides == (0,):
-            assert got.strides == (0,)
 
 
 # ---------------------------------------------------------------------------
