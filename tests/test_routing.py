@@ -839,21 +839,12 @@ def spied(prim, eng, b):
     return out, charges
 
 
-@pytest.mark.parametrize("name", list(TASKS))
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_task_primitive_hands_back_its_batch_and_tallies_once(name, data):
-    """In both backends a task primitive delivers the batch it was given,
-    self-addressed items included: every item in batch order, with the
+def _delivered_both_ways(prim, n, w, rows, width=None):
+    """The batch each backend delivers for ``rows`` (with one scalar
+    ``width``, or a width per item when None), after checking that each
+    hands back the batch it was given: every item in batch order, with the
     values and dtypes it was built with (a scalar width's constant column
-    included), and the input left as it was.  The call charges once,
-    nothing when no item crosses, and the accounted charge equals the
-    two-pass tally."""
-    prim, send_cap, recv_cap = TASKS[name]
-    n, w, rows = data.draw(task_batches(send_cap, recv_cap))
-    width = data.draw(st.none() | st.integers(1, w))  # None: a width per item
-    if width is not None:
-        rows = [r._replace(payload=r.payload % (1 << width), nbits=width) for r in rows]
+    included), and the input left as it was."""
     cols = ("src", "dst", "nbits", "payload")
     dtypes = (np.int64, np.int64, np.int64, np.uint64 if w <= 64 else object)
     for mode in ("simulated", "accounted"):
@@ -862,12 +853,69 @@ def test_task_primitive_hands_back_its_batch_and_tallies_once(name, data):
             w, [r.src for r in rows], [r.dst for r in rows], width, [r.payload for r in rows]
         )
         before = {col: getattr(b, col).copy() for col in cols}
-        out, charges = spied(prim, eng, b)
+        out, _ = prim(eng, b)
         assert out is b
         for col, dtype in zip(cols, dtypes):
             got = getattr(out, col)
             assert got.dtype == dtype
             assert got.tolist() == before[col].tolist() == [getattr(r, col) for r in rows]
+    return out
+
+
+def _scalar_width(data, w, rows):
+    """``rows`` and a drawn scalar width they fit, or ``rows`` and None
+    (a width per item)."""
+    width = data.draw(st.none() | st.integers(1, w))
+    if width is not None:
+        rows = [r._replace(payload=r.payload % (1 << width), nbits=width) for r in rows]
+    return rows, width
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_relaxed_idt_delivers_input_rows_in_order(data):
+    n, w, rows = data.draw(task_batches(lambda n: n, lambda n: n))
+    rows, width = _scalar_width(data, w, rows)
+    got = _delivered_both_ways(solve_relaxed_idt, n, w, rows, width)
+    assert list(got) == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bounded_route_delivers_input_rows_in_order(data):
+    n, w, rows = data.draw(task_batches(lambda n: 2 * n, lambda n: 3 * n))
+    rows, width = _scalar_width(data, w, rows)
+    got = _delivered_both_ways(bounded_route, n, w, rows, width)
+    assert list(got) == rows
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_bounded_route_delivers_in_position_order(routing):
+    items = [RoutingItem(1, 2, p, 4) for p in (9, 3, 7)]
+    delivered, _ = route(bounded_route, make_engine(4, routing=routing), items)
+    assert [it.payload for it in delivered[2]] == [9, 3, 7]
+
+
+@pytest.mark.parametrize("mode", ["simulated", "accounted"])
+@pytest.mark.parametrize("name", list(TASKS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_task_primitive_tallies_once_and_sorts_only_an_unordered_batch(name, mode, data):
+    """A batch, self-addressed items included, comes back as the batch
+    itself in batch order, whether it arrives in (dst, src) order or not:
+    delivery sorts no batch, so an unordered one stays unordered.  The call
+    charges once, nothing when no item crosses, and the accounted charge
+    equals the two-pass tally."""
+    prim, send_cap, recv_cap = TASKS[name]
+    n, w, rows = data.draw(task_batches(send_cap, recv_cap))
+    for ordered in (False, True):
+        if ordered:
+            rows = sorted(rows, key=lambda r: (r.dst, r.src))
+        eng = make_engine(n, routing=mode, w=w)
+        b = batch(eng, rows)
+        out, charges = spied(prim, eng, b)
+        assert out is b
+        assert list(out) == rows
         want = two_pass_traffic(prim, n, b)
         assert len(charges) == (want is not None)
         if want is not None and mode == "accounted":
