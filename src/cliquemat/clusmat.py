@@ -632,16 +632,18 @@ def _multicast_rows(
     sending = engine.local(build)
     chunks = np.stack(pack_chunks([row for row, _ in sending.values()], engine.w), axis=1)
     split = np.split(chunks, len(sending))
-    out, _ = vector_multicast(engine, {
+    sent, _ = vector_multicast(engine, {
         s: (vec, recips) for vec, (s, (_, recips)) in zip(split, sending.items())
     })
-    # every recipient of a sender holds the same vector; all are decoded at once
-    vectors = {s: vec for got in out.values() for s, vec in got}
-    flat = np.concatenate(list(vectors.values()))
-    rows = dict(zip(vectors, own_rows(unpack_chunks(flat[:, 0], flat[:, 1], n))))
-    engine.put(out_key, {
-        v: {sender: rows[sender] for sender, _ in out.get(v, ())} for v in engine.node_ids()
-    })
+    # every recipient of a sender holds its vector, decoded once into one
+    # shared row; senders ascend, so each node's rows do too
+    flat = np.concatenate([vec for vec, _ in sent.values()])
+    rows = own_rows(unpack_chunks(flat[:, 0], flat[:, 1], n))
+    received: dict[int, dict[int, np.ndarray]] = {v: {} for v in engine.node_ids()}
+    for (s, (_, recips)), row in zip(sent.items(), rows):
+        for v in recips:
+            received[v][s] = row
+    engine.put(out_key, received)
 
 
 def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str) -> None:
@@ -845,17 +847,11 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
                 f"entry ({row + 1}, {col + 1}) arrived as both a zero and a one"
             )
         del flat, value
-        counts = np.count_nonzero(entry, axis=1).tolist()
-        c_rows = own_rows(entry == 2)
-
-        def assemble(node):
-            if counts[node.id - 1] != n:
-                raise SchedulingError(
-                    f"row {node.id} incomplete: {counts[node.id - 1]} of {n} entries"
-                )
-            node.storage["c_row"] = c_rows[node.id - 1]
-
-        engine.local(assemble)
+        counts = np.count_nonzero(entry, axis=1)
+        if (counts != n).any():
+            v = int((counts != n).argmax())
+            raise SchedulingError(f"row {v + 1} incomplete: {counts[v]} of {n} entries")
+        engine.put("c_row", dict(enumerate(own_rows(entry == 2), 1)))
 
     return {
         "m_realized": plan.total_cost,

@@ -40,9 +40,10 @@ raises adds nothing.  A call that breaks a rule or would pass
 
 A node phase is :meth:`local`: it runs once per node, with the storage
 audit scoped to that node, and returns what each node emits, keyed by node
-id, for the routing call that follows.  :meth:`put` stores a delivered
-value at each receiving node through that node's storage, so the audit
-sees those writes too.  No node refers to its engine (audited storage
+id, for the routing call that follows.  A node learns of a delivery only
+through its storage: :meth:`put` stores each delivered value at its
+receiving node, so the audit sees those writes too, and no node phase
+reads a delivery from the host.  No node refers to its engine (audited storage
 reads the active node from a holder it shares with the engine), so a
 finished engine, its nodes and all they store go by reference counting.
 

@@ -60,7 +60,10 @@ class ProjectionConfig:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
     def k_for(self, n: int) -> int:
-        return max(1, math.ceil(self.kappa * math.log2(n)))
+        width = self.kappa * math.log2(n)
+        if not math.isfinite(width):
+            raise ValueError(f"kappa={self.kappa} gives no finite sketch width at n={n}")
+        return max(1, math.ceil(width))
 
 
 def scales_for(n: int) -> tuple[int, ...]:
@@ -250,9 +253,11 @@ def run_hmst(
             widths = chunk_widths(64, w)
             rounds = [(r, [1], nbits) for r, nbits in enumerate(widths)]
             engine.exchange(len(widths), 0, (), (), (), "seed_bcast", rounds)
+            engine.put("projection_seed", dict.fromkeys(engine.node_ids(), seed64))
 
             def regen(node):
-                node.storage["family"] = engine.derive(ProjectionFamily.from_seed, n, k, seed64)
+                seed = node.storage.pop("projection_seed")
+                node.storage["family"] = engine.derive(ProjectionFamily.from_seed, n, k, seed)
                 engine.charge_work(node.id, len(scales) * math.ceil(k * n / w))
 
             engine.local(regen)
@@ -262,18 +267,18 @@ def run_hmst(
                 node1.storage["family"] = family1
                 engine.charge_work(1, len(scales) * math.ceil(k * n / w))
             recipients = list(range(2, n + 1))
-            # per recipient, the vectors it received, in scale order
-            received: dict[int, list[np.ndarray]] = {v: [] for v in recipients}
-            # one k*n-bit row per scale, one multicast each
+            # one k*n-bit row per scale, one multicast each; every recipient
+            # stores the vectors it received, in scale order
             chunks = np.stack(pack_chunks(family1.bits.reshape(len(scales), k * n), w), axis=1)
+            vectors = []
             for vec in np.split(chunks, len(scales)):
-                out, _ = vector_multicast(engine, {1: (vec, recipients)})
-                for v, got in out.items():
-                    received[v].extend(vector for _, vector in got)
+                sent, _ = vector_multicast(engine, {1: (vec, recipients)})
+                vectors.append(sent[1][0])
+            engine.put("projection_vectors", dict.fromkeys(recipients, vectors))
 
             def rebuild(node):
                 if node.id != 1:
-                    got = received[node.id]
+                    got = node.storage.pop("projection_vectors")
                     node.storage["family"] = engine.derive(family_from_vectors, n, k, *got)
 
             engine.local(rebuild)

@@ -75,16 +75,16 @@ call's per-node loads are counted once, for the peak loads and the
 accounted tally alike.
 
 All primitives deliver self-addressed items locally at no message cost and
-return ``(delivered, rounds_used)``.  The two task primitives take one
-:class:`Batch` of columns and, in both backends, deliver the checked batch
-itself, in batch order, so nothing is copied and the input never changes.
-No node phase reads a delivered batch: the caller finds each node's rows
-(a ``dst`` mask, or one stable sort by ``dst`` and a ``searchsorted``)
-and stores them at the node through :meth:`CliqueEngine.put`, so the
-isolation audit sees the hand-over.
-``vector_multicast`` takes each sender's vector and recipients and returns
-each recipient's (sender, vector) list, where every recipient of a sender
-holds the vector object the sender gave; no copy is materialised.
+return ``(delivered, rounds_used)``, where ``delivered`` is the checked
+input itself: the task primitives' :class:`Batch`, every item delivered in
+batch order, and ``vector_multicast``'s dict of each sender's vector and
+recipients, every recipient holding the vector object its sender gave.
+Nothing is copied, the input never changes, and no per-recipient structure
+is built.  No node phase reads what a primitive hands back: the caller
+finds each node's share (a ``dst`` mask, one stable sort by ``dst`` and a
+``searchsorted``, or each sender's recipient list) and stores it at the
+node through :meth:`CliqueEngine.put`, so the isolation audit sees the
+hand-over.
 """
 
 from __future__ import annotations
@@ -451,14 +451,13 @@ def _multicast_traffic(engine: CliqueEngine, src, dst, idx, counts, widths) -> T
 
 def vector_multicast(
     engine: CliqueEngine, senders: dict[int, tuple[Sequence, Sequence[int]]]
-) -> tuple[dict[int, list[tuple[int, Sequence]]], int]:
+) -> tuple[dict[int, tuple[Sequence, Sequence[int]]], int]:
     """Each sender pushes its vector of (payload, nbits) chunks to every node
     in its recipient set.  A vector is a (chunks, 2) array in the codec's
     dtype, as ``np.stack`` of ``pack_chunks``' columns gives, or any
     sequence of pairs, read as Python ints; its ``len``, at least 1, is its
-    chunk count.  Returns per-recipient lists of (sender, vector), ascending
-    by sender, and the rounds used; ``vector`` is the object the sender
-    gave, shared by all its recipients.
+    chunk count.  Returns ``senders`` itself, every recipient of a sender
+    holding the vector the sender gave, and the rounds used.
     """
     n = engine.n
     order = sorted(senders)
@@ -487,12 +486,9 @@ def vector_multicast(
     twice = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
     if twice.any():
         raise PreconditionError(f"sender {src[1:][twice].min()} lists a recipient twice")
-    result: dict[int, list[tuple[int, Sequence]]] = {}
-    for v, s in zip(dst.tolist(), src.tolist()):
-        result.setdefault(v, []).append((s, vectors[s]))
     cross = src != dst
     if not cross.any():
-        return result, 0
+        return senders, 0
 
     # sub-multicast s: chunks s*n .. s*n+n-1 of every vector longer than s*n
     src, dst = src[cross], dst[cross]
@@ -508,4 +504,4 @@ def vector_multicast(
         parts.append(_multicast_traffic(engine, *part, widths[(rank >= lo) & (rank < lo + n)]))
     traffic = Traffic(*map(sum, zip(*parts)))  # field by field
     engine.charge(traffic, "vector_multicast")
-    return result, traffic.rounds
+    return senders, traffic.rounds

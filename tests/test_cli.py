@@ -255,6 +255,7 @@ def one_line_error(capsys):
         (8, ("--w", "6"), "payload capacity 6 cannot carry"),
         (8, ("--seed", "-1"), "seed must be nonnegative, got -1"),
         (8, ("--max-rounds", "0"), "max_rounds must be at least 1, got 0"),
+        (8, ("--kappa", "1e308"), "kappa=1e+308 gives no finite sketch width at n=8"),
     ],
 )
 def test_run_bad_input_is_one_line_error(tmp_path, capsys, b_size, flags, expect):

@@ -874,6 +874,69 @@ def test_step10_copies_that_disagree_stop_the_run(routing, flip, monkeypatch):
     assert f"entry ({row}, {col})" in str(err.value)
 
 
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_step10_hands_every_row_over_through_put(routing, monkeypatch):
+    """Step 10 checks the product's rows whole at the host and hands node
+    i its row through ``put``, under the isolation audit, in one call for
+    every node."""
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+
+    n = 16
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=7))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.3, seed=8))
+    engine = CliqueEngine(CliqueConfig(n=n, routing=routing, seed=7), audit=True)
+    handed, put = [], engine.put
+
+    def recording_put(key, values):
+        if key == "c_row":
+            handed.append(dict(values))
+        put(key, values)
+
+    monkeypatch.setattr(engine, "put", recording_put)
+    C, _ = run_placed(engine, A, B)
+    assert C == boolean_product_naive(A, B)
+    (values,) = handed
+    assert list(values) == list(engine.node_ids())
+    for i in engine.node_ids():
+        assert engine.node(i).storage["c_row"] is values[i]
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_step10_short_row_stops_the_run(routing, monkeypatch):
+    """With one entry of each of two rows lost from the delivered step-10
+    batch, each the only copy of its entry, the run stops with a
+    SchedulingError naming the lower row and its count."""
+    from cliquemat.errors import SchedulingError
+    from cliquemat.harness import GenSpec, generate
+
+    n = 16
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=7))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.3, seed=8))
+    route, lost = clusmat.bounded_route, []
+
+    def dropping(engine, batch):
+        delivered, rounds = route(engine, batch)
+        if "step9" in engine.ledger.step_rounds:  # step 10's call
+            key = delivered.dst * 2 * n + (delivered.payload.astype(np.int64) >> 1)
+            _, first, count = np.unique(key, return_index=True, return_counts=True)
+            once = first[count == 1]
+            drop = once[[0, -1]]  # the lowest and the highest row's
+            lost.extend(int(delivered.dst[i]) for i in drop)
+            keep = np.ones(len(delivered), dtype=bool)
+            keep[drop] = False
+            cols = (delivered.src, delivered.dst, delivered.nbits, delivered.payload)
+            delivered = Batch(*(col[keep] for col in cols))
+        return delivered, rounds
+
+    monkeypatch.setattr(clusmat, "bounded_route", dropping)
+    with pytest.raises(SchedulingError) as err:
+        clusmat_oriented(A, B, CliqueConfig(n=n, routing=routing, seed=7), orientation="ab")
+    low, high = lost
+    assert low < high
+    assert str(err.value) == f"row {low} incomplete: {n - 1} of {n} entries"
+
+
 def test_step10_holds_each_entry_column_once(monkeypatch):
     """Step 10's (vertex, column, bit) entries, about n^2 of them, set the
     run's memory peak.  On the accounted n=256 instance with A uniform the

@@ -562,30 +562,51 @@ def record_broadcast_seed(monkeypatch):
     return seeds
 
 
-def record_multicast(monkeypatch, alter=None):
+def record_multicast(monkeypatch):
     """Wrap the projection multicast; the returned dict collects, per
-    recipient, every chunk it received in order.  ``alter`` (node id) gets
-    the low bit of its first received chunk flipped, in a vector object of
-    its own."""
+    recipient, every chunk of the vectors the multicast hands back for it,
+    in order."""
     from cliquemat import hmst
 
     received: dict[int, list[tuple[int, int]]] = {}
     multicast = hmst.vector_multicast
 
     def recording(engine, senders):
-        out, rounds = multicast(engine, senders)
-        if alter in out and alter not in received:
-            src, got = out[alter][0]
-            got = got.copy()
-            got[0, 0] ^= 1
-            out[alter][0] = (src, got)
-        for v, lists in out.items():
-            for _, got in lists:
-                received.setdefault(v, []).extend(map(tuple, got.tolist()))
-        return out, rounds
+        sent, rounds = multicast(engine, senders)
+        for vec, recips in sent.values():
+            for v in recips:
+                received.setdefault(v, []).extend(map(tuple, vec.tolist()))
+        return sent, rounds
 
     monkeypatch.setattr(hmst, "vector_multicast", recording)
     return received
+
+
+def alter_stored(monkeypatch, key, node, alter):
+    """Wrap ``CliqueEngine.put`` so that node ``node`` stores
+    ``alter(value)`` instead of the value put under ``key``; the returned
+    list collects each altered value."""
+    from cliquemat.engine import CliqueEngine
+
+    altered = []
+    put = CliqueEngine.put
+
+    def altering(self, k, values):
+        if k == key and node in values:
+            values = {**values, node: alter(values[node])}
+            altered.append(values[node])
+        put(self, k, values)
+
+    monkeypatch.setattr(CliqueEngine, "put", altering)
+    return altered
+
+
+def flip_first_chunk(vectors):
+    """The projection vectors with the low bit of the first chunk flipped,
+    in a vector object of its own."""
+    first = vectors[0].copy()
+    first[0, 0] ^= 1
+    return [first, *vectors[1:]]
 
 
 def family_from_chunks(chunks, n, k):
@@ -679,6 +700,29 @@ def test_seed_mode_family_matches_fresh_derivation_at_every_node(routing, monkey
 
 
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_seed_mode_node_with_altered_seed_derives_its_own_family(routing, monkeypatch):
+    """Every node regenerates its family from the seed stored at it: a node
+    whose stored seed is altered on its way into its storage derives the
+    altered seed's family, and every other node shares node 1's."""
+    n, other = 12, 5
+    k = ProjectionConfig().k_for(n)
+    engine = engine_with_points(n, routing, 3)
+    seeds = record_broadcast_seed(monkeypatch)
+    stored = alter_stored(monkeypatch, "projection_seed", other, lambda seed: seed ^ 1)
+    run_hmst(engine, ProjectionConfig(seed_mode=True))
+    (altered,), (seed, own_seed) = stored, seeds
+    assert own_seed == altered == seed ^ 1
+    shared = engine.node(1).storage["family"]
+    assert same_family(shared, ProjectionFamily.from_seed(n, k, seed))
+    own = engine.node(other).storage["family"]
+    assert same_family(own, ProjectionFamily.from_seed(n, k, altered))
+    assert not same_family(own, shared)
+    for v in engine.node_ids():
+        if v != other:
+            assert engine.node(v).storage["family"] is shared
+
+
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
 @pytest.mark.parametrize("w", [10, 64, 100])
 def test_seed_broadcast_sends_the_64_bit_seed_in_w_bit_chunks(routing, w, monkeypatch):
     """Seed-mode step 1 sends ceil(64/W) chunks, one round each, from node
@@ -742,12 +786,16 @@ def test_ship_mode_family_matches_fresh_derivation_at_every_node(routing, monkey
 
 
 def test_ship_mode_node_with_altered_chunks_derives_its_own_family(monkeypatch):
+    """Every node rebuilds its family from the vectors stored at it: a node
+    whose stored vectors are altered on their way into its storage derives
+    its own family from them, and every other node shares node 1's."""
     from cliquemat import hmst
 
     n, other = 12, 5
     k = ProjectionConfig().k_for(n)
     engine = engine_with_points(n, "accounted", 6)
-    received = record_multicast(monkeypatch, alter=other)
+    received = record_multicast(monkeypatch)
+    stored = alter_stored(monkeypatch, "projection_vectors", other, flip_first_chunk)
     decodes = []
     decode = hmst.family_from_vectors
 
@@ -759,7 +807,10 @@ def test_ship_mode_node_with_altered_chunks_derives_its_own_family(monkeypatch):
     run_hmst(engine, ProjectionConfig())
     node1 = engine.node(1).storage["family"]
     own = engine.node(other).storage["family"]
-    assert same_family(own, family_from_chunks(received[other], n, k))
+    (vectors,) = stored
+    altered = [tuple(chunk) for vec in vectors for chunk in vec.tolist()]
+    assert altered != received[other]
+    assert same_family(own, family_from_chunks(altered, n, k))
     assert not same_family(own, node1)
     for v in range(2, n + 1):
         if v != other:
@@ -779,7 +830,7 @@ def test_node1_decodes_each_sketch_set_as_its_sender_row(routing, monkeypatch):
 
     n, other = 12, 5
     engine = engine_with_points(n, routing, 6)
-    record_multicast(monkeypatch, alter=other)
+    alter_stored(monkeypatch, "projection_vectors", other, flip_first_chunk)
     routed, decoded = [], []
     route, build = hmst.bounded_route, hmst.build_estimated_graph
 

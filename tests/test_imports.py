@@ -149,3 +149,70 @@ def test_routing_enters_the_ledger_only_through_charge():
     named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert named & {"charge_rounds", "count_traffic"} == set()
+
+
+# what a node phase may read besides its node: the step's parameters
+STEP_PARAMETERS = {
+    "engine", "n", "k", "w", "scales", "row_key", "point_key", "src_key", "rows", "recipients",
+    "cheapest",
+}
+
+
+def node_phases(tree: ast.Module):
+    """Each function a module passes to ``engine.local``, as a lambda or by
+    the name of a function defined in the same top-level function."""
+    for top in tree.body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        nested = {d.name: d for d in ast.walk(top) if isinstance(d, ast.FunctionDef)}
+        for call in ast.walk(top):
+            if (
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "local" and getattr(call.func.value, "id", None) == "engine"
+            ):
+                (arg,) = call.args
+                yield nested[arg.id] if isinstance(arg, ast.Name) else arg
+
+
+def free_reads(fn: ast.AST) -> set[str]:
+    """The names ``fn`` reads that it binds nowhere: no parameter, no
+    assignment or loop target, no nested definition."""
+    bound, read = set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.Name):
+            (read if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, ast.FunctionDef) and node is not fn:
+            bound.add(node.name)
+    return read - bound
+
+
+def test_node_phases_read_no_host_variable():
+    """On the clique a node knows its input and what it received, so a node
+    phase reads what it needs from its node's storage: every function
+    ``clusmat.py`` and ``hmst.py`` pass to ``engine.local`` reads, besides
+    its node, only module-level names, builtins and the step parameters
+    above, never a value the host computed for it."""
+    import builtins
+
+    reads = []
+    for module in ("clusmat", "hmst"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        top = set(imported_names(tree))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                top.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                top |= {
+                    node.id for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                }
+        phases = list(node_phases(tree))
+        assert phases
+        reads += [
+            f"{module}.{getattr(fn, 'name', '<lambda>')}: {name}"
+            for fn in phases
+            for name in sorted(free_reads(fn) - top - STEP_PARAMETERS - set(dir(builtins)))
+        ]
+    assert reads == []
