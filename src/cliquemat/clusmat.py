@@ -32,8 +32,8 @@ hold.  Steps (per-step round subtotals land in ``ledger.step_rounds``):
  2. approximate spanning tree of A's rows, built at node 1;
  3. node 1 ships edge j to node j, which re-broadcasts it;
  4. each row goes to the owners of its incident tree edges;
- 5. edge owners compute their edge's distance and broadcast it; every node
-    picks the cheapest candidate tree;
+ 5. edge owners compute their edge's distance in every candidate tree and
+    broadcast them in one message; every node picks the cheapest tree;
  6. edge owners list their edge's witnesses; every node derives the same
     tour, blocks, and pair assignment locally;
  7. tour-block start rows go to the assigned pair nodes;
@@ -50,11 +50,15 @@ The paper's bound takes M from the cheaper of the trees over A's rows and
 over B's columns, so the orientation is part of the protocol.  Orientation
 ``ba`` swaps the roles: the tree spans B's columns (from step 1) against
 A's rows, so the nodes end with (A o B) transposed and one more transpose
-exchange flips it.  :func:`run_clusmat` runs steps 2-5 once per candidate
-orientation, each step's rounds summed over them (a tree and what steps
-3-5 derive from it are keyed by the rows it spans, so candidates keep
-apart), and steps 6-10 once on the cheapest tree.  A forced orientation is
-one candidate; :func:`choose_orientation` passes ``ab`` and ``ba``.
+exchange flips it.  :func:`run_clusmat` hands out one projection family
+in step 2 (hmst step 1, :func:`~cliquemat.hmst.distribute_projections`),
+builds each candidate's tree on it and runs steps 3 and 4 once per
+candidate, each step's rounds summed over them (a tree and what steps 3-5
+derive from it are keyed by the rows it spans, so candidates keep apart).
+Step 5 is one broadcast: each edge owner's message carries its edge's
+distance in every candidate tree.  Steps 6-10 run once, on the cheapest
+tree.  A forced orientation is one candidate; :func:`choose_orientation`
+passes ``ab`` and ``ba``.
 
 End-to-end correctness is exact for every seed: randomness only moves the
 tree, and steps 4-10 are correct for any spanning tree.
@@ -87,7 +91,7 @@ from .errors import (
     InvalidWitnessError,
     SchedulingError,
 )
-from .hmst import ProjectionConfig, run_hmst
+from .hmst import ProjectionConfig, distribute_projections, run_hmst
 from .routing import (
     Batch,
     bounded_route,
@@ -658,29 +662,35 @@ def _deliver_endpoint_rows(engine: CliqueEngine, row_key: str) -> None:
     _multicast_rows(engine, row_key, incident_edges, ("edge_rows", row_key))
 
 
-def _owner_distance_broadcast(engine: CliqueEngine, row_key: str) -> None:
+def _owner_distance_broadcast(engine: CliqueEngine, rows: Sequence[str]) -> None:
     """Edge owner j computes the Hamming distance of its edge's endpoint
-    rows (ceil(n/W) work) and broadcasts it to every node; all nodes store
-    the full distance table under ``("distances", row_key)``, one read-only
-    (n,) int64 array whose entry e is edge e's distance (entry 0 unused).
-    The distances sum to the tree's true cost."""
+    rows in the tree over each key of ``rows`` (ceil(n/W) work each) and
+    broadcasts them all in one message of ``len(rows)`` cb-bit fields; every
+    node stores each tree's full distance table under
+    ``("distances", row_key)``, one read-only (n,) int64 array whose entry e
+    is edge e's distance (entry 0 unused).  The distances sum to the tree's
+    true cost."""
     n = engine.n
     cb = count_bits(n)
 
     def compute(node):
-        tree: Tree = node.storage["tree", row_key]
         if node.id > n - 1:
             return None
-        e = tree.edge(node.id)
-        rows: dict[int, np.ndarray] = node.storage["edge_rows", row_key]
-        engine.charge_work(node.id, math.ceil(n / engine.w))
-        return hamming_distance(rows[e.u], rows[e.v])
+        fields = []
+        for row_key in rows:
+            e = node.storage["tree", row_key].edge(node.id)
+            ends: dict[int, np.ndarray] = node.storage["edge_rows", row_key]
+            engine.charge_work(node.id, math.ceil(n / engine.w))
+            fields.append(hamming_distance(ends[e.u], ends[e.v]))
+        return fields
 
     table = engine.local(compute)
-    engine.broadcast(list(table), cb, label="step5")
-    distances = np.array([0, *table.values()], dtype=np.int64)
-    distances.flags.writeable = False
-    engine.put(("distances", row_key), dict.fromkeys(engine.node_ids(), distances))
+    engine.broadcast(list(table), len(rows) * cb, label="step5")
+    # field i of every message is the tree over rows[i]'s
+    for row_key, column in zip(rows, zip(*table.values())):
+        distances = np.array([0, *column], dtype=np.int64)
+        distances.flags.writeable = False
+        engine.put(("distances", row_key), dict.fromkeys(engine.node_ids(), distances))
 
 
 def run_clusmat(
@@ -690,17 +700,21 @@ def run_clusmat(
     inputs as :func:`_place_inputs` leaves them; returns A o B, the chosen
     orientation, each candidate's tree cost and a plan summary.
 
-    Steps 2-5 run for each of ``orientations`` in the order given; every
-    node then picks the cheapest tree (ties to the first candidate) and
-    steps 6-10 run once on it."""
+    Step 2 hands out one projection family and builds a tree on it for
+    each of ``orientations`` in the order given; steps 3 and 4 run per
+    candidate and step 5 broadcasts every candidate's distances at once.
+    Every node then picks the cheapest tree (ties to the first candidate)
+    and steps 6-10 run once on it."""
     rows = [_ROLES[o][0] for o in orientations]
 
     # step 1: transpose exchange so node i also holds column i of B
     with engine.step("step1"):
         _transpose_exchange(engine, "b_row", "b_col")
 
-    # step 2: approximate spanning tree of each candidate's rows at node 1
+    # step 2: one projection family for every candidate, then an
+    # approximate spanning tree of each candidate's rows at node 1
     with engine.step("step2"):
+        distribute_projections(engine, proj, step_prefix="step2_hmst_")
         for row_key in rows:
             run_hmst(engine, proj, point_key=row_key, step_prefix="step2_hmst_")
 
@@ -714,10 +728,9 @@ def run_clusmat(
         for row_key in rows:
             _deliver_endpoint_rows(engine, row_key)
 
-    # step 5: distances at owners, then everywhere
+    # step 5: distances at owners, then every tree's in one broadcast
     with engine.step("step5"):
-        for row_key in rows:
-            _owner_distance_broadcast(engine, row_key)
+        _owner_distance_broadcast(engine, rows)
 
     # every node sums each candidate's distances and picks the least; all
     # nodes hold the same distance arrays, so the pick is derived once
@@ -887,10 +900,12 @@ def choose_orientation(
     proj: ProjectionConfig | None = None,
 ) -> tuple[BooleanMatrix, str, RoundLedger, dict]:
     """:func:`run_clusmat` on a fresh engine with both candidates: the
-    trees over A's rows and over B's columns, steps 6-10 on the cheaper
-    (ties go to the row side).  Step 5 hands every node both trees' edge
-    distances, so each node makes the same choice locally.  ``info`` adds
-    both tree costs as ``cost_a`` and ``cost_b``."""
+    trees over A's rows and over B's columns, both built on the one
+    projection family node 1 hands out, and steps 6-10 on the cheaper
+    (ties go to the row side).  Step 5's one broadcast hands every node
+    both trees' edge distances, so each node makes the same choice
+    locally.  ``info`` adds both tree costs as ``cost_a`` and
+    ``cost_b``."""
     engine = CliqueEngine(cfg)
     _place_inputs(engine, A, B)
     C, orientation, costs, info = run_clusmat(engine, ("ab", "ba"), proj or ProjectionConfig())

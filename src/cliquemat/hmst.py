@@ -16,6 +16,12 @@ Protocol outline (per-step round subtotals land in the ledger):
 3. check that every node's sketch set arrived whole, estimate all pairwise
    distances and build the tree at node 1.
 
+Step 1 is :func:`distribute_projections` and steps 2-3 are
+:func:`run_hmst`.  A family is drawn without looking at the points, so one
+family serves every point set on the engine: the product's auto
+orientation hands it out once and builds both candidate trees on it, and a
+union bound over the point sets keeps each tree's approximation w.h.p.
+
 A family's matrices are one read-only (scales * k, n) 0/1 array.  Each
 scale's k*n bits and each sketch set is one row of the :func:`pack_chunks`
 wire format, and the seed takes the :func:`chunk_widths` of a 64-bit row; a
@@ -229,22 +235,17 @@ def build_estimated_graph(sketches: np.ndarray, family: ProjectionFamily) -> np.
 # the protocol
 # ---------------------------------------------------------------------------
 
-def run_hmst(
-    engine: CliqueEngine,
-    proj: ProjectionConfig,
-    point_key: str = "point",
-    step_prefix: str = "hmst_",
-) -> Tree:
-    """Run the tree protocol on an engine whose node i already stores its
-    point under ``point_key``; leaves the tree at node 1 under
-    ``("hmst_tree", point_key)``, so trees over different point sets keep
-    apart, and returns it."""
+def distribute_projections(
+    engine: CliqueEngine, proj: ProjectionConfig, step_prefix: str = "hmst_"
+) -> None:
+    """Step 1: node 1 draws one projection family and hands it to every
+    node, which stores it under ``family``; every tree :func:`run_hmst`
+    builds on the engine afterwards is built on it."""
     n = engine.n
     w = engine.w
     k = proj.k_for(n)
     scales = scales_for(n)
 
-    # -- step 1: node 1 generates the projections and distributes them
     with engine.step(step_prefix + "step1"):
         if proj.seed_mode:
             with engine.as_node(1) as node1:
@@ -282,6 +283,23 @@ def run_hmst(
                     node.storage["family"] = engine.derive(family_from_vectors, n, k, *got)
 
             engine.local(rebuild)
+
+
+def run_hmst(
+    engine: CliqueEngine,
+    proj: ProjectionConfig,
+    point_key: str = "point",
+    step_prefix: str = "hmst_",
+) -> Tree:
+    """Steps 2-3 on an engine whose node i already stores its point under
+    ``point_key`` and the family :func:`distribute_projections` handed it
+    under ``family``; leaves the tree at node 1 under
+    ``("hmst_tree", point_key)``, so trees over different point sets keep
+    apart, and returns it."""
+    n = engine.n
+    w = engine.w
+    k = proj.k_for(n)
+    scales = scales_for(n)
 
     # -- step 2: sketch locally, route every sketch set to node 1.  Nodes
     # holding the same family object are sketched in one product.
@@ -342,5 +360,7 @@ def hmst_protocol(
         raise DimensionError(f"need {cfg.n} points of dimension n={cfg.n}, got {P.n}")
     engine = CliqueEngine(cfg)
     engine.put("point", dict(enumerate(own_rows(P.bits), 1)))
-    tree = run_hmst(engine, proj or ProjectionConfig())
+    proj = proj or ProjectionConfig()
+    distribute_projections(engine, proj)
+    tree = run_hmst(engine, proj)
     return tree, engine.ledger

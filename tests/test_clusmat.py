@@ -1067,6 +1067,110 @@ def test_orientation_choice_keeps_both_candidates(monkeypatch):
         assert st["schedules"] == schedules
 
 
+def golden_inputs(n):
+    """The golden grid's (A, B) at n: clustered rows, sparse uniform B."""
+    from cliquemat.harness import GenSpec, generate
+
+    A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=n))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.15, seed=n + 1))
+    return A, B
+
+
+@pytest.mark.parametrize("seed_mode", [False, True], ids=["ship", "seed"])
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_auto_run_hands_out_one_family(routing, seed_mode, monkeypatch):
+    """Both candidate trees are built on one projection family: node 1
+    draws once (a seed, or one block of entries per scale) and generates
+    one family, every node stores the same family object when each
+    candidate's tree is built, and hmst step 1 costs what it costs in a
+    forced run."""
+    from cliquemat.engine import NodeState
+    from cliquemat.hmst import ProjectionConfig, ProjectionFamily, scales_for
+
+    n = 16
+    A, B = golden_inputs(n)
+    cfg = CliqueConfig(n=n, routing=routing, seed=7)
+    proj = ProjectionConfig(seed_mode=seed_mode)
+    _, forced, _ = clusmat_oriented(A, B, cfg, proj)
+    draws, generated, families = [], [], []
+    stream, run_hmst = NodeState.rng, clusmat.run_hmst
+    generate_family = ProjectionFamily.generate.__func__
+
+    class Draws:
+        """A node's random stream that records each draw made from it."""
+
+        def __init__(self, node):
+            self.node, self.rng = node.id, stream.fget(node)
+
+        def __getattr__(self, name):
+            draws.append((self.node, name))
+            return getattr(self.rng, name)
+
+    def counting(cls, *args):
+        generated.append(args)
+        return generate_family(cls, *args)
+
+    def recording_run(engine, *args, **kwargs):
+        families.append([engine.node(v).storage["family"] for v in engine.node_ids()])
+        return run_hmst(engine, *args, **kwargs)
+
+    monkeypatch.setattr(NodeState, "rng", property(Draws))
+    monkeypatch.setattr(ProjectionFamily, "generate", classmethod(counting))
+    monkeypatch.setattr(clusmat, "run_hmst", recording_run)
+    C, _, ledger, _ = choose_orientation(A, B, cfg, proj)
+    assert C == boolean_product_naive(A, B)
+    assert draws == ([(1, "integers")] if seed_mode else [(1, "random")] * len(scales_for(n)))
+    assert len(generated) == 1
+    first, second = families
+    assert all(a is b for a, b in zip(first, second))
+    assert ledger.step_rounds["step2_hmst_step1"] == forced.step_rounds["step2_hmst_step1"]
+
+
+@pytest.mark.parametrize("orientations", [("ab", "ba"), ("ab",), ("ba",)])
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_step5_broadcasts_every_candidate_distance_in_one_round(routing, orientations):
+    """Step 5 is one all-to-all round for any number of candidates: edge
+    owner j sends one message carrying its edge's distance in every
+    candidate tree, cb bits each.  Every node stores each tree's per-edge
+    Hamming distances under its rows' key, and the pick follows their sums
+    as computed here from the inputs (ties to the first candidate)."""
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.hmst import ProjectionConfig
+
+    class Step5Engine(CliqueEngine):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            self.step5 = []
+
+        def broadcast(self, senders, nbits, label=""):
+            if label == "step5":
+                self.step5.append((list(senders), nbits))
+            super().broadcast(senders, nbits, label)
+
+    n = 23
+    A, B = golden_inputs(n)
+    engine = Step5Engine(CliqueConfig(n=n, routing=routing, seed=7))
+    clusmat._place_inputs(engine, A, B)
+    C, orientation, costs, _ = clusmat.run_clusmat(engine, orientations, ProjectionConfig())
+    assert C == boolean_product_naive(A, B)
+    assert engine.step5 == [(list(range(1, n)), len(orientations) * count_bits(n))]
+    assert engine.ledger.step_rounds["step5"] == 1
+    points = {"a_row": A.bits, "b_col": B.bits.T}
+    expected = {}
+    for o in orientations:
+        key = clusmat._ROLES[o][0]
+        tree = engine.node(1).storage["tree", key]
+        distances = [0] + [
+            hamming_distance(points[key][e.u - 1], points[key][e.v - 1])
+            for e in map(tree.edge, range(1, n))
+        ]
+        for v in engine.node_ids():
+            assert engine.node(v).storage["distances", key].tolist() == distances
+        expected[o] = sum(distances)
+    assert costs == expected
+    assert orientation == min(orientations, key=expected.__getitem__)
+
+
 def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
     """Nodes holding the same shared tree and distance table share one
     derivation; a node holding its own copy of the tree derives its own."""

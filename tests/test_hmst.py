@@ -15,6 +15,7 @@ from cliquemat.hmst import (
     ProjectionFamily,
     build_estimated_graph,
     delta_for_scale,
+    distribute_projections,
     family_from_vectors,
     hmst_protocol,
     run_hmst,
@@ -533,6 +534,13 @@ def test_hmst_input_validation():
 # the replicated projection family
 # ---------------------------------------------------------------------------
 
+def hmst_steps(engine, proj):
+    """hmst on ``engine``: step 1 hands out the family, then
+    :func:`run_hmst` builds the tree over the points on it."""
+    distribute_projections(engine, proj)
+    return run_hmst(engine, proj)
+
+
 def engine_with_points(n, routing, seed):
     """Audited engine whose node i stores a random point under "point"."""
     from cliquemat.engine import CliqueEngine
@@ -650,7 +658,7 @@ def test_lost_sketch_chunk_raises(routing, w, monkeypatch):
 
     monkeypatch.setattr(hmst, "bounded_route", dropping)
     with pytest.raises(MalformedSketchError, match=f"node {lossy} "):
-        run_hmst(engine, ProjectionConfig())
+        hmst_steps(engine, ProjectionConfig())
 
 
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
@@ -676,7 +684,7 @@ def test_node1_receives_its_sketch_rows_through_put(routing, monkeypatch):
 
     monkeypatch.setattr(hmst, "bounded_route", spy)
     monkeypatch.setattr(engine, "put", recording_put)
-    run_hmst(engine, ProjectionConfig())
+    hmst_steps(engine, ProjectionConfig())
     (delivered,), (values,) = routed, handed
     assert list(values) == [1]
     mine = delivered.dst == 1
@@ -691,7 +699,7 @@ def test_seed_mode_family_matches_fresh_derivation_at_every_node(routing, monkey
     k = ProjectionConfig().k_for(n)
     engine = engine_with_points(n, routing, 3)
     seeds = record_broadcast_seed(monkeypatch)
-    run_hmst(engine, ProjectionConfig(seed_mode=True))
+    hmst_steps(engine, ProjectionConfig(seed_mode=True))
     (seed,) = seeds
     assert 0 <= seed < 1 << 63
     fresh = ProjectionFamily.from_seed(n, k, seed)
@@ -709,7 +717,7 @@ def test_seed_mode_node_with_altered_seed_derives_its_own_family(routing, monkey
     engine = engine_with_points(n, routing, 3)
     seeds = record_broadcast_seed(monkeypatch)
     stored = alter_stored(monkeypatch, "projection_seed", other, lambda seed: seed ^ 1)
-    run_hmst(engine, ProjectionConfig(seed_mode=True))
+    hmst_steps(engine, ProjectionConfig(seed_mode=True))
     (altered,), (seed, own_seed) = stored, seeds
     assert own_seed == altered == seed ^ 1
     shared = engine.node(1).storage["family"]
@@ -743,7 +751,7 @@ def test_seed_broadcast_sends_the_64_bit_seed_in_w_bit_chunks(routing, w, monkey
         return route(engine, batch)
 
     monkeypatch.setattr(hmst, "bounded_route", snapshot)
-    run_hmst(engine, ProjectionConfig(seed_mode=True))
+    hmst_steps(engine, ProjectionConfig(seed_mode=True))
     chunks = math.ceil(64 / w)
     assert engine.ledger.primitive_rounds["seed_bcast"] == chunks
     assert engine.ledger.step_rounds["hmst_step1"] == chunks
@@ -764,7 +772,7 @@ def test_seed_mode_derives_family_once_per_run(monkeypatch):
         return from_seed(cls, *args)
 
     monkeypatch.setattr(ProjectionFamily, "from_seed", classmethod(counting))
-    run_hmst(engine, ProjectionConfig(seed_mode=True))
+    hmst_steps(engine, ProjectionConfig(seed_mode=True))
     assert len(calls) == 1
     per_node = len(scales_for(n)) * math.ceil(k * n / engine.w)
     assert all(engine.ledger.work[i] >= per_node for i in engine.node_ids())
@@ -776,7 +784,7 @@ def test_ship_mode_family_matches_fresh_derivation_at_every_node(routing, monkey
     k = ProjectionConfig().k_for(n)
     engine = engine_with_points(n, routing, 4)
     received = record_multicast(monkeypatch)
-    run_hmst(engine, ProjectionConfig())
+    hmst_steps(engine, ProjectionConfig())
     assert sorted(received) == list(range(2, n + 1))
     node1 = engine.node(1).storage["family"]
     for v, chunks in received.items():
@@ -804,7 +812,7 @@ def test_ship_mode_node_with_altered_chunks_derives_its_own_family(monkeypatch):
         return decode(*args)
 
     monkeypatch.setattr(hmst, "family_from_vectors", counting_decode)
-    run_hmst(engine, ProjectionConfig())
+    hmst_steps(engine, ProjectionConfig())
     node1 = engine.node(1).storage["family"]
     own = engine.node(other).storage["family"]
     (vectors,) = stored
@@ -844,7 +852,7 @@ def test_node1_decodes_each_sketch_set_as_its_sender_row(routing, monkeypatch):
 
     monkeypatch.setattr(hmst, "bounded_route", spy)
     monkeypatch.setattr(hmst, "build_estimated_graph", recording_build)
-    run_hmst(engine, ProjectionConfig())
+    hmst_steps(engine, ProjectionConfig())
     (senders,), (bits,) = routed, decoded
     assert senders != sorted(senders)
     for v in engine.node_ids():
@@ -857,7 +865,7 @@ def test_family_bits_are_read_only():
     not after generate, from_seed, or the ship-mode rebuild."""
     n = 12
     engine = engine_with_points(n, "accounted", 7)
-    run_hmst(engine, ProjectionConfig())
+    hmst_steps(engine, ProjectionConfig())
     families = [
         ProjectionFamily.generate(n, 9, np.random.default_rng(1)),
         ProjectionFamily.from_seed(n, 9, 1),
