@@ -40,7 +40,7 @@ hold.  Steps (per-step round subtotals land in ``ledger.step_rounds``):
  8. witnesses go to block representatives, then to all pair nodes;
  9. column blocks go to the assigned pair nodes;
 10. pair nodes decode their witnesses, rebuild their block's rows, multiply
-    incrementally and route finished entries home.
+    incrementally and route each finished entry to the node of its row.
 
 Steps 7-9 only deliver: every node stores what it received, and step 10 is
 each pair node's one local phase over it, followed by one product per
@@ -49,16 +49,16 @@ column set.
 The paper's bound takes M from the cheaper of the trees over A's rows and
 over B's columns, so the orientation is part of the protocol.  Orientation
 ``ba`` swaps the roles: the tree spans B's columns (from step 1) against
-A's rows, so the nodes end with (A o B) transposed and one more transpose
-exchange flips it.  :func:`run_clusmat` hands out one projection family
-in step 2 (hmst step 1, :func:`~cliquemat.hmst.distribute_projections`),
-builds each candidate's tree on it and runs steps 3 and 4 once per
-candidate, each step's rounds summed over them (a tree and what steps 3-5
-derive from it are keyed by the rows it spans, so candidates keep apart).
-Step 5 is one broadcast: each edge owner's message carries its edge's
-distance in every candidate tree.  Steps 6-10 run once, on the cheapest
-tree.  A forced orientation is one candidate; :func:`choose_orientation`
-passes ``ab`` and ``ba``.
+A's rows, so a pair node's entry (x, j) is entry (j, x) of A o B, and step
+10 sends it to node j with x as its field.  :func:`run_clusmat` hands out
+one projection family in step 2 (hmst step 1,
+:func:`~cliquemat.hmst.distribute_projections`), builds each candidate's
+tree on it and runs steps 3 and 4 once per candidate, each step's rounds
+summed over them (a tree and what steps 3-5 derive from it are keyed by
+the rows it spans, so candidates keep apart).  Step 5 is one broadcast:
+each edge owner's message carries its edge's distance in every candidate
+tree.  Steps 6-10 run once, on the cheapest tree.  A forced orientation is
+one candidate; :func:`choose_orientation` passes ``ab`` and ``ba``.
 
 End-to-end correctness is exact for every seed: randomness only moves the
 tree, and steps 4-10 are correct for any spanning tree.
@@ -562,7 +562,7 @@ def _pair_entries(
 # ---------------------------------------------------------------------------
 
 # storage keys of the (tree rows, columns) roles in each orientation; "ba"
-# computes (A o B) transposed
+# computes the entries of (A o B) transposed
 _ROLES = {"ab": ("a_row", "b_col"), "ba": ("b_col", "a_row")}
 
 
@@ -584,8 +584,8 @@ def _place_inputs(engine: CliqueEngine, A: BooleanMatrix, B: BooleanMatrix) -> N
 
 
 def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> None:
-    """One relaxed routing task: node j ships bit i of the row it stores
-    under ``src_key`` to node i, so node i stores column i under
+    """Step 1's one relaxed routing task: node j ships bit i of the row it
+    stores under ``src_key`` to node i, so node i stores column i under
     ``out_key``.  The items are laid out by (dst, src), and routing hands
     the batch back in its order, so the delivered payloads are the columns,
     row-major.  The schedule is the (src, dst) layout's: each source's
@@ -742,19 +742,17 @@ def run_clusmat(
         return engine.derive(cheapest, *(node.storage["distances", r] for r in rows))
 
     orientation, costs = engine.local(pick)[1]
-    info = _multiply_along_tree(engine, *_ROLES[orientation])
-    if orientation == "ba":  # node i holds row i of (A o B) transposed
-        with engine.step("orient_transpose"):
-            _transpose_exchange(engine, "c_row", "c_row")
+    info = _multiply_along_tree(engine, orientation)
     C = BooleanMatrix([engine.node(i).storage["c_row"] for i in engine.node_ids()])
     return C, orientation, costs, info
 
 
-def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> dict:
-    """Steps 6-10 on the tree, edge rows and distances each node stores
-    under ``("tree", row_key)``, ``("edge_rows", row_key)`` and
-    ``("distances", row_key)``; node i ends with row i of the product under
+def _multiply_along_tree(engine: CliqueEngine, orientation: str) -> dict:
+    """Steps 6-10 in ``orientation``, ``row_key`` its tree rows, on what
+    each node stores under ``("tree", row_key)``, ``("edge_rows", row_key)``
+    and ``("distances", row_key)``; node i ends with row i of A o B under
     ``c_row``.  Returns the plan summary."""
+    row_key, col_key = _ROLES[orientation]
     n = engine.n
     cb = count_bits(n)
 
@@ -803,8 +801,8 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
         _multicast_rows(engine, col_key, column_recipients, "col_rows")
 
     # step 10: pair nodes decode their witnesses, rebuild their block's rows
-    # and multiply incrementally, then entries go home as (vertex, column,
-    # bit) columns; every row is assembled by one scatter into an n x n grid
+    # and multiply incrementally, then each entry goes to the node of its row
+    # of A o B; every row is assembled by one scatter into an n x n grid
     with engine.step("step10"):
 
         def multiply(node):
@@ -830,20 +828,21 @@ def _multiply_along_tree(engine: CliqueEngine, row_key: str, col_key: str) -> di
             engine.charge_work(node.id, (n + pl.block_costs[b - 1]) * len(cols))
             return st["block_rows"], cols
 
-        # each n^2-sized column exists once: the payload ((j - 1) << 1) | bit
-        # is folded into the fresh column of j, and the entry columns live
-        # on only in the batch, which is dropped once delivered
-        src, vertex, payload, bit = _pair_entries(engine.local(multiply))
+        # each n^2-sized column exists once: the payload ((field - 1) << 1) |
+        # bit is folded into the fresh field column, and the entry columns
+        # live on only in the batch, which is dropped once delivered
+        src, dst, payload, bit = _pair_entries(engine.local(multiply))
+        if orientation == "ba":  # entry (x, j) is (A o B)'s (j, x): to node j
+            dst, payload = payload, dst
         payload -= 1
         payload <<= 1
         payload |= bit
         # a view, not a uint64 copy: every payload is nonnegative
-        entries = Batch.build(engine.w, src, vertex, cb + 1, payload.view(np.uint64))
-        del src, vertex, payload, bit
+        entries = Batch.build(engine.w, src, dst, cb + 1, payload.view(np.uint64))
+        del src, dst, payload, bit
         entries, _ = bounded_route(engine, entries)  # the batch, in its order
-        # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit; a
-        # vertex visited in several tour blocks gets one copy per block, and
-        # the last copy written must equal every other
+        # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit; every
+        # copy (one per tour block visiting its vertex) must equal the last
         flat = entries.dst - 1
         flat *= 2 * n
         flat += entries.payload.astype(np.int64)  # twice the flat index, plus the bit
@@ -884,7 +883,7 @@ def clusmat_oriented(
     """Full product run on a fresh engine; node i starts with row i of A and
     row i of B and finishes with row i of C = A o B.  The orientation is
     forced, as :func:`run_clusmat` with one candidate: ``ab`` follows A's
-    rows, ``ba`` follows B's columns and flips the result back."""
+    rows, ``ba`` follows B's columns."""
     if orientation not in _ROLES:
         raise ValueError(f"orientation must be 'ab' or 'ba', got {orientation!r}")
     engine = CliqueEngine(cfg)

@@ -469,7 +469,7 @@ def test_clusmat_ledger_step_decomposition(entry):
         _, ledger, _ = clusmat_oriented(A, B, cfg, orientation=entry)
         chosen = entry
     forced = clusmat_oriented(A, B, cfg, orientation=chosen)[1]
-    top = [f"step{i}" for i in range(1, 11)] + ["orient_transpose"] * (chosen == "ba")
+    top = [f"step{i}" for i in range(1, 11)]
     hmst = [f"step2_hmst_step{i}" for i in range(1, 4)]
     assert set(ledger.step_rounds) == set(forced.step_rounds) == {*top, *hmst}
     assert sum(ledger.step_rounds[k] for k in top) == ledger.rounds
@@ -527,8 +527,7 @@ def test_transpose_layout_leaves_schedule_and_columns_unchanged(n, w, routing, i
     """The transpose in (dst, src) order charges the ledger and per-node
     work of the (src, dst) layout, sends the same messages in the same
     rounds (simulated), and leaves every node the same column, whether the
-    column replaces the row (the ``ba`` flip) or is stored beside it
-    (step 1)."""
+    column replaces the row or is stored beside it (step 1)."""
     cfg = CliqueConfig(n=n, w=math.ceil(math.log2(n)) + 16 if w == "strict" else w, routing=routing)
     M = np.random.default_rng(seed).integers(0, 2, (n, n), dtype=np.uint8)
     keys = ("c_row", "c_row") if in_place else ("b_row", "b_col")
@@ -935,6 +934,34 @@ def test_step10_short_row_stops_the_run(routing, monkeypatch):
     low, high = lost
     assert low < high
     assert str(err.value) == f"row {low} incomplete: {n - 1} of {n} entries"
+
+
+@pytest.mark.parametrize("orientation", ["ab", "ba"])
+@pytest.mark.parametrize("routing", ["simulated", "accounted"])
+def test_step10_entries_land_at_the_node_of_their_row(routing, orientation, monkeypatch):
+    """Every item step 10 routes decodes, from its destination and its
+    payload ((field - 1) << 1) | bit, to one entry (dst, field) of C with
+    its bit, and lands at the node that stores row dst of C: in either
+    orientation, bit == C[dst - 1][field - 1], and every entry arrives."""
+    n = 23
+    A, B = golden_inputs(n)
+    route, landed = clusmat.bounded_route, []
+
+    def spy(engine, batch):
+        delivered, rounds = route(engine, batch)
+        if "step9" in engine.ledger.step_rounds:  # step 10's call
+            payload = delivered.payload.astype(np.int64)
+            landed.append((delivered.dst.astype(np.int64), (payload >> 1) + 1, payload & 1))
+        return delivered, rounds
+
+    monkeypatch.setattr(clusmat, "bounded_route", spy)
+    cfg = CliqueConfig(n=n, routing=routing, seed=7)
+    C, _, _ = clusmat_oriented(A, B, cfg, orientation=orientation)
+    expect = boolean_product_naive(A, B)
+    assert C == expect and not np.array_equal(expect.bits, expect.bits.T)
+    (dst, field, bit), = landed
+    assert np.array_equal(bit, expect.bits[dst - 1, field - 1])
+    assert np.unique((dst - 1) * n + field - 1).size == n * n
 
 
 def test_step10_holds_each_entry_column_once(monkeypatch):
