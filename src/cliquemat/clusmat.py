@@ -40,7 +40,8 @@ hold.  Steps (per-step round subtotals land in ``ledger.step_rounds``):
  8. witnesses go to block representatives, then to all pair nodes;
  9. column blocks go to the assigned pair nodes;
 10. pair nodes decode their witnesses, rebuild their block's rows, multiply
-    incrementally and route each finished entry to the node of its row.
+    incrementally and send each finished entry to the node of its row:
+    ``ab`` routes one entry per item, ``ba`` makes one direct exchange.
 
 Steps 7-9 only deliver: every node stores what it received, and step 10 is
 each pair node's one local phase over it, followed by one product per
@@ -50,7 +51,11 @@ The paper's bound takes M from the cheaper of the trees over A's rows and
 over B's columns, so the orientation is part of the protocol.  Orientation
 ``ba`` swaps the roles: the tree spans B's columns (from step 1) against
 A's rows, so a pair node's entry (x, j) is entry (j, x) of A o B, and step
-10 sends it to node j with x as its field.  :func:`run_clusmat` hands out
+10 sends it to node j.  There every node knows the plan, so pair node (b,
+c) sends each column j of block c j's bits for tour block b's visited
+vertices, in first-visit order, W to a message and one message per round:
+ceil(max_b |V_b| / W) rounds, the same exchange in both backends
+(:func:`_direct_exchange`).  :func:`run_clusmat` hands out
 one projection family in step 2 (hmst step 1,
 :func:`~cliquemat.hmst.distribute_projections`), builds each candidate's
 tree on it and runs steps 3 and 4 once per candidate, each step's rounds
@@ -491,10 +496,15 @@ def _block_rows(
 
 
 def block_multiply(
-    vertices: np.ndarray, rows: np.ndarray, columns: Sequence[tuple[int, np.ndarray]]
+    vertices: np.ndarray,
+    rows: np.ndarray,
+    columns: Sequence[tuple[int, np.ndarray]],
+    by_column: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (row vertex, column index, bit) columns of each visited vertex x
-    column, vertices in the order given and columns in the given order.
+    column: each vertex in the order given against the columns in the
+    given order, or with ``by_column`` each column against the vertices,
+    with bool bits.
 
     ``vertices`` and ``rows`` are the rows of one tour block from
     :func:`visited_rows`, or of several stacked; the bits of all of them
@@ -506,14 +516,19 @@ def block_multiply(
     """
     js = np.array([j for j, _ in columns], dtype=np.int64)
     cols = np.array([col for _, col in columns], dtype=np.float32).reshape(len(js), rows.shape[1])
+    if by_column:
+        bits = (cols @ rows.T > 0).ravel()
+        del cols
+        return np.tile(vertices, js.size), np.repeat(js, len(vertices)), bits
     bits = (rows @ cols.T > 0).astype(np.int64).ravel()
     del cols  # before the entry columns are allocated
     return np.repeat(vertices, js.size), np.tile(js, len(vertices)), bits
 
 
 def _pair_entries(
-    emitted: Mapping[int, tuple[tuple[np.ndarray, np.ndarray], Mapping[int, np.ndarray]]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    emitted: Mapping[int, tuple[tuple[np.ndarray, np.ndarray], Mapping[int, np.ndarray]]],
+    by_column: bool = False,
+) -> tuple[np.ndarray, ...]:
     """Step 10's (pair node, vertex, column, bit) columns.  ``emitted``
     maps each pair node, ascending, to its tour block's rows from
     :func:`visited_rows` and its ``{column: row}`` dict.
@@ -523,7 +538,13 @@ def _pair_entries(
     visited vertex against its pair nodes' columns, in node order.  The
     blocks whose pair nodes hold the same column rows, in the same order,
     share one :func:`block_multiply` over their stacked rows, so each column
-    set is converted for the product once."""
+    set is converted for the product once.
+
+    ``by_column`` lays each product out column by column instead: a
+    column's entries are its member blocks' vertices in turn, each block's
+    in first-visit order, and the products follow each other.  It adds a
+    fifth column, each entry's vertex's index in its block, and its bits
+    are bool."""
     by_rows: dict[int, tuple[tuple, list[int], list[Mapping[int, np.ndarray]]]] = {}
     for v, (block_rows, cols) in emitted.items():
         _, nodes, dicts = by_rows.setdefault(id(block_rows), (block_rows, [], []))
@@ -536,6 +557,7 @@ def _pair_entries(
         objs = [col for cols in dicts for col in cols.values()]
         products.setdefault((js, *map(id, objs)), []).append(b)
     pieces: list = [None] * len(blocks)
+    by_product = []
     for (js, *_), members in products.items():
         columns = [item for cols in blocks[members[0]][2] for item in cols.items()]
         vertices, rows = (np.concatenate(c) for c in zip(*(blocks[b][0] for b in members)))
@@ -545,6 +567,13 @@ def _pair_entries(
             np.repeat(nodes, [len(cols) for cols in dicts])
             for _, nodes, dicts in (blocks[b] for b in members)
         ])
+        if by_column:
+            by_product.append((
+                np.repeat(owners.T.ravel(), np.tile(counts, len(js))),
+                *block_multiply(vertices, rows, columns, by_column=True),
+                np.tile(np.concatenate([np.arange(c, dtype=np.int32) for c in counts]), len(js)),
+            ))
+            continue
         entries = (
             owners[np.repeat(np.arange(len(members)), counts)].ravel(),
             *block_multiply(vertices, rows, columns),
@@ -554,7 +583,43 @@ def _pair_entries(
         cuts = np.cumsum(counts)[:-1] * len(js)
         for b, *piece in zip(members, *(np.split(c, cuts) for c in entries)):
             pieces[b] = piece
-    return tuple(np.concatenate(c) for c in zip(*pieces))
+    if len(by_product) == 1:
+        return by_product[0]
+    return tuple(np.concatenate(c) for c in zip(*(by_product or pieces)))
+
+
+def _direct_exchange(
+    engine: CliqueEngine, src: np.ndarray, dst: np.ndarray, position: np.ndarray,
+    field: np.ndarray, bit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step 10 as one exchange: entry i goes from node ``src[i]`` to node
+    ``dst[i]`` as one bit of the message of its chunk ``position[i] // W``,
+    sent in that round.  Every node holds the plan, so a receiver reads
+    which entry each bit is off its sender, the round and the bit's place
+    in the message: no entry carries an address, and the host carries
+    ``field`` along for it.
+
+    A message is one run of consecutive entries with the same (src, dst,
+    chunk) and carries as many bits as it has entries; self-addressed
+    entries stay home and charge nothing.  A message's entries must be
+    consecutive: one split into two runs is a second message for its pair
+    in one round, which the engine refuses, as it refuses a run of more
+    than W entries.  Hands back the (dst, field, bit) columns as given."""
+    chunk = position // engine.w
+    cut = src[1:] != src[:-1]
+    cut |= dst[1:] != dst[:-1]
+    cut |= chunk[1:] != chunk[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], cut)))
+    del cut
+    nbits = np.diff(starts, append=src.size)
+    rnd, senders, receivers = chunk[starts], src[starts], dst[starts]
+    cross = senders != receivers
+    rnd = rnd[cross]
+    engine.exchange(
+        int(rnd.max(initial=-1)) + 1, rnd, senders[cross], receivers[cross], nbits[cross],
+        label="step10",
+    )
+    return dst, field, bit
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +816,10 @@ def _multiply_along_tree(engine: CliqueEngine, orientation: str) -> dict:
     """Steps 6-10 in ``orientation``, ``row_key`` its tree rows, on what
     each node stores under ``("tree", row_key)``, ``("edge_rows", row_key)``
     and ``("distances", row_key)``; node i ends with row i of A o B under
-    ``c_row``.  Returns the plan summary."""
+    ``c_row``.  Step 10 routes ``ab``'s entries through
+    :func:`~cliquemat.routing.bounded_route`, one (cb+1)-bit item each, and
+    sends ``ba``'s in one :func:`_direct_exchange`; both feed the same
+    assembly of the rows at the host.  Returns the plan summary."""
     row_key, col_key = _ROLES[orientation]
     n = engine.n
     cb = count_bits(n)
@@ -828,25 +896,40 @@ def _multiply_along_tree(engine: CliqueEngine, orientation: str) -> dict:
             engine.charge_work(node.id, (n + pl.block_costs[b - 1]) * len(cols))
             return st["block_rows"], cols
 
-        # each n^2-sized column exists once: the payload ((field - 1) << 1) |
-        # bit is folded into the fresh field column, and the entry columns
-        # live on only in the batch, which is dropped once delivered
-        src, dst, payload, bit = _pair_entries(engine.local(multiply))
-        if orientation == "ba":  # entry (x, j) is (A o B)'s (j, x): to node j
-            dst, payload = payload, dst
-        payload -= 1
-        payload <<= 1
-        payload |= bit
-        # a view, not a uint64 copy: every payload is nonnegative
-        entries = Batch.build(engine.w, src, dst, cb + 1, payload.view(np.uint64))
-        del src, dst, payload, bit
-        entries, _ = bounded_route(engine, entries)  # the batch, in its order
+        if orientation == "ba":
+            # entry (x, j) is (A o B)'s (j, x): each pair node sends column
+            # j its bits, in its block's first-visit order
+            src, field, row, bit, position = _pair_entries(
+                engine.local(multiply), by_column=True
+            )
+            row, field, bit = _direct_exchange(engine, src, row, position, field, bit)
+            del src, position
+            flat = row - 1
+            flat *= n
+            flat += field
+            flat -= 1
+            flat <<= 1
+            flat += bit  # twice the flat index, plus the bit
+            del row, field, bit
+        else:
+            # each n^2-sized column exists once: the payload ((field - 1) <<
+            # 1) | bit is folded into the fresh field column, and the entry
+            # columns live on only in the batch, which is dropped once
+            # delivered
+            src, dst, payload, bit = _pair_entries(engine.local(multiply))
+            payload -= 1
+            payload <<= 1
+            payload |= bit
+            # a view, not a uint64 copy: every payload is nonnegative
+            entries = Batch.build(engine.w, src, dst, cb + 1, payload.view(np.uint64))
+            del src, dst, payload, bit
+            entries, _ = bounded_route(engine, entries)  # the batch, in its order
+            flat = entries.dst - 1
+            flat *= 2 * n
+            flat += entries.payload.astype(np.int64)  # twice the flat index, plus the bit
+            del entries
         # entry (row, column): 0 not received, 1 a zero bit, 2 a one bit; every
         # copy (one per tour block visiting its vertex) must equal the last
-        flat = entries.dst - 1
-        flat *= 2 * n
-        flat += entries.payload.astype(np.int64)  # twice the flat index, plus the bit
-        del entries
         value = (flat & 1).astype(np.uint8)
         value += 1
         flat >>= 1

@@ -57,10 +57,14 @@ objects nodes keep in storage.  Callers still charge every node its own
 work.
 
 An ``accounted`` ledger against the ``simulated`` one of the same run, as
-the 18 pairs of the golden grid test it: each protocol step's rounds,
-accounted >= simulated; ``messages``, ``bits`` and ``work_total``,
-accounted < simulated, since accounted routing counts each item once, as
-a direct message; ``work_max_node``, no relation, since accounted
+the 18 pairs of the golden grid test it.  The fixed-pattern exchanges,
+whose schedule every node knows (the step 3 and step 5 broadcasts and the
+``ba`` step 10 direct exchange), make the same :meth:`exchange` call in
+both backends and charge identically; the relation below comes from the
+routing primitives.  Each protocol step's rounds, accounted >= simulated;
+``messages``, ``bits`` and ``work_total``, accounted < simulated, since
+accounted routing counts each item once, as a direct message;
+``work_max_node``, no relation, since accounted
 ``vector_multicast`` charges every copy to its sender, where the simulated
 doubling tree spreads the forwarding over the recipients.
 """

@@ -636,13 +636,14 @@ def test_orientation_passes_isolation_audit(monkeypatch, inputs, expect):
 # node isolation and replicated planning
 # ---------------------------------------------------------------------------
 
-def run_placed(engine, A, B):
-    """The ab run on ``engine`` after the entry-point input placement."""
+def run_placed(engine, A, B, orientation="ab"):
+    """The run in ``orientation`` on ``engine`` after the entry-point input
+    placement."""
     from cliquemat import clusmat
     from cliquemat.hmst import ProjectionConfig
 
     clusmat._place_inputs(engine, A, B)
-    C, _, _, info = clusmat.run_clusmat(engine, ("ab",), ProjectionConfig())
+    C, _, _, info = clusmat.run_clusmat(engine, (orientation,), ProjectionConfig())
     return C, info
 
 
@@ -833,44 +834,75 @@ def test_pair_node_missing_a_delivery_stops_step10(drop):
     assert re.search(expect[0], str(err.value))
 
 
+def alter_step10(monkeypatch, orientation, alter):
+    """Hand step 10's entries, as (row, column, bit) int64 columns of the
+    product, to ``alter``, which returns the indices of the entries to keep
+    and their bits.  ``ab`` alters the batch that ``bounded_route`` hands
+    back; ``ba`` alters the entries given to the direct exchange."""
+    if orientation == "ab":
+        route = clusmat.bounded_route
+
+        def spy(engine, batch):
+            delivered, rounds = route(engine, batch)
+            if "step9" in engine.ledger.step_rounds:  # step 10's call
+                payload = delivered.payload.astype(np.int64)
+                keep, bit = alter(delivered.dst.astype(np.int64), (payload >> 1) + 1, payload & 1)
+                payload = ((payload >> 1 << 1) | bit).astype(delivered.payload.dtype)
+                cols = (delivered.src, delivered.dst, delivered.nbits, payload)
+                delivered = Batch(*(col[keep] for col in cols))
+            return delivered, rounds
+
+        monkeypatch.setattr(clusmat, "bounded_route", spy)
+        return
+    exchange = clusmat._direct_exchange
+
+    def direct_spy(engine, src, dst, position, field, bit):
+        keep, bit = alter(dst.astype(np.int64), field.astype(np.int64), bit.astype(np.int64))
+        cols = (src, dst, position, field, bit.astype(bool))
+        return exchange(engine, *(col[keep] for col in cols))
+
+    monkeypatch.setattr(clusmat, "_direct_exchange", direct_spy)
+
+
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
 @pytest.mark.parametrize("flip", [False, True])
 def test_step10_copies_that_disagree_stop_the_run(routing, flip, monkeypatch):
-    """A vertex visited in several tour blocks receives each of its entries
-    once per block.  With one such copy's bit flipped in the delivered
-    step-10 batch, the run stops with a SchedulingError naming the entry's
-    row and column; unflipped, the product is exact."""
+    """A vertex visited in several tour blocks sends each of its entries
+    once per block.  With one such copy's bit flipped, in the delivered
+    step-10 batch (ab) or before the direct exchange (ba), the run stops
+    with a SchedulingError naming the entry's row and column; unflipped,
+    the product is exact.  Each case runs in both orientations."""
     from cliquemat.errors import SchedulingError
     from cliquemat.harness import GenSpec, generate
 
     n = 32
     A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=7))
     B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=8))
-    route, flipped = clusmat.bounded_route, []
-
-    def spy(engine, batch):
-        delivered, rounds = route(engine, batch)
-        if flip and "step9" in engine.ledger.step_rounds:  # step 10's call
-            # (row, column) of each entry; flip the second copy of the first
-            # entry that arrives twice
-            key = delivered.dst * 2 * n + (delivered.payload.astype(np.int64) >> 1)
-            _, first, count = np.unique(key, return_index=True, return_counts=True)
-            i = int(np.flatnonzero(key == key[first[count > 1][0]])[1])
-            payload = delivered.payload.copy()
-            payload[i] ^= 1
-            flipped.append((int(delivered.dst[i]), (int(payload[i]) >> 1) + 1))
-            delivered = Batch(delivered.src, delivered.dst, delivered.nbits, payload)
-        return delivered, rounds
-
-    monkeypatch.setattr(clusmat, "bounded_route", spy)
     cfg = CliqueConfig(n=n, routing=routing, seed=7)
-    if not flip:
-        assert clusmat_oriented(A, B, cfg, orientation="ab")[0] == boolean_product_naive(A, B)
-        return
-    with pytest.raises(SchedulingError) as err:
-        clusmat_oriented(A, B, cfg, orientation="ab")
-    (row, col), = flipped
-    assert f"entry ({row}, {col})" in str(err.value)
+    for orientation in ("ab", "ba"):
+        flipped = []
+
+        def flip_one(row, col, bit):
+            if flip:
+                # flip the second copy of the first entry that arrives twice
+                key = row * 2 * n + col
+                _, first, count = np.unique(key, return_index=True, return_counts=True)
+                i = int(np.flatnonzero(key == key[first[count > 1][0]])[1])
+                bit = bit.copy()
+                bit[i] ^= 1
+                flipped.append((int(row[i]), int(col[i])))
+            return np.arange(row.size), bit
+
+        with monkeypatch.context() as mp:
+            alter_step10(mp, orientation, flip_one)
+            if not flip:
+                C = clusmat_oriented(A, B, cfg, orientation=orientation)[0]
+                assert C == boolean_product_naive(A, B)
+                continue
+            with pytest.raises(SchedulingError) as err:
+                clusmat_oriented(A, B, cfg, orientation=orientation)
+        (row, col), = flipped
+        assert f"entry ({row}, {col})" in str(err.value)
 
 
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
@@ -903,58 +935,57 @@ def test_step10_hands_every_row_over_through_put(routing, monkeypatch):
 
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
 def test_step10_short_row_stops_the_run(routing, monkeypatch):
-    """With one entry of each of two rows lost from the delivered step-10
-    batch, each the only copy of its entry, the run stops with a
-    SchedulingError naming the lower row and its count."""
+    """With one entry of each of two rows lost, each the only copy of its
+    entry, from the delivered step-10 batch (ab) or before the direct
+    exchange (ba), the run stops with a SchedulingError naming the lower
+    row and its count, in both orientations."""
     from cliquemat.errors import SchedulingError
     from cliquemat.harness import GenSpec, generate
 
     n = 16
     A = generate(GenSpec(n=n, kind="clustered", clusters=3, spread=3, seed=7))
     B = generate(GenSpec(n=n, kind="uniform", density=0.3, seed=8))
-    route, lost = clusmat.bounded_route, []
+    for orientation in ("ab", "ba"):
+        lost = []
 
-    def dropping(engine, batch):
-        delivered, rounds = route(engine, batch)
-        if "step9" in engine.ledger.step_rounds:  # step 10's call
-            key = delivered.dst * 2 * n + (delivered.payload.astype(np.int64) >> 1)
+        def drop_two(row, col, bit):
+            key = row * 2 * n + col
             _, first, count = np.unique(key, return_index=True, return_counts=True)
             once = first[count == 1]
             drop = once[[0, -1]]  # the lowest and the highest row's
-            lost.extend(int(delivered.dst[i]) for i in drop)
-            keep = np.ones(len(delivered), dtype=bool)
+            lost.extend(int(row[i]) for i in drop)
+            keep = np.ones(row.size, dtype=bool)
             keep[drop] = False
-            cols = (delivered.src, delivered.dst, delivered.nbits, delivered.payload)
-            delivered = Batch(*(col[keep] for col in cols))
-        return delivered, rounds
+            return np.flatnonzero(keep), bit
 
-    monkeypatch.setattr(clusmat, "bounded_route", dropping)
-    with pytest.raises(SchedulingError) as err:
-        clusmat_oriented(A, B, CliqueConfig(n=n, routing=routing, seed=7), orientation="ab")
-    low, high = lost
-    assert low < high
-    assert str(err.value) == f"row {low} incomplete: {n - 1} of {n} entries"
+        with monkeypatch.context() as mp, pytest.raises(SchedulingError) as err:
+            alter_step10(mp, orientation, drop_two)
+            clusmat_oriented(
+                A, B, CliqueConfig(n=n, routing=routing, seed=7), orientation=orientation
+            )
+        low, high = lost
+        assert low < high
+        assert str(err.value) == f"row {low} incomplete: {n - 1} of {n} entries"
 
 
 @pytest.mark.parametrize("orientation", ["ab", "ba"])
 @pytest.mark.parametrize("routing", ["simulated", "accounted"])
 def test_step10_entries_land_at_the_node_of_their_row(routing, orientation, monkeypatch):
-    """Every item step 10 routes decodes, from its destination and its
-    payload ((field - 1) << 1) | bit, to one entry (dst, field) of C with
-    its bit, and lands at the node that stores row dst of C: in either
-    orientation, bit == C[dst - 1][field - 1], and every entry arrives."""
+    """Every entry of step 10 decodes to one entry (dst, field) of C with
+    its bit, and lands at the node that stores row dst of C: in ab, from
+    the destination and payload ((field - 1) << 1) | bit of each item
+    ``bounded_route`` hands back; in ba, from the columns the direct
+    exchange is given.  In either orientation bit == C[dst - 1][field - 1],
+    and every entry arrives."""
     n = 23
     A, B = golden_inputs(n)
-    route, landed = clusmat.bounded_route, []
+    landed = []
 
-    def spy(engine, batch):
-        delivered, rounds = route(engine, batch)
-        if "step9" in engine.ledger.step_rounds:  # step 10's call
-            payload = delivered.payload.astype(np.int64)
-            landed.append((delivered.dst.astype(np.int64), (payload >> 1) + 1, payload & 1))
-        return delivered, rounds
+    def record(row, col, bit):
+        landed.append((row, col, bit))
+        return np.arange(row.size), bit
 
-    monkeypatch.setattr(clusmat, "bounded_route", spy)
+    alter_step10(monkeypatch, orientation, record)
     cfg = CliqueConfig(n=n, routing=routing, seed=7)
     C, _, _ = clusmat_oriented(A, B, cfg, orientation=orientation)
     expect = boolean_product_naive(A, B)
@@ -962,6 +993,42 @@ def test_step10_entries_land_at_the_node_of_their_row(routing, orientation, monk
     (dst, field, bit), = landed
     assert np.array_equal(bit, expect.bits[dst - 1, field - 1])
     assert np.unique((dst - 1) * n + field - 1).size == n * n
+
+
+def traced_step10(monkeypatch, orientation, name):
+    """Step 10's tracemalloc peak over its start, and the entries it
+    hands to ``clusmat.<name>``, on the accounted n=256 instance with A
+    uniform, forced ``orientation``."""
+    import tracemalloc
+
+    from cliquemat.engine import CliqueEngine
+    from cliquemat.harness import GenSpec, generate
+    from memory_report import measuring_steps
+
+    n = 256
+    A = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=0))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=1))
+    traced, routed = {}, []
+    route = getattr(clusmat, name)
+
+    def spy(engine, entries, *args):
+        routed.append(len(entries))
+        return route(engine, entries, *args)
+
+    monkeypatch.setattr(clusmat, name, spy)
+    monkeypatch.setattr(
+        CliqueEngine, "step", measuring_steps(lambda name, peak, _: traced.update({name: peak}))
+    )
+    tracemalloc.start()
+    try:
+        C, _, _ = clusmat_oriented(
+            A, B, CliqueConfig(n=n, routing="accounted", seed=0), orientation=orientation
+        )
+    finally:
+        tracemalloc.stop()
+    assert C == boolean_product_naive(A, B)
+    assert routed[-1] > n * n
+    return traced["step10"], routed[-1]
 
 
 def test_step10_holds_each_entry_column_once(monkeypatch):
@@ -974,34 +1041,19 @@ def test_step10_holds_each_entry_column_once(monkeypatch):
     sorted into a copy beside the batch took 66; keeping the entry columns
     beside the batch, a uint64 payload copy and a gathered width column
     took 107."""
-    import tracemalloc
+    peak, entries = traced_step10(monkeypatch, "ab", "bounded_route")
+    assert peak < 52 * entries
 
-    from cliquemat.engine import CliqueEngine
-    from cliquemat.harness import GenSpec, generate
-    from memory_report import measuring_steps
 
-    n = 256
-    A = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=0))
-    B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=1))
-    traced, routed = {}, []
-    route = clusmat.bounded_route
-
-    def spy(engine, batch):
-        routed.append(len(batch))
-        return route(engine, batch)
-
-    monkeypatch.setattr(clusmat, "bounded_route", spy)
-    monkeypatch.setattr(
-        CliqueEngine, "step", measuring_steps(lambda name, peak, _: traced.update({name: peak}))
-    )
-    tracemalloc.start()
-    try:
-        C, _, _ = clusmat_oriented(A, B, CliqueConfig(n=n, routing="accounted", seed=0))
-    finally:
-        tracemalloc.stop()
-    assert C == boolean_product_naive(A, B)
-    assert routed[-1] > n * n
-    assert traced["step10"] < 52 * routed[-1]
+def test_ba_step10_holds_each_entry_column_once(monkeypatch):
+    """The same instance forced to ba: step 10 peaks less than 48 bytes
+    per entry above its start (46.4 measured), holding the entries' int64
+    pair node, vertex and column, bool bit and int32 position columns, each
+    once, and the chunk column and run cuts of the direct exchange.  Routed
+    through ``bounded_route`` as one (cb+1)-bit item per entry, the step
+    took 49.0."""
+    peak, entries = traced_step10(monkeypatch, "ba", "_direct_exchange")
+    assert peak < 48 * entries
 
 
 def test_simulated_step10_schedule_holds_few_bytes_per_entry(monkeypatch):
@@ -1536,8 +1588,8 @@ def test_grouped_builders_match_references_in_products(monkeypatch):
     and step-10 build equals its reference.  Then one run gives a node its
     own copy of the tree, so its schedules are a second object, and a pair
     node of tour block 2 copies of its column rows, so step 10 multiplies
-    several column sets and puts block 2's entries back between the
-    others'; the product is still exact."""
+    several column sets (and in ab puts block 2's entries back between
+    the others'); the product is still exact in either orientation."""
     from cliquemat.engine import CliqueEngine
     from cliquemat.harness import GenSpec, generate
     from step_reference import pair_entries, stage1_columns
@@ -1552,18 +1604,27 @@ def test_grouped_builders_match_references_in_products(monkeypatch):
         schedules.append(len({id(s) for _, s in owned.values()}))
         return got
 
-    def checked_entries(emitted):
-        got = entries(emitted)
-        assert_same_columns(got, pair_entries(emitted))
+    def checked_entries(emitted, by_column=False):
+        got = entries(emitted, by_column)
+        expect = pair_entries(emitted, by_column)
+        if by_column:
+            # each (pair node, column) is one run; the runs, in the same order
+            runs = np.flatnonzero((got[0][1:] != got[0][:-1]) | (got[2][1:] != got[2][:-1]))
+            assert runs.size + 1 == np.unique(got[0] * (got[2].max() + 1) + got[2]).size
+            assert_same_columns(*(
+                tuple(c[np.lexsort((cols[2], cols[0]))] for c in cols) for cols in (got, expect)
+            ))
+        else:
+            assert_same_columns(got, expect)
         return got
 
-    def counted_product(*args):
+    def counted_product(*args, **kwargs):
         products[-1] += 1
-        return product(*args)
+        return product(*args, **kwargs)
 
-    def counted_entries(emitted):
+    def counted_entries(emitted, by_column=False):
         products.append(0)
-        return checked_entries(emitted)
+        return checked_entries(emitted, by_column)
 
     monkeypatch.setattr(clusmat, "_stage1_columns", checked_stage1)
     monkeypatch.setattr(clusmat, "_pair_entries", counted_entries)
@@ -1580,11 +1641,11 @@ def test_grouped_builders_match_references_in_products(monkeypatch):
     n, other = 16, 4
     broadcast = clusmat._broadcast_tree
 
-    def broadcast_then_copy(engine, *args, **kwargs):
-        broadcast(engine, *args, **kwargs)
+    def broadcast_then_copy(engine, row_key):
+        broadcast(engine, row_key)
         with engine.as_node(other) as node:
-            t = node.storage["tree", "a_row"]
-            node.storage["tree", "a_row"] = Tree(t.n, t.edges)
+            t = node.storage["tree", row_key]
+            node.storage["tree", row_key] = Tree(t.n, t.edges)
 
     class CopyingEngine(CliqueEngine):
         def local(self, fn):
@@ -1599,11 +1660,12 @@ def test_grouped_builders_match_references_in_products(monkeypatch):
     monkeypatch.setattr(clusmat, "_broadcast_tree", broadcast_then_copy)
     A = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=1))
     B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=2))
-    engine = CopyingEngine(CliqueConfig(n=n, routing="accounted", seed=7), audit=True)
-    C, info = run_placed(engine, A, B)
-    assert C == boolean_product_naive(A, B)
-    assert info["blocks"] >= 3
-    assert schedules[-1] == 2 and products[-1] > 1
+    for orientation in ("ab", "ba"):
+        engine = CopyingEngine(CliqueConfig(n=n, routing="accounted", seed=7), audit=True)
+        C, info = run_placed(engine, A, B, orientation)
+        assert C == boolean_product_naive(A, B)
+        assert info["blocks"] >= 3
+        assert schedules[-1] == 2 and products[-1] > 1
 
 
 # ---------------------------------------------------------------------------

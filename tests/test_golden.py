@@ -13,7 +13,10 @@ and again when an auto run came to hand out one projection family for
 both candidates and to broadcast both trees' edge distances in one round;
 the ``ba`` and auto-picks-``ba`` cells' ledgers were re-recorded when step
 10 came to send each ``ba`` entry to the node whose row of the product
-holds it, so no transpose flips the product afterwards.
+holds it, so no transpose flips the product afterwards, and again when
+that ``ba`` step 10 became one direct exchange, each pair node sending
+each of its columns that column's bits W to a message instead of routing
+one entry per item.
 The ledger digest is the sha256 of ``json.dumps(ledger.as_dict(),
 sort_keys=True)``, the same digest the benchmark repeats per instance.  The
 products have zeros, so a constant product cannot pass.
@@ -21,6 +24,7 @@ products have zeros, so a constant product cannot pass.
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -37,44 +41,44 @@ from cliquemat.textio import digest, matrix_to_text
 # cell -> (product digest prefix, ledger digest prefix, orientation run)
 GOLDEN = {
     "16-simulated-ship-ab": ("2a4b597c9ab732c3", "634bbad5e67df9eb", "ab"),
-    "16-simulated-ship-ba": ("2a4b597c9ab732c3", "199dc106454732df", "ba"),
+    "16-simulated-ship-ba": ("2a4b597c9ab732c3", "98d4a1ef7ce7737c", "ba"),
     "16-simulated-ship-auto": ("2a4b597c9ab732c3", "a962aa8d091975b3", "ab"),
     "16-simulated-seed-ab": ("2a4b597c9ab732c3", "092ac22f90ba047d", "ab"),
-    "16-simulated-seed-ba": ("2a4b597c9ab732c3", "c33733ef47f391ed", "ba"),
+    "16-simulated-seed-ba": ("2a4b597c9ab732c3", "32b4b292b8c4cd61", "ba"),
     "16-simulated-seed-auto": ("2a4b597c9ab732c3", "0c05c62843b173a7", "ab"),
     "16-accounted-ship-ab": ("2a4b597c9ab732c3", "f6adbcc8aaf524a7", "ab"),
-    "16-accounted-ship-ba": ("2a4b597c9ab732c3", "e9a77a46dd79d4c2", "ba"),
+    "16-accounted-ship-ba": ("2a4b597c9ab732c3", "3c1bb7048303be9a", "ba"),
     "16-accounted-ship-auto": ("2a4b597c9ab732c3", "1a9c320e50d93c61", "ab"),
     "16-accounted-seed-ab": ("2a4b597c9ab732c3", "0369516323da0833", "ab"),
-    "16-accounted-seed-ba": ("2a4b597c9ab732c3", "5a45a37010cac6f7", "ba"),
+    "16-accounted-seed-ba": ("2a4b597c9ab732c3", "a6850ccc726aaba4", "ba"),
     "16-accounted-seed-auto": ("2a4b597c9ab732c3", "e4fe705586401d76", "ab"),
     "23-simulated-ship-ab": ("3f7a3347bd44f00d", "62ff7064f91de0ff", "ab"),
-    "23-simulated-ship-ba": ("3f7a3347bd44f00d", "b17009fda0390439", "ba"),
-    "23-simulated-ship-auto": ("3f7a3347bd44f00d", "a8e4f7d506a8d3e0", "ba"),
+    "23-simulated-ship-ba": ("3f7a3347bd44f00d", "b2a6d12ae314beff", "ba"),
+    "23-simulated-ship-auto": ("3f7a3347bd44f00d", "aef96a56f3109993", "ba"),
     "23-simulated-seed-ab": ("3f7a3347bd44f00d", "3564e4cf0190e395", "ab"),
-    "23-simulated-seed-ba": ("3f7a3347bd44f00d", "cfd5c1b0407e4657", "ba"),
-    "23-simulated-seed-auto": ("3f7a3347bd44f00d", "b1cd78543a855154", "ba"),
+    "23-simulated-seed-ba": ("3f7a3347bd44f00d", "85baea5864ce4b31", "ba"),
+    "23-simulated-seed-auto": ("3f7a3347bd44f00d", "f9c214eac16ab28a", "ba"),
     "23-accounted-ship-ab": ("3f7a3347bd44f00d", "3de0bf1e6f13e9d2", "ab"),
-    "23-accounted-ship-ba": ("3f7a3347bd44f00d", "7e1b52593f9aae23", "ba"),
-    "23-accounted-ship-auto": ("3f7a3347bd44f00d", "2191f07e23178d2a", "ba"),
+    "23-accounted-ship-ba": ("3f7a3347bd44f00d", "cb27179f21e91a6c", "ba"),
+    "23-accounted-ship-auto": ("3f7a3347bd44f00d", "4be03a259ed3ca1f", "ba"),
     "23-accounted-seed-ab": ("3f7a3347bd44f00d", "d03162cf188dcfb8", "ab"),
-    "23-accounted-seed-ba": ("3f7a3347bd44f00d", "ba469968fda7260b", "ba"),
-    "23-accounted-seed-auto": ("3f7a3347bd44f00d", "6f0c9d81caf1a22b", "ba"),
+    "23-accounted-seed-ba": ("3f7a3347bd44f00d", "780df62a8b94ea5c", "ba"),
+    "23-accounted-seed-auto": ("3f7a3347bd44f00d", "64748350b1340c1b", "ba"),
 }
 
 # the same, at payload capacity W = the cell's "-w" suffix
 GOLDEN_W = {
     "16-simulated-ship-ab-w10": ("2a4b597c9ab732c3", "0708b83da524d979", "ab"),
-    "16-simulated-ship-ba-w10": ("2a4b597c9ab732c3", "cff52f71bc9ac020", "ba"),
+    "16-simulated-ship-ba-w10": ("2a4b597c9ab732c3", "5b3ef36c5ee38f5d", "ba"),
     "16-simulated-ship-auto-w10": ("2a4b597c9ab732c3", "2ed48b3c99840839", "ab"),
     "16-accounted-ship-ab-w10": ("2a4b597c9ab732c3", "ef70be20e0d8e3b9", "ab"),
-    "16-accounted-ship-ba-w10": ("2a4b597c9ab732c3", "45b13a4142a9f04a", "ba"),
+    "16-accounted-ship-ba-w10": ("2a4b597c9ab732c3", "7b2ddf5f39f647cc", "ba"),
     "16-accounted-ship-auto-w10": ("2a4b597c9ab732c3", "9039c6afaaf59149", "ab"),
     "16-simulated-ship-ab-w100": ("2a4b597c9ab732c3", "57b7c0adca3f1257", "ab"),
-    "16-simulated-ship-ba-w100": ("2a4b597c9ab732c3", "8c12ace10e05c234", "ba"),
+    "16-simulated-ship-ba-w100": ("2a4b597c9ab732c3", "48693f3307c6b0df", "ba"),
     "16-simulated-ship-auto-w100": ("2a4b597c9ab732c3", "9fe71da0d39a7f9d", "ab"),
     "16-accounted-ship-ab-w100": ("2a4b597c9ab732c3", "20d71b53b0536df2", "ab"),
-    "16-accounted-ship-ba-w100": ("2a4b597c9ab732c3", "e31c8aa0e93c5683", "ba"),
+    "16-accounted-ship-ba-w100": ("2a4b597c9ab732c3", "6159c8f0a918200f", "ba"),
     "16-accounted-ship-auto-w100": ("2a4b597c9ab732c3", "4893e20d8f62e0f0", "ab"),
 }
 
@@ -185,6 +189,74 @@ def test_auto_transposes_each_input_once(cell):
     _, _, _, _, forced = run_cell(cell.replace("-auto", "-" + chosen))
     assert ledger.primitive_rounds["relaxed_idt"] == forced.primitive_rounds["relaxed_idt"]
     assert ledger.primitive_rounds["relaxed_idt"] == ledger.step_rounds["step1"]
+
+
+def first_visits(plan, b):
+    """Tour block b's visited vertices, in first-visit order."""
+    lo, hi = plan.traversal_blocks[b - 1]
+    walk = plan.traversal.walk[lo:hi]
+    return np.array(list(dict.fromkeys([int(walk[0, 0]), *walk[:, 1].tolist()])))
+
+
+def ba_step10(cell, monkeypatch):
+    """Step 10's (rounds, messages, bits) in a forced-ba cell, and the same
+    from the cell's plan in closed form: pair node (b, c) sends each column
+    j of block c other than itself ceil(|V_b| / W) messages carrying |V_b|
+    bits in all, V_b being tour block b's visited vertices, and the step
+    takes ceil(max |V_b| / W) rounds.  Every entry's field is the vertex at
+    its position in its sender's block, in first-visit order."""
+    from cliquemat import clusmat
+    from cliquemat.engine import CliqueEngine
+
+    engines, charged = [], []
+
+    class KeptEngine(CliqueEngine):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            engines.append(self)
+
+    exchange = clusmat._direct_exchange
+
+    def spy(engine, src, dst, position, field, bit):
+        led = engine.ledger
+        before = led.rounds, led.messages, led.bits
+        out = exchange(engine, src, dst, position, field, bit)
+        charged.append(tuple(b - a for a, b in zip(before, (led.rounds, led.messages, led.bits))))
+        with engine.as_node(1) as node:
+            plan, asg = node.storage["plan"], node.storage["assignment"]
+        for v in np.unique(src).tolist():
+            order = first_visits(plan, asg.pair_of(v)[0])
+            assert np.array_equal(field[src == v], order[position[src == v]])
+        return out
+
+    monkeypatch.setattr(clusmat, "CliqueEngine", KeptEngine)
+    monkeypatch.setattr(clusmat, "_direct_exchange", spy)
+    ledger = run_cell(cell)[4]
+    (engine,), (traffic,) = engines, charged
+    assert traffic[0] == ledger.step_rounds["step10"]
+    with engine.as_node(1) as node:
+        plan, asg = node.storage["plan"], node.storage["assignment"]
+    visited = [len(first_visits(plan, b)) for b in range(1, plan.num_blocks + 1)]
+    w, messages, bits = engine.w, 0, 0
+    for b in range(1, plan.num_blocks + 1):
+        for v in asg.nodes_for_block(b):
+            lo, hi = plan.column_blocks[asg.pair_of(v)[1] - 1]
+            others = hi - lo + 1 - (lo <= v <= hi)
+            messages += others * math.ceil(visited[b - 1] / w)
+            bits += others * visited[b - 1]
+    return traffic, (math.ceil(max(visited) / w), messages, bits)
+
+
+BA_SIMULATED_CELLS = sorted(c for c in {**GOLDEN, **GOLDEN_W} if "-simulated-" in c and "-ba" in c)
+
+
+@pytest.mark.parametrize("cell", BA_SIMULATED_CELLS)
+def test_ba_step10_is_one_direct_exchange_in_closed_form(cell, monkeypatch):
+    """A forced-ba step 10 charges the same rounds, messages and bits under
+    both backends, and they are the closed forms of the cell's plan."""
+    simulated, closed = ba_step10(cell, monkeypatch)
+    accounted, closed_too = ba_step10(cell.replace("-simulated-", "-accounted-"), monkeypatch)
+    assert simulated == accounted == closed == closed_too
 
 
 # the simulated cells of the 18 (simulated, accounted) pairs of the grid
