@@ -30,7 +30,8 @@ hold.  Steps (per-step round subtotals land in ``ledger.step_rounds``):
 
  1. every node learns its column of B (transpose exchange);
  2. approximate spanning tree of A's rows, built at node 1;
- 3. node 1 ships edge j to node j, which re-broadcasts it;
+ 3. node 1 ships edge j of every candidate tree to node j, which
+    re-broadcasts them, as many trees' copies to a message as W holds;
  4. each row goes to the owners of its incident tree edges;
  5. edge owners compute their edge's distance in every candidate tree and
     broadcast them in one message; every node picks the cheapest tree;
@@ -57,13 +58,16 @@ vertices, in first-visit order, W to a message and one message per round:
 ceil(max_b |V_b| / W) rounds, the same exchange in both backends
 (:func:`_direct_exchange`).  :func:`run_clusmat` hands out
 one projection family in step 2 (hmst step 1,
-:func:`~cliquemat.hmst.distribute_projections`), builds each candidate's
-tree on it and runs steps 3 and 4 once per candidate, each step's rounds
-summed over them (a tree and what steps 3-5 derive from it are keyed by
-the rows it spans, so candidates keep apart).  Step 5 is one broadcast:
-each edge owner's message carries its edge's distance in every candidate
-tree.  Steps 6-10 run once, on the cheapest tree.  A forced orientation is
-one candidate; :func:`choose_orientation` passes ``ab`` and ``ba``.
+:func:`~cliquemat.hmst.distribute_projections`) and builds each
+candidate's tree on it.  Step 3 is one tree broadcast: a message carries
+one edge's copies from floor(W / 2cb) trees, so at W >= 4cb both
+candidates cost what one tree does (:func:`_broadcast_trees`).  Step 4
+runs once per candidate, its rounds summed over them (a tree and what
+steps 3-5 derive from it are keyed by the rows it spans, so candidates
+keep apart).  Step 5 is one broadcast: each edge owner's message carries
+its edge's distance in every candidate tree.  Steps 6-10 run once, on the
+cheapest tree.  A forced orientation is one candidate;
+:func:`choose_orientation` passes ``ab`` and ``ba``.
 
 End-to-end correctness is exact for every seed: randomness only moves the
 tree, and steps 4-10 are correct for any spanning tree.
@@ -665,21 +669,30 @@ def _transpose_exchange(engine: CliqueEngine, src_key: str, out_key: str) -> Non
     engine.put(out_key, dict(enumerate(own_rows(delivered.payload.reshape(n, n)), 1)))
 
 
-def _broadcast_tree(engine: CliqueEngine, row_key: str) -> None:
-    """Node 1 sends edge j of the tree over the rows under ``row_key``, which
-    it stores under ``("hmst_tree", row_key)``, to node j; next round node j
-    re-broadcasts it.  Afterwards every node stores the tree structure under
-    ``("tree", row_key)``: the same edges at weight 0, sharing node 1's
-    walk, so only node 1 holds estimated weights."""
+def _broadcast_trees(engine: CliqueEngine, rows: Sequence[str]) -> None:
+    """Step 3 for every candidate at once: node 1 sends edge j of the tree
+    over the rows under each key of ``rows``, which it stores under
+    ``("hmst_tree", row_key)``, to node j; next round node j re-broadcasts
+    them.  A message carries one edge index's copies from up to
+    floor(W / 2cb) trees, 2cb bits each, never two edge indices, so the
+    trees go out in ceil(len(rows) / floor(W / 2cb)) round pairs, one
+    exchange each, and one tree makes one pair of one-edge messages.
+    Afterwards every node stores each tree's structure under ``("tree",
+    row_key)``: the same edges at weight 0, sharing node 1's walk, so only
+    node 1 holds estimated weights."""
     n = engine.n
     cb = count_bits(n)
+    per_message = engine.w // (2 * cb)  # _place_inputs: W >= 2cb
     with engine.as_node(1) as node1:
-        tree: Tree = node1.storage["hmst_tree", row_key]
+        trees: list[Tree] = [node1.storage["hmst_tree", row_key] for row_key in rows]
 
-    # round 0: node 1 to nodes 2..n-1; round 1: nodes 1..n-1 to all others
-    engine.exchange(2, 0, 1, np.arange(2, n), 2 * cb, "step3", ((1, np.arange(1, n), 2 * cb),))
+    for first in range(0, len(rows), per_message):
+        nbits = 2 * cb * min(per_message, len(rows) - first)
+        # round 0: node 1 to nodes 2..n-1; round 1: nodes 1..n-1 to all others
+        engine.exchange(2, 0, 1, np.arange(2, n), nbits, "step3", ((1, np.arange(1, n), nbits),))
 
-    engine.put(("tree", row_key), dict.fromkeys(engine.node_ids(), tree.structure()))
+    for row_key, tree in zip(rows, trees):
+        engine.put(("tree", row_key), dict.fromkeys(engine.node_ids(), tree.structure()))
 
 
 def _multicast_rows(
@@ -766,8 +779,9 @@ def run_clusmat(
     orientation, each candidate's tree cost and a plan summary.
 
     Step 2 hands out one projection family and builds a tree on it for
-    each of ``orientations`` in the order given; steps 3 and 4 run per
-    candidate and step 5 broadcasts every candidate's distances at once.
+    each of ``orientations`` in the order given; step 3 broadcasts every
+    candidate's tree at once, step 4 runs per candidate and step 5
+    broadcasts every candidate's distances at once.
     Every node then picks the cheapest tree (ties to the first candidate)
     and steps 6-10 run once on it."""
     rows = [_ROLES[o][0] for o in orientations]
@@ -783,10 +797,9 @@ def run_clusmat(
         for row_key in rows:
             run_hmst(engine, proj, point_key=row_key, step_prefix="step2_hmst_")
 
-    # step 3: tree structure to every node
+    # step 3: every tree's structure to every node
     with engine.step("step3"):
-        for row_key in rows:
-            _broadcast_tree(engine, row_key)
+        _broadcast_trees(engine, rows)
 
     # step 4: endpoint rows to edge owners
     with engine.step("step4"):

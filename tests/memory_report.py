@@ -1,21 +1,23 @@
 """Per-step memory of one product on the baseline instance.
 
-    python tests/memory_report.py [n] [accounted|simulated]
+    python tests/memory_report.py [n] [accounted|simulated] [ab|ba|auto]
 
-runs ``clusmat_oriented`` once, orientation ab, on the baseline instance:
-clustered A (4 clusters, spread 6, seed 0), uniform B (density 0.5, seed
-1), engine seed 0, W=64, shipped projections.  n defaults to 1024 and the
-backend to accounted.  It prints one line per protocol step, in the order
-the steps end (a step nested in another, such as hmst's inside step 2,
-ends first):
+runs one product on the baseline instance: clustered A (4 clusters, spread
+6, seed 0), uniform B (density 0.5, seed 1), engine seed 0, W=64, shipped
+projections.  n defaults to 1024, the backend to accounted and the
+orientation to ab; ``ab`` and ``ba`` run ``clusmat_oriented`` forced,
+``auto`` runs ``choose_orientation`` and names the side it picked on the
+first line.  It prints one line per protocol step, in the order the steps
+end (a step nested in another, such as hmst's inside step 2, ends first):
 
 * ``rss_mib``: the process's peak RSS (``ru_maxrss``) after the step;
 * ``traced_mib``: the tracemalloc peak during the step over the traced
   memory at its start, so what the step itself holds at its worst;
 * ``items``: the cross items the step hands to routing primitives (a task
   batch's items between distinct nodes, a multicast's chunk copies to
-  recipients other than their sender), and ``b_per_item``, the traced
-  bytes per such item;
+  recipients other than their sender) and to ``ba`` step 10's direct
+  exchange (its entries between distinct nodes), and ``b_per_item``, the
+  traced bytes per such item;
 * ``s``: the step's wall time, tracemalloc's overhead included.
 
 A last line gives the run's wall time, peak RSS, rounds, messages and the
@@ -36,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from cliquemat import clusmat, hmst  # noqa: E402
-from cliquemat.clusmat import clusmat_oriented  # noqa: E402
+from cliquemat.clusmat import choose_orientation, clusmat_oriented  # noqa: E402
 from cliquemat.engine import CliqueConfig, CliqueEngine  # noqa: E402
 from cliquemat.harness import GenSpec, generate  # noqa: E402
 from cliquemat.hmst import ProjectionConfig  # noqa: E402
@@ -45,6 +47,7 @@ from cliquemat.textio import digest, matrix_to_text  # noqa: E402
 
 MIB = 1024 * 1024
 PRIMITIVES = ("bounded_route", "solve_relaxed_idt", "vector_multicast")
+ORIENTATIONS = ("ab", "ba", "auto")
 
 
 def rss_mib() -> float:
@@ -96,6 +99,10 @@ def cross_items(arg) -> int:
 def main(args: list[str]) -> int:
     n = int(args[0]) if args else 1024
     routing = args[1] if len(args) > 1 else "accounted"
+    orientation = args[2] if len(args) > 2 else "ab"
+    if orientation not in ORIENTATIONS:
+        print(f"orientation must be one of {', '.join(ORIENTATIONS)}", file=sys.stderr)
+        return 2
     A = generate(GenSpec(n=n, kind="clustered", clusters=4, spread=6, seed=0))
     B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=1))
     cfg = CliqueConfig(n=n, routing=routing, seed=0)
@@ -123,25 +130,39 @@ def main(args: list[str]) -> int:
         finally:
             open_steps.pop()
 
+    def add_items(items: int) -> None:
+        for name in open_steps:
+            routed[name] += items
+
     def counted(primitive):
         def call(engine, arg):
-            items = cross_items(arg)
-            for name in open_steps:
-                routed[name] += items
+            add_items(cross_items(arg))
             return primitive(engine, arg)
         return call
+
+    direct_exchange = clusmat._direct_exchange
+
+    def counted_exchange(engine, src, dst, *columns):
+        add_items(int(np.count_nonzero(src != dst)))
+        return direct_exchange(engine, src, dst, *columns)
 
     for module in (clusmat, hmst):
         for name in PRIMITIVES:
             if hasattr(module, name):
                 setattr(module, name, counted(getattr(module, name)))
+    clusmat._direct_exchange = counted_exchange
     CliqueEngine.step = step
     tracemalloc.start()
     t0 = time.perf_counter()
-    C, ledger, _ = clusmat_oriented(A, B, cfg, ProjectionConfig(), orientation="ab")
+    if orientation == "auto":
+        C, chosen, ledger, _ = choose_orientation(A, B, cfg, ProjectionConfig())
+        header = f"n={n} {routing} auto picked {chosen}"
+    else:
+        C, ledger, _ = clusmat_oriented(A, B, cfg, ProjectionConfig(), orientation=orientation)
+        header = f"n={n} {routing}" + ("" if orientation == "ab" else f" {orientation}")
     elapsed = time.perf_counter() - t0
     tracemalloc.stop()
-    print(f"n={n} {routing}", *lines, sep="\n")
+    print(header, *lines, sep="\n")
     print(
         f"total s={elapsed:.2f} rss_mib={rss_mib():.1f} rounds={ledger.rounds} "
         f"messages={ledger.messages} product={digest(matrix_to_text(C))[:16]}"

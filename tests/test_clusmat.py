@@ -1111,6 +1111,52 @@ def test_simulated_step10_schedule_holds_few_bytes_per_entry(monkeypatch):
     assert peak <= 120 * items
 
 
+@pytest.mark.parametrize("orientation", ["ab", "ba", "auto"])
+def test_memory_report_counts_step10_items_in_each_orientation(orientation, monkeypatch):
+    """``tests/memory_report.py n accounted <orientation>`` names the
+    orientation after the backend (``ab`` as before, ``auto`` with the side
+    it picked), and its step-10 ``items`` are the cross entries step 10
+    hands to routing or, in ``ba``, to the direct exchange: the run here
+    on the report's instance counts the same."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from cliquemat.harness import GenSpec, generate
+
+    n = 32
+    script = Path(__file__).with_name("memory_report.py")
+    out = subprocess.run(
+        [sys.executable, str(script), str(n), "accounted", orientation],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    A = generate(GenSpec(n=n, kind="clustered", clusters=4, spread=6, seed=0))
+    B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=1))
+    cfg = CliqueConfig(n=n, routing="accounted", seed=0)
+    routed = []
+    route, exchange = clusmat.bounded_route, clusmat._direct_exchange
+
+    def route_spy(engine, batch):
+        routed.append(int(np.count_nonzero(batch.src != batch.dst)))
+        return route(engine, batch)
+
+    def exchange_spy(engine, src, dst, *columns):
+        routed.append(int(np.count_nonzero(src != dst)))
+        return exchange(engine, src, dst, *columns)
+
+    monkeypatch.setattr(clusmat, "bounded_route", route_spy)
+    monkeypatch.setattr(clusmat, "_direct_exchange", exchange_spy)
+    if orientation == "auto":
+        chosen = choose_orientation(A, B, cfg)[1]
+        assert out[0] == f"n={n} accounted auto picked {chosen}"
+    else:
+        clusmat_oriented(A, B, cfg, orientation=orientation)
+        assert out[0] == f"n={n} accounted" + ("" if orientation == "ab" else " ba")
+    (step10,) = [line for line in out if line.startswith("step10 ")]
+    items = int(re.search(r"items=\s*(\d+)", step10).group(1))
+    assert items == routed[-1] > 0
+
+
 def test_orientation_choice_keeps_both_candidates(monkeypatch):
     """After the choice every node still holds both candidate trees'
     distance tables, which sum to the reported costs, and its plan is the
@@ -1262,7 +1308,7 @@ def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
     B = random_matrix_local(n, rng)
     tours = []
     euler = clusmat.euler_traversal
-    broadcast = clusmat._broadcast_tree
+    broadcast = clusmat._broadcast_trees
 
     def counting_euler(tree, *args, **kwargs):
         tours.append(tree)
@@ -1275,7 +1321,7 @@ def test_step6_derives_once_per_distinct_tree_and_distances(monkeypatch):
             node.storage["tree", "a_row"] = Tree(t.n, t.edges)
 
     monkeypatch.setattr(clusmat, "euler_traversal", counting_euler)
-    monkeypatch.setattr(clusmat, "_broadcast_tree", broadcast_then_copy)
+    monkeypatch.setattr(clusmat, "_broadcast_trees", broadcast_then_copy)
     engine = CliqueEngine(CliqueConfig(n=n, routing="accounted", seed=2))
     C, _ = run_placed(engine, A, B)
     assert C == boolean_product_naive(A, B)
@@ -1345,10 +1391,13 @@ def test_one_tour_array_from_step5_to_step10(routing, monkeypatch):
     assert [type(x) for x in reported] == [int] * len(reported)
 
 
-def test_step3_structure_is_node1_tree_at_weight_zero(monkeypatch):
+@pytest.mark.parametrize("w", [64, 10])
+def test_step3_structure_is_node1_tree_at_weight_zero(w, monkeypatch):
     """Both candidate trees reach every node as node 1's tree at weight 0,
     sharing its walk and adjacency, so each edge set is walked once; no
-    node but node 1 holds an estimated weight."""
+    node but node 1 holds an estimated weight.  That holds whether one
+    message carries both trees' copies of an edge (W=64) or a message
+    holds one edge and the trees go out in two round pairs (W=10)."""
     from cliquemat import clusmat
     from cliquemat.engine import CliqueEngine
     from cliquemat.harness import GenSpec, generate
@@ -1364,8 +1413,11 @@ def test_step3_structure_is_node1_tree_at_weight_zero(monkeypatch):
             engines.append(self)
 
     monkeypatch.setattr(clusmat, "CliqueEngine", KeptEngine)
-    C, _, _, _ = choose_orientation(A, B, CliqueConfig(n=n, routing="accounted", seed=5))
+    C, _, ledger, _ = choose_orientation(
+        A, B, CliqueConfig(n=n, routing="accounted", seed=5, w=w)
+    )
     assert C == boolean_product_naive(A, B)
+    assert ledger.step_rounds["step3"] == (2 if w >= 4 * count_bits(n) else 4)
     (engine,) = engines
     node1 = engine.node(1).storage
     for row_key in ("a_row", "b_col"):
@@ -1639,13 +1691,14 @@ def test_grouped_builders_match_references_in_products(monkeypatch):
     assert schedules == [1] * 8 and products == [1] * 8
 
     n, other = 16, 4
-    broadcast = clusmat._broadcast_tree
+    broadcast = clusmat._broadcast_trees
 
-    def broadcast_then_copy(engine, row_key):
-        broadcast(engine, row_key)
+    def broadcast_then_copy(engine, rows):
+        broadcast(engine, rows)
         with engine.as_node(other) as node:
-            t = node.storage["tree", row_key]
-            node.storage["tree", row_key] = Tree(t.n, t.edges)
+            for row_key in rows:
+                t = node.storage["tree", row_key]
+                node.storage["tree", row_key] = Tree(t.n, t.edges)
 
     class CopyingEngine(CliqueEngine):
         def local(self, fn):
@@ -1657,7 +1710,7 @@ def test_grouped_builders_match_references_in_products(monkeypatch):
                     node.storage["col_rows"] = {j: col.copy() for j, col in cols.items()}
             return super().local(fn)
 
-    monkeypatch.setattr(clusmat, "_broadcast_tree", broadcast_then_copy)
+    monkeypatch.setattr(clusmat, "_broadcast_trees", broadcast_then_copy)
     A = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=1))
     B = generate(GenSpec(n=n, kind="uniform", density=0.5, seed=2))
     for orientation in ("ab", "ba"):

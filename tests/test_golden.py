@@ -16,7 +16,9 @@ the ``ba`` and auto-picks-``ba`` cells' ledgers were re-recorded when step
 holds it, so no transpose flips the product afterwards, and again when
 that ``ba`` step 10 became one direct exchange, each pair node sending
 each of its columns that column's bits W to a message instead of routing
-one entry per item.
+one entry per item; the auto cells' ledgers were re-recorded again when
+step 3 came to send both trees' copies of edge j in one message, where W
+holds two edges (not at W=10, whose auto cells kept their ledgers).
 The ledger digest is the sha256 of ``json.dumps(ledger.as_dict(),
 sort_keys=True)``, the same digest the benchmark repeats per instance.  The
 products have zeros, so a constant product cannot pass.
@@ -36,34 +38,35 @@ from cliquemat.clusmat import choose_orientation, clusmat_oriented
 from cliquemat.engine import CliqueConfig
 from cliquemat.harness import GenSpec, generate, verify
 from cliquemat.hmst import ProjectionConfig
+from cliquemat.routing import count_bits
 from cliquemat.textio import digest, matrix_to_text
 
 # cell -> (product digest prefix, ledger digest prefix, orientation run)
 GOLDEN = {
     "16-simulated-ship-ab": ("2a4b597c9ab732c3", "634bbad5e67df9eb", "ab"),
     "16-simulated-ship-ba": ("2a4b597c9ab732c3", "98d4a1ef7ce7737c", "ba"),
-    "16-simulated-ship-auto": ("2a4b597c9ab732c3", "a962aa8d091975b3", "ab"),
+    "16-simulated-ship-auto": ("2a4b597c9ab732c3", "da485d3cb82b5fc1", "ab"),
     "16-simulated-seed-ab": ("2a4b597c9ab732c3", "092ac22f90ba047d", "ab"),
     "16-simulated-seed-ba": ("2a4b597c9ab732c3", "32b4b292b8c4cd61", "ba"),
-    "16-simulated-seed-auto": ("2a4b597c9ab732c3", "0c05c62843b173a7", "ab"),
+    "16-simulated-seed-auto": ("2a4b597c9ab732c3", "fc0159f6f72b4e5f", "ab"),
     "16-accounted-ship-ab": ("2a4b597c9ab732c3", "f6adbcc8aaf524a7", "ab"),
     "16-accounted-ship-ba": ("2a4b597c9ab732c3", "3c1bb7048303be9a", "ba"),
-    "16-accounted-ship-auto": ("2a4b597c9ab732c3", "1a9c320e50d93c61", "ab"),
+    "16-accounted-ship-auto": ("2a4b597c9ab732c3", "a2d2860249277160", "ab"),
     "16-accounted-seed-ab": ("2a4b597c9ab732c3", "0369516323da0833", "ab"),
     "16-accounted-seed-ba": ("2a4b597c9ab732c3", "a6850ccc726aaba4", "ba"),
-    "16-accounted-seed-auto": ("2a4b597c9ab732c3", "e4fe705586401d76", "ab"),
+    "16-accounted-seed-auto": ("2a4b597c9ab732c3", "d7a2beab16adc019", "ab"),
     "23-simulated-ship-ab": ("3f7a3347bd44f00d", "62ff7064f91de0ff", "ab"),
     "23-simulated-ship-ba": ("3f7a3347bd44f00d", "b2a6d12ae314beff", "ba"),
-    "23-simulated-ship-auto": ("3f7a3347bd44f00d", "aef96a56f3109993", "ba"),
+    "23-simulated-ship-auto": ("3f7a3347bd44f00d", "256a9a5fc881a6bf", "ba"),
     "23-simulated-seed-ab": ("3f7a3347bd44f00d", "3564e4cf0190e395", "ab"),
     "23-simulated-seed-ba": ("3f7a3347bd44f00d", "85baea5864ce4b31", "ba"),
-    "23-simulated-seed-auto": ("3f7a3347bd44f00d", "f9c214eac16ab28a", "ba"),
+    "23-simulated-seed-auto": ("3f7a3347bd44f00d", "fafdcb2d997f2bde", "ba"),
     "23-accounted-ship-ab": ("3f7a3347bd44f00d", "3de0bf1e6f13e9d2", "ab"),
     "23-accounted-ship-ba": ("3f7a3347bd44f00d", "cb27179f21e91a6c", "ba"),
-    "23-accounted-ship-auto": ("3f7a3347bd44f00d", "4be03a259ed3ca1f", "ba"),
+    "23-accounted-ship-auto": ("3f7a3347bd44f00d", "b01f2a8686744ecb", "ba"),
     "23-accounted-seed-ab": ("3f7a3347bd44f00d", "d03162cf188dcfb8", "ab"),
     "23-accounted-seed-ba": ("3f7a3347bd44f00d", "780df62a8b94ea5c", "ba"),
-    "23-accounted-seed-auto": ("3f7a3347bd44f00d", "64748350b1340c1b", "ba"),
+    "23-accounted-seed-auto": ("3f7a3347bd44f00d", "87e5b3e80d60ea21", "ba"),
 }
 
 # the same, at payload capacity W = the cell's "-w" suffix
@@ -76,10 +79,10 @@ GOLDEN_W = {
     "16-accounted-ship-auto-w10": ("2a4b597c9ab732c3", "9039c6afaaf59149", "ab"),
     "16-simulated-ship-ab-w100": ("2a4b597c9ab732c3", "57b7c0adca3f1257", "ab"),
     "16-simulated-ship-ba-w100": ("2a4b597c9ab732c3", "48693f3307c6b0df", "ba"),
-    "16-simulated-ship-auto-w100": ("2a4b597c9ab732c3", "9fe71da0d39a7f9d", "ab"),
+    "16-simulated-ship-auto-w100": ("2a4b597c9ab732c3", "1866445c860bc51b", "ab"),
     "16-accounted-ship-ab-w100": ("2a4b597c9ab732c3", "20d71b53b0536df2", "ab"),
     "16-accounted-ship-ba-w100": ("2a4b597c9ab732c3", "6159c8f0a918200f", "ba"),
-    "16-accounted-ship-auto-w100": ("2a4b597c9ab732c3", "4893e20d8f62e0f0", "ab"),
+    "16-accounted-ship-auto-w100": ("2a4b597c9ab732c3", "201898c73c29f681", "ab"),
 }
 
 
@@ -266,6 +269,80 @@ SIMULATED_CELLS = sorted(c for c in {**GOLDEN, **GOLDEN_W} if "-simulated-" in c
 def ledger_pair(cell):
     """(simulated, accounted) ledgers of a simulated cell and its pair."""
     return run_cell(cell)[4], run_cell(cell.replace("-simulated-", "-accounted-"))[4]
+
+
+def step3_charge(cell, monkeypatch):
+    """Step 3 in a cell: the (rounds, messages, bits, per-node work) its
+    one tree broadcast charges, and the ledger's ``step3`` step and
+    primitive rounds."""
+    from cliquemat import clusmat
+
+    charged = []
+    broadcast = clusmat._broadcast_trees
+
+    def spy(engine, rows):
+        led = engine.ledger
+        before = led.rounds, led.messages, led.bits, list(led.work)
+        broadcast(engine, rows)
+        after = led.rounds, led.messages, led.bits
+        work = [b - a for a, b in zip(before[3], led.work)]
+        charged.append((*(b - a for a, b in zip(before, after)), work))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(clusmat, "_broadcast_trees", spy)
+        ledger = run_cell(cell)[4]
+    (traffic,) = charged
+    return traffic, ledger.step_rounds["step3"], ledger.primitive_rounds["step3"]
+
+
+def step3_closed_form(n, w, candidates):
+    """Step 3's (rounds, messages, bits, per-node work) in closed form.  A
+    message carries one edge index's copies from up to floor(W / 2cb)
+    trees, so the trees go out in round pairs of ceil(candidates /
+    floor(W / 2cb)).  Each pair: node 1 sends nodes 2..n-1 their edge, then
+    nodes 1..n-1 each send every other node theirs, (n-2) + (n-1)^2
+    messages, which node 1 sends or receives 3n-5 of, nodes 2..n-1 2n-2
+    and node n n-1, at W work each."""
+    cb = count_bits(n)
+    per_message = w // (2 * cb)
+    trees = [min(per_message, candidates - k) for k in range(0, candidates, per_message)]
+    pair_messages = (n - 2) + (n - 1) ** 2
+    load = [0, 3 * n - 5] + [2 * n - 2] * (n - 2) + [n - 1]
+    return (
+        2 * len(trees),
+        len(trees) * pair_messages,
+        pair_messages * 2 * cb * sum(trees),
+        [w * len(trees) * x for x in load],
+    )
+
+
+@pytest.mark.parametrize("cell", SIMULATED_CELLS)
+def test_step3_is_one_tree_broadcast_in_closed_form(cell, monkeypatch):
+    """Step 3 charges its closed form under both backends, and its step
+    and primitive rounds are its rounds.  A forced run takes 2 rounds and
+    (n-2) + (n-1)^2 messages of 2cb bits; an auto run where W >= 4cb takes
+    the same rounds and messages, of 4cb bits; at n=16, W=10 an auto run
+    takes 4 rounds and charges what two forced step 3s do."""
+    n_text, _, _, orientation, *w_text = cell.split("-")
+    n, w = int(n_text), int(w_text[0][1:]) if w_text else 64
+    cb = count_bits(n)
+    auto = orientation == "auto"
+    closed = step3_closed_form(n, w, 2 if auto else 1)
+    pair_messages = (n - 2) + (n - 1) ** 2
+    for one_cell in (cell, cell.replace("-simulated-", "-accounted-")):
+        traffic, step_rounds, primitive_rounds = step3_charge(one_cell, monkeypatch)
+        assert traffic == closed
+        assert step_rounds == primitive_rounds == traffic[0]
+        if not auto:
+            assert traffic[:3] == (2, pair_messages, pair_messages * 2 * cb)
+            continue
+        forced = step3_charge(one_cell.replace("-auto", "-ab"), monkeypatch)[0]
+        if w >= 4 * cb:
+            assert traffic[:3] == (2, pair_messages, pair_messages * 4 * cb)
+            assert traffic[:2] == forced[:2] and traffic[3] == forced[3]
+        else:
+            assert traffic[0] == 4
+            assert traffic == (*(2 * x for x in forced[:3]), [2 * x for x in forced[3]])
 
 
 @pytest.mark.parametrize("cell", SIMULATED_CELLS)
