@@ -1391,13 +1391,21 @@ def test_one_tour_array_from_step5_to_step10(routing, monkeypatch):
     assert [type(x) for x in reported] == [int] * len(reported)
 
 
-@pytest.mark.parametrize("w", [64, 10])
-def test_step3_structure_is_node1_tree_at_weight_zero(w, monkeypatch):
+def test_step3_structure_is_node1_tree_at_weight_zero(monkeypatch):
     """Both candidate trees reach every node as node 1's tree at weight 0,
     sharing its walk and adjacency, so each edge set is walked once; no
-    node but node 1 holds an estimated weight.  That holds whether one
-    message carries both trees' copies of an edge (W=64) or a message
-    holds one edge and the trees go out in two round pairs (W=10)."""
+    node but node 1 holds an estimated weight.  At the default W=64 one
+    message carries both trees' copies of an edge."""
+    _check_step3_structure(64, monkeypatch)
+
+
+def test_step3_structure_is_node1_tree_at_weight_zero_in_narrow_words(monkeypatch):
+    """The same holds at W=10, where a message holds one edge and the two
+    trees go out in two round pairs."""
+    _check_step3_structure(10, monkeypatch)
+
+
+def _check_step3_structure(w, monkeypatch):
     from cliquemat import clusmat
     from cliquemat.engine import CliqueEngine
     from cliquemat.harness import GenSpec, generate
